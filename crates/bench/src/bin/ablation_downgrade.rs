@@ -15,7 +15,7 @@
 
 use rpki_attacks::MisbehaviorReport;
 use rpki_risk::{
-    run_campaign_traced, run_downgrade_traced, standard_campaigns, DowngradeOutcome, RpTier,
+    run_campaign, run_downgrade_traced, standard_campaigns, DowngradeOutcome, RpTier, Walk,
 };
 use rpki_risk_bench::{emit_json, trace_recorder, write_trace, Recorder, Summary, SummaryTable};
 use serde::Serialize;
@@ -121,7 +121,7 @@ fn main() {
         .into_iter()
         .find(|s| s.name == "stalloris-downgrade")
         .expect("standard campaign exists");
-    let campaign = run_campaign_traced(&spec, seed, &recorder);
+    let campaign = run_campaign(&spec, seed, Walk::Incremental, &recorder);
     let mut table = SummaryTable::new(&["tier", "VRP-rounds", "min VRPs", "rrdp downgrades"]);
     for t in &campaign.tiers {
         table.row(&[

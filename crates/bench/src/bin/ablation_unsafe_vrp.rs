@@ -21,8 +21,8 @@
 
 use rpki_attacks::{CorpusKind, MisbehaviorReport};
 use rpki_objects::Moment;
-use rpki_risk::{run_campaign, CampaignSpec, FaultKind, FaultWindow, ModelRpki, RpTier};
-use rpki_risk_bench::{emit_json, Summary, SummaryTable};
+use rpki_risk::{run_campaign, CampaignSpec, FaultKind, FaultWindow, ModelRpki, RpTier, Walk};
+use rpki_risk_bench::{emit_json, Recorder, Summary, SummaryTable};
 use rpki_rp::UnsafeVrpPolicy;
 use serde::Serialize;
 
@@ -91,7 +91,7 @@ fn main() {
     ]);
     for policy in policies {
         let spec = overclaim_campaign().with_unsafe_policy(policy);
-        let outcome = run_campaign(&spec, seed);
+        let outcome = run_campaign(&spec, seed, Walk::Incremental, &Recorder::disabled());
         for t in &outcome.tiers {
             table.row(&[
                 policy_label(policy).to_owned(),

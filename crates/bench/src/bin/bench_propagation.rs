@@ -14,10 +14,8 @@
 //! `--scale N` multiplies every topology size; `--json` additionally
 //! mirrors the records to stderr like the other harness binaries.
 
-use std::time::Instant;
-
 use bgp_sim::{propagate_with_stats, reference, RpkiPolicy};
-use rpki_risk_bench::{emit_json, scale_arg, Recorder, Summary, SummaryTable};
+use rpki_risk_bench::{emit_json, scale_arg, time_min, Recorder, Summary, SummaryTable};
 use rpki_rp::{Vrp, VrpCache};
 use serde::Serialize;
 use topogen::{Config, SyntheticInternet};
@@ -38,19 +36,6 @@ struct Record {
     memo_hits: usize,
     memo_misses: usize,
     peak_worklist: usize,
-}
-
-/// Minimum wall time of `iters` runs of `f` (after one warmup run).
-fn time_min<F: FnMut()>(iters: usize, mut f: F) -> u128 {
-    f();
-    (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .min()
-        .expect("at least one iteration")
 }
 
 fn main() {

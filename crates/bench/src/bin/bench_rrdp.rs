@@ -36,7 +36,9 @@ use std::time::Instant;
 use rpki_objects::Moment;
 use rpki_repo::{RrdpClientState, SyncPolicy};
 use rpki_risk::SyntheticRpki;
-use rpki_risk_bench::{emit_json, scale_arg, trace_recorder, write_trace, Summary, SummaryTable};
+use rpki_risk_bench::{
+    emit_json, scale_arg, time_min, trace_recorder, write_trace, Summary, SummaryTable,
+};
 use rpki_rp::{RrdpSource, ValidationConfig, ValidationRun, ValidationState, Validator};
 use serde::Serialize;
 
@@ -83,19 +85,6 @@ fn validate_rrdp(
         std::slice::from_ref(&w.tal),
         state,
     )
-}
-
-/// Minimum wall time of `iters` runs of `f` (after one warmup run).
-fn time_min<F: FnMut()>(iters: usize, mut f: F) -> u128 {
-    f();
-    (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .min()
-        .expect("at least one iteration")
 }
 
 fn main() {

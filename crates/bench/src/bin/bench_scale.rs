@@ -34,7 +34,7 @@ use std::time::Instant;
 use rpki_objects::Moment;
 use rpki_risk::SyntheticRpki;
 use rpki_risk_bench::{
-    emit_json, scale_arg, trace_recorder, write_trace, Recorder, Summary, SummaryTable,
+    emit_json, scale_arg, time_min, trace_recorder, write_trace, Recorder, Summary, SummaryTable,
 };
 use rpki_rp::{ShardPlan, ValidationRun, ValidationState};
 use serde::Serialize;
@@ -66,19 +66,6 @@ fn run_jsonl(run: &ValidationRun) -> String {
     let rec = Recorder::new();
     run.emit(&rec, 0);
     rec.trace_jsonl()
-}
-
-/// Minimum wall time of `iters` runs of `f` (after one warmup run).
-fn time_min<F: FnMut()>(iters: usize, mut f: F) -> u128 {
-    f();
-    (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .min()
-        .expect("at least one iteration")
 }
 
 fn main() {

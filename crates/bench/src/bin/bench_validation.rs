@@ -24,7 +24,9 @@ use std::time::Instant;
 use ipres::Asn;
 use rpki_objects::{Moment, RoaPrefix};
 use rpki_risk::SyntheticRpki;
-use rpki_risk_bench::{emit_json, scale_arg, trace_recorder, write_trace, Summary, SummaryTable};
+use rpki_risk_bench::{
+    emit_json, scale_arg, time_min, trace_recorder, write_trace, Summary, SummaryTable,
+};
 use rpki_rp::ValidationState;
 use serde::Serialize;
 
@@ -47,19 +49,6 @@ struct Record {
     probe_hits: u64,
     delta_announced: u64,
     delta_withdrawn: u64,
-}
-
-/// Minimum wall time of `iters` runs of `f` (after one warmup run).
-fn time_min<F: FnMut()>(iters: usize, mut f: F) -> u128 {
-    f();
-    (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .min()
-        .expect("at least one iteration")
 }
 
 /// Renews ROAs in `pct`% of directories, then makes one semantic

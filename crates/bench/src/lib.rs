@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 use std::fmt::Display;
+use std::time::Instant;
 
 pub use rpki_obs::{Recorder, Summary, SummaryTable};
 
@@ -68,6 +69,20 @@ pub fn trace_recorder() -> Recorder {
     } else {
         Recorder::disabled()
     }
+}
+
+/// Minimum wall time in nanoseconds of `iters` runs of `f` (after one
+/// warmup run).
+pub fn time_min<F: FnMut()>(iters: usize, mut f: F) -> u128 {
+    f();
+    (0..iters)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_nanos()
+        })
+        .min()
+        .expect("at least one iteration")
 }
 
 /// Writes the recorder's JSONL trace to the requested destination (a

@@ -18,11 +18,36 @@
 //!    ([`RrdpSource`](rpki_rp::RrdpSource), verified mode) with the
 //!    rsync path as its downgrade target.
 //!
-//! Each tier runs in its *own* freshly seeded world, so tiers never
-//! contaminate each other's fault dice; determinism is per
-//! `(campaign, seed, tier)`. All metrics are integers, so serialized
-//! outcomes are byte-identical across runs of the same seed — the
-//! property `tests/resilience_campaign.rs` pins.
+//! # The engine
+//!
+//! Every campaign is the same round loop, run by one private engine
+//! that owns the world, its relying parties (each with its persistent
+//! caches) and the background churn. Its steps, in the order every
+//! driver calls them:
+//!
+//! - **new** — build the seeded world and install the recorder. A
+//!   *private* world validates from its built-in relying-party node; a
+//!   *shared* world adds one `rp-<tier>` node per tier.
+//! - **warm-up** — one faultless validation per relying party, so
+//!   snapshots, RRDP sessions and the Suspenders baseline reflect the
+//!   healthy world.
+//! - **begin round** — advance the clock to the round boundary
+//!   ([`ROUND_SECS`]), apply one step of background churn, then switch
+//!   every fault window off and the armed ones back on.
+//! - **validate round** — every relying party validates through its
+//!   stack; each tier's [`RoundMetrics`] row is recorded and emitted as
+//!   a `campaign/round` event.
+//! - **finish** — fold the rows into [`TierTotals`].
+//!
+//! The four entry points — [`run_campaign`] (a private world per
+//! tier), [`run_shared_campaign`], [`run_rtr_campaign`] and
+//! [`run_scheduled_campaign`] — are straight-line drivers over those
+//! steps, each adding its own table to the one [`CampaignOutcome`].
+//!
+//! All metrics are integers, so serialized outcomes and traces are
+//! byte-identical across runs of the same seed —
+//! `tests/campaign_fingerprints.rs` pins a digest of every table and
+//! trace of every entry point.
 //!
 //! The interesting separations the standard campaigns expose:
 //!
@@ -40,12 +65,12 @@
 use std::collections::BTreeSet;
 
 use ipres::Prefix;
-use netsim::NodeId;
+use netsim::{Network, NodeId};
 use rpki_attacks::{CorpusKind, StarvePlan};
 use rpki_ca::{ChurnConfig, ChurnEngine};
 use rpki_objects::{Moment, RoaPrefix, Span};
 use rpki_obs::Recorder;
-use rpki_repo::{Freshness, RrdpClientState, SyncPolicy};
+use rpki_repo::{Freshness, Repository, RrdpClientState, SyncPolicy};
 use rpki_rp::fabric::{pump_until, RtrEndpoint};
 use rpki_rp::{
     MergePolicy, Relay, ResilienceConfig, ResilientState, Route, RouteValidity, RtrFabric,
@@ -124,14 +149,14 @@ pub enum FaultKind {
     /// A hard partition of the RTR feed path (relay ↔ every router):
     /// the relying parties stay perfectly synchronised while *routers*
     /// go deaf — the hop the repository fault kinds cannot reach. Only
-    /// [`run_campaign_rtr`] interprets this; repository-only runners
+    /// [`run_rtr_campaign`] interprets this; repository-only runners
     /// treat it as a no-op. The window's `host` is a label, not a
     /// repository lookup.
     RtrPartition,
     /// The RTR feed path serves, but `extra` seconds late (Stalloris
     /// moved one hop down): frames stalled past the per-round pump
     /// budget never arrive, the session times out, and routers act on
-    /// yesterday's VRPs. Only [`run_campaign_rtr`] interprets this.
+    /// yesterday's VRPs. Only [`run_rtr_campaign`] interprets this.
     RtrStall {
         /// Added one-way delay on relay→router frames.
         extra: u64,
@@ -162,8 +187,17 @@ pub struct FaultWindow {
 }
 
 impl FaultWindow {
-    fn active(&self, round: usize) -> bool {
-        self.from <= round && round <= self.to
+    /// `kind` on `host` over rounds `from..=to`.
+    pub fn new(host: &str, kind: FaultKind, from: usize, to: usize) -> Self {
+        FaultWindow { host: host.to_owned(), kind, from, to }
+    }
+
+    /// Whether the window's fault is in force at `round`.
+    fn armed(&self, round: usize) -> bool {
+        let inside = self.from <= round && round <= self.to;
+        // Flapping: partitioned on the window's even offsets, so it
+        // always starts severed and heals every other round.
+        inside && (self.kind != FaultKind::Flapping || (round - self.from).is_multiple_of(2))
     }
 }
 
@@ -190,6 +224,18 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
+    /// A campaign of `rounds` rounds under `windows`, with the default
+    /// unsafe-VRP policy and no background churn.
+    pub fn new(name: &str, rounds: usize, windows: Vec<FaultWindow>) -> Self {
+        CampaignSpec {
+            name: name.to_owned(),
+            rounds,
+            windows,
+            unsafe_vrps: UnsafeVrpPolicy::Accept,
+            churn: None,
+        }
+    }
+
     /// The same campaign under a different unsafe-VRP policy.
     pub fn with_unsafe_policy(mut self, policy: UnsafeVrpPolicy) -> Self {
         self.unsafe_vrps = policy;
@@ -237,54 +283,74 @@ impl RpTier {
     }
 }
 
-/// What one tier saw in one round. All counts are integers so that the
-/// serialized campaign outcome is byte-identical across replays.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct RoundMetrics {
-    /// Round number (1-based; the warm-up round is not recorded).
-    pub round: usize,
-    /// VRPs in the tier's effective cache.
-    pub vrps: usize,
-    /// Legitimate announcements classified valid.
-    pub valid: usize,
-    /// Legitimate announcements classified invalid (flips from the
-    /// all-valid healthy baseline).
-    pub invalid: usize,
-    /// Legitimate announcements classified unknown (flips from the
-    /// all-valid healthy baseline).
-    pub unknown: usize,
-    /// Publication points served from a stale snapshot this round.
-    pub stale_dirs: usize,
-    /// RRDP→rsync downgrades this round (always 0 for non-RRDP tiers).
-    pub rrdp_downgrades: usize,
-    /// VRPs flagged unsafe this round (overlapping a rejected CA's
-    /// resources; always 0 under [`UnsafeVrpPolicy::Accept`]).
-    pub unsafe_vrps: usize,
-    /// CAs the walk rejected this round.
-    pub rejected_cas: usize,
+/// Declares an all-integer metrics struct together with its
+/// `columns()` — every field by name, in declaration order, as a trace
+/// event carries them — so the struct lists its columns exactly once.
+macro_rules! metrics_struct {
+    ($(#[$attr:meta])* pub struct $name:ident { $($(#[$doc:meta])* pub $field:ident: $ty:ty,)+ }) => {
+        $(#[$attr])*
+        pub struct $name { $($(#[$doc])* pub $field: $ty,)+ }
+
+        impl $name {
+            fn columns(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($field), self.$field as u64)),+]
+            }
+        }
+    };
 }
 
-/// Campaign-wide sums for one tier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct TierTotals {
-    /// Σ `vrps` over rounds — the VRP-availability integral.
-    pub vrp_round_sum: usize,
-    /// The worst single round's VRP count.
-    pub min_vrps: usize,
-    /// Σ `valid` over rounds.
-    pub valid_round_sum: usize,
-    /// Σ `invalid`: announcement-rounds flipped valid→invalid.
-    pub invalid_flips: usize,
-    /// Σ `unknown`: announcement-rounds flipped valid→unknown.
-    pub unknown_flips: usize,
-    /// Σ `stale_dirs`: directory-rounds bridged by the snapshot cache.
-    pub stale_dir_rounds: usize,
-    /// Σ `rrdp_downgrades`: RRDP→rsync fallbacks across the campaign.
-    pub rrdp_downgrades: usize,
-    /// Σ `unsafe_vrps`: unsafe VRP-rounds across the campaign.
-    pub unsafe_vrp_rounds: usize,
-    /// Σ `rejected_cas`: rejected CA-rounds across the campaign.
-    pub rejected_ca_rounds: usize,
+metrics_struct! {
+    /// What one tier saw in one round. All counts are integers so that the
+    /// serialized campaign outcome is byte-identical across replays.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+    pub struct RoundMetrics {
+        /// Round number (1-based; the warm-up round is not recorded).
+        pub round: usize,
+        /// VRPs in the tier's effective cache.
+        pub vrps: usize,
+        /// Legitimate announcements classified valid.
+        pub valid: usize,
+        /// Legitimate announcements classified invalid (flips from the
+        /// all-valid healthy baseline).
+        pub invalid: usize,
+        /// Legitimate announcements classified unknown (flips from the
+        /// all-valid healthy baseline).
+        pub unknown: usize,
+        /// Publication points served from a stale snapshot this round.
+        pub stale_dirs: usize,
+        /// RRDP→rsync downgrades this round (always 0 for non-RRDP tiers).
+        pub rrdp_downgrades: usize,
+        /// VRPs flagged unsafe this round (overlapping a rejected CA's
+        /// resources; always 0 under [`UnsafeVrpPolicy::Accept`]).
+        pub unsafe_vrps: usize,
+        /// CAs the walk rejected this round.
+        pub rejected_cas: usize,
+    }
+}
+
+metrics_struct! {
+    /// Campaign-wide sums for one tier.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+    pub struct TierTotals {
+        /// Σ `vrps` over rounds — the VRP-availability integral.
+        pub vrp_round_sum: usize,
+        /// The worst single round's VRP count.
+        pub min_vrps: usize,
+        /// Σ `valid` over rounds.
+        pub valid_round_sum: usize,
+        /// Σ `invalid`: announcement-rounds flipped valid→invalid.
+        pub invalid_flips: usize,
+        /// Σ `unknown`: announcement-rounds flipped valid→unknown.
+        pub unknown_flips: usize,
+        /// Σ `stale_dirs`: directory-rounds bridged by the snapshot cache.
+        pub stale_dir_rounds: usize,
+        /// Σ `rrdp_downgrades`: RRDP→rsync fallbacks across the campaign.
+        pub rrdp_downgrades: usize,
+        /// Σ `unsafe_vrps`: unsafe VRP-rounds across the campaign.
+        pub unsafe_vrp_rounds: usize,
+        /// Σ `rejected_cas`: rejected CA-rounds across the campaign.
+        pub rejected_ca_rounds: usize,
+    }
 }
 
 /// One tier's full trace through a campaign.
@@ -298,41 +364,23 @@ pub struct TierOutcome {
     pub totals: TierTotals,
 }
 
-/// The result of running one campaign at one seed across all tiers.
-#[derive(Debug, Clone, Serialize)]
-pub struct CampaignOutcome {
-    /// The campaign's name.
-    pub name: String,
-    /// The network seed used.
-    pub seed: u64,
-    /// Rounds per tier.
-    pub rounds: usize,
-    /// One trace per tier, in [`RpTier::ALL`] order.
-    pub tiers: Vec<TierOutcome>,
-}
-
-impl CampaignOutcome {
-    /// The trace of `tier`.
-    pub fn tier(&self, tier: RpTier) -> &TierOutcome {
-        self.tiers.iter().find(|t| t.tier == tier).expect("all tiers present")
+metrics_struct! {
+    /// Cross-RP divergence in one shared-world round: how far the tiers'
+    /// validated VRP sets drifted apart. All integers, so serialized
+    /// outcomes replay byte-identically.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+    pub struct DivergenceMetrics {
+        /// Round number (1-based).
+        pub round: usize,
+        /// Distinct validated VRP sets across the tiers (1 = full
+        /// agreement; up to one per tier under asymmetric faults).
+        pub distinct_vrp_sets: usize,
+        /// Σ over tier pairs of the symmetric-difference size of their
+        /// validated VRP sets.
+        pub pairwise_diff_sum: usize,
+        /// The single largest pairwise symmetric difference.
+        pub max_pairwise_diff: usize,
     }
-}
-
-/// Cross-RP divergence in one shared-world round: how far the tiers'
-/// validated VRP sets drifted apart. All integers, so serialized
-/// outcomes replay byte-identically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct DivergenceMetrics {
-    /// Round number (1-based).
-    pub round: usize,
-    /// Distinct validated VRP sets across the tiers (1 = full
-    /// agreement; up to one per tier under asymmetric faults).
-    pub distinct_vrp_sets: usize,
-    /// Σ over tier pairs of the symmetric-difference size of their
-    /// validated VRP sets.
-    pub pairwise_diff_sum: usize,
-    /// The single largest pairwise symmetric difference.
-    pub max_pairwise_diff: usize,
 }
 
 /// Wire load one repository host served across a shared-world campaign.
@@ -348,33 +396,7 @@ pub struct HostLoad {
     pub bytes: u64,
 }
 
-/// The result of running one campaign with every tier validating
-/// against *one* shared repository world.
-#[derive(Debug, Clone, Serialize)]
-pub struct SharedCampaignOutcome {
-    /// The campaign's name.
-    pub name: String,
-    /// The network seed used.
-    pub seed: u64,
-    /// Rounds per tier.
-    pub rounds: usize,
-    /// One trace per tier, in [`RpTier::ALL`] order.
-    pub tiers: Vec<TierOutcome>,
-    /// Per-round cross-tier divergence.
-    pub divergence: Vec<DivergenceMetrics>,
-    /// Per-host server-side load over the campaign rounds (warm-up
-    /// excluded), in host order.
-    pub load: Vec<HostLoad>,
-}
-
-impl SharedCampaignOutcome {
-    /// The trace of `tier`.
-    pub fn tier(&self, tier: RpTier) -> &TierOutcome {
-        self.tiers.iter().find(|t| t.tier == tier).expect("all tiers present")
-    }
-}
-
-/// Shape of the RTR fabric a [`run_campaign_rtr`] run attaches to the
+/// Shape of the RTR fabric a [`run_rtr_campaign`] run attaches to the
 /// shared world: a relay merging the five tier feeds, re-serving a
 /// population of routers.
 #[derive(Debug, Clone, Copy)]
@@ -399,961 +421,36 @@ impl Default for RtrConfig {
     }
 }
 
-/// What the router population saw in one round. All integers, so the
-/// serialized outcome replays byte-identically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct RtrRoundMetrics {
-    /// Round number (1-based).
-    pub round: usize,
-    /// The relay's downstream serial after this round's republish.
-    pub relay_serial: u32,
-    /// Routers whose serial equals the relay's.
-    pub synced_routers: usize,
-    /// Routers lagging the relay (behind by ≥1 serial, or never
-    /// synced at all).
-    pub stale_routers: usize,
-    /// The largest serial lag among routers that have synced at least
-    /// once (RFC 1982 distance).
-    pub max_serial_lag: u32,
-    /// Σ over routers of the symmetric difference between the router's
-    /// VRP set and the perfect-transport truth at the round's moment.
-    pub truth_distance_sum: usize,
-    /// The single worst router's distance from truth.
-    pub max_truth_distance: usize,
-    /// Symmetric difference between the relay's merged (SLURM-applied)
-    /// set and the truth — divergence the *relying-party* path
-    /// contributed, before the router hop adds its own lag.
-    pub relay_truth_distance: usize,
-}
-
-/// The result of running one campaign with the RTR fabric attached.
-#[derive(Debug, Clone, Serialize)]
-pub struct RtrCampaignOutcome {
-    /// The campaign's name.
-    pub name: String,
-    /// The network seed used.
-    pub seed: u64,
-    /// Rounds per tier.
-    pub rounds: usize,
-    /// Routers behind the relay.
-    pub routers: usize,
-    /// One validation trace per tier, in [`RpTier::ALL`] order.
-    pub tiers: Vec<TierOutcome>,
-    /// Per-round router-population staleness and divergence.
-    pub rtr: Vec<RtrRoundMetrics>,
-}
-
-impl RtrCampaignOutcome {
-    /// The trace of `tier`.
-    pub fn tier(&self, tier: RpTier) -> &TierOutcome {
-        self.tiers.iter().find(|t| t.tier == tier).expect("all tiers present")
+metrics_struct! {
+    /// What the router population saw in one round. All integers, so the
+    /// serialized outcome replays byte-identically.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+    pub struct RtrRoundMetrics {
+        /// Round number (1-based).
+        pub round: usize,
+        /// The relay's downstream serial after this round's republish.
+        pub relay_serial: u32,
+        /// Routers whose serial equals the relay's.
+        pub synced_routers: usize,
+        /// Routers lagging the relay (behind by ≥1 serial, or never
+        /// synced at all).
+        pub stale_routers: usize,
+        /// The largest serial lag among routers that have synced at least
+        /// once (RFC 1982 distance).
+        pub max_serial_lag: u32,
+        /// Σ over routers of the symmetric difference between the router's
+        /// VRP set and the perfect-transport truth at the round's moment.
+        pub truth_distance_sum: usize,
+        /// The single worst router's distance from truth.
+        pub max_truth_distance: usize,
+        /// Symmetric difference between the relay's merged (SLURM-applied)
+        /// set and the truth — divergence the *relying-party* path
+        /// contributed, before the router hop adds its own lag.
+        pub relay_truth_distance: usize,
     }
 }
 
-/// The retry policy every non-bare tier uses.
-pub fn campaign_policy() -> SyncPolicy {
-    SyncPolicy::default()
-}
-
-/// The resilience knobs the stale-cache tiers use: snapshots may bridge
-/// up to six hours (12 rounds); three dead sessions open the circuit
-/// for one round.
-pub fn campaign_resilience() -> ResilienceConfig {
-    ResilienceConfig { max_stale: 6 * 3600, failure_threshold: 3, cooldown: ROUND_SECS }
-}
-
-/// Runs `spec` at `seed` across all five tiers. Each tier revalidates
-/// incrementally against a persistent [`ValidationState`] (full-fetch
-/// mode, so the network sees exactly the traffic a cold walk would);
-/// [`run_campaign_cold`] is the reference without the cache, and the
-/// two are byte-identical by construction.
-pub fn run_campaign(spec: &CampaignSpec, seed: u64) -> CampaignOutcome {
-    run_campaign_traced(spec, seed, &Recorder::disabled())
-}
-
-/// Runs `spec` at `seed` across all five tiers with cold full walks
-/// every round — the oracle the incremental engine's output is tested
-/// against.
-pub fn run_campaign_cold(spec: &CampaignSpec, seed: u64) -> CampaignOutcome {
-    let tiers = RpTier::ALL
-        .iter()
-        .map(|&tier| run_tier(spec, seed, tier, &Recorder::disabled(), false))
-        .collect();
-    CampaignOutcome { name: spec.name.clone(), seed, rounds: spec.rounds, tiers }
-}
-
-/// Runs `spec` at `seed` across all five tiers, reporting through
-/// `recorder`: each tier's world gets the recorder installed (so the
-/// whole netsim/repo/rp/suspenders event stream lands in one trace)
-/// and every round emits a `campaign/round` event plus the campaign
-/// counters that the hand-rolled [`TierTotals`] integers mirror.
-pub fn run_campaign_traced(spec: &CampaignSpec, seed: u64, recorder: &Recorder) -> CampaignOutcome {
-    let tiers =
-        RpTier::ALL.iter().map(|&tier| run_tier(spec, seed, tier, recorder, true)).collect();
-    CampaignOutcome { name: spec.name.clone(), seed, rounds: spec.rounds, tiers }
-}
-
-/// Runs `spec` at `seed` with all five tiers validating against **one**
-/// shared repository world — the planet-scale deployment shape, where
-/// thousands of relying parties hammer the same publication points —
-/// instead of the per-tier clones [`run_campaign`] uses to isolate
-/// fault dice. Each tier gets its own relying-party network node and
-/// its own persistent caches; every walk runs under `plan`'s sharded
-/// scheduler when given (output is byte-identical either way). The
-/// outcome adds per-round cross-tier VRP divergence and the server-side
-/// load ledger each host accumulated over the campaign rounds.
-///
-/// Note the shared world is *not* metric-identical to the per-tier
-/// worlds: probabilistic faults draw from one shared dice stream, so a
-/// corruption burst that eats tier A's frame spares tier B's. That
-/// asymmetry is the point — it is what the divergence metrics measure.
-pub fn run_campaign_shared(
-    spec: &CampaignSpec,
-    seed: u64,
-    plan: Option<ShardPlan>,
-    recorder: &Recorder,
-) -> SharedCampaignOutcome {
-    struct TierState {
-        tier: RpTier,
-        rp: NodeId,
-        validation: ValidationState,
-        resilient: ResilientState,
-        suspenders: SuspendersState,
-        rrdp: RrdpClientState,
-        prev_downgrades: u64,
-        rounds: Vec<RoundMetrics>,
-    }
-
-    let mut w = ModelRpki::build_seeded(seed);
-    w.net.set_recorder(recorder.clone());
-    let policy = campaign_policy();
-    let mut tiers: Vec<TierState> = RpTier::ALL
-        .iter()
-        .map(|&tier| TierState {
-            tier,
-            rp: w.net.add_node(&format!("rp-{}", tier.label())),
-            validation: ValidationState::full(),
-            resilient: ResilientState::new(campaign_resilience()),
-            suspenders: SuspendersState::new(SuspendersConfig { hold_down: Span::days(1) }),
-            rrdp: RrdpClientState::new(),
-            prev_downgrades: 0,
-            rounds: Vec::with_capacity(spec.rounds),
-        })
-        .collect();
-    let rp_nodes: Vec<NodeId> = tiers.iter().map(|t| t.rp).collect();
-    let mut engaged: BTreeSet<usize> = BTreeSet::new();
-
-    // Warm-up: one faultless validation per tier against the healthy
-    // shared world.
-    for t in &mut tiers {
-        w.rp_node = t.rp;
-        let moment = Moment(w.net.now());
-        validate_tier(
-            &mut w,
-            t.tier,
-            moment,
-            policy,
-            &mut t.resilient,
-            &mut t.suspenders,
-            &mut t.rrdp,
-            Some(&mut t.validation),
-            plan,
-            spec.unsafe_vrps,
-        );
-        t.prev_downgrades = t.rrdp.stats().downgrades;
-    }
-    // The load ledger measures the campaign proper, not the warm-up.
-    for repo in w.repos.iter() {
-        repo.reset_served_load();
-    }
-
-    // One engine for the one shared world: every tier syncs the same
-    // churned serials.
-    let mut churn = spec.churn.map(|cfg| ChurnEngine::new(seed, cfg));
-
-    let mut divergence = Vec::with_capacity(spec.rounds);
-    for round in 1..=spec.rounds {
-        w.net.advance_to(round as u64 * ROUND_SECS);
-        if let Some(engine) = churn.as_mut() {
-            w.run_churn(engine, Moment(w.net.now()));
-        }
-        apply_faults_to(&mut w, spec, round, &mut engaged, &rp_nodes);
-
-        let mut vrp_sets: Vec<BTreeSet<Vrp>> = Vec::with_capacity(tiers.len());
-        for t in &mut tiers {
-            w.rp_node = t.rp;
-            let moment = Moment(w.net.now());
-            let run = validate_tier(
-                &mut w,
-                t.tier,
-                moment,
-                policy,
-                &mut t.resilient,
-                &mut t.suspenders,
-                &mut t.rrdp,
-                Some(&mut t.validation),
-                plan,
-                spec.unsafe_vrps,
-            );
-            let m = round_metrics(
-                &w,
-                t.tier,
-                round,
-                &run,
-                &t.suspenders,
-                &t.rrdp,
-                &mut t.prev_downgrades,
-            );
-            emit_round(recorder, spec, t.tier, moment.0, &m);
-            t.rounds.push(m);
-            vrp_sets.push(run.vrps.iter().copied().collect());
-        }
-
-        let mut d = DivergenceMetrics { round, ..DivergenceMetrics::default() };
-        for (i, a) in vrp_sets.iter().enumerate() {
-            if !vrp_sets[..i].contains(a) {
-                d.distinct_vrp_sets += 1;
-            }
-            for b in &vrp_sets[..i] {
-                let diff = a.symmetric_difference(b).count();
-                d.pairwise_diff_sum += diff;
-                d.max_pairwise_diff = d.max_pairwise_diff.max(diff);
-            }
-        }
-        if recorder.is_enabled() {
-            recorder.observe("campaign.distinct_vrp_sets", d.distinct_vrp_sets as u64);
-            recorder
-                .event(w.net.now(), "campaign", "divergence")
-                .str("campaign", &spec.name)
-                .u64("round", round as u64)
-                .u64("distinct_vrp_sets", d.distinct_vrp_sets as u64)
-                .u64("pairwise_diff_sum", d.pairwise_diff_sum as u64)
-                .u64("max_pairwise_diff", d.max_pairwise_diff as u64)
-                .emit();
-        }
-        divergence.push(d);
-    }
-
-    let mut load: Vec<HostLoad> = w
-        .repos
-        .iter()
-        .map(|repo| {
-            let total = repo.served_total();
-            HostLoad {
-                host: repo.host().to_owned(),
-                dirs: repo.served_load().len(),
-                frames: total.frames,
-                bytes: total.bytes,
-            }
-        })
-        .collect();
-    load.sort_by(|a, b| a.host.cmp(&b.host));
-    if recorder.is_enabled() {
-        for h in &load {
-            recorder
-                .event(w.net.now(), "campaign", "host_load")
-                .str("campaign", &spec.name)
-                .str("host", &h.host)
-                .u64("dirs", h.dirs as u64)
-                .u64("frames", h.frames)
-                .u64("bytes", h.bytes)
-                .emit();
-        }
-    }
-
-    let tiers = tiers
-        .into_iter()
-        .map(|t| TierOutcome { tier: t.tier, totals: tier_totals(&t.rounds), rounds: t.rounds })
-        .collect();
-    SharedCampaignOutcome {
-        name: spec.name.clone(),
-        seed,
-        rounds: spec.rounds,
-        tiers,
-        divergence,
-        load,
-    }
-}
-
-/// Runs `spec` at `seed` with the five tiers validating a **shared**
-/// world *and* feeding an RTR fabric: each tier publishes its validated
-/// VRPs into its own framed RTR cache, an rtrtr-style relay merges the
-/// five feeds under `rtr.policy` (SLURM exceptions via `slurm`), and
-/// `rtr.routers` routers sync from the relay over netsim — so the
-/// repository fault kinds *and* the RTR fault kinds
-/// ([`FaultKind::RtrPartition`], [`FaultKind::RtrStall`]) land on one
-/// deterministic timeline.
-///
-/// Each round: faults are armed, every tier validates (the RTR queue is
-/// empty while repository syncs drive the network), every tier fabric
-/// publishes its snapshot, the relay polls its feeds and republishes
-/// the merge, every router polls, and two bounded pump windows
-/// (`rtr.pump_budget` each) carry the frames. Frames still in flight
-/// after the second window are flushed — the session-timeout model —
-/// so a stalled RTR path yields visibly stale routers instead of a
-/// silently extended round.
-pub fn run_campaign_rtr(
-    spec: &CampaignSpec,
-    seed: u64,
-    rtr: RtrConfig,
-    slurm: &SlurmFile,
-    recorder: &Recorder,
-) -> RtrCampaignOutcome {
-    struct TierState {
-        tier: RpTier,
-        rp: NodeId,
-        validation: ValidationState,
-        resilient: ResilientState,
-        suspenders: SuspendersState,
-        rrdp: RrdpClientState,
-        prev_downgrades: u64,
-        rounds: Vec<RoundMetrics>,
-    }
-
-    let mut w = ModelRpki::build_seeded(seed);
-    w.net.set_recorder(recorder.clone());
-    let policy = campaign_policy();
-    let mut tiers: Vec<TierState> = RpTier::ALL
-        .iter()
-        .map(|&tier| TierState {
-            tier,
-            rp: w.net.add_node(&format!("rp-{}", tier.label())),
-            validation: ValidationState::full(),
-            resilient: ResilientState::new(campaign_resilience()),
-            suspenders: SuspendersState::new(SuspendersConfig { hold_down: Span::days(1) }),
-            rrdp: RrdpClientState::new(),
-            prev_downgrades: 0,
-            rounds: Vec::with_capacity(spec.rounds),
-        })
-        .collect();
-    let rp_nodes: Vec<NodeId> = tiers.iter().map(|t| t.rp).collect();
-
-    // The RTR side: one framed cache per tier, a relay merging all
-    // five, and the router population behind the relay.
-    let relay_node = w.net.add_node("rtr-relay");
-    let mut fabrics: Vec<RtrFabric> = tiers
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let mut f = RtrFabric::new(t.rp, (i + 1) as u16, rtr.max_history);
-            f.attach(relay_node);
-            f
-        })
-        .collect();
-    let mut relay = Relay::new(relay_node, rtr.policy, slurm.clone(), 100, rtr.max_history);
-    for t in &tiers {
-        relay.add_feed(t.rp);
-    }
-    let router_nodes: Vec<NodeId> =
-        (0..rtr.routers).map(|i| w.net.add_node(&format!("router-{i}"))).collect();
-    let mut routers: Vec<RtrRouter> = router_nodes
-        .iter()
-        .map(|&node| {
-            relay.attach(node);
-            RtrRouter::new(node, relay_node)
-        })
-        .collect();
-    let mut engaged: BTreeSet<usize> = BTreeSet::new();
-
-    // One full faultless cycle: validate, publish, merge, sync — so
-    // round 1 starts from converged routers.
-    let mut warm_feeds: Vec<Vec<Vrp>> = Vec::with_capacity(tiers.len());
-    for t in &mut tiers {
-        w.rp_node = t.rp;
-        let moment = Moment(w.net.now());
-        let run = validate_tier(
-            &mut w,
-            t.tier,
-            moment,
-            policy,
-            &mut t.resilient,
-            &mut t.suspenders,
-            &mut t.rrdp,
-            Some(&mut t.validation),
-            None,
-            spec.unsafe_vrps,
-        );
-        t.prev_downgrades = t.rrdp.stats().downgrades;
-        warm_feeds.push(tier_feed(t.tier, &run, &t.suspenders));
-    }
-    for (f, feed) in fabrics.iter_mut().zip(&warm_feeds) {
-        f.publish(&mut w.net, VrpUpdate::snapshot(feed.iter().copied()));
-    }
-    relay.poll_feeds(&mut w.net);
-    pump_rtr(&mut w.net, rtr.pump_budget, &mut fabrics, &mut relay, &mut routers);
-    relay.republish(&mut w.net);
-    for r in &mut routers {
-        r.poll(&mut w.net);
-    }
-    pump_rtr(&mut w.net, rtr.pump_budget, &mut fabrics, &mut relay, &mut routers);
-    flush_rtr(&mut w.net, &rp_nodes, relay_node, &router_nodes);
-
-    let mut churn = spec.churn.map(|cfg| ChurnEngine::new(seed, cfg));
-
-    let mut rtr_rounds: Vec<RtrRoundMetrics> = Vec::with_capacity(spec.rounds);
-    for round in 1..=spec.rounds {
-        w.net.advance_to(round as u64 * ROUND_SECS);
-        if let Some(engine) = churn.as_mut() {
-            w.run_churn(engine, Moment(w.net.now()));
-        }
-        apply_faults_to(&mut w, spec, round, &mut engaged, &rp_nodes);
-        apply_rtr_faults(&mut w.net, spec, round, relay_node, &router_nodes);
-
-        // Validate every tier first (the RTR queue is empty, so the
-        // repository sync drivers own the network), then publish.
-        let mut feeds: Vec<Vec<Vrp>> = Vec::with_capacity(tiers.len());
-        for t in &mut tiers {
-            w.rp_node = t.rp;
-            let moment = Moment(w.net.now());
-            let run = validate_tier(
-                &mut w,
-                t.tier,
-                moment,
-                policy,
-                &mut t.resilient,
-                &mut t.suspenders,
-                &mut t.rrdp,
-                Some(&mut t.validation),
-                None,
-                spec.unsafe_vrps,
-            );
-            let m = round_metrics(
-                &w,
-                t.tier,
-                round,
-                &run,
-                &t.suspenders,
-                &t.rrdp,
-                &mut t.prev_downgrades,
-            );
-            emit_round(recorder, spec, t.tier, moment.0, &m);
-            t.rounds.push(m);
-            feeds.push(tier_feed(t.tier, &run, &t.suspenders));
-        }
-        for (f, feed) in fabrics.iter_mut().zip(&feeds) {
-            f.publish(&mut w.net, VrpUpdate::snapshot(feed.iter().copied()));
-        }
-        relay.poll_feeds(&mut w.net);
-        pump_rtr(&mut w.net, rtr.pump_budget, &mut fabrics, &mut relay, &mut routers);
-        relay.republish(&mut w.net);
-        for r in &mut routers {
-            r.poll(&mut w.net);
-        }
-        pump_rtr(&mut w.net, rtr.pump_budget, &mut fabrics, &mut relay, &mut routers);
-        // Session timeout: anything still in flight is dead air.
-        flush_rtr(&mut w.net, &rp_nodes, relay_node, &router_nodes);
-
-        // Truth: a perfect-transport walk of the repositories as they
-        // stand now. Router divergence from it is the paper's bottom
-        // line — what BGP actually acts on versus what the authorities
-        // published.
-        let truth: BTreeSet<Vrp> =
-            w.validate_direct(Moment(w.net.now())).vrps.into_iter().collect();
-        let relay_serial = relay.target().server().serial();
-        let relay_session = relay.target().server().session();
-        let mut m = RtrRoundMetrics { round, relay_serial, ..RtrRoundMetrics::default() };
-        for r in &routers {
-            // Ground truth from the router's own state machine — the
-            // fabric's session table is optimistic under frame loss
-            // (it records what was *served*, not what arrived).
-            let client = r.client();
-            if client.session() == Some(relay_session) {
-                let lag = rpki_rp::serial_distance(client.serial(), relay_serial);
-                if lag == 0 {
-                    m.synced_routers += 1;
-                } else {
-                    m.stale_routers += 1;
-                    m.max_serial_lag = m.max_serial_lag.max(lag);
-                }
-            } else {
-                m.stale_routers += 1;
-            }
-            let dist = r.vrps().symmetric_difference(&truth).count();
-            m.truth_distance_sum += dist;
-            m.max_truth_distance = m.max_truth_distance.max(dist);
-        }
-        m.relay_truth_distance = relay.merged().symmetric_difference(&truth).count();
-        if recorder.is_enabled() {
-            recorder.count("rtr.stale_router_rounds", m.stale_routers as u64);
-            recorder.observe("rtr.truth_distance", m.truth_distance_sum as u64);
-            recorder
-                .event(w.net.now(), "rtr", "round")
-                .str("campaign", &spec.name)
-                .u64("round", round as u64)
-                .u64("relay_serial", u64::from(m.relay_serial))
-                .u64("synced_routers", m.synced_routers as u64)
-                .u64("stale_routers", m.stale_routers as u64)
-                .u64("max_serial_lag", u64::from(m.max_serial_lag))
-                .u64("truth_distance_sum", m.truth_distance_sum as u64)
-                .u64("max_truth_distance", m.max_truth_distance as u64)
-                .u64("relay_truth_distance", m.relay_truth_distance as u64)
-                .emit();
-        }
-        rtr_rounds.push(m);
-    }
-
-    let tiers = tiers
-        .into_iter()
-        .map(|t| TierOutcome { tier: t.tier, totals: tier_totals(&t.rounds), rounds: t.rounds })
-        .collect();
-    RtrCampaignOutcome {
-        name: spec.name.clone(),
-        seed,
-        rounds: spec.rounds,
-        routers: rtr.routers,
-        tiers,
-        rtr: rtr_rounds,
-    }
-}
-
-/// What a tier feeds its RTR cache: the Suspenders tier serves its
-/// hold-down-protected effective set, every other tier serves the
-/// validation run's VRPs — the same sets [`round_metrics`] classifies
-/// against.
-fn tier_feed(tier: RpTier, run: &ValidationRun, suspenders: &SuspendersState) -> Vec<Vrp> {
-    if tier == RpTier::Suspenders {
-        suspenders.effective_cache().vrps().to_vec()
-    } else {
-        run.vrps.clone()
-    }
-}
-
-/// One bounded RTR pump window over all fabric endpoints.
-fn pump_rtr(
-    net: &mut netsim::Network,
-    budget: u64,
-    fabrics: &mut [RtrFabric],
-    relay: &mut Relay,
-    routers: &mut [RtrRouter],
-) {
-    let deadline = net.now() + budget;
-    let mut endpoints: Vec<&mut dyn RtrEndpoint> =
-        Vec::with_capacity(fabrics.len() + routers.len() + 1);
-    for f in fabrics.iter_mut() {
-        endpoints.push(f);
-    }
-    endpoints.push(relay);
-    for r in routers.iter_mut() {
-        endpoints.push(r);
-    }
-    pump_until(net, deadline, &mut endpoints);
-}
-
-/// Discards every RTR frame still in flight (tier→relay and
-/// relay→router, both directions): the session-timeout model that
-/// turns a stalled path into visible staleness.
-fn flush_rtr(
-    net: &mut netsim::Network,
-    fabric_nodes: &[NodeId],
-    relay_node: NodeId,
-    router_nodes: &[NodeId],
-) {
-    for &f in fabric_nodes {
-        net.flush_pair(f, relay_node);
-    }
-    for &r in router_nodes {
-        net.flush_pair(relay_node, r);
-    }
-}
-
-/// Clears, then re-arms, this round's RTR-path faults (relay ↔ every
-/// router). Mirrors [`apply_faults_to`]'s clear-then-arm shape so
-/// expired windows heal.
-fn apply_rtr_faults(
-    net: &mut netsim::Network,
-    spec: &CampaignSpec,
-    round: usize,
-    relay_node: NodeId,
-    router_nodes: &[NodeId],
-) {
-    for win in &spec.windows {
-        for &r in router_nodes {
-            match win.kind {
-                FaultKind::RtrPartition => net.faults.heal(relay_node, r),
-                FaultKind::RtrStall { .. } => net.faults.set_stall(relay_node, r, 0),
-                _ => {}
-            }
-        }
-    }
-    for win in &spec.windows {
-        if !win.active(round) {
-            continue;
-        }
-        for &r in router_nodes {
-            match win.kind {
-                FaultKind::RtrPartition => net.faults.partition(relay_node, r),
-                FaultKind::RtrStall { extra } => net.faults.set_stall(relay_node, r, extra),
-                _ => {}
-            }
-        }
-    }
-}
-
-/// The standard RTR campaign: the feed path stalls Stalloris-style
-/// while the authority whacks the covering ROA behind it — relying
-/// parties see the whack on time, routers act on the pre-whack VRPs
-/// until the stall lifts.
-pub fn rtr_campaign() -> CampaignSpec {
-    CampaignSpec {
-        name: "rtr-stale-routers".to_owned(),
-        unsafe_vrps: UnsafeVrpPolicy::Accept,
-        churn: None,
-        rounds: 10,
-        windows: vec![
-            FaultWindow {
-                host: "rtr".to_owned(),
-                kind: FaultKind::RtrStall { extra: 3600 },
-                from: 3,
-                to: 5,
-            },
-            FaultWindow {
-                host: "rpki.continental.example".to_owned(),
-                kind: FaultKind::Withdraw,
-                from: 4,
-                to: 6,
-            },
-        ],
-    }
-}
-
-fn run_tier(
-    spec: &CampaignSpec,
-    seed: u64,
-    tier: RpTier,
-    recorder: &Recorder,
-    incremental: bool,
-) -> TierOutcome {
-    let mut w = ModelRpki::build_seeded(seed);
-    w.net.set_recorder(recorder.clone());
-    let policy = campaign_policy();
-    // Full-fetch incremental revalidation: the memo cache persists
-    // across the tier's rounds, so unchanged publication points replay
-    // instead of re-verifying, without changing a byte of output.
-    let mut validation_state = incremental.then(ValidationState::full);
-    let mut resilient = ResilientState::new(campaign_resilience());
-    // Hold-down of one day: longer than any campaign, so a held VRP
-    // stays held until it recovers or the campaign ends.
-    let mut suspenders = SuspendersState::new(SuspendersConfig { hold_down: Span::days(1) });
-    // The RRDP tier's persistent per-directory session state: this is
-    // what makes round N+1 a delta (or fast-path) sync of round N.
-    let mut rrdp_state = RrdpClientState::new();
-    // Indices of stateful windows (`Withdraw`, `RrdpPin`) currently
-    // engaged, so activation/deactivation happens exactly once.
-    let mut engaged: BTreeSet<usize> = BTreeSet::new();
-
-    // Warm-up: one faultless validation so snapshots and the
-    // suspenders baseline reflect the healthy world.
-    let moment = Moment(w.net.now());
-    validate_tier(
-        &mut w,
-        tier,
-        moment,
-        policy,
-        &mut resilient,
-        &mut suspenders,
-        &mut rrdp_state,
-        validation_state.as_mut(),
-        None,
-        spec.unsafe_vrps,
-    );
-    let mut prev_downgrades = rrdp_state.stats().downgrades;
-
-    // Background churn: one engine per tier, all seeded alike, so the
-    // five per-tier worlds advance through byte-identical schedules.
-    let mut churn = spec.churn.map(|cfg| ChurnEngine::new(seed, cfg));
-
-    let mut rounds = Vec::with_capacity(spec.rounds);
-    for round in 1..=spec.rounds {
-        // Stalled sessions may overrun the boundary; `advance_to` is
-        // monotone, so pacing simply resumes once they drain.
-        w.net.advance_to(round as u64 * ROUND_SECS);
-        if let Some(engine) = churn.as_mut() {
-            w.run_churn(engine, Moment(w.net.now()));
-        }
-        apply_faults(&mut w, spec, round, &mut engaged);
-
-        let moment = Moment(w.net.now());
-        let run = validate_tier(
-            &mut w,
-            tier,
-            moment,
-            policy,
-            &mut resilient,
-            &mut suspenders,
-            &mut rrdp_state,
-            validation_state.as_mut(),
-            None,
-            spec.unsafe_vrps,
-        );
-
-        let m =
-            round_metrics(&w, tier, round, &run, &suspenders, &rrdp_state, &mut prev_downgrades);
-        emit_round(recorder, spec, tier, moment.0, &m);
-        rounds.push(m);
-    }
-
-    let totals = tier_totals(&rounds);
-    if recorder.is_enabled() {
-        recorder
-            .event(w.net.now(), "campaign", "tier_totals")
-            .str("campaign", &spec.name)
-            .str("tier", tier.label())
-            .u64("vrp_round_sum", totals.vrp_round_sum as u64)
-            .u64("min_vrps", totals.min_vrps as u64)
-            .u64("valid_round_sum", totals.valid_round_sum as u64)
-            .u64("invalid_flips", totals.invalid_flips as u64)
-            .u64("unknown_flips", totals.unknown_flips as u64)
-            .u64("stale_dir_rounds", totals.stale_dir_rounds as u64)
-            .u64("rrdp_downgrades", totals.rrdp_downgrades as u64)
-            .u64("unsafe_vrp_rounds", totals.unsafe_vrp_rounds as u64)
-            .u64("rejected_ca_rounds", totals.rejected_ca_rounds as u64)
-            .emit();
-    }
-    TierOutcome { tier, rounds, totals }
-}
-
-/// Classifies the announcements against one tier's effective cache and
-/// assembles its round metrics.
-fn round_metrics(
-    w: &ModelRpki,
-    tier: RpTier,
-    round: usize,
-    run: &ValidationRun,
-    suspenders: &SuspendersState,
-    rrdp_state: &RrdpClientState,
-    prev_downgrades: &mut u64,
-) -> RoundMetrics {
-    let (vrps, cache): (usize, VrpCache) = if tier == RpTier::Suspenders {
-        (suspenders.len(), suspenders.effective_cache())
-    } else {
-        (run.vrps.len(), run.vrp_cache())
-    };
-    let mut m = RoundMetrics { round, vrps, ..RoundMetrics::default() };
-    for ann in &w.announcements {
-        match cache.classify(Route::new(ann.prefix, ann.origin)) {
-            RouteValidity::Valid => m.valid += 1,
-            RouteValidity::Invalid => m.invalid += 1,
-            RouteValidity::Unknown => m.unknown += 1,
-        }
-    }
-    m.stale_dirs =
-        run.freshness.iter().filter(|(_, f)| matches!(f, Freshness::Stale { .. })).count();
-    m.rrdp_downgrades = (rrdp_state.stats().downgrades - *prev_downgrades) as usize;
-    *prev_downgrades = rrdp_state.stats().downgrades;
-    m.unsafe_vrps = run.unsafe_vrps.len();
-    m.rejected_cas = run.rejected_cas.len();
-    m
-}
-
-fn emit_round(recorder: &Recorder, spec: &CampaignSpec, tier: RpTier, at: u64, m: &RoundMetrics) {
-    if !recorder.is_enabled() {
-        return;
-    }
-    recorder.count("campaign.rounds", 1);
-    recorder.count("campaign.invalid_flips", m.invalid as u64);
-    recorder.count("campaign.unknown_flips", m.unknown as u64);
-    recorder.count("campaign.stale_dir_rounds", m.stale_dirs as u64);
-    recorder.count("campaign.rrdp_downgrades", m.rrdp_downgrades as u64);
-    recorder.observe("campaign.vrps_per_round", m.vrps as u64);
-    recorder
-        .event(at, "campaign", "round")
-        .str("campaign", &spec.name)
-        .str("tier", tier.label())
-        .u64("round", m.round as u64)
-        .u64("vrps", m.vrps as u64)
-        .u64("valid", m.valid as u64)
-        .u64("invalid", m.invalid as u64)
-        .u64("unknown", m.unknown as u64)
-        .u64("stale_dirs", m.stale_dirs as u64)
-        .u64("rrdp_downgrades", m.rrdp_downgrades as u64)
-        .u64("unsafe_vrps", m.unsafe_vrps as u64)
-        .u64("rejected_cas", m.rejected_cas as u64)
-        .emit();
-}
-
-fn tier_totals(rounds: &[RoundMetrics]) -> TierTotals {
-    TierTotals {
-        vrp_round_sum: rounds.iter().map(|m| m.vrps).sum(),
-        min_vrps: rounds.iter().map(|m| m.vrps).min().unwrap_or(0),
-        valid_round_sum: rounds.iter().map(|m| m.valid).sum(),
-        invalid_flips: rounds.iter().map(|m| m.invalid).sum(),
-        unknown_flips: rounds.iter().map(|m| m.unknown).sum(),
-        stale_dir_rounds: rounds.iter().map(|m| m.stale_dirs).sum(),
-        rrdp_downgrades: rounds.iter().map(|m| m.rrdp_downgrades).sum(),
-        unsafe_vrp_rounds: rounds.iter().map(|m| m.unsafe_vrps).sum(),
-        rejected_ca_rounds: rounds.iter().map(|m| m.rejected_cas).sum(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn validate_tier(
-    w: &mut ModelRpki,
-    tier: RpTier,
-    moment: Moment,
-    policy: SyncPolicy,
-    resilient: &mut ResilientState,
-    suspenders: &mut SuspendersState,
-    rrdp: &mut RrdpClientState,
-    incremental: Option<&mut ValidationState>,
-    shards: Option<ShardPlan>,
-    unsafe_vrps: UnsafeVrpPolicy,
-) -> ValidationRun {
-    let base = move |m| ValidationOptions::at(m).unsafe_vrps(unsafe_vrps);
-    let opts = match tier {
-        RpTier::Bare => base(moment),
-        RpTier::Retrying => base(moment).retry(policy),
-        RpTier::RetryingStale => base(moment).retry(policy).stale_cache(resilient),
-        RpTier::Suspenders => {
-            base(moment).retry(policy).stale_cache(resilient).suspenders(suspenders)
-        }
-        RpTier::Rrdp => base(moment).retry(policy).rrdp(rrdp).stale_cache(resilient),
-    };
-    let opts = match incremental {
-        Some(state) => opts.incremental(state),
-        None => opts,
-    };
-    let opts = match shards {
-        Some(plan) => opts.sharded(plan),
-        None => opts,
-    };
-    w.validate_with(opts)
-}
-
-/// Clears last round's transport faults, then arms this round's.
-/// Stateful windows (`Withdraw`, `RrdpPin`) engage exactly once at the
-/// window's first round via `engaged` — re-arming a pin every round
-/// would re-capture the current state and defeat the point.
-fn apply_faults(
-    w: &mut ModelRpki,
-    spec: &CampaignSpec,
-    round: usize,
-    engaged: &mut BTreeSet<usize>,
-) {
-    let rp = w.rp_node;
-    apply_faults_to(w, spec, round, engaged, &[rp]);
-}
-
-/// [`apply_faults`] generalised to any set of relying-party nodes: the
-/// pairwise transport faults (corruption, partition, stall) are armed
-/// between the repository and *every* listed RP, as a shared world
-/// requires; node- and authority-side faults are applied once.
-fn apply_faults_to(
-    w: &mut ModelRpki,
-    spec: &CampaignSpec,
-    round: usize,
-    engaged: &mut BTreeSet<usize>,
-    rps: &[NodeId],
-) {
-    // Clear every window's effect first so expired and flapping
-    // windows heal; active ones are re-armed below.
-    for win in &spec.windows {
-        if win.kind.is_rtr() {
-            continue; // handled by the RTR runner; `host` is a label
-        }
-        let node = w.repos.by_host(&win.host).expect("campaign host exists").node();
-        for &rp in rps {
-            match win.kind {
-                FaultKind::CorruptionBurst { .. } => w.net.faults.set_corruption(node, rp, 0.0),
-                FaultKind::Partition | FaultKind::Flapping => w.net.faults.heal(rp, node),
-                FaultKind::Stall { .. } => w.net.faults.set_stall(node, rp, 0),
-                _ => {}
-            }
-        }
-        match win.kind {
-            FaultKind::Takedown => w.net.faults.set_down(node, false),
-            FaultKind::RrdpWithhold => {
-                w.repos
-                    .by_host_mut(&win.host)
-                    .expect("campaign host exists")
-                    .set_rrdp_offline(false);
-            }
-            FaultKind::SlowServe { .. } => {
-                w.repos.by_host_mut(&win.host).expect("campaign host exists").set_serve_delay(0);
-            }
-            _ => {}
-        }
-    }
-
-    for (i, win) in spec.windows.iter().enumerate() {
-        if win.kind.is_rtr() {
-            continue;
-        }
-        let node = w.repos.by_host(&win.host).expect("campaign host exists").node();
-        let active = win.active(round);
-        for &rp in rps {
-            match win.kind {
-                FaultKind::CorruptionBurst { prob } if active => {
-                    w.net.faults.set_corruption(node, rp, prob);
-                }
-                FaultKind::Partition if active => w.net.faults.partition(rp, node),
-                // Flapping: partitioned on the window's even offsets, so
-                // it always starts severed and heals every other round.
-                FaultKind::Flapping if active && (round - win.from).is_multiple_of(2) => {
-                    w.net.faults.partition(rp, node);
-                }
-                FaultKind::Stall { extra } if active => w.net.faults.set_stall(node, rp, extra),
-                _ => {}
-            }
-        }
-        match win.kind {
-            FaultKind::Takedown if active => w.net.faults.set_down(node, true),
-            FaultKind::SlowServe { extra } if active => {
-                w.repos
-                    .by_host_mut(&win.host)
-                    .expect("campaign host exists")
-                    .set_serve_delay(extra);
-            }
-            FaultKind::RrdpWithhold if active => {
-                w.repos
-                    .by_host_mut(&win.host)
-                    .expect("campaign host exists")
-                    .set_rrdp_offline(true);
-            }
-            FaultKind::RrdpPin => {
-                let repo = w.repos.by_host_mut(&win.host).expect("campaign host exists");
-                if active && !engaged.contains(&i) {
-                    repo.rrdp_pin();
-                    engaged.insert(i);
-                } else if !active && engaged.remove(&i) {
-                    repo.rrdp_unpin();
-                }
-            }
-            FaultKind::Withdraw => {
-                let now = Moment(w.net.now());
-                if active && !engaged.contains(&i) {
-                    let file = w.covering_roa_file();
-                    w.continental.withdraw(&file).expect("covering ROA present");
-                    w.publish_all(now);
-                    engaged.insert(i);
-                } else if !active && engaged.remove(&i) {
-                    let covering: Prefix = "63.174.16.0/20".parse().expect("literal");
-                    w.continental
-                        .issue_roa(asn::CONTINENTAL, vec![RoaPrefix::exact(covering)], now)
-                        .expect("own space");
-                    w.publish_all(now);
-                }
-            }
-            FaultKind::AdversarialPublish { kind } => {
-                let now = Moment(w.net.now());
-                if active && !engaged.contains(&i) {
-                    // Seeded by the window index so concurrent windows
-                    // of one campaign draw distinct corpus streams;
-                    // engage-once, like Withdraw, so re-running a round
-                    // never re-mutates the repository.
-                    w.poison_host(&win.host, kind, i as u64, now).expect("campaign host exists");
-                    engaged.insert(i);
-                } else if !active && engaged.remove(&i) {
-                    // A fresh honest snapshot overwrites the poison and
-                    // deletes stray corpus files.
-                    w.publish_all(now);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// One round of a schedule-gaming run: what the scheduler did and how
+/// One round of a scheduled campaign: what the scheduler did and how
 /// stale the starved points got. All integers, so serialized outcomes
 /// replay byte-identically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -1380,24 +477,812 @@ pub struct ScheduleRoundMetrics {
     pub max_served_age: u64,
 }
 
-/// The result of one schedule-gaming campaign: a budgeted, scheduled,
-/// RRDP-fetching relying party against a slow-serving authority.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct ScheduleGamingOutcome {
+/// The result of running one campaign at one seed. Every entry point
+/// returns this type; a table the run did not produce is empty.
+#[derive(Debug, Clone, Default, Serialize)]
+pub struct CampaignOutcome {
     /// The campaign's name.
     pub name: String,
     /// The network seed used.
     pub seed: u64,
-    /// Per-round metrics, in round order.
-    pub rounds: Vec<ScheduleRoundMetrics>,
-    /// Rounds in which at least one due point was budget-deferred.
-    pub starved_rounds: usize,
-    /// The worst single round's VRP count (the schedule snapshot
-    /// should keep this at the healthy baseline — starvation costs
-    /// freshness, not availability).
-    pub min_vrps: usize,
-    /// The largest `max_served_age` any round reached.
-    pub worst_served_age: u64,
+    /// Rounds per tier.
+    pub rounds: usize,
+    /// One trace per tier, in [`RpTier::ALL`] order (empty for
+    /// [`run_scheduled_campaign`], whose relying party is no tier).
+    pub tiers: Vec<TierOutcome>,
+    /// Per-round cross-tier divergence ([`run_shared_campaign`]).
+    pub divergence: Vec<DivergenceMetrics>,
+    /// Per-host server-side load over the campaign rounds (warm-up
+    /// excluded), in host order ([`run_shared_campaign`]).
+    pub load: Vec<HostLoad>,
+    /// Per-round router-population staleness and divergence
+    /// ([`run_rtr_campaign`]).
+    pub rtr: Vec<RtrRoundMetrics>,
+    /// Per-round scheduler metrics, in round order
+    /// ([`run_scheduled_campaign`]).
+    pub schedule: Vec<ScheduleRoundMetrics>,
+}
+
+impl CampaignOutcome {
+    fn empty(spec: &CampaignSpec, seed: u64) -> Self {
+        let (name, rounds) = (spec.name.clone(), spec.rounds);
+        CampaignOutcome { name, seed, rounds, ..CampaignOutcome::default() }
+    }
+
+    /// The trace of `tier`.
+    pub fn tier(&self, tier: RpTier) -> &TierOutcome {
+        self.tiers.iter().find(|t| t.tier == tier).expect("all tiers present")
+    }
+}
+
+/// How [`run_campaign`]'s relying parties walk the tree each round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// Revalidate against a persistent [`ValidationState`] (full-fetch
+    /// mode, so the network sees exactly the traffic a cold walk
+    /// would): unchanged publication points replay instead of
+    /// re-verifying, without changing a byte of output.
+    Incremental,
+    /// A cold full walk every round — the oracle the incremental
+    /// engine's output is tested against.
+    Cold,
+}
+
+/// The repository host every standard campaign targets.
+const CONTINENTAL_HOST: &str = "rpki.continental.example";
+
+/// The retry policy every non-bare tier uses.
+pub fn campaign_policy() -> SyncPolicy {
+    SyncPolicy::default()
+}
+
+/// The resilience knobs the stale-cache tiers use: snapshots may bridge
+/// up to six hours (12 rounds); three dead sessions open the circuit
+/// for one round.
+pub fn campaign_resilience() -> ResilienceConfig {
+    ResilienceConfig { max_stale: 6 * 3600, failure_threshold: 3, cooldown: ROUND_SECS }
+}
+
+/// Emits one metrics row as a trace event: the string `tags` first,
+/// then the integer `columns`, each in the order given.
+fn emit_row(
+    recorder: &Recorder,
+    at: u64,
+    (layer, kind): (&'static str, &'static str),
+    tags: &[(&'static str, &str)],
+    columns: &[(&'static str, u64)],
+) {
+    let mut event = recorder.event(at, layer, kind);
+    for &(key, value) in tags {
+        event = event.str(key, value);
+    }
+    for &(key, value) in columns {
+        event = event.u64(key, value);
+    }
+    event.emit();
+}
+
+/// The source stack a campaign relying party validates through.
+#[derive(Debug, Clone, Copy)]
+enum Stack {
+    /// One of the five ablation tiers.
+    Tier(RpTier),
+    /// Retries + RRDP under a fetch scheduler: the budgeted relying
+    /// party [`run_scheduled_campaign`] starves.
+    Scheduled(SchedulePlan),
+}
+
+/// One relying party in a campaign: its network node, its stack, and
+/// every piece of state that persists across its rounds.
+struct Rp {
+    node: NodeId,
+    stack: Stack,
+    /// The memo cache of an incremental walk; `None` walks cold.
+    validation: Option<ValidationState>,
+    resilient: ResilientState,
+    suspenders: SuspendersState,
+    /// Per-directory RRDP session state: what makes round N+1 a delta
+    /// (or fast-path) sync of round N.
+    rrdp: RrdpClientState,
+    scheduler: SchedulerState,
+    /// RRDP→rsync downgrades during the latest run.
+    downgrades: u64,
+    rounds: Vec<RoundMetrics>,
+}
+
+impl Rp {
+    fn new(node: NodeId, stack: Stack, walk: Walk) -> Rp {
+        Rp {
+            node,
+            stack,
+            validation: (walk == Walk::Incremental).then(ValidationState::full),
+            resilient: ResilientState::new(campaign_resilience()),
+            // Hold-down of one day: longer than any campaign, so a held
+            // VRP stays held until it recovers or the campaign ends.
+            suspenders: SuspendersState::new(SuspendersConfig { hold_down: Span::days(1) }),
+            rrdp: RrdpClientState::new(),
+            scheduler: SchedulerState::new(),
+            downgrades: 0,
+            rounds: Vec::new(),
+        }
+    }
+
+    /// One validation from this relying party's node through its
+    /// stack, at the world's current moment.
+    fn validate(
+        &mut self,
+        w: &mut ModelRpki,
+        unsafe_vrps: UnsafeVrpPolicy,
+        shards: Option<ShardPlan>,
+    ) -> ValidationRun {
+        w.rp_node = self.node;
+        let before = self.rrdp.stats().downgrades;
+        let policy = campaign_policy();
+        let base = ValidationOptions::at(Moment(w.net.now())).unsafe_vrps(unsafe_vrps);
+        let opts = match self.stack {
+            Stack::Tier(RpTier::Bare) => base,
+            Stack::Tier(RpTier::Retrying) => base.retry(policy),
+            Stack::Tier(RpTier::RetryingStale) => {
+                base.retry(policy).stale_cache(&mut self.resilient)
+            }
+            Stack::Tier(RpTier::Suspenders) => {
+                base.retry(policy).stale_cache(&mut self.resilient).suspenders(&mut self.suspenders)
+            }
+            Stack::Tier(RpTier::Rrdp) => {
+                base.retry(policy).rrdp(&mut self.rrdp).stale_cache(&mut self.resilient)
+            }
+            Stack::Scheduled(plan) => {
+                base.retry(policy).rrdp(&mut self.rrdp).scheduled(plan, &mut self.scheduler)
+            }
+        };
+        let opts = match self.validation.as_mut() {
+            Some(state) => opts.incremental(state),
+            None => opts,
+        };
+        let opts = match shards {
+            Some(plan) => opts.sharded(plan),
+            None => opts,
+        };
+        let run = w.validate_with(opts);
+        self.downgrades = self.rrdp.stats().downgrades - before;
+        run
+    }
+
+    /// The VRPs this relying party acts on after `run`: the Suspenders
+    /// tier serves its hold-down-protected effective set, every other
+    /// stack the run's own.
+    fn effective_vrps(&self, run: &ValidationRun) -> Vec<Vrp> {
+        match self.stack {
+            Stack::Tier(RpTier::Suspenders) => self.suspenders.effective_cache().vrps().to_vec(),
+            _ => run.vrps.clone(),
+        }
+    }
+
+    /// Classifies the announcements against the effective VRPs and
+    /// records a tier's row for `round`, emitting it as a
+    /// `campaign/round` event stamped `at`. Non-tier stacks record
+    /// nothing here.
+    fn record(
+        &mut self,
+        w: &ModelRpki,
+        campaign: &str,
+        round: usize,
+        at: u64,
+        run: &ValidationRun,
+    ) {
+        let Stack::Tier(tier) = self.stack else { return };
+        let effective = self.effective_vrps(run);
+        let cache: VrpCache = effective.iter().copied().collect();
+        let mut m = RoundMetrics { round, vrps: effective.len(), ..RoundMetrics::default() };
+        for ann in &w.announcements {
+            match cache.classify(Route::new(ann.prefix, ann.origin)) {
+                RouteValidity::Valid => m.valid += 1,
+                RouteValidity::Invalid => m.invalid += 1,
+                RouteValidity::Unknown => m.unknown += 1,
+            }
+        }
+        m.stale_dirs =
+            run.freshness.iter().filter(|(_, f)| matches!(f, Freshness::Stale { .. })).count();
+        m.rrdp_downgrades = self.downgrades as usize;
+        m.unsafe_vrps = run.unsafe_vrps.len();
+        m.rejected_cas = run.rejected_cas.len();
+
+        let recorder = w.net.recorder();
+        recorder.count("campaign.rounds", 1);
+        recorder.count("campaign.invalid_flips", m.invalid as u64);
+        recorder.count("campaign.unknown_flips", m.unknown as u64);
+        recorder.count("campaign.stale_dir_rounds", m.stale_dirs as u64);
+        recorder.count("campaign.rrdp_downgrades", m.rrdp_downgrades as u64);
+        recorder.observe("campaign.vrps_per_round", m.vrps as u64);
+        let tags = [("campaign", campaign), ("tier", tier.label())];
+        emit_row(&recorder, at, ("campaign", "round"), &tags, &m.columns());
+        self.rounds.push(m);
+    }
+}
+
+fn tier_totals(rounds: &[RoundMetrics]) -> TierTotals {
+    TierTotals {
+        vrp_round_sum: rounds.iter().map(|m| m.vrps).sum(),
+        min_vrps: rounds.iter().map(|m| m.vrps).min().unwrap_or(0),
+        valid_round_sum: rounds.iter().map(|m| m.valid).sum(),
+        invalid_flips: rounds.iter().map(|m| m.invalid).sum(),
+        unknown_flips: rounds.iter().map(|m| m.unknown).sum(),
+        stale_dir_rounds: rounds.iter().map(|m| m.stale_dirs).sum(),
+        rrdp_downgrades: rounds.iter().map(|m| m.rrdp_downgrades).sum(),
+        unsafe_vrp_rounds: rounds.iter().map(|m| m.unsafe_vrps).sum(),
+        rejected_ca_rounds: rounds.iter().map(|m| m.rejected_cas).sum(),
+    }
+}
+
+/// The one campaign engine: a world, the relying parties validating it,
+/// and everything that happens to it between rounds. Drivers call the
+/// steps in order and interleave their own work between them.
+struct Engine<'a> {
+    spec: &'a CampaignSpec,
+    w: ModelRpki,
+    rps: Vec<Rp>,
+    /// Indices of stateful windows currently engaged, so their
+    /// activation and release each happen exactly once.
+    engaged: BTreeSet<usize>,
+    /// Background churn, seeded with the campaign seed: per-tier
+    /// private worlds advance through byte-identical schedules, and
+    /// every relying party of a shared world syncs the same serials.
+    churn: Option<ChurnEngine>,
+    shards: Option<ShardPlan>,
+    /// The RTR feed path the RTR fault kinds act on — the relay and the
+    /// routers behind it. `None` (a repository-only campaign) makes
+    /// those kinds a no-op.
+    rtr_path: Option<(NodeId, Vec<NodeId>)>,
+}
+
+impl<'a> Engine<'a> {
+    fn new(spec: &'a CampaignSpec, seed: u64, recorder: &Recorder) -> Self {
+        let mut w = ModelRpki::build_seeded(seed);
+        w.net.set_recorder(recorder.clone());
+        Engine {
+            spec,
+            w,
+            rps: Vec::new(),
+            engaged: BTreeSet::new(),
+            churn: spec.churn.map(|cfg| ChurnEngine::new(seed, cfg)),
+            shards: None,
+            rtr_path: None,
+        }
+    }
+
+    /// A private world: one relying party at the world's built-in node.
+    fn private(
+        spec: &'a CampaignSpec,
+        seed: u64,
+        recorder: &Recorder,
+        stack: Stack,
+        walk: Walk,
+    ) -> Self {
+        let mut e = Engine::new(spec, seed, recorder);
+        e.rps.push(Rp::new(e.w.rp_node, stack, walk));
+        e
+    }
+
+    /// A shared world: every tier validates the same repositories from
+    /// its own `rp-<label>` node, with its own persistent caches.
+    fn shared(spec: &'a CampaignSpec, seed: u64, recorder: &Recorder) -> Self {
+        let mut e = Engine::new(spec, seed, recorder);
+        for tier in RpTier::ALL {
+            let node = e.w.net.add_node(&format!("rp-{}", tier.label()));
+            e.rps.push(Rp::new(node, Stack::Tier(tier), Walk::Incremental));
+        }
+        e
+    }
+
+    /// One faultless, unrecorded validation per relying party against
+    /// the healthy world.
+    fn warm_up(&mut self) -> Vec<ValidationRun> {
+        let (w, spec, shards) = (&mut self.w, self.spec, self.shards);
+        self.rps.iter_mut().map(|rp| rp.validate(w, spec.unsafe_vrps, shards)).collect()
+    }
+
+    /// Opens `round`: clock, then churn, then faults.
+    fn begin_round(&mut self, round: usize) {
+        // Stalled sessions may overrun the boundary; `advance_to` is
+        // monotone, so pacing simply resumes once they drain.
+        self.w.net.advance_to(round as u64 * ROUND_SECS);
+        if let Some(engine) = self.churn.as_mut() {
+            self.w.run_churn(engine, Moment(self.w.net.now()));
+        }
+        // Every window off before any goes on: expired and flapping
+        // windows heal, and an expired window cannot disarm an armed
+        // one of the same kind on the same host.
+        let spec = self.spec;
+        for win in &spec.windows {
+            self.set_fault(win, false);
+        }
+        for (i, win) in spec.windows.iter().enumerate() {
+            let armed = win.armed(round);
+            if armed {
+                self.set_fault(win, true);
+            }
+            self.engage(i, win, armed);
+        }
+    }
+
+    fn repo_mut(&mut self, host: &str) -> &mut Repository {
+        self.w.repos.by_host_mut(host).expect("campaign host exists")
+    }
+
+    /// Switches one window's transport or serve fault on or off.
+    /// Pairwise kinds act between the serving node and every client
+    /// behind it: a repository host and each relying party, or — for
+    /// the RTR kinds, whose `host` is only a label — the relay and each
+    /// router.
+    fn set_fault(&mut self, win: &FaultWindow, on: bool) {
+        let (server, clients) = if win.kind.is_rtr() {
+            let Some(path) = &self.rtr_path else { return };
+            path.clone()
+        } else {
+            (self.repo_mut(&win.host).node(), self.rps.iter().map(|rp| rp.node).collect())
+        };
+        let faults = &mut self.w.net.faults;
+        match win.kind {
+            FaultKind::CorruptionBurst { prob } => {
+                for &c in &clients {
+                    faults.set_corruption(server, c, if on { prob } else { 0.0 });
+                }
+            }
+            FaultKind::Partition | FaultKind::Flapping | FaultKind::RtrPartition => {
+                for &c in &clients {
+                    if on {
+                        faults.partition(server, c);
+                    } else {
+                        faults.heal(server, c);
+                    }
+                }
+            }
+            FaultKind::Stall { extra } | FaultKind::RtrStall { extra } => {
+                for &c in &clients {
+                    faults.set_stall(server, c, if on { extra } else { 0 });
+                }
+            }
+            FaultKind::Takedown => faults.set_down(server, on),
+            FaultKind::SlowServe { extra } => {
+                self.repo_mut(&win.host).set_serve_delay(if on { extra } else { 0 });
+            }
+            FaultKind::RrdpWithhold => self.repo_mut(&win.host).set_rrdp_offline(on),
+            // Stateful: `engage` arms and releases these exactly once.
+            FaultKind::RrdpPin | FaultKind::Withdraw | FaultKind::AdversarialPublish { .. } => {}
+        }
+    }
+
+    /// Engages a stateful window (`RrdpPin`, `Withdraw`,
+    /// `AdversarialPublish`) at its first armed round and releases it
+    /// at the first round after — once each: re-arming a pin every
+    /// round would re-capture the current state and defeat the point,
+    /// and re-running a round must never re-mutate the repository.
+    fn engage(&mut self, i: usize, win: &FaultWindow, armed: bool) {
+        if !matches!(
+            win.kind,
+            FaultKind::RrdpPin | FaultKind::Withdraw | FaultKind::AdversarialPublish { .. }
+        ) {
+            return;
+        }
+        let start = armed && self.engaged.insert(i);
+        let stop = !armed && self.engaged.remove(&i);
+        if !start && !stop {
+            return;
+        }
+        let now = Moment(self.w.net.now());
+        match win.kind {
+            FaultKind::RrdpPin if start => self.repo_mut(&win.host).rrdp_pin(),
+            FaultKind::RrdpPin => self.repo_mut(&win.host).rrdp_unpin(),
+            FaultKind::Withdraw if start => {
+                let file = self.w.covering_roa_file();
+                self.w.continental.withdraw(&file).expect("covering ROA present");
+                self.w.publish_all(now);
+            }
+            FaultKind::Withdraw => {
+                let covering: Prefix = "63.174.16.0/20".parse().expect("literal");
+                self.w
+                    .continental
+                    .issue_roa(asn::CONTINENTAL, vec![RoaPrefix::exact(covering)], now)
+                    .expect("own space");
+                self.w.publish_all(now);
+            }
+            // Seeded by the window index so concurrent windows of one
+            // campaign draw distinct corpus streams.
+            FaultKind::AdversarialPublish { kind } if start => {
+                self.w.poison_host(&win.host, kind, i as u64, now).expect("campaign host exists");
+            }
+            // A fresh honest snapshot overwrites the poison and deletes
+            // stray corpus files.
+            _ => self.w.publish_all(now),
+        }
+    }
+
+    /// Every relying party validates, in order; tiers record and emit
+    /// their row. Returns the round's runs, one per relying party.
+    fn validate_round(&mut self, round: usize) -> Vec<ValidationRun> {
+        let (w, spec, shards) = (&mut self.w, self.spec, self.shards);
+        self.rps
+            .iter_mut()
+            .map(|rp| {
+                let at = w.net.now();
+                let run = rp.validate(w, spec.unsafe_vrps, shards);
+                rp.record(w, &spec.name, round, at, &run);
+                run
+            })
+            .collect()
+    }
+
+    /// The recorded tiers with their totals, in relying-party order.
+    fn finish(self) -> Vec<TierOutcome> {
+        let tier_of = |rp: Rp| match rp.stack {
+            Stack::Tier(tier) => {
+                Some(TierOutcome { tier, totals: tier_totals(&rp.rounds), rounds: rp.rounds })
+            }
+            Stack::Scheduled(_) => None,
+        };
+        self.rps.into_iter().filter_map(tier_of).collect()
+    }
+}
+
+/// Runs `spec` at `seed` across all five tiers, each in its own freshly
+/// seeded world — so tiers never contaminate each other's fault dice
+/// and determinism is per `(campaign, seed, tier)` — reporting through
+/// `recorder`: each tier's world gets the
+/// recorder installed (so the whole netsim/repo/rp/suspenders event
+/// stream lands in one trace), every round emits a `campaign/round`
+/// event plus the campaign counters that the [`TierTotals`] integers
+/// mirror, and every tier closes with a `campaign/tier_totals` event.
+/// [`Walk::Incremental`] and [`Walk::Cold`] are byte-identical by
+/// construction.
+pub fn run_campaign(
+    spec: &CampaignSpec,
+    seed: u64,
+    walk: Walk,
+    recorder: &Recorder,
+) -> CampaignOutcome {
+    let mut out = CampaignOutcome::empty(spec, seed);
+    for tier in RpTier::ALL {
+        let mut e = Engine::private(spec, seed, recorder, Stack::Tier(tier), walk);
+        e.warm_up();
+        for round in 1..=spec.rounds {
+            e.begin_round(round);
+            e.validate_round(round);
+        }
+        let now = e.w.net.now();
+        let t = e.finish().pop().expect("a private world has one tier");
+        let tags = [("campaign", spec.name.as_str()), ("tier", tier.label())];
+        emit_row(recorder, now, ("campaign", "tier_totals"), &tags, &t.totals.columns());
+        out.tiers.push(t);
+    }
+    out
+}
+
+/// Runs `spec` at `seed` with all five tiers validating against **one**
+/// shared repository world — the planet-scale deployment shape, where
+/// thousands of relying parties hammer the same publication points —
+/// instead of the per-tier clones [`run_campaign`] uses to isolate
+/// fault dice. Each tier gets its own relying-party network node and
+/// its own persistent caches; every walk runs under `plan`'s sharded
+/// scheduler when given (output is byte-identical either way). The
+/// outcome adds per-round cross-tier VRP divergence and the server-side
+/// load ledger each host accumulated over the campaign rounds.
+///
+/// Note the shared world is *not* metric-identical to the per-tier
+/// worlds: probabilistic faults draw from one shared dice stream, so a
+/// corruption burst that eats tier A's frame spares tier B's. That
+/// asymmetry is the point — it is what the divergence metrics measure.
+pub fn run_shared_campaign(
+    spec: &CampaignSpec,
+    seed: u64,
+    plan: Option<ShardPlan>,
+    recorder: &Recorder,
+) -> CampaignOutcome {
+    let mut e = Engine::shared(spec, seed, recorder);
+    e.shards = plan;
+    e.warm_up();
+    // The load ledger measures the campaign proper, not the warm-up.
+    for repo in e.w.repos.iter() {
+        repo.reset_served_load();
+    }
+
+    let campaign = ("campaign", spec.name.as_str());
+    let mut divergence = Vec::with_capacity(spec.rounds);
+    for round in 1..=spec.rounds {
+        e.begin_round(round);
+        let runs = e.validate_round(round);
+        let sets: Vec<BTreeSet<Vrp>> =
+            runs.iter().map(|run| run.vrps.iter().copied().collect()).collect();
+        let mut d = DivergenceMetrics { round, ..DivergenceMetrics::default() };
+        for (i, a) in sets.iter().enumerate() {
+            if !sets[..i].contains(a) {
+                d.distinct_vrp_sets += 1;
+            }
+            for b in &sets[..i] {
+                let diff = a.symmetric_difference(b).count();
+                d.pairwise_diff_sum += diff;
+                d.max_pairwise_diff = d.max_pairwise_diff.max(diff);
+            }
+        }
+        recorder.observe("campaign.distinct_vrp_sets", d.distinct_vrp_sets as u64);
+        emit_row(recorder, e.w.net.now(), ("campaign", "divergence"), &[campaign], &d.columns());
+        divergence.push(d);
+    }
+
+    let mut load: Vec<HostLoad> =
+        e.w.repos
+            .iter()
+            .map(|repo| {
+                let total = repo.served_total();
+                HostLoad {
+                    host: repo.host().to_owned(),
+                    dirs: repo.served_load().len(),
+                    frames: total.frames,
+                    bytes: total.bytes,
+                }
+            })
+            .collect();
+    load.sort_by(|a, b| a.host.cmp(&b.host));
+    for h in &load {
+        let tags = [campaign, ("host", h.host.as_str())];
+        let columns = [("dirs", h.dirs as u64), ("frames", h.frames), ("bytes", h.bytes)];
+        emit_row(recorder, e.w.net.now(), ("campaign", "host_load"), &tags, &columns);
+    }
+    CampaignOutcome { tiers: e.finish(), divergence, load, ..CampaignOutcome::empty(spec, seed) }
+}
+
+/// The RTR side of [`run_rtr_campaign`]: one framed cache per tier, a
+/// relay merging all five, and the router population behind the relay.
+struct RtrSide {
+    fabrics: Vec<RtrFabric>,
+    relay: Relay,
+    routers: Vec<RtrRouter>,
+    pump_budget: u64,
+}
+
+impl RtrSide {
+    /// Adds the relay and router nodes to the engine's world and wires
+    /// every relying party's cache to the relay.
+    fn attach(e: &mut Engine<'_>, cfg: RtrConfig, slurm: &SlurmFile) -> RtrSide {
+        let relay_node = e.w.net.add_node("rtr-relay");
+        let mut relay = Relay::new(relay_node, cfg.policy, slurm.clone(), 100, cfg.max_history);
+        let mut fabrics = Vec::with_capacity(e.rps.len());
+        for (i, rp) in e.rps.iter().enumerate() {
+            let mut f = RtrFabric::new(rp.node, (i + 1) as u16, cfg.max_history);
+            f.attach(relay_node);
+            fabrics.push(f);
+            relay.add_feed(rp.node);
+        }
+        let router_nodes: Vec<NodeId> =
+            (0..cfg.routers).map(|i| e.w.net.add_node(&format!("router-{i}"))).collect();
+        let routers = router_nodes
+            .iter()
+            .map(|&node| {
+                relay.attach(node);
+                RtrRouter::new(node, relay_node)
+            })
+            .collect();
+        e.rtr_path = Some((relay_node, router_nodes));
+        RtrSide { fabrics, relay, routers, pump_budget: cfg.pump_budget }
+    }
+
+    /// One bounded RTR pump window over all fabric endpoints.
+    fn pump(&mut self, net: &mut Network) {
+        let deadline = net.now() + self.pump_budget;
+        let mut endpoints: Vec<&mut dyn RtrEndpoint> =
+            Vec::with_capacity(self.fabrics.len() + self.routers.len() + 1);
+        for f in self.fabrics.iter_mut() {
+            endpoints.push(f);
+        }
+        endpoints.push(&mut self.relay);
+        for r in self.routers.iter_mut() {
+            endpoints.push(r);
+        }
+        pump_until(net, deadline, &mut endpoints);
+    }
+
+    /// One publish → merge → sync cycle over the round's `runs` (the
+    /// sequence [`run_rtr_campaign`] documents).
+    fn cycle(&mut self, e: &mut Engine<'_>, runs: &[ValidationRun]) {
+        let net = &mut e.w.net;
+        for ((f, rp), run) in self.fabrics.iter_mut().zip(&e.rps).zip(runs) {
+            f.publish(net, VrpUpdate::snapshot(rp.effective_vrps(run)));
+        }
+        self.relay.poll_feeds(net);
+        self.pump(net);
+        self.relay.republish(net);
+        for r in &mut self.routers {
+            r.poll(net);
+        }
+        self.pump(net);
+        // Session timeout: every RTR frame still in flight (tier→relay
+        // and relay→router, both directions) is dead air, which turns a
+        // stalled path into visible staleness.
+        for f in &self.fabrics {
+            net.flush_pair(f.node(), self.relay.node());
+        }
+        for r in &self.routers {
+            net.flush_pair(self.relay.node(), r.node());
+        }
+    }
+
+    /// How far the router population sits from the relay and from the
+    /// truth after `round`'s cycle.
+    fn measure(&self, w: &ModelRpki, round: usize) -> RtrRoundMetrics {
+        // Truth: a perfect-transport walk of the repositories as they
+        // stand now. Router divergence from it is the paper's bottom
+        // line — what BGP actually acts on versus what the authorities
+        // published.
+        let truth: BTreeSet<Vrp> =
+            w.validate_direct(Moment(w.net.now())).vrps.into_iter().collect();
+        let server = self.relay.target().server();
+        let (relay_serial, relay_session) = (server.serial(), server.session());
+        let mut m = RtrRoundMetrics { round, relay_serial, ..RtrRoundMetrics::default() };
+        for r in &self.routers {
+            // Ground truth from the router's own state machine — the
+            // fabric's session table is optimistic under frame loss
+            // (it records what was *served*, not what arrived).
+            let client = r.client();
+            if client.session() == Some(relay_session) {
+                let lag = rpki_rp::serial_distance(client.serial(), relay_serial);
+                if lag == 0 {
+                    m.synced_routers += 1;
+                } else {
+                    m.stale_routers += 1;
+                    m.max_serial_lag = m.max_serial_lag.max(lag);
+                }
+            } else {
+                m.stale_routers += 1;
+            }
+            let dist = r.vrps().symmetric_difference(&truth).count();
+            m.truth_distance_sum += dist;
+            m.max_truth_distance = m.max_truth_distance.max(dist);
+        }
+        m.relay_truth_distance = self.relay.merged().symmetric_difference(&truth).count();
+        m
+    }
+}
+
+/// Runs `spec` at `seed` with the five tiers validating a **shared**
+/// world *and* feeding an RTR fabric: each tier publishes its validated
+/// VRPs into its own framed RTR cache, an rtrtr-style relay merges the
+/// five feeds under `rtr.policy` (SLURM exceptions via `slurm`), and
+/// `rtr.routers` routers sync from the relay over netsim — so the
+/// repository fault kinds *and* the RTR fault kinds
+/// ([`FaultKind::RtrPartition`], [`FaultKind::RtrStall`]) land on one
+/// deterministic timeline.
+///
+/// Each round: faults are armed, every tier validates (the RTR queue is
+/// empty while repository syncs drive the network), every tier fabric
+/// publishes its snapshot, the relay polls its feeds and republishes
+/// the merge, every router polls, and two bounded pump windows
+/// (`rtr.pump_budget` each) carry the frames. Frames still in flight
+/// after the second window are flushed — the session-timeout model —
+/// so a stalled RTR path yields visibly stale routers instead of a
+/// silently extended round.
+pub fn run_rtr_campaign(
+    spec: &CampaignSpec,
+    seed: u64,
+    rtr: RtrConfig,
+    slurm: &SlurmFile,
+    recorder: &Recorder,
+) -> CampaignOutcome {
+    let mut e = Engine::shared(spec, seed, recorder);
+    let mut side = RtrSide::attach(&mut e, rtr, slurm);
+    // The warm-up is one full faultless cycle — validate, publish,
+    // merge, sync — so round 1 starts from converged routers.
+    let runs = e.warm_up();
+    side.cycle(&mut e, &runs);
+
+    let campaign = ("campaign", spec.name.as_str());
+    let mut rows = Vec::with_capacity(spec.rounds);
+    for round in 1..=spec.rounds {
+        e.begin_round(round);
+        let runs = e.validate_round(round);
+        side.cycle(&mut e, &runs);
+        let m = side.measure(&e.w, round);
+        recorder.count("rtr.stale_router_rounds", m.stale_routers as u64);
+        recorder.observe("rtr.truth_distance", m.truth_distance_sum as u64);
+        emit_row(recorder, e.w.net.now(), ("rtr", "round"), &[campaign], &m.columns());
+        rows.push(m);
+    }
+    CampaignOutcome { tiers: e.finish(), rtr: rows, ..CampaignOutcome::empty(spec, seed) }
+}
+
+/// Runs `spec` at `seed` with a single scheduled relying party
+/// (RRDP + retries under `plan`). Every round republishes the whole
+/// world, so each publication point's content moves at the round
+/// cadence and the scheduler must keep fetching — the run budget, not
+/// quiescence, is what rations the wire. Per-round scheduler counters
+/// come from [`SchedulerState::last_run`]; a `campaign/schedule_round`
+/// event lands in `recorder` per round.
+pub fn run_scheduled_campaign(
+    spec: &CampaignSpec,
+    seed: u64,
+    plan: SchedulePlan,
+    recorder: &Recorder,
+) -> CampaignOutcome {
+    let mut e = Engine::private(spec, seed, recorder, Stack::Scheduled(plan), Walk::Cold);
+    // The warm-up already runs scheduled, so every point has a schedule
+    // entry and a snapshot before budgets start to bite (first contacts
+    // are exempt from the budget by design).
+    e.warm_up();
+
+    let mut schedule = Vec::with_capacity(spec.rounds);
+    for round in 1..=spec.rounds {
+        e.begin_round(round);
+        e.w.publish_all(Moment(e.w.net.now()));
+        let runs = e.validate_round(round);
+        let rs = e.rps[0].scheduler.last_run();
+        let traced = [
+            ("round", round as u64),
+            ("fetched", rs.fetched),
+            ("deferred", rs.deferred),
+            ("time_used", rs.time_used),
+            ("max_served_age", rs.max_served_age),
+        ];
+        emit_row(recorder, e.w.net.now(), ("campaign", "schedule_round"), &[], &traced);
+        schedule.push(ScheduleRoundMetrics {
+            round,
+            vrps: runs[0].vrps.len(),
+            fetched: rs.fetched,
+            not_due: rs.not_due,
+            deferred: rs.deferred,
+            backoff_skips: rs.backoff_skips,
+            frames_used: rs.frames_used,
+            time_used: rs.time_used,
+            max_served_age: rs.max_served_age,
+        });
+    }
+    CampaignOutcome { schedule, ..CampaignOutcome::empty(spec, seed) }
+}
+
+/// The standard campaign suite the `ablation_resilience` binary runs.
+/// All target Continental — the paper's Section 6 repository — so the
+/// five Continental VRPs are the ones at stake each time.
+pub fn standard_campaigns() -> Vec<CampaignSpec> {
+    let c = |kind, from, to| FaultWindow::new(CONTINENTAL_HOST, kind, from, to);
+    vec![
+        CampaignSpec::new(
+            "corruption-burst",
+            12,
+            vec![c(FaultKind::CorruptionBurst { prob: 0.4 }, 3, 8)],
+        ),
+        CampaignSpec::new("flapping-partition", 12, vec![c(FaultKind::Flapping, 3, 10)]),
+        CampaignSpec::new("takedown", 12, vec![c(FaultKind::Takedown, 3, 8)]),
+        CampaignSpec::new("slow-serve", 10, vec![c(FaultKind::Stall { extra: 3600 }, 3, 6)]),
+        // The Stalloris scenario: the RRDP feed freezes, then the
+        // authority whacks the covering ROA behind the frozen view. A
+        // trusting RRDP client never sees the whack; the verified rrdp
+        // tier detects the pin each round and downgrades to rsync for
+        // the truth.
+        CampaignSpec::new(
+            "stalloris-downgrade",
+            12,
+            vec![c(FaultKind::RrdpPin, 3, 8), c(FaultKind::Withdraw, 4, 6)],
+        ),
+        CampaignSpec::new(
+            "mixed",
+            24,
+            vec![
+                c(FaultKind::CorruptionBurst { prob: 0.35 }, 3, 7),
+                c(FaultKind::Takedown, 10, 13),
+                c(FaultKind::Withdraw, 16, 18),
+                c(FaultKind::Stall { extra: 3600 }, 20, 22),
+            ],
+        ),
+    ]
+}
+
+/// The standard RTR campaign: the feed path stalls Stalloris-style
+/// while the authority whacks the covering ROA behind it — relying
+/// parties see the whack on time, routers act on the pre-whack VRPs
+/// until the stall lifts.
+pub fn rtr_campaign() -> CampaignSpec {
+    let windows = vec![
+        FaultWindow::new("rtr", FaultKind::RtrStall { extra: 3600 }, 3, 5),
+        FaultWindow::new(CONTINENTAL_HOST, FaultKind::Withdraw, 4, 6),
+    ];
+    CampaignSpec::new("rtr-stale-routers", 10, windows)
 }
 
 /// The schedule plan the gaming campaign's relying party runs under:
@@ -1425,200 +1310,29 @@ pub fn gaming_schedule_plan() -> SchedulePlan {
 /// scheduler reaches ETB and CONTINENTAL with nothing left to spend.
 pub fn schedule_gaming_campaign() -> CampaignSpec {
     let plan = StarvePlan::stalloris("rpki.sprint.example");
-    CampaignSpec {
-        name: "schedule-gaming".to_owned(),
-        unsafe_vrps: UnsafeVrpPolicy::Accept,
-        churn: None,
-        rounds: 12,
-        windows: vec![FaultWindow {
-            host: plan.host.clone(),
-            kind: FaultKind::SlowServe { extra: plan.serve_delay },
-            from: plan.from,
-            to: plan.to,
-        }],
-    }
-}
-
-/// Runs `spec` at `seed` with a single scheduled relying party
-/// (RRDP + retries under `plan`). Every round republishes the whole
-/// world, so each publication point's content moves at the round
-/// cadence and the scheduler must keep fetching — the run budget, not
-/// quiescence, is what rations the wire. Per-round scheduler counters
-/// come from [`SchedulerState::last_run`]; a `campaign/schedule_round`
-/// event lands in `recorder` per round.
-pub fn run_schedule_gaming(
-    spec: &CampaignSpec,
-    seed: u64,
-    plan: SchedulePlan,
-    recorder: &Recorder,
-) -> ScheduleGamingOutcome {
-    let mut w = ModelRpki::build_seeded(seed);
-    w.net.set_recorder(recorder.clone());
-    let policy = campaign_policy();
-    let mut rrdp = RrdpClientState::new();
-    let mut sched = SchedulerState::new();
-    let mut engaged: BTreeSet<usize> = BTreeSet::new();
-    let rp_nodes = [w.rp_node];
-
-    // Warm-up: one faultless scheduled run, so every point has a
-    // schedule entry and a snapshot before budgets start to bite
-    // (first contacts are exempt from the budget by design).
-    let moment = Moment(w.net.now());
-    w.validate_with(
-        ValidationOptions::at(moment).retry(policy).rrdp(&mut rrdp).scheduled(plan, &mut sched),
-    );
-
-    let mut rounds = Vec::with_capacity(spec.rounds);
-    let mut starved_rounds = 0;
-    let mut min_vrps = usize::MAX;
-    let mut worst_served_age = 0;
-    for round in 1..=spec.rounds {
-        w.net.advance_to(round as u64 * ROUND_SECS);
-        apply_faults_to(&mut w, spec, round, &mut engaged, &rp_nodes);
-        w.publish_all(Moment(w.net.now()));
-        let moment = Moment(w.net.now());
-        let run = w.validate_with(
-            ValidationOptions::at(moment).retry(policy).rrdp(&mut rrdp).scheduled(plan, &mut sched),
-        );
-        let rs = sched.last_run();
-        if rs.deferred > 0 {
-            starved_rounds += 1;
-        }
-        min_vrps = min_vrps.min(run.vrps.len());
-        worst_served_age = worst_served_age.max(rs.max_served_age);
-        if recorder.is_enabled() {
-            recorder
-                .event(w.net.now(), "campaign", "schedule_round")
-                .u64("round", round as u64)
-                .u64("fetched", rs.fetched)
-                .u64("deferred", rs.deferred)
-                .u64("time_used", rs.time_used)
-                .u64("max_served_age", rs.max_served_age)
-                .emit();
-        }
-        rounds.push(ScheduleRoundMetrics {
-            round,
-            vrps: run.vrps.len(),
-            fetched: rs.fetched,
-            not_due: rs.not_due,
-            deferred: rs.deferred,
-            backoff_skips: rs.backoff_skips,
-            frames_used: rs.frames_used,
-            time_used: rs.time_used,
-            max_served_age: rs.max_served_age,
-        });
-    }
-    ScheduleGamingOutcome {
-        name: spec.name.clone(),
-        seed,
-        rounds,
-        starved_rounds,
-        min_vrps,
-        worst_served_age,
-    }
-}
-
-/// The standard campaign suite the `ablation_resilience` binary runs.
-/// All target Continental — the paper's Section 6 repository — so the
-/// five Continental VRPs are the ones at stake each time.
-pub fn standard_campaigns() -> Vec<CampaignSpec> {
-    let c = || "rpki.continental.example".to_owned();
-    vec![
-        CampaignSpec {
-            name: "corruption-burst".to_owned(),
-            unsafe_vrps: UnsafeVrpPolicy::Accept,
-            churn: None,
-            rounds: 12,
-            windows: vec![FaultWindow {
-                host: c(),
-                kind: FaultKind::CorruptionBurst { prob: 0.4 },
-                from: 3,
-                to: 8,
-            }],
-        },
-        CampaignSpec {
-            name: "flapping-partition".to_owned(),
-            unsafe_vrps: UnsafeVrpPolicy::Accept,
-            churn: None,
-            rounds: 12,
-            windows: vec![FaultWindow { host: c(), kind: FaultKind::Flapping, from: 3, to: 10 }],
-        },
-        CampaignSpec {
-            name: "takedown".to_owned(),
-            unsafe_vrps: UnsafeVrpPolicy::Accept,
-            churn: None,
-            rounds: 12,
-            windows: vec![FaultWindow { host: c(), kind: FaultKind::Takedown, from: 3, to: 8 }],
-        },
-        CampaignSpec {
-            name: "slow-serve".to_owned(),
-            unsafe_vrps: UnsafeVrpPolicy::Accept,
-            churn: None,
-            rounds: 10,
-            windows: vec![FaultWindow {
-                host: c(),
-                kind: FaultKind::Stall { extra: 3600 },
-                from: 3,
-                to: 6,
-            }],
-        },
-        CampaignSpec {
-            // The Stalloris scenario: the RRDP feed freezes, then the
-            // authority whacks the covering ROA behind the frozen view.
-            // A trusting RRDP client never sees the whack; the verified
-            // rrdp tier detects the pin each round and downgrades to
-            // rsync for the truth.
-            name: "stalloris-downgrade".to_owned(),
-            unsafe_vrps: UnsafeVrpPolicy::Accept,
-            churn: None,
-            rounds: 12,
-            windows: vec![
-                FaultWindow { host: c(), kind: FaultKind::RrdpPin, from: 3, to: 8 },
-                FaultWindow { host: c(), kind: FaultKind::Withdraw, from: 4, to: 6 },
-            ],
-        },
-        CampaignSpec {
-            name: "mixed".to_owned(),
-            unsafe_vrps: UnsafeVrpPolicy::Accept,
-            churn: None,
-            rounds: 24,
-            windows: vec![
-                FaultWindow {
-                    host: c(),
-                    kind: FaultKind::CorruptionBurst { prob: 0.35 },
-                    from: 3,
-                    to: 7,
-                },
-                FaultWindow { host: c(), kind: FaultKind::Takedown, from: 10, to: 13 },
-                FaultWindow { host: c(), kind: FaultKind::Withdraw, from: 16, to: 18 },
-                FaultWindow { host: c(), kind: FaultKind::Stall { extra: 3600 }, from: 20, to: 22 },
-            ],
-        },
-    ]
+    let slow = FaultKind::SlowServe { extra: plan.serve_delay };
+    let window = FaultWindow::new(&plan.host, slow, plan.from, plan.to);
+    CampaignSpec::new("schedule-gaming", 12, vec![window])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const CONTINENTAL: &str = CONTINENTAL_HOST;
+
     fn takedown_spec() -> CampaignSpec {
-        CampaignSpec {
-            name: "t".to_owned(),
-            unsafe_vrps: UnsafeVrpPolicy::Accept,
-            churn: None,
-            rounds: 6,
-            windows: vec![FaultWindow {
-                host: "rpki.continental.example".to_owned(),
-                kind: FaultKind::Takedown,
-                from: 2,
-                to: 4,
-            }],
-        }
+        CampaignSpec::new("t", 6, vec![FaultWindow::new(CONTINENTAL, FaultKind::Takedown, 2, 4)])
+    }
+
+    /// An untraced incremental private-world run.
+    fn run(spec: &CampaignSpec, seed: u64) -> CampaignOutcome {
+        run_campaign(spec, seed, Walk::Incremental, &Recorder::disabled())
     }
 
     #[test]
     fn takedown_separates_stale_cache_from_the_rest() {
-        let out = run_campaign(&takedown_spec(), 42);
+        let out = run(&takedown_spec(), 42);
         let bare = out.tier(RpTier::Bare).totals;
         let retrying = out.tier(RpTier::Retrying).totals;
         let stale = out.tier(RpTier::RetryingStale).totals;
@@ -1633,19 +1347,12 @@ mod tests {
 
     #[test]
     fn withdraw_separates_suspenders_from_stale_cache() {
-        let spec = CampaignSpec {
-            name: "w".to_owned(),
-            unsafe_vrps: UnsafeVrpPolicy::Accept,
-            churn: None,
-            rounds: 6,
-            windows: vec![FaultWindow {
-                host: "rpki.continental.example".to_owned(),
-                kind: FaultKind::Withdraw,
-                from: 2,
-                to: 4,
-            }],
-        };
-        let out = run_campaign(&spec, 42);
+        let spec = CampaignSpec::new(
+            "w",
+            6,
+            vec![FaultWindow::new(CONTINENTAL, FaultKind::Withdraw, 2, 4)],
+        );
+        let out = run(&spec, 42);
         let stale = out.tier(RpTier::RetryingStale).totals;
         let susp = out.tier(RpTier::Suspenders).totals;
         // The stale cache must NOT bridge an authority-side removal…
@@ -1657,35 +1364,19 @@ mod tests {
     }
 
     #[test]
-    fn campaign_replay_is_identical() {
-        let spec = takedown_spec();
-        let a = serde_json::to_string(&run_campaign(&spec, 7)).unwrap();
-        let b = serde_json::to_string(&run_campaign(&spec, 7)).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn churned_campaign_replays_identically_and_keeps_separations() {
         let spec = takedown_spec().with_churn(ChurnConfig::renew_only(400));
-        let a = serde_json::to_string(&run_campaign(&spec, 7)).unwrap();
-        let b = serde_json::to_string(&run_campaign(&spec, 7)).unwrap();
+        let a = serde_json::to_string(&run(&spec, 7)).unwrap();
+        let b = serde_json::to_string(&run(&spec, 7)).unwrap();
         assert_eq!(a, b, "churned campaigns replay byte-identical");
         // Renew-only churn keeps the VRP population fixed, so the
         // quiet campaign's separations survive under a live publication
         // workload: the stale cache still bridges the takedown, and the
         // RRDP tier absorbs the churn deltas without losing a VRP.
-        let out = run_campaign(&spec, 42);
+        let out = run(&spec, 42);
         assert_eq!(out.tier(RpTier::RetryingStale).totals.min_vrps, 8);
         assert_eq!(out.tier(RpTier::Rrdp).totals.min_vrps, 8);
         assert_eq!(out.tier(RpTier::Bare).rounds.last().unwrap().vrps, 8);
-    }
-
-    #[test]
-    fn incremental_campaign_matches_cold_campaign() {
-        let spec = takedown_spec();
-        let warm = serde_json::to_string(&run_campaign(&spec, 7)).unwrap();
-        let cold = serde_json::to_string(&run_campaign_cold(&spec, 7)).unwrap();
-        assert_eq!(warm, cold);
     }
 
     #[test]
@@ -1693,7 +1384,7 @@ mod tests {
         // A takedown hits transports equally: the rrdp tier falls back
         // to rsync (which is down too) and then to its stale cache, so
         // its availability equals the retrying+stale tier's.
-        let out = run_campaign(&takedown_spec(), 42);
+        let out = run(&takedown_spec(), 42);
         let stale = out.tier(RpTier::RetryingStale).totals;
         let rrdp = out.tier(RpTier::Rrdp).totals;
         assert_eq!(rrdp.vrp_round_sum, stale.vrp_round_sum, "{rrdp:?} vs {stale:?}");
@@ -1708,7 +1399,7 @@ mod tests {
             .into_iter()
             .find(|s| s.name == "stalloris-downgrade")
             .expect("stalloris spec present");
-        let out = run_campaign(&spec, 42);
+        let out = run(&spec, 42);
         let rrdp = out.tier(RpTier::Rrdp);
         // Pin rounds before the whack (round 3): the feed is stale but
         // content-identical, so nothing is lost and nothing downgrades
@@ -1738,19 +1429,12 @@ mod tests {
 
     #[test]
     fn rrdp_withhold_forces_downgrades_without_data_loss() {
-        let spec = CampaignSpec {
-            name: "wh".to_owned(),
-            unsafe_vrps: UnsafeVrpPolicy::Accept,
-            churn: None,
-            rounds: 6,
-            windows: vec![FaultWindow {
-                host: "rpki.continental.example".to_owned(),
-                kind: FaultKind::RrdpWithhold,
-                from: 2,
-                to: 4,
-            }],
-        };
-        let out = run_campaign(&spec, 42);
+        let spec = CampaignSpec::new(
+            "wh",
+            6,
+            vec![FaultWindow::new(CONTINENTAL, FaultKind::RrdpWithhold, 2, 4)],
+        );
+        let out = run(&spec, 42);
         let rrdp = out.tier(RpTier::Rrdp);
         // The rsync path keeps the tier whole through the withhold…
         assert_eq!(rrdp.totals.min_vrps, 8, "{:?}", rrdp.totals);
@@ -1769,10 +1453,10 @@ mod tests {
         // shard, or under eight — faults, caches, and all.
         let spec = takedown_spec();
         let seq =
-            serde_json::to_string(&run_campaign_shared(&spec, 7, None, &Recorder::disabled()))
+            serde_json::to_string(&run_shared_campaign(&spec, 7, None, &Recorder::disabled()))
                 .unwrap();
         for shards in [1, 2, 8] {
-            let sharded = serde_json::to_string(&run_campaign_shared(
+            let sharded = serde_json::to_string(&run_shared_campaign(
                 &spec,
                 7,
                 Some(ShardPlan::new(shards)),
@@ -1785,7 +1469,7 @@ mod tests {
 
     #[test]
     fn shared_campaign_measures_divergence_and_load() {
-        let out = run_campaign_shared(&takedown_spec(), 42, None, &Recorder::disabled());
+        let out = run_shared_campaign(&takedown_spec(), 42, None, &Recorder::disabled());
         assert_eq!(out.tiers.len(), RpTier::ALL.len());
         assert_eq!(out.divergence.len(), out.rounds);
         // During the takedown window the stale tier keeps serving while
@@ -1806,7 +1490,7 @@ mod tests {
         let bare = out.tier(RpTier::Bare).totals;
         assert!(stale.vrp_round_sum > bare.vrp_round_sum, "{stale:?} vs {bare:?}");
         // Deterministic replay, since every fault here is dice-free.
-        let again = run_campaign_shared(&takedown_spec(), 42, None, &Recorder::disabled());
+        let again = run_shared_campaign(&takedown_spec(), 42, None, &Recorder::disabled());
         assert_eq!(serde_json::to_string(&out).unwrap(), serde_json::to_string(&again).unwrap());
     }
 
@@ -1817,9 +1501,8 @@ mod tests {
         // 3–5) leaves routers acting on the pre-whack VRPs.
         let cfg = RtrConfig { routers: 4, policy: MergePolicy::All, ..RtrConfig::default() };
         let out =
-            run_campaign_rtr(&rtr_campaign(), 42, cfg, &SlurmFile::empty(), &Recorder::disabled());
+            run_rtr_campaign(&rtr_campaign(), 42, cfg, &SlurmFile::empty(), &Recorder::disabled());
         assert_eq!(out.rtr.len(), 10);
-        assert_eq!(out.routers, 4);
 
         // Healthy rounds: everyone synced, routers hold the truth.
         let r1 = &out.rtr[0];
@@ -1851,28 +1534,13 @@ mod tests {
 
     #[test]
     fn rtr_partition_blocks_even_resets() {
-        let spec = CampaignSpec {
-            name: "rtr-p".to_owned(),
-            unsafe_vrps: UnsafeVrpPolicy::Accept,
-            churn: None,
-            rounds: 6,
-            windows: vec![
-                FaultWindow {
-                    host: "rtr".to_owned(),
-                    kind: FaultKind::RtrPartition,
-                    from: 2,
-                    to: 4,
-                },
-                FaultWindow {
-                    host: "rpki.continental.example".to_owned(),
-                    kind: FaultKind::Withdraw,
-                    from: 2,
-                    to: 4,
-                },
-            ],
-        };
+        let windows = vec![
+            FaultWindow::new("rtr", FaultKind::RtrPartition, 2, 4),
+            FaultWindow::new(CONTINENTAL, FaultKind::Withdraw, 2, 4),
+        ];
+        let spec = CampaignSpec::new("rtr-p", 6, windows);
         let cfg = RtrConfig { routers: 3, policy: MergePolicy::All, ..RtrConfig::default() };
-        let out = run_campaign_rtr(&spec, 42, cfg, &SlurmFile::empty(), &Recorder::disabled());
+        let out = run_rtr_campaign(&spec, 42, cfg, &SlurmFile::empty(), &Recorder::disabled());
         // During the partition the routers hold the pre-whack set.
         let r2 = &out.rtr[1];
         assert_eq!(r2.stale_routers, 3, "{r2:?}");
@@ -1886,33 +1554,11 @@ mod tests {
     }
 
     #[test]
-    fn rtr_campaign_replay_is_identical() {
-        let cfg = RtrConfig { routers: 3, policy: MergePolicy::All, ..RtrConfig::default() };
-        let a = serde_json::to_string(&run_campaign_rtr(
-            &rtr_campaign(),
-            7,
-            cfg,
-            &SlurmFile::empty(),
-            &Recorder::disabled(),
-        ))
-        .unwrap();
-        let b = serde_json::to_string(&run_campaign_rtr(
-            &rtr_campaign(),
-            7,
-            cfg,
-            &SlurmFile::empty(),
-            &Recorder::disabled(),
-        ))
-        .unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn slow_serve_starves_victims_only_inside_the_window() {
         let spec = schedule_gaming_campaign();
-        let out = run_schedule_gaming(&spec, 7, gaming_schedule_plan(), &Recorder::disabled());
+        let out = run_scheduled_campaign(&spec, 7, gaming_schedule_plan(), &Recorder::disabled());
         let window = &spec.windows[0];
-        for r in &out.rounds {
+        for r in &out.schedule {
             let in_window = window.from <= r.round && r.round <= window.to;
             assert!(
                 in_window || r.deferred == 0,
@@ -1924,29 +1570,48 @@ mod tests {
         // window round — its own stretched fetch can push its next
         // deadline one round out, so alternation is legitimate.
         let window_len = window.to - window.from + 1;
-        assert!(
-            out.starved_rounds >= window_len / 2,
-            "starved {} of {window_len} window rounds: {out:?}",
-            out.starved_rounds
-        );
+        let starved = out.schedule.iter().filter(|r| r.deferred > 0).count();
+        assert!(starved >= window_len / 2, "starved {starved} of {window_len} rounds: {out:?}");
         // Starvation costs freshness, not availability: deferred points
         // are served from the schedule snapshot, so the VRP set never
         // shrinks — but the served age climbs past a full round.
-        assert_eq!(out.min_vrps, 8, "{out:?}");
-        assert!(out.worst_served_age >= ROUND_SECS, "{out:?}");
+        assert!(out.schedule.iter().all(|r| r.vrps == 8), "{out:?}");
+        assert!(out.schedule.iter().any(|r| r.max_served_age >= ROUND_SECS), "{out:?}");
         // Outside the window the budget is plentiful and nothing ages.
-        let last = out.rounds.last().unwrap();
+        let last = out.schedule.last().unwrap();
         assert_eq!(last.deferred, 0);
         assert_eq!(last.backoff_skips, 0, "slow is not down: no breaker may trip ({last:?})");
     }
 
     #[test]
-    fn schedule_gaming_replay_is_identical() {
-        let spec = schedule_gaming_campaign();
-        let a = run_schedule_gaming(&spec, 11, gaming_schedule_plan(), &Recorder::disabled());
-        let b = run_schedule_gaming(&spec, 11, gaming_schedule_plan(), &Recorder::disabled());
-        assert_eq!(a, b);
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+    fn expired_window_does_not_disarm_an_armed_one_of_the_same_kind() {
+        // Two same-kind windows on one host, rounds 1–2 and 3–4: at
+        // round 3 one has expired and one is armed, and switching the
+        // expired one off must not win, whichever is declared first.
+        for kind in [FaultKind::Partition, FaultKind::Stall { extra: 900 }, FaultKind::Takedown] {
+            for expired_first in [true, false] {
+                let mut windows = vec![
+                    FaultWindow::new(CONTINENTAL, kind, 1, 2),
+                    FaultWindow::new(CONTINENTAL, kind, 3, 4),
+                ];
+                if !expired_first {
+                    windows.reverse();
+                }
+                let spec = CampaignSpec::new("overlap", 5, windows);
+                let bare = Stack::Tier(RpTier::Bare);
+                let mut e = Engine::private(&spec, 1, &Recorder::disabled(), bare, Walk::Cold);
+                let (repo, rp) = (e.repo_mut(CONTINENTAL).node(), e.w.rp_node);
+                let armed = |e: &Engine<'_>| match kind {
+                    FaultKind::Partition => e.w.net.faults.is_partitioned(rp, repo),
+                    FaultKind::Stall { extra } => e.w.net.faults.stall_delay(repo, rp) == extra,
+                    _ => e.w.net.faults.is_down(repo),
+                };
+                e.begin_round(3);
+                assert!(armed(&e), "{kind:?}, expired_first={expired_first}: armed at round 3");
+                e.begin_round(5);
+                assert!(!armed(&e), "{kind:?}, expired_first={expired_first}: clear at round 5");
+            }
+        }
     }
 
     #[test]

@@ -28,14 +28,17 @@
 //!   evidence, so whacks stop translating into instant outages.
 //! - [`validate`] — the single validation entry point:
 //!   [`ValidationOptions`] names the relying-party layers (retries,
-//!   stale cache, Suspenders, strict profile, transport, incremental
-//!   revalidation) and `validate_with` assembles and runs them,
-//!   reporting through the world's observability recorder.
+//!   RRDP, stale cache, fetch scheduler, Suspenders, incremental and
+//!   sharded walks) and `validate_with` chains them into one source
+//!   stack and runs it, reporting through the world's observability
+//!   recorder.
 //! - [`campaign`] — seeded fault campaigns comparing relying-party
 //!   configurations (bare / retrying / stale-cache / Suspenders /
 //!   RRDP) on VRP availability and validity flips under scheduled
-//!   repository faults; the harness behind the `ablation_resilience`
-//!   experiment.
+//!   repository faults: one round-loop engine under four entry points
+//!   (private worlds, one shared world, shared + RTR fabric, one
+//!   scheduled relying party), all returning [`CampaignOutcome`]; the
+//!   harness behind the `ablation_resilience` experiment.
 //! - [`downgrade`] — the Stalloris scenario: a stealthy withdrawal
 //!   executed behind a pinned RRDP feed, measured against trusting,
 //!   verified, and at-rest relying-party stances; the harness behind
@@ -56,11 +59,10 @@ pub mod tradeoff;
 pub mod validate;
 
 pub use campaign::{
-    gaming_schedule_plan, rtr_campaign, run_campaign, run_campaign_cold, run_campaign_rtr,
-    run_campaign_shared, run_campaign_traced, run_schedule_gaming, schedule_gaming_campaign,
-    standard_campaigns, CampaignOutcome, CampaignSpec, DivergenceMetrics, FaultKind, FaultWindow,
-    HostLoad, RoundMetrics, RpTier, RtrCampaignOutcome, RtrConfig, RtrRoundMetrics,
-    ScheduleGamingOutcome, ScheduleRoundMetrics, SharedCampaignOutcome, TierOutcome, TierTotals,
+    gaming_schedule_plan, rtr_campaign, run_campaign, run_rtr_campaign, run_scheduled_campaign,
+    run_shared_campaign, schedule_gaming_campaign, standard_campaigns, CampaignOutcome,
+    CampaignSpec, DivergenceMetrics, FaultKind, FaultWindow, HostLoad, RoundMetrics, RpTier,
+    RtrConfig, RtrRoundMetrics, ScheduleRoundMetrics, TierOutcome, TierTotals, Walk,
 };
 pub use downgrade::{
     run_downgrade_scenario, run_downgrade_scheduled, run_downgrade_traced, DowngradeOutcome,

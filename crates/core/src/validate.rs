@@ -32,9 +32,9 @@
 use rpki_objects::Moment;
 use rpki_repo::{RrdpClientState, SyncPolicy};
 use rpki_rp::{
-    DirectSource, NetworkSource, ObjectSource, ResilientSource, ResilientState, RrdpSource,
-    SchedulePlan, ScheduledSource, SchedulerState, ShardPlan, ShardStats, UnsafeVrpPolicy,
-    ValidationConfig, ValidationRun, ValidationState, Validator,
+    NetworkSource, ObjectSource, ResilientSource, ResilientState, RrdpSource, SchedulePlan,
+    ScheduledSource, SchedulerState, ShardPlan, UnsafeVrpPolicy, ValidationConfig, ValidationRun,
+    ValidationState, Validator,
 };
 
 use crate::fixtures::ModelRpki;
@@ -49,14 +49,13 @@ use crate::suspenders::SuspendersState;
 #[derive(Debug)]
 pub struct ValidationOptions<'a> {
     now: Moment,
-    strict: bool,
-    direct: bool,
     retry: Option<SyncPolicy>,
     stale_cache: Option<&'a mut ResilientState>,
     suspenders: Option<&'a mut SuspendersState>,
     incremental: Option<&'a mut ValidationState>,
-    rrdp: Option<&'a mut RrdpClientState>,
-    rrdp_verify: bool,
+    /// The session state, and whether each sync is cross-checked
+    /// against an rsync digest probe.
+    rrdp: Option<(&'a mut RrdpClientState, bool)>,
     shards: Option<ShardPlan>,
     unsafe_vrps: UnsafeVrpPolicy,
     scheduled: Option<(SchedulePlan, &'a mut SchedulerState)>,
@@ -68,33 +67,15 @@ impl<'a> ValidationOptions<'a> {
     pub fn at(now: Moment) -> Self {
         ValidationOptions {
             now,
-            strict: false,
-            direct: false,
             retry: None,
             stale_cache: None,
             suspenders: None,
             incremental: None,
             rrdp: None,
-            rrdp_verify: true,
             shards: None,
             unsafe_vrps: UnsafeVrpPolicy::default(),
             scheduled: None,
         }
-    }
-
-    /// Validate over a perfect transport instead of the simulated
-    /// network (retries become a no-op; the stale cache still records
-    /// snapshots).
-    pub fn direct(mut self) -> Self {
-        self.direct = true;
-        self
-    }
-
-    /// Use strict (RFC 6487-style) validation instead of the default
-    /// lenient profile.
-    pub fn strict(mut self) -> Self {
-        self.strict = true;
-        self
     }
 
     /// Retry each directory under `policy`: deadlines, exponential
@@ -141,10 +122,8 @@ impl<'a> ValidationOptions<'a> {
     /// successful RRDP sync is cross-checked against an rsync digest
     /// probe, so a publication point replaying a frozen stale view is
     /// detected ([`RrdpClientState::note_pinned`]) and bypassed.
-    /// Ignored by [`direct`](ValidationOptions::direct) runs.
     pub fn rrdp(mut self, state: &'a mut RrdpClientState) -> Self {
-        self.rrdp = Some(state);
-        self.rrdp_verify = true;
+        self.rrdp = Some((state, true));
         self
     }
 
@@ -153,8 +132,7 @@ impl<'a> ValidationOptions<'a> {
     /// confirms. This is the Stalloris-vulnerable configuration the
     /// downgrade campaign measures.
     pub fn rrdp_trusting(mut self, state: &'a mut RrdpClientState) -> Self {
-        self.rrdp = Some(state);
-        self.rrdp_verify = false;
+        self.rrdp = Some((state, false));
         self
     }
 
@@ -200,61 +178,6 @@ impl<'a> ValidationOptions<'a> {
     }
 }
 
-fn run_stack<S: ObjectSource>(
-    config: ValidationConfig,
-    source: S,
-    stale_cache: Option<&mut ResilientState>,
-    incremental: Option<&mut ValidationState>,
-    shards: Option<ShardPlan>,
-    scheduled: Option<(SchedulePlan, &mut SchedulerState)>,
-    tals: &[rpki_objects::TrustAnchorLocator],
-) -> (ValidationRun, Option<ShardStats>) {
-    fn walk(
-        config: ValidationConfig,
-        source: &mut dyn ObjectSource,
-        incremental: Option<&mut ValidationState>,
-        shards: Option<ShardPlan>,
-        tals: &[rpki_objects::TrustAnchorLocator],
-    ) -> (ValidationRun, Option<ShardStats>) {
-        match (shards, incremental) {
-            (Some(plan), Some(inc)) => {
-                let (run, stats) =
-                    Validator::new(config).run_sharded_incremental(source, tals, plan, inc);
-                (run, Some(stats))
-            }
-            (Some(plan), None) => {
-                let (run, stats) = Validator::new(config).run_sharded(source, tals, plan);
-                (run, Some(stats))
-            }
-            (None, Some(inc)) => (Validator::new(config).run_incremental(source, tals, inc), None),
-            (None, None) => (Validator::new(config).run(source, tals), None),
-        }
-    }
-    // The scheduler wraps *outermost*: a not-due directory is answered
-    // from the schedule snapshot before the stale cache or transport is
-    // consulted, and a fetch it admits still enjoys the full resilience
-    // stack underneath.
-    match (stale_cache, scheduled) {
-        (Some(state), Some((plan, sched))) => {
-            let resilient = ResilientSource::new(source, state);
-            let mut source = ScheduledSource::new(resilient, sched, plan);
-            walk(config, &mut source, incremental, shards, tals)
-        }
-        (Some(state), None) => {
-            let mut source = ResilientSource::new(source, state);
-            walk(config, &mut source, incremental, shards, tals)
-        }
-        (None, Some((plan, sched))) => {
-            let mut source = ScheduledSource::new(source, sched, plan);
-            walk(config, &mut source, incremental, shards, tals)
-        }
-        (None, None) => {
-            let mut source = source;
-            walk(config, &mut source, incremental, shards, tals)
-        }
-    }
-}
-
 impl ModelRpki {
     /// Runs one validation with the layers selected in `opts`, emitting
     /// the run summary (and any Suspenders transitions) through the
@@ -262,75 +185,72 @@ impl ModelRpki {
     pub fn validate_with(&mut self, opts: ValidationOptions<'_>) -> ValidationRun {
         let ValidationOptions {
             now,
-            strict,
-            direct,
             retry,
-            mut stale_cache,
+            stale_cache,
             suspenders,
             mut incremental,
             rrdp,
-            rrdp_verify,
             shards,
             unsafe_vrps,
-            mut scheduled,
+            scheduled,
         } = opts;
         let rec = self.net.recorder();
-        let config =
-            if strict { ValidationConfig::strict_at(now) } else { ValidationConfig::at(now) }
-                .with_unsafe_policy(unsafe_vrps);
-        if let Some(state) = &mut stale_cache {
-            state.set_recorder(rec.clone());
-        }
-        if let Some((_, state)) = &mut scheduled {
-            state.set_recorder(rec.clone());
-        }
-        let fallback_window = scheduled.as_ref().and_then(|(plan, _)| plan.rrdp_fallback_time);
-        let tals = std::slice::from_ref(&self.tal);
-        let (run, shard_stats) = if direct {
-            run_stack(
-                config,
-                DirectSource::new(&self.repos),
-                stale_cache,
-                incremental.as_deref_mut(),
-                shards,
-                scheduled,
-                tals,
-            )
-        } else if let Some(state) = rrdp {
-            let policy = retry.unwrap_or_default();
-            let mut source =
-                RrdpSource::new(&mut self.net, &self.repos, self.rp_node, state, policy);
-            if !rrdp_verify {
-                source = source.trusting();
-            }
-            if let Some(window) = fallback_window {
-                source = source.fallback_after(window);
-            }
-            run_stack(
-                config,
-                source,
-                stale_cache,
-                incremental.as_deref_mut(),
-                shards,
-                scheduled,
-                tals,
-            )
-        } else {
-            let source = match retry {
-                Some(policy) => {
-                    NetworkSource::with_policy(&mut self.net, &self.repos, self.rp_node, policy)
+
+        // The source stack, innermost layer first. Each layer wraps
+        // the one before it, so the order below is the nesting order.
+        let (mut network, mut rrdp_source, mut resilient, mut schedule);
+        let mut source: &mut dyn ObjectSource = match rrdp {
+            Some((state, verify)) => {
+                let policy = retry.unwrap_or_default();
+                let mut s =
+                    RrdpSource::new(&mut self.net, &self.repos, self.rp_node, state, policy);
+                if !verify {
+                    s = s.trusting();
                 }
-                None => NetworkSource::new(&mut self.net, &self.repos, self.rp_node),
-            };
-            run_stack(
-                config,
-                source,
-                stale_cache,
-                incremental.as_deref_mut(),
-                shards,
-                scheduled,
-                tals,
-            )
+                if let Some(window) = scheduled.as_ref().and_then(|(p, _)| p.rrdp_fallback_time) {
+                    s = s.fallback_after(window);
+                }
+                rrdp_source = s;
+                &mut rrdp_source
+            }
+            None => {
+                network = match retry {
+                    Some(policy) => {
+                        NetworkSource::with_policy(&mut self.net, &self.repos, self.rp_node, policy)
+                    }
+                    None => NetworkSource::new(&mut self.net, &self.repos, self.rp_node),
+                };
+                &mut network
+            }
+        };
+        if let Some(state) = stale_cache {
+            state.set_recorder(rec.clone());
+            resilient = ResilientSource::new(source, state);
+            source = &mut resilient;
+        }
+        // The scheduler wraps *outermost*: a not-due directory is
+        // answered from the schedule snapshot before the stale cache or
+        // transport is consulted, and a fetch it admits still enjoys
+        // the full resilience stack underneath.
+        if let Some((plan, state)) = scheduled {
+            state.set_recorder(rec.clone());
+            schedule = ScheduledSource::new(source, state, plan);
+            source = &mut schedule;
+        }
+
+        let validator = Validator::new(ValidationConfig::at(now).with_unsafe_policy(unsafe_vrps));
+        let tals = std::slice::from_ref(&self.tal);
+        let (run, shard_stats) = match (shards, incremental.as_deref_mut()) {
+            (Some(plan), Some(inc)) => {
+                let (run, stats) = validator.run_sharded_incremental(source, tals, plan, inc);
+                (run, Some(stats))
+            }
+            (Some(plan), None) => {
+                let (run, stats) = validator.run_sharded(source, tals, plan);
+                (run, Some(stats))
+            }
+            (None, Some(inc)) => (validator.run_incremental(source, tals, inc), None),
+            (None, None) => (validator.run(source, tals), None),
         };
         run.emit(&rec, now.0);
         if let Some(stats) = shard_stats {
@@ -422,16 +342,6 @@ mod tests {
         );
         assert_eq!(cold, warm);
         assert_eq!(resilient.snapshot_count(), resilient_b.snapshot_count());
-    }
-
-    #[test]
-    fn direct_transport_with_stale_cache_records_snapshots() {
-        let mut w = ModelRpki::build();
-        let mut state = ResilientState::default();
-        let run =
-            w.validate_with(ValidationOptions::at(Moment(2)).direct().stale_cache(&mut state));
-        assert_eq!(run.vrps.len(), 8);
-        assert!(state.snapshot_count() >= 4);
     }
 
     #[test]
@@ -593,15 +503,5 @@ mod tests {
         assert_eq!(run.vrps, baseline.vrps);
         assert!(rrdp.stats().fallback_switches > 0);
         assert!(rrdp.stats().downgrades > 0);
-    }
-
-    #[test]
-    fn strict_mode_flows_through() {
-        let mut a = ModelRpki::build();
-        let strict = a.validate_with(ValidationOptions::at(Moment(2)).strict());
-        let lenient = a.validate_with(ValidationOptions::at(Moment(2)));
-        // The model world is well-formed, so both profiles agree; the
-        // point is that the flag reaches the validator unchanged.
-        assert_eq!(strict.vrps, lenient.vrps);
     }
 }

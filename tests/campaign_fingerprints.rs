@@ -15,9 +15,9 @@ use rpki_attacks::CorpusKind;
 use rpki_ca::ChurnConfig;
 use rpki_obs::Recorder;
 use rpki_risk::{
-    gaming_schedule_plan, rtr_campaign, run_campaign_cold, run_campaign_rtr, run_campaign_shared,
-    run_campaign_traced, run_schedule_gaming, schedule_gaming_campaign, standard_campaigns,
-    CampaignSpec, FaultKind, FaultWindow, RtrConfig,
+    gaming_schedule_plan, rtr_campaign, run_campaign, run_rtr_campaign, run_scheduled_campaign,
+    run_shared_campaign, schedule_gaming_campaign, standard_campaigns, CampaignSpec, FaultKind,
+    FaultWindow, RtrConfig, Walk,
 };
 use rpki_rp::{MergePolicy, ShardPlan, SlurmFile, UnsafeVrpPolicy};
 use rpkisim_crypto::sha256;
@@ -46,10 +46,6 @@ impl Table {
 
 const CONTINENTAL: &str = "rpki.continental.example";
 
-fn window(host: &str, kind: FaultKind, from: usize, to: usize) -> FaultWindow {
-    FaultWindow { host: host.to_owned(), kind, from, to }
-}
-
 /// The six-round takedown the in-crate campaign tests use.
 fn short_takedown() -> CampaignSpec {
     CampaignSpec {
@@ -57,7 +53,7 @@ fn short_takedown() -> CampaignSpec {
         unsafe_vrps: UnsafeVrpPolicy::Accept,
         churn: None,
         rounds: 6,
-        windows: vec![window(CONTINENTAL, FaultKind::Takedown, 2, 4)],
+        windows: vec![FaultWindow::new(CONTINENTAL, FaultKind::Takedown, 2, 4)],
     }
 }
 
@@ -70,16 +66,16 @@ fn odd_kinds() -> CampaignSpec {
         churn: None,
         rounds: 8,
         windows: vec![
-            window(CONTINENTAL, FaultKind::Partition, 2, 3),
-            window(CONTINENTAL, FaultKind::RrdpWithhold, 3, 5),
-            window("rtr", FaultKind::RtrPartition, 4, 5),
-            window(
+            FaultWindow::new(CONTINENTAL, FaultKind::Partition, 2, 3),
+            FaultWindow::new(CONTINENTAL, FaultKind::RrdpWithhold, 3, 5),
+            FaultWindow::new("rtr", FaultKind::RtrPartition, 4, 5),
+            FaultWindow::new(
                 CONTINENTAL,
                 FaultKind::AdversarialPublish { kind: CorpusKind::ResourceOverclaim },
                 5,
                 6,
             ),
-            window("rpki.sprint.example", FaultKind::SlowServe { extra: 120 }, 6, 7),
+            FaultWindow::new("rpki.sprint.example", FaultKind::SlowServe { extra: 120 }, 6, 7),
         ],
     }
 }
@@ -87,21 +83,21 @@ fn odd_kinds() -> CampaignSpec {
 fn private(t: &mut Table, spec: &CampaignSpec, seed: u64) {
     let run = format!("private/{}@{seed}", spec.name);
     let rec = Recorder::new();
-    let out = run_campaign_traced(spec, seed, &rec);
+    let out = run_campaign(spec, seed, Walk::Incremental, &rec);
     json!(t, run, "tiers", out.tiers);
     t.trace(&run, &rec);
 }
 
 fn cold(t: &mut Table, spec: &CampaignSpec, seed: u64) {
     let run = format!("cold/{}@{seed}", spec.name);
-    json!(t, run, "tiers", run_campaign_cold(spec, seed).tiers);
+    json!(t, run, "tiers", run_campaign(spec, seed, Walk::Cold, &Recorder::disabled()).tiers);
 }
 
 fn shared(t: &mut Table, spec: &CampaignSpec, seed: u64, shards: Option<usize>) {
     let run =
         format!("shared{}/{}@{seed}", shards.map_or(String::new(), |n| n.to_string()), spec.name);
     let rec = Recorder::new();
-    let out = run_campaign_shared(spec, seed, shards.map(ShardPlan::new), &rec);
+    let out = run_shared_campaign(spec, seed, shards.map(ShardPlan::new), &rec);
     json!(t, run, "tiers", out.tiers);
     json!(t, run, "divergence", out.divergence);
     json!(t, run, "load", out.load);
@@ -111,7 +107,7 @@ fn shared(t: &mut Table, spec: &CampaignSpec, seed: u64, shards: Option<usize>) 
 fn rtr(t: &mut Table, spec: &CampaignSpec, seed: u64, cfg: RtrConfig) {
     let run = format!("rtr{}{:?}/{}@{seed}", cfg.routers, cfg.policy, spec.name);
     let rec = Recorder::new();
-    let out = run_campaign_rtr(spec, seed, cfg, &SlurmFile::empty(), &rec);
+    let out = run_rtr_campaign(spec, seed, cfg, &SlurmFile::empty(), &rec);
     json!(t, run, "tiers", out.tiers);
     json!(t, run, "rtr", out.rtr);
     t.trace(&run, &rec);
@@ -120,8 +116,8 @@ fn rtr(t: &mut Table, spec: &CampaignSpec, seed: u64, cfg: RtrConfig) {
 fn scheduled(t: &mut Table, spec: &CampaignSpec, seed: u64) {
     let run = format!("scheduled/{}@{seed}", spec.name);
     let rec = Recorder::new();
-    let out = run_schedule_gaming(spec, seed, gaming_schedule_plan(), &rec);
-    json!(t, run, "schedule", out.rounds);
+    let out = run_scheduled_campaign(spec, seed, gaming_schedule_plan(), &rec);
+    json!(t, run, "schedule", out.schedule);
     t.trace(&run, &rec);
 }
 

@@ -1,6 +1,6 @@
-//! Campaign-level equivalence: `run_campaign` (incremental by default)
-//! versus `run_campaign_cold` (every round a full walk) must serialise
-//! to identical outcomes across all four relying-party tiers.
+//! Campaign-level equivalence: `run_campaign` under `Walk::Incremental`
+//! versus `Walk::Cold` (every round a full walk) must serialise to
+//! identical outcomes across all four relying-party tiers.
 //!
 //! The campaigns chosen cover the fault classes the memo cache has to
 //! survive without changing a single byte of output: "mixed" layers
@@ -11,7 +11,8 @@
 //! byte-identical too, so even seeded probabilistic faults land the
 //! same way in both runs.
 
-use rpki_risk::{run_campaign, run_campaign_cold, standard_campaigns};
+use rpki_obs::Recorder;
+use rpki_risk::{run_campaign, standard_campaigns, Walk};
 
 #[test]
 fn incremental_campaigns_match_cold_campaigns_across_all_tiers() {
@@ -20,8 +21,8 @@ fn incremental_campaigns_match_cold_campaigns_across_all_tiers() {
             .into_iter()
             .find(|s| s.name == name)
             .expect("standard campaign present");
-        let warm = run_campaign(&spec, 11);
-        let cold = run_campaign_cold(&spec, 11);
+        let warm = run_campaign(&spec, 11, Walk::Incremental, &Recorder::disabled());
+        let cold = run_campaign(&spec, 11, Walk::Cold, &Recorder::disabled());
         let warm_json = serde_json::to_string(&warm).expect("serialise");
         let cold_json = serde_json::to_string(&cold).expect("serialise");
         assert_eq!(

@@ -1,12 +1,11 @@
 //! Integration tests for the seeded fault-campaign harness behind the
 //! `ablation_resilience` experiment.
 //!
-//! Pins the three properties the experiment's conclusions rest on:
+//! Pins the properties the experiment's conclusions rest on
+//! (determinism — byte-identical outcomes and traces per
+//! `(campaign, seed)` — is pinned by digest in
+//! `tests/campaign_fingerprints.rs`):
 //!
-//! - **determinism** — the same `(campaign, seed)` serializes to the
-//!   byte-identical outcome on every replay (the whole pipeline runs on
-//!   the simulated clock; nothing leaks wall-clock or map-order
-//!   nondeterminism into the record);
 //! - **strict tier ordering** — under a corruption burst, each layer of
 //!   the resilient fetch pipeline strictly improves VRP availability:
 //!   bare < retrying < retrying + stale cache;
@@ -18,30 +17,26 @@
 use rpki_attacks::CorpusKind;
 use rpki_obs::Recorder;
 use rpki_risk::{
-    run_campaign, run_campaign_shared, standard_campaigns, CampaignOutcome, CampaignSpec,
-    FaultKind, FaultWindow, RpTier,
+    run_campaign, run_shared_campaign, standard_campaigns, CampaignOutcome, CampaignSpec,
+    FaultKind, FaultWindow, RpTier, Walk,
 };
 use rpki_rp::{ShardPlan, UnsafeVrpPolicy};
+
+/// An untraced incremental private-world run.
+fn run(spec: &CampaignSpec, seed: u64) -> CampaignOutcome {
+    run_campaign(spec, seed, Walk::Incremental, &Recorder::disabled())
+}
 
 fn campaign(name: &str, seed: u64) -> CampaignOutcome {
     let spec = standard_campaigns()
         .into_iter()
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("no standard campaign named {name}"));
-    run_campaign(&spec, seed)
+    run(&spec, seed)
 }
 
 fn availability(out: &CampaignOutcome, tier: RpTier) -> usize {
     out.tier(tier).totals.vrp_round_sum
-}
-
-#[test]
-fn campaign_outcomes_are_byte_identical_across_replays() {
-    for spec in standard_campaigns() {
-        let a = serde_json::to_string(&run_campaign(&spec, 2013)).expect("serializes");
-        let b = serde_json::to_string(&run_campaign(&spec, 2013)).expect("serializes");
-        assert_eq!(a, b, "campaign {} replay diverged", spec.name);
-    }
 }
 
 #[test]
@@ -125,8 +120,8 @@ fn adversarial_spec() -> CampaignSpec {
 #[test]
 fn adversarial_publish_campaign_replays_byte_identically() {
     let spec = adversarial_spec();
-    let a = run_campaign(&spec, 2013);
-    let b = run_campaign(&spec, 2013);
+    let a = run(&spec, 2013);
+    let b = run(&spec, 2013);
     assert_eq!(
         serde_json::to_string(&a).expect("serializes"),
         serde_json::to_string(&b).expect("serializes"),
@@ -134,8 +129,8 @@ fn adversarial_publish_campaign_replays_byte_identically() {
     );
     // The shared-world harness replays identically too, sharded or not.
     let rec = Recorder::disabled();
-    let shared = run_campaign_shared(&spec, 2013, Some(ShardPlan::new(4)), &rec);
-    let unsharded = run_campaign_shared(&spec, 2013, None, &rec);
+    let shared = run_shared_campaign(&spec, 2013, Some(ShardPlan::new(4)), &rec);
+    let unsharded = run_shared_campaign(&spec, 2013, None, &rec);
     assert_eq!(
         serde_json::to_string(&shared).expect("serializes"),
         serde_json::to_string(&unsharded).expect("serializes"),
@@ -170,9 +165,9 @@ fn unsafe_policies_order_vrp_availability() {
             to: 5,
         }],
     };
-    let accept = run_campaign(&spec(UnsafeVrpPolicy::Accept), 2013);
-    let warn = run_campaign(&spec(UnsafeVrpPolicy::Warn), 2013);
-    let reject = run_campaign(&spec(UnsafeVrpPolicy::Reject), 2013);
+    let accept = run(&spec(UnsafeVrpPolicy::Accept), 2013);
+    let warn = run(&spec(UnsafeVrpPolicy::Warn), 2013);
+    let reject = run(&spec(UnsafeVrpPolicy::Reject), 2013);
     for tier in RpTier::ALL {
         let (a, w, r) =
             (availability(&accept, tier), availability(&warn, tier), availability(&reject, tier));
@@ -194,7 +189,7 @@ fn unsafe_policies_order_vrp_availability() {
 fn campaign_soak_across_seeds() {
     for seed in 0..32u64 {
         for spec in standard_campaigns() {
-            let out = run_campaign(&spec, seed);
+            let out = run(&spec, seed);
             let bare = availability(&out, RpTier::Bare);
             let retrying = availability(&out, RpTier::Retrying);
             let stale = availability(&out, RpTier::RetryingStale);
@@ -238,7 +233,7 @@ fn campaign_soak_across_seeds() {
             }
             // Replays stay byte-identical at every seed.
             let a = serde_json::to_string(&out).expect("serializes");
-            let b = serde_json::to_string(&run_campaign(&spec, seed)).expect("serializes");
+            let b = serde_json::to_string(&run(&spec, seed)).expect("serializes");
             assert_eq!(a, b, "{} seed {seed}: replay diverged", spec.name);
         }
 
@@ -251,7 +246,7 @@ fn campaign_soak_across_seeds() {
             .find(|s| s.name == "takedown")
             .expect("standard campaign exists");
         let rec = Recorder::disabled();
-        let shared = run_campaign_shared(&spec, seed, Some(ShardPlan::new(4)), &rec);
+        let shared = run_shared_campaign(&spec, seed, Some(ShardPlan::new(4)), &rec);
         let stale = shared.tier(RpTier::RetryingStale).totals.vrp_round_sum;
         let bare = shared.tier(RpTier::Bare).totals.vrp_round_sum;
         assert!(bare <= stale, "shared world seed {seed}: bare {bare} > stale {stale}");
@@ -261,7 +256,7 @@ fn campaign_soak_across_seeds() {
             "seed {seed}: {:?}",
             shared.load
         );
-        let unsharded = run_campaign_shared(&spec, seed, None, &rec);
+        let unsharded = run_shared_campaign(&spec, seed, None, &rec);
         assert_eq!(
             serde_json::to_string(&shared).expect("serializes"),
             serde_json::to_string(&unsharded).expect("serializes"),

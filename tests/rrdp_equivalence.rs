@@ -23,8 +23,9 @@
 use netsim::Network;
 use proptest::prelude::*;
 use rpki_objects::{Moment, RepoUri, RoaPrefix};
+use rpki_obs::Recorder;
 use rpki_repo::{rrdp_sync_dir, sync_dir, RepoRegistry, RrdpClientState, SyncPolicy};
-use rpki_risk::{run_campaign, standard_campaigns, ModelRpki, RpTier, SyntheticRpki};
+use rpki_risk::{run_campaign, standard_campaigns, ModelRpki, RpTier, SyntheticRpki, Walk};
 use rpki_rp::{
     ClientAction, RrdpSource, RtrClient, RtrServer, ValidationConfig, ValidationRun, Validator,
     VrpUpdate,
@@ -246,7 +247,7 @@ proptest! {
 #[test]
 fn rrdp_tier_matches_rsync_tier_on_every_standard_campaign() {
     for spec in standard_campaigns() {
-        let out = run_campaign(&spec, 2013);
+        let out = run_campaign(&spec, 2013, Walk::Incremental, &Recorder::disabled());
         let rrdp: Vec<usize> = out.tier(RpTier::Rrdp).rounds.iter().map(|m| m.vrps).collect();
         let stale: Vec<usize> =
             out.tier(RpTier::RetryingStale).rounds.iter().map(|m| m.vrps).collect();

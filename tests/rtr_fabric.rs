@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 use ipres::{Asn, Prefix};
 use netsim::Network;
 use rpki_obs::Recorder;
-use rpki_risk::{rtr_campaign, run_campaign_rtr, RtrConfig};
+use rpki_risk::{rtr_campaign, run_rtr_campaign, RtrConfig};
 use rpki_rp::{
     pump_until, reference_merge, MergePolicy, Relay, RtrEndpoint, RtrFabric, RtrRouter, SlurmFile,
     SlurmFilter, Vrp, VrpUpdate,
@@ -152,8 +152,8 @@ fn merge_policy_chooses_where_divergence_lives() {
     let union_cfg = RtrConfig { routers: 4, policy: MergePolicy::Union, ..RtrConfig::default() };
     let all_cfg = RtrConfig { routers: 4, policy: MergePolicy::All, ..RtrConfig::default() };
     let union =
-        run_campaign_rtr(&spec, 2013, union_cfg, &SlurmFile::empty(), &Recorder::disabled());
-    let all = run_campaign_rtr(&spec, 2013, all_cfg, &SlurmFile::empty(), &Recorder::disabled());
+        run_rtr_campaign(&spec, 2013, union_cfg, &SlurmFile::empty(), &Recorder::disabled());
+    let all = run_rtr_campaign(&spec, 2013, all_cfg, &SlurmFile::empty(), &Recorder::disabled());
 
     // Round 4: the withdraw lands while the relay→router path stalls.
     let u4 = &union.rtr[3];
@@ -185,7 +185,7 @@ fn merge_policy_chooses_where_divergence_lives() {
 fn rtr_campaign_replays_byte_identical() {
     let cfg = RtrConfig { routers: 4, policy: MergePolicy::All, ..RtrConfig::default() };
     let run = |seed| {
-        serde_json::to_string(&run_campaign_rtr(
+        serde_json::to_string(&run_rtr_campaign(
             &rtr_campaign(),
             seed,
             cfg,
@@ -207,14 +207,14 @@ fn rtr_campaign_replays_byte_identical() {
 fn rtr_campaign_soak_across_seeds() {
     let cfg = RtrConfig { routers: 6, policy: MergePolicy::All, ..RtrConfig::default() };
     for seed in 0..32u64 {
-        let out = run_campaign_rtr(
+        let out = run_rtr_campaign(
             &rtr_campaign(),
             seed,
             cfg,
             &SlurmFile::empty(),
             &Recorder::disabled(),
         );
-        let again = run_campaign_rtr(
+        let again = run_rtr_campaign(
             &rtr_campaign(),
             seed,
             cfg,
