@@ -1,0 +1,317 @@
+//! Pinned digests of the validation walk's four entry points.
+//!
+//! Each row is the SHA-256 of one *table* of one `(entry point, world)`
+//! run: the `{:?}` of every round's `ValidationRun`, its JSONL trace,
+//! the `RevalidationStats`, the `{:?}` of the `ValidationState` after
+//! every round, the sharded walk's deterministic shape, and the
+//! network's frame counters. A `SyntheticRpki` is walked once and then
+//! through three mutation rounds (the `tests/sharding.rs` vocabulary),
+//! over a clean network, over one with seeded 5 % loss in both
+//! directions (so the order in which the walk asks for directories
+//! decides which dice each directory gets), and with `max_depth` low
+//! enough that the leaves hit the depth guard. Every run starts from
+//! two TALs, the first of which points at a file nobody publishes.
+//!
+//! A refactor of the walk may not move a row. An intentional change
+//! prints the whole new table on mismatch; paste it over [`PINS`].
+
+use std::fmt::Write;
+
+use ipres::Asn;
+use rpki_objects::{Moment, RepoUri, RoaPrefix, TrustAnchorLocator};
+use rpki_obs::Recorder;
+use rpki_risk::SyntheticRpki;
+use rpki_rp::{
+    NetworkSource, RevalidationMode, ShardPlan, ValidationConfig, ValidationState, Validator,
+};
+use rpkisim_crypto::sha256;
+
+const HOST: &str = "rpki.bench.example";
+
+/// One authority- or repository-side mutation against the synthetic
+/// world (the `tests/sharding.rs` vocabulary).
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Renew the CA's first ROA (churn without semantic change).
+    Renew(usize),
+    /// Issue a new ROA in the CA's own /24 (a real announce).
+    Add(usize, u8),
+    /// Withdraw the CA's most recently issued extra ROA, if any.
+    Withdraw(usize),
+    /// Delete one file at rest without republishing (a whack).
+    Takedown(usize),
+    /// Flip a byte of one stored file at rest (filesystem rot).
+    Corrupt(usize),
+}
+
+/// Republishes CA `idx`'s complete snapshot (fresh manifest and CRL).
+fn republish(w: &mut SyntheticRpki, idx: usize, now: Moment) {
+    let sia = w.cas[idx].sia().clone();
+    let snap = w.cas[idx].publication_snapshot(now);
+    w.repos.by_host_mut(HOST).expect("exists").publish_snapshot(&sia, &snap);
+}
+
+fn apply(w: &mut SyntheticRpki, op: Op, now: Moment) {
+    match op {
+        Op::Renew(ca) => {
+            let file =
+                w.cas[ca].issued_roas().next().expect("every CA keeps its first ROA").file_name();
+            w.cas[ca].renew_roa(&file, now).expect("renewable");
+            republish(w, ca, now);
+        }
+        Op::Add(ca, slot) => {
+            let prefix = format!("10.0.{ca}.{}/32", 100 + usize::from(slot));
+            w.cas[ca]
+                .issue_roa(
+                    Asn(64_000 + ca as u32),
+                    vec![RoaPrefix::exact(prefix.parse().expect("literal"))],
+                    now,
+                )
+                .expect("inside the CA's own /24");
+            republish(w, ca, now);
+        }
+        Op::Withdraw(ca) => {
+            let extra: Option<String> =
+                w.cas[ca].issued_roas().skip(1).last().map(|r| r.file_name());
+            if let Some(file) = extra {
+                w.cas[ca].withdraw(&file).expect("present");
+                republish(w, ca, now);
+            }
+        }
+        Op::Takedown(ca) => {
+            let dir = w.cas[ca].sia().clone();
+            let repo = w.repos.by_host_mut(HOST).expect("exists");
+            if let Some((name, _)) = repo.list(&dir).first().cloned() {
+                repo.delete(&dir, &name);
+            }
+        }
+        Op::Corrupt(ca) => {
+            let dir = w.cas[ca].sia().clone();
+            let repo = w.repos.by_host_mut(HOST).expect("exists");
+            if let Some((name, _)) = repo.list(&dir).last().cloned() {
+                repo.corrupt_at_rest(&dir, &name);
+            }
+        }
+    }
+}
+
+/// The mutation rounds: every op kind, a takedown healed by a later
+/// renewal, and one round that leaves most directories untouched.
+const ROUNDS: [&[Op]; 3] = [
+    &[Op::Renew(3), Op::Add(5, 1), Op::Takedown(7)],
+    &[Op::Withdraw(5), Op::Corrupt(2), Op::Renew(0)],
+    &[Op::Add(9, 2), Op::Renew(7)],
+];
+
+/// `(label, sharded, memo mode)`: the four entry points, the two
+/// incremental ones in both revalidation modes.
+const ENTRIES: [(&str, bool, Option<RevalidationMode>); 6] = [
+    ("run", false, None),
+    ("sharded4", true, None),
+    ("incremental-full", false, Some(RevalidationMode::Full)),
+    ("incremental-probe", false, Some(RevalidationMode::Probe)),
+    ("sharded4-incremental-full", true, Some(RevalidationMode::Full)),
+    ("sharded4-incremental-probe", true, Some(RevalidationMode::Probe)),
+];
+
+/// `(label, loss probability, max_depth)`.
+const WORLDS: [(&str, f64, usize); 3] =
+    [("clean", 0.0, 32), ("lossy", 0.05, 32), ("clean-depth2", 0.0, 2)];
+
+/// Collects `(label, digest)` rows in run order.
+#[derive(Default)]
+struct Table(Vec<(String, String)>);
+
+impl Table {
+    fn bytes(&mut self, run: &str, table: &str, bytes: &str) {
+        self.0.push((format!("{run}/{table}"), sha256(bytes.as_bytes()).to_hex()));
+    }
+}
+
+fn walk(
+    t: &mut Table,
+    (entry, sharded, mode): (&str, bool, Option<RevalidationMode>),
+    (world, loss, max_depth): (&str, f64, usize),
+) {
+    let label = format!("{entry}/{world}");
+    // depth 2 / branching 3: 13 publication points, 3 ROAs each.
+    let mut w = SyntheticRpki::build_seeded(2013, 2, 3, 3);
+    let server = w.repos.node_of(HOST).expect("exists");
+    w.net.faults.set_loss(server, w.rp_node, loss);
+    w.net.faults.set_loss(w.rp_node, server, loss);
+    let tals = [
+        TrustAnchorLocator::new(RepoUri::new(HOST, &["ta", "absent.cer"]), w.cas[0].public_key()),
+        w.tal.clone(),
+    ];
+    let plan = ShardPlan::new(4);
+    let mut state = mode.map(ValidationState::new);
+
+    let (mut runs, mut trace, mut stats, mut states, mut shape) =
+        (String::new(), String::new(), String::new(), String::new(), String::new());
+    for round in 0..=ROUNDS.len() {
+        let t0 = 60 * round as u64;
+        if round > 0 {
+            for &op in ROUNDS[round - 1] {
+                apply(&mut w, op, Moment(t0));
+            }
+        }
+        let v =
+            Validator::new(ValidationConfig { max_depth, ..ValidationConfig::at(Moment(t0 + 30)) });
+        let mut source = NetworkSource::new(&mut w.net, &w.repos, w.rp_node);
+        let (run, shard) = match (sharded, state.as_mut()) {
+            (false, None) => (v.run(&mut source, &tals), None),
+            (false, Some(state)) => (v.run_incremental(&mut source, &tals, state), None),
+            (true, None) => {
+                let (run, shard) = v.run_sharded(&mut source, &tals, plan);
+                (run, Some(shard))
+            }
+            (true, Some(state)) => {
+                let (run, shard) = v.run_sharded_incremental(&mut source, &tals, plan, state);
+                (run, Some(shard))
+            }
+        };
+        writeln!(runs, "{run:?}").expect("string write");
+        let rec = Recorder::new();
+        run.emit(&rec, t0);
+        trace.push_str(&rec.trace_jsonl());
+        if let Some(state) = &state {
+            writeln!(stats, "{:?}", state.stats()).expect("string write");
+            writeln!(states, "{state:?}").expect("string write");
+        }
+        if let Some(s) = shard {
+            writeln!(shape, "{} {} {} {:?}", s.shards, s.waves, s.items, s.assigned)
+                .expect("string write");
+        }
+    }
+
+    t.bytes(&label, "runs", &runs);
+    t.bytes(&label, "trace", &trace);
+    if state.is_some() {
+        t.bytes(&label, "stats", &stats);
+        t.bytes(&label, "state", &states);
+    }
+    if !shape.is_empty() {
+        t.bytes(&label, "shape", &shape);
+    }
+    t.bytes(&label, "net", &format!("{:?}", w.net.stats()));
+}
+
+#[test]
+fn every_entry_point_matches_its_pinned_digests() {
+    let mut t = Table::default();
+    for entry in ENTRIES {
+        for world in WORLDS {
+            walk(&mut t, entry, world);
+        }
+    }
+    let got = t.0;
+    let pinned: Vec<(String, String)> =
+        PINS.iter().map(|&(label, digest)| (label.to_owned(), digest.to_owned())).collect();
+    if got != pinned {
+        let table: String = got
+            .iter()
+            .map(|(label, digest)| format!("    (\"{label}\", \"{digest}\"),\n"))
+            .collect();
+        let moved: Vec<&str> = got
+            .iter()
+            .filter(|row| !pinned.contains(row))
+            .map(|(label, _)| label.as_str())
+            .collect();
+        panic!(
+            "walk fingerprints moved: {moved:?}\n\
+             if intentional, replace PINS with:\n\
+             const PINS: &[(&str, &str)] = &[\n{table}];"
+        );
+    }
+}
+
+#[rustfmt::skip]
+const PINS: &[(&str, &str)] = &[
+    ("run/clean/runs", "1241fce13ae648a9e0fb8151c255a846ae8e989c618d438e63b69ca6a4622a98"),
+    ("run/clean/trace", "32a2469998151422771e9704600b9621c81295f6c17c639622109e386fb72e35"),
+    ("run/clean/net", "5475e10dd7065e9bd94c3ea74c2399ed1873999a950e026013b37d9bcf9a6fbb"),
+    ("run/lossy/runs", "9b06883d8a3bde38a98b4f55ed94f57c57e017f3b9846d606fcd6d0bdce76284"),
+    ("run/lossy/trace", "bf6bd0877604975cd6a74df69e72b6ee7dfdb867bee1b7d34fbbc0698470d37b"),
+    ("run/lossy/net", "e020c71a4cb68f67cb81801ac2fb86729445b4fef67c79b682504acbd168d921"),
+    ("run/clean-depth2/runs", "740280b493b4e7616d0d6768c199b10bb36f74ed9a67c8dbb05843bb2bf2dd59"),
+    ("run/clean-depth2/trace", "070770893937db1ee30512ee3efca972870f6aa0340a9e5d2644cadf957a9e19"),
+    ("run/clean-depth2/net", "1287509cd1e12f265768abd9ddb5930bb26fd3b8abfa7926c11469b5d2268fa4"),
+    ("sharded4/clean/runs", "1241fce13ae648a9e0fb8151c255a846ae8e989c618d438e63b69ca6a4622a98"),
+    ("sharded4/clean/trace", "32a2469998151422771e9704600b9621c81295f6c17c639622109e386fb72e35"),
+    ("sharded4/clean/shape", "9dfa16fe51fd58c6042b2e7550edfbba7cde3f7815c52ce8abad14c9bb5ce322"),
+    ("sharded4/clean/net", "5475e10dd7065e9bd94c3ea74c2399ed1873999a950e026013b37d9bcf9a6fbb"),
+    ("sharded4/lossy/runs", "048b4c72e2e46abc0fc78b144eaf187207866ae35ff5c5c15f99457086dff30c"),
+    ("sharded4/lossy/trace", "39000245b5b3aa11f6d1e443981a9c873fd617866dd8e3a2dbc1299ca0476608"),
+    ("sharded4/lossy/shape", "bef189ad0e1a9f6c6d3b29c8ff86b34663d8e4628604e9763f635a8720f93a87"),
+    ("sharded4/lossy/net", "c4cc1b80dfef163013347d82d9376ee90f270efae8e12646b2428e658f246ed5"),
+    ("sharded4/clean-depth2/runs", "740280b493b4e7616d0d6768c199b10bb36f74ed9a67c8dbb05843bb2bf2dd59"),
+    ("sharded4/clean-depth2/trace", "070770893937db1ee30512ee3efca972870f6aa0340a9e5d2644cadf957a9e19"),
+    ("sharded4/clean-depth2/shape", "659eed605ca6795f3520e3f6db694c1e4576a1a383a73e6a5cf595288cb2739b"),
+    ("sharded4/clean-depth2/net", "1287509cd1e12f265768abd9ddb5930bb26fd3b8abfa7926c11469b5d2268fa4"),
+    ("incremental-full/clean/runs", "1241fce13ae648a9e0fb8151c255a846ae8e989c618d438e63b69ca6a4622a98"),
+    ("incremental-full/clean/trace", "32a2469998151422771e9704600b9621c81295f6c17c639622109e386fb72e35"),
+    ("incremental-full/clean/stats", "68bb121e3b4eed348df96d8ce6e664a1d1528da5679fb9e4737e8d92ea0f6bb0"),
+    ("incremental-full/clean/state", "16be40445c16fb14f522dd174f3c5a7b426b8cdd0b3fd0f65c15c3df67b5c23f"),
+    ("incremental-full/clean/net", "5475e10dd7065e9bd94c3ea74c2399ed1873999a950e026013b37d9bcf9a6fbb"),
+    ("incremental-full/lossy/runs", "9b06883d8a3bde38a98b4f55ed94f57c57e017f3b9846d606fcd6d0bdce76284"),
+    ("incremental-full/lossy/trace", "bf6bd0877604975cd6a74df69e72b6ee7dfdb867bee1b7d34fbbc0698470d37b"),
+    ("incremental-full/lossy/stats", "f790b6304d0aca7b451cc88315b5133cc75982931790584edc3a423f50e099ce"),
+    ("incremental-full/lossy/state", "364f8bb2db377f8f56433a37d9645455a01c8c55597b373fee839bf94ec0f88b"),
+    ("incremental-full/lossy/net", "e020c71a4cb68f67cb81801ac2fb86729445b4fef67c79b682504acbd168d921"),
+    ("incremental-full/clean-depth2/runs", "740280b493b4e7616d0d6768c199b10bb36f74ed9a67c8dbb05843bb2bf2dd59"),
+    ("incremental-full/clean-depth2/trace", "070770893937db1ee30512ee3efca972870f6aa0340a9e5d2644cadf957a9e19"),
+    ("incremental-full/clean-depth2/stats", "e54d89e664490c5465c9e7b8d2c08eb13f140d98163dc1d7288b00612285dac8"),
+    ("incremental-full/clean-depth2/state", "9d41f51846c4994c9718a4fe9445df4be86f8f202f42c7ccf0c6975ed8c46cf5"),
+    ("incremental-full/clean-depth2/net", "1287509cd1e12f265768abd9ddb5930bb26fd3b8abfa7926c11469b5d2268fa4"),
+    ("incremental-probe/clean/runs", "1241fce13ae648a9e0fb8151c255a846ae8e989c618d438e63b69ca6a4622a98"),
+    ("incremental-probe/clean/trace", "32a2469998151422771e9704600b9621c81295f6c17c639622109e386fb72e35"),
+    ("incremental-probe/clean/stats", "73a0a6ab704f846a94b6a048ad0d541fd13a11d927c295812832cc951cbacc00"),
+    ("incremental-probe/clean/state", "630ca51314c79329ccf06177cbfdac533e25eb1559f92077950840b58edb5faf"),
+    ("incremental-probe/clean/net", "9dc79598ad4739315163dbfeb70f50009a2013df713af0ff06ecd04b6b84bab5"),
+    ("incremental-probe/lossy/runs", "e4b981d2668d957702a27024544f3b8cf544cde0c151d38986a28878a28c97a3"),
+    ("incremental-probe/lossy/trace", "9883d7bd8b51360a13d2aaacae40cc949f00b084868c1ff1a34c0f0d878ec70e"),
+    ("incremental-probe/lossy/stats", "6e79a5650bca380e314fd4168aa098b41a73cdfb2d2d3c7c3653ab1c460b493a"),
+    ("incremental-probe/lossy/state", "7b6cfb956f369b3ac2ea67cbb48bd2592d255b4a6e17accfe61a318d0044ae93"),
+    ("incremental-probe/lossy/net", "3b163252d3d63be1ed8b13593c2774179fa6476f8b1d3237cd060c8e1837418e"),
+    ("incremental-probe/clean-depth2/runs", "740280b493b4e7616d0d6768c199b10bb36f74ed9a67c8dbb05843bb2bf2dd59"),
+    ("incremental-probe/clean-depth2/trace", "070770893937db1ee30512ee3efca972870f6aa0340a9e5d2644cadf957a9e19"),
+    ("incremental-probe/clean-depth2/stats", "ecc46ad7cf45749d95f6ebb960c32070a81bfdd3a81188071295b028d1d067ab"),
+    ("incremental-probe/clean-depth2/state", "45cff31725d117166f94d5c5559b1c4c9020ac8af357ba962e9d736956483944"),
+    ("incremental-probe/clean-depth2/net", "0db10a8128b50171c96492f17064dee27b5bef613a7fca54184ef926a55a71df"),
+    ("sharded4-incremental-full/clean/runs", "1241fce13ae648a9e0fb8151c255a846ae8e989c618d438e63b69ca6a4622a98"),
+    ("sharded4-incremental-full/clean/trace", "32a2469998151422771e9704600b9621c81295f6c17c639622109e386fb72e35"),
+    ("sharded4-incremental-full/clean/stats", "68bb121e3b4eed348df96d8ce6e664a1d1528da5679fb9e4737e8d92ea0f6bb0"),
+    ("sharded4-incremental-full/clean/state", "16be40445c16fb14f522dd174f3c5a7b426b8cdd0b3fd0f65c15c3df67b5c23f"),
+    ("sharded4-incremental-full/clean/shape", "2836fb76bcf6b74f89abdf1f5f63141520f47f9cddb059b52bf4473d1d3a2a21"),
+    ("sharded4-incremental-full/clean/net", "5475e10dd7065e9bd94c3ea74c2399ed1873999a950e026013b37d9bcf9a6fbb"),
+    ("sharded4-incremental-full/lossy/runs", "048b4c72e2e46abc0fc78b144eaf187207866ae35ff5c5c15f99457086dff30c"),
+    ("sharded4-incremental-full/lossy/trace", "39000245b5b3aa11f6d1e443981a9c873fd617866dd8e3a2dbc1299ca0476608"),
+    ("sharded4-incremental-full/lossy/stats", "da7712f3b797b2ea3ff8a18f102130d05efa24a8bcc528c887864c52a7d25d58"),
+    ("sharded4-incremental-full/lossy/state", "28b981bf5629604ecb2e2009061d35848efa4a94ca3a47bfc49d79b6bd881720"),
+    ("sharded4-incremental-full/lossy/shape", "1e3bb89f5a102f15371fbc649df2a904007306aa569115b17059765f21e655f8"),
+    ("sharded4-incremental-full/lossy/net", "c4cc1b80dfef163013347d82d9376ee90f270efae8e12646b2428e658f246ed5"),
+    ("sharded4-incremental-full/clean-depth2/runs", "740280b493b4e7616d0d6768c199b10bb36f74ed9a67c8dbb05843bb2bf2dd59"),
+    ("sharded4-incremental-full/clean-depth2/trace", "070770893937db1ee30512ee3efca972870f6aa0340a9e5d2644cadf957a9e19"),
+    ("sharded4-incremental-full/clean-depth2/stats", "e54d89e664490c5465c9e7b8d2c08eb13f140d98163dc1d7288b00612285dac8"),
+    ("sharded4-incremental-full/clean-depth2/state", "9d41f51846c4994c9718a4fe9445df4be86f8f202f42c7ccf0c6975ed8c46cf5"),
+    ("sharded4-incremental-full/clean-depth2/shape", "b759acb0bff7cca12c96f032661e11ee8d8c6b07356870f7b4ec7683cbbd54e9"),
+    ("sharded4-incremental-full/clean-depth2/net", "1287509cd1e12f265768abd9ddb5930bb26fd3b8abfa7926c11469b5d2268fa4"),
+    ("sharded4-incremental-probe/clean/runs", "1241fce13ae648a9e0fb8151c255a846ae8e989c618d438e63b69ca6a4622a98"),
+    ("sharded4-incremental-probe/clean/trace", "32a2469998151422771e9704600b9621c81295f6c17c639622109e386fb72e35"),
+    ("sharded4-incremental-probe/clean/stats", "73a0a6ab704f846a94b6a048ad0d541fd13a11d927c295812832cc951cbacc00"),
+    ("sharded4-incremental-probe/clean/state", "630ca51314c79329ccf06177cbfdac533e25eb1559f92077950840b58edb5faf"),
+    ("sharded4-incremental-probe/clean/shape", "2836fb76bcf6b74f89abdf1f5f63141520f47f9cddb059b52bf4473d1d3a2a21"),
+    ("sharded4-incremental-probe/clean/net", "9dc79598ad4739315163dbfeb70f50009a2013df713af0ff06ecd04b6b84bab5"),
+    ("sharded4-incremental-probe/lossy/runs", "9380909e3496f41d9fe3353e1e0afde7ce6f5cc4123a79b7f3715b2daf24af19"),
+    ("sharded4-incremental-probe/lossy/trace", "e958aa679f75d45cac4fb0cf2582da80ce0ec2c52fb1a9cf2751feae09000e99"),
+    ("sharded4-incremental-probe/lossy/stats", "bfca766931ae3d6f32ad2c3966e9a8b968d5ba333f70a21b58cf8dfe320bbc83"),
+    ("sharded4-incremental-probe/lossy/state", "b9bbc95c4a79988f4b3aa381d5dd7b675a3f518fc5cdee26737e5e76ce6a9c8c"),
+    ("sharded4-incremental-probe/lossy/shape", "2c212da034815bb3ad42d629e0f654f47f005d0760ef6d628ba77027e0eae213"),
+    ("sharded4-incremental-probe/lossy/net", "4a1f1202314e358b6934fdaeace04b4da6500d6b7d59eb8f1bc55f87da71f2fb"),
+    ("sharded4-incremental-probe/clean-depth2/runs", "740280b493b4e7616d0d6768c199b10bb36f74ed9a67c8dbb05843bb2bf2dd59"),
+    ("sharded4-incremental-probe/clean-depth2/trace", "070770893937db1ee30512ee3efca972870f6aa0340a9e5d2644cadf957a9e19"),
+    ("sharded4-incremental-probe/clean-depth2/stats", "ecc46ad7cf45749d95f6ebb960c32070a81bfdd3a81188071295b028d1d067ab"),
+    ("sharded4-incremental-probe/clean-depth2/state", "45cff31725d117166f94d5c5559b1c4c9020ac8af357ba962e9d736956483944"),
+    ("sharded4-incremental-probe/clean-depth2/shape", "b759acb0bff7cca12c96f032661e11ee8d8c6b07356870f7b4ec7683cbbd54e9"),
+    ("sharded4-incremental-probe/clean-depth2/net", "0db10a8128b50171c96492f17064dee27b5bef613a7fca54184ef926a55a71df"),
+];
