@@ -9,6 +9,11 @@
 //! [`Validator::run_incremental`] replays cached results for unchanged
 //! subtrees while re-walking only what changed.
 //!
+//! The cache enters the walk at three of its per-publication-point
+//! stages, which the depth-first and the wave driver both call:
+//! `admit` decides replay or re-walk, `settle` memoises a re-walk, and
+//! `close` takes the VRP delta. Nothing else reads or writes an entry.
+//!
 //! # Cache key and invalidation
 //!
 //! A publication point's validation output is a pure function of:
@@ -69,13 +74,10 @@ use serde::Serialize;
 
 use crate::source::ObjectSource;
 use crate::validation::{
-    Diagnostic, IncompletePolicy, OverclaimPolicy, RejectedCa, ValidatedCa, ValidationRun,
-    Validator, VrpRecord, WorkItem,
+    Diagnostic, IncompletePolicy, Issue, Job, Marks, OverclaimPolicy, RejectedCa, Sinks,
+    ValidatedCa, ValidationRun, Validator, VrpRecord, WorkItem,
 };
 use crate::vrp::Vrp;
-
-#[cfg(doc)]
-use crate::validation::Issue;
 
 /// How [`Validator::run_incremental`] checks cached subtrees for
 /// staleness.
@@ -348,6 +350,38 @@ impl ValidationState {
         self.last_delta = VrpDelta::default();
         self.stats = RevalidationStats::default();
     }
+
+    /// Begins a run: the counters restart, the cache and the previous
+    /// VRP set stay.
+    pub(crate) fn open(&mut self) {
+        self.stats = RevalidationStats::default();
+    }
+
+    /// Stage 5 of the walk: records the finished `run`'s VRP delta
+    /// against the previous run and keeps its VRP set for the next.
+    pub(crate) fn close(&mut self, run: &ValidationRun) {
+        let prev = self.last_vrps.take().unwrap_or_default();
+        let delta = VrpDelta::between(&prev, &run.vrps);
+        self.stats.announced = delta.announce.len() as u64;
+        self.stats.withdrawn = delta.withdraw.len() as u64;
+        self.last_vrps = Some(run.vrps.clone());
+        self.last_delta = delta;
+    }
+}
+
+/// The memo half of a [`Job`] on the cache-miss path: the key `admit`
+/// computed the miss under, and the observations `process` fills in.
+/// `settle` turns both, plus what the point appended to its sinks, into
+/// the next [`CacheEntry`].
+pub(crate) struct Memo {
+    key: KeyId,
+    cert_digest: Digest,
+    effective: ResourceSet,
+    depth: usize,
+    dir: String,
+    /// `None` for an unlisted directory, which has no content to key on.
+    dir_digest: Option<Digest>,
+    pub(crate) obs: ProcessObservations,
 }
 
 impl Validator {
@@ -363,70 +397,43 @@ impl Validator {
         tals: &[TrustAnchorLocator],
         state: &mut ValidationState,
     ) -> ValidationRun {
-        let mut run = ValidationRun::default();
-        let mut queue: Vec<WorkItem> = Vec::new();
-        let mut stats = RevalidationStats::default();
-
-        for tal in tals {
-            match self.fetch_ta(source, tal) {
-                Some(cert) => {
-                    let effective = cert.data().resources.clone();
-                    queue.push(WorkItem {
-                        cert,
-                        effective,
-                        depth: 0,
-                        ancestors: BTreeSet::new(),
-                        digest: None,
-                    })
-                }
-                None => run.diagnostics.push(Diagnostic {
-                    ca: "(trust anchor)".to_owned(),
-                    dir: tal.uri.to_string(),
-                    issue: crate::validation::Issue::TalRejected,
-                }),
-            }
-        }
-
-        while let Some(item) = queue.pop() {
-            self.step(source, item, &mut run, &mut queue, state, &mut stats);
-        }
-
-        self.finish(&mut run);
-
-        let prev = state.last_vrps.take().unwrap_or_default();
-        let delta = VrpDelta::between(&prev, &run.vrps);
-        stats.announced = delta.announce.len() as u64;
-        stats.withdrawn = delta.withdraw.len() as u64;
-        state.last_vrps = Some(run.vrps.clone());
-        state.last_delta = delta;
-        state.stats = stats;
-        run
+        self.run_sequential(source, tals, Some(state))
     }
 
-    /// Processes one queued CA: replay from cache when the key matches,
-    /// full walk (and re-memoization) otherwise.
-    fn step(
+    /// Stage 2 of the walk, the coordinator's half of one publication
+    /// point: everything that needs the source or the cache. The depth
+    /// guard and a cache replay resolve the point here, writing straight
+    /// into `out`; otherwise the directory is fetched and the returned
+    /// [`Job`] carries it to `process`. Without a `state` every point
+    /// below the depth limit becomes a job.
+    pub(crate) fn admit(
         &self,
         source: &mut dyn ObjectSource,
         item: WorkItem,
-        run: &mut ValidationRun,
-        queue: &mut Vec<WorkItem>,
-        state: &mut ValidationState,
-        stats: &mut RevalidationStats,
-    ) {
+        state: Option<&mut ValidationState>,
+        out: &mut Sinks<'_>,
+    ) -> Option<Job> {
         let config = self.config();
-        // Depth-exceeded items never touch the directory; processing
+        let dir = &item.cert.data().sia;
+        // Depth-exceeded items never touch the directory; diagnosing
         // them is cheaper than caching them.
         if item.depth >= config.max_depth {
-            stats.subtrees_rewalked += 1;
-            self.process_ca(source, item, run, queue, None);
-            return;
+            if let Some(state) = state {
+                state.stats.subtrees_rewalked += 1;
+            }
+            out.run.cas.push(Validator::validated_ca(&item));
+            out.run.reject_point(&item, Issue::DepthExceeded);
+            return None;
         }
+        let Some(state) = state else {
+            let outcome = source.load_dir(dir);
+            return Some(Job { item, outcome, memo: None });
+        };
 
         let key = item.cert.data().subject_key.id();
         let cert_digest = item.digest.unwrap_or_else(|| sha256(&item.cert.to_bytes()));
         let now = config.now.0;
-        let usable = state.entries.get(&key).is_some_and(|e| {
+        let usable = state.entries.get(&key).filter(|e| {
             e.cert_digest == cert_digest
                 && e.effective == item.effective
                 && e.depth == item.depth
@@ -437,93 +444,38 @@ impl Validator {
                 && now < e.window.1
                 && e.child_keys.is_disjoint(&item.ancestors)
         });
-        let dir = item.cert.data().sia.clone();
 
-        if usable && state.mode == RevalidationMode::Probe {
-            if let Some(probe) = source.probe_dir(&dir) {
-                stats.probes += 1;
-                // Internal invariant, not remote-reachable: `usable`
-                // was computed from this same map entry above and
-                // nothing has removed it since.
-                let entry = state.entries.get(&key).expect("usable entry present");
+        if let (Some(entry), RevalidationMode::Probe) = (usable, state.mode) {
+            if let Some(probe) = source.probe_dir(dir) {
+                state.stats.probes += 1;
                 if probe.listed && probe.content_digest() == Some(entry.dir_digest) {
-                    stats.probe_hits += 1;
-                    stats.subtrees_reused += 1;
-                    Self::replay(entry, Freshness::Fresh, &item, run, queue);
-                    return;
+                    state.stats.probe_hits += 1;
+                    state.stats.subtrees_reused += 1;
+                    Self::replay(entry, Freshness::Fresh, &item, out);
+                    return None;
                 }
             }
         }
 
-        let outcome = source.load_dir(&dir);
+        let outcome = source.load_dir(dir);
         let dir_digest = outcome.content_digest();
-        if usable {
-            // Internal invariant, not remote-reachable (see above).
-            let entry = state.entries.get(&key).expect("usable entry present");
-            if dir_digest == Some(entry.dir_digest) {
-                stats.subtrees_reused += 1;
-                Self::replay(entry, outcome.freshness, &item, run, queue);
-                return;
-            }
+        if let Some(entry) = usable.filter(|e| dir_digest == Some(e.dir_digest)) {
+            state.stats.subtrees_reused += 1;
+            Self::replay(entry, outcome.freshness, &item, out);
+            return None;
         }
 
-        // Miss: walk the publication point for real, observing what the
-        // result depends on, then memoize by slicing off what this walk
-        // appended to the run and the queue.
-        stats.subtrees_rewalked += 1;
-        let ca_mark = run.cas.len();
-        let diag_mark = run.diagnostics.len();
-        let roa_mark = run.accepted_roas.len();
-        let vrp_mark = run.vrps.len();
-        let rec_mark = run.vrp_records.len();
-        let rev_mark = run.revocations.len();
-        let rej_mark = run.rejected_cas.len();
-        let queue_mark = queue.len();
-        let mut obs = ProcessObservations::at(now);
-        let depth = item.depth;
-        let effective = item.effective.clone();
-
-        run.cas.push(Validator::validated_ca(&item));
-        self.process_pubpoint(item, outcome, run, queue, Some(&mut obs));
-
-        // Unlisted directories have no content digest to key on, and
-        // walks that hit a certificate loop depend on this particular
-        // chain's ancestry: neither is memoized.
-        let Some(dir_digest) = dir_digest else {
-            state.entries.remove(&key);
-            return;
-        };
-        if obs.loop_seen {
-            state.entries.remove(&key);
-            return;
-        }
-        let entry = CacheEntry {
+        state.stats.subtrees_rewalked += 1;
+        let memo = Memo {
+            key,
             cert_digest,
-            effective,
-            depth,
-            incomplete: config.incomplete,
-            overclaim: config.overclaim,
-            max_depth: config.max_depth,
+            effective: item.effective.clone(),
+            depth: item.depth,
             dir: dir.to_string(),
             dir_digest,
-            window: obs.window(),
-            child_keys: obs.child_keys,
-            ca: run.cas[ca_mark].clone(),
-            diagnostics: run.diagnostics[diag_mark..].to_vec(),
-            accepted_roas: run.accepted_roas[roa_mark..].to_vec(),
-            vrps: run.vrps[vrp_mark..].to_vec(),
-            vrp_records: run.vrp_records[rec_mark..].to_vec(),
-            revocations: run.revocations[rev_mark..].to_vec(),
-            rejected_cas: run.rejected_cas[rej_mark..].to_vec(),
-            children: queue[queue_mark..]
-                .iter()
-                .map(|w| {
-                    let digest = w.digest.unwrap_or_else(|| sha256(&w.cert.to_bytes()));
-                    (w.cert.clone(), w.effective.clone(), digest)
-                })
-                .collect(),
+            obs: ProcessObservations::at(now),
         };
-        state.entries.insert(key, entry);
+        Some(Job { item, outcome, memo: Some(memo) })
     }
 
     /// Replays a memoized walk: pushes the stored outputs in their
@@ -531,13 +483,8 @@ impl Validator {
     /// walk queued them, so the overall traversal — and therefore every
     /// order-sensitive output vector — is identical. Freshness is live:
     /// it reports how *this* round obtained (or confirmed) the data.
-    pub(crate) fn replay(
-        entry: &CacheEntry,
-        freshness: Freshness,
-        item: &WorkItem,
-        run: &mut ValidationRun,
-        queue: &mut Vec<WorkItem>,
-    ) {
+    fn replay(entry: &CacheEntry, freshness: Freshness, item: &WorkItem, out: &mut Sinks<'_>) {
+        let run = &mut *out.run;
         run.cas.push(entry.ca.clone());
         run.freshness.push((entry.dir.clone(), freshness));
         run.diagnostics.extend(entry.diagnostics.iter().cloned());
@@ -549,7 +496,7 @@ impl Validator {
         let mut ancestors = item.ancestors.clone();
         ancestors.insert(entry.ca.key);
         for (cert, effective, digest) in &entry.children {
-            queue.push(WorkItem {
+            out.queue.push(WorkItem {
                 cert: cert.clone(),
                 effective: effective.clone(),
                 depth: entry.depth + 1,
@@ -557,6 +504,54 @@ impl Validator {
                 digest: Some(*digest),
             });
         }
+    }
+
+    /// Stage 4 of the walk: memoises the point `process` just walked
+    /// from what it appended to `out` past `marks`, under the key
+    /// `admit` missed on.
+    pub(crate) fn settle(
+        &self,
+        state: &mut ValidationState,
+        memo: Memo,
+        out: &Sinks<'_>,
+        marks: Marks,
+    ) {
+        // Unlisted directories have no content digest to key on, and
+        // walks that hit a certificate loop depend on this particular
+        // chain's ancestry: neither is memoized.
+        let (Some(dir_digest), false) = (memo.dir_digest, memo.obs.loop_seen) else {
+            state.entries.remove(&memo.key);
+            return;
+        };
+        let config = self.config();
+        let run = &*out.run;
+        let entry = CacheEntry {
+            cert_digest: memo.cert_digest,
+            effective: memo.effective,
+            depth: memo.depth,
+            incomplete: config.incomplete,
+            overclaim: config.overclaim,
+            max_depth: config.max_depth,
+            dir: memo.dir,
+            dir_digest,
+            window: memo.obs.window(),
+            child_keys: memo.obs.child_keys,
+            ca: run.cas[marks.cas].clone(),
+            diagnostics: run.diagnostics[marks.diagnostics..].to_vec(),
+            accepted_roas: run.accepted_roas[marks.accepted_roas..].to_vec(),
+            vrps: run.vrps[marks.vrps..].to_vec(),
+            vrp_records: run.vrp_records[marks.vrp_records..].to_vec(),
+            revocations: run.revocations[marks.revocations..].to_vec(),
+            rejected_cas: run.rejected_cas[marks.rejected_cas..].to_vec(),
+            children: out.queue[marks.queue..]
+                .iter()
+                .map(|w| {
+                    let digest = w.digest.unwrap_or_else(|| sha256(&w.cert.to_bytes()));
+                    (w.cert.clone(), w.effective.clone(), digest)
+                })
+                .collect(),
+        };
+        state.entries.insert(memo.key, entry);
     }
 }
 

@@ -5,39 +5,44 @@
 //!
 //! # How determinism survives parallelism
 //!
-//! The walk proceeds in *waves*: the frontier of pending publication
-//! points at one depth. Each wave runs in three stages:
+//! This module owns the walk's *order* and its *executor*, nothing
+//! else: what happens to one publication point is the same `seed` →
+//! `admit` → `process` → `settle` → `close` stages the depth-first
+//! driver calls, handed one fresh fragment per point as their sinks.
 //!
-//! 1. **Canonical-order I/O (coordinator).** The frontier is sorted by
-//!    its [DFS key](#dfs-keys) and every directory is loaded by the
+//! The walk proceeds in *waves*: the frontier of pending publication
+//! points at one depth. Each wave runs in three steps:
+//!
+//! 1. **Canonical-order `admit` (coordinator).** The frontier is sorted
+//!    by its [DFS key](#dfs-keys) and every point is admitted — depth
+//!    guard, cache decision, probe or directory load — by the
 //!    coordinator, one at a time, in that order. Transport traffic is
 //!    therefore a pure function of the world — independent of the
 //!    shard count — so seeded fault dice are consumed identically
-//!    whether the walk runs on 1 shard or 8. Incremental cache probes
-//!    and digest checks (PR 4) happen here too, per publication point,
-//!    so the memo cache composes with sharding unchanged.
-//! 2. **Sharded CPU work (workers).** Decode, signature verification,
+//!    whether the walk runs on 1 shard or 8.
+//! 2. **Sharded `process` (workers).** Decode, signature verification,
 //!    manifest/CRL checks, and resource containment — the expensive
 //!    part — run on `shards` worker threads. Slots are assigned to
 //!    shards by a seeded hash (`splitmix64(seed, wave, slot)`); an
 //!    idle worker steals from the back of a neighbour's deque. Each
 //!    item produces a self-contained *fragment* (its slice of the
 //!    run), so racing workers never touch shared output.
-//! 3. **Canonical merge (coordinator).** Fragments are stitched back
-//!    in ascending DFS-key order — the exact order the sequential
-//!    LIFO walk processes items — and cache insertions are applied in
-//!    that same order. Scheduling jitter can change *which worker*
-//!    computes a fragment, never *where* the fragment lands.
+//! 3. **Canonical `settle` and merge (coordinator).** Cache insertions
+//!    are applied in ascending DFS-key order — the exact order the
+//!    sequential LIFO walk processes items — and fragments are
+//!    stitched back in that same order. Scheduling jitter can change
+//!    *which worker* computes a fragment, never *where* the fragment
+//!    lands.
 //!
 //! # DFS keys
 //!
-//! Every work item carries a path key `Vec<u32>`: trust anchor `i` of
-//! `k` gets `[k-1-i]`, and a child queued at push-rank `r` of `n`
-//! extends its parent's key with `n-1-r`. Ascending lexicographic
-//! order over these keys is exactly the order `Validator::run`'s
-//! LIFO queue pops items (parents before children, later-pushed
-//! siblings first), so concatenating fragments in key order
-//! reproduces every order-sensitive output vector byte for byte.
+//! Every work item carries a path key `Vec<u32>`: a child queued at
+//! push-rank `r` of `n` extends its parent's key with `n-1-r`, the
+//! accepted trust anchors being the children of the empty key.
+//! Ascending lexicographic order over these keys is exactly the order
+//! `Validator::run`'s LIFO queue pops items (parents before children,
+//! later-pushed siblings first), so concatenating fragments in key
+//! order reproduces every order-sensitive output vector byte for byte.
 //!
 //! # Equivalence guarantees
 //!
@@ -55,24 +60,17 @@
 //! is **never** emitted into trace events, which must stay replayable
 //! byte for byte.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use ipres::ResourceSet;
-use rpki_objects::{Encode, TrustAnchorLocator};
+use rpki_objects::TrustAnchorLocator;
 use rpki_obs::Recorder;
-use rpki_repo::{Freshness, SyncOutcome};
-use rpkisim_crypto::{sha256, Digest, KeyId};
 use serde::Serialize;
 
-use crate::incremental::{
-    CacheEntry, ProcessObservations, RevalidationMode, RevalidationStats, ValidationState, VrpDelta,
-};
+use crate::incremental::{Memo, ValidationState};
 use crate::source::ObjectSource;
-use crate::validation::{
-    Diagnostic, Issue, RejectedCa, ValidationConfig, ValidationRun, Validator, WorkItem,
-};
+use crate::validation::{Job, Marks, Sinks, ValidationRun, Validator, WorkItem};
 
 /// How a sharded walk distributes work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -177,39 +175,19 @@ fn assign(plan: ShardPlan, wave: u64, slot: usize) -> usize {
 
 /// One item's self-contained output: its fragment of the run plus the
 /// children it queued, in push order.
+#[derive(Default)]
 struct ItemOutput {
     frag: ValidationRun,
     children: Vec<WorkItem>,
-    /// Present when the item was processed with cache observations
-    /// (incremental miss path).
-    obs: Option<ProcessObservations>,
+    /// Present when the item was a cache miss of an incremental walk:
+    /// what `settle` memoises it under.
+    memo: Option<Memo>,
 }
 
-/// A unit of sharded CPU work: everything a worker needs, I/O already
-/// done.
-struct PendingJob {
-    item: WorkItem,
-    outcome: SyncOutcome,
-    with_obs: bool,
-}
-
-/// Coordinator-side facts needed to memoize a job's result after the
-/// wave completes (incremental mode only).
-struct MemoMeta {
-    key: KeyId,
-    cert_digest: Digest,
-    dir: String,
-    dir_digest: Option<Digest>,
-    depth: usize,
-    effective: ResourceSet,
-}
-
-/// What stage 1 decided about one frontier slot.
-enum Prepared {
-    /// Resolved on the coordinator (depth guard or cache replay).
-    Done(Box<ItemOutput>),
-    /// Needs worker processing.
-    Job(Box<PendingJob>),
+impl ItemOutput {
+    fn sinks(&mut self) -> Sinks<'_> {
+        Sinks { run: &mut self.frag, queue: &mut self.children }
+    }
 }
 
 struct WorkerOut {
@@ -230,19 +208,18 @@ fn append(run: &mut ValidationRun, frag: ValidationRun) {
     run.rejected_cas.extend(frag.rejected_cas);
 }
 
-/// Runs one job: validated-CA entry, then the full publication-point
-/// walk into a private fragment. Pure CPU — no I/O, no shared state.
-fn process_job(v: &Validator, job: PendingJob) -> ItemOutput {
-    let mut frag = ValidationRun::default();
-    let mut children = Vec::new();
-    frag.cas.push(Validator::validated_ca(&job.item));
-    if job.with_obs {
-        let mut obs = ProcessObservations::at(v.config().now.0);
-        v.process_pubpoint(job.item, job.outcome, &mut frag, &mut children, Some(&mut obs));
-        ItemOutput { frag, children, obs: Some(obs) }
-    } else {
-        v.process_pubpoint(job.item, job.outcome, &mut frag, &mut children, None);
-        ItemOutput { frag, children, obs: None }
+/// Queues `children` (in push order) onto the frontier under `parent`'s
+/// DFS key.
+fn extend_frontier(
+    frontier: &mut Vec<(Vec<u32>, WorkItem)>,
+    parent: &[u32],
+    children: Vec<WorkItem>,
+) {
+    let n = children.len();
+    for (r, child) in children.into_iter().enumerate() {
+        let mut key = parent.to_vec();
+        key.push((n - 1 - r) as u32);
+        frontier.push((key, child));
     }
 }
 
@@ -261,11 +238,12 @@ impl Validator {
         self.run_sharded_inner(source, tals, plan, None)
     }
 
-    /// [`Validator::run_sharded`] composed with the PR 4 memo cache:
-    /// cached subtrees replay on the coordinator (including LIST-only
-    /// digest probes in [`RevalidationMode::Probe`]), and only cache
-    /// misses fan out to the shard workers. Afterwards `state` holds
-    /// the VRP delta and [`RevalidationStats`] exactly as
+    /// [`Validator::run_sharded`] composed with the memo cache: cached
+    /// subtrees replay on the coordinator (including LIST-only digest
+    /// probes in [`RevalidationMode::Probe`](crate::RevalidationMode)),
+    /// and only cache misses fan out to the shard workers. Afterwards
+    /// `state` holds the VRP delta and
+    /// [`RevalidationStats`](crate::RevalidationStats) exactly as
     /// [`Validator::run_incremental`] would leave them.
     pub fn run_sharded_incremental(
         &self,
@@ -284,8 +262,10 @@ impl Validator {
         plan: ShardPlan,
         mut state: Option<&mut ValidationState>,
     ) -> (ValidationRun, ShardStats) {
-        let shards = plan.shards.max(1);
-        let config = self.config();
+        // `ShardPlan`'s fields are public: re-clamp a literal that
+        // bypassed the constructor.
+        let plan = ShardPlan::seeded(plan.shards, plan.seed);
+        let shards = plan.shards;
         let mut stats = ShardStats {
             shards,
             assigned: vec![0; shards],
@@ -293,36 +273,17 @@ impl Validator {
             busy_ns: vec![0; shards],
             ..ShardStats::default()
         };
-        let mut inc_stats = RevalidationStats::default();
         let mut run = ValidationRun::default();
-
-        // Seed the frontier from the TALs, mirroring `run`: rejected
-        // TALs diagnose straight into the run (before any fragment),
-        // accepted ones get the canonical key of their pop order.
-        let mut frontier: Vec<(Vec<u32>, WorkItem)> = Vec::new();
-        let k = tals.len();
-        for (i, tal) in tals.iter().enumerate() {
-            match self.fetch_ta(source, tal) {
-                Some(cert) => {
-                    let effective = cert.data().resources.clone();
-                    frontier.push((
-                        vec![(k - 1 - i) as u32],
-                        WorkItem {
-                            cert,
-                            effective,
-                            depth: 0,
-                            ancestors: BTreeSet::new(),
-                            digest: None,
-                        },
-                    ));
-                }
-                None => run.diagnostics.push(Diagnostic {
-                    ca: "(trust anchor)".to_owned(),
-                    dir: tal.uri.to_string(),
-                    issue: Issue::TalRejected,
-                }),
-            }
+        if let Some(state) = state.as_deref_mut() {
+            state.open();
         }
+
+        // Rejected TALs diagnose straight into the run (before any
+        // fragment); accepted ones are the children of the empty key.
+        let mut roots = Vec::new();
+        self.seed(source, tals, &mut Sinks { run: &mut run, queue: &mut roots });
+        let mut frontier: Vec<(Vec<u32>, WorkItem)> = Vec::new();
+        extend_frontier(&mut frontier, &[], roots);
 
         let mut fragments: Vec<(Vec<u32>, ValidationRun)> = Vec::new();
         let mut wave_idx: u64 = 0;
@@ -332,32 +293,24 @@ impl Validator {
             stats.waves += 1;
             stats.items += frontier.len() as u64;
 
-            // -- Stage 1: canonical-order I/O and cache decisions. --
+            // -- Step 1: canonical-order `admit` (I/O, cache decisions). --
             let n = frontier.len();
             let mut keys: Vec<Vec<u32>> = Vec::with_capacity(n);
-            let mut memos: Vec<Option<MemoMeta>> = Vec::with_capacity(n);
             let mut outputs: Vec<Option<ItemOutput>> = Vec::with_capacity(n);
-            let mut jobs: Vec<Mutex<Option<PendingJob>>> = Vec::with_capacity(n);
+            let mut jobs: Vec<Mutex<Option<Job>>> = Vec::with_capacity(n);
             let mut pending: Vec<usize> = Vec::new();
             for (slot, (key_path, item)) in frontier.drain(..).enumerate() {
                 keys.push(key_path);
-                let (prepared, memo) =
-                    self.prepare(source, item, state.as_deref_mut(), &mut inc_stats);
-                memos.push(memo);
-                match prepared {
-                    Prepared::Done(out) => {
-                        outputs.push(Some(*out));
-                        jobs.push(Mutex::new(None));
-                    }
-                    Prepared::Job(job) => {
-                        outputs.push(None);
-                        jobs.push(Mutex::new(Some(*job)));
-                        pending.push(slot);
-                    }
+                let mut out = ItemOutput::default();
+                let job = self.admit(source, item, state.as_deref_mut(), &mut out.sinks());
+                if job.is_some() {
+                    pending.push(slot);
                 }
+                outputs.push(job.is_none().then_some(out));
+                jobs.push(Mutex::new(job));
             }
 
-            // -- Stage 2: seeded assignment, work-stealing execution. --
+            // -- Step 2: seeded assignment, work-stealing `process`. --
             if !pending.is_empty() {
                 let queues: Vec<Mutex<VecDeque<usize>>> =
                     (0..shards).map(|_| Mutex::new(VecDeque::new())).collect();
@@ -414,7 +367,8 @@ impl Validator {
                                         .take()
                                         .expect("job claimed once");
                                     let t0 = Instant::now();
-                                    let res = process_job(&v, job);
+                                    let mut res = ItemOutput::default();
+                                    res.memo = v.process(job, &mut res.sinks());
                                     out.busy += t0.elapsed().as_nanos() as u64;
                                     out.processed += 1;
                                     if stolen {
@@ -442,22 +396,17 @@ impl Validator {
                 stats.critical_path_ns += wave_max;
             }
 
-            // -- Stage 3: canonical-order memoization and frontier
+            // -- Step 3: canonical-order `settle` and frontier
             // extension; fragments are stashed for the final merge. --
             for (slot, out) in outputs.into_iter().enumerate() {
-                // Internal invariant: stage 1 resolved the slot or put
-                // it in `pending`, and stage 2 drained `pending`.
-                let out = out.expect("every slot resolved");
+                // Internal invariant: step 1 resolved the slot or put
+                // it in `pending`, and step 2 drained `pending`.
+                let mut out = out.expect("every slot resolved");
                 let key_path = std::mem::take(&mut keys[slot]);
-                if let (Some(st), Some(memo)) = (state.as_deref_mut(), memos[slot].take()) {
-                    memoize(st, memo, &out, config);
+                if let (Some(state), Some(memo)) = (state.as_deref_mut(), out.memo.take()) {
+                    self.settle(state, memo, &out.sinks(), Marks::default());
                 }
-                let n_children = out.children.len();
-                for (r, child) in out.children.into_iter().enumerate() {
-                    let mut ck = key_path.clone();
-                    ck.push((n_children - 1 - r) as u32);
-                    frontier.push((ck, child));
-                }
+                extend_frontier(&mut frontier, &key_path, out.children);
                 fragments.push((key_path, out.frag));
             }
             wave_idx += 1;
@@ -470,191 +419,25 @@ impl Validator {
             append(&mut run, frag);
         }
         self.finish(&mut run);
-
         if let Some(state) = state {
-            let prev = state.last_vrps.take().unwrap_or_default();
-            let delta = VrpDelta::between(&prev, &run.vrps);
-            inc_stats.announced = delta.announce.len() as u64;
-            inc_stats.withdrawn = delta.withdraw.len() as u64;
-            state.last_vrps = Some(run.vrps.clone());
-            state.last_delta = delta;
-            state.stats = inc_stats;
+            state.close(&run);
         }
         (run, stats)
     }
-
-    /// Stage-1 decision for one frontier item: resolve it on the
-    /// coordinator (depth guard, cache replay) or load its directory
-    /// and package a worker job. Mirrors `step` from the incremental
-    /// walk, minus the processing itself.
-    fn prepare(
-        &self,
-        source: &mut dyn ObjectSource,
-        item: WorkItem,
-        state: Option<&mut ValidationState>,
-        inc: &mut RevalidationStats,
-    ) -> (Prepared, Option<MemoMeta>) {
-        let config = self.config();
-        if item.depth >= config.max_depth {
-            if state.is_some() {
-                inc.subtrees_rewalked += 1;
-            }
-            let mut frag = ValidationRun::default();
-            frag.cas.push(Validator::validated_ca(&item));
-            frag.diagnostics.push(Diagnostic {
-                ca: item.cert.data().subject.clone(),
-                dir: item.cert.data().sia.to_string(),
-                issue: Issue::DepthExceeded,
-            });
-            frag.rejected_cas.push(RejectedCa {
-                ca: item.cert.data().subject.clone(),
-                dir: item.cert.data().sia.to_string(),
-                resources: item.effective.clone(),
-            });
-            return (
-                Prepared::Done(Box::new(ItemOutput { frag, children: Vec::new(), obs: None })),
-                None,
-            );
-        }
-        let dir = item.cert.data().sia.clone();
-        let Some(state) = state else {
-            let outcome = source.load_dir(&dir);
-            return (Prepared::Job(Box::new(PendingJob { item, outcome, with_obs: false })), None);
-        };
-
-        let key = item.cert.data().subject_key.id();
-        let cert_digest = item.digest.unwrap_or_else(|| sha256(&item.cert.to_bytes()));
-        let now = config.now.0;
-        let usable = state.entries.get(&key).is_some_and(|e| {
-            e.cert_digest == cert_digest
-                && e.effective == item.effective
-                && e.depth == item.depth
-                && e.incomplete == config.incomplete
-                && e.overclaim == config.overclaim
-                && e.max_depth == config.max_depth
-                && e.window.0 <= now
-                && now < e.window.1
-                && e.child_keys.is_disjoint(&item.ancestors)
-        });
-
-        if usable && state.mode == RevalidationMode::Probe {
-            if let Some(probe) = source.probe_dir(&dir) {
-                inc.probes += 1;
-                // Internal invariant: `usable` came from this entry.
-                let entry = state.entries.get(&key).expect("usable entry present");
-                if probe.listed && probe.content_digest() == Some(entry.dir_digest) {
-                    inc.probe_hits += 1;
-                    inc.subtrees_reused += 1;
-                    return (
-                        Prepared::Done(Box::new(replay_to_fragment(
-                            entry,
-                            Freshness::Fresh,
-                            &item,
-                        ))),
-                        None,
-                    );
-                }
-            }
-        }
-
-        let outcome = source.load_dir(&dir);
-        let dir_digest = outcome.content_digest();
-        if usable {
-            // Internal invariant: `usable` came from this entry.
-            let entry = state.entries.get(&key).expect("usable entry present");
-            if dir_digest == Some(entry.dir_digest) {
-                inc.subtrees_reused += 1;
-                return (
-                    Prepared::Done(Box::new(replay_to_fragment(entry, outcome.freshness, &item))),
-                    None,
-                );
-            }
-        }
-
-        inc.subtrees_rewalked += 1;
-        let memo = MemoMeta {
-            key,
-            cert_digest,
-            dir: dir.to_string(),
-            dir_digest,
-            depth: item.depth,
-            effective: item.effective.clone(),
-        };
-        (Prepared::Job(Box::new(PendingJob { item, outcome, with_obs: true })), Some(memo))
-    }
-}
-
-/// Replays a memoized subtree into a fresh fragment (the sharded
-/// analogue of the incremental walk's `replay`).
-fn replay_to_fragment(entry: &CacheEntry, freshness: Freshness, item: &WorkItem) -> ItemOutput {
-    let mut frag = ValidationRun::default();
-    let mut children = Vec::new();
-    Validator::replay(entry, freshness, item, &mut frag, &mut children);
-    ItemOutput { frag, children, obs: None }
-}
-
-/// Inserts (or invalidates) the cache entry for a freshly rewalked
-/// publication point, exactly as the sequential incremental walk's
-/// mark-slice memoization does.
-fn memoize(
-    state: &mut ValidationState,
-    memo: MemoMeta,
-    out: &ItemOutput,
-    config: ValidationConfig,
-) {
-    // Internal invariant: only `Prepared::Job` slots carry a MemoMeta,
-    // and `process_job` always attaches observations to those.
-    let obs = out.obs.as_ref().expect("job slots carry observations");
-    // Unlisted directories have no content digest to key on, and walks
-    // that hit a certificate loop depend on the chain's ancestry:
-    // neither is memoized.
-    let Some(dir_digest) = memo.dir_digest else {
-        state.entries.remove(&memo.key);
-        return;
-    };
-    if obs.loop_seen {
-        state.entries.remove(&memo.key);
-        return;
-    }
-    let entry = CacheEntry {
-        cert_digest: memo.cert_digest,
-        effective: memo.effective,
-        depth: memo.depth,
-        incomplete: config.incomplete,
-        overclaim: config.overclaim,
-        max_depth: config.max_depth,
-        dir: memo.dir,
-        dir_digest,
-        window: obs.window(),
-        child_keys: obs.child_keys.clone(),
-        ca: out.frag.cas[0].clone(),
-        diagnostics: out.frag.diagnostics.clone(),
-        accepted_roas: out.frag.accepted_roas.clone(),
-        vrps: out.frag.vrps.clone(),
-        vrp_records: out.frag.vrp_records.clone(),
-        revocations: out.frag.revocations.clone(),
-        rejected_cas: out.frag.rejected_cas.clone(),
-        children: out
-            .children
-            .iter()
-            .map(|w| {
-                let digest = w.digest.unwrap_or_else(|| sha256(&w.cert.to_bytes()));
-                (w.cert.clone(), w.effective.clone(), digest)
-            })
-            .collect(),
-    };
-    state.entries.insert(memo.key, entry);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::{CacheEntry, RevalidationMode};
     use crate::source::DirectSource;
+    use crate::validation::{IncompletePolicy, OverclaimPolicy, ValidationConfig};
     use ipres::{Asn, Prefix, ResourceSet};
     use netsim::Network;
     use rpki_ca::CertAuthority;
-    use rpki_objects::{Moment, RepoUri, RoaPrefix, Span};
-    use rpki_repo::RepoRegistry;
+    use rpki_objects::{Encode, Moment, RepoUri, RoaPrefix, Span};
+    use rpki_repo::{DirProbe, RepoRegistry, SyncOutcome};
+    use rpkisim_crypto::{sha256, KeyId};
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -663,6 +446,8 @@ mod tests {
     struct Rig {
         repos: RepoRegistry,
         tal: TrustAnchorLocator,
+        root: CertAuthority,
+        children: Vec<CertAuthority>,
     }
 
     /// A TA with `n` child CAs, each publishing one ROA at its own
@@ -707,7 +492,7 @@ mod tests {
                 repo.publish_snapshot(sia, snap);
             }
         }
-        Rig { repos, tal }
+        Rig { repos, tal, root, children }
     }
 
     #[test]
@@ -810,6 +595,145 @@ mod tests {
         assert_eq!(warm, cold);
         assert_eq!(state.stats().probes, 5);
         assert_eq!(state.stats().probe_hits, 5);
+    }
+
+    /// [`DirectSource`], except that one directory may be unreachable.
+    struct Unlisting<'a> {
+        inner: DirectSource<'a>,
+        unlisted: Option<RepoUri>,
+    }
+
+    impl ObjectSource for Unlisting<'_> {
+        fn load_dir(&mut self, dir: &RepoUri) -> SyncOutcome {
+            if self.unlisted.as_ref() == Some(dir) {
+                return SyncOutcome::unreachable(dir.clone());
+            }
+            self.inner.load_dir(dir)
+        }
+
+        fn probe_dir(&mut self, dir: &RepoUri) -> Option<DirProbe> {
+            if self.unlisted.as_ref() == Some(dir) {
+                return Some(DirProbe::unreachable(dir.clone()));
+            }
+            self.inner.probe_dir(dir)
+        }
+    }
+
+    /// How one row of the admission table perturbs a warmed-up world
+    /// (TA + three children, validated once at `now`).
+    enum Flip {
+        Nothing,
+        /// Edits child 0's cache entry: `(entry, now, root key)`.
+        Entry(fn(&mut CacheEntry, u64, KeyId)),
+        /// Validates under a different policy from here on.
+        Config(fn(&mut ValidationConfig)),
+        /// Child 0's directory stops answering.
+        Unlisted,
+        /// Child 0 publishes a certificate for the root's key.
+        Loop,
+    }
+
+    /// `(clause, perturbation, (reused, rewalked) of the next run,
+    /// whether child 0 ends up memoised)`.
+    type Row = (&'static str, Flip, (u64, u64), bool);
+
+    const ADMISSION: [Row; 14] = [
+        ("control", Flip::Nothing, (4, 0), true),
+        ("cert digest", Flip::Entry(|e, _, _| e.cert_digest = sha256(b"other")), (3, 1), true),
+        ("effective", Flip::Entry(|e, _, _| e.effective = ResourceSet::empty()), (3, 1), true),
+        ("depth", Flip::Entry(|e, _, _| e.depth += 1), (3, 1), true),
+        (
+            "incomplete",
+            Flip::Config(|c| c.incomplete = IncompletePolicy::RejectPublicationPoint),
+            (0, 4),
+            true,
+        ),
+        ("overclaim", Flip::Config(|c| c.overclaim = OverclaimPolicy::Trim), (0, 4), true),
+        ("max_depth", Flip::Config(|c| c.max_depth -= 1), (0, 4), true),
+        ("now == window.0", Flip::Entry(|e, now, _| e.window = (now, now + 1)), (4, 0), true),
+        ("now < window.0", Flip::Entry(|e, now, _| e.window = (now + 1, u64::MAX)), (3, 1), true),
+        ("now == window.1", Flip::Entry(|e, now, _| e.window = (0, now)), (3, 1), true),
+        (
+            "child key on the ancestor stack",
+            Flip::Entry(|e, _, root| {
+                e.child_keys.insert(root);
+            }),
+            (3, 1),
+            true,
+        ),
+        ("directory digest", Flip::Entry(|e, _, _| e.dir_digest = sha256(b"other")), (3, 1), true),
+        ("unlisted directory evicts", Flip::Unlisted, (3, 1), false),
+        ("loop seen evicts", Flip::Loop, (3, 1), false),
+    ];
+
+    /// Warms a state up, applies `row`'s perturbation, and checks the
+    /// next two runs through one driver: the row's verdict, then reuse
+    /// of whatever was memoised and another rewalk of whatever was
+    /// evicted. Returns the final state's `{:?}`.
+    fn admit_row(mode: RevalidationMode, sharded: bool, row: &Row) -> String {
+        let (clause, flip, expect, memoised) = row;
+        let ctx = format!("{clause} / {mode:?} / sharded={sharded}");
+        let mut rig = rig(3);
+        let child0 = rig.children[0].key_id();
+        let mut config = ValidationConfig::at(Moment(2));
+        let mut state = ValidationState::new(mode);
+        let mut unlisted = None;
+        let validate = |rig: &Rig, config, unlisted: &Option<RepoUri>, state: &mut _| {
+            let v = Validator::new(config);
+            let tals = std::slice::from_ref(&rig.tal);
+            let mut source =
+                Unlisting { inner: DirectSource::new(&rig.repos), unlisted: unlisted.clone() };
+            if sharded {
+                v.run_sharded_incremental(&mut source, tals, ShardPlan::new(3), state);
+            } else {
+                v.run_incremental(&mut source, tals, state);
+            }
+            (state.stats().subtrees_reused, state.stats().subtrees_rewalked)
+        };
+
+        assert_eq!(validate(&rig, config, &unlisted, &mut state), (0, 4), "{ctx}");
+        match flip {
+            Flip::Nothing => {}
+            Flip::Entry(edit) => edit(
+                state.entries.get_mut(&child0).expect("warmed up"),
+                config.now.0,
+                rig.root.key_id(),
+            ),
+            Flip::Config(edit) => edit(&mut config),
+            Flip::Unlisted => unlisted = Some(rig.children[0].sia().clone()),
+            Flip::Loop => {
+                let (root_key, root_sia) = (rig.root.public_key(), rig.root.sia().clone());
+                let ca = &mut rig.children[0];
+                let inside = ResourceSet::from_prefix_strs("10.0.0.0/24");
+                ca.issue_cert("loop", root_key, inside, root_sia, Moment(1)).unwrap();
+                let snap = ca.publication_snapshot(Moment(1));
+                rig.repos.by_host_mut("h").unwrap().publish_snapshot(ca.sia(), &snap);
+            }
+        }
+        assert_eq!(validate(&rig, config, &unlisted, &mut state), *expect, "{ctx}");
+        assert_eq!(state.entries.contains_key(&child0), *memoised, "{ctx}");
+        let again = if *memoised { (4, 0) } else { (3, 1) };
+        assert_eq!(validate(&rig, config, &unlisted, &mut state), again, "{ctx}");
+        assert_eq!(state.entries.contains_key(&child0), *memoised, "{ctx}");
+        format!("{state:?}")
+    }
+
+    /// Each row flips one clause of the cache decision for one
+    /// publication point and must get the same verdict from the
+    /// depth-first and the wave driver, in both revalidation modes —
+    /// and leave the two drivers' states indistinguishable.
+    #[test]
+    fn admission_table_holds_through_both_drivers() {
+        for mode in [RevalidationMode::Full, RevalidationMode::Probe] {
+            for row in &ADMISSION {
+                assert_eq!(
+                    admit_row(mode, false, row),
+                    admit_row(mode, true, row),
+                    "{} / {mode:?}: states diverged",
+                    row.0
+                );
+            }
+        }
     }
 
     #[test]

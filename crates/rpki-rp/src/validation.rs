@@ -20,6 +20,13 @@
 //!
 //! Every rejection is recorded as a [`Diagnostic`] — experiments assert
 //! on these, and the `rpki-attacks` monitor consumes them.
+//!
+//! The walk is five stages per publication point — `seed`, `admit`,
+//! `process`, `settle`, `close` — each writing into whatever sinks
+//! its caller lends it. Two drivers call them and own only the visiting
+//! order and the executor: the depth-first one here
+//! ([`Validator::run`], [`Validator::run_incremental`]) and the wave
+//! one in [`crate::shard`].
 
 use std::collections::BTreeSet;
 
@@ -30,7 +37,7 @@ use rpki_repo::{Freshness, SyncOutcome};
 use rpkisim_crypto::{sha256, Digest, KeyId};
 use serde::Serialize;
 
-use crate::incremental::ProcessObservations;
+use crate::incremental::{Memo, ProcessObservations, ValidationState};
 use crate::source::ObjectSource;
 use crate::vrp::{Vrp, VrpCache};
 
@@ -316,6 +323,15 @@ impl ValidationRun {
         self.diagnostics.iter().any(|d| &d.issue == issue)
     }
 
+    /// Drops `item`'s whole publication point for `issue`: the
+    /// diagnostic, and the resources it spoke for as a [`RejectedCa`].
+    pub(crate) fn reject_point(&mut self, item: &WorkItem, issue: Issue) {
+        let ca = item.cert.data().subject.clone();
+        let dir = item.cert.data().sia.to_string();
+        self.diagnostics.push(Diagnostic { ca: ca.clone(), dir: dir.clone(), issue });
+        self.rejected_cas.push(RejectedCa { ca, dir, resources: item.effective.clone() });
+    }
+
     /// Emits this run's outcome into an observability recorder at
     /// simulated time `at`: one `validation` summary event, one
     /// `freshness` provenance event per publication point (in the
@@ -385,6 +401,55 @@ pub(crate) struct WorkItem {
     pub(crate) digest: Option<Digest>,
 }
 
+/// Where a walk stage writes: the run it appends to and the queue its
+/// child CAs go onto. The sequential driver lends the run and its LIFO
+/// queue themselves; the wave driver lends one fresh fragment per
+/// publication point.
+pub(crate) struct Sinks<'a> {
+    pub(crate) run: &'a mut ValidationRun,
+    pub(crate) queue: &'a mut Vec<WorkItem>,
+}
+
+/// The sinks' lengths before a publication point wrote to them, so
+/// `settle` can memoise exactly what that point appended. Freshness is
+/// absent on purpose: it is live per round, never memoised.
+#[derive(Default)]
+pub(crate) struct Marks {
+    pub(crate) cas: usize,
+    pub(crate) diagnostics: usize,
+    pub(crate) accepted_roas: usize,
+    pub(crate) vrps: usize,
+    pub(crate) vrp_records: usize,
+    pub(crate) revocations: usize,
+    pub(crate) rejected_cas: usize,
+    pub(crate) queue: usize,
+}
+
+impl Sinks<'_> {
+    pub(crate) fn marks(&self) -> Marks {
+        Marks {
+            cas: self.run.cas.len(),
+            diagnostics: self.run.diagnostics.len(),
+            accepted_roas: self.run.accepted_roas.len(),
+            vrps: self.run.vrps.len(),
+            vrp_records: self.run.vrp_records.len(),
+            revocations: self.run.revocations.len(),
+            rejected_cas: self.run.rejected_cas.len(),
+            queue: self.queue.len(),
+        }
+    }
+}
+
+/// A publication point `admit` could not resolve on its own: the
+/// directory is fetched, the CPU work is still to do.
+pub(crate) struct Job {
+    pub(crate) item: WorkItem,
+    pub(crate) outcome: SyncOutcome,
+    /// Present when the result is to be memoised (a cache miss of an
+    /// incremental walk).
+    pub(crate) memo: Option<Memo>,
+}
+
 impl Validator {
     /// A validator with the given configuration.
     pub fn new(config: ValidationConfig) -> Self {
@@ -393,34 +458,42 @@ impl Validator {
 
     /// Runs validation from `tals` over `source`.
     pub fn run(&self, source: &mut dyn ObjectSource, tals: &[TrustAnchorLocator]) -> ValidationRun {
+        self.run_sequential(source, tals, None)
+    }
+
+    /// The depth-first driver behind [`Validator::run`] and
+    /// [`Validator::run_incremental`]: a LIFO queue, each publication
+    /// point taken through `admit` → `process` → `settle` with the run
+    /// and the queue themselves as the sinks, so a replayed point costs
+    /// no intermediate buffer.
+    pub(crate) fn run_sequential(
+        &self,
+        source: &mut dyn ObjectSource,
+        tals: &[TrustAnchorLocator],
+        mut state: Option<&mut ValidationState>,
+    ) -> ValidationRun {
         let mut run = ValidationRun::default();
         let mut queue: Vec<WorkItem> = Vec::new();
+        if let Some(state) = state.as_deref_mut() {
+            state.open();
+        }
+        self.seed(source, tals, &mut Sinks { run: &mut run, queue: &mut queue });
 
-        for tal in tals {
-            match self.fetch_ta(source, tal) {
-                Some(cert) => {
-                    let effective = cert.data().resources.clone();
-                    queue.push(WorkItem {
-                        cert,
-                        effective,
-                        depth: 0,
-                        ancestors: BTreeSet::new(),
-                        digest: None,
-                    })
-                }
-                None => run.diagnostics.push(Diagnostic {
-                    ca: "(trust anchor)".to_owned(),
-                    dir: tal.uri.to_string(),
-                    issue: Issue::TalRejected,
-                }),
+        while let Some(item) = queue.pop() {
+            let mut out = Sinks { run: &mut run, queue: &mut queue };
+            let Some(job) = self.admit(source, item, state.as_deref_mut(), &mut out) else {
+                continue;
+            };
+            let marks = out.marks();
+            if let (Some(memo), Some(state)) = (self.process(job, &mut out), state.as_deref_mut()) {
+                self.settle(state, memo, &out, marks);
             }
         }
 
-        while let Some(item) = queue.pop() {
-            self.process_ca(source, item, &mut run, &mut queue, None);
-        }
-
         self.finish(&mut run);
+        if let Some(state) = state {
+            state.close(&run);
+        }
         run
     }
 
@@ -461,7 +534,36 @@ impl Validator {
         }
     }
 
-    pub(crate) fn fetch_ta(
+    /// Stage 1 of the walk: fetches every trust anchor, queueing the
+    /// accepted ones in TAL order and diagnosing the rest.
+    pub(crate) fn seed(
+        &self,
+        source: &mut dyn ObjectSource,
+        tals: &[TrustAnchorLocator],
+        out: &mut Sinks<'_>,
+    ) {
+        for tal in tals {
+            match self.fetch_ta(source, tal) {
+                Some(cert) => {
+                    let effective = cert.data().resources.clone();
+                    out.queue.push(WorkItem {
+                        cert,
+                        effective,
+                        depth: 0,
+                        ancestors: BTreeSet::new(),
+                        digest: None,
+                    })
+                }
+                None => out.run.diagnostics.push(Diagnostic {
+                    ca: "(trust anchor)".to_owned(),
+                    dir: tal.uri.to_string(),
+                    issue: Issue::TalRejected,
+                }),
+            }
+        }
+    }
+
+    fn fetch_ta(
         &self,
         source: &mut dyn ObjectSource,
         tal: &TrustAnchorLocator,
@@ -494,42 +596,23 @@ impl Validator {
         }
     }
 
-    pub(crate) fn process_ca(
-        &self,
-        source: &mut dyn ObjectSource,
-        item: WorkItem,
-        run: &mut ValidationRun,
-        queue: &mut Vec<WorkItem>,
-        obs: Option<&mut ProcessObservations>,
-    ) {
-        run.cas.push(Self::validated_ca(&item));
-
-        if item.depth >= self.config.max_depth {
-            let dir = item.cert.data().sia.clone();
-            run.diagnostics.push(Diagnostic {
-                ca: item.cert.data().subject.clone(),
-                dir: dir.to_string(),
-                issue: Issue::DepthExceeded,
-            });
-            run.rejected_cas.push(RejectedCa {
-                ca: item.cert.data().subject.clone(),
-                dir: dir.to_string(),
-                resources: item.effective.clone(),
-            });
-            return;
-        }
-
-        let outcome: SyncOutcome = source.load_dir(&item.cert.data().sia.clone());
-        self.process_pubpoint(item, outcome, run, queue, obs);
+    /// Stage 3 of the walk, pure CPU: appends one fetched publication
+    /// point's [`ValidatedCa`] entry and everything its directory
+    /// yields to `out`. A job that carries a [`Memo`] gets it back
+    /// holding the facts the cache needs to judge how long the result
+    /// stays valid.
+    pub(crate) fn process(&self, job: Job, out: &mut Sinks<'_>) -> Option<Memo> {
+        let Job { item, outcome, mut memo } = job;
+        out.run.cas.push(Self::validated_ca(&item));
+        let obs = memo.as_mut().map(|m| &mut m.obs);
+        self.process_pubpoint(item, outcome, out.run, out.queue, obs);
+        memo
     }
 
     /// Processes one publication point against an already fetched sync
-    /// outcome. The caller has pushed the [`ValidatedCa`] entry and
-    /// handled the depth guard; everything else — freshness, manifest,
-    /// CRL, objects — happens here. `obs`, when present, collects the
-    /// facts the incremental cache needs to judge how long the result
-    /// stays valid.
-    pub(crate) fn process_pubpoint(
+    /// outcome: freshness, manifest, CRL, objects. `obs`, when present,
+    /// collects what the result depends on beyond the bytes.
+    fn process_pubpoint(
         &self,
         item: WorkItem,
         outcome: SyncOutcome,
@@ -548,18 +631,9 @@ impl Validator {
             run.diagnostics.push(Diagnostic { ca: handle.clone(), dir: dir_s.clone(), issue });
         };
 
-        let reject_ca = |run: &mut ValidationRun, resources: &ResourceSet| {
-            run.rejected_cas.push(RejectedCa {
-                ca: handle.clone(),
-                dir: dir_s.clone(),
-                resources: resources.clone(),
-            });
-        };
-
         run.freshness.push((dir_s.clone(), outcome.freshness));
         if !outcome.listed {
-            diag(run, Issue::UnreachableRepo);
-            reject_ca(run, &resources);
+            run.reject_point(&item, Issue::UnreachableRepo);
             return;
         }
         for name in &outcome.missing {
@@ -641,8 +715,7 @@ impl Validator {
         };
 
         if !complete && self.config.incomplete == IncompletePolicy::RejectPublicationPoint {
-            diag(run, Issue::RejectedPublicationPoint);
-            reject_ca(run, &resources);
+            run.reject_point(&item, Issue::RejectedPublicationPoint);
             return;
         }
 

@@ -182,12 +182,18 @@ proptest! {
 }
 
 /// The assignment seed changes the schedule, never the output; and a
-/// degenerate zero-shard plan clamps to one shard.
+/// degenerate zero-shard plan clamps to one shard, whether it came
+/// through the constructor or as a literal.
 #[test]
 fn seed_and_degenerate_plans_do_not_change_output() {
     let mut w = SyntheticRpki::build_seeded(3, 2, 4, 2);
     let seq = w.validate_cold(Moment(5));
-    for plan in [ShardPlan::new(0), ShardPlan::seeded(4, 1), ShardPlan::seeded(4, u64::MAX)] {
+    for plan in [
+        ShardPlan::new(0),
+        ShardPlan { shards: 0, seed: 7 },
+        ShardPlan::seeded(4, 1),
+        ShardPlan::seeded(4, u64::MAX),
+    ] {
         let (run, stats) = w.validate_cold_sharded(Moment(5), plan);
         assert_eq!(run, seq, "{plan:?}");
         assert_eq!(run_jsonl(&run), run_jsonl(&seq), "{plan:?}");
