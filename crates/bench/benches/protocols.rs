@@ -1,11 +1,12 @@
-//! Criterion benches: the distribution protocols — incremental rsync
-//! sessions and RTR delta computation/replay.
+//! Criterion benches: the distribution protocols — RRDP polling (the
+//! incremental transport relying parties poll with) and RTR delta
+//! computation/replay.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ipres::{Addr, Asn, Prefix};
 use netsim::Network;
 use rpki_objects::RepoUri;
-use rpki_repo::{sync_dir_incremental, RepoRegistry, SyncCache};
+use rpki_repo::{rrdp_sync_dir, RepoRegistry, RrdpClientState, RrdpSyncKind};
 use rpki_rp::{ClientAction, RtrClient, RtrServer, Vrp, VrpUpdate};
 
 fn vrps(n: u32) -> Vec<Vrp> {
@@ -86,18 +87,20 @@ fn bench_incremental_sync(c: &mut Criterion) {
             );
         }
         group.bench_with_input(BenchmarkId::new("warm_noop", files), &files, |b, _| {
-            let mut cache = SyncCache::new();
-            sync_dir_incremental(&mut net, &repos, client, &dir, &mut cache);
+            let mut state = RrdpClientState::new();
+            rrdp_sync_dir(&mut net, &repos, client, &dir, &mut state, None).expect("clean wire");
             b.iter(|| {
-                let (out, stats) = sync_dir_incremental(&mut net, &repos, client, &dir, &mut cache);
-                assert_eq!(stats.fetched, 0);
+                let (out, kind) = rrdp_sync_dir(&mut net, &repos, client, &dir, &mut state, None)
+                    .expect("clean wire");
+                assert_eq!(kind, RrdpSyncKind::Unchanged);
                 black_box(out.files.len())
             })
         });
         group.bench_with_input(BenchmarkId::new("cold_full", files), &files, |b, _| {
             b.iter(|| {
-                let mut cache = SyncCache::new();
-                let (out, _) = sync_dir_incremental(&mut net, &repos, client, &dir, &mut cache);
+                let mut state = RrdpClientState::new();
+                let (out, _) = rrdp_sync_dir(&mut net, &repos, client, &dir, &mut state, None)
+                    .expect("clean wire");
                 black_box(out.files.len())
             })
         });

@@ -1,11 +1,16 @@
-//! The synchronous sync driver.
+//! The fetch session and the rsync-like sync built on it.
 //!
-//! [`sync_dir`] performs one rsync-like session: list a directory, fetch
-//! every file, and report exactly what arrived — intact bytes, corrupted
-//! bytes, or nothing. It pumps the `netsim` event loop itself, answering
-//! requests that land on repository nodes, so callers stay simple.
-//! Every fetched file is verified against the listing's digest, so
-//! corrupted-but-parseable frames are classified, not silently accepted.
+//! `Session` is the one driver every fetch in this crate pumps the
+//! `netsim` event loop through — rsync and RRDP alike: it sends the
+//! requests, answers what lands on repository nodes, and decides when
+//! the fetch is over (every exchange resolved, or the deadline fired).
+//!
+//! [`sync_dir`] performs one rsync-like session on it: list a
+//! directory, fetch every file, and report exactly what arrived —
+//! intact bytes, corrupted bytes, or nothing. Every fetched file is
+//! verified against the listing's digest, so corrupted-but-parseable
+//! frames are classified, not silently accepted. [`probe_dir`] is the
+//! one-exchange session that asks only for the directory's digest.
 //!
 //! The outcome is deliberately *not* an `Err` when files are missing:
 //! per the paper, partial data is the dangerous case (Side Effect 6),
@@ -84,47 +89,37 @@ impl RepoRegistry {
     pub fn iter(&self) -> impl Iterator<Item = &Repository> {
         self.by_node.values()
     }
+}
 
-    /// Answers one decoded request against the stored data.
-    fn answer(&self, node: NodeId, req: &RsyncRequest) -> RsyncResponse {
-        let Some(repo) = self.by_node.get(&node) else {
-            // A request landed on a non-repository node; treat as empty.
-            return match req {
-                RsyncRequest::List { dir } | RsyncRequest::Digest { dir } => {
-                    RsyncResponse::NotFound { dir: dir.clone(), name: None }
-                }
-                RsyncRequest::Get { dir, name } => {
-                    RsyncResponse::NotFound { dir: dir.clone(), name: Some(name.clone()) }
-                }
-            };
-        };
-        let resp = match req {
-            RsyncRequest::List { dir } => {
-                let entries = repo.list(dir);
-                if entries.is_empty() {
-                    RsyncResponse::NotFound { dir: dir.clone(), name: None }
-                } else {
-                    RsyncResponse::Listing { dir: dir.clone(), entries }
-                }
+/// Serves one frame of the rsync-like protocol from `repo`'s stored
+/// data and books the reply into its served-load ledger. `None` for a
+/// frame that is not a request of this protocol.
+fn serve_rsync(repo: &Repository, frame: &[u8]) -> Option<Vec<u8>> {
+    let req = RsyncRequest::from_bytes(frame).ok()?;
+    let resp = match &req {
+        RsyncRequest::List { dir } => {
+            let entries = repo.list(dir);
+            if entries.is_empty() {
+                RsyncResponse::NotFound { dir: dir.clone(), name: None }
+            } else {
+                RsyncResponse::Listing { dir: dir.clone(), entries }
             }
-            RsyncRequest::Get { dir, name } => match repo.fetch(dir, name) {
-                Some(bytes) => RsyncResponse::File {
-                    dir: dir.clone(),
-                    name: name.clone(),
-                    bytes: bytes.to_vec(),
-                },
-                None => RsyncResponse::NotFound { dir: dir.clone(), name: Some(name.clone()) },
-            },
-            RsyncRequest::Digest { dir } => {
-                RsyncResponse::DirDigest { dir: dir.clone(), digest: repo.content_digest(dir) }
+        }
+        RsyncRequest::Get { dir, name } => match repo.fetch(dir, name) {
+            Some(bytes) => {
+                RsyncResponse::File { dir: dir.clone(), name: name.clone(), bytes: bytes.to_vec() }
             }
-        };
-        let (RsyncRequest::List { dir }
-        | RsyncRequest::Get { dir, .. }
-        | RsyncRequest::Digest { dir }) = req;
-        repo.note_served(dir, resp.to_bytes().len());
-        resp
-    }
+            None => RsyncResponse::NotFound { dir: dir.clone(), name: Some(name.clone()) },
+        },
+        RsyncRequest::Digest { dir } => {
+            RsyncResponse::DirDigest { dir: dir.clone(), digest: repo.content_digest(dir) }
+        }
+    };
+    let (RsyncRequest::List { dir } | RsyncRequest::Get { dir, .. } | RsyncRequest::Digest { dir }) =
+        &req;
+    let reply = resp.to_bytes();
+    repo.note_served(dir, reply.len());
+    Some(reply)
 }
 
 /// How fresh the data backing a [`SyncOutcome`] is.
@@ -273,6 +268,103 @@ pub(crate) fn dir_content_digest(
     sha256(&buf)
 }
 
+/// One fetch session between a relying party and a repository: the one
+/// place that decides when a fetch is over.
+///
+/// The session owns termination and the deadline. It counts the
+/// request/response exchanges in flight and ends when every one is
+/// resolved — its reply reached the client (parseable or not), either
+/// direction's frame was dropped, or the request reached the server
+/// unparseable, so that no reply will come — without draining events
+/// that belong to anyone else. With a `deadline`, a timer on the client
+/// tears the session down when it fires, and frames still on the wire
+/// between the pair are flushed so they cannot leak into the next
+/// session; a session that ends first cancels its timer.
+pub(crate) struct Session<'a> {
+    pub(crate) net: &'a mut Network,
+    pub(crate) repos: &'a RepoRegistry,
+    pub(crate) client: NodeId,
+    pub(crate) server: NodeId,
+    /// Seconds until teardown; `None` waits for every exchange (a
+    /// Stalloris-style slow serve then holds the caller that long).
+    pub(crate) deadline: Option<u64>,
+    /// The deadline timer's token. It shows in traces, and two
+    /// protocols' timers must not cancel each other.
+    pub(crate) token: u64,
+}
+
+impl Session<'_> {
+    /// Runs the session. A protocol contributes its frames — the
+    /// `opening` requests here, follow-ups from its handler — plus:
+    ///
+    /// - `serve`, which answers one frame that reached a repository, or
+    ///   returns `None` when it is not a request of this protocol (the
+    ///   server stays silent). Every repository node is served, after
+    ///   its serve delay, so worlds with several repositories and
+    ///   clients work; frames to other nodes fall on the floor.
+    /// - `on_reply`, which is handed every reply from the server that
+    ///   decodes (a torn one resolves its exchange with nothing) and
+    ///   returns how many follow-up requests it sent.
+    ///
+    /// Returns whether the deadline ended the session.
+    pub(crate) fn run<R: Decode>(
+        self,
+        serve: fn(&Repository, &[u8]) -> Option<Vec<u8>>,
+        opening: impl IntoIterator<Item = Vec<u8>>,
+        mut on_reply: impl FnMut(&mut Network, R) -> u64,
+    ) -> bool {
+        let Session { net, repos, client, server, deadline, token } = self;
+        if let Some(d) = deadline {
+            net.set_timer(client, d, token);
+        }
+        let mut outstanding: u64 = 0;
+        for request in opening {
+            outstanding += 1;
+            net.send(client, server, request);
+        }
+        let mut deadline_hit = false;
+        while outstanding > 0 {
+            let Some(occ) = net.step() else { break };
+            match occ {
+                Occurrence::Timer { node, token: fired }
+                    if deadline.is_some() && node == client && fired == token =>
+                {
+                    deadline_hit = true;
+                    net.flush_pair(client, server);
+                    break;
+                }
+                Occurrence::Timer { .. } => {}
+                Occurrence::Dropped { from, to, .. } => {
+                    if (from == client && to == server) || (from == server && to == client) {
+                        outstanding = outstanding.saturating_sub(1);
+                    }
+                }
+                Occurrence::Delivered(delivery) if delivery.to == client => {
+                    // Anyone else's frame is not part of this session.
+                    if delivery.from == server {
+                        outstanding = outstanding.saturating_sub(1);
+                        if let Ok(reply) = R::from_bytes(&delivery.payload) {
+                            outstanding += on_reply(net, reply);
+                        }
+                    }
+                }
+                Occurrence::Delivered(delivery) => {
+                    let Some(repo) = repos.get(delivery.to) else { continue };
+                    if let Some(reply) = serve(repo, &delivery.payload) {
+                        net.send_after(delivery.to, delivery.from, reply, repo.serve_delay());
+                    } else if delivery.from == client && delivery.to == server {
+                        outstanding = outstanding.saturating_sub(1);
+                    }
+                }
+            }
+        }
+        if deadline.is_some() && !deadline_hit {
+            net.cancel_timer(client, token);
+        }
+        deadline_hit
+    }
+}
+
 /// The result of a digest-only probe of one directory: the canonical
 /// content digest the directory would have after a complete sync,
 /// obtained without transferring the listing or any file.
@@ -321,64 +413,21 @@ pub fn probe_dir(
     let Some(server) = repos.node_of(dir.host()) else {
         return probe;
     };
-    let mut outstanding: u64 = 1;
-    let mut deadline_hit = false;
-    if let Some(d) = deadline {
-        net.set_timer(client, d, DEADLINE_TOKEN);
-    }
-    net.send(client, server, RsyncRequest::Digest { dir: dir.clone() }.to_bytes());
-    while outstanding > 0 {
-        let Some(occ) = net.step() else { break };
-        match occ {
-            Occurrence::Timer { node, token }
-                if deadline.is_some() && node == client && token == DEADLINE_TOKEN =>
-            {
-                deadline_hit = true;
-                net.flush_pair(client, server);
-                break;
-            }
-            Occurrence::Timer { .. } => continue,
-            Occurrence::Dropped { from, to, .. } => {
-                if (from == client && to == server) || (from == server && to == client) {
-                    outstanding = outstanding.saturating_sub(1);
+    Session { net, repos, client, server, deadline, token: DEADLINE_TOKEN }.run(
+        serve_rsync,
+        [RsyncRequest::Digest { dir: dir.clone() }.to_bytes()],
+        |_, reply| {
+            match reply {
+                RsyncResponse::DirDigest { digest, .. } => {
+                    probe.listed = true;
+                    probe.digest = Some(digest);
                 }
+                RsyncResponse::NotFound { name: None, .. } => probe.listed = true,
+                _ => {}
             }
-            Occurrence::Delivered(delivery) => {
-                if delivery.to == client {
-                    if delivery.from != server {
-                        continue;
-                    }
-                    outstanding = outstanding.saturating_sub(1);
-                    let Ok(resp) = RsyncResponse::from_bytes(&delivery.payload) else {
-                        continue;
-                    };
-                    match resp {
-                        RsyncResponse::DirDigest { digest, .. } => {
-                            probe.listed = true;
-                            probe.digest = Some(digest);
-                        }
-                        RsyncResponse::NotFound { name, .. } => {
-                            if name.is_none() {
-                                probe.listed = true;
-                            }
-                        }
-                        RsyncResponse::Listing { .. } | RsyncResponse::File { .. } => {}
-                    }
-                } else if let Some(repo) = repos.get(delivery.to) {
-                    let hold = repo.serve_delay();
-                    if let Ok(req) = RsyncRequest::from_bytes(&delivery.payload) {
-                        let resp = repos.answer(delivery.to, &req);
-                        net.send_after(delivery.to, delivery.from, resp.to_bytes(), hold);
-                    } else if delivery.from == client && delivery.to == server {
-                        outstanding = outstanding.saturating_sub(1);
-                    }
-                }
-            }
-        }
-    }
-    if deadline.is_some() && !deadline_hit {
-        net.cancel_timer(client, DEADLINE_TOKEN);
-    }
+            0
+        },
+    );
     if rec.is_enabled() {
         rec.count("repo.probes", 1);
         rec.event(net.now(), "repo", "probe")
@@ -399,7 +448,8 @@ pub struct SyncPolicy {
     /// Maximum sessions per directory (≥ 1; 0 is treated as 1).
     pub attempts: u32,
     /// Base backoff before the second attempt; doubles per retry
-    /// (`backoff << (attempt - 1)`). Zero retries immediately.
+    /// (`backoff * 2^(attempt - 1)`, saturating; a retry due after the
+    /// end of the simulated clock is not made). Zero retries immediately.
     pub backoff: u64,
     /// Per-attempt deadline. A session still incomplete when the timer
     /// fires is torn down ([`Network::flush_pair`]); `None` waits
@@ -475,17 +525,11 @@ impl SyncReport {
     }
 }
 
-/// One session's result plus whether the deadline killed it.
-struct SessionResult {
-    outcome: SyncOutcome,
-    deadline_hit: bool,
-}
-
-/// Runs exactly one list/fetch session against `server`, accounting
-/// for every outstanding exchange so it terminates without draining
-/// unrelated events. `have` supplies already-verified bytes from prior
-/// attempts: files whose listing digest matches are reused without a
-/// GET (rsync-style delta across retries).
+/// Runs exactly one list/fetch [`Session`] against `server`: a LIST,
+/// then one GET per listed file. `have` supplies already-verified bytes
+/// from prior attempts: files whose listing digest matches are reused
+/// without a GET (rsync-style delta across retries). Returns the outcome
+/// and whether the deadline killed the session.
 fn run_session(
     net: &mut Network,
     repos: &RepoRegistry,
@@ -494,123 +538,67 @@ fn run_session(
     dir: &RepoUri,
     deadline: Option<u64>,
     have: &BTreeMap<String, Vec<u8>>,
-) -> SessionResult {
+) -> (SyncOutcome, bool) {
     let rec = net.recorder();
     let mut outcome = SyncOutcome::unreachable(dir.clone());
     // Digests promised by the listing; the ground truth for
     // verification and for the missing/corrupted diff.
     let mut digests: BTreeMap<String, Digest> = BTreeMap::new();
-    // Request/response exchanges in flight. The session ends when every
-    // exchange is resolved: a response (parseable or not) arrived, or
-    // either direction's frame was dropped.
-    let mut outstanding: u64 = 1; // the LIST
-    let mut deadline_hit = false;
-
-    if let Some(d) = deadline {
-        net.set_timer(client, d, DEADLINE_TOKEN);
-    }
-    net.send(client, server, RsyncRequest::List { dir: dir.clone() }.to_bytes());
-
-    while outstanding > 0 {
-        let Some(occ) = net.step() else { break };
-        match occ {
-            Occurrence::Timer { node, token }
-                if deadline.is_some() && node == client && token == DEADLINE_TOKEN =>
-            {
-                // Deadline: tear the session down. Frames still on the
-                // wire are flushed so they cannot leak into the next
-                // attempt.
-                deadline_hit = true;
-                net.flush_pair(client, server);
-                break;
-            }
-            Occurrence::Timer { .. } => continue,
-            Occurrence::Dropped { from, to, .. } => {
-                if (from == client && to == server) || (from == server && to == client) {
-                    outstanding = outstanding.saturating_sub(1);
-                }
-            }
-            Occurrence::Delivered(delivery) => {
-                if delivery.to == client {
-                    if delivery.from != server {
-                        continue; // not part of this session
-                    }
-                    outstanding = outstanding.saturating_sub(1);
-                    let Ok(resp) = RsyncResponse::from_bytes(&delivery.payload) else {
-                        // Frame corrupted beyond parsing: a torn
-                        // exchange. Which file it carried is unknown;
-                        // the listing diff reports it missing.
-                        continue;
-                    };
-                    match resp {
-                        RsyncResponse::Listing { entries, .. } => {
-                            outcome.listed = true;
-                            for (name, digest) in entries {
-                                let reusable =
-                                    have.get(&name).is_some_and(|bytes| sha256(bytes) == digest);
-                                digests.insert(name.clone(), digest);
-                                if reusable {
-                                    outcome.files.insert(name.clone(), have[&name].clone());
-                                } else {
-                                    outstanding += 1;
-                                    net.send(
-                                        client,
-                                        server,
-                                        RsyncRequest::Get { dir: dir.clone(), name }.to_bytes(),
-                                    );
-                                }
-                            }
+    // Which file a torn reply carried is unknown; the listing diff
+    // reports it missing.
+    let deadline_hit = Session { net, repos, client, server, deadline, token: DEADLINE_TOKEN }.run(
+        serve_rsync,
+        [RsyncRequest::List { dir: dir.clone() }.to_bytes()],
+        |net, reply| {
+            let mut gets = 0;
+            match reply {
+                RsyncResponse::Listing { entries, .. } => {
+                    outcome.listed = true;
+                    for (name, digest) in entries {
+                        let reusable = have.get(&name).is_some_and(|bytes| sha256(bytes) == digest);
+                        digests.insert(name.clone(), digest);
+                        if reusable {
+                            outcome.files.insert(name.clone(), have[&name].clone());
+                        } else {
+                            gets += 1;
+                            net.send(
+                                client,
+                                server,
+                                RsyncRequest::Get { dir: dir.clone(), name }.to_bytes(),
+                            );
                         }
-                        RsyncResponse::File { name, bytes, .. } => {
-                            match digests.get(&name) {
-                                Some(digest) if sha256(&bytes) == *digest => {
-                                    outcome.files.insert(name, bytes);
-                                }
-                                Some(_) => {
-                                    if rec.is_enabled() {
-                                        rec.count("repo.digest_failures", 1);
-                                        rec.event(net.now(), "repo", "digest_fail")
-                                            .str("host", dir.host())
-                                            .str("file", &name)
-                                            .emit();
-                                    }
-                                    outcome.corrupted.push(name);
-                                }
-                                // A file the listing never promised:
-                                // ignore (unsolicited).
-                                None => {}
-                            }
-                        }
-                        RsyncResponse::NotFound { name, .. } => {
-                            if name.is_none() {
-                                // Directory absent: an empty (but
-                                // reachable) publication point.
-                                outcome.listed = true;
-                            }
-                        }
-                        // Digest probes happen in their own sessions;
-                        // a stray one here is unsolicited.
-                        RsyncResponse::DirDigest { .. } => {}
-                    }
-                } else if let Some(repo) = repos.get(delivery.to) {
-                    // A request frame for a repository.
-                    let hold = repo.serve_delay();
-                    if let Ok(req) = RsyncRequest::from_bytes(&delivery.payload) {
-                        let resp = repos.answer(delivery.to, &req);
-                        net.send_after(delivery.to, delivery.from, resp.to_bytes(), hold);
-                    } else if delivery.from == client && delivery.to == server {
-                        // Our request arrived unparseable: the server
-                        // stays silent, so the exchange is dead.
-                        outstanding = outstanding.saturating_sub(1);
                     }
                 }
+                RsyncResponse::File { name, bytes, .. } => match digests.get(&name) {
+                    Some(digest) if sha256(&bytes) == *digest => {
+                        outcome.files.insert(name, bytes);
+                    }
+                    Some(_) => {
+                        if rec.is_enabled() {
+                            rec.count("repo.digest_failures", 1);
+                            rec.event(net.now(), "repo", "digest_fail")
+                                .str("host", dir.host())
+                                .str("file", &name)
+                                .emit();
+                        }
+                        outcome.corrupted.push(name);
+                    }
+                    // A file the listing never promised: ignore
+                    // (unsolicited).
+                    None => {}
+                },
+                // Directory absent: an empty (but reachable)
+                // publication point.
+                RsyncResponse::NotFound { name: None, .. } => outcome.listed = true,
+                // A GET that found nothing leaves its file missing;
+                // digest probes happen in their own sessions, so a
+                // stray one here is unsolicited.
+                RsyncResponse::NotFound { .. } | RsyncResponse::DirDigest { .. } => {}
             }
-        }
-    }
+            gets
+        },
+    );
 
-    if deadline.is_some() && !deadline_hit {
-        net.cancel_timer(client, DEADLINE_TOKEN);
-    }
     outcome.missing = digests
         .keys()
         .filter(|n| !outcome.files.contains_key(*n) && !outcome.corrupted.contains(n))
@@ -628,17 +616,13 @@ fn run_session(
         corrupted.sort_unstable();
         outcome.content = Some(dir_content_digest(&entries, &missing, &corrupted));
     }
-    SessionResult { outcome, deadline_hit }
+    (outcome, deadline_hit)
 }
 
 /// Runs one sync session of `dir` from the relying party's node
-/// `client` against the world's repositories.
-///
-/// Any message addressed to a repository node is answered from the
-/// registry (so concurrent scenarios with multiple repositories work),
-/// and messages to other nodes are dropped on the floor (no one is
-/// listening). Fetched bytes are verified against the listing's
-/// digests; mismatches land in [`SyncOutcome::corrupted`].
+/// `client` against the world's repositories. Fetched bytes are
+/// verified against the listing's digests; mismatches land in
+/// [`SyncOutcome::corrupted`].
 pub fn sync_dir(
     net: &mut Network,
     repos: &RepoRegistry,
@@ -649,7 +633,7 @@ pub fn sync_dir(
         // Host not in this world at all: like DNS failure.
         return SyncOutcome::unreachable(dir.clone());
     };
-    run_session(net, repos, client, server, dir, None, &BTreeMap::new()).outcome
+    run_session(net, repos, client, server, dir, None, &BTreeMap::new()).0
 }
 
 /// Runs up to `policy.attempts` sessions of `dir`, with deterministic
@@ -676,7 +660,7 @@ pub fn sync_dir_with_policy(
     let mut best: Option<SyncOutcome> = None;
     for attempt in 1..=attempts {
         let started_at = net.now();
-        let SessionResult { outcome, deadline_hit } =
+        let (outcome, deadline_hit) =
             run_session(net, repos, client, server, dir, policy.deadline, &have);
         if rec.is_enabled() {
             rec.count("repo.attempts", 1);
@@ -711,7 +695,10 @@ pub fn sync_dir_with_policy(
             break;
         }
         if attempt < attempts && policy.backoff > 0 {
-            let delay = policy.backoff << (attempt - 1);
+            let delay = policy.backoff.saturating_mul(2u64.saturating_pow(attempt - 1));
+            if net.now().checked_add(delay).is_none() {
+                break; // due after the end of the simulated clock: never
+            }
             if rec.is_enabled() {
                 rec.count("repo.backoffs", 1);
                 rec.event(net.now(), "repo", "backoff")
@@ -747,6 +734,7 @@ pub fn sync_dir_with_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rrdp::{rrdp_sync_dir, RrdpClientState, RrdpError, RrdpResponse};
     use netsim::Network;
 
     fn world() -> (Network, RepoRegistry, NodeId, NodeId, RepoUri) {
@@ -797,16 +785,6 @@ mod tests {
     fn partition_makes_repo_unreachable() {
         let (mut net, repos, client, server, dir) = world();
         net.faults.partition(client, server);
-        let out = sync_dir(&mut net, &repos, client, &dir);
-        assert!(!out.listed);
-        assert!(out.files.is_empty());
-    }
-
-    #[test]
-    fn dropped_listing_means_unreachable() {
-        let (mut net, repos, client, server, dir) = world();
-        // Server→client frame #1 is the listing.
-        net.faults.drop_nth(server, client, 1);
         let out = sync_dir(&mut net, &repos, client, &dir);
         assert!(!out.listed);
         assert!(out.files.is_empty());
@@ -864,14 +842,6 @@ mod tests {
         assert!(out.listed);
         assert_eq!(out.missing, vec!["a.roa".to_owned()]);
         assert!(out.corrupted.is_empty());
-    }
-
-    #[test]
-    fn corrupted_listing_means_unreachable() {
-        let (mut net, repos, client, server, dir) = world();
-        net.faults.corrupt_nth(server, client, 1);
-        let out = sync_dir(&mut net, &repos, client, &dir);
-        assert!(!out.listed);
     }
 
     #[test]
@@ -953,22 +923,22 @@ mod tests {
         let gap2 = report.attempts[2].started_at - report.attempts[1].finished_at;
         assert_eq!(gap1, 30);
         assert_eq!(gap2, 60);
-    }
 
-    #[test]
-    fn deadline_aborts_stalled_session() {
+        // A `u32` of attempts outlasts a `u64` of seconds. The delay
+        // keeps doubling — it neither shifts its high bits away nor,
+        // from attempt 65, panics on the shift — until a retry would be
+        // due after the end of the clock; that one never happens, and
+        // the clock is left usable.
         let (mut net, repos, client, server, dir) = world();
-        // A Stalloris-style slow serve: responses held for an hour.
-        net.faults.set_stall(server, client, 3600);
-        let policy = SyncPolicy { attempts: 1, backoff: 0, deadline: Some(300) };
-        let start = net.now();
-        let (out, report) = sync_dir_with_policy(&mut net, &repos, client, &dir, &policy);
-        assert!(!out.listed);
-        assert!(report.attempts[0].deadline_hit);
-        // The client walked away at the deadline, not after the stall.
-        assert_eq!(net.now() - start, 300);
-        // The torn session's in-flight frames were flushed.
-        assert!(net.is_idle());
+        net.faults.partition(client, server);
+        let policy = SyncPolicy { attempts: 66, backoff: 1, deadline: Some(300) };
+        let (_, report) = sync_dir_with_policy(&mut net, &repos, client, &dir, &policy);
+        assert_eq!(report.attempts.len(), 64);
+        for (k, pair) in report.attempts.windows(2).enumerate() {
+            assert_eq!(pair[1].started_at - pair[0].finished_at, 1 << k, "gap {k}");
+        }
+        net.faults.heal(client, server);
+        assert!(sync_dir(&mut net, &repos, client, &dir).is_complete());
     }
 
     #[test]
@@ -1080,17 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_honours_deadline() {
-        let (mut net, repos, client, server, dir) = world();
-        net.faults.set_stall(server, client, 3600);
-        let start = net.now();
-        let probe = probe_dir(&mut net, &repos, client, &dir, Some(300));
-        assert!(!probe.listed);
-        assert_eq!(net.now() - start, 300);
-        assert!(net.is_idle());
-    }
-
-    #[test]
     fn probabilistic_loss_rate_is_seeded_for_sync() {
         let run = |seed: u64| {
             let mut net = Network::new(seed);
@@ -1106,5 +1065,157 @@ mod tests {
             (out.listed, out.missing)
         };
         assert_eq!(run(3), run(3));
+    }
+
+    /// One protocol's session as the accounting table sees it: whether
+    /// the opening exchange was answered, and whether the API reported
+    /// the deadline firing (the probe and the RRDP sync do not say).
+    type Protocol =
+        fn(&mut Network, &RepoRegistry, NodeId, &RepoUri, Option<u64>) -> (bool, Option<bool>);
+
+    const PROTOCOLS: [(&str, Protocol); 3] = [
+        ("probe_dir", |net, repos, client, dir, deadline| {
+            (probe_dir(net, repos, client, dir, deadline).listed, None)
+        }),
+        ("sync_dir", |net, repos, client, dir, deadline| {
+            // One attempt and no backoff: `sync_dir`, plus a deadline.
+            let policy = SyncPolicy { attempts: 1, backoff: 0, deadline };
+            let (out, report) = sync_dir_with_policy(net, repos, client, dir, &policy);
+            (out.listed, Some(report.attempts[0].deadline_hit))
+        }),
+        ("rrdp_sync_dir", |net, repos, client, dir, deadline| {
+            let mut state = RrdpClientState::new();
+            let out = rrdp_sync_dir(net, repos, client, dir, &mut state, deadline);
+            (!matches!(out, Err(RrdpError::Unreachable)), None)
+        }),
+    ];
+
+    /// One way an exchange resolves, arranged before the session starts.
+    struct Row {
+        name: &'static str,
+        /// `(net, client, server, stranger, dir)`.
+        fault: fn(&mut Network, NodeId, NodeId, NodeId, &RepoUri),
+        deadline: Option<u64>,
+        /// Whether the opening exchange gets its answer.
+        answered: bool,
+        /// Whether the deadline, not the accounting, ends the session.
+        deadline_hit: bool,
+    }
+
+    /// A well-formed "this directory exists" answer in each protocol,
+    /// sent to the client by a node that is not the server.
+    fn impostor(net: &mut Network, client: NodeId, stranger: NodeId, dir: &RepoUri) {
+        let (dir, digest) = (dir.clone(), sha256(b"impostor"));
+        net.send(
+            stranger,
+            client,
+            RsyncResponse::NotFound { dir: dir.clone(), name: None }.to_bytes(),
+        );
+        net.send(
+            stranger,
+            client,
+            RsyncResponse::DirDigest { dir: dir.clone(), digest }.to_bytes(),
+        );
+        net.send(stranger, client, RrdpResponse::NotFound { dir, serial: None }.to_bytes());
+    }
+
+    #[test]
+    fn every_way_an_exchange_resolves_ends_the_session_in_every_protocol() {
+        let rows = [
+            Row {
+                name: "reply delivered",
+                fault: |_, _, _, _, _| {},
+                deadline: Some(300),
+                answered: true,
+                deadline_hit: false,
+            },
+            Row {
+                name: "reply torn",
+                fault: |net, client, server, _, _| net.faults.corrupt_nth(server, client, 1),
+                deadline: Some(300),
+                answered: false,
+                deadline_hit: false,
+            },
+            Row {
+                name: "request dropped",
+                fault: |net, client, server, _, _| net.faults.drop_nth(client, server, 1),
+                deadline: Some(300),
+                answered: false,
+                deadline_hit: false,
+            },
+            Row {
+                name: "reply dropped",
+                fault: |net, client, server, _, _| net.faults.drop_nth(server, client, 1),
+                deadline: Some(300),
+                answered: false,
+                deadline_hit: false,
+            },
+            Row {
+                name: "request unparseable at the server",
+                fault: |net, client, server, _, _| net.faults.corrupt_nth(client, server, 1),
+                deadline: Some(300),
+                answered: false,
+                deadline_hit: false,
+            },
+            Row {
+                name: "a frame from a node that is not the server is no answer",
+                fault: |net, client, server, stranger, dir| {
+                    net.faults.partition(client, server);
+                    impostor(net, client, stranger, dir);
+                },
+                deadline: Some(300),
+                answered: false,
+                deadline_hit: false,
+            },
+            Row {
+                name: "a frame from a node that is not the server resolves nothing",
+                fault: |net, client, _, stranger, dir| impostor(net, client, stranger, dir),
+                deadline: Some(300),
+                answered: true,
+                deadline_hit: false,
+            },
+            Row {
+                name: "deadline with frames in flight",
+                fault: |net, client, server, _, _| net.faults.set_stall(server, client, 3600),
+                deadline: Some(300),
+                answered: false,
+                deadline_hit: true,
+            },
+            Row {
+                name: "no deadline",
+                fault: |net, client, server, _, _| net.faults.set_stall(server, client, 3600),
+                deadline: None,
+                answered: true,
+                deadline_hit: false,
+            },
+        ];
+        for row in &rows {
+            for (protocol, run) in PROTOCOLS {
+                let case = format!("{protocol}: {}", row.name);
+                let (mut net, repos, client, server, dir) = world();
+                let stranger = net.add_node("stranger");
+                let unrelated = Occurrence::Timer { node: stranger, token: 7 };
+                net.set_timer(stranger, 1_000_000, 7);
+                (row.fault)(&mut net, client, server, stranger, &dir);
+
+                // Returning at all is the termination half of the claim.
+                let start = net.now();
+                let (answered, reported) = run(&mut net, &repos, client, &dir, row.deadline);
+                assert_eq!(answered, row.answered, "{case}: answered");
+                let walked_away = row.deadline == Some(net.now() - start);
+                assert_eq!(walked_away, row.deadline_hit, "{case}: ended at the deadline");
+                assert!(reported.is_none_or(|hit| hit == row.deadline_hit), "{case}: reported");
+
+                // Nothing leaks into the next session over a healed
+                // wire, and between them the two sessions leave nothing
+                // queued — no frame, no deadline timer — but the
+                // unrelated event, which neither consumed.
+                net.faults.heal(client, server);
+                net.faults.set_stall(server, client, 0);
+                let (answered, _) = run(&mut net, &repos, client, &dir, row.deadline);
+                assert!(answered, "{case}: the next session");
+                assert_eq!(net.run_to_idle(), vec![unrelated], "{case}: left queued");
+            }
+        }
     }
 }

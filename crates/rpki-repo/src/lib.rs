@@ -16,8 +16,9 @@
 //!
 //! Module layout: [`store`] (the at-rest file store plus the RRDP
 //! publication logs maintained at write time), [`proto`] (wire messages
-//! of the rsync-like list/get protocol), [`client`] (the synchronous
-//! sync driver that pumps the event loop), [`rrdp`] (the delta-based
+//! of the rsync-like list/get protocol), [`client`] (the fetch session
+//! that pumps the event loop for both transports, and the rsync-like
+//! sync, probe and retry driver on it), [`rrdp`] (the delta-based
 //! RRDP transport: notification/snapshot/delta frames and the polling
 //! client state machine, with the rsync path as its downgrade target),
 //! [`pubd`] (the publication-server policies: snapshot compaction,
@@ -26,14 +27,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod proto;
 pub mod pubd;
 pub mod rrdp;
 pub mod store;
 
-pub use cache::{sync_dir_caching, sync_dir_incremental, IncrementalStats, SyncCache};
 pub use client::{
     probe_dir, sync_dir, sync_dir_with_policy, AttemptReport, DirProbe, FileFate, Freshness,
     RepoRegistry, SyncOutcome, SyncPolicy, SyncReport,

@@ -9,14 +9,12 @@
 //! carries a SHA-256 hash, so a client can detect tampering or a torn
 //! log and fall back to the full snapshot.
 //!
-//! The model here is sans-IO and deterministic, like the rsync driver
-//! in [`client`](crate::client):
+//! The model here is sans-IO and deterministic:
 //!
-//! - the **server side** lives in the store: every
-//!   [`Repository`](crate::Repository) mutation appends a
-//!   [`DeltaChange`] record to the
-//!   directory's publication log and refreshes the snapshot hash,
-//!   so notification/snapshot/delta documents are served from state
+//! - the **server side** lives in the store: every [`Repository`]
+//!   mutation appends a [`DeltaChange`] record to the directory's
+//!   publication log and refreshes the snapshot hash, so
+//!   notification/snapshot/delta documents are served from state
 //!   maintained at write time;
 //! - the **wire** is three request frames and four response frames in
 //!   the workspace's canonical codec, with a tag space disjoint from
@@ -26,7 +24,9 @@
 //!   verifies every document hash against the notification, applies
 //!   contiguous delta chains, falls back to the snapshot on gaps,
 //!   session resets, or hash mismatches, and reports hard failures as
-//!   [`RrdpError`] so the caller can downgrade to rsync.
+//!   [`RrdpError`] so the caller can downgrade to rsync. Each exchange
+//!   it makes is one `client::Session`, which owns termination and the
+//!   deadline.
 //!
 //! Session ids are *derived* (SHA-256 of the host, path, and reset
 //! count), never random: the fault RNG stays reserved for probabilistic
@@ -45,16 +45,17 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use netsim::{Network, NodeId, Occurrence};
+use netsim::{Network, NodeId};
 use rpki_objects::{Decode, DecodeError, Encode, Reader, RepoUri, Writer};
 use rpkisim_crypto::{sha256, Digest};
 use serde::Serialize;
 
-use crate::client::{dir_content_digest, RepoRegistry, SyncOutcome};
+use crate::client::{dir_content_digest, RepoRegistry, Session, SyncOutcome};
 use crate::pubd::{self, PubdEvent, PubdWork, SnapshotDoc};
+use crate::store::Repository;
 
 /// Timer token for per-exchange RRDP deadlines (distinct from the
-/// rsync driver's tokens so concurrent timers never collide).
+/// rsync sessions' tokens so concurrent timers never collide).
 const RRDP_DEADLINE_TOKEN: u64 = 0x5252_4450_dead_0001;
 
 // ---------------------------------------------------------------------
@@ -539,24 +540,25 @@ impl Decode for RrdpResponse {
 // Server answering
 // ---------------------------------------------------------------------
 
-/// Answers one decoded RRDP request against the stored publication
-/// logs, honouring the misbehaviour knobs (offline, withheld deltas,
-/// pinned views), and books the served wire bytes into the per-kind
-/// [`PubdServed`](crate::PubdServed) ledger.
-pub(crate) fn answer_rrdp(repos: &RepoRegistry, node: NodeId, req: &RrdpRequest) -> RrdpResponse {
-    let resp = answer_rrdp_inner(repos, node, req);
-    if let Some(repo) = repos.get(node) {
-        let (RrdpRequest::Notification { dir }
-        | RrdpRequest::Snapshot { dir, .. }
-        | RrdpRequest::Delta { dir, .. }) = req;
-        let bytes = resp.to_bytes().len();
-        repo.note_served(dir, bytes);
-        repo.note_served_rrdp(dir, &resp, bytes as u64);
-    }
-    resp
+/// Serves one RRDP frame from `repo`'s publication logs and books the
+/// served wire bytes into its load and per-kind
+/// [`PubdServed`](crate::PubdServed) ledgers. `None` for a frame that
+/// is not an RRDP request.
+fn serve_rrdp(repo: &Repository, frame: &[u8]) -> Option<Vec<u8>> {
+    let req = RrdpRequest::from_bytes(frame).ok()?;
+    let resp = answer_rrdp(repo, &req);
+    let (RrdpRequest::Notification { dir }
+    | RrdpRequest::Snapshot { dir, .. }
+    | RrdpRequest::Delta { dir, .. }) = &req;
+    let reply = resp.to_bytes();
+    repo.note_served(dir, reply.len());
+    repo.note_served_rrdp(dir, &resp, reply.len() as u64);
+    Some(reply)
 }
 
-fn answer_rrdp_inner(repos: &RepoRegistry, node: NodeId, req: &RrdpRequest) -> RrdpResponse {
+/// Answers one decoded RRDP request, honouring the misbehaviour knobs
+/// (offline, withheld deltas, pinned views).
+fn answer_rrdp(repo: &Repository, req: &RrdpRequest) -> RrdpResponse {
     let (dir, req_serial) = match req {
         RrdpRequest::Notification { dir } => (dir, None),
         RrdpRequest::Snapshot { dir, serial } | RrdpRequest::Delta { dir, serial } => {
@@ -564,7 +566,6 @@ fn answer_rrdp_inner(repos: &RepoRegistry, node: NodeId, req: &RrdpRequest) -> R
         }
     };
     let not_found = RrdpResponse::NotFound { dir: dir.clone(), serial: req_serial };
-    let Some(repo) = repos.get(node) else { return not_found };
     if repo.host() != dir.host() || repo.rrdp_offline() {
         return not_found;
     }
@@ -601,8 +602,9 @@ fn answer_rrdp_inner(repos: &RepoRegistry, node: NodeId, req: &RrdpRequest) -> R
     }
 }
 
-/// What one notification document says, as assembled by the store
-/// (from the live log or a pinned, frozen copy of it).
+/// What one notification document says: as assembled by the store
+/// (from the live log or a pinned, frozen copy of it), and as the
+/// client plans its sync from once it is off the wire.
 #[derive(Debug, Clone)]
 pub(crate) struct NotifInfo {
     pub(crate) session: u64,
@@ -851,11 +853,9 @@ impl FallbackCause {
     }
 }
 
-/// Runs one batch of RRDP request/response exchanges against `server`,
-/// pumping the event loop with the same outstanding-exchange accounting
-/// as the rsync driver: the batch ends when every request resolved
-/// (response delivered, either direction dropped, or request arrived
-/// unparseable) or the deadline tears the session down.
+/// Runs one batch of RRDP request/response exchanges against `server`
+/// as one [`Session`] and returns the parseable responses in arrival
+/// order.
 fn rrdp_exchange(
     net: &mut Network,
     repos: &RepoRegistry,
@@ -865,57 +865,14 @@ fn rrdp_exchange(
     deadline: Option<u64>,
 ) -> Vec<RrdpResponse> {
     let mut responses = Vec::new();
-    let mut outstanding = reqs.len() as u64;
-    let mut deadline_hit = false;
-    if let Some(d) = deadline {
-        net.set_timer(client, d, RRDP_DEADLINE_TOKEN);
-    }
-    for req in reqs {
-        net.send(client, server, req.to_bytes());
-    }
-    while outstanding > 0 {
-        let Some(occ) = net.step() else { break };
-        match occ {
-            Occurrence::Timer { node, token }
-                if deadline.is_some() && node == client && token == RRDP_DEADLINE_TOKEN =>
-            {
-                deadline_hit = true;
-                net.flush_pair(client, server);
-                break;
-            }
-            Occurrence::Timer { .. } => continue,
-            Occurrence::Dropped { from, to, .. } => {
-                if (from == client && to == server) || (from == server && to == client) {
-                    outstanding = outstanding.saturating_sub(1);
-                }
-            }
-            Occurrence::Delivered(delivery) => {
-                if delivery.to == client {
-                    if delivery.from != server {
-                        continue;
-                    }
-                    outstanding = outstanding.saturating_sub(1);
-                    if let Ok(resp) = RrdpResponse::from_bytes(&delivery.payload) {
-                        responses.push(resp);
-                    }
-                    // A torn frame resolves its exchange with nothing.
-                } else if let Some(repo) = repos.get(delivery.to) {
-                    let hold = repo.serve_delay();
-                    if let Ok(req) = RrdpRequest::from_bytes(&delivery.payload) {
-                        let resp = answer_rrdp(repos, delivery.to, &req);
-                        net.send_after(delivery.to, delivery.from, resp.to_bytes(), hold);
-                    } else if delivery.from == client && delivery.to == server {
-                        // Request corrupted in flight: server stays
-                        // silent, the exchange is dead.
-                        outstanding = outstanding.saturating_sub(1);
-                    }
-                }
-            }
-        }
-    }
-    if deadline.is_some() && !deadline_hit {
-        net.cancel_timer(client, RRDP_DEADLINE_TOKEN);
-    }
+    Session { net, repos, client, server, deadline, token: RRDP_DEADLINE_TOKEN }.run(
+        serve_rrdp,
+        reqs.iter().map(Encode::to_bytes),
+        |_, reply| {
+            responses.push(reply);
+            0
+        },
+    );
     responses
 }
 
@@ -948,14 +905,75 @@ pub fn rrdp_probe_dir(
     probe
 }
 
-/// What the notification said, reduced to what the sync plan needs.
-struct Notification {
+impl NotifInfo {
+    /// The advertised references of the deltas that carry serial `from`
+    /// to the head, oldest first; `None` when one of them is not
+    /// advertised. `serial` comes straight off the wire, so a corrupted
+    /// or lying notification can put the head anywhere in a `u64`: a gap
+    /// wider than the advertised history cannot be covered and is
+    /// refused before it is walked.
+    fn chain_from(&self, from: u64) -> Option<Vec<DeltaRef>> {
+        let gap = self.serial.checked_sub(from)?;
+        if gap > self.deltas.len() as u64 {
+            return None;
+        }
+        (1..=gap).map(|i| self.deltas.iter().find(|d| d.serial == from + i).copied()).collect()
+    }
+}
+
+/// Fetches the delta documents `refs` names through `exchange`, keeps
+/// those whose `(session, serial, hash)` are what the notification
+/// advertised, and applies them in serial order to `files`.
+///
+/// Fails `Withheld` or `Unreachable` when some delta never arrived
+/// intact (nothing is applied then), `Corrupt` when a withdraw names a
+/// file the map does not hold with that hash (`files` is left
+/// part-applied). What a failure means is the caller's policy.
+fn fetch_and_apply_deltas(
+    exchange: impl FnOnce(&[RrdpRequest]) -> Vec<RrdpResponse>,
+    dir: &RepoUri,
     session: u64,
-    serial: u64,
-    content: Digest,
-    snapshot_serial: u64,
-    snapshot_hash: Digest,
-    deltas: Vec<DeltaRef>,
+    refs: &[DeltaRef],
+    files: &mut BTreeMap<String, (Digest, Vec<u8>)>,
+) -> Result<(), RrdpError> {
+    if refs.is_empty() {
+        return Ok(());
+    }
+    let reqs: Vec<RrdpRequest> =
+        refs.iter().map(|d| RrdpRequest::Delta { dir: dir.clone(), serial: d.serial }).collect();
+    let mut by_serial: BTreeMap<u64, Vec<DeltaChange>> = BTreeMap::new();
+    let mut withheld = false;
+    for resp in exchange(&reqs) {
+        match resp {
+            RrdpResponse::Delta { session: s, serial, changes, .. } => {
+                let advertised = refs.iter().find(|d| d.serial == serial);
+                if s == session
+                    && advertised.is_some_and(|d| d.hash == delta_digest(s, serial, &changes))
+                {
+                    by_serial.insert(serial, changes);
+                }
+            }
+            RrdpResponse::NotFound { .. } => withheld = true,
+            _ => {}
+        }
+    }
+    if by_serial.len() != refs.len() {
+        return Err(if withheld { RrdpError::Withheld } else { RrdpError::Unreachable });
+    }
+    for change in by_serial.into_values().flatten() {
+        match change {
+            DeltaChange::Publish { name, bytes } => {
+                files.insert(name, (sha256(&bytes), bytes));
+            }
+            DeltaChange::Withdraw { name, hash } => match files.get(&name) {
+                Some((d, _)) if *d == hash => {
+                    files.remove(&name);
+                }
+                _ => return Err(RrdpError::Corrupt),
+            },
+        }
+    }
+    Ok(())
 }
 
 /// Runs one RRDP sync of `dir` from `client`, updating `state`.
@@ -1002,14 +1020,10 @@ pub fn rrdp_sync_dir(
     if rec.is_enabled() {
         rec.count("repo.rrdp_polls", 1);
     }
-    let resps = rrdp_exchange(
-        net,
-        repos,
-        client,
-        server,
-        &[RrdpRequest::Notification { dir: dir.clone() }],
-        deadline,
-    );
+    let exchange = |net: &mut Network, reqs: &[RrdpRequest]| {
+        rrdp_exchange(net, repos, client, server, reqs, deadline)
+    };
+    let resps = exchange(net, &[RrdpRequest::Notification { dir: dir.clone() }]);
     let notif = match resps.into_iter().next() {
         Some(RrdpResponse::Notification {
             session,
@@ -1019,14 +1033,13 @@ pub fn rrdp_sync_dir(
             snapshot_hash,
             deltas,
             ..
-        }) => Notification { session, serial, content, snapshot_serial, snapshot_hash, deltas },
+        }) => NotifInfo { session, serial, content, snapshot_serial, snapshot_hash, deltas },
         Some(RrdpResponse::NotFound { .. }) => return fail(net, state, RrdpError::Withheld),
         Some(_) => return fail(net, state, RrdpError::Corrupt),
         None => return fail(net, state, RrdpError::Unreachable),
     };
 
     let key = dir.to_string();
-    let mut session_reset = false;
     // Decide the cheapest safe path to the notification's serial.
     enum Plan {
         Unchanged,
@@ -1044,21 +1057,18 @@ pub fn rrdp_sync_dir(
                     Plan::Snapshot(FallbackCause::ChainGap)
                 }
             } else if local.serial < notif.serial {
-                let needed: Vec<DeltaRef> = ((local.serial + 1)..=notif.serial)
-                    .filter_map(|s| notif.deltas.iter().find(|d| d.serial == s).copied())
-                    .collect();
-                if needed.len() as u64 == notif.serial - local.serial {
-                    Plan::Deltas(needed)
-                } else {
-                    // Distinguish the §3.3.2 starvation case (our resume
-                    // point aged out of the retained history) from a
-                    // hole inside the advertised chain.
-                    let oldest = notif.deltas.iter().map(|d| d.serial).min();
-                    let cause = match oldest {
-                        Some(o) if o <= local.serial + 1 => FallbackCause::ChainGap,
-                        _ => FallbackCause::Evicted,
-                    };
-                    Plan::Snapshot(cause)
+                match notif.chain_from(local.serial) {
+                    Some(needed) => Plan::Deltas(needed),
+                    None => {
+                        // Distinguish the §3.3.2 starvation case (our
+                        // resume point aged out of the retained history)
+                        // from a hole inside the advertised chain.
+                        let oldest = notif.deltas.iter().map(|d| d.serial).min();
+                        Plan::Snapshot(match oldest {
+                            Some(o) if o <= local.serial + 1 => FallbackCause::ChainGap,
+                            _ => FallbackCause::Evicted,
+                        })
+                    }
                 }
             } else {
                 // The server's serial went backwards within a session —
@@ -1066,12 +1076,10 @@ pub fn rrdp_sync_dir(
                 Plan::Snapshot(FallbackCause::ChainGap)
             }
         }
-        Some(_) => {
-            session_reset = true;
-            Plan::Snapshot(FallbackCause::SessionReset)
-        }
+        Some(_) => Plan::Snapshot(FallbackCause::SessionReset),
         None => Plan::Snapshot(FallbackCause::Initial),
     };
+    let session_reset = matches!(plan, Plan::Snapshot(FallbackCause::SessionReset));
     if session_reset {
         state.stats.session_resets += 1;
         state.epoch += 1;
@@ -1107,65 +1115,32 @@ pub fn rrdp_sync_dir(
     }
 
     if let Plan::Deltas(refs) = &plan {
-        let reqs: Vec<RrdpRequest> = refs
-            .iter()
-            .map(|d| RrdpRequest::Delta { dir: dir.clone(), serial: d.serial })
-            .collect();
-        let resps = rrdp_exchange(net, repos, client, server, &reqs, deadline);
-        let mut by_serial: BTreeMap<u64, Vec<DeltaChange>> = BTreeMap::new();
-        for resp in resps {
-            if let RrdpResponse::Delta { session, serial, changes, .. } = resp {
-                let expected = refs.iter().find(|d| d.serial == serial);
-                if session == notif.session
-                    && expected.is_some_and(|d| d.hash == delta_digest(session, serial, &changes))
-                {
-                    by_serial.insert(serial, changes);
-                }
+        // Apply the chain to a scratch copy; commit only if the result
+        // reproduces the notification's content digest. Any failure
+        // (withheld, torn, hash mismatch, inconsistent chain) falls
+        // through to the snapshot.
+        let mut files = state.dirs[&key].files.clone();
+        let applied = fetch_and_apply_deltas(
+            |reqs| exchange(net, reqs),
+            dir,
+            notif.session,
+            refs,
+            &mut files,
+        );
+        let next = DirState { session: notif.session, serial: notif.serial, files };
+        if applied.is_ok() && next.content() == notif.content {
+            let n = refs.len();
+            state.stats.delta_syncs += 1;
+            state.stats.deltas_applied += n as u64;
+            if rec.is_enabled() {
+                rec.count("repo.rrdp_delta_syncs", 1);
+                rec.count("repo.rrdp_deltas_applied", n as u64);
             }
+            emit_sync(net, RrdpSyncKind::Deltas(n), notif.serial, None);
+            let outcome = next.outcome(dir);
+            state.dirs.insert(key, next);
+            return Ok((outcome, RrdpSyncKind::Deltas(n)));
         }
-        if by_serial.len() == refs.len() {
-            // Apply the chain to a scratch copy; commit only if the
-            // result reproduces the notification's content digest.
-            let local = state.dirs.get(&key).expect("delta plan requires local state");
-            let mut files = local.files.clone();
-            let mut consistent = true;
-            'apply: for changes in by_serial.values() {
-                for change in changes {
-                    match change {
-                        DeltaChange::Publish { name, bytes } => {
-                            files.insert(name.clone(), (sha256(bytes), bytes.clone()));
-                        }
-                        DeltaChange::Withdraw { name, hash } => match files.get(name) {
-                            Some((d, _)) if d == hash => {
-                                files.remove(name);
-                            }
-                            _ => {
-                                consistent = false;
-                                break 'apply;
-                            }
-                        },
-                    }
-                }
-            }
-            if consistent {
-                let next = DirState { session: notif.session, serial: notif.serial, files };
-                if next.content() == notif.content {
-                    let n = refs.len();
-                    state.stats.delta_syncs += 1;
-                    state.stats.deltas_applied += n as u64;
-                    if rec.is_enabled() {
-                        rec.count("repo.rrdp_delta_syncs", 1);
-                        rec.count("repo.rrdp_deltas_applied", n as u64);
-                    }
-                    emit_sync(net, RrdpSyncKind::Deltas(n), notif.serial, None);
-                    let outcome = next.outcome(dir);
-                    state.dirs.insert(key, next);
-                    return Ok((outcome, RrdpSyncKind::Deltas(n)));
-                }
-            }
-        }
-        // Delta path failed (withheld, torn, hash mismatch, or an
-        // inconsistent chain): fall through to the snapshot.
     }
 
     let cause = match plan {
@@ -1177,123 +1152,70 @@ pub fn rrdp_sync_dir(
     // The snapshot document lives at the serial it was *materialised*
     // at, which under a compacting server trails the head. Fetch it
     // there, then bridge forward over the advertised deltas.
-    let resps = rrdp_exchange(
-        net,
-        repos,
-        client,
-        server,
-        &[RrdpRequest::Snapshot { dir: dir.clone(), serial: notif.snapshot_serial }],
-        deadline,
-    );
-    match resps.into_iter().next() {
-        Some(RrdpResponse::Snapshot { session, serial, files, .. }) => {
-            let ok = session == notif.session
-                && serial == notif.snapshot_serial
-                && serial <= notif.serial
-                && snapshot_digest(
-                    session,
-                    serial,
-                    files.iter().map(|(n, b)| (n.as_str(), b.as_slice())),
-                ) == notif.snapshot_hash;
-            if !ok {
-                return fail(net, state, RrdpError::Corrupt);
-            }
-            let mut files: BTreeMap<String, (Digest, Vec<u8>)> =
-                files.into_iter().map(|(n, b)| (n, (sha256(&b), b))).collect();
-
-            // Bridge deltas: carry the materialised snapshot forward to
-            // the notification's head serial. Every bridge serial must
-            // be advertised (the server's invariant is that bridge
-            // deltas are never evicted), so a missing reference means a
-            // lying or torn feed.
-            let mut bridge: Vec<DeltaRef> = Vec::new();
-            for s in (notif.snapshot_serial + 1)..=notif.serial {
-                match notif.deltas.iter().find(|d| d.serial == s) {
-                    Some(d) => bridge.push(*d),
-                    None => return fail(net, state, RrdpError::Corrupt),
-                }
-            }
-            let bridged = bridge.len();
-            if !bridge.is_empty() {
-                let reqs: Vec<RrdpRequest> = bridge
-                    .iter()
-                    .map(|d| RrdpRequest::Delta { dir: dir.clone(), serial: d.serial })
-                    .collect();
-                let dresps = rrdp_exchange(net, repos, client, server, &reqs, deadline);
-                let mut by_serial: BTreeMap<u64, Vec<DeltaChange>> = BTreeMap::new();
-                let mut withheld = false;
-                for resp in dresps {
-                    match resp {
-                        RrdpResponse::Delta { session: ds, serial: s, changes, .. } => {
-                            let expected = bridge.iter().find(|d| d.serial == s);
-                            if ds == notif.session
-                                && expected.is_some_and(|d| d.hash == delta_digest(ds, s, &changes))
-                            {
-                                by_serial.insert(s, changes);
-                            }
-                        }
-                        RrdpResponse::NotFound { .. } => withheld = true,
-                        _ => {}
-                    }
-                }
-                if by_serial.len() != bridged {
-                    let err = if withheld { RrdpError::Withheld } else { RrdpError::Unreachable };
-                    return fail(net, state, err);
-                }
-                for changes in by_serial.values() {
-                    for change in changes {
-                        match change {
-                            DeltaChange::Publish { name, bytes } => {
-                                files.insert(name.clone(), (sha256(bytes), bytes.clone()));
-                            }
-                            DeltaChange::Withdraw { name, hash } => match files.get(name) {
-                                Some((d, _)) if d == hash => {
-                                    files.remove(name);
-                                }
-                                _ => return fail(net, state, RrdpError::Corrupt),
-                            },
-                        }
-                    }
-                }
-            }
-
-            let next = DirState { session, serial: notif.serial, files };
-            if next.content() != notif.content {
-                return fail(net, state, RrdpError::Corrupt);
-            }
-            let kind =
-                if session_reset { RrdpSyncKind::SessionReset } else { RrdpSyncKind::Snapshot };
-            state.stats.snapshot_syncs += 1;
-            state.stats.bridge_deltas_applied += bridged as u64;
-            match cause {
-                FallbackCause::Initial => state.stats.fallback_initial += 1,
-                FallbackCause::Evicted => state.stats.fallback_evicted += 1,
-                FallbackCause::SessionReset => state.stats.fallback_session_reset += 1,
-                FallbackCause::ChainGap => state.stats.fallback_chain_gap += 1,
-            }
-            if rec.is_enabled() {
-                rec.count("repo.rrdp_snapshot_syncs", 1);
-                match cause {
-                    FallbackCause::Initial => rec.count("repo.rrdp_fallback_initial", 1),
-                    FallbackCause::Evicted => rec.count("repo.rrdp_fallback_history_evicted", 1),
-                    FallbackCause::SessionReset => {
-                        rec.count("repo.rrdp_fallback_session_reset", 1);
-                    }
-                    FallbackCause::ChainGap => rec.count("repo.rrdp_fallback_chain_gap", 1),
-                }
-                if bridged > 0 {
-                    rec.count("repo.rrdp_bridge_deltas_applied", bridged as u64);
-                }
-            }
-            emit_sync(net, kind, notif.serial, Some(cause));
-            let outcome = next.outcome(dir);
-            state.dirs.insert(key, next);
-            Ok((outcome, kind))
-        }
-        Some(RrdpResponse::NotFound { .. }) => fail(net, state, RrdpError::Withheld),
-        Some(_) => fail(net, state, RrdpError::Corrupt),
-        None => fail(net, state, RrdpError::Unreachable),
+    let resps =
+        exchange(net, &[RrdpRequest::Snapshot { dir: dir.clone(), serial: notif.snapshot_serial }]);
+    let (session, serial, files) = match resps.into_iter().next() {
+        Some(RrdpResponse::Snapshot { session, serial, files, .. }) => (session, serial, files),
+        Some(RrdpResponse::NotFound { .. }) => return fail(net, state, RrdpError::Withheld),
+        Some(_) => return fail(net, state, RrdpError::Corrupt),
+        None => return fail(net, state, RrdpError::Unreachable),
+    };
+    let ok = session == notif.session
+        && serial == notif.snapshot_serial
+        && serial <= notif.serial
+        && snapshot_digest(session, serial, files.iter().map(|(n, b)| (n.as_str(), b.as_slice())))
+            == notif.snapshot_hash;
+    if !ok {
+        return fail(net, state, RrdpError::Corrupt);
     }
+    let mut files: BTreeMap<String, (Digest, Vec<u8>)> =
+        files.into_iter().map(|(n, b)| (n, (sha256(&b), b))).collect();
+
+    // Bridge deltas: carry the materialised snapshot forward to the
+    // notification's head serial. Every bridge serial must be advertised
+    // (the server's invariant is that bridge deltas are never evicted),
+    // so a missing reference means a lying or torn feed.
+    let Some(bridge) = notif.chain_from(notif.snapshot_serial) else {
+        return fail(net, state, RrdpError::Corrupt);
+    };
+    let bridged = bridge.len();
+    if let Err(err) =
+        fetch_and_apply_deltas(|reqs| exchange(net, reqs), dir, notif.session, &bridge, &mut files)
+    {
+        return fail(net, state, err);
+    }
+
+    let next = DirState { session, serial: notif.serial, files };
+    if next.content() != notif.content {
+        return fail(net, state, RrdpError::Corrupt);
+    }
+    let kind = if session_reset { RrdpSyncKind::SessionReset } else { RrdpSyncKind::Snapshot };
+    state.stats.snapshot_syncs += 1;
+    state.stats.bridge_deltas_applied += bridged as u64;
+    match cause {
+        FallbackCause::Initial => state.stats.fallback_initial += 1,
+        FallbackCause::Evicted => state.stats.fallback_evicted += 1,
+        FallbackCause::SessionReset => state.stats.fallback_session_reset += 1,
+        FallbackCause::ChainGap => state.stats.fallback_chain_gap += 1,
+    }
+    if rec.is_enabled() {
+        rec.count("repo.rrdp_snapshot_syncs", 1);
+        match cause {
+            FallbackCause::Initial => rec.count("repo.rrdp_fallback_initial", 1),
+            FallbackCause::Evicted => rec.count("repo.rrdp_fallback_history_evicted", 1),
+            FallbackCause::SessionReset => {
+                rec.count("repo.rrdp_fallback_session_reset", 1);
+            }
+            FallbackCause::ChainGap => rec.count("repo.rrdp_fallback_chain_gap", 1),
+        }
+        if bridged > 0 {
+            rec.count("repo.rrdp_bridge_deltas_applied", bridged as u64);
+        }
+    }
+    emit_sync(net, kind, notif.serial, Some(cause));
+    let outcome = next.outcome(dir);
+    state.dirs.insert(key, next);
+    Ok((outcome, kind))
 }
 
 #[cfg(test)]
@@ -1526,15 +1448,27 @@ mod tests {
     }
 
     #[test]
-    fn stalled_notification_hits_the_deadline() {
-        let (mut net, repos, client, server, dir) = world();
-        net.faults.set_stall(server, client, 3600);
+    fn announced_serial_is_not_walked() {
+        // The most significant byte of the notification's serial flipped
+        // in flight puts the head 2^63 serials ahead of a warm client.
+        // Planning must not walk that gap (it never steps the network,
+        // so not even the deadline could interrupt it): no advertised
+        // history covers it, so it is a snapshot plan, and the bridge
+        // over the same gap is refused as a lying feed.
+        let (mut net, mut repos, client, server, dir) = world();
         let mut state = RrdpClientState::new();
-        let start = net.now();
+        rrdp_sync_dir(&mut net, &repos, client, &dir, &mut state, None).unwrap();
+        repos.get_mut(server).unwrap().publish_raw(&dir, "c.mft", vec![9]);
+        // Tag, directory, session, then the serial's first byte.
+        let serial_high_byte = 1 + dir.to_bytes().len() + 8;
+        net.faults.corrupt_nth_at(server, client, 1, serial_high_byte);
         let err = rrdp_sync_dir(&mut net, &repos, client, &dir, &mut state, Some(300)).unwrap_err();
-        assert_eq!(err, RrdpError::Unreachable);
-        assert_eq!(net.now() - start, 300, "the client must walk away at the deadline");
-        assert!(net.is_idle());
+        assert_eq!(err, RrdpError::Corrupt);
+        assert_eq!(state.position(&dir).unwrap().1, 2, "a refused feed must not move the client");
+        // Over a clean wire the next sync is the ordinary catch-up.
+        let (out, kind) = rrdp_sync_dir(&mut net, &repos, client, &dir, &mut state, None).unwrap();
+        assert_eq!(kind, RrdpSyncKind::Deltas(1));
+        assert_eq!(out, sync_dir(&mut net, &repos, client, &dir));
     }
 
     #[test]
