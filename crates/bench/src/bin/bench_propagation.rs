@@ -14,17 +14,24 @@
 //! `--scale N` multiplies every topology size; `--json` additionally
 //! mirrors the records to stderr like the other harness binaries.
 
-use bgp_sim::{propagate_with_stats, reference, RpkiPolicy};
-use rpki_risk_bench::{emit_json, scale_arg, time_min, Recorder, Summary, SummaryTable};
-use rpki_rp::{Vrp, VrpCache};
+use bgp_sim::{propagate_with_stats, reference, Announcement, RpkiPolicy, Topology};
+use ipres::Asn;
+use rpki_risk_bench::{emit_json, scale_arg, time_min, Recorder, RunStamp, Summary, SummaryTable};
+use rpki_rp::{Route, RouteValidity, Vrp, VrpCache};
 use serde::Serialize;
 use topogen::{Config, SyntheticInternet};
 
 /// One measured configuration.
 #[derive(Debug, Serialize)]
 struct Record {
+    commit: String,
+    available_parallelism: usize,
+    profile: &'static str,
     ases: usize,
     prefixes: usize,
+    /// Announcements the cache makes Invalid (they never leave their
+    /// origin under `DropInvalid`).
+    invalid_announcements: usize,
     policy: String,
     worklist_ns: u128,
     reference_ns: u128,
@@ -38,9 +45,95 @@ struct Record {
     peak_worklist: usize,
 }
 
+/// The columns that are a function of the input alone: a run may not
+/// move them against the committed record of the same cell.
+const COUNT_COLUMNS: [&str; 7] = [
+    "worklist_rounds",
+    "reference_rounds",
+    "route_updates",
+    "pairs_evaluated",
+    "memo_hits",
+    "memo_misses",
+    "peak_worklist",
+];
+
+/// Runs both engines on one cell, asserts they agree, and times them.
+fn measure(
+    stamp: &RunStamp,
+    topology: &Topology,
+    announcements: &[Announcement],
+    policy: RpkiPolicy,
+    cache: &VrpCache,
+) -> Record {
+    let ases = topology.len();
+    let (state, stats) =
+        propagate_with_stats(topology, announcements, policy, cache).expect("worklist converges");
+    let (oracle, oracle_rounds) =
+        reference::propagate(topology, announcements, policy, cache).expect("reference converges");
+    assert_eq!(state, oracle, "engines diverged under {policy:?} at {ases} ASes");
+
+    let worklist_ns = time_min(5, || {
+        propagate_with_stats(topology, announcements, policy, cache).expect("worklist converges");
+    });
+    let reference_ns = time_min(3, || {
+        reference::propagate(topology, announcements, policy, cache).expect("reference converges");
+    });
+    Record {
+        commit: stamp.commit.clone(),
+        available_parallelism: stamp.available_parallelism,
+        profile: stamp.profile,
+        ases,
+        prefixes: announcements.len(),
+        invalid_announcements: announcements
+            .iter()
+            .filter(|a| cache.classify(Route::new(a.prefix, a.origin)) == RouteValidity::Invalid)
+            .count(),
+        policy: format!("{policy:?}"),
+        worklist_ns,
+        reference_ns,
+        speedup: reference_ns as f64 / worklist_ns as f64,
+        worklist_rounds: stats.rounds,
+        reference_rounds: oracle_rounds,
+        route_updates: stats.route_updates,
+        pairs_evaluated: stats.pairs_evaluated,
+        memo_hits: stats.memo_hits,
+        memo_misses: stats.memo_misses,
+        peak_worklist: stats.peak_worklist,
+    }
+}
+
+/// Asserts that every cell `(ases, prefixes, policy)` of `fresh` (the
+/// export about to be written) that is also in the
+/// `BENCH_propagation.json` it overwrites kept its count columns.
+/// Returns how many cells were compared.
+fn assert_counts_unmoved(fresh: &str) -> usize {
+    let Ok(committed) = std::fs::read_to_string("BENCH_propagation.json") else { return 0 };
+    let committed = serde_json::from_str(&committed).expect("committed export parses");
+    let fresh = serde_json::from_str(fresh).expect("fresh export parses");
+    let cell = |r: &serde_json::Value| {
+        (r["ases"].to_string(), r["prefixes"].to_string(), r["policy"].to_string())
+    };
+    let mut compared = 0;
+    for new in fresh.as_array().expect("array") {
+        let old = committed.as_array().expect("array").iter().find(|old| cell(old) == cell(new));
+        let Some(old) = old else { continue };
+        for column in COUNT_COLUMNS {
+            assert_eq!(
+                new[column],
+                old[column],
+                "{column} moved against the committed record at {:?}",
+                cell(new)
+            );
+        }
+        compared += 1;
+    }
+    compared
+}
+
 fn main() {
     // `--scale 0` would generate an empty world and a NaN speedup.
     let scale = scale_arg().max(1);
+    let stamp = RunStamp::capture();
     let mut report = Summary::new(&format!("Propagation engine benchmark (scale {scale})"));
 
     let sizes = [(15usize, 85usize), (40, 360), (80, 720)];
@@ -66,25 +159,9 @@ fn main() {
             .flat_map(|o| o.prefixes.iter().map(move |&p| Vrp::new(p, p.len(), o.asn)))
             .collect();
         let slice: Vec<_> = world.announcements.iter().copied().take(20).collect();
-        let ases = world.topology.len();
 
         for policy in [RpkiPolicy::Ignore, RpkiPolicy::DropInvalid, RpkiPolicy::DeprefInvalid] {
-            let (state, stats) = propagate_with_stats(&world.topology, &slice, policy, &cache)
-                .expect("worklist converges");
-            let (oracle, oracle_rounds) =
-                reference::propagate(&world.topology, &slice, policy, &cache)
-                    .expect("reference converges");
-            assert_eq!(state, oracle, "engines diverged under {policy:?} at {ases} ASes");
-
-            let worklist_ns = time_min(5, || {
-                propagate_with_stats(&world.topology, &slice, policy, &cache)
-                    .expect("worklist converges");
-            });
-            let reference_ns = time_min(3, || {
-                reference::propagate(&world.topology, &slice, policy, &cache)
-                    .expect("reference converges");
-            });
-
+            let record = measure(&stamp, &world.topology, &slice, policy, &cache);
             if (transits, stubs) == sizes[sizes.len() - 1] && policy == RpkiPolicy::DropInvalid {
                 let disabled = Recorder::disabled();
                 let instrumented_ns = time_min(5, || {
@@ -92,29 +169,38 @@ fn main() {
                         .expect("worklist converges");
                     stats.emit(&disabled, 0);
                 });
-                overhead = Some((worklist_ns, instrumented_ns));
+                overhead = Some((record.worklist_ns, instrumented_ns));
             }
+            records.push(record);
+        }
 
-            records.push(Record {
-                ases,
-                prefixes: slice.len(),
-                policy: format!("{policy:?}"),
-                worklist_ns,
-                reference_ns,
-                speedup: reference_ns as f64 / worklist_ns as f64,
-                worklist_rounds: stats.rounds,
-                reference_rounds: oracle_rounds,
-                route_updates: stats.route_updates,
-                pairs_evaluated: stats.pairs_evaluated,
-                memo_hits: stats.memo_hits,
-                memo_misses: stats.memo_misses,
-                peak_worklist: stats.peak_worklist,
-            });
+        // The `whack_bgp` shape, at the middle size: the re-propagated
+        // subset after a whack round under `DropInvalid` — 48 flipped
+        // announcements spread over the table, every other one covered
+        // only by somebody else's ROA (whacked: Invalid), the rest
+        // with their own ROA back (restored: Valid).
+        if (transits, stubs) == sizes[1] {
+            let step = (world.announcements.len() / 48).max(1);
+            let flipped: Vec<_> =
+                world.announcements.iter().copied().step_by(step).take(48).collect();
+            let cache: VrpCache = flipped
+                .iter()
+                .enumerate()
+                .map(|(i, a)| {
+                    let holder = if i % 2 == 0 { a.origin } else { Asn(u32::MAX) };
+                    Vrp::new(a.prefix, a.prefix.len(), holder)
+                })
+                .collect();
+            let policy = RpkiPolicy::DropInvalid;
+            records.push(measure(&stamp, &world.topology, &flipped, policy, &cache));
         }
     }
+    let json = serde_json::to_string(&records).expect("serialise records");
+    let compared = assert_counts_unmoved(&json);
 
     let mut out = SummaryTable::new(&[
         "ASes",
+        "prefixes (invalid)",
         "policy",
         "worklist (ms)",
         "reference (ms)",
@@ -126,6 +212,7 @@ fn main() {
     for r in &records {
         out.row(&[
             r.ases.to_string(),
+            format!("{} ({})", r.prefixes, r.invalid_announcements),
             r.policy.clone(),
             format!("{:.3}", r.worklist_ns as f64 / 1e6),
             format!("{:.3}", r.reference_ns as f64 / 1e6),
@@ -155,6 +242,17 @@ fn main() {
                 "disabled-instrumentation overhead at the largest size".to_string(),
                 format!("{:.1}%", 100.0 * (instrumented_ns as f64 / plain_ns as f64 - 1.0)),
             ),
+            (
+                "cells whose count columns equal the committed record's".to_string(),
+                format!("{compared} of {}", records.len()),
+            ),
+            (
+                "measured at".to_string(),
+                format!(
+                    "commit {}, {} core(s), {} build",
+                    stamp.commit, stamp.available_parallelism, stamp.profile
+                ),
+            ),
         ],
     );
     if cfg!(debug_assertions) {
@@ -173,7 +271,6 @@ fn main() {
     }
     report.print();
 
-    let json = serde_json::to_string(&records).expect("serialise records");
     std::fs::write("BENCH_propagation.json", format!("{json}\n"))
         .expect("write BENCH_propagation.json");
     println!("\nwrote BENCH_propagation.json ({} records)", records.len());

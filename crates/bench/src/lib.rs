@@ -85,6 +85,41 @@ pub fn time_min<F: FnMut()>(iters: usize, mut f: F) -> u128 {
         .expect("at least one iteration")
 }
 
+/// Where and how a benchmark record was measured — stamped on every
+/// record so a committed `BENCH_*.json` can be read as a trajectory
+/// (ROADMAP aim 1).
+#[derive(Debug, Clone)]
+pub struct RunStamp {
+    /// `git rev-parse --short HEAD`, with `-dirty` appended when the
+    /// working tree differs from it; `unknown` outside a checkout.
+    pub commit: String,
+    /// `std::thread::available_parallelism` on the measuring host.
+    pub available_parallelism: usize,
+    /// `release` or `debug`.
+    pub profile: &'static str,
+}
+
+impl RunStamp {
+    /// Reads the stamp for this process. Call before writing any
+    /// export, or the export itself makes the tree dirty.
+    pub fn capture() -> Self {
+        let git = |args: &[&str]| {
+            let out = std::process::Command::new("git").args(args).output().ok()?;
+            out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_owned())
+        };
+        let commit = match git(&["rev-parse", "--short", "HEAD"]) {
+            Some(head) if git(&["status", "--porcelain"]).is_some_and(|s| s.is_empty()) => head,
+            Some(head) => format!("{head}-dirty"),
+            None => "unknown".to_owned(),
+        };
+        RunStamp {
+            commit,
+            available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            profile: if cfg!(debug_assertions) { "debug" } else { "release" },
+        }
+    }
+}
+
 /// Writes the recorder's JSONL trace to the requested destination (a
 /// no-op without `--trace`/`BENCH_TRACE`); returns the path written.
 pub fn write_trace(recorder: &Recorder) -> Option<String> {

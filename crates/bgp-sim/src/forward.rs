@@ -6,10 +6,10 @@
 //! BGP's subprefix semantics"). [`RoutingState::forward`] walks a packet
 //! hop by hop, each hop doing LPM over that AS's own table.
 
-use ipres::{Addr, Asn, PrefixTrie};
+use ipres::{Addr, Asn};
 use serde::Serialize;
 
-use crate::propagate::RoutingState;
+use crate::propagate::{RoutingState, SelectedRoute};
 
 /// Where a packet ended up.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -45,21 +45,22 @@ impl ForwardOutcome {
 }
 
 impl RoutingState {
+    /// Longest-prefix match over `asn`'s own table: of the routes
+    /// covering `addr` (one per prefix, so lengths are distinct) the
+    /// longest.
+    fn longest_match(&self, asn: Asn, addr: Addr) -> Option<&SelectedRoute> {
+        self.table(asn).filter(|r| r.prefix.contains(addr)).max_by_key(|r| r.prefix.len())
+    }
+
     /// Forwards a packet for `addr` from `src`, hop by hop, each hop
     /// using longest-prefix match over its own selected routes.
     pub fn forward(&self, src: Asn, addr: Addr) -> ForwardOutcome {
         let mut path = vec![src];
         let mut current = src;
         loop {
-            // LPM over this AS's table.
-            let mut trie: PrefixTrie<&crate::propagate::SelectedRoute> = PrefixTrie::new();
-            for route in self.table(current) {
-                trie.insert(route.prefix, route);
-            }
-            let Some((_, routes)) = trie.longest_match(addr) else {
+            let Some(route) = self.longest_match(current, addr) else {
                 return ForwardOutcome::NoRoute { at: current, path };
             };
-            let route = routes[0];
             if route.path.is_empty() {
                 // We are the origin of the best-matching route.
                 return ForwardOutcome::Delivered { at: current, path };
@@ -103,7 +104,10 @@ mod tests {
     use super::*;
     use crate::propagate::{propagate, Announcement, RpkiPolicy};
     use crate::topology::Topology;
-    use ipres::Prefix;
+    use ipres::{Prefix, PrefixTrie};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use rpki_rp::{Vrp, VrpCache};
 
     fn a(n: u32) -> Asn {
@@ -226,5 +230,53 @@ mod tests {
         let t = diamond();
         let state = propagate(&t, &[], RpkiPolicy::Ignore, &VrpCache::new()).unwrap();
         assert_eq!(state.reachability_of(std::iter::empty(), addr("10.0.0.1"), a(2)), 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The row scan picks the route a per-AS `PrefixTrie` would:
+        /// random provider trees, nested and disjoint prefixes (v4 and
+        /// v6) from random origins, a ROA that makes some of them
+        /// Invalid so tables differ between ASes, random addresses.
+        #[test]
+        fn row_scan_matches_trie_lookup(seed in 0u64..100_000, ases in 2usize..24) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut t = Topology::new();
+            t.add_as(a(1));
+            for i in 1..ases {
+                t.add_provider_customer(a(1 + rng.gen_range(0..i) as u32), a(1 + i as u32));
+            }
+            let pool = [
+                "10.0.0.0/8", "10.0.0.0/16", "10.0.1.0/24", "10.0.1.128/25", "10.1.0.0/16",
+                "10.128.0.0/9", "20.0.0.0/8", "0.0.0.0/0", "2001:db8::/32", "2001:db8:1::/48",
+            ];
+            let mut anns = Vec::new();
+            for s in pool {
+                if rng.gen_range(0..3usize) > 0 {
+                    let origin = a(1 + rng.gen_range(0..ases) as u32);
+                    anns.push(Announcement { prefix: p(s), origin });
+                }
+            }
+            let cache: VrpCache = [Vrp::new(p("10.0.0.0/8"), 16, a(1))].into_iter().collect();
+            let policy = [RpkiPolicy::Ignore, RpkiPolicy::DropInvalid, RpkiPolicy::DeprefInvalid]
+                [rng.gen_range(0..3usize)];
+            let state = propagate(&t, &anns, policy, &cache).unwrap();
+
+            let probes = [
+                "10.0.1.200", "10.0.1.1", "10.0.2.1", "10.1.2.3", "10.200.0.1", "20.1.1.1",
+                "99.0.0.1", "2001:db8:1::1", "2001:db8:2::1", "2001:db9::1",
+            ];
+            for asn in t.ases() {
+                let mut trie: PrefixTrie<&SelectedRoute> = PrefixTrie::new();
+                for route in state.table(asn) {
+                    trie.insert(route.prefix, route);
+                }
+                for probe in probes {
+                    let via_trie = trie.longest_match(addr(probe)).map(|(_, routes)| routes[0]);
+                    prop_assert_eq!(state.longest_match(asn, addr(probe)), via_trie);
+                }
+            }
+        }
     }
 }

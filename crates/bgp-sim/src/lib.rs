@@ -27,8 +27,10 @@ pub mod propagate;
 pub mod topology;
 
 pub use forward::ForwardOutcome;
+#[cfg(any(test, feature = "test-oracle"))]
+pub use propagate::reference;
 pub use propagate::{
-    propagate, propagate_with_stats, reference, Announcement, ConvergenceError, ConvergenceStats,
+    propagate, propagate_with_stats, Announcement, ConvergenceError, ConvergenceStats,
     RoutingState, RpkiPolicy, SelectedRoute,
 };
 pub use topology::{Relationship, Topology, TopologyIndex};

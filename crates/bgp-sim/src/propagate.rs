@@ -4,26 +4,30 @@
 //!
 //! - [`propagate`] / [`propagate_with_stats`] — the production
 //!   **worklist engine**: ASes and prefixes are interned into dense
-//!   indices, per-AS tables live in flat `Vec`s, and each round
-//!   re-evaluates only the `(AS, prefix)` pairs whose neighbours'
-//!   selections changed in the previous round. Origin validation is
-//!   memoized per `(prefix, origin)` — validity is round-invariant —
-//!   and AS-path tails are shared through an `Arc` cons list, so a
-//!   candidate evaluation allocates nothing and a route update
-//!   allocates one path node.
-//! - [`mod@reference`] — the original synchronous full-scan engine, kept
-//!   as the oracle the equivalence property tests pin the worklist
-//!   engine against (see DESIGN.md "Routing engine" for the
-//!   determinism and equivalence argument).
+//!   indices, per-AS tables live in one flat `Vec`, and each round
+//!   re-evaluates only the `(AS, prefix)` cells whose neighbours'
+//!   selections changed in the previous round. Everything the hot loop
+//!   touches is an index into a `Vec`: the dirty list is a
+//!   double-buffered `Vec` deduplicated by a per-cell round stamp, AS
+//!   paths are `u32` links into one arena that shares tails, and the
+//!   origin-validation memo — validity is round-invariant — has one
+//!   slot per announcement, whose index every route carries from its
+//!   origin cell. A candidate evaluation allocates nothing and hashes
+//!   nothing; a route update appends one arena node.
+//! - `reference` (behind the `test-oracle` cargo feature) — the
+//!   original synchronous full-scan engine, kept as the oracle the
+//!   equivalence property tests pin the worklist engine against (see
+//!   DESIGN.md "Routing engine" for the determinism and equivalence
+//!   argument).
 //!
 //! Both iterate *synchronised rounds* reading only previous-round
 //! state, which makes the computation order-independent and therefore
-//! deterministic; the worklist engine's dirty set is a `BTreeSet`, so
-//! even its internal evaluation order is reproducible.
+//! deterministic. The worklist engine's dirty list is in insertion
+//! order, which is a function of the previous round's list and the
+//! topology's neighbour order — hence of the input alone — so even its
+//! internal evaluation order is reproducible.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
 
 use ipres::{Asn, Prefix};
 use rpki_rp::{Route, RouteValidity, VrpCache};
@@ -73,14 +77,6 @@ pub struct SelectedRoute {
     pub validity: RouteValidity,
 }
 
-impl SelectedRoute {
-    fn pref_key(&self, policy: RpkiPolicy) -> (u8, u8, usize, u32) {
-        let rel_rank = self.learned_from.map(Relationship::rank).unwrap_or(0);
-        let next_hop = self.path.first().map(|a| a.0).unwrap_or(0);
-        (validity_rank(policy, self.validity), rel_rank, self.path.len(), next_hop)
-    }
-}
-
 /// Position of `validity` in the selection order under `policy`: only
 /// `DeprefInvalid` lets validity influence preference.
 fn validity_rank(policy: RpkiPolicy, validity: RouteValidity) -> u8 {
@@ -95,26 +91,36 @@ fn validity_rank(policy: RpkiPolicy, validity: RouteValidity) -> u8 {
 /// The converged routing state of the whole topology.
 ///
 /// Compares bit-for-bit (`PartialEq`): the equivalence property tests
-/// assert the worklist engine and the [`mod@reference`] oracle produce
-/// equal states.
+/// assert the worklist engine and the `reference` oracle produce equal
+/// states.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct RoutingState {
-    /// `AS → prefix → selected route`. ASes holding no route for any
-    /// prefix have no entry.
-    tables: BTreeMap<Asn, BTreeMap<Prefix, SelectedRoute>>,
+    /// One row per AS holding at least one route, ascending by ASN;
+    /// each row's routes ascend by prefix. Both engines emit rows
+    /// already in that order, and every accessor is a binary search.
+    rows: Vec<(Asn, Vec<SelectedRoute>)>,
     /// The policy the state was computed under.
     policy: Option<RpkiPolicy>,
 }
 
 impl RoutingState {
+    /// `asn`'s routes, ascending by prefix; empty when it holds none.
+    fn row(&self, asn: Asn) -> &[SelectedRoute] {
+        match self.rows.binary_search_by_key(&asn, |&(a, _)| a) {
+            Ok(i) => &self.rows[i].1,
+            Err(_) => &[],
+        }
+    }
+
     /// The route `asn` selected for exactly `prefix`, if any.
     pub fn best_route(&self, asn: Asn, prefix: Prefix) -> Option<&SelectedRoute> {
-        self.tables.get(&asn)?.get(&prefix)
+        let row = self.row(asn);
+        row.binary_search_by_key(&prefix, |r| r.prefix).ok().map(|i| &row[i])
     }
 
     /// All selected routes at `asn`.
     pub fn table(&self, asn: Asn) -> impl Iterator<Item = &SelectedRoute> {
-        self.tables.get(&asn).into_iter().flat_map(|t| t.values())
+        self.row(asn).iter()
     }
 
     /// The policy in force when this state was computed.
@@ -124,19 +130,19 @@ impl RoutingState {
 
     /// ASes holding at least one route.
     pub fn ases_with_routes(&self) -> usize {
-        self.tables.values().filter(|t| !t.is_empty()).count()
+        self.rows.len()
     }
 }
 
 /// Work done by a propagation run. Callers report these next to their
 /// experiment output, and the scale tests assert the worklist engine
-/// never runs more rounds than the [`mod@reference`] oracle.
+/// never runs more rounds than the `reference` oracle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ConvergenceStats {
     /// Synchronised rounds executed (rounds in which at least one
     /// `(AS, prefix)` pair was re-evaluated). The reference engine
     /// additionally runs a final quiescent confirmation round; the
-    /// worklist engine stops as soon as the dirty set drains.
+    /// worklist engine stops as soon as the dirty list drains.
     pub rounds: usize,
     /// Route-table writes: selections that changed, including
     /// withdrawals.
@@ -147,8 +153,8 @@ pub struct ConvergenceStats {
     pub memo_hits: usize,
     /// Validity lookups that ran RFC 6811 classification.
     pub memo_misses: usize,
-    /// Largest dirty set observed at the start of any round — the
-    /// worklist engine's peak working-set width.
+    /// Most dirty cells at the start of any round — the worklist
+    /// engine's peak working-set width.
     pub peak_worklist: usize,
 }
 
@@ -222,7 +228,7 @@ impl std::error::Error for ConvergenceError {}
 ///
 /// Event-driven: only `(AS, prefix)` pairs whose inputs changed are
 /// re-evaluated, but the result is bit-for-bit identical to the
-/// synchronous full-scan [`mod@reference`] engine (pinned by the
+/// synchronous full-scan `reference` engine (pinned by the
 /// equivalence property tests). Returns [`ConvergenceError`] —
 /// carrying the transit cycle, if one exists — instead of looping
 /// forever when the round cap is exhausted.
@@ -245,105 +251,122 @@ pub fn propagate_with_stats(
     Worklist::new(topology, announcements, policy, cache).run(announcements)
 }
 
-/// A selected route in the worklist engine's internal representation:
-/// the AS path is an immutable cons list whose tail is shared with the
-/// neighbour route it was learned from, so extending a path costs one
-/// allocation and paths common to many ASes are stored once.
-#[derive(Debug, Clone)]
+/// A selected route in the worklist engine's internal representation.
+/// `Copy`: the AS path is a link into the [`Worklist`]'s path arena,
+/// whose tail is shared with the neighbour route it was learned from,
+/// so extending a path appends one node and paths common to many ASes
+/// are stored once.
+#[derive(Debug, Clone, Copy)]
 struct WorkRoute {
     origin: Asn,
     learned_from: Option<Relationship>,
     /// Cached length of `path` (hops to the origin).
     path_len: u32,
-    path: PathRef,
+    /// Arena index of the next hop's node; [`NO_PATH`] at the origin.
+    path: u32,
+    /// Index of the announcement that seeded this route's origin cell
+    /// — its slot in the validity memo.
+    ann: u32,
 }
 
-type PathRef = Option<Arc<PathNode>>;
+/// The empty path (a self-originated route), and every path's end.
+const NO_PATH: u32 = u32::MAX;
 
 /// Candidate preference key: (validity rank, relationship rank, path
 /// length, next-hop ASN), lower wins. Distinct neighbours differ in
 /// the last component, so the key totally orders candidates.
 type CandidateKey = (u8, u8, u32, u32);
 
-#[derive(Debug)]
+/// One hop of an AS path in the arena: a cons cell by index.
+#[derive(Debug, Clone, Copy)]
 struct PathNode {
     /// The AS at this hop; the head of a route's list is its next hop.
     head: Asn,
-    tail: PathRef,
+    /// The rest of the path, or [`NO_PATH`].
+    tail: u32,
 }
 
-/// Whether `path` contains `asn` (loop prevention).
-fn path_contains(path: &PathRef, asn: Asn) -> bool {
-    let mut cur = path;
-    while let Some(node) = cur {
-        if node.head == asn {
-            return true;
-        }
-        cur = &node.tail;
+/// Every AS path of one propagation, as cons lists over one `Vec`:
+/// append-only while the engine runs, freed in one drop.
+#[derive(Default)]
+struct PathArena(Vec<PathNode>);
+
+impl PathArena {
+    /// The path `head` followed by `tail`.
+    fn cons(&mut self, head: Asn, tail: u32) -> u32 {
+        let at = u32::try_from(self.0.len()).ok().filter(|&at| at != NO_PATH);
+        self.0.push(PathNode { head, tail });
+        at.expect("fewer than 2^32 - 1 route updates")
     }
-    false
-}
 
-/// Structural path equality. Shared tails make the common case — the
-/// neighbour's route object is unchanged — a pointer comparison.
-fn paths_equal(a: &PathRef, b: &PathRef) -> bool {
-    let (mut a, mut b) = (a, b);
-    loop {
-        match (a, b) {
-            (None, None) => return true,
-            (Some(x), Some(y)) => {
-                if Arc::ptr_eq(x, y) {
-                    return true;
-                }
-                if x.head != y.head {
-                    return false;
-                }
-                a = &x.tail;
-                b = &y.tail;
+    /// The hops of `path`, next hop first.
+    fn hops(&self, path: u32) -> impl Iterator<Item = Asn> + '_ {
+        let mut cur = path;
+        std::iter::from_fn(move || {
+            if cur == NO_PATH {
+                return None;
             }
-            _ => return false,
-        }
+            let node = self.0[cur as usize];
+            cur = node.tail;
+            Some(node.head)
+        })
     }
-}
 
-/// Copies a cons-list path into the `Vec<Asn>` form of
-/// [`SelectedRoute`].
-fn materialize_path(path: &PathRef, len: u32) -> Vec<Asn> {
-    let mut out = Vec::with_capacity(len as usize);
-    let mut cur = path;
-    while let Some(node) = cur {
-        out.push(node.head);
-        cur = &node.tail;
+    /// Structural path equality. Shared tails make the common case —
+    /// the neighbour's route is unchanged — an index comparison.
+    fn equal(&self, a: u32, b: u32) -> bool {
+        let (mut a, mut b) = (a, b);
+        while a != b {
+            if a == NO_PATH || b == NO_PATH {
+                return false;
+            }
+            let (x, y) = (self.0[a as usize], self.0[b as usize]);
+            if x.head != y.head {
+                return false;
+            }
+            a = x.tail;
+            b = y.tail;
+        }
+        true
     }
-    debug_assert_eq!(out.len(), len as usize);
-    out
 }
 
 /// Per-call memo for RFC 6811 classification. Validity depends only on
-/// `(prefix, origin)` and the fixed VRP cache, never on the round, so
-/// each distinct pair is classified at most once per propagation.
+/// `(prefix, origin)` and the fixed VRP cache, never on the round, and
+/// every route descends from the origin cell of one announcement, so
+/// each announcement is classified at most once per propagation.
 struct ValidityMemo<'a> {
     cache: &'a VrpCache,
-    /// Keyed by (interned prefix index, raw origin ASN).
-    memo: HashMap<(u32, u32), RouteValidity>,
+    announcements: &'a [Announcement],
+    /// One slot per announcement; a duplicate's slot stays unused.
+    memo: Vec<Option<RouteValidity>>,
     hits: usize,
     misses: usize,
 }
 
 impl<'a> ValidityMemo<'a> {
-    fn new(cache: &'a VrpCache) -> Self {
-        ValidityMemo { cache, memo: HashMap::new(), hits: 0, misses: 0 }
+    fn new(cache: &'a VrpCache, announcements: &'a [Announcement]) -> Self {
+        ValidityMemo {
+            cache,
+            announcements,
+            memo: vec![None; announcements.len()],
+            hits: 0,
+            misses: 0,
+        }
     }
 
-    fn classify(&mut self, prefix_idx: u32, prefix: Prefix, origin: Asn) -> RouteValidity {
-        match self.memo.entry((prefix_idx, origin.0)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
+    /// Validity of every route seeded by announcement `ann`.
+    fn classify(&mut self, ann: u32) -> RouteValidity {
+        let slot = &mut self.memo[ann as usize];
+        match *slot {
+            Some(validity) => {
                 self.hits += 1;
-                *e.get()
+                validity
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            None => {
                 self.misses += 1;
-                *e.insert(self.cache.classify(Route::new(prefix, origin)))
+                let a = self.announcements[ann as usize];
+                *slot.insert(self.cache.classify(Route::new(a.prefix, a.origin)))
             }
         }
     }
@@ -359,6 +382,10 @@ struct Worklist<'a> {
     tables: Vec<Option<WorkRoute>>,
     /// Cells holding their own announcement; never re-evaluated.
     origin_locked: Vec<bool>,
+    /// Per cell, the last round it was put on the dirty list for: a
+    /// cell enters a round's list at most once.
+    stamp: Vec<u32>,
+    paths: PathArena,
     memo: ValidityMemo<'a>,
     stats: ConvergenceStats,
 }
@@ -366,7 +393,7 @@ struct Worklist<'a> {
 impl<'a> Worklist<'a> {
     fn new(
         topology: &'a Topology,
-        announcements: &[Announcement],
+        announcements: &'a [Announcement],
         policy: RpkiPolicy,
         cache: &'a VrpCache,
     ) -> Self {
@@ -382,7 +409,9 @@ impl<'a> Worklist<'a> {
             prefixes,
             tables: vec![None; cells],
             origin_locked: vec![false; cells],
-            memo: ValidityMemo::new(cache),
+            stamp: vec![0; cells],
+            paths: PathArena::default(),
+            memo: ValidityMemo::new(cache, announcements),
             stats: ConvergenceStats::default(),
         }
     }
@@ -392,9 +421,10 @@ impl<'a> Worklist<'a> {
         announcements: &[Announcement],
     ) -> Result<(RoutingState, ConvergenceStats), ConvergenceError> {
         let mut dirty = self.seed(announcements);
+        let mut next_dirty: Vec<(u32, u32)> = Vec::new();
 
         // Same cap as the reference engine. A worklist round is the
-        // synchronous round restricted to the pairs that could change,
+        // synchronous round restricted to the cells that could change,
         // so the worklist engine never needs more rounds.
         let cap = 2 * self.topology.len() + 10;
         let mut updates: Vec<(u32, u32, Option<WorkRoute>)> = Vec::new();
@@ -407,30 +437,26 @@ impl<'a> Worklist<'a> {
                     cycle: self.topology.find_transit_cycle(),
                 });
             }
-            // Evaluate every dirty pair against previous-round state,
+            // Evaluate every dirty cell against previous-round state,
             // buffering writes: the round stays synchronous, so the
-            // BTreeSet iteration order can't influence the outcome.
-            updates.clear();
+            // list's order can't influence the outcome.
             for &(as_idx, prefix_idx) in &dirty {
                 self.stats.pairs_evaluated += 1;
                 if let Some(new_route) = self.evaluate(as_idx, prefix_idx) {
                     updates.push((as_idx, prefix_idx, new_route));
                 }
             }
-            // Apply, and mark the neighbours of every changed pair
+            // Apply, and mark the neighbours of every changed cell
             // dirty for the next round.
             let npfx = self.prefixes.len();
-            let mut next_dirty = BTreeSet::new();
+            let next_round = u32::try_from(self.stats.rounds + 1).expect("round cap fits u32");
+            next_dirty.clear();
             for (as_idx, prefix_idx, route) in updates.drain(..) {
                 self.tables[as_idx as usize * npfx + prefix_idx as usize] = route;
                 self.stats.route_updates += 1;
-                for &(nbr, _) in self.index.neighbors(as_idx) {
-                    if !self.origin_locked[nbr as usize * npfx + prefix_idx as usize] {
-                        next_dirty.insert((nbr, prefix_idx));
-                    }
-                }
+                self.mark_neighbors(as_idx, prefix_idx, next_round, &mut next_dirty);
             }
-            dirty = next_dirty;
+            std::mem::swap(&mut dirty, &mut next_dirty);
         }
 
         let state = self.materialize();
@@ -439,35 +465,60 @@ impl<'a> Worklist<'a> {
         Ok((state, self.stats))
     }
 
-    /// Seeds origin routes and returns the initial dirty set: every
+    /// Puts every neighbour cell of `(as_idx, prefix_idx)` that is not
+    /// an origin on `round`'s dirty list, unless it is on it already.
+    fn mark_neighbors(
+        &mut self,
+        as_idx: u32,
+        prefix_idx: u32,
+        round: u32,
+        dirty: &mut Vec<(u32, u32)>,
+    ) {
+        let npfx = self.prefixes.len();
+        for &(nbr, _) in self.index.neighbors(as_idx) {
+            let cell = nbr as usize * npfx + prefix_idx as usize;
+            if !self.origin_locked[cell] && self.stamp[cell] != round {
+                self.stamp[cell] = round;
+                dirty.push((nbr, prefix_idx));
+            }
+        }
+    }
+
+    /// Seeds origin routes and returns round 1's dirty list: every
     /// non-origin neighbour cell of an origin. An origin always
     /// carries its own announcement, whatever the RPKI says — it is
     /// lying deliberately or it is the legitimate holder; either way
     /// it announces — so origin cells are locked and never
     /// re-evaluated.
-    fn seed(&mut self, announcements: &[Announcement]) -> BTreeSet<(u32, u32)> {
+    fn seed(&mut self, announcements: &[Announcement]) -> Vec<(u32, u32)> {
         let npfx = self.prefixes.len();
-        for ann in announcements {
-            let as_idx = self.index.index_of(ann.origin).expect("origin was interned");
-            let prefix_idx = self.prefixes.binary_search(&ann.prefix).expect("prefix interned");
-            let cell = as_idx as usize * npfx + prefix_idx;
-            self.tables[cell] =
-                Some(WorkRoute { origin: ann.origin, learned_from: None, path_len: 0, path: None });
+        let mut origins: Vec<(u32, u32)> = Vec::with_capacity(announcements.len());
+        for (ann, a) in announcements.iter().enumerate() {
+            let as_idx = self.index.index_of(a.origin).expect("origin was interned");
+            let prefix_idx =
+                self.prefixes.binary_search(&a.prefix).expect("prefix interned") as u32;
+            let cell = as_idx as usize * npfx + prefix_idx as usize;
+            // A repeated announcement changes nothing; the first one's
+            // memo slot serves the cell.
+            if self.origin_locked[cell] {
+                continue;
+            }
+            self.tables[cell] = Some(WorkRoute {
+                origin: a.origin,
+                learned_from: None,
+                path_len: 0,
+                path: NO_PATH,
+                ann: ann as u32,
+            });
             self.origin_locked[cell] = true;
+            origins.push((as_idx, prefix_idx));
         }
         // Second pass, once all locks are set: a neighbour that is
         // itself an origin for the same prefix must not enter the
         // worklist.
-        let mut dirty = BTreeSet::new();
-        for ann in announcements {
-            let as_idx = self.index.index_of(ann.origin).expect("origin was interned");
-            let prefix_idx =
-                self.prefixes.binary_search(&ann.prefix).expect("prefix interned") as u32;
-            for &(nbr, _) in self.index.neighbors(as_idx) {
-                if !self.origin_locked[nbr as usize * npfx + prefix_idx as usize] {
-                    dirty.insert((nbr, prefix_idx));
-                }
-            }
+        let mut dirty = Vec::new();
+        for (as_idx, prefix_idx) in origins {
+            self.mark_neighbors(as_idx, prefix_idx, 1, &mut dirty);
         }
         dirty
     }
@@ -475,21 +526,20 @@ impl<'a> Worklist<'a> {
     /// Re-runs best-route selection for one `(AS, prefix)` cell against
     /// current (previous-round) tables. Returns `None` when the
     /// selection is unchanged, `Some(new)` — possibly a withdrawal —
-    /// when it changed. Only a changed selection allocates (one path
-    /// node).
+    /// when it changed. Only a changed selection appends to the path
+    /// arena (one node).
     fn evaluate(&mut self, as_idx: u32, prefix_idx: u32) -> Option<Option<WorkRoute>> {
         let npfx = self.prefixes.len();
         let asn = self.index.asn(as_idx);
-        let prefix = self.prefixes[prefix_idx as usize];
 
-        // Best candidate so far, as (pref_key, neighbour index, role).
-        // The key is computed from the neighbour's stored route without
-        // materialising the candidate: validity depends only on
-        // (prefix, origin), the candidate's path length is the
+        // Best candidate so far, as (pref_key, neighbour's route,
+        // role). The key is computed from the neighbour's stored route
+        // without materialising the candidate: validity depends only on
+        // the seeding announcement, the candidate's path length is the
         // neighbour's plus one, and its next hop is the neighbour.
-        let mut best: Option<(CandidateKey, u32, Relationship)> = None;
+        let mut best: Option<(CandidateKey, WorkRoute, Relationship)> = None;
         for &(nbr, rel) in self.index.neighbors(as_idx) {
-            let Some(route) = &self.tables[nbr as usize * npfx + prefix_idx as usize] else {
+            let Some(route) = self.tables[nbr as usize * npfx + prefix_idx as usize] else {
                 continue;
             };
             // Export rule at the neighbour: routes learned from
@@ -507,7 +557,7 @@ impl<'a> Worklist<'a> {
                 continue;
             }
             // Loop prevention.
-            if route.origin == asn || path_contains(&route.path, asn) {
+            if route.origin == asn || self.paths.hops(route.path).any(|hop| hop == asn) {
                 continue;
             }
             // Import filter and validity preference. Under Ignore,
@@ -516,15 +566,13 @@ impl<'a> Worklist<'a> {
             let vrank = match self.policy {
                 RpkiPolicy::Ignore => 0,
                 RpkiPolicy::DropInvalid => {
-                    if self.memo.classify(prefix_idx, prefix, route.origin)
-                        == RouteValidity::Invalid
-                    {
+                    if self.memo.classify(route.ann) == RouteValidity::Invalid {
                         continue;
                     }
                     0
                 }
                 RpkiPolicy::DeprefInvalid => {
-                    validity_rank(self.policy, self.memo.classify(prefix_idx, prefix, route.origin))
+                    validity_rank(self.policy, self.memo.classify(route.ann))
                 }
             };
             let key = (vrank, rel.rank(), route.path_len + 1, self.index.asn(nbr).0);
@@ -533,85 +581,95 @@ impl<'a> Worklist<'a> {
             // orders candidates (distinct neighbours differ in the
             // next-hop component), "first" can never matter.
             if best.as_ref().is_none_or(|(bk, _, _)| key < *bk) {
-                best = Some((key, nbr, rel));
+                best = Some((key, route, rel));
             }
         }
 
-        let current = &self.tables[as_idx as usize * npfx + prefix_idx as usize];
-        match best {
+        let current = self.tables[as_idx as usize * npfx + prefix_idx as usize];
+        let Some(((_, _, _, next_hop), via, rel)) = best else {
             // Withdrawal iff something was selected before.
-            None => current.is_some().then_some(None),
-            Some((_, nbr, rel)) => {
-                let nbr_asn = self.index.asn(nbr);
-                let nbr_route = self.tables[nbr as usize * npfx + prefix_idx as usize]
-                    .as_ref()
-                    .expect("best candidate came from this cell");
-                let unchanged = matches!(current, Some(cur)
-                    if cur.learned_from == Some(rel)
-                        && cur.origin == nbr_route.origin
-                        && cur.path_len == nbr_route.path_len + 1
-                        && matches!(&cur.path, Some(node)
-                            if node.head == nbr_asn && paths_equal(&node.tail, &nbr_route.path)));
-                if unchanged {
-                    return None;
-                }
-                Some(Some(WorkRoute {
-                    origin: nbr_route.origin,
-                    learned_from: Some(rel),
-                    path_len: nbr_route.path_len + 1,
-                    path: Some(Arc::new(PathNode { head: nbr_asn, tail: nbr_route.path.clone() })),
-                }))
-            }
+            return current.is_some().then_some(None);
+        };
+        let next_hop = Asn(next_hop);
+        let unchanged = current.is_some_and(|cur| {
+            cur.learned_from == Some(rel)
+                && cur.origin == via.origin
+                && cur.path_len == via.path_len + 1
+                && self.paths.0[cur.path as usize].head == next_hop
+                && self.paths.equal(self.paths.0[cur.path as usize].tail, via.path)
+        });
+        if unchanged {
+            return None;
         }
+        Some(Some(WorkRoute {
+            origin: via.origin,
+            learned_from: Some(rel),
+            path_len: via.path_len + 1,
+            path: self.paths.cons(next_hop, via.path),
+            ann: via.ann,
+        }))
     }
 
     /// Converts the flat tables into the public [`RoutingState`] form,
     /// classifying each selected route's validity — from the memo, or
     /// for the first time under `Ignore`, where selection never needed
-    /// it.
+    /// it. Cells are visited in (ASN, prefix) order, which is the
+    /// state's row order, so rows are built by appending.
     fn materialize(&mut self) -> RoutingState {
         let npfx = self.prefixes.len();
-        let mut tables: BTreeMap<Asn, BTreeMap<Prefix, SelectedRoute>> = BTreeMap::new();
+        let mut rows: Vec<(Asn, Vec<SelectedRoute>)> = Vec::new();
         if npfx == 0 {
-            return RoutingState { tables, policy: Some(self.policy) };
+            return RoutingState { rows, policy: Some(self.policy) };
         }
-        for (as_idx, row) in self.tables.chunks(npfx).enumerate() {
-            let mut table = BTreeMap::new();
-            for (prefix_idx, cell) in row.iter().enumerate() {
+        for (as_idx, cells) in self.tables.chunks(npfx).enumerate() {
+            let held = cells.iter().flatten().count();
+            if held == 0 {
+                continue;
+            }
+            let mut row = Vec::with_capacity(held);
+            for (prefix_idx, cell) in cells.iter().enumerate() {
                 let Some(route) = cell else { continue };
                 let prefix = self.prefixes[prefix_idx];
-                let validity = self.memo.classify(prefix_idx as u32, prefix, route.origin);
-                table.insert(
+                let mut path = Vec::with_capacity(route.path_len as usize);
+                path.extend(self.paths.hops(route.path));
+                debug_assert_eq!(path.len(), route.path_len as usize);
+                row.push(SelectedRoute {
                     prefix,
-                    SelectedRoute {
-                        prefix,
-                        origin: route.origin,
-                        path: materialize_path(&route.path, route.path_len),
-                        learned_from: route.learned_from,
-                        validity,
-                    },
-                );
+                    origin: route.origin,
+                    path,
+                    learned_from: route.learned_from,
+                    validity: self.memo.classify(route.ann),
+                });
             }
-            if !table.is_empty() {
-                tables.insert(self.index.asn(as_idx as u32), table);
-            }
+            rows.push((self.index.asn(as_idx as u32), row));
         }
-        RoutingState { tables, policy: Some(self.policy) }
+        RoutingState { rows, policy: Some(self.policy) }
     }
 }
 
+#[cfg(any(test, feature = "test-oracle"))]
 pub mod reference {
     //! The original synchronous full-scan engine, kept (plus the typed
     //! convergence error) as the oracle for the worklist engine: every
     //! round, every `(AS, prefix)` pair re-selects from neighbours'
     //! previous-round tables, stopping after a round with no change.
+    //! Compiled for this crate's own tests and, for other packages,
+    //! behind the `test-oracle` feature.
     //!
     //! The only divergence from the historical implementation is that
     //! empty per-AS tables left behind by insert-then-withdraw
     //! sequences are pruned before returning, so [`RoutingState`]
     //! equality is structural rather than historical.
 
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
+
+    fn pref_key(route: &SelectedRoute, policy: RpkiPolicy) -> (u8, u8, usize, u32) {
+        let rel_rank = route.learned_from.map(Relationship::rank).unwrap_or(0);
+        let next_hop = route.path.first().map(|a| a.0).unwrap_or(0);
+        (validity_rank(policy, route.validity), rel_rank, route.path.len(), next_hop)
+    }
 
     /// Synchronous full-scan propagation; returns the converged state
     /// and the number of rounds (including the final quiescent
@@ -622,7 +680,8 @@ pub mod reference {
         policy: RpkiPolicy,
         cache: &VrpCache,
     ) -> Result<(RoutingState, usize), ConvergenceError> {
-        let mut state = RoutingState { tables: BTreeMap::new(), policy: Some(policy) };
+        // `AS → prefix → selected route`.
+        let mut tables: BTreeMap<Asn, BTreeMap<Prefix, SelectedRoute>> = BTreeMap::new();
 
         // Seed origins. An origin always carries its own announcement,
         // whatever the RPKI says (it is lying deliberately or it is the
@@ -630,7 +689,7 @@ pub mod reference {
         let prefixes: BTreeSet<Prefix> = announcements.iter().map(|a| a.prefix).collect();
         for ann in announcements {
             let validity = cache.classify(Route::new(ann.prefix, ann.origin));
-            state.tables.entry(ann.origin).or_default().insert(
+            tables.entry(ann.origin).or_default().insert(
                 ann.prefix,
                 SelectedRoute {
                     prefix: ann.prefix,
@@ -654,18 +713,17 @@ pub mod reference {
             // Synchronous round: every AS re-selects from neighbours'
             // *previous-round* tables, which keeps the computation
             // deterministic and order-independent.
-            let mut next = state.tables.clone();
+            let mut next = tables.clone();
             for asn in topology.ases() {
                 for &prefix in &prefixes {
-                    let current = state.tables.get(&asn).and_then(|t| t.get(&prefix));
+                    let current = tables.get(&asn).and_then(|t| t.get(&prefix));
                     // Origins never replace their own announcement.
                     if matches!(current, Some(r) if r.learned_from.is_none()) {
                         continue;
                     }
                     let mut best: Option<SelectedRoute> = None;
                     for (neighbor, rel) in topology.neighbors(asn) {
-                        let Some(route) = state.tables.get(&neighbor).and_then(|t| t.get(&prefix))
-                        else {
+                        let Some(route) = tables.get(&neighbor).and_then(|t| t.get(&prefix)) else {
                             continue;
                         };
                         // Export rule at the neighbour: routes learned
@@ -703,7 +761,7 @@ pub mod reference {
                         }
                         let better = match &best {
                             None => true,
-                            Some(b) => candidate.pref_key(policy) < b.pref_key(policy),
+                            Some(b) => pref_key(&candidate, policy) < pref_key(b, policy),
                         };
                         if better {
                             best = Some(candidate);
@@ -723,15 +781,20 @@ pub mod reference {
                     }
                 }
             }
-            state.tables = next;
+            tables = next;
             if !changed {
                 break;
             }
         }
         // Insert-then-withdraw leaves empty per-AS maps behind; prune
-        // them so state comparison is structural, not historical.
-        state.tables.retain(|_, t| !t.is_empty());
-        Ok((state, rounds))
+        // them so state comparison is structural, not historical. Map
+        // order is the state's row order.
+        let rows = tables
+            .into_iter()
+            .filter(|(_, table)| !table.is_empty())
+            .map(|(asn, table)| (asn, table.into_values().collect()))
+            .collect();
+        Ok((RoutingState { rows, policy: Some(policy) }, rounds))
     }
 }
 

@@ -160,7 +160,6 @@ impl Topology {
     /// Checks the provider-customer hierarchy is acyclic (Gao–Rexford
     /// stability needs this). Returns an example cycle if one exists.
     pub fn find_transit_cycle(&self) -> Option<Vec<Asn>> {
-        // DFS over provider→customer edges.
         #[derive(Clone, Copy, PartialEq)]
         enum Mark {
             White,
@@ -168,41 +167,36 @@ impl Topology {
             Black,
         }
         let mut marks: BTreeMap<Asn, Mark> = self.ases().map(|a| (a, Mark::White)).collect();
-        let mut stack_path: Vec<Asn> = Vec::new();
-
-        fn dfs(
-            topo: &Topology,
-            at: Asn,
-            marks: &mut BTreeMap<Asn, Mark>,
-            path: &mut Vec<Asn>,
-        ) -> Option<Vec<Asn>> {
-            marks.insert(at, Mark::Grey);
-            path.push(at);
-            for &c in topo.customers(at) {
+        // DFS over provider→customer edges on an explicit stack — a
+        // hierarchy can be deeper than any call stack. Each entry is a
+        // Grey AS and the index of its next customer to visit; the
+        // entries, bottom up, are the path from the root.
+        let mut stack: Vec<(Asn, usize)> = Vec::new();
+        for root in self.ases() {
+            if marks[&root] != Mark::White {
+                continue;
+            }
+            marks.insert(root, Mark::Grey);
+            stack.push((root, 0));
+            while let Some((at, next)) = stack.last_mut() {
+                let Some(&c) = self.customers(*at).get(*next) else {
+                    marks.insert(*at, Mark::Black);
+                    stack.pop();
+                    continue;
+                };
+                *next += 1;
                 match marks[&c] {
                     Mark::Grey => {
-                        let start = path.iter().position(|&x| x == c).unwrap_or(0);
-                        let mut cycle = path[start..].to_vec();
+                        let start = stack.iter().position(|&(x, _)| x == c).unwrap_or(0);
+                        let mut cycle: Vec<Asn> = stack[start..].iter().map(|&(x, _)| x).collect();
                         cycle.push(c);
                         return Some(cycle);
                     }
                     Mark::White => {
-                        if let Some(cycle) = dfs(topo, c, marks, path) {
-                            return Some(cycle);
-                        }
+                        marks.insert(c, Mark::Grey);
+                        stack.push((c, 0));
                     }
                     Mark::Black => {}
-                }
-            }
-            path.pop();
-            marks.insert(at, Mark::Black);
-            None
-        }
-
-        for asn in self.ases().collect::<Vec<_>>() {
-            if marks[&asn] == Mark::White {
-                if let Some(cycle) = dfs(self, asn, &mut marks, &mut stack_path) {
-                    return Some(cycle);
                 }
             }
         }
@@ -339,6 +333,26 @@ mod tests {
         let cycle = t.find_transit_cycle().expect("cycle exists");
         assert!(cycle.len() >= 3);
         assert_eq!(cycle.first(), cycle.last());
+    }
+
+    #[test]
+    fn transit_cycle_detection_survives_a_deep_hierarchy() {
+        // A 200 000-AS provider chain: a recursive DFS overflows the
+        // test thread's stack long before the bottom.
+        const DEPTH: u32 = 200_000;
+        let mut t = Topology::new();
+        for i in 1..DEPTH {
+            t.add_provider_customer(a(i), a(i + 1));
+        }
+        assert_eq!(t.find_transit_cycle(), None);
+        // The bottom AS sells transit to the top one: the whole chain
+        // is the cycle.
+        t.add_provider_customer(a(DEPTH), a(1));
+        let cycle = t.find_transit_cycle().expect("cycle exists");
+        assert_eq!(cycle.len(), DEPTH as usize + 1);
+        assert_eq!(cycle.first(), Some(&a(1)));
+        assert_eq!(cycle.last(), Some(&a(1)));
+        assert!(cycle.windows(2).all(|w| t.customers(w[0]).contains(&w[1])));
     }
 
     #[test]

@@ -130,10 +130,9 @@ impl Table {
         prefixes.dedup();
 
         let mut tables = String::new();
-        writeln!(tables, "policy={:?} ases_with_routes={:?}", state.policy(), {
-            state.ases_with_routes()
-        })
-        .expect("string write");
+        let (policy, with_routes) = (state.policy(), state.ases_with_routes());
+        writeln!(tables, "policy={policy:?} ases_with_routes={with_routes:?}")
+            .expect("string write");
         for &asn in &ases {
             writeln!(tables, "{asn:?}").expect("string write");
             let rows: Vec<_> = state.table(asn).collect();
