@@ -27,6 +27,7 @@ struct Record {
     commit: String,
     available_parallelism: usize,
     profile: &'static str,
+    sha256: &'static str,
     ases: usize,
     prefixes: usize,
     /// Announcements the cache makes Invalid (they never leave their
@@ -82,6 +83,7 @@ fn measure(
         commit: stamp.commit.clone(),
         available_parallelism: stamp.available_parallelism,
         profile: stamp.profile,
+        sha256: stamp.sha256,
         ases,
         prefixes: announcements.len(),
         invalid_announcements: announcements

@@ -37,7 +37,7 @@ use rpki_objects::Moment;
 use rpki_repo::{RrdpClientState, SyncPolicy};
 use rpki_risk::SyntheticRpki;
 use rpki_risk_bench::{
-    emit_json, scale_arg, time_min, trace_recorder, write_trace, Summary, SummaryTable,
+    emit_json, scale_arg, time_min, trace_recorder, write_trace, RunStamp, Summary, SummaryTable,
 };
 use rpki_rp::{RrdpSource, ValidationConfig, ValidationRun, ValidationState, Validator};
 use serde::Serialize;
@@ -45,6 +45,10 @@ use serde::Serialize;
 /// One measured (tree shape, churn rate) cell.
 #[derive(Debug, Serialize)]
 struct Record {
+    commit: String,
+    available_parallelism: usize,
+    profile: &'static str,
+    sha256: &'static str,
     pub_points: usize,
     depth: u32,
     branching: u32,
@@ -89,6 +93,7 @@ fn validate_rrdp(
 
 fn main() {
     let scale = scale_arg().max(1);
+    let stamp = RunStamp::capture();
     let mut report = Summary::new(&format!("RRDP transport benchmark (scale {scale})"));
     let rec = trace_recorder();
 
@@ -174,6 +179,10 @@ fn main() {
                 "fallback causes must partition the snapshot syncs"
             );
             records.push(Record {
+                commit: stamp.commit.clone(),
+                available_parallelism: stamp.available_parallelism,
+                profile: stamp.profile,
+                sha256: stamp.sha256,
                 pub_points: w.publication_points(),
                 depth,
                 branching,

@@ -25,14 +25,27 @@ use ipres::Asn;
 use rpki_objects::{Moment, RoaPrefix};
 use rpki_risk::SyntheticRpki;
 use rpki_risk_bench::{
-    emit_json, scale_arg, time_min, trace_recorder, write_trace, Summary, SummaryTable,
+    emit_json, scale_arg, time_min, trace_recorder, write_trace, RunStamp, Summary, SummaryTable,
 };
 use rpki_rp::ValidationState;
 use serde::Serialize;
 
+/// Release floor on cold ÷ incremental wall time at <=10% churn on the
+/// 156-point tree. A ratio moves when either side does: it was 5x while
+/// the cold walk hashed on the scalar kernel (23.4 ms over 4.06 ms,
+/// 5.8x); on the SHA-NI kernel both sides are faster (12.1 ms over
+/// 2.81 ms) but the cold walk, which hashes every byte, shrank more than
+/// the probe-and-replay path, which hashes almost none, so the same
+/// engine reads 4.3x.
+const WALL_FLOOR: f64 = 3.5;
+
 /// One measured (tree shape, churn rate) cell.
 #[derive(Debug, Serialize)]
 struct Record {
+    commit: String,
+    available_parallelism: usize,
+    profile: &'static str,
+    sha256: &'static str,
     pub_points: usize,
     depth: u32,
     branching: u32,
@@ -85,6 +98,7 @@ fn mutate(
 
 fn main() {
     let scale = scale_arg().max(1);
+    let stamp = RunStamp::capture();
     let mut report = Summary::new(&format!("Incremental validation benchmark (scale {scale})"));
     let rec = trace_recorder();
 
@@ -138,6 +152,10 @@ fn main() {
 
             let stats = state.stats();
             records.push(Record {
+                commit: stamp.commit.clone(),
+                available_parallelism: stamp.available_parallelism,
+                profile: stamp.profile,
+                sha256: stamp.sha256,
                 pub_points: w.publication_points(),
                 depth,
                 branching,
@@ -190,17 +208,33 @@ fn main() {
         .filter(|r| r.pub_points == largest && r.churn_pct <= 10)
         .map(|r| r.speedup)
         .fold(f64::INFINITY, f64::min);
+    // What the wall-clock ratio stands in for, on no clock at all: the
+    // engine re-walks what was dirtied plus the root (the one semantic
+    // change every round makes there), and replays everything else.
+    let rewalk_excess = records
+        .iter()
+        .map(|r| r.subtrees_rewalked.saturating_sub(r.dirtied_per_round as u64))
+        .max()
+        .expect("records");
     report.key_vals(
         "targets",
-        &[(
-            format!("minimum speedup at <=10% churn on the largest tree ({largest} points)"),
-            format!("{floor_speedup:.1}x"),
-        )],
+        &[
+            (
+                format!("minimum speedup at <=10% churn on the largest tree ({largest} points)"),
+                format!("{floor_speedup:.1}x"),
+            ),
+            (
+                "most subtrees re-walked beyond the dirtied ones, any cell".to_string(),
+                rewalk_excess.to_string(),
+            ),
+        ],
     );
     if cfg!(debug_assertions) {
         report.note("(debug build — speedup floor not enforced; run with --release)");
-    } else if floor_speedup >= 5.0 {
-        report.note("OK: >= 5x over the cold walk at <=10% churn on the largest tree.");
+    } else if floor_speedup >= WALL_FLOOR {
+        report.note(&format!(
+            "OK: >= {WALL_FLOOR}x over the cold walk at <=10% churn on the largest tree."
+        ));
     }
     report.print();
 
@@ -215,7 +249,12 @@ fn main() {
     // Enforced last so a regressed run still reports and exports the
     // numbers that explain it.
     assert!(
-        cfg!(debug_assertions) || floor_speedup >= 5.0,
-        "incremental engine regressed below the 5x floor at <=10% churn ({floor_speedup:.2}x)"
+        rewalk_excess <= 1,
+        "incremental engine re-walked {rewalk_excess} subtrees beyond the dirtied ones (want <= 1)"
+    );
+    assert!(
+        cfg!(debug_assertions) || floor_speedup >= WALL_FLOOR,
+        "incremental engine regressed below the {WALL_FLOOR}x floor at <=10% churn \
+         ({floor_speedup:.2}x)"
     );
 }

@@ -97,6 +97,10 @@ pub struct RunStamp {
     pub available_parallelism: usize,
     /// `release` or `debug`.
     pub profile: &'static str,
+    /// The SHA-256 kernel the host ran (`sha-ni` or `portable`): wall
+    /// times of anything that hashes compare only between records that
+    /// agree on it.
+    pub sha256: &'static str,
 }
 
 impl RunStamp {
@@ -116,6 +120,7 @@ impl RunStamp {
             commit,
             available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
             profile: if cfg!(debug_assertions) { "debug" } else { "release" },
+            sha256: rpkisim_crypto::sha256::backend(),
         }
     }
 }

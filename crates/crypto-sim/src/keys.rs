@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{OnceLock, RwLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -247,17 +247,19 @@ fn tag(secret: &[u8; 32], message: &[u8]) -> Digest {
     h.finalize()
 }
 
-fn registry() -> &'static Mutex<HashMap<KeyId, [u8; 32]>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<KeyId, [u8; 32]>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
+/// Written when a `KeyPair` is created, read on every `verify` — from
+/// every worker of the sharded walk at once, hence not a `Mutex`.
+fn registry() -> &'static RwLock<HashMap<KeyId, [u8; 32]>> {
+    static REGISTRY: OnceLock<RwLock<HashMap<KeyId, [u8; 32]>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
 fn registry_insert(id: KeyId, secret: [u8; 32]) {
-    registry().lock().expect("key registry poisoned").insert(id, secret);
+    registry().write().expect("key registry poisoned").insert(id, secret);
 }
 
 fn registry_lookup(id: KeyId) -> Option<[u8; 32]> {
-    registry().lock().expect("key registry poisoned").get(&id).copied()
+    registry().read().expect("key registry poisoned").get(&id).copied()
 }
 
 #[cfg(test)]

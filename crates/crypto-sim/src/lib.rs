@@ -17,6 +17,10 @@
 //!
 //! - [`mod@sha256`] — a real, test-vectored SHA-256 (FIPS 180-4). Digests
 //!   are real so corruption detection behaves exactly like production.
+//!   Its compression function runs on the x86 SHA extensions where the
+//!   CPU reports them and on a portable loop elsewhere, chosen at run
+//!   time; the call that crosses into the `#[target_feature]` kernel is
+//!   the workspace's only `unsafe` (hence `deny` below, not `forbid`).
 //! - [`keys`] — key pairs, key identifiers, and the signing API. The
 //!   signature scheme is a *key-registry MAC*: `sig = SHA-256(secret ‖
 //!   message)`, verifiable because the public key commits to the secret
@@ -25,7 +29,8 @@
 //!   preserves the trust/delegation semantics the paper analyses while
 //!   keeping the workspace free of external crypto dependencies.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod keys;
