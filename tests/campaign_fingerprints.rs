@@ -3,10 +3,11 @@
 //!
 //! Each row is the SHA-256 of one *table* of one `(spec, seed, entry
 //! point)` run — `tiers`, `divergence`, `load`, `rtr`, the schedule
-//! rounds — or of the run's JSONL trace or metrics registry. A pinned
-//! digest is strictly stronger than running the triple twice and
-//! comparing: it fails on cross-process nondeterminism and on any
-//! refactor that moves a byte of an outcome or a trace.
+//! rounds, the Stalloris scenario's whole `DowngradeOutcome` — or of
+//! the run's JSONL trace or metrics registry. A pinned digest is
+//! strictly stronger than running the triple twice and comparing: it
+//! fails on cross-process nondeterminism and on any refactor that moves
+//! a byte of an outcome or a trace.
 //!
 //! An intentional change prints the whole new table on mismatch; paste
 //! it over [`PINS`].
@@ -15,9 +16,9 @@ use rpki_attacks::CorpusKind;
 use rpki_ca::ChurnConfig;
 use rpki_obs::Recorder;
 use rpki_risk::{
-    gaming_schedule_plan, rtr_campaign, run_campaign, run_rtr_campaign, run_scheduled_campaign,
-    run_shared_campaign, schedule_gaming_campaign, standard_campaigns, CampaignSpec, FaultKind,
-    FaultWindow, RtrConfig, Walk,
+    gaming_schedule_plan, rtr_campaign, run_campaign, run_downgrade_traced, run_rtr_campaign,
+    run_scheduled_campaign, run_shared_campaign, schedule_gaming_campaign, standard_campaigns,
+    CampaignSpec, FaultKind, FaultWindow, RtrConfig, Walk,
 };
 use rpki_rp::{MergePolicy, ShardPlan, SlurmFile, UnsafeVrpPolicy};
 use rpkisim_crypto::sha256;
@@ -121,6 +122,14 @@ fn scheduled(t: &mut Table, spec: &CampaignSpec, seed: u64) {
     t.trace(&run, &rec);
 }
 
+/// The Stalloris scenario: the whole outcome record is one table.
+fn downgrade(t: &mut Table, seed: u64) {
+    let run = format!("downgrade@{seed}");
+    let rec = Recorder::new();
+    json!(t, run, "outcome", run_downgrade_traced(seed, &rec));
+    t.trace(&run, &rec);
+}
+
 fn fingerprints() -> Vec<(String, String)> {
     let mut t = Table::default();
     for spec in standard_campaigns() {
@@ -151,6 +160,10 @@ fn fingerprints() -> Vec<(String, String)> {
     private(&mut t, &odd_kinds(), 2013);
     shared(&mut t, &odd_kinds(), 2013, None);
     rtr(&mut t, &odd_kinds(), 2013, all3);
+
+    for seed in [2013, 41, 17, 23] {
+        downgrade(&mut t, seed);
+    }
     t.0
 }
 
@@ -306,4 +319,16 @@ const PINS: &[(&str, &str)] = &[
     ("rtr3All/odd-kinds@2013/rtr", "9ec2672e958ef06ae5d362bb397563878cd7cf152d81af443e2f12dae0cf1207"),
     ("rtr3All/odd-kinds@2013/trace", "edf429d10a602fc6aad8bc5058bc78d500a7d32a9e9e02fb355cb90c8afdcecc"),
     ("rtr3All/odd-kinds@2013/metrics", "7be9036b3d01c510f1beaaa1c038af2cdbd49894c71560684de21830a940e213"),
+    ("downgrade@2013/outcome", "c104c79075f6b3c706317dbf46a5705bf0780ee5ce514355aa3117f4012179d5"),
+    ("downgrade@2013/trace", "3ec2ab35a77c14c1a0a2256ed5293b3cbfb1c998e709075217e131ca7b9898cd"),
+    ("downgrade@2013/metrics", "51c00aa0a79e6cb66e174f3370218a247315904b2b3839d976320dee63ea3c8a"),
+    ("downgrade@41/outcome", "589af25e1e538348be78711004ca99072ce432131723912848e486dd7e868521"),
+    ("downgrade@41/trace", "3ec2ab35a77c14c1a0a2256ed5293b3cbfb1c998e709075217e131ca7b9898cd"),
+    ("downgrade@41/metrics", "51c00aa0a79e6cb66e174f3370218a247315904b2b3839d976320dee63ea3c8a"),
+    ("downgrade@17/outcome", "03343af1c13d131fec1e3cced5feba3ee9112279b720649f921a77f2072dfd54"),
+    ("downgrade@17/trace", "3ec2ab35a77c14c1a0a2256ed5293b3cbfb1c998e709075217e131ca7b9898cd"),
+    ("downgrade@17/metrics", "51c00aa0a79e6cb66e174f3370218a247315904b2b3839d976320dee63ea3c8a"),
+    ("downgrade@23/outcome", "e8d50acdcb6f4674ab91a723acb24da40e29631594d63b72913b987a93fba86e"),
+    ("downgrade@23/trace", "3ec2ab35a77c14c1a0a2256ed5293b3cbfb1c998e709075217e131ca7b9898cd"),
+    ("downgrade@23/metrics", "51c00aa0a79e6cb66e174f3370218a247315904b2b3839d976320dee63ea3c8a"),
 ];
