@@ -26,31 +26,21 @@
 //! implements the snapshot-diff monitoring scheme the paper poses as an
 //! open problem — classifying repository churn into benign operations
 //! and whacking signatures.
-//!
-//! [`downgrade`] extends the toolkit below the object layer: the
-//! Stalloris-style RRDP transport misbehaviours (stale-feed pinning,
-//! delta withholding, forced rsync downgrade, session resets) that let
-//! a publication point hide a whack from relying parties without
-//! forging a single signature.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collateral;
 pub mod corpus;
-pub mod downgrade;
 pub mod monitor;
-pub mod starve;
 pub mod view;
 pub mod whack;
 
 pub use collateral::{damage_between, probes_for, DamageReport};
 pub use corpus::{poison, CorpusCase, CorpusKind};
-pub use downgrade::{apply_step, DowngradePlan, DowngradeStep};
 pub use monitor::{
     ChangeKind, Classification, HostReport, MisbehaviorReport, Monitor, MonitorEvent,
     MonitorSnapshot, TransportEvidence,
 };
-pub use starve::{apply_round, StarvePlan};
 pub use view::CaView;
 pub use whack::{plan_whack, WhackError, WhackPlan, WhackStep};

@@ -66,7 +66,7 @@ use std::collections::BTreeSet;
 
 use ipres::Prefix;
 use netsim::{Network, NodeId};
-use rpki_attacks::{CorpusKind, StarvePlan};
+use rpki_attacks::CorpusKind;
 use rpki_ca::{ChurnConfig, ChurnEngine};
 use rpki_objects::{Moment, RoaPrefix, Span};
 use rpki_obs::Recorder;
@@ -107,9 +107,9 @@ pub enum FaultKind {
         /// Added one-way delay on repository→RP frames.
         extra: u64,
     },
-    /// Schedule gaming ([`rpki_attacks::starve`]): the repository
-    /// itself holds every response for `extra` seconds before
-    /// answering. Unlike [`Stall`](FaultKind::Stall) — a transport
+    /// Schedule gaming ([`Repository::set_serve_delay`]): the
+    /// repository itself holds every response for `extra` seconds
+    /// before answering. Unlike [`Stall`](FaultKind::Stall) — a transport
     /// fault armed per RP pair — this is the authority's own serve
     /// latency, seen identically by every client, and tuned *under*
     /// the per-attempt deadline so nothing ever fails: the slow host
@@ -122,7 +122,9 @@ pub enum FaultKind {
     /// The authority stealthily withdraws Continental's covering `/20`
     /// ROA (file deleted, manifest regenerated — no revocation) for the
     /// window, then reissues it. An authority-side fault: transport
-    /// defenses must *not* bridge it; Suspenders must.
+    /// defenses must *not* bridge it; Suspenders must. Continental is
+    /// the only authority that can take it: a window naming another
+    /// host is refused when it engages.
     Withdraw,
     /// Stalloris stale-data pinning: at the window's first round the
     /// host freezes its RRDP feed at the then-current state and replays
@@ -564,17 +566,24 @@ fn emit_row(
 
 /// The source stack a campaign relying party validates through.
 #[derive(Debug, Clone, Copy)]
-enum Stack {
+pub(crate) enum Stack {
     /// One of the five ablation tiers.
     Tier(RpTier),
     /// Retries + RRDP under a fetch scheduler: the budgeted relying
     /// party [`run_scheduled_campaign`] starves.
     Scheduled(SchedulePlan),
+    /// Retries + RRDP and nothing else — no stale cache to bridge a
+    /// lie: the two stances [`crate::downgrade`] compares. `verify`
+    /// cross-checks each sync against an rsync digest probe.
+    Rrdp {
+        /// Whether the feed's freshness is cross-checked.
+        verify: bool,
+    },
 }
 
 /// One relying party in a campaign: its network node, its stack, and
 /// every piece of state that persists across its rounds.
-struct Rp {
+pub(crate) struct Rp {
     node: NodeId,
     stack: Stack,
     /// The memo cache of an incremental walk; `None` walks cold.
@@ -583,7 +592,7 @@ struct Rp {
     suspenders: SuspendersState,
     /// Per-directory RRDP session state: what makes round N+1 a delta
     /// (or fast-path) sync of round N.
-    rrdp: RrdpClientState,
+    pub(crate) rrdp: RrdpClientState,
     scheduler: SchedulerState,
     /// RRDP→rsync downgrades during the latest run.
     downgrades: u64,
@@ -634,6 +643,8 @@ impl Rp {
             Stack::Scheduled(plan) => {
                 base.retry(policy).rrdp(&mut self.rrdp).scheduled(plan, &mut self.scheduler)
             }
+            Stack::Rrdp { verify: true } => base.retry(policy).rrdp(&mut self.rrdp),
+            Stack::Rrdp { verify: false } => base.retry(policy).rrdp_trusting(&mut self.rrdp),
         };
         let opts = match self.validation.as_mut() {
             Some(state) => opts.incremental(state),
@@ -717,10 +728,10 @@ fn tier_totals(rounds: &[RoundMetrics]) -> TierTotals {
 /// The one campaign engine: a world, the relying parties validating it,
 /// and everything that happens to it between rounds. Drivers call the
 /// steps in order and interleave their own work between them.
-struct Engine<'a> {
+pub(crate) struct Engine<'a> {
     spec: &'a CampaignSpec,
-    w: ModelRpki,
-    rps: Vec<Rp>,
+    pub(crate) w: ModelRpki,
+    pub(crate) rps: Vec<Rp>,
     /// Indices of stateful windows currently engaged, so their
     /// activation and release each happen exactly once.
     engaged: BTreeSet<usize>,
@@ -751,7 +762,7 @@ impl<'a> Engine<'a> {
     }
 
     /// A private world: one relying party at the world's built-in node.
-    fn private(
+    pub(crate) fn private(
         spec: &'a CampaignSpec,
         seed: u64,
         recorder: &Recorder,
@@ -776,13 +787,13 @@ impl<'a> Engine<'a> {
 
     /// One faultless, unrecorded validation per relying party against
     /// the healthy world.
-    fn warm_up(&mut self) -> Vec<ValidationRun> {
+    pub(crate) fn warm_up(&mut self) -> Vec<ValidationRun> {
         let (w, spec, shards) = (&mut self.w, self.spec, self.shards);
         self.rps.iter_mut().map(|rp| rp.validate(w, spec.unsafe_vrps, shards)).collect()
     }
 
     /// Opens `round`: clock, then churn, then faults.
-    fn begin_round(&mut self, round: usize) {
+    pub(crate) fn begin_round(&mut self, round: usize) {
         // Stalled sessions may overrun the boundary; `advance_to` is
         // monotone, so pacing simply resumes once they drain.
         self.w.net.advance_to(round as u64 * ROUND_SECS);
@@ -874,6 +885,11 @@ impl<'a> Engine<'a> {
             FaultKind::RrdpPin if start => self.repo_mut(&win.host).rrdp_pin(),
             FaultKind::RrdpPin => self.repo_mut(&win.host).rrdp_unpin(),
             FaultKind::Withdraw if start => {
+                assert_eq!(
+                    win.host, CONTINENTAL_HOST,
+                    "a Withdraw window whacks Continental's covering ROA; host {} cannot take it",
+                    win.host
+                );
                 let file = self.w.covering_roa_file();
                 self.w.continental.withdraw(&file).expect("covering ROA present");
                 self.w.publish_all(now);
@@ -899,7 +915,7 @@ impl<'a> Engine<'a> {
 
     /// Every relying party validates, in order; tiers record and emit
     /// their row. Returns the round's runs, one per relying party.
-    fn validate_round(&mut self, round: usize) -> Vec<ValidationRun> {
+    pub(crate) fn validate_round(&mut self, round: usize) -> Vec<ValidationRun> {
         let (w, spec, shards) = (&mut self.w, self.spec, self.shards);
         self.rps
             .iter_mut()
@@ -918,7 +934,7 @@ impl<'a> Engine<'a> {
             Stack::Tier(tier) => {
                 Some(TierOutcome { tier, totals: tier_totals(&rp.rounds), rounds: rp.rounds })
             }
-            Stack::Scheduled(_) => None,
+            Stack::Scheduled(_) | Stack::Rrdp { .. } => None,
         };
         self.rps.into_iter().filter_map(tier_of).collect()
     }
@@ -1288,8 +1304,8 @@ pub fn rtr_campaign() -> CampaignSpec {
 /// The schedule plan the gaming campaign's relying party runs under:
 /// cadence clamps that keep every model point due each 30-minute
 /// round, light jitter, and the scarce per-run time budget the
-/// slow-serving authority games. One publication point served at the
-/// [`StarvePlan::stalloris`] delay burns the whole budget.
+/// slow-serving authority games. One publication point served at
+/// [`schedule_gaming_campaign`]'s delay burns the whole budget.
 pub fn gaming_schedule_plan() -> SchedulePlan {
     SchedulePlan {
         min_refresh: 600,
@@ -1305,13 +1321,16 @@ pub fn gaming_schedule_plan() -> SchedulePlan {
 }
 
 /// The schedule-gaming campaign: Sprint — second in the fixed
-/// arin → sprint → etb → continental walk order — serves slowly for a
-/// mid-campaign window ([`StarvePlan::stalloris`]), so the budgeted
-/// scheduler reaches ETB and CONTINENTAL with nothing left to spend.
+/// arin → sprint → etb → continental walk order — holds every response
+/// 250 seconds over rounds 4–9, so the budgeted scheduler reaches ETB
+/// and CONTINENTAL with nothing left to spend. 250 s is tuned *under*
+/// the 300 s per-attempt deadline ([`campaign_policy`]): a served-late
+/// answer still counts as a success, so no retry or breaker ever
+/// fires, yet one publication point's worth of exchanges burns
+/// [`gaming_schedule_plan`]'s whole 600 s run budget.
 pub fn schedule_gaming_campaign() -> CampaignSpec {
-    let plan = StarvePlan::stalloris("rpki.sprint.example");
-    let slow = FaultKind::SlowServe { extra: plan.serve_delay };
-    let window = FaultWindow::new(&plan.host, slow, plan.from, plan.to);
+    let slow = FaultKind::SlowServe { extra: 250 };
+    let window = FaultWindow::new("rpki.sprint.example", slow, 4, 9);
     CampaignSpec::new("schedule-gaming", 12, vec![window])
 }
 
@@ -1361,6 +1380,15 @@ mod tests {
         // …and the hold-down must.
         assert_eq!(susp.min_vrps, 8, "{susp:?}");
         assert_eq!(susp.unknown_flips, 0, "{susp:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "host rpki.sprint.example cannot take it")]
+    fn withdraw_on_another_host_is_refused() {
+        // The whack is Continental's covering ROA whatever the window
+        // says, so a window naming Sprint would hit the wrong authority.
+        let sprint = FaultWindow::new("rpki.sprint.example", FaultKind::Withdraw, 2, 3);
+        run(&CampaignSpec::new("w-elsewhere", 4, vec![sprint]), 42);
     }
 
     #[test]
@@ -1558,6 +1586,11 @@ mod tests {
         let spec = schedule_gaming_campaign();
         let out = run_scheduled_campaign(&spec, 7, gaming_schedule_plan(), &Recorder::disabled());
         let window = &spec.windows[0];
+        // Tuned under the per-attempt deadline: a held answer is late,
+        // not lost, so no attempt ever times out.
+        let FaultKind::SlowServe { extra } = window.kind else { panic!("{window:?}") };
+        assert!(extra < campaign_policy().deadline.expect("the campaign policy has a deadline"));
+        let budget = gaming_schedule_plan().time_budget.expect("the gaming plan is budgeted");
         for r in &out.schedule {
             let in_window = window.from <= r.round && r.round <= window.to;
             assert!(
@@ -1565,6 +1598,10 @@ mod tests {
                 "round {}: no deferrals outside the slow-serve window ({r:?})",
                 r.round
             );
+            // The delay is armed with the window and cleared after it:
+            // only held responses overrun the budget, and an overrun
+            // is the only thing that defers.
+            assert_eq!(r.deferred > 0, r.time_used > budget, "round {}: {r:?}", r.round);
         }
         // The slow host burns the budget on (at least) every other
         // window round — its own stretched fetch can push its next
@@ -1618,10 +1655,12 @@ mod tests {
     fn standard_campaigns_are_well_formed() {
         let specs = standard_campaigns();
         assert_eq!(specs.len(), 6);
-        for spec in &specs {
+        for spec in specs.iter().chain([&rtr_campaign()]) {
             assert!(spec.rounds >= 1);
             for win in &spec.windows {
                 assert!(win.from >= 1 && win.from <= win.to && win.to <= spec.rounds);
+                // The one authority `engage` lets a Withdraw name.
+                assert!(win.kind != FaultKind::Withdraw || win.host == CONTINENTAL);
                 // Snapshot budget covers every transport window, so the
                 // stale tier's bridging claim is meaningful throughout.
                 let budget_rounds = (campaign_resilience().max_stale / ROUND_SECS) as usize;

@@ -6,16 +6,25 @@
 //! Stalloris-style RRDP pin, so the publication point keeps replaying
 //! its pre-whack feed while the at-rest truth has moved on.
 //!
+//! The scenario is a campaign: two private-world campaign engines, one
+//! per transported stance, stepped in lock-step through one fault
+//! schedule — an [`RrdpPin`](FaultKind::RrdpPin) window with a
+//! [`Withdraw`](FaultKind::Withdraw) window opening behind it. What
+//! this module adds is the comparison: the at-rest truth read, the
+//! at-rest [`Monitor`], and the per-round row that sets the stances
+//! side by side.
+//!
 //! Three relying-party stances watch the same worlds in lock-step:
 //!
 //! - **truth** — direct at-rest validation, no transport: what a
 //!   relying party *should* see each round;
 //! - **trusting** — prefers RRDP and believes it
-//!   ([`ValidationOptions::rrdp_trusting`]): the stance Stalloris
-//!   exploits;
+//!   ([`ValidationOptions::rrdp_trusting`](crate::ValidationOptions::rrdp_trusting)):
+//!   the stance Stalloris exploits;
 //! - **verified** — prefers RRDP but cross-checks freshness against an
 //!   rsync digest probe and downgrades on disagreement
-//!   ([`ValidationOptions::rrdp`]): the hardening this repo argues for.
+//!   ([`ValidationOptions::rrdp`](crate::ValidationOptions::rrdp)): the
+//!   hardening this repo argues for.
 //!
 //! The outcome quantifies the attack as *stale rounds*: rounds where a
 //! stance's VRP set differs from truth. The Stalloris effect is the
@@ -25,15 +34,12 @@
 //! `ablation_downgrade` binary serialises [`DowngradeOutcome`] as the
 //! experiment artifact.
 
-use rpki_attacks::{apply_step, DowngradePlan, Monitor, MonitorEvent, MonitorSnapshot};
+use rpki_attacks::{Monitor, MonitorEvent, MonitorSnapshot};
 use rpki_objects::Moment;
 use rpki_obs::Recorder;
-use rpki_repo::{RrdpClientState, SyncPolicy};
 use serde::Serialize;
 
-use crate::campaign::ROUND_SECS;
-use crate::fixtures::ModelRpki;
-use crate::validate::ValidationOptions;
+use crate::campaign::{CampaignSpec, Engine, FaultKind, FaultWindow, Stack, Walk};
 
 /// The misbehaving publication point (it hosts the whacked ROA).
 const TARGET_HOST: &str = "rpki.continental.example";
@@ -43,11 +49,11 @@ const TARGET_HOST: &str = "rpki.continental.example";
 pub struct DowngradeSchedule {
     /// Total rounds.
     pub rounds: usize,
-    /// Round at which the feed is pinned (the plan's opening step).
+    /// Round at which the feed is pinned.
     pub pin_round: usize,
     /// Round at which the covering ROA is stealthily withdrawn.
     pub whack_round: usize,
-    /// Round at which the host restores itself (the plan's last step).
+    /// Round at which the host restores itself (lifts the pin).
     pub restore_round: usize,
 }
 
@@ -100,107 +106,61 @@ pub struct DowngradeOutcome {
     pub monitor_events: Vec<MonitorEvent>,
 }
 
-/// Runs the Stalloris scenario under the default schedule.
-pub fn run_downgrade_scenario(seed: u64) -> DowngradeOutcome {
-    run_downgrade_scheduled(seed, DowngradeSchedule::default())
-}
-
-/// Runs the default schedule with `recorder` installed on the
-/// verified world, so the relying party's `rrdp_pinned` and
+/// Runs the Stalloris scenario at `seed` with `recorder` installed on
+/// the verified world, so the relying party's `rrdp_pinned` and
 /// `rrdp_downgrade` events land in the trace — the transport half of
 /// the evidence a [`rpki_attacks::MisbehaviorReport`] merges with the
-/// outcome's `monitor_events`.
-pub fn run_downgrade_traced(seed: u64, recorder: &Recorder) -> DowngradeOutcome {
-    run_downgrade_inner(seed, DowngradeSchedule::default(), Some(recorder))
-}
-
-/// Runs the Stalloris scenario under an explicit schedule.
-pub fn run_downgrade_scheduled(seed: u64, schedule: DowngradeSchedule) -> DowngradeOutcome {
-    run_downgrade_inner(seed, schedule, None)
-}
-
-/// The scenario body.
+/// outcome's `monitor_events` (pass [`Recorder::disabled`] for the
+/// outcome alone).
 ///
-/// Two worlds are built from the same seed — one per transported
-/// stance — and mutated identically; truth is read at-rest, so a third
-/// world is unnecessary. The attack itself is a
-/// [`DowngradePlan::stalloris`]: its opening step fires at
-/// `pin_round`, its closing step at `restore_round`, and the whack
-/// lands in between, invisible to anyone still watching the pinned
-/// feed. An at-rest [`Monitor`] snapshots the verified world every
-/// round; its classified diff rides along in the outcome.
-fn run_downgrade_inner(
-    seed: u64,
-    schedule: DowngradeSchedule,
-    recorder: Option<&Recorder>,
-) -> DowngradeOutcome {
-    assert!(
-        schedule.pin_round < schedule.whack_round
-            && schedule.whack_round < schedule.restore_round
-            && schedule.restore_round <= schedule.rounds,
-        "schedule must order pin < whack < restore <= rounds"
-    );
-    let plan = DowngradePlan::stalloris(TARGET_HOST);
-    let open = *plan.steps.first().expect("stalloris plans open");
-    let close = *plan.steps.last().expect("stalloris plans close");
-
-    let mut trusting_world = ModelRpki::build_seeded(seed);
-    let mut verified_world = ModelRpki::build_seeded(seed);
-    let mut trusting = RrdpClientState::new();
-    let mut verified = RrdpClientState::new();
-    let policy = SyncPolicy::default();
-    if let Some(recorder) = recorder {
-        verified_world.net.set_recorder(recorder.clone());
-    }
-    let rec = verified_world.net.recorder();
+/// Two engines are built from the same seed — one per transported
+/// stance — and run the same spec, so their worlds are mutated
+/// identically: the pin holds over `pin_round..restore_round` and the
+/// whack lands inside it at `whack_round`, invisible to anyone still
+/// watching the pinned feed, and is never reissued. Truth is read at
+/// rest, so a third world is unnecessary. An at-rest [`Monitor`]
+/// snapshots the verified world every round; its classified diff rides
+/// along in the outcome.
+pub fn run_downgrade_traced(seed: u64, recorder: &Recorder) -> DowngradeOutcome {
+    let schedule = DowngradeSchedule::default();
+    let window = |kind, from, to| FaultWindow::new(TARGET_HOST, kind, from, to);
+    let windows = vec![
+        window(FaultKind::RrdpPin, schedule.pin_round, schedule.restore_round - 1),
+        window(FaultKind::Withdraw, schedule.whack_round, schedule.rounds),
+    ];
+    let spec = CampaignSpec::new("stalloris", schedule.rounds, windows);
+    let stance = |verify, recorder: &Recorder| {
+        Engine::private(&spec, seed, recorder, Stack::Rrdp { verify }, Walk::Cold)
+    };
+    let mut trusting = stance(false, &Recorder::disabled());
+    let mut verified = stance(true, recorder);
     let mut monitor = Monitor::new();
     let mut monitor_events: Vec<MonitorEvent> = Vec::new();
-    monitor
-        .observe(MonitorSnapshot::capture(&verified_world.repos, Moment(verified_world.net.now())));
+    monitor.observe(MonitorSnapshot::capture(&verified.w.repos, Moment(verified.w.net.now())));
 
     // Warm-up: both stances converge on the healthy world.
-    let moment = Moment(trusting_world.net.now());
-    trusting_world
-        .validate_with(ValidationOptions::at(moment).retry(policy).rrdp_trusting(&mut trusting));
-    verified_world.validate_with(ValidationOptions::at(moment).retry(policy).rrdp(&mut verified));
-    let mut prev_downgrades = verified.stats().downgrades;
-    let mut prev_pinned = verified.stats().pinned_detected;
+    trusting.warm_up();
+    verified.warm_up();
+    let mut before = verified.rps[0].rrdp.stats();
 
     let mut rounds = Vec::with_capacity(schedule.rounds);
     for round in 1..=schedule.rounds {
-        for w in [&mut trusting_world, &mut verified_world] {
-            w.net.advance_to(round as u64 * ROUND_SECS);
-            if round == schedule.pin_round {
-                apply_step(&mut w.repos, &plan.host, open);
-            }
-            if round == schedule.restore_round {
-                apply_step(&mut w.repos, &plan.host, close);
-            }
-        }
-        let moment = Moment(trusting_world.net.now());
-        if round == schedule.whack_round {
-            for w in [&mut trusting_world, &mut verified_world] {
-                let file = w.covering_roa_file();
-                w.continental.withdraw(&file).expect("covering ROA published");
-                w.publish_all(moment);
-            }
-        }
+        trusting.begin_round(round);
+        verified.begin_round(round);
+        let moment = Moment(trusting.w.net.now());
 
         // The at-rest monitor diffs the verified world's repositories:
         // the pin is transport-only, so the whack is in plain sight
         // here even while the feed replays the pre-whack view.
-        monitor_events
-            .extend(monitor.observe(MonitorSnapshot::capture(&verified_world.repos, moment)));
+        monitor_events.extend(monitor.observe(MonitorSnapshot::capture(&verified.w.repos, moment)));
 
         // Truth reads either world at rest: the pin is transport-only,
         // so the trusting world's files are already the real state.
-        let truth = trusting_world.validate_direct(moment);
-        let t = trusting_world.validate_with(
-            ValidationOptions::at(moment).retry(policy).rrdp_trusting(&mut trusting),
-        );
-        let v = verified_world
-            .validate_with(ValidationOptions::at(moment).retry(policy).rrdp(&mut verified));
+        let truth = trusting.w.validate_direct(moment);
+        let t = trusting.validate_round(round).pop().expect("one relying party");
+        let v = verified.validate_round(round).pop().expect("one relying party");
 
+        let stats = verified.rps[0].rrdp.stats();
         let m = DowngradeRound {
             round,
             truth_vrps: truth.vrps.len(),
@@ -208,45 +168,42 @@ fn run_downgrade_inner(
             verified_vrps: v.vrps.len(),
             trusting_stale: t.vrps != truth.vrps,
             verified_stale: v.vrps != truth.vrps,
-            verified_downgrades: (verified.stats().downgrades - prev_downgrades) as usize,
-            pinned_detected: (verified.stats().pinned_detected - prev_pinned) as usize,
+            verified_downgrades: (stats.downgrades - before.downgrades) as usize,
+            pinned_detected: (stats.pinned_detected - before.pinned_detected) as usize,
         };
-        prev_downgrades = verified.stats().downgrades;
-        prev_pinned = verified.stats().pinned_detected;
-        if rec.is_enabled() {
-            rec.count("downgrade.rounds", 1);
-            rec.count("downgrade.trusting_stale_rounds", m.trusting_stale as u64);
-            rec.count("downgrade.verified_stale_rounds", m.verified_stale as u64);
-            rec.event(moment.0, "downgrade", "round")
-                .u64("round", round as u64)
-                .u64("truth_vrps", m.truth_vrps as u64)
-                .u64("trusting_vrps", m.trusting_vrps as u64)
-                .u64("verified_vrps", m.verified_vrps as u64)
-                .bool("trusting_stale", m.trusting_stale)
-                .bool("verified_stale", m.verified_stale)
-                .u64("verified_downgrades", m.verified_downgrades as u64)
-                .u64("pinned_detected", m.pinned_detected as u64)
-                .emit();
-        }
+        before = stats;
+        recorder.count("downgrade.rounds", 1);
+        recorder.count("downgrade.trusting_stale_rounds", m.trusting_stale as u64);
+        recorder.count("downgrade.verified_stale_rounds", m.verified_stale as u64);
+        recorder
+            .event(moment.0, "downgrade", "round")
+            .u64("round", round as u64)
+            .u64("truth_vrps", m.truth_vrps as u64)
+            .u64("trusting_vrps", m.trusting_vrps as u64)
+            .u64("verified_vrps", m.verified_vrps as u64)
+            .bool("trusting_stale", m.trusting_stale)
+            .bool("verified_stale", m.verified_stale)
+            .u64("verified_downgrades", m.verified_downgrades as u64)
+            .u64("pinned_detected", m.pinned_detected as u64)
+            .emit();
         rounds.push(m);
     }
 
     let outcome = DowngradeOutcome {
         seed,
-        host: plan.host,
+        host: TARGET_HOST.to_owned(),
         schedule,
         trusting_stale_rounds: rounds.iter().filter(|m| m.trusting_stale).count(),
         verified_stale_rounds: rounds.iter().filter(|m| m.verified_stale).count(),
         rounds,
         monitor_events,
     };
-    if rec.is_enabled() {
-        rec.event(verified_world.net.now(), "downgrade", "outcome")
-            .str("host", &outcome.host)
-            .u64("trusting_stale_rounds", outcome.trusting_stale_rounds as u64)
-            .u64("verified_stale_rounds", outcome.verified_stale_rounds as u64)
-            .emit();
-    }
+    recorder
+        .event(verified.w.net.now(), "downgrade", "outcome")
+        .str("host", &outcome.host)
+        .u64("trusting_stale_rounds", outcome.trusting_stale_rounds as u64)
+        .u64("verified_stale_rounds", outcome.verified_stale_rounds as u64)
+        .emit();
     outcome
 }
 
@@ -256,7 +213,7 @@ mod tests {
 
     #[test]
     fn stalloris_effect_holds_under_default_schedule() {
-        let out = run_downgrade_scenario(41);
+        let out = run_downgrade_traced(41, &Recorder::disabled());
         let s = out.schedule;
         for m in &out.rounds {
             // Healthy world is 8 VRPs; the whack takes truth to 7.
@@ -285,8 +242,8 @@ mod tests {
 
     #[test]
     fn scenario_replays_byte_identically() {
-        let a = run_downgrade_scenario(17);
-        let b = run_downgrade_scenario(17);
+        let a = run_downgrade_traced(17, &Recorder::disabled());
+        let b = run_downgrade_traced(17, &Recorder::disabled());
         assert_eq!(a, b);
         assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
     }
@@ -315,7 +272,9 @@ mod tests {
 
     #[test]
     fn session_reset_rounds_register_as_session_reset_fallbacks() {
-        use rpki_attacks::DowngradeStep;
+        use crate::fixtures::ModelRpki;
+        use crate::validate::ValidationOptions;
+        use rpki_repo::{RrdpClientState, SyncPolicy};
 
         let mut w = ModelRpki::build_seeded(41);
         let mut client = RrdpClientState::new();
@@ -326,10 +285,10 @@ mod tests {
         assert_eq!(stats.fallback_initial, stats.snapshot_syncs, "{stats:?}");
         assert_eq!(stats.fallback_session_reset, 0);
 
-        // The ResetSession misbehaviour: fresh session ids, history
+        // The session-reset misbehaviour: fresh session ids, history
         // gone — every Continental directory forces a re-snapshot, and
         // the cause ledger must say *why*.
-        apply_step(&mut w.repos, TARGET_HOST, DowngradeStep::ResetSession);
+        w.repos.by_host_mut(TARGET_HOST).expect("model host").rrdp_reset_sessions();
         w.validate_with(ValidationOptions::at(Moment(3)).retry(policy).rrdp(&mut client));
         let stats = client.stats();
         assert!(stats.fallback_session_reset > 0, "{stats:?}");
@@ -341,15 +300,6 @@ mod tests {
                 + stats.fallback_chain_gap,
             stats.snapshot_syncs,
             "fallback causes must partition the snapshot syncs: {stats:?}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "schedule must order")]
-    fn misordered_schedules_are_rejected() {
-        run_downgrade_scheduled(
-            1,
-            DowngradeSchedule { rounds: 5, pin_round: 4, whack_round: 2, restore_round: 5 },
         );
     }
 }

@@ -64,10 +64,7 @@ pub use campaign::{
     CampaignSpec, DivergenceMetrics, FaultKind, FaultWindow, HostLoad, RoundMetrics, RpTier,
     RtrConfig, RtrRoundMetrics, ScheduleRoundMetrics, TierOutcome, TierTotals, Walk,
 };
-pub use downgrade::{
-    run_downgrade_scenario, run_downgrade_scheduled, run_downgrade_traced, DowngradeOutcome,
-    DowngradeRound, DowngradeSchedule,
-};
+pub use downgrade::{run_downgrade_traced, DowngradeOutcome, DowngradeRound, DowngradeSchedule};
 pub use fixtures::{ModelRpki, SyntheticRpki};
 pub use grid::{collapse_bands, validity_grid, Band, GridRow};
 pub use jurisdiction::{

@@ -111,9 +111,12 @@ fn serve_rsync(repo: &Repository, frame: &[u8]) -> Option<Vec<u8>> {
             }
             None => RsyncResponse::NotFound { dir: dir.clone(), name: Some(name.clone()) },
         },
-        RsyncRequest::Digest { dir } => {
+        RsyncRequest::Digest { dir } if dir.host() == repo.host() => {
             RsyncResponse::DirDigest { dir: dir.clone(), digest: repo.content_digest(dir) }
         }
+        // Another host's directory: not found here, like its listing
+        // and its files (which the store reads as an unknown directory).
+        RsyncRequest::Digest { dir } => RsyncResponse::NotFound { dir: dir.clone(), name: None },
     };
     let (RsyncRequest::List { dir } | RsyncRequest::Get { dir, .. } | RsyncRequest::Digest { dir }) =
         &req;
@@ -850,6 +853,35 @@ mod tests {
         let dir = RepoUri::new("rpki.nowhere.example", &["repo"]);
         let out = sync_dir(&mut net, &repos, client, &dir);
         assert!(!out.listed);
+    }
+
+    #[test]
+    fn misdirected_requests_are_not_found_and_cannot_abort_a_session() {
+        // A bystander asks this host for another host's directory, once
+        // per request kind, while a relying party's session is being
+        // served: each is a well-formed frame, so each gets an answer —
+        // NotFound, booked nowhere — and the session runs to completion.
+        let (mut net, repos, client, server, dir) = world();
+        let bystander = net.add_node("bystander");
+        let foreign = RepoUri::new("rpki.arin.example", &["repo"]);
+        let misdirected = [
+            RsyncRequest::List { dir: foreign.clone() },
+            RsyncRequest::Get { dir: foreign.clone(), name: "a.roa".to_owned() },
+            RsyncRequest::Digest { dir: foreign.clone() },
+        ];
+        for req in &misdirected {
+            net.send(bystander, server, req.to_bytes());
+        }
+        assert!(sync_dir(&mut net, &repos, client, &dir).is_complete());
+        let repo = repos.get(server).unwrap();
+        for req in &misdirected {
+            let reply = serve_rsync(repo, &req.to_bytes()).expect("a request of this protocol");
+            let reply = RsyncResponse::from_bytes(&reply).unwrap();
+            assert!(matches!(reply, RsyncResponse::NotFound { .. }), "{req:?}: {reply:?}");
+        }
+        // Only the session's own listing and two files were booked.
+        assert_eq!(repo.served_load().len(), 1);
+        assert_eq!(repo.served_total().frames, 3);
     }
 
     #[test]

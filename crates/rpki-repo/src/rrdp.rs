@@ -41,7 +41,8 @@
 //! refuse RRDP entirely
 //! ([`set_rrdp_offline`](crate::Repository::set_rrdp_offline)) to
 //! force clients onto rsync.
-//! The knobs live here; the planner lives in `attacks::downgrade`.
+//! The knobs are the whole vocabulary; a campaign's fault windows
+//! (`rpki_risk::FaultKind::{RrdpPin, RrdpWithhold}`) schedule them.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -1399,6 +1400,9 @@ mod tests {
         let (out, kind) = rrdp_sync_dir(&mut net, &repos, client, &dir, &mut state, None).unwrap();
         assert_eq!(kind, RrdpSyncKind::Snapshot, "withheld deltas must not stall the client");
         assert!(out.files.contains_key("c.mft"));
+        // One serial behind, yet a second full snapshot: the churn the
+        // withholding host forces.
+        assert_eq!((state.stats().snapshot_syncs, state.stats().delta_syncs), (2, 0));
     }
 
     #[test]
@@ -1436,6 +1440,59 @@ mod tests {
         repos.get_mut(server).unwrap().rrdp_unpin();
         let (out3, _) = rrdp_sync_dir(&mut net, &repos, client, &dir, &mut state, None).unwrap();
         assert_eq!(out3.files["a.roa"], vec![8, 8]);
+    }
+
+    #[test]
+    fn pinned_log_is_independent_of_the_live_one() {
+        // The pin is a copy of the log, not a view of it: the live log
+        // may evict every delta the frozen notification advertises and
+        // even start a new session, and the frozen feed serves on.
+        let (mut net, mut repos, client, server, dir) = world();
+        let one_delta = RetentionPolicy::Count { max_deltas: 1 };
+        repos
+            .get_mut(server)
+            .unwrap()
+            .set_pubd_policy(PubdPolicy::default().with_retention(one_delta));
+        let mut sync = |repos: &RepoRegistry, state: &mut RrdpClientState| {
+            rrdp_sync_dir(&mut net, repos, client, &dir, state, None).unwrap()
+        };
+        let (mut warm, mut lagging, mut fresh) =
+            (RrdpClientState::new(), RrdpClientState::new(), RrdpClientState::new());
+        sync(&repos, &mut lagging);
+        repos.get_mut(server).unwrap().publish_raw(&dir, "c.mft", vec![1]);
+        sync(&repos, &mut warm);
+        let pinned_at = warm.position(&dir).unwrap();
+
+        let repo = repos.get_mut(server).unwrap();
+        repo.rrdp_pin();
+        repo.publish_raw(&dir, "a.roa", vec![8]);
+        repo.publish_raw(&dir, "a.roa", vec![8, 8]);
+        assert_eq!(repo.pubd_work(&dir).unwrap().retained_deltas, 1, "the live log moved on");
+        assert!(repo.rrdp_reset_session(&dir));
+        let live = repo.rrdp_position(&dir).unwrap();
+        assert_ne!(live.0, pinned_at.0);
+
+        // Frozen: the fast path, the advertised (live-evicted) delta,
+        // and the snapshot all still answer from pin time.
+        assert_eq!(sync(&repos, &mut warm).1, RrdpSyncKind::Unchanged);
+        let (out, kind) = sync(&repos, &mut lagging);
+        assert_eq!(kind, RrdpSyncKind::Deltas(1));
+        assert_eq!((&out.files["a.roa"], &out.files["c.mft"]), (&vec![1, 2, 3], &vec![1]));
+        let (out, kind) = sync(&repos, &mut fresh);
+        assert_eq!(kind, RrdpSyncKind::Snapshot);
+        assert_eq!(out.files["a.roa"], vec![1, 2, 3]);
+        for state in [&warm, &lagging, &fresh] {
+            assert_eq!(state.position(&dir), Some(pinned_at));
+        }
+
+        // Unpinned: all three find the live session.
+        repos.get_mut(server).unwrap().rrdp_unpin();
+        for state in [&mut warm, &mut lagging, &mut fresh] {
+            let (out, kind) = sync(&repos, state);
+            assert_eq!(kind, RrdpSyncKind::SessionReset);
+            assert_eq!(out.files["a.roa"], vec![8, 8]);
+            assert_eq!(state.position(&dir), Some(live));
+        }
     }
 
     #[test]

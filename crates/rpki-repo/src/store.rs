@@ -14,9 +14,7 @@ use rpki_obs::Recorder;
 
 use crate::client::dir_content_digest;
 use crate::pubd::{PubdEvent, PubdPolicy, PubdServed, PubdWork, SnapshotDoc};
-use crate::rrdp::{
-    session_seed, DeltaChange, DeltaRecord, DeltaRef, NotifInfo, PublicationLog, RrdpResponse,
-};
+use crate::rrdp::{session_seed, DeltaChange, DeltaRef, NotifInfo, PublicationLog, RrdpResponse};
 
 /// One stored file: its bytes plus the digest computed when the bytes
 /// last changed, so listings never re-hash unchanged content.
@@ -33,31 +31,18 @@ impl StoredFile {
     }
 }
 
-/// A frozen copy of everything one directory's RRDP endpoint serves,
-/// captured at pin time: the notification fields, the materialised
-/// snapshot document, and the retained delta history. While a pin is
-/// active the server replays this verbatim — stale-data pinning, the
-/// Stalloris replay.
-#[derive(Debug, Clone)]
-struct PinnedFeed {
-    session: u64,
-    serial: u64,
-    content: Digest,
-    snapshot: SnapshotDoc,
-    deltas: Vec<DeltaRecord>,
-}
-
 /// One publication-point directory: its files, the canonical
 /// complete-sync content digest (recomputed once per mutation so digest
 /// probes are a pure lookup), and the RRDP publication log maintained
-/// alongside every write. `pinned` holds a frozen copy of the served
-/// feed while a misbehaving host replays stale data.
+/// alongside every write. `pinned` holds the log and content digest as
+/// they stood at pin time; while it is set the RRDP endpoint replays
+/// them verbatim — stale-data pinning, the Stalloris replay.
 #[derive(Debug)]
 struct Directory {
     files: BTreeMap<String, StoredFile>,
     digest: Digest,
     log: PublicationLog,
-    pinned: Option<PinnedFeed>,
+    pinned: Option<(PublicationLog, Digest)>,
 }
 
 impl Directory {
@@ -67,6 +52,15 @@ impl Directory {
             digest: empty_dir_digest(),
             log: PublicationLog::new(session_seed),
             pinned: None,
+        }
+    }
+
+    /// What the RRDP endpoint serves from: the frozen log and content
+    /// digest while a pin is active, the live ones otherwise.
+    fn served(&self) -> (&PublicationLog, Digest) {
+        match &self.pinned {
+            Some((log, digest)) => (log, *digest),
+            None => (&self.log, self.digest),
         }
     }
 
@@ -135,6 +129,18 @@ impl Directory {
 /// what a complete sync of it would key to.
 fn empty_dir_digest() -> Digest {
     dir_content_digest(&[], &[], &[])
+}
+
+/// The ledger entry of `path`, allocating a key only the first time a
+/// directory is seen.
+fn ledger_entry<'a, T: Default>(
+    ledger: &'a mut BTreeMap<Vec<String>, T>,
+    path: &[String],
+) -> &'a mut T {
+    if !ledger.contains_key(path) {
+        ledger.insert(path.to_vec(), T::default());
+    }
+    ledger.get_mut(path).expect("present or just inserted")
 }
 
 /// Wire-level load one publication point has served: every answered
@@ -238,7 +244,7 @@ impl Repository {
             return;
         }
         let mut load = self.load.borrow_mut();
-        let entry = load.entry(dir.path().to_vec()).or_default();
+        let entry = ledger_entry(&mut load, dir.path());
         entry.frames += 1;
         entry.bytes += bytes as u64;
     }
@@ -286,6 +292,18 @@ impl Repository {
         self.hosted_at
     }
 
+    /// The read-side lookup. Requests name their directory, so a
+    /// misdirected one (another host's directory) must read as an
+    /// unknown directory, not as a broken fixture.
+    fn dir(&self, dir: &RepoUri) -> Option<&Directory> {
+        if dir.host() != self.host {
+            return None;
+        }
+        self.dirs.get(dir.path())
+    }
+
+    /// The write-side key. Only fixtures write, so a directory on
+    /// another host is their error.
     fn dir_key(&self, dir: &RepoUri) -> Vec<String> {
         assert_eq!(dir.host(), self.host, "directory {dir} is not on host {}", self.host);
         dir.path().to_vec()
@@ -461,7 +479,7 @@ impl Repository {
             return;
         }
         let mut ledger = self.pubd_served.borrow_mut();
-        let entry = ledger.entry(dir.path().to_vec()).or_default();
+        let entry = ledger_entry(&mut ledger, dir.path());
         match resp {
             RrdpResponse::Notification { .. } => {
                 entry.notifications += 1;
@@ -483,8 +501,7 @@ impl Repository {
     /// history gauges filled from the live log. `None` for an unknown
     /// directory.
     pub fn pubd_work(&self, dir: &RepoUri) -> Option<PubdWork> {
-        let key = self.dir_key(dir);
-        self.dirs.get(&key).map(|d| {
+        self.dir(dir).map(|d| {
             let mut work = d.log.work;
             work.retained_deltas = d.log.deltas.len() as u64;
             work.retained_delta_bytes = d.log.delta_bytes;
@@ -504,8 +521,10 @@ impl Repository {
 
     /// The per-kind RRDP serve ledger of `dir` since the last reset.
     pub fn pubd_served(&self, dir: &RepoUri) -> PubdServed {
-        let key = self.dir_key(dir);
-        self.pubd_served.borrow().get(&key).copied().unwrap_or_default()
+        if dir.host() != self.host {
+            return PubdServed::default();
+        }
+        self.pubd_served.borrow().get(dir.path()).copied().unwrap_or_default()
     }
 
     /// The per-kind RRDP serve ledger summed over this host.
@@ -524,36 +543,18 @@ impl Repository {
     /// the pinned (frozen, stale) feed while a pin is active, the live
     /// log otherwise. `None` for unknown directories or a foreign host.
     pub(crate) fn rrdp_notification(&self, dir: &RepoUri) -> Option<NotifInfo> {
-        if dir.host() != self.host {
-            return None;
-        }
-        let entry = self.dirs.get(dir.path())?;
-        Some(match &entry.pinned {
-            Some(pin) => NotifInfo {
-                session: pin.session,
-                serial: pin.serial,
-                content: pin.content,
-                snapshot_serial: pin.snapshot.serial(),
-                snapshot_hash: pin.snapshot.hash(),
-                deltas: pin
-                    .deltas
-                    .iter()
-                    .map(|d| DeltaRef { serial: d.serial, hash: d.hash })
-                    .collect(),
-            },
-            None => NotifInfo {
-                session: entry.log.session,
-                serial: entry.log.serial,
-                content: entry.digest,
-                snapshot_serial: entry.log.snapshot.serial(),
-                snapshot_hash: entry.log.snapshot.hash(),
-                deltas: entry
-                    .log
-                    .deltas
-                    .iter()
-                    .map(|d| DeltaRef { serial: d.serial, hash: d.hash })
-                    .collect(),
-            },
+        let (log, content) = self.dir(dir)?.served();
+        Some(NotifInfo {
+            session: log.session,
+            serial: log.serial,
+            content,
+            snapshot_serial: log.snapshot.serial(),
+            snapshot_hash: log.snapshot.hash(),
+            deltas: log
+                .deltas
+                .iter()
+                .map(|d| DeltaRef { serial: d.serial, hash: d.hash })
+                .collect(),
         })
     }
 
@@ -562,41 +563,14 @@ impl Repository {
     /// at-rest files. `None` unless `serial` is exactly the serial the
     /// (pinned or live) document was materialised at.
     pub(crate) fn rrdp_snapshot(&self, dir: &RepoUri, serial: u64) -> Option<SessionSnapshot> {
-        if dir.host() != self.host {
-            return None;
-        }
-        let entry = self.dirs.get(dir.path())?;
-        match &entry.pinned {
-            Some(pin) if pin.snapshot.serial() == serial => {
-                Some((pin.session, pin.snapshot.files()))
-            }
-            Some(_) => None,
-            None if entry.log.snapshot.serial() == serial => {
-                Some((entry.log.session, entry.log.snapshot.files()))
-            }
-            None => None,
-        }
+        let (log, _) = self.dir(dir)?.served();
+        (log.snapshot.serial() == serial).then(|| (log.session, log.snapshot.files()))
     }
 
     /// The delta document of `dir` reaching `serial`, if retained.
     pub(crate) fn rrdp_delta(&self, dir: &RepoUri, serial: u64) -> Option<(u64, Vec<DeltaChange>)> {
-        if dir.host() != self.host {
-            return None;
-        }
-        let entry = self.dirs.get(dir.path())?;
-        match &entry.pinned {
-            Some(pin) => pin
-                .deltas
-                .iter()
-                .find(|d| d.serial == serial)
-                .map(|d| (pin.session, d.changes.clone())),
-            None => entry
-                .log
-                .deltas
-                .iter()
-                .find(|d| d.serial == serial)
-                .map(|d| (entry.log.session, d.changes.clone())),
-        }
+        let (log, _) = self.dir(dir)?.served();
+        log.deltas.iter().find(|d| d.serial == serial).map(|d| (log.session, d.changes.clone()))
     }
 
     pub(crate) fn rrdp_offline(&self) -> bool {
@@ -610,8 +584,7 @@ impl Repository {
     /// The live publication-log `(session, serial)` of `dir`, ignoring
     /// any pin. `None` for an unknown directory.
     pub fn rrdp_position(&self, dir: &RepoUri) -> Option<(u64, u64)> {
-        let key = self.dir_key(dir);
-        self.dirs.get(&key).map(|d| (d.log.session, d.log.serial))
+        self.dir(dir).map(|d| (d.log.session, d.log.serial))
     }
 
     /// Misbehaviour knob: take the RRDP endpoint offline (every request
@@ -648,13 +621,7 @@ impl Repository {
     /// snapshot, and deltas — stale-data pinning, the Stalloris replay.
     pub fn rrdp_pin(&mut self) {
         for entry in self.dirs.values_mut() {
-            entry.pinned = Some(PinnedFeed {
-                session: entry.log.session,
-                serial: entry.log.serial,
-                content: entry.digest,
-                snapshot: entry.log.snapshot.clone(),
-                deltas: entry.log.deltas.iter().cloned().collect(),
-            });
+            entry.pinned = Some((entry.log.clone(), entry.digest));
         }
     }
 
@@ -704,9 +671,7 @@ impl Repository {
     /// Lists `(name, digest)` for every file in `dir`. Digests are the
     /// ones cached at write time — no bytes are re-hashed here.
     pub fn list(&self, dir: &RepoUri) -> Vec<(String, Digest)> {
-        let key = self.dir_key(dir);
-        self.dirs
-            .get(&key)
+        self.dir(dir)
             .map(|d| d.files.iter().map(|(n, f)| (n.clone(), f.digest)).collect())
             .unwrap_or_default()
     }
@@ -716,14 +681,12 @@ impl Repository {
     /// reports the empty digest — the same key a complete sync of a
     /// reachable-but-absent publication point produces.
     pub fn content_digest(&self, dir: &RepoUri) -> Digest {
-        let key = self.dir_key(dir);
-        self.dirs.get(&key).map_or_else(empty_dir_digest, |d| d.digest)
+        self.dir(dir).map_or_else(empty_dir_digest, |d| d.digest)
     }
 
     /// Fetches the bytes of `dir/name`.
     pub fn fetch(&self, dir: &RepoUri, name: &str) -> Option<&[u8]> {
-        let key = self.dir_key(dir);
-        self.dirs.get(&key).and_then(|d| d.files.get(name)).map(|f| f.bytes.as_slice())
+        self.dir(dir).and_then(|d| d.files.get(name)).map(|f| f.bytes.as_slice())
     }
 
     /// All directories on this host.

@@ -313,6 +313,15 @@ impl RtrEndpoint for RtrRouter {
 /// to nodes no endpoint claims are discarded, so run the pump in a
 /// window where only RTR traffic is in flight.
 pub fn pump_until(net: &mut Network, deadline: u64, endpoints: &mut [&mut dyn RtrEndpoint]) -> u64 {
+    // Node → slice index, built once so each frame costs a binary
+    // search instead of a scan of the endpoints. Sorted by node, then
+    // index, and deduplicated keeping the first of each node: the
+    // first endpoint in the slice to claim a node owns it.
+    let mut owners: Vec<(NodeId, usize)> =
+        endpoints.iter().enumerate().map(|(i, e)| (e.node(), i)).collect();
+    owners.sort_unstable();
+    owners.dedup_by_key(|&mut (node, _)| node);
+
     let mut dispatched = 0;
     while let Some(at) = net.next_event_at() {
         if at > deadline {
@@ -320,8 +329,8 @@ pub fn pump_until(net: &mut Network, deadline: u64, endpoints: &mut [&mut dyn Rt
         }
         let Some(occ) = net.step() else { break };
         let Occurrence::Delivered(d) = occ else { continue };
-        if let Some(endpoint) = endpoints.iter_mut().find(|e| e.node() == d.to) {
-            endpoint.deliver(net, &d);
+        if let Ok(slot) = owners.binary_search_by_key(&d.to, |&(node, _)| node) {
+            endpoints[owners[slot].1].deliver(net, &d);
             dispatched += 1;
         }
     }
@@ -366,6 +375,62 @@ mod tests {
             endpoints.push(r);
         }
         pump_until(net, deadline, &mut endpoints)
+    }
+
+    /// An endpoint that only records the payloads it is handed.
+    struct Sink {
+        node: NodeId,
+        got: Vec<Vec<u8>>,
+    }
+
+    impl RtrEndpoint for Sink {
+        fn node(&self) -> NodeId {
+            self.node
+        }
+
+        fn deliver(&mut self, _: &mut Network, delivery: &Delivery) {
+            self.got.push(delivery.payload.clone());
+        }
+    }
+
+    #[test]
+    fn pump_gives_a_node_to_its_first_claimant_and_drops_unclaimed_frames() {
+        let mut net = Network::new(11);
+        let sender = net.add_node("sender");
+        let (claimed, unclaimed) = (net.add_node("claimed"), net.add_node("unclaimed"));
+        let mut first = Sink { node: claimed, got: Vec::new() };
+        let mut second = Sink { node: claimed, got: Vec::new() };
+        net.send(sender, claimed, vec![1]);
+        net.send(sender, unclaimed, vec![2]);
+        net.send(sender, claimed, vec![3]);
+        let deadline = net.now() + 1_000;
+        let dispatched = pump_until(&mut net, deadline, &mut [&mut first, &mut second]);
+        assert_eq!(first.got, vec![vec![1], vec![3]]);
+        assert!(second.got.is_empty(), "a later claim on the same node never wins");
+        assert_eq!(dispatched, 2, "the unclaimed node's frame is consumed, not counted");
+        assert!(net.is_idle());
+    }
+
+    #[test]
+    fn pump_hands_each_of_a_thousand_endpoints_its_own_frames() {
+        let mut net = Network::new(11);
+        let sender = net.add_node("sender");
+        let mut sinks: Vec<Sink> = (0..1_000)
+            .map(|i| Sink { node: net.add_node(&format!("sink-{i}")), got: Vec::new() })
+            .collect();
+        // Slice order is not node order.
+        sinks.reverse();
+        let tag = |i: usize| (i as u32).to_be_bytes().to_vec();
+        for (i, sink) in sinks.iter().enumerate() {
+            net.send(sender, sink.node, tag(i));
+        }
+        let deadline = net.now() + 1_000;
+        let mut endpoints: Vec<&mut dyn RtrEndpoint> =
+            sinks.iter_mut().map(|s| s as &mut dyn RtrEndpoint).collect();
+        assert_eq!(pump_until(&mut net, deadline, &mut endpoints), 1_000);
+        for (i, sink) in sinks.iter().enumerate() {
+            assert_eq!(sink.got, vec![tag(i)], "sink {i}");
+        }
     }
 
     #[test]

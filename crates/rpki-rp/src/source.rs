@@ -18,9 +18,7 @@ use std::collections::BTreeMap;
 
 use netsim::{Network, NodeId};
 use rpki_objects::RepoUri;
-use rpki_repo::{
-    sync_dir, sync_dir_with_policy, DirProbe, RepoRegistry, SyncOutcome, SyncPolicy, SyncReport,
-};
+use rpki_repo::{sync_dir, sync_dir_with_policy, DirProbe, RepoRegistry, SyncOutcome, SyncPolicy};
 
 pub use crate::resilience::ResilientSource;
 
@@ -79,14 +77,13 @@ pub struct NetworkSource<'a> {
     repos: &'a RepoRegistry,
     client: NodeId,
     policy: Option<SyncPolicy>,
-    reports: Vec<(String, SyncReport)>,
 }
 
 impl<'a> NetworkSource<'a> {
     /// A source fetching from `client`'s vantage point, one bare
     /// session per directory (no retries).
     pub fn new(net: &'a mut Network, repos: &'a RepoRegistry, client: NodeId) -> Self {
-        NetworkSource { net, repos, client, policy: None, reports: Vec::new() }
+        NetworkSource { net, repos, client, policy: None }
     }
 
     /// A source that retries each directory under `policy`.
@@ -96,13 +93,7 @@ impl<'a> NetworkSource<'a> {
         client: NodeId,
         policy: SyncPolicy,
     ) -> Self {
-        NetworkSource { net, repos, client, policy: Some(policy), reports: Vec::new() }
-    }
-
-    /// Per-directory [`SyncReport`]s collected so far (retrying sources
-    /// only; a bare source records nothing).
-    pub fn reports(&self) -> &[(String, SyncReport)] {
-        &self.reports
+        NetworkSource { net, repos, client, policy: Some(policy) }
     }
 }
 
@@ -110,12 +101,7 @@ impl ObjectSource for NetworkSource<'_> {
     fn load_dir(&mut self, dir: &RepoUri) -> SyncOutcome {
         match self.policy {
             None => sync_dir(self.net, self.repos, self.client, dir),
-            Some(policy) => {
-                let (outcome, report) =
-                    sync_dir_with_policy(self.net, self.repos, self.client, dir, &policy);
-                self.reports.push((dir.to_string(), report));
-                outcome
-            }
+            Some(policy) => sync_dir_with_policy(self.net, self.repos, self.client, dir, &policy).0,
         }
     }
 
@@ -230,8 +216,6 @@ mod tests {
         let mut src = NetworkSource::with_policy(&mut net, &repos, client, SyncPolicy::default());
         let out = src.load_dir(&dir);
         assert!(out.is_complete());
-        assert_eq!(src.reports().len(), 1);
-        assert_eq!(src.reports()[0].1.attempts.len(), 2);
     }
 
     #[test]
