@@ -22,7 +22,7 @@
 use rpki_attacks::{CorpusKind, MisbehaviorReport};
 use rpki_objects::Moment;
 use rpki_risk::{run_campaign, CampaignSpec, FaultKind, FaultWindow, ModelRpki, RpTier, Walk};
-use rpki_risk_bench::{emit_json, Recorder, Summary, SummaryTable};
+use rpki_risk_bench::{export, Recorder, RunStamp, Summary, SummaryTable};
 use rpki_rp::UnsafeVrpPolicy;
 use serde::Serialize;
 
@@ -75,6 +75,7 @@ fn overclaim_campaign() -> CampaignSpec {
 
 fn main() {
     let seed = seed_arg();
+    let stamp = RunStamp::capture();
     let mut report = Summary::new(&format!("Unsafe-VRP policy ablation — seed {seed}"));
     let policies = [UnsafeVrpPolicy::Accept, UnsafeVrpPolicy::Warn, UnsafeVrpPolicy::Reject];
 
@@ -185,9 +186,5 @@ fn main() {
     );
     report.print();
 
-    let json = serde_json::to_string(&records).expect("serialise records");
-    std::fs::write("BENCH_unsafe_vrp.json", format!("{json}\n"))
-        .expect("write BENCH_unsafe_vrp.json");
-    println!("\nwrote BENCH_unsafe_vrp.json ({} records)", records.len());
-    emit_json("ablation_unsafe_vrp", &records);
+    export("unsafe_vrp", &stamp, &records, &Recorder::disabled());
 }

@@ -16,7 +16,7 @@
 
 use bgp_sim::{propagate_with_stats, reference, Announcement, RpkiPolicy, Topology};
 use ipres::Asn;
-use rpki_risk_bench::{emit_json, scale_arg, time_min, Recorder, RunStamp, Summary, SummaryTable};
+use rpki_risk_bench::{export, scale_arg, time_min, Recorder, RunStamp, Summary, SummaryTable};
 use rpki_rp::{Route, RouteValidity, Vrp, VrpCache};
 use serde::Serialize;
 use topogen::{Config, SyntheticInternet};
@@ -24,10 +24,6 @@ use topogen::{Config, SyntheticInternet};
 /// One measured configuration.
 #[derive(Debug, Serialize)]
 struct Record {
-    commit: String,
-    available_parallelism: usize,
-    profile: &'static str,
-    sha256: &'static str,
     ases: usize,
     prefixes: usize,
     /// Announcements the cache makes Invalid (they never leave their
@@ -60,7 +56,6 @@ const COUNT_COLUMNS: [&str; 7] = [
 
 /// Runs both engines on one cell, asserts they agree, and times them.
 fn measure(
-    stamp: &RunStamp,
     topology: &Topology,
     announcements: &[Announcement],
     policy: RpkiPolicy,
@@ -80,10 +75,6 @@ fn measure(
         reference::propagate(topology, announcements, policy, cache).expect("reference converges");
     });
     Record {
-        commit: stamp.commit.clone(),
-        available_parallelism: stamp.available_parallelism,
-        profile: stamp.profile,
-        sha256: stamp.sha256,
         ases,
         prefixes: announcements.len(),
         invalid_announcements: announcements
@@ -163,7 +154,7 @@ fn main() {
         let slice: Vec<_> = world.announcements.iter().copied().take(20).collect();
 
         for policy in [RpkiPolicy::Ignore, RpkiPolicy::DropInvalid, RpkiPolicy::DeprefInvalid] {
-            let record = measure(&stamp, &world.topology, &slice, policy, &cache);
+            let record = measure(&world.topology, &slice, policy, &cache);
             if (transits, stubs) == sizes[sizes.len() - 1] && policy == RpkiPolicy::DropInvalid {
                 let disabled = Recorder::disabled();
                 let instrumented_ns = time_min(5, || {
@@ -194,7 +185,7 @@ fn main() {
                 })
                 .collect();
             let policy = RpkiPolicy::DropInvalid;
-            records.push(measure(&stamp, &world.topology, &flipped, policy, &cache));
+            records.push(measure(&world.topology, &flipped, policy, &cache));
         }
     }
     let json = serde_json::to_string(&records).expect("serialise records");
@@ -273,8 +264,5 @@ fn main() {
     }
     report.print();
 
-    std::fs::write("BENCH_propagation.json", format!("{json}\n"))
-        .expect("write BENCH_propagation.json");
-    println!("\nwrote BENCH_propagation.json ({} records)", records.len());
-    emit_json("bench_propagation", &records);
+    export("propagation", &stamp, &records, &Recorder::disabled());
 }

@@ -47,7 +47,7 @@ use rpki_ca::{ChurnConfig, ChurnEngine};
 use rpki_objects::Moment;
 use rpki_repo::{PubdPolicy, RetentionPolicy, RrdpClientState, SyncPolicy};
 use rpki_risk::SyntheticRpki;
-use rpki_risk_bench::{emit_json, trace_recorder, write_trace, Summary, SummaryTable};
+use rpki_risk_bench::{export, trace_recorder, RunStamp, Summary, SummaryTable};
 use rpki_rp::{RrdpSource, ValidationConfig, ValidationRun, ValidationState, Validator};
 use serde::Serialize;
 
@@ -115,6 +115,7 @@ fn retention_of(depth: u64) -> RetentionPolicy {
 }
 
 fn main() {
+    let stamp = RunStamp::capture();
     let mut report = Summary::new("publication-server benchmark (compaction x retention x churn)");
     let rec = trace_recorder();
 
@@ -362,13 +363,7 @@ fn main() {
     }
     report.print();
 
-    let json = serde_json::to_string(&records).expect("serialise records");
-    std::fs::write("BENCH_pubd.json", format!("{json}\n")).expect("write BENCH_pubd.json");
-    println!("\nwrote BENCH_pubd.json ({} records)", records.len());
-    if let Some(path) = write_trace(&rec) {
-        println!("wrote trace to {path}");
-    }
-    emit_json("bench_pubd", &records);
+    export("pubd", &stamp, &records, &rec);
     // Enforced last so a regressed run still reports and exports the
     // numbers that explain it.
     assert!(

@@ -37,7 +37,7 @@ use rpki_objects::Moment;
 use rpki_repo::{RrdpClientState, SyncPolicy};
 use rpki_risk::SyntheticRpki;
 use rpki_risk_bench::{
-    emit_json, scale_arg, time_min, trace_recorder, write_trace, RunStamp, Summary, SummaryTable,
+    export, scale_arg, time_min, trace_recorder, RunStamp, Summary, SummaryTable,
 };
 use rpki_rp::{RrdpSource, ValidationConfig, ValidationRun, ValidationState, Validator};
 use serde::Serialize;
@@ -45,10 +45,6 @@ use serde::Serialize;
 /// One measured (tree shape, churn rate) cell.
 #[derive(Debug, Serialize)]
 struct Record {
-    commit: String,
-    available_parallelism: usize,
-    profile: &'static str,
-    sha256: &'static str,
     pub_points: usize,
     depth: u32,
     branching: u32,
@@ -179,10 +175,6 @@ fn main() {
                 "fallback causes must partition the snapshot syncs"
             );
             records.push(Record {
-                commit: stamp.commit.clone(),
-                available_parallelism: stamp.available_parallelism,
-                profile: stamp.profile,
-                sha256: stamp.sha256,
                 pub_points: w.publication_points(),
                 depth,
                 branching,
@@ -258,13 +250,7 @@ fn main() {
     }
     report.print();
 
-    let json = serde_json::to_string(&records).expect("serialise records");
-    std::fs::write("BENCH_rrdp.json", format!("{json}\n")).expect("write BENCH_rrdp.json");
-    println!("\nwrote BENCH_rrdp.json ({} records)", records.len());
-    if let Some(path) = write_trace(&rec) {
-        println!("wrote trace to {path}");
-    }
-    emit_json("bench_rrdp", &records);
+    export("rrdp", &stamp, &records, &rec);
     // Enforced last so a regressed run still reports and exports the
     // numbers that explain it.
     assert!(

@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use ipres::{Asn, Prefix};
 use netsim::Network;
-use rpki_risk_bench::{emit_json, scale_arg, trace_recorder, write_trace, Summary, SummaryTable};
+use rpki_risk_bench::{export, scale_arg, trace_recorder, RunStamp, Summary, SummaryTable};
 use rpki_rp::{pump_until, RtrEndpoint, RtrFabric, RtrRouter, Vrp, VrpUpdate};
 use serde::Serialize;
 
@@ -107,6 +107,7 @@ fn pump(net: &mut Network, fabric: &mut RtrFabric, routers: &mut [RtrRouter]) ->
 fn main() {
     let scale = scale_arg().max(1);
     let n_vrps = 256 * scale;
+    let stamp = RunStamp::capture();
     let mut report = Summary::new(&format!("RTR fan-out benchmark (scale {scale})"));
     let rec = trace_recorder();
 
@@ -266,13 +267,7 @@ fn main() {
     }
     report.print();
 
-    let json = serde_json::to_string(&records).expect("serialise records");
-    std::fs::write("BENCH_rtr.json", format!("{json}\n")).expect("write BENCH_rtr.json");
-    println!("\nwrote BENCH_rtr.json ({} records)", records.len());
-    if let Some(path) = write_trace(&rec) {
-        println!("wrote trace to {path}");
-    }
-    emit_json("bench_rtr", &records);
+    export("rtr", &stamp, &records, &rec);
     // Enforced last so a regressed run still reports and exports the
     // numbers that explain it.
     assert!(

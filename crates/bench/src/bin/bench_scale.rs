@@ -6,8 +6,7 @@
 //! 156 → 993 → 4971 publication points. Every sharded cell is checked
 //! byte-identical (serialised JSON) to the sequential walk of the same
 //! world before its timings are recorded, so the sweep doubles as the
-//! N-shard ≡ 1-shard equivalence gate. An incremental cell per shape
-//! additionally composes the memo cache with the sharded walk.
+//! N-shard ≡ 1-shard equivalence gate.
 //!
 //! Two speedups are reported per cell:
 //!
@@ -27,26 +26,20 @@
 //!
 //! `--scale N` multiplies the per-CA ROA count; `--json` mirrors the
 //! records to stderr; `--trace PATH` (or `BENCH_TRACE`) writes a JSONL
-//! trace of one instrumented sharded walk.
-
-use std::time::Instant;
+//! trace of one instrumented sharded walk per shape (its network
+//! events).
 
 use rpki_objects::Moment;
 use rpki_risk::SyntheticRpki;
 use rpki_risk_bench::{
-    emit_json, scale_arg, time_min, trace_recorder, write_trace, Recorder, RunStamp, Summary,
-    SummaryTable,
+    export, scale_arg, time_min, trace_recorder, Recorder, RunStamp, Summary, SummaryTable,
 };
-use rpki_rp::{ShardPlan, ValidationRun, ValidationState};
+use rpki_rp::{ShardPlan, ValidationRun};
 use serde::Serialize;
 
 /// One measured (tree shape, shard count) cell.
 #[derive(Debug, Serialize)]
 struct Record {
-    commit: String,
-    available_parallelism: usize,
-    profile: &'static str,
-    sha256: &'static str,
     pub_points: usize,
     depth: u32,
     branching: u32,
@@ -112,10 +105,6 @@ fn main() {
                 w.validate_cold_sharded(now, plan);
             });
             records.push(Record {
-                commit: stamp.commit.clone(),
-                available_parallelism: stamp.available_parallelism,
-                profile: stamp.profile,
-                sha256: stamp.sha256,
                 pub_points: points,
                 depth,
                 branching,
@@ -135,57 +124,12 @@ fn main() {
             });
         }
 
-        // One incremental cell: the memo cache composes with the
-        // sharded walk — warm the state, churn 10% of directories,
-        // then revalidate sharded and check against a cold walk.
-        let mut state = ValidationState::probe();
-        let plan = ShardPlan::new(4);
-        w.validate_incremental_sharded(Moment(4), plan, &mut state);
-        w.churn(10, Moment(10));
-        let cold = w.validate_cold(Moment(40));
-        let cold_json = run_jsonl(&cold);
-        let start = Instant::now();
-        let (run, stats) = w.validate_incremental_sharded(Moment(40), plan, &mut state);
-        let sharded_ns = start.elapsed().as_nanos();
-        assert_eq!(run, cold, "incremental sharded walk diverged at {points} points");
-        assert_eq!(
-            run_jsonl(&run),
-            cold_json,
-            "incremental sharded walk not byte-identical at {points} points"
-        );
-        let cold_ns = time_min(iters, || {
-            w.validate_cold(Moment(40));
-        });
-        records.push(Record {
-            commit: stamp.commit.clone(),
-            available_parallelism: stamp.available_parallelism,
-            profile: stamp.profile,
-            sha256: stamp.sha256,
-            pub_points: points,
-            depth,
-            branching,
-            roas_per_ca,
-            vrps: w.roa_count + 1,
-            mode: "incremental".into(),
-            shards: plan.shards,
-            seq_ns: cold_ns,
-            sharded_ns,
-            wall_speedup: cold_ns as f64 / sharded_ns as f64,
-            model_speedup: stats.model_speedup(),
-            waves: stats.waves,
-            items: stats.items,
-            steals: stats.steals,
-            assigned_min: stats.assigned.iter().copied().min().unwrap_or(0),
-            assigned_max: stats.assigned.iter().copied().max().unwrap_or(0),
-        });
-
         // One instrumented sharded walk so the trace artifact carries
-        // the deterministic shard-shape events.
+        // the walk's network events.
         if rec.is_enabled() {
             w.net.set_recorder(rec.clone());
-            let (_, stats) = w.validate_cold_sharded(Moment(60), plan);
-            stats.emit(&rec, 60);
-            w.net.set_recorder(rpki_risk_bench::Recorder::disabled());
+            w.validate_cold_sharded(Moment(60), ShardPlan::new(4));
+            w.net.set_recorder(Recorder::disabled());
         }
     }
 
@@ -225,8 +169,8 @@ fn main() {
         .map(|&(d, b)| {
             let r = records
                 .iter()
-                .find(|r| r.depth == d && r.branching == b && r.shards == 1 && r.mode == "cold")
-                .expect("cold 1-shard cell per shape");
+                .find(|r| r.depth == d && r.branching == b && r.shards == 1)
+                .expect("1-shard cell per shape");
             (r.pub_points, r.seq_ns as f64 / r.pub_points as f64)
         })
         .collect();
@@ -237,7 +181,7 @@ fn main() {
     };
     let floor_model = records
         .iter()
-        .filter(|r| r.mode == "cold" && r.pub_points >= 1000 && r.shards >= 4)
+        .filter(|r| r.pub_points >= 1000 && r.shards >= 4)
         .map(|r| r.model_speedup)
         .fold(f64::INFINITY, f64::min);
     let cores = stamp.available_parallelism;
@@ -247,7 +191,7 @@ fn main() {
     // go" decides what becomes of it).
     let wall = records
         .iter()
-        .filter(|r| r.mode == "cold" && r.pub_points >= 1000 && r.shards >= 2)
+        .filter(|r| r.pub_points >= 1000 && r.shards >= 2)
         .map(|r| r.wall_speedup)
         .fold(0.0f64, f64::max);
     report.key_vals(
@@ -283,13 +227,7 @@ fn main() {
     }
     report.print();
 
-    let json = serde_json::to_string(&records).expect("serialise records");
-    std::fs::write("BENCH_scale.json", format!("{json}\n")).expect("write BENCH_scale.json");
-    println!("\nwrote BENCH_scale.json ({} records)", records.len());
-    if let Some(path) = write_trace(&rec) {
-        println!("wrote trace to {path}");
-    }
-    emit_json("bench_scale", &records);
+    export("scale", &stamp, &records, &rec);
     // Enforced last so a regressed run still reports and exports the
     // numbers that explain it.
     assert!(

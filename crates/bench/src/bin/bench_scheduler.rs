@@ -38,7 +38,7 @@ use std::time::Instant;
 use rpki_objects::{Moment, Span};
 use rpki_repo::{RrdpClientState, SyncPolicy};
 use rpki_risk::SyntheticRpki;
-use rpki_risk_bench::{emit_json, scale_arg, trace_recorder, write_trace, Summary, SummaryTable};
+use rpki_risk_bench::{export, scale_arg, trace_recorder, RunStamp, Summary, SummaryTable};
 use rpki_rp::{
     RrdpSource, SchedulePlan, ScheduledSource, SchedulerState, ValidationConfig, ValidationRun,
     ValidationState, Validator,
@@ -136,6 +136,7 @@ fn validate_scheduled(
 
 fn main() {
     let scale = scale_arg().max(1);
+    let stamp = RunStamp::capture();
     let mut report = Summary::new(&format!("Fetch-scheduler benchmark (scale {scale})"));
     let rec = trace_recorder();
 
@@ -338,14 +339,7 @@ fn main() {
     }
     report.print();
 
-    let json = serde_json::to_string(&records).expect("serialise records");
-    std::fs::write("BENCH_scheduler.json", format!("{json}\n"))
-        .expect("write BENCH_scheduler.json");
-    println!("\nwrote BENCH_scheduler.json ({} records)", records.len());
-    if let Some(path) = write_trace(&rec) {
-        println!("wrote trace to {path}");
-    }
-    emit_json("bench_scheduler", &records);
+    export("scheduler", &stamp, &records, &rec);
     // Enforced last so a regressed run still reports and exports the
     // numbers that explain it.
     assert!(

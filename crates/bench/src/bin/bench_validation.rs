@@ -25,7 +25,7 @@ use ipres::Asn;
 use rpki_objects::{Moment, RoaPrefix};
 use rpki_risk::SyntheticRpki;
 use rpki_risk_bench::{
-    emit_json, scale_arg, time_min, trace_recorder, write_trace, RunStamp, Summary, SummaryTable,
+    export, scale_arg, time_min, trace_recorder, RunStamp, Summary, SummaryTable,
 };
 use rpki_rp::ValidationState;
 use serde::Serialize;
@@ -43,10 +43,6 @@ const WALL_FLOOR: f64 = 3.5;
 /// One measured (tree shape, churn rate) cell.
 #[derive(Debug, Serialize)]
 struct Record {
-    commit: String,
-    available_parallelism: usize,
-    profile: &'static str,
-    sha256: &'static str,
     pub_points: usize,
     depth: u32,
     branching: u32,
@@ -153,10 +149,6 @@ fn main() {
 
             let stats = state.stats();
             records.push(Record {
-                commit: stamp.commit.clone(),
-                available_parallelism: stamp.available_parallelism,
-                profile: stamp.profile,
-                sha256: stamp.sha256,
                 pub_points: w.publication_points(),
                 depth,
                 branching,
@@ -239,14 +231,7 @@ fn main() {
     }
     report.print();
 
-    let json = serde_json::to_string(&records).expect("serialise records");
-    std::fs::write("BENCH_validation.json", format!("{json}\n"))
-        .expect("write BENCH_validation.json");
-    println!("\nwrote BENCH_validation.json ({} records)", records.len());
-    if let Some(path) = write_trace(&rec) {
-        println!("wrote trace to {path}");
-    }
-    emit_json("bench_validation", &records);
+    export("validation", &stamp, &records, &rec);
     // Enforced last so a regressed run still reports and exports the
     // numbers that explain it.
     assert!(

@@ -4,9 +4,11 @@
 //! the current directory against its schema under `schemas/`, and fails
 //! on any `BENCH_*.json` present that has no registered schema — a
 //! bench cannot export an unpinned shape. With two arguments
-//! (`schema_check DATA.json SCHEMA.json`), checks that one pair. Exits
-//! nonzero on the first violation, printing the failing path inside
-//! the document.
+//! (`schema_check DATA.json SCHEMA.json`), checks that one pair. Every
+//! export is also held to [`STAMP_SCHEMA`]: no record without the
+//! commit, core count, profile and SHA-256 kernel it was measured
+//! under. Exits nonzero on the first violation, printing the failing
+//! path inside the document.
 
 use std::process::ExitCode;
 
@@ -23,6 +25,13 @@ const KNOWN: &[(&str, &str)] = &[
     ("BENCH_scheduler.json", "schemas/bench_scheduler.schema.json"),
     ("BENCH_pubd.json", "schemas/bench_pubd.schema.json"),
 ];
+
+/// The four fields `rpki_risk_bench::export` prepends to every record,
+/// required of every export here rather than once per schema file.
+const STAMP_SCHEMA: &str = r#"{"type":"array","items":{"type":"object",
+    "required":["commit","available_parallelism","profile","sha256"],
+    "properties":{"commit":{"type":"string"},"available_parallelism":{"type":"integer"},
+                  "profile":{"type":"string"},"sha256":{"type":"string"}}}}"#;
 
 /// `BENCH_*.json` files in the current directory that no KNOWN entry
 /// claims — a bench that exports without registering a schema.
@@ -46,7 +55,10 @@ fn check_pair(data_path: &str, schema_path: &str) -> Result<(), String> {
     let data = serde_json::from_str(&data).map_err(|e| format!("{data_path}: bad JSON: {e:?}"))?;
     let schema_json = serde_json::from_str(&schema_text)
         .map_err(|e| format!("{schema_path}: bad JSON: {e:?}"))?;
-    schema::check(&data, &schema_json).map_err(|e| format!("{data_path}: {e}"))
+    let stamp = serde_json::from_str(STAMP_SCHEMA).expect("STAMP_SCHEMA is JSON");
+    schema::check(&data, &stamp)
+        .and_then(|()| schema::check(&data, &schema_json))
+        .map_err(|e| format!("{data_path}: {e}"))
 }
 
 fn main() -> ExitCode {

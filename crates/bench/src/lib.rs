@@ -87,8 +87,9 @@ pub fn time_min<F: FnMut()>(iters: usize, mut f: F) -> u128 {
 
 /// Where and how a benchmark record was measured — stamped on every
 /// record so a committed `BENCH_*.json` can be read as a trajectory
-/// (ROADMAP aim 1).
-#[derive(Debug, Clone)]
+/// (ROADMAP aim 1). [`export`] prepends the four fields, in this order,
+/// to each record it writes.
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct RunStamp {
     /// `git rev-parse --short HEAD`, with `-dirty` appended when the
     /// working tree differs from it; `unknown` outside a checkout.
@@ -131,6 +132,42 @@ pub fn write_trace(recorder: &Recorder) -> Option<String> {
     let path = trace_path()?;
     std::fs::write(&path, recorder.trace_jsonl()).expect("write trace file");
     Some(path)
+}
+
+/// Writes everything a bench run exports: `BENCH_<name>.json` in the
+/// current directory — every record's JSON object with `stamp`'s four
+/// fields prepended, so no record lands unstamped — then the trace of
+/// a live `recorder` (`--trace`/`BENCH_TRACE`), then the `--json`
+/// mirror of the same stamped records, labelled `bench_<name>`.
+pub fn export<T: serde::Serialize>(
+    name: &str,
+    stamp: &RunStamp,
+    records: &[T],
+    recorder: &Recorder,
+) {
+    use serde::Serialize as _;
+    use serde_json::Json;
+
+    let stamped: Vec<Json> = records
+        .iter()
+        .map(|record| match (stamp.to_json(), record.to_json()) {
+            (Json::Object(mut fields), Json::Object(own)) => {
+                fields.extend(own);
+                Json::Object(fields)
+            }
+            _ => panic!("a bench record and its stamp serialise as JSON objects"),
+        })
+        .collect();
+    let file = format!("BENCH_{name}.json");
+    let json = serde_json::to_string(&stamped).expect("serialise records");
+    std::fs::write(&file, format!("{json}\n")).expect("write the BENCH export");
+    println!("\nwrote {file} ({} records)", stamped.len());
+    if recorder.is_enabled() {
+        if let Some(path) = write_trace(recorder) {
+            println!("wrote trace to {path}");
+        }
+    }
+    emit_json(&format!("bench_{name}"), &stamped);
 }
 
 /// A minimal JSON-Schema subset checker for the committed `schemas/`

@@ -74,7 +74,7 @@ use rpki_repo::{Freshness, Repository, RrdpClientState, SyncPolicy};
 use rpki_rp::fabric::{pump_until, RtrEndpoint};
 use rpki_rp::{
     MergePolicy, Relay, ResilienceConfig, ResilientState, Route, RouteValidity, RtrFabric,
-    RtrRouter, SchedulePlan, SchedulerState, ShardPlan, SlurmFile, UnsafeVrpPolicy, ValidationRun,
+    RtrRouter, SchedulePlan, SchedulerState, SlurmFile, UnsafeVrpPolicy, ValidationRun,
     ValidationState, Vrp, VrpCache, VrpUpdate,
 };
 use serde::Serialize;
@@ -618,12 +618,7 @@ impl Rp {
 
     /// One validation from this relying party's node through its
     /// stack, at the world's current moment.
-    fn validate(
-        &mut self,
-        w: &mut ModelRpki,
-        unsafe_vrps: UnsafeVrpPolicy,
-        shards: Option<ShardPlan>,
-    ) -> ValidationRun {
+    fn validate(&mut self, w: &mut ModelRpki, unsafe_vrps: UnsafeVrpPolicy) -> ValidationRun {
         w.rp_node = self.node;
         let before = self.rrdp.stats().downgrades;
         let policy = campaign_policy();
@@ -648,10 +643,6 @@ impl Rp {
         };
         let opts = match self.validation.as_mut() {
             Some(state) => opts.incremental(state),
-            None => opts,
-        };
-        let opts = match shards {
-            Some(plan) => opts.sharded(plan),
             None => opts,
         };
         let run = w.validate_with(opts);
@@ -739,7 +730,6 @@ pub(crate) struct Engine<'a> {
     /// private worlds advance through byte-identical schedules, and
     /// every relying party of a shared world syncs the same serials.
     churn: Option<ChurnEngine>,
-    shards: Option<ShardPlan>,
     /// The RTR feed path the RTR fault kinds act on — the relay and the
     /// routers behind it. `None` (a repository-only campaign) makes
     /// those kinds a no-op.
@@ -756,7 +746,6 @@ impl<'a> Engine<'a> {
             rps: Vec::new(),
             engaged: BTreeSet::new(),
             churn: spec.churn.map(|cfg| ChurnEngine::new(seed, cfg)),
-            shards: None,
             rtr_path: None,
         }
     }
@@ -788,8 +777,8 @@ impl<'a> Engine<'a> {
     /// One faultless, unrecorded validation per relying party against
     /// the healthy world.
     pub(crate) fn warm_up(&mut self) -> Vec<ValidationRun> {
-        let (w, spec, shards) = (&mut self.w, self.spec, self.shards);
-        self.rps.iter_mut().map(|rp| rp.validate(w, spec.unsafe_vrps, shards)).collect()
+        let (w, spec) = (&mut self.w, self.spec);
+        self.rps.iter_mut().map(|rp| rp.validate(w, spec.unsafe_vrps)).collect()
     }
 
     /// Opens `round`: clock, then churn, then faults.
@@ -916,12 +905,12 @@ impl<'a> Engine<'a> {
     /// Every relying party validates, in order; tiers record and emit
     /// their row. Returns the round's runs, one per relying party.
     pub(crate) fn validate_round(&mut self, round: usize) -> Vec<ValidationRun> {
-        let (w, spec, shards) = (&mut self.w, self.spec, self.shards);
+        let (w, spec) = (&mut self.w, self.spec);
         self.rps
             .iter_mut()
             .map(|rp| {
                 let at = w.net.now();
-                let run = rp.validate(w, spec.unsafe_vrps, shards);
+                let run = rp.validate(w, spec.unsafe_vrps);
                 rp.record(w, &spec.name, round, at, &run);
                 run
             })
@@ -978,23 +967,16 @@ pub fn run_campaign(
 /// thousands of relying parties hammer the same publication points —
 /// instead of the per-tier clones [`run_campaign`] uses to isolate
 /// fault dice. Each tier gets its own relying-party network node and
-/// its own persistent caches; every walk runs under `plan`'s sharded
-/// scheduler when given (output is byte-identical either way). The
-/// outcome adds per-round cross-tier VRP divergence and the server-side
-/// load ledger each host accumulated over the campaign rounds.
+/// its own persistent caches. The outcome adds per-round cross-tier VRP
+/// divergence and the server-side load ledger each host accumulated
+/// over the campaign rounds.
 ///
 /// Note the shared world is *not* metric-identical to the per-tier
 /// worlds: probabilistic faults draw from one shared dice stream, so a
 /// corruption burst that eats tier A's frame spares tier B's. That
 /// asymmetry is the point — it is what the divergence metrics measure.
-pub fn run_shared_campaign(
-    spec: &CampaignSpec,
-    seed: u64,
-    plan: Option<ShardPlan>,
-    recorder: &Recorder,
-) -> CampaignOutcome {
+pub fn run_shared_campaign(spec: &CampaignSpec, seed: u64, recorder: &Recorder) -> CampaignOutcome {
     let mut e = Engine::shared(spec, seed, recorder);
-    e.shards = plan;
     e.warm_up();
     // The load ledger measures the campaign proper, not the warm-up.
     for repo in e.w.repos.iter() {
@@ -1475,29 +1457,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_campaign_is_shard_count_invariant() {
-        // The campaign-tier equivalence pin: a shared-world campaign is
-        // byte-identical whether each walk runs sequentially, under one
-        // shard, or under eight — faults, caches, and all.
-        let spec = takedown_spec();
-        let seq =
-            serde_json::to_string(&run_shared_campaign(&spec, 7, None, &Recorder::disabled()))
-                .unwrap();
-        for shards in [1, 2, 8] {
-            let sharded = serde_json::to_string(&run_shared_campaign(
-                &spec,
-                7,
-                Some(ShardPlan::new(shards)),
-                &Recorder::disabled(),
-            ))
-            .unwrap();
-            assert_eq!(seq, sharded, "shards={shards} must not change a byte");
-        }
-    }
-
-    #[test]
     fn shared_campaign_measures_divergence_and_load() {
-        let out = run_shared_campaign(&takedown_spec(), 42, None, &Recorder::disabled());
+        let out = run_shared_campaign(&takedown_spec(), 42, &Recorder::disabled());
         assert_eq!(out.tiers.len(), RpTier::ALL.len());
         assert_eq!(out.divergence.len(), out.rounds);
         // During the takedown window the stale tier keeps serving while
@@ -1518,7 +1479,7 @@ mod tests {
         let bare = out.tier(RpTier::Bare).totals;
         assert!(stale.vrp_round_sum > bare.vrp_round_sum, "{stale:?} vs {bare:?}");
         // Deterministic replay, since every fault here is dice-free.
-        let again = run_shared_campaign(&takedown_spec(), 42, None, &Recorder::disabled());
+        let again = run_shared_campaign(&takedown_spec(), 42, &Recorder::disabled());
         assert_eq!(serde_json::to_string(&out).unwrap(), serde_json::to_string(&again).unwrap());
     }
 

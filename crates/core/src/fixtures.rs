@@ -595,24 +595,6 @@ impl SyntheticRpki {
             plan,
         )
     }
-
-    /// One incremental sharded revalidation against the persistent
-    /// `state`; composes the per-subtree digest cache with the sharded
-    /// walk.
-    pub fn validate_incremental_sharded(
-        &mut self,
-        now: Moment,
-        plan: ShardPlan,
-        state: &mut ValidationState,
-    ) -> (ValidationRun, ShardStats) {
-        let mut source = NetworkSource::new(&mut self.net, &self.repos, self.rp_node);
-        Validator::new(ValidationConfig::at(now)).run_sharded_incremental(
-            &mut source,
-            std::slice::from_ref(&self.tal),
-            plan,
-            state,
-        )
-    }
 }
 
 #[cfg(test)]

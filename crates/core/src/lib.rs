@@ -28,10 +28,9 @@
 //!   evidence, so whacks stop translating into instant outages.
 //! - [`validate`] — the single validation entry point:
 //!   [`ValidationOptions`] names the relying-party layers (retries,
-//!   RRDP, stale cache, fetch scheduler, Suspenders, incremental and
-//!   sharded walks) and `validate_with` chains them into one source
-//!   stack and runs it, reporting through the world's observability
-//!   recorder.
+//!   RRDP, stale cache, fetch scheduler, Suspenders, the incremental
+//!   walk) and `validate_with` chains them into one source stack and
+//!   runs it, reporting through the world's observability recorder.
 //! - [`campaign`] — seeded fault campaigns comparing relying-party
 //!   configurations (bare / retrying / stale-cache / Suspenders /
 //!   RRDP) on VRP availability and validity flips under scheduled

@@ -33,7 +33,7 @@ use rpki_objects::Moment;
 use rpki_repo::{RrdpClientState, SyncPolicy};
 use rpki_rp::{
     NetworkSource, ObjectSource, ResilientSource, ResilientState, RrdpSource, SchedulePlan,
-    ScheduledSource, SchedulerState, ShardPlan, UnsafeVrpPolicy, ValidationConfig, ValidationRun,
+    ScheduledSource, SchedulerState, UnsafeVrpPolicy, ValidationConfig, ValidationRun,
     ValidationState, Validator,
 };
 
@@ -56,7 +56,6 @@ pub struct ValidationOptions<'a> {
     /// The session state, and whether each sync is cross-checked
     /// against an rsync digest probe.
     rrdp: Option<(&'a mut RrdpClientState, bool)>,
-    shards: Option<ShardPlan>,
     unsafe_vrps: UnsafeVrpPolicy,
     scheduled: Option<(SchedulePlan, &'a mut SchedulerState)>,
 }
@@ -72,7 +71,6 @@ impl<'a> ValidationOptions<'a> {
             suspenders: None,
             incremental: None,
             rrdp: None,
-            shards: None,
             unsafe_vrps: UnsafeVrpPolicy::default(),
             scheduled: None,
         }
@@ -136,16 +134,6 @@ impl<'a> ValidationOptions<'a> {
         self
     }
 
-    /// Execute the walk as independent per-publication-point shard
-    /// units under `plan`'s deterministic work-stealing scheduler. The
-    /// output is byte-identical to the unsharded walk for any shard
-    /// count; scheduler statistics are emitted through the world's
-    /// recorder. Composes with [`incremental`](Self::incremental).
-    pub fn sharded(mut self, plan: ShardPlan) -> Self {
-        self.shards = Some(plan);
-        self
-    }
-
     /// What to do with *unsafe* VRPs — payloads whose prefix overlaps
     /// the resources of a CA the walk rejected. The default
     /// ([`UnsafeVrpPolicy::Accept`]) skips the analysis;
@@ -190,7 +178,6 @@ impl ModelRpki {
             suspenders,
             mut incremental,
             rrdp,
-            shards,
             unsafe_vrps,
             scheduled,
         } = opts;
@@ -240,22 +227,11 @@ impl ModelRpki {
 
         let validator = Validator::new(ValidationConfig::at(now).with_unsafe_policy(unsafe_vrps));
         let tals = std::slice::from_ref(&self.tal);
-        let (run, shard_stats) = match (shards, incremental.as_deref_mut()) {
-            (Some(plan), Some(inc)) => {
-                let (run, stats) = validator.run_sharded_incremental(source, tals, plan, inc);
-                (run, Some(stats))
-            }
-            (Some(plan), None) => {
-                let (run, stats) = validator.run_sharded(source, tals, plan);
-                (run, Some(stats))
-            }
-            (None, Some(inc)) => (validator.run_incremental(source, tals, inc), None),
-            (None, None) => (validator.run(source, tals), None),
+        let run = match incremental.as_deref_mut() {
+            Some(inc) => validator.run_incremental(source, tals, inc),
+            None => validator.run(source, tals),
         };
         run.emit(&rec, now.0);
-        if let Some(stats) = shard_stats {
-            stats.emit(&rec, now.0);
-        }
         if let Some(state) = incremental {
             state.stats().emit(&rec, now.0);
         }
@@ -421,31 +397,6 @@ mod tests {
         assert_eq!(v.vrps.len(), 7, "the verified RP sees the truth via the downgrade");
         assert!(verified.stats().pinned_detected > 0);
         assert_eq!(trusting.stats().pinned_detected, 0);
-    }
-
-    #[test]
-    fn sharded_option_matches_unsharded_and_traces() {
-        let mut plain = ModelRpki::build_seeded(5);
-        let mut sharded = ModelRpki::build_seeded(5);
-        let rec = Recorder::new();
-        sharded.net.set_recorder(rec.clone());
-        let a = plain.validate_with(ValidationOptions::at(Moment(2)));
-        let b = sharded.validate_with(ValidationOptions::at(Moment(2)).sharded(ShardPlan::new(4)));
-        assert_eq!(a, b, "sharded walk must be byte-identical to the sequential walk");
-        assert_eq!(rec.metrics().counter("rp.shard.runs"), 1);
-        assert!(rec.events().iter().any(|e| e.layer == "rp" && e.kind == "sharded_walk"));
-        // Composes with the incremental cache: a quiet sharded re-run
-        // replays every subtree.
-        let mut state = ValidationState::full();
-        let warm = sharded.validate_with(
-            ValidationOptions::at(Moment(3)).sharded(ShardPlan::new(4)).incremental(&mut state),
-        );
-        assert_eq!(warm.vrps, a.vrps);
-        let again = sharded.validate_with(
-            ValidationOptions::at(Moment(4)).sharded(ShardPlan::new(4)).incremental(&mut state),
-        );
-        assert_eq!(again.vrps, a.vrps);
-        assert_eq!(state.stats().subtrees_reused, 4);
     }
 
     #[test]

@@ -537,6 +537,30 @@ mod tests {
         assert_eq!(routers[0].client().serial(), fabric.server().serial());
     }
 
+    /// One lost `CacheResponse` on an established session: the router
+    /// ignores the delta's prefixes, and must re-ask on the orphaned
+    /// `EndOfData` instead of taking its serial — or it would sit on
+    /// the old set at the new serial, invisible to every serial-based
+    /// staleness metric.
+    #[test]
+    fn lost_cache_response_does_not_advance_the_router() {
+        let (mut net, mut fabric, mut routers) = world(1);
+        fabric.publish(&mut net, VrpUpdate::snapshot(sample()));
+        pump(&mut net, &mut fabric, &mut routers);
+
+        // Cache → router from here: the notify, then the response's
+        // first frame (the `CacheResponse`).
+        net.faults.drop_nth(fabric.node(), routers[0].node(), 2);
+        let mut vrps = sample();
+        vrps.push(v("10.9.0.0/16", 16, 9));
+        fabric.publish(&mut net, VrpUpdate::snapshot(vrps));
+        pump(&mut net, &mut fabric, &mut routers);
+        assert_eq!(net.stats().dropped, 1);
+        assert_eq!(routers[0].client().serial(), fabric.server().serial());
+        let held: Vec<Vrp> = routers[0].vrps().iter().copied().collect();
+        assert_eq!(held, fabric.server().vrps(), "router diverged from the cache at its serial");
+    }
+
     #[test]
     fn corrupted_query_frame_is_rejected_not_misparsed() {
         let (mut net, mut fabric, mut routers) = world(1);

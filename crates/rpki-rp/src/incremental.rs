@@ -10,9 +10,11 @@
 //! subtrees while re-walking only what changed.
 //!
 //! The cache enters the walk at three of its per-publication-point
-//! stages, which the depth-first and the wave driver both call:
-//! `admit` decides replay or re-walk, `settle` memoises a re-walk, and
-//! `close` takes the VRP delta. Nothing else reads or writes an entry.
+//! stages, and only under the depth-first driver (the wave driver in
+//! [`crate::shard`] walks cold: it hands `admit` no state and calls
+//! neither of the other two): `admit` decides replay or re-walk,
+//! `settle` memoises a re-walk, and `close` takes the VRP delta.
+//! Nothing else reads or writes an entry.
 //!
 //! # Cache key and invalidation
 //!
@@ -556,8 +558,199 @@ impl Validator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::source::DirectSource;
+    use crate::validation::ValidationConfig;
+    use ipres::{Asn, Prefix};
+    use netsim::Network;
+    use rpki_ca::CertAuthority;
+    use rpki_objects::{RepoUri, RoaPrefix, Span};
+    use rpki_repo::{DirProbe, RepoRegistry, SyncOutcome};
+
+    fn p(s: &str) -> Prefix {
+        s.parse().unwrap()
+    }
+
+    /// A small world for walk tests (shared with `shard`'s).
+    pub(crate) struct Rig {
+        pub(crate) repos: RepoRegistry,
+        pub(crate) tal: TrustAnchorLocator,
+        root: CertAuthority,
+        children: Vec<CertAuthority>,
+    }
+
+    /// A TA with `n` child CAs, each publishing one ROA at its own
+    /// publication point.
+    pub(crate) fn rig(n: usize) -> Rig {
+        let mut net = Network::new(1);
+        let mut repos = RepoRegistry::new();
+        repos.create(&mut net, "h");
+        let ta_dir = RepoUri::new("h", &["ta"]);
+        let root_dir = RepoUri::new("h", &["repo", "root"]);
+        let mut root = CertAuthority::new("root", "shard-root", root_dir.clone());
+        root.certify_self(ResourceSet::from_prefix_strs("10.0.0.0/8"), Moment(0), Span::days(30));
+        let mut children = Vec::new();
+        for i in 0..n {
+            let dir = RepoUri::new("h", &["repo", &format!("c{i}")]);
+            let mut ca = CertAuthority::new(&format!("c{i}"), &format!("shard-c{i}"), dir.clone());
+            let res = ResourceSet::from_prefix_strs(&format!("10.{i}.0.0/16"));
+            let rc =
+                root.issue_cert(&format!("c{i}"), ca.public_key(), res, dir, Moment(0)).unwrap();
+            ca.install_cert(rc);
+            ca.issue_roa(
+                Asn(64_500 + i as u32),
+                vec![RoaPrefix::exact(p(&format!("10.{i}.0.0/16")))],
+                Moment(0),
+            )
+            .unwrap();
+            children.push(ca);
+        }
+        let tal = TrustAnchorLocator::new(ta_dir.join("root.cer"), root.public_key());
+        {
+            use rpki_objects::RpkiObject;
+            let cert = root.cert().unwrap().clone();
+            let root_snap = root.publication_snapshot(Moment(1));
+            let snaps: Vec<_> = children
+                .iter_mut()
+                .map(|ca| (ca.sia().clone(), ca.publication_snapshot(Moment(1))))
+                .collect();
+            let repo = repos.by_host_mut("h").unwrap();
+            repo.publish_raw(&ta_dir, "root.cer", RpkiObject::Cert(cert).to_bytes());
+            repo.publish_snapshot(root.sia(), &root_snap);
+            for (sia, snap) in &snaps {
+                repo.publish_snapshot(sia, snap);
+            }
+        }
+        Rig { repos, tal, root, children }
+    }
+
+    /// [`DirectSource`], except that one directory may be unreachable.
+    struct Unlisting<'a> {
+        inner: DirectSource<'a>,
+        unlisted: Option<RepoUri>,
+    }
+
+    impl ObjectSource for Unlisting<'_> {
+        fn load_dir(&mut self, dir: &RepoUri) -> SyncOutcome {
+            if self.unlisted.as_ref() == Some(dir) {
+                return SyncOutcome::unreachable(dir.clone());
+            }
+            self.inner.load_dir(dir)
+        }
+
+        fn probe_dir(&mut self, dir: &RepoUri) -> Option<DirProbe> {
+            if self.unlisted.as_ref() == Some(dir) {
+                return Some(DirProbe::unreachable(dir.clone()));
+            }
+            self.inner.probe_dir(dir)
+        }
+    }
+
+    /// How one row of the admission table perturbs a warmed-up world
+    /// (TA + three children, validated once at `now`).
+    enum Flip {
+        Nothing,
+        /// Edits child 0's cache entry: `(entry, now, root key)`.
+        Entry(fn(&mut CacheEntry, u64, KeyId)),
+        /// Validates under a different policy from here on.
+        Config(fn(&mut ValidationConfig)),
+        /// Child 0's directory stops answering.
+        Unlisted,
+        /// Child 0 publishes a certificate for the root's key.
+        Loop,
+    }
+
+    /// `(clause, perturbation, (reused, rewalked) of the next run,
+    /// whether child 0 ends up memoised)`.
+    type Row = (&'static str, Flip, (u64, u64), bool);
+
+    const ADMISSION: [Row; 14] = [
+        ("control", Flip::Nothing, (4, 0), true),
+        ("cert digest", Flip::Entry(|e, _, _| e.cert_digest = sha256(b"other")), (3, 1), true),
+        ("effective", Flip::Entry(|e, _, _| e.effective = ResourceSet::empty()), (3, 1), true),
+        ("depth", Flip::Entry(|e, _, _| e.depth += 1), (3, 1), true),
+        (
+            "incomplete",
+            Flip::Config(|c| c.incomplete = IncompletePolicy::RejectPublicationPoint),
+            (0, 4),
+            true,
+        ),
+        ("overclaim", Flip::Config(|c| c.overclaim = OverclaimPolicy::Trim), (0, 4), true),
+        ("max_depth", Flip::Config(|c| c.max_depth -= 1), (0, 4), true),
+        ("now == window.0", Flip::Entry(|e, now, _| e.window = (now, now + 1)), (4, 0), true),
+        ("now < window.0", Flip::Entry(|e, now, _| e.window = (now + 1, u64::MAX)), (3, 1), true),
+        ("now == window.1", Flip::Entry(|e, now, _| e.window = (0, now)), (3, 1), true),
+        (
+            "child key on the ancestor stack",
+            Flip::Entry(|e, _, root| {
+                e.child_keys.insert(root);
+            }),
+            (3, 1),
+            true,
+        ),
+        ("directory digest", Flip::Entry(|e, _, _| e.dir_digest = sha256(b"other")), (3, 1), true),
+        ("unlisted directory evicts", Flip::Unlisted, (3, 1), false),
+        ("loop seen evicts", Flip::Loop, (3, 1), false),
+    ];
+
+    /// Warms a state up, applies `row`'s perturbation, and checks the
+    /// next two runs: the row's verdict, then reuse of whatever was
+    /// memoised and another rewalk of whatever was evicted.
+    fn admit_row(mode: RevalidationMode, row: &Row) {
+        let (clause, flip, expect, memoised) = row;
+        let ctx = format!("{clause} / {mode:?}");
+        let mut rig = rig(3);
+        let child0 = rig.children[0].key_id();
+        let mut config = ValidationConfig::at(Moment(2));
+        let mut state = ValidationState::new(mode);
+        let mut unlisted = None;
+        let validate = |rig: &Rig, config, unlisted: &Option<RepoUri>, state: &mut _| {
+            let v = Validator::new(config);
+            let tals = std::slice::from_ref(&rig.tal);
+            let mut source =
+                Unlisting { inner: DirectSource::new(&rig.repos), unlisted: unlisted.clone() };
+            v.run_incremental(&mut source, tals, state);
+            (state.stats().subtrees_reused, state.stats().subtrees_rewalked)
+        };
+
+        assert_eq!(validate(&rig, config, &unlisted, &mut state), (0, 4), "{ctx}");
+        match flip {
+            Flip::Nothing => {}
+            Flip::Entry(edit) => edit(
+                state.entries.get_mut(&child0).expect("warmed up"),
+                config.now.0,
+                rig.root.key_id(),
+            ),
+            Flip::Config(edit) => edit(&mut config),
+            Flip::Unlisted => unlisted = Some(rig.children[0].sia().clone()),
+            Flip::Loop => {
+                let (root_key, root_sia) = (rig.root.public_key(), rig.root.sia().clone());
+                let ca = &mut rig.children[0];
+                let inside = ResourceSet::from_prefix_strs("10.0.0.0/24");
+                ca.issue_cert("loop", root_key, inside, root_sia, Moment(1)).unwrap();
+                let snap = ca.publication_snapshot(Moment(1));
+                rig.repos.by_host_mut("h").unwrap().publish_snapshot(ca.sia(), &snap);
+            }
+        }
+        assert_eq!(validate(&rig, config, &unlisted, &mut state), *expect, "{ctx}");
+        assert_eq!(state.entries.contains_key(&child0), *memoised, "{ctx}");
+        let again = if *memoised { (4, 0) } else { (3, 1) };
+        assert_eq!(validate(&rig, config, &unlisted, &mut state), again, "{ctx}");
+        assert_eq!(state.entries.contains_key(&child0), *memoised, "{ctx}");
+    }
+
+    /// Each row flips one clause of the cache decision for one
+    /// publication point and must get its verdict in both revalidation
+    /// modes.
+    #[test]
+    fn admission_table_holds_in_both_modes() {
+        for mode in [RevalidationMode::Full, RevalidationMode::Probe] {
+            for row in &ADMISSION {
+                admit_row(mode, row);
+            }
+        }
+    }
 
     #[test]
     fn delta_between_and_apply_roundtrip() {

@@ -464,13 +464,19 @@ impl RtrClient {
                 if Some(*session) != self.session {
                     return ClientAction::Reset;
                 }
-                if let Some(pending) = self.pending.take() {
-                    for d in pending {
-                        if d.announce {
-                            self.vrps.insert(d.vrp);
-                        } else {
-                            self.vrps.remove(&d.vrp);
-                        }
+                // An `EndOfData` that closes no open response means the
+                // `CacheResponse` was lost and the prefixes after it
+                // were ignored: taking its serial would leave the old
+                // set at the new serial for good. Ask again from the
+                // serial really held.
+                let Some(pending) = self.pending.take() else {
+                    return ClientAction::Query;
+                };
+                for d in pending {
+                    if d.announce {
+                        self.vrps.insert(d.vrp);
+                    } else {
+                        self.vrps.remove(&d.vrp);
                     }
                 }
                 self.serial = *serial;
@@ -735,6 +741,37 @@ mod tests {
         assert_eq!(client.len(), 0, "deltas must not apply before EndOfData");
         client.handle(response.last().unwrap());
         assert_eq!(client.len(), 3);
+    }
+
+    /// A delta response whose `CacheResponse` was lost: the prefixes are
+    /// ignored, so its `EndOfData` must not advance the serial — the
+    /// next poll would be answered "nothing new" and the router would
+    /// hold the old set at the new serial for good.
+    #[test]
+    fn end_of_data_without_an_open_response_keeps_the_serial() {
+        let mut server = RtrServer::new(1, 8);
+        publish(&mut server, sample());
+        let mut client = RtrClient::new();
+        sync(&mut client, &server);
+        let held = client.serial();
+
+        let mut vrps = sample();
+        vrps.push(v("10.9.0.0/16", 16, 9));
+        publish(&mut server, vrps);
+        let response = server.handle(&client.poll());
+        assert!(matches!(response[0], RtrPdu::CacheResponse { .. }));
+        let (end, prefixes) = response[1..].split_last().expect("delta and EndOfData");
+        for pdu in prefixes {
+            assert_eq!(client.handle(pdu), ClientAction::Idle);
+        }
+        assert_eq!(client.handle(end), ClientAction::Query);
+        assert_eq!(client.serial(), held, "no response was open: the serial must not move");
+        assert_eq!(client.len(), 3);
+
+        // The re-ask from the serial really held gets the delta.
+        sync(&mut client, &server);
+        assert_eq!(client.serial(), server.serial());
+        assert_eq!(client.cache().vrps(), server.vrps());
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! its caller lends it. Two drivers call them and own only the visiting
 //! order and the executor: the depth-first one here
 //! ([`Validator::run`], [`Validator::run_incremental`]) and the wave
-//! one in [`crate::shard`].
+//! one in [`crate::shard`] ([`Validator::run_sharded`]), which walks
+//! cold and so never reaches the cache's stages, `settle` and `close`.
 
 use std::collections::BTreeSet;
 
@@ -413,7 +414,6 @@ pub(crate) struct Sinks<'a> {
 /// The sinks' lengths before a publication point wrote to them, so
 /// `settle` can memoise exactly what that point appended. Freshness is
 /// absent on purpose: it is live per round, never memoised.
-#[derive(Default)]
 pub(crate) struct Marks {
     pub(crate) cas: usize,
     pub(crate) diagnostics: usize,

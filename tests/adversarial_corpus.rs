@@ -33,7 +33,9 @@ use rpki_attacks::CorpusKind;
 use rpki_objects::Moment;
 use rpki_repo::RrdpClientState;
 use rpki_risk::{ModelRpki, ValidationOptions};
-use rpki_rp::{ShardPlan, ValidationRun, ValidationState};
+use rpki_rp::{
+    NetworkSource, ShardPlan, ValidationConfig, ValidationRun, ValidationState, Validator,
+};
 
 const POISONED_HOST: &str = "rpki.continental.example";
 
@@ -62,7 +64,13 @@ fn run_tier(tier: &str, kind: CorpusKind, seed: u64) -> ValidationRun {
         "sharded-1" | "sharded-2" | "sharded-4" | "sharded-8" => {
             let shards: usize = tier.rsplit('-').next().expect("suffix").parse().expect("digit");
             w.poison_host(POISONED_HOST, kind, seed, Moment(3)).expect("host exists");
-            w.validate_with(ValidationOptions::at(at).sharded(ShardPlan::new(shards)))
+            // Not a `ValidationOptions` layer: the sharded walk is its
+            // own cold entry point, over the same bare network source.
+            let mut source = NetworkSource::new(&mut w.net, &w.repos, w.rp_node);
+            let tals = std::slice::from_ref(&w.tal);
+            Validator::new(ValidationConfig::at(at))
+                .run_sharded(&mut source, tals, ShardPlan::new(shards))
+                .0
         }
         "rrdp-probe" => {
             let mut state = RrdpClientState::new();

@@ -20,7 +20,7 @@ use rpki_risk::{
     run_scheduled_campaign, run_shared_campaign, schedule_gaming_campaign, standard_campaigns,
     CampaignSpec, FaultKind, FaultWindow, RtrConfig, Walk,
 };
-use rpki_rp::{MergePolicy, ShardPlan, SlurmFile, UnsafeVrpPolicy};
+use rpki_rp::{MergePolicy, SlurmFile, UnsafeVrpPolicy};
 use rpkisim_crypto::sha256;
 
 /// Digests one outcome table (any `Serialize` value) into a row.
@@ -94,11 +94,10 @@ fn cold(t: &mut Table, spec: &CampaignSpec, seed: u64) {
     json!(t, run, "tiers", run_campaign(spec, seed, Walk::Cold, &Recorder::disabled()).tiers);
 }
 
-fn shared(t: &mut Table, spec: &CampaignSpec, seed: u64, shards: Option<usize>) {
-    let run =
-        format!("shared{}/{}@{seed}", shards.map_or(String::new(), |n| n.to_string()), spec.name);
+fn shared(t: &mut Table, spec: &CampaignSpec, seed: u64) {
+    let run = format!("shared/{}@{seed}", spec.name);
     let rec = Recorder::new();
-    let out = run_shared_campaign(spec, seed, shards.map(ShardPlan::new), &rec);
+    let out = run_shared_campaign(spec, seed, &rec);
     json!(t, run, "tiers", out.tiers);
     json!(t, run, "divergence", out.divergence);
     json!(t, run, "load", out.load);
@@ -135,8 +134,7 @@ fn fingerprints() -> Vec<(String, String)> {
     for spec in standard_campaigns() {
         private(&mut t, &spec, 2013);
         cold(&mut t, &spec, 2013);
-        shared(&mut t, &spec, 2013, Some(4));
-        shared(&mut t, &spec, 2013, None);
+        shared(&mut t, &spec, 2013);
     }
     rtr(&mut t, &rtr_campaign(), 2013, RtrConfig::default());
     scheduled(&mut t, &schedule_gaming_campaign(), 2013);
@@ -153,12 +151,12 @@ fn fingerprints() -> Vec<(String, String)> {
         .with_churn(ChurnConfig::renew_only(400));
     private(&mut t, &churned, 7);
     cold(&mut t, &churned, 7);
-    shared(&mut t, &churned, 7, None);
+    shared(&mut t, &churned, 7);
     rtr(&mut t, &churned, 7, all3);
 
     // Every fault kind the standard suite leaves unarmed.
     private(&mut t, &odd_kinds(), 2013);
-    shared(&mut t, &odd_kinds(), 2013, None);
+    shared(&mut t, &odd_kinds(), 2013);
     rtr(&mut t, &odd_kinds(), 2013, all3);
 
     for seed in [2013, 41, 17, 23] {
@@ -196,11 +194,6 @@ const PINS: &[(&str, &str)] = &[
     ("private/corruption-burst@2013/trace", "36cf38f7fdf299482d2a70caf4de475d7aa1dab678ddec00c733a6242b0dd8b0"),
     ("private/corruption-burst@2013/metrics", "15c160f3301736a327f559713b59db10e6f4cf68cfaa04cbf123dc81952e1935"),
     ("cold/corruption-burst@2013/tiers", "d65b831f0dfc1aaf864a303db40692e1778eb50da7b1acaa922a5e118fc69cf7"),
-    ("shared4/corruption-burst@2013/tiers", "097a64f63ee991303fa20fa11eb3494d4be61bfd5df2226dd4b1338270c785a9"),
-    ("shared4/corruption-burst@2013/divergence", "a0f8e1bab6ae4b3a44014a58a4385712b9fa4e3195930ab341696819762a113c"),
-    ("shared4/corruption-burst@2013/load", "ca3914f67500f9fb838a77f79608239e6c96c411c0a74c19ec5738387f0e5de1"),
-    ("shared4/corruption-burst@2013/trace", "a20fe3c6c5bd910097a62ed73b4317ce3fa151802a4acca67ff2d16800407df5"),
-    ("shared4/corruption-burst@2013/metrics", "c9815fd3537172ae1f7eed9033593c806a5ae4534a982d556f8e587b04136260"),
     ("shared/corruption-burst@2013/tiers", "097a64f63ee991303fa20fa11eb3494d4be61bfd5df2226dd4b1338270c785a9"),
     ("shared/corruption-burst@2013/divergence", "a0f8e1bab6ae4b3a44014a58a4385712b9fa4e3195930ab341696819762a113c"),
     ("shared/corruption-burst@2013/load", "ca3914f67500f9fb838a77f79608239e6c96c411c0a74c19ec5738387f0e5de1"),
@@ -210,11 +203,6 @@ const PINS: &[(&str, &str)] = &[
     ("private/flapping-partition@2013/trace", "cfdb4c25d4c7c70fc1b15b4d141a1ec22070f118da0495bb3ef7456c4484329c"),
     ("private/flapping-partition@2013/metrics", "642bff24e1af3912421b09b3dc39332be6c78a8768a31bb4379bf59cd91cc25a"),
     ("cold/flapping-partition@2013/tiers", "6b843a7d4c54c3dd43e77e6d66802edca143f29f51003a084f345800d372d28f"),
-    ("shared4/flapping-partition@2013/tiers", "6b843a7d4c54c3dd43e77e6d66802edca143f29f51003a084f345800d372d28f"),
-    ("shared4/flapping-partition@2013/divergence", "f19e464d5418c3b3952225c464e15b919a067454e0c43a5f627efcbf3ffc0053"),
-    ("shared4/flapping-partition@2013/load", "a37b57f76ab353f23ab691e4ed2e6ef57827bd8958e30b5a3eb5850a612ef625"),
-    ("shared4/flapping-partition@2013/trace", "77e2dcd3e83599ae74cec05fb3f6457630eed5d6f70ad3fc461ab49424002efa"),
-    ("shared4/flapping-partition@2013/metrics", "77ff0e6f3dd625accd7ead335ca8d1d073d67f82845e6292eaac8072e2c91576"),
     ("shared/flapping-partition@2013/tiers", "6b843a7d4c54c3dd43e77e6d66802edca143f29f51003a084f345800d372d28f"),
     ("shared/flapping-partition@2013/divergence", "f19e464d5418c3b3952225c464e15b919a067454e0c43a5f627efcbf3ffc0053"),
     ("shared/flapping-partition@2013/load", "a37b57f76ab353f23ab691e4ed2e6ef57827bd8958e30b5a3eb5850a612ef625"),
@@ -224,11 +212,6 @@ const PINS: &[(&str, &str)] = &[
     ("private/takedown@2013/trace", "89dae9a4951fd220268d4039273634b8e502d770b1f7bb9f5247b5553a7ce396"),
     ("private/takedown@2013/metrics", "6eed433cd3014583496ed44e9d11f5c8d89dbbcfd31b0dd579a6aacf0fb314b2"),
     ("cold/takedown@2013/tiers", "8a8e0742fa4e5e31e9b6c099c86eb6964fda55184a97442c2710a2deb4fc5d0b"),
-    ("shared4/takedown@2013/tiers", "7429088a8297d887170a1e9c309ce7f19dbb9c88b110895a0a0edc51b59f5788"),
-    ("shared4/takedown@2013/divergence", "7965635084ecb4e24ada82109b1ad74c7f9b79ea7542a336d0bf2174ad37d243"),
-    ("shared4/takedown@2013/load", "9bd4d058a918e13437ed2d5a2f3e29278db5b6421db463c1bf5833fdd0f04c54"),
-    ("shared4/takedown@2013/trace", "a46eb9c565aa90898088cf54e2b3969d57309b3af458fbd1b53a9d62ce0378f8"),
-    ("shared4/takedown@2013/metrics", "cf381321b4b921a04486d2a9c051a3313b0ddf4461f9b1f25387d7c76c19595b"),
     ("shared/takedown@2013/tiers", "7429088a8297d887170a1e9c309ce7f19dbb9c88b110895a0a0edc51b59f5788"),
     ("shared/takedown@2013/divergence", "7965635084ecb4e24ada82109b1ad74c7f9b79ea7542a336d0bf2174ad37d243"),
     ("shared/takedown@2013/load", "9bd4d058a918e13437ed2d5a2f3e29278db5b6421db463c1bf5833fdd0f04c54"),
@@ -238,11 +221,6 @@ const PINS: &[(&str, &str)] = &[
     ("private/slow-serve@2013/trace", "8f568b28702d08680173f79a67b3336a9f6da980fafa810f71b3550a30f94878"),
     ("private/slow-serve@2013/metrics", "a4d3c0f7385678fad63de765ad71d0e0545fb951fd39915484ddef57868d6195"),
     ("cold/slow-serve@2013/tiers", "5f5cac2540898396b367b0f2d5c16120cc1772d54b86f81d3c660c9b59fbfa2e"),
-    ("shared4/slow-serve@2013/tiers", "c73238c9f73a429fe3b0cdbba248a9a1cf70a2a084d2ff2a9f32200b4a460910"),
-    ("shared4/slow-serve@2013/divergence", "86788faad0671c448a2447c26c4b14a9f35e6836d8601abf5aeea51860be9097"),
-    ("shared4/slow-serve@2013/load", "e69848764b39b8e72db175dee3ef80d41e16e1e674c262f3d7bc73c3feebe4e2"),
-    ("shared4/slow-serve@2013/trace", "a2a27e80c8430bdbdc601b06a826bf02aab66e0ddc790887210d3648007cabf2"),
-    ("shared4/slow-serve@2013/metrics", "cef9966062d36249868ade5479b1d089771bdf1916e5f4106672aece93b3a916"),
     ("shared/slow-serve@2013/tiers", "c73238c9f73a429fe3b0cdbba248a9a1cf70a2a084d2ff2a9f32200b4a460910"),
     ("shared/slow-serve@2013/divergence", "86788faad0671c448a2447c26c4b14a9f35e6836d8601abf5aeea51860be9097"),
     ("shared/slow-serve@2013/load", "e69848764b39b8e72db175dee3ef80d41e16e1e674c262f3d7bc73c3feebe4e2"),
@@ -252,11 +230,6 @@ const PINS: &[(&str, &str)] = &[
     ("private/stalloris-downgrade@2013/trace", "1efb898620e3a1593c3b05a465e9426d2a7fda8c2fdcb08466cf240aeeb7c269"),
     ("private/stalloris-downgrade@2013/metrics", "53d5510c35e5767a2c909f3cae9560c5866b09354d162c89f09defec23944b95"),
     ("cold/stalloris-downgrade@2013/tiers", "8bb2e003d9e0bf01be7a19b351b67a010853a4c654865e9a8c758f28298ddcc6"),
-    ("shared4/stalloris-downgrade@2013/tiers", "8bb2e003d9e0bf01be7a19b351b67a010853a4c654865e9a8c758f28298ddcc6"),
-    ("shared4/stalloris-downgrade@2013/divergence", "3bae06aabd1b4fe4f9c16d35ee007589817fbc19167d976bd5132a3b4f522756"),
-    ("shared4/stalloris-downgrade@2013/load", "90c1050dfffe4c76c64304f0efc9d1eda87b618480052b082ca5a66166ac04cc"),
-    ("shared4/stalloris-downgrade@2013/trace", "b41d85315909453b334b1485785c96ab23c4883d2bfeeadd1a91f48f85577c82"),
-    ("shared4/stalloris-downgrade@2013/metrics", "3fc27dbc857c3beecabbaf7aebe599f1abb7120628ead2b0581570adec29d919"),
     ("shared/stalloris-downgrade@2013/tiers", "8bb2e003d9e0bf01be7a19b351b67a010853a4c654865e9a8c758f28298ddcc6"),
     ("shared/stalloris-downgrade@2013/divergence", "3bae06aabd1b4fe4f9c16d35ee007589817fbc19167d976bd5132a3b4f522756"),
     ("shared/stalloris-downgrade@2013/load", "90c1050dfffe4c76c64304f0efc9d1eda87b618480052b082ca5a66166ac04cc"),
@@ -266,11 +239,6 @@ const PINS: &[(&str, &str)] = &[
     ("private/mixed@2013/trace", "063fa816a2bab30f4e8881caa90cf8c276ab9cc6b281817cd5d34237fb7ff3e0"),
     ("private/mixed@2013/metrics", "9412b7d069f9909e0c37982b863c0acdc18de221710efb982a566a76b2c11223"),
     ("cold/mixed@2013/tiers", "b9ae6b824bdbef13ebc792fd5b56803770dec3fc312a5c4267bb48d28cf44f1a"),
-    ("shared4/mixed@2013/tiers", "016e09b4cf430f7a457313b7712266901ae90d31a5d6a703b7a1403538c13538"),
-    ("shared4/mixed@2013/divergence", "6ad57482b7a65b88f6645743b4fe54bec89cc23eee39af55c136932675391426"),
-    ("shared4/mixed@2013/load", "a09d9bedace157bde16db8b6b27772b67a28d6b22bb5fe68d983d44e531609f6"),
-    ("shared4/mixed@2013/trace", "ec62da07e87ea86f152a740e0cb8b3fbf8d99e3a1d0869d245171546a9273c64"),
-    ("shared4/mixed@2013/metrics", "d1d45d42b221e5c7651fe40da02807b78dd7fd120e656ca3ca881a6c2a9fee7c"),
     ("shared/mixed@2013/tiers", "016e09b4cf430f7a457313b7712266901ae90d31a5d6a703b7a1403538c13538"),
     ("shared/mixed@2013/divergence", "6ad57482b7a65b88f6645743b4fe54bec89cc23eee39af55c136932675391426"),
     ("shared/mixed@2013/load", "a09d9bedace157bde16db8b6b27772b67a28d6b22bb5fe68d983d44e531609f6"),

@@ -1,4 +1,4 @@
-//! Pinned digests of the validation walk's four entry points.
+//! Pinned digests of the validation walk's three entry points.
 //!
 //! Each row is the SHA-256 of one *table* of one `(entry point, world)`
 //! run: the `{:?}` of every round's `ValidationRun`, its JSONL trace,
@@ -103,15 +103,14 @@ const ROUNDS: [&[Op]; 3] = [
     &[Op::Add(9, 2), Op::Renew(7)],
 ];
 
-/// `(label, sharded, memo mode)`: the four entry points, the two
-/// incremental ones in both revalidation modes.
-const ENTRIES: [(&str, bool, Option<RevalidationMode>); 6] = [
+/// `(label, sharded, memo mode)`: the three entry points, the
+/// incremental one in both revalidation modes. A memo mode selects
+/// `run_incremental`; the sharded walk has no cache to give one to.
+const ENTRIES: [(&str, bool, Option<RevalidationMode>); 4] = [
     ("run", false, None),
     ("sharded4", true, None),
     ("incremental-full", false, Some(RevalidationMode::Full)),
     ("incremental-probe", false, Some(RevalidationMode::Probe)),
-    ("sharded4-incremental-full", true, Some(RevalidationMode::Full)),
-    ("sharded4-incremental-probe", true, Some(RevalidationMode::Probe)),
 ];
 
 /// `(label, loss probability, max_depth)`.
@@ -158,17 +157,13 @@ fn walk(
         let v =
             Validator::new(ValidationConfig { max_depth, ..ValidationConfig::at(Moment(t0 + 30)) });
         let mut source = NetworkSource::new(&mut w.net, &w.repos, w.rp_node);
-        let (run, shard) = match (sharded, state.as_mut()) {
-            (false, None) => (v.run(&mut source, &tals), None),
-            (false, Some(state)) => (v.run_incremental(&mut source, &tals, state), None),
-            (true, None) => {
+        let (run, shard) = match state.as_mut() {
+            Some(state) => (v.run_incremental(&mut source, &tals, state), None),
+            None if sharded => {
                 let (run, shard) = v.run_sharded(&mut source, &tals, plan);
                 (run, Some(shard))
             }
-            (true, Some(state)) => {
-                let (run, shard) = v.run_sharded_incremental(&mut source, &tals, plan, state);
-                (run, Some(shard))
-            }
+            None => (v.run(&mut source, &tals), None),
         };
         writeln!(runs, "{run:?}").expect("string write");
         let rec = Recorder::new();
@@ -278,40 +273,4 @@ const PINS: &[(&str, &str)] = &[
     ("incremental-probe/clean-depth2/stats", "ecc46ad7cf45749d95f6ebb960c32070a81bfdd3a81188071295b028d1d067ab"),
     ("incremental-probe/clean-depth2/state", "45cff31725d117166f94d5c5559b1c4c9020ac8af357ba962e9d736956483944"),
     ("incremental-probe/clean-depth2/net", "0db10a8128b50171c96492f17064dee27b5bef613a7fca54184ef926a55a71df"),
-    ("sharded4-incremental-full/clean/runs", "1241fce13ae648a9e0fb8151c255a846ae8e989c618d438e63b69ca6a4622a98"),
-    ("sharded4-incremental-full/clean/trace", "32a2469998151422771e9704600b9621c81295f6c17c639622109e386fb72e35"),
-    ("sharded4-incremental-full/clean/stats", "68bb121e3b4eed348df96d8ce6e664a1d1528da5679fb9e4737e8d92ea0f6bb0"),
-    ("sharded4-incremental-full/clean/state", "16be40445c16fb14f522dd174f3c5a7b426b8cdd0b3fd0f65c15c3df67b5c23f"),
-    ("sharded4-incremental-full/clean/shape", "2836fb76bcf6b74f89abdf1f5f63141520f47f9cddb059b52bf4473d1d3a2a21"),
-    ("sharded4-incremental-full/clean/net", "5475e10dd7065e9bd94c3ea74c2399ed1873999a950e026013b37d9bcf9a6fbb"),
-    ("sharded4-incremental-full/lossy/runs", "048b4c72e2e46abc0fc78b144eaf187207866ae35ff5c5c15f99457086dff30c"),
-    ("sharded4-incremental-full/lossy/trace", "39000245b5b3aa11f6d1e443981a9c873fd617866dd8e3a2dbc1299ca0476608"),
-    ("sharded4-incremental-full/lossy/stats", "da7712f3b797b2ea3ff8a18f102130d05efa24a8bcc528c887864c52a7d25d58"),
-    ("sharded4-incremental-full/lossy/state", "28b981bf5629604ecb2e2009061d35848efa4a94ca3a47bfc49d79b6bd881720"),
-    ("sharded4-incremental-full/lossy/shape", "1e3bb89f5a102f15371fbc649df2a904007306aa569115b17059765f21e655f8"),
-    ("sharded4-incremental-full/lossy/net", "c4cc1b80dfef163013347d82d9376ee90f270efae8e12646b2428e658f246ed5"),
-    ("sharded4-incremental-full/clean-depth2/runs", "740280b493b4e7616d0d6768c199b10bb36f74ed9a67c8dbb05843bb2bf2dd59"),
-    ("sharded4-incremental-full/clean-depth2/trace", "070770893937db1ee30512ee3efca972870f6aa0340a9e5d2644cadf957a9e19"),
-    ("sharded4-incremental-full/clean-depth2/stats", "e54d89e664490c5465c9e7b8d2c08eb13f140d98163dc1d7288b00612285dac8"),
-    ("sharded4-incremental-full/clean-depth2/state", "9d41f51846c4994c9718a4fe9445df4be86f8f202f42c7ccf0c6975ed8c46cf5"),
-    ("sharded4-incremental-full/clean-depth2/shape", "b759acb0bff7cca12c96f032661e11ee8d8c6b07356870f7b4ec7683cbbd54e9"),
-    ("sharded4-incremental-full/clean-depth2/net", "1287509cd1e12f265768abd9ddb5930bb26fd3b8abfa7926c11469b5d2268fa4"),
-    ("sharded4-incremental-probe/clean/runs", "1241fce13ae648a9e0fb8151c255a846ae8e989c618d438e63b69ca6a4622a98"),
-    ("sharded4-incremental-probe/clean/trace", "32a2469998151422771e9704600b9621c81295f6c17c639622109e386fb72e35"),
-    ("sharded4-incremental-probe/clean/stats", "73a0a6ab704f846a94b6a048ad0d541fd13a11d927c295812832cc951cbacc00"),
-    ("sharded4-incremental-probe/clean/state", "630ca51314c79329ccf06177cbfdac533e25eb1559f92077950840b58edb5faf"),
-    ("sharded4-incremental-probe/clean/shape", "2836fb76bcf6b74f89abdf1f5f63141520f47f9cddb059b52bf4473d1d3a2a21"),
-    ("sharded4-incremental-probe/clean/net", "9dc79598ad4739315163dbfeb70f50009a2013df713af0ff06ecd04b6b84bab5"),
-    ("sharded4-incremental-probe/lossy/runs", "9380909e3496f41d9fe3353e1e0afde7ce6f5cc4123a79b7f3715b2daf24af19"),
-    ("sharded4-incremental-probe/lossy/trace", "e958aa679f75d45cac4fb0cf2582da80ce0ec2c52fb1a9cf2751feae09000e99"),
-    ("sharded4-incremental-probe/lossy/stats", "bfca766931ae3d6f32ad2c3966e9a8b968d5ba333f70a21b58cf8dfe320bbc83"),
-    ("sharded4-incremental-probe/lossy/state", "b9bbc95c4a79988f4b3aa381d5dd7b675a3f518fc5cdee26737e5e76ce6a9c8c"),
-    ("sharded4-incremental-probe/lossy/shape", "2c212da034815bb3ad42d629e0f654f47f005d0760ef6d628ba77027e0eae213"),
-    ("sharded4-incremental-probe/lossy/net", "4a1f1202314e358b6934fdaeace04b4da6500d6b7d59eb8f1bc55f87da71f2fb"),
-    ("sharded4-incremental-probe/clean-depth2/runs", "740280b493b4e7616d0d6768c199b10bb36f74ed9a67c8dbb05843bb2bf2dd59"),
-    ("sharded4-incremental-probe/clean-depth2/trace", "070770893937db1ee30512ee3efca972870f6aa0340a9e5d2644cadf957a9e19"),
-    ("sharded4-incremental-probe/clean-depth2/stats", "ecc46ad7cf45749d95f6ebb960c32070a81bfdd3a81188071295b028d1d067ab"),
-    ("sharded4-incremental-probe/clean-depth2/state", "45cff31725d117166f94d5c5559b1c4c9020ac8af357ba962e9d736956483944"),
-    ("sharded4-incremental-probe/clean-depth2/shape", "b759acb0bff7cca12c96f032661e11ee8d8c6b07356870f7b4ec7683cbbd54e9"),
-    ("sharded4-incremental-probe/clean-depth2/net", "0db10a8128b50171c96492f17064dee27b5bef613a7fca54184ef926a55a71df"),
 ];
