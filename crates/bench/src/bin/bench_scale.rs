@@ -1,24 +1,12 @@
-//! Sharded-validation scaling benchmark: the sequential walk vs the
-//! deterministic work-stealing sharded walk across pub-point counts
-//! and shard counts, exported to `BENCH_scale.json`.
+//! Walk scaling benchmark: the cold validation walk across
+//! publication-point counts, exported to `BENCH_scale.json`, with the
+//! near-linear per-point cost enforced.
 //!
 //! The workload is a cold full walk of [`SyntheticRpki`] worlds sized
-//! 156 → 993 → 4971 publication points. Every sharded cell is checked
-//! byte-identical (serialised JSON) to the sequential walk of the same
-//! world before its timings are recorded, so the sweep doubles as the
-//! N-shard ≡ 1-shard equivalence gate.
-//!
-//! Two speedups are reported per cell:
-//!
-//! - `wall_speedup` — sequential wall time over sharded wall time.
-//!   Honest but host-bound: on a single-core container the sharded
-//!   walk cannot beat the sequential one, it only pays thread
-//!   overhead.
-//! - `model_speedup` — total shard busy time over the schedule's
-//!   critical path (`ShardStats::model_speedup`). This measures the
-//!   load balance the scheduler achieved — the factor the walk gains
-//!   *given one core per shard* — and is host-independent, so it is
-//!   what the release floor asserts.
+//! 156 → 993 → 4971 publication points. The world grows ~32×; a walk
+//! whose per-point cost stays flat over that range is linear in the
+//! number of points, and one that has gone quadratic shows a ~32×
+//! spread. The release floor asserts a spread of at most 6×.
 //!
 //! ```sh
 //! cargo run --release -p rpki-risk-bench --bin bench_scale
@@ -26,18 +14,16 @@
 //!
 //! `--scale N` multiplies the per-CA ROA count; `--json` mirrors the
 //! records to stderr; `--trace PATH` (or `BENCH_TRACE`) writes a JSONL
-//! trace of one instrumented sharded walk per shape (its network
-//! events).
+//! trace of one instrumented walk per shape (its network events).
 
 use rpki_objects::Moment;
 use rpki_risk::SyntheticRpki;
 use rpki_risk_bench::{
     export, scale_arg, time_min, trace_recorder, Recorder, RunStamp, Summary, SummaryTable,
 };
-use rpki_rp::{ShardPlan, ValidationRun};
 use serde::Serialize;
 
-/// One measured (tree shape, shard count) cell.
+/// One measured tree shape.
 #[derive(Debug, Serialize)]
 struct Record {
     pub_points: usize,
@@ -45,38 +31,20 @@ struct Record {
     branching: u32,
     roas_per_ca: usize,
     vrps: usize,
-    mode: String,
-    shards: usize,
     seq_ns: u128,
-    sharded_ns: u128,
-    wall_speedup: f64,
-    model_speedup: f64,
-    waves: u64,
-    items: u64,
-    steals: u64,
-    assigned_min: u64,
-    assigned_max: u64,
-}
-
-/// The run's canonical byte form: its JSONL trace emitted into a
-/// fresh recorder at a fixed timestamp.
-fn run_jsonl(run: &ValidationRun) -> String {
-    let rec = Recorder::new();
-    run.emit(&rec, 0);
-    rec.trace_jsonl()
+    ns_per_point: f64,
 }
 
 fn main() {
     let scale = scale_arg().max(1);
     let stamp = RunStamp::capture();
-    let mut report = Summary::new(&format!("Sharded validation scaling benchmark (scale {scale})"));
+    let mut report = Summary::new(&format!("Walk scaling benchmark (scale {scale})"));
     let rec = trace_recorder();
 
     // (depth, branching): 156, 993, and 4971 publication points — the
-    // RIR-hosted fan-outs the tentpole sweeps. ROAs are kept thin so
+    // RIR-hosted fan-outs the campaigns sweep. ROAs are kept thin so
     // walk cost tracks pub-point count, not ROA parsing.
     let shapes = [(3u32, 5u32), (2, 31), (2, 70)];
-    let shard_counts = [1usize, 2, 4, 8];
     let iters = if cfg!(debug_assertions) { 1 } else { 2 };
     let roas_per_ca = 4 * scale;
 
@@ -86,144 +54,59 @@ fn main() {
         let points = w.publication_points();
         let now = Moment(2);
 
-        let run_seq = w.validate_cold(now);
-        let seq_json = run_jsonl(&run_seq);
         let seq_ns = time_min(iters, || {
             w.validate_cold(now);
         });
+        records.push(Record {
+            pub_points: points,
+            depth,
+            branching,
+            roas_per_ca,
+            vrps: w.roa_count + 1,
+            seq_ns,
+            ns_per_point: seq_ns as f64 / points as f64,
+        });
 
-        for shards in shard_counts {
-            let plan = ShardPlan::new(shards);
-            let (run, stats) = w.validate_cold_sharded(now, plan);
-            assert_eq!(run, run_seq, "sharded walk ({shards} shards) diverged at {points} points");
-            let sharded_json = run_jsonl(&run);
-            assert_eq!(
-                sharded_json, seq_json,
-                "sharded walk ({shards} shards) not byte-identical at {points} points"
-            );
-            let sharded_ns = time_min(iters, || {
-                w.validate_cold_sharded(now, plan);
-            });
-            records.push(Record {
-                pub_points: points,
-                depth,
-                branching,
-                roas_per_ca,
-                vrps: w.roa_count + 1,
-                mode: "cold".into(),
-                shards,
-                seq_ns,
-                sharded_ns,
-                wall_speedup: seq_ns as f64 / sharded_ns as f64,
-                model_speedup: stats.model_speedup(),
-                waves: stats.waves,
-                items: stats.items,
-                steals: stats.steals,
-                assigned_min: stats.assigned.iter().copied().min().unwrap_or(0),
-                assigned_max: stats.assigned.iter().copied().max().unwrap_or(0),
-            });
-        }
-
-        // One instrumented sharded walk so the trace artifact carries
-        // the walk's network events.
+        // One instrumented walk so the trace artifact carries the
+        // walk's network events.
         if rec.is_enabled() {
             w.net.set_recorder(rec.clone());
-            w.validate_cold_sharded(Moment(60), ShardPlan::new(4));
+            w.validate_cold(Moment(60));
             w.net.set_recorder(Recorder::disabled());
         }
     }
 
-    let mut out = SummaryTable::new(&[
-        "points",
-        "mode",
-        "shards",
-        "seq (ms)",
-        "sharded (ms)",
-        "wall",
-        "model",
-        "waves",
-        "steals",
-        "assigned min/max",
-    ]);
+    let mut out = SummaryTable::new(&["points", "vrps", "walk (ms)", "per point (us)"]);
     for r in &records {
         out.row(&[
             r.pub_points.to_string(),
-            r.mode.clone(),
-            r.shards.to_string(),
+            r.vrps.to_string(),
             format!("{:.3}", r.seq_ns as f64 / 1e6),
-            format!("{:.3}", r.sharded_ns as f64 / 1e6),
-            format!("{:.2}x", r.wall_speedup),
-            format!("{:.2}x", r.model_speedup),
-            r.waves.to_string(),
-            r.steals.to_string(),
-            format!("{}/{}", r.assigned_min, r.assigned_max),
+            format!("{:.2}", r.ns_per_point / 1e3),
         ]);
     }
-    report.table("sequential vs sharded cold walk", out);
+    report.table("cold walk", out);
 
-    // Near-linear scaling: the sequential per-point cost should stay
-    // flat as the world grows ~32x. Quadratic behaviour would show up
-    // as a ~32x ratio here.
-    let per_point: Vec<(usize, f64)> = shapes
-        .iter()
-        .map(|&(d, b)| {
-            let r = records
-                .iter()
-                .find(|r| r.depth == d && r.branching == b && r.shards == 1)
-                .expect("1-shard cell per shape");
-            (r.pub_points, r.seq_ns as f64 / r.pub_points as f64)
-        })
-        .collect();
-    let per_point_ratio = {
-        let min = per_point.iter().map(|&(_, c)| c).fold(f64::INFINITY, f64::min);
-        let max = per_point.iter().map(|&(_, c)| c).fold(0.0f64, f64::max);
-        max / min
-    };
-    let floor_model = records
-        .iter()
-        .filter(|r| r.pub_points >= 1000 && r.shards >= 4)
-        .map(|r| r.model_speedup)
-        .fold(f64::INFINITY, f64::min);
-    let cores = stamp.available_parallelism;
-    // Reported, not asserted: the coordinator's sequential fetch half
-    // is the larger part of a cold walk, so on two cores no cell beats
-    // the sequential walk (ROADMAP, "Sharding: win on the wall clock or
-    // go" decides what becomes of it).
-    let wall = records
-        .iter()
-        .filter(|r| r.pub_points >= 1000 && r.shards >= 2)
-        .map(|r| r.wall_speedup)
-        .fold(0.0f64, f64::max);
+    // Near-linear scaling: the per-point cost should stay flat as the
+    // world grows ~32x. Quadratic behaviour would show up as a ~32x
+    // ratio here.
+    let min = records.iter().map(|r| r.ns_per_point).fold(f64::INFINITY, f64::min);
+    let max = records.iter().map(|r| r.ns_per_point).fold(0.0f64, f64::max);
+    let per_point_ratio = max / min;
     report.key_vals(
         "targets",
         &[
             (
-                "per-point sequential cost spread (max/min over 156→4971 points)".to_string(),
+                "per-point cost spread (max/min over 156→4971 points)".to_string(),
                 format!("{per_point_ratio:.2}x"),
             ),
-            (
-                "minimum model speedup at >=1000 points with >=4 shards".to_string(),
-                format!("{floor_model:.2}x"),
-            ),
-            ("host cores".to_string(), cores.to_string()),
+            ("host cores".to_string(), stamp.available_parallelism.to_string()),
         ],
     );
-    if cores < 2 {
-        report.note(
-            "(single-core host — wall speedups cannot exceed 1x; the floor is on model_speedup, \
-             the schedule's load balance, which is host-independent)",
-        );
-    } else {
-        let met = if wall >= 1.0 { "met" } else { "NOT MET" };
-        report.note(&format!(
-            "wall floor: {met} (best cold cell at >=1000 points, >=2 shards: {wall:.2}x the \
-             sequential walk on {cores} cores)"
-        ));
-    }
     if cfg!(debug_assertions) {
-        report.note("(debug build — scaling floors not enforced; run with --release)");
-    } else if floor_model >= 2.0 && per_point_ratio <= 6.0 {
-        report.note("OK: >= 2x model speedup floor and near-linear per-point cost.");
+        report.note("(debug build — scaling floor not enforced; run with --release)");
+    } else if per_point_ratio <= 6.0 {
+        report.note("OK: near-linear per-point cost.");
     }
     report.print();
 
@@ -232,10 +115,6 @@ fn main() {
     // numbers that explain it.
     assert!(
         cfg!(debug_assertions) || per_point_ratio <= 6.0,
-        "sequential walk is no longer near-linear: per-point cost spread {per_point_ratio:.2}x"
-    );
-    assert!(
-        cfg!(debug_assertions) || floor_model >= 2.0,
-        "sharded schedule regressed below the 2x model-speedup floor ({floor_model:.2}x)"
+        "the walk is no longer near-linear: per-point cost spread {per_point_ratio:.2}x"
     );
 }

@@ -27,8 +27,7 @@ use rpki_ca::{CertAuthority, ChurnEngine, ChurnReport};
 use rpki_objects::{Encode, Moment, RepoUri, Roa, RoaPrefix, RpkiObject, Span, TrustAnchorLocator};
 use rpki_repo::RepoRegistry;
 use rpki_rp::{
-    DirectSource, NetworkSource, ShardPlan, ShardStats, ValidationConfig, ValidationRun,
-    ValidationState, Validator,
+    DirectSource, NetworkSource, ValidationConfig, ValidationRun, ValidationState, Validator,
 };
 
 fn p(s: &str) -> Prefix {
@@ -578,21 +577,6 @@ impl SyntheticRpki {
             &mut source,
             std::slice::from_ref(&self.tal),
             state,
-        )
-    }
-
-    /// One cold sharded walk over the simulated network. Byte-identical
-    /// output to [`validate_cold`](Self::validate_cold) for any plan.
-    pub fn validate_cold_sharded(
-        &mut self,
-        now: Moment,
-        plan: ShardPlan,
-    ) -> (ValidationRun, ShardStats) {
-        let mut source = NetworkSource::new(&mut self.net, &self.repos, self.rp_node);
-        Validator::new(ValidationConfig::at(now)).run_sharded(
-            &mut source,
-            std::slice::from_ref(&self.tal),
-            plan,
         )
     }
 }

@@ -247,8 +247,11 @@ fn tag(secret: &[u8; 32], message: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// Written when a `KeyPair` is created, read on every `verify` — from
-/// every worker of the sharded walk at once, hence not a `Mutex`.
+/// Written when a `KeyPair` is created, read on every `verify`. A
+/// process-wide static, so it needs a lock however many threads the
+/// caller has (`cargo test` runs its tests on several); an `RwLock`
+/// because the reads outnumber the writes and need not wait for each
+/// other.
 fn registry() -> &'static RwLock<HashMap<KeyId, [u8; 32]>> {
     static REGISTRY: OnceLock<RwLock<HashMap<KeyId, [u8; 32]>>> = OnceLock::new();
     REGISTRY.get_or_init(|| RwLock::new(HashMap::new()))

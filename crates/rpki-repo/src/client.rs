@@ -521,11 +521,6 @@ impl SyncReport {
     pub fn is_complete(&self) -> bool {
         self.complete
     }
-
-    /// Number of sessions attempted.
-    pub fn attempt_count(&self) -> usize {
-        self.attempts.len()
-    }
 }
 
 /// Runs exactly one list/fetch [`Session`] against `server`: a LIST,

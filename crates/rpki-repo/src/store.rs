@@ -195,8 +195,8 @@ pub struct Repository {
     serve_delay: u64,
     /// Served-load ledger, keyed per requested directory. Interior
     /// mutability because the answer paths only hold `&Repository`;
-    /// the ledger never crosses threads (all simulated I/O runs on the
-    /// coordinating thread, even under the sharded validator).
+    /// the ledger never crosses threads (a `Repository` is answered
+    /// from the one thread that steps its simulated network).
     load: RefCell<BTreeMap<Vec<String>, DirLoad>>,
     /// The publication-server policy every directory on this host runs
     /// under: snapshot compaction interval and delta retention budget.
@@ -419,11 +419,6 @@ impl Repository {
             let dir = RepoUri::new(&self.host, &parts);
             self.emit_pubd(&dir, &events);
         }
-    }
-
-    /// The publication-server policy this host runs under.
-    pub fn pubd_policy(&self) -> PubdPolicy {
-        self.policy
     }
 
     /// Wires in a recorder for `pubd/*` events and counters.

@@ -10,11 +10,10 @@
 //! subtrees while re-walking only what changed.
 //!
 //! The cache enters the walk at three of its per-publication-point
-//! stages, and only under the depth-first driver (the wave driver in
-//! [`crate::shard`] walks cold: it hands `admit` no state and calls
-//! neither of the other two): `admit` decides replay or re-walk,
-//! `settle` memoises a re-walk, and `close` takes the VRP delta.
-//! Nothing else reads or writes an entry.
+//! stages: `admit` decides replay or re-walk, `settle` memoises a
+//! re-walk, and `close` takes the VRP delta. Nothing else reads or
+//! writes an entry, and a cold walk ([`Validator::run`]) hands `admit`
+//! no state and reaches neither of the other two.
 //!
 //! # Cache key and invalidation
 //!
@@ -328,11 +327,6 @@ impl ValidationState {
         self.mode
     }
 
-    /// Number of publication points currently memoized.
-    pub fn cached_subtrees(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Statistics of the most recent [`Validator::run_incremental`].
     pub fn stats(&self) -> RevalidationStats {
         self.stats
@@ -402,8 +396,8 @@ impl Validator {
         self.run_sequential(source, tals, Some(state))
     }
 
-    /// Stage 2 of the walk, the coordinator's half of one publication
-    /// point: everything that needs the source or the cache. The depth
+    /// Stage 2 of the walk, the I/O half of one publication point:
+    /// everything that needs the source or the cache. The depth
     /// guard and a cache replay resolve the point here, writing straight
     /// into `out`; otherwise the directory is fetched and the returned
     /// [`Job`] carries it to `process`. Without a `state` every point
@@ -574,6 +568,7 @@ pub(crate) mod tests {
 
     /// A small world for walk tests (shared with `shard`'s).
     pub(crate) struct Rig {
+        pub(crate) net: Network,
         pub(crate) repos: RepoRegistry,
         pub(crate) tal: TrustAnchorLocator,
         root: CertAuthority,
@@ -622,7 +617,7 @@ pub(crate) mod tests {
                 repo.publish_snapshot(sia, snap);
             }
         }
-        Rig { repos, tal, root, children }
+        Rig { net, repos, tal, root, children }
     }
 
     /// [`DirectSource`], except that one directory may be unreachable.

@@ -30,6 +30,7 @@ pub mod resilience;
 pub mod rrdp;
 pub mod rtr;
 pub mod scheduler;
+#[doc(hidden)]
 pub mod shard;
 pub mod source;
 pub mod validation;
@@ -45,6 +46,7 @@ pub use rtr::{
     serial_distance, serial_newer, ClientAction, Delta, RtrClient, RtrPdu, RtrServer, VrpUpdate,
 };
 pub use scheduler::{RunStats, SchedulePlan, ScheduledSource, SchedulerState, SchedulerStats};
+#[doc(hidden)]
 pub use shard::{ShardPlan, ShardStats};
 pub use source::{DirectSource, NetworkSource, ObjectSource, ResilientSource};
 pub use validation::{

@@ -208,12 +208,6 @@ impl Relay {
         (0..self.feeds.len()).filter(|&i| self.feeds[i].client.session().is_some()).collect()
     }
 
-    /// The serial feed `i` has reached, if its session is established.
-    pub fn feed_serial(&self, i: usize) -> Option<u32> {
-        let feed = self.feeds.get(i)?;
-        feed.client.session().map(|_| feed.client.serial())
-    }
-
     /// The merged, SLURM-filtered VRP set over the live feeds.
     pub fn merged(&self) -> BTreeSet<Vrp> {
         let live: Vec<BTreeSet<Vrp>> = self

@@ -134,8 +134,8 @@ impl SchedulePlan {
     }
 }
 
-/// The same finalizer `ShardPlan` seeds its work-stealing order with:
-/// one deterministic, well-mixed u64 per input.
+/// SplitMix64's finalizer: one deterministic, well-mixed u64 per
+/// input.
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -277,11 +277,6 @@ impl SchedulerState {
     /// Counters of the current (or just-finished) run.
     pub fn last_run(&self) -> RunStats {
         self.run
-    }
-
-    /// Number of publication points with a schedule entry.
-    pub fn tracked_dirs(&self) -> usize {
-        self.dirs.len()
     }
 
     /// When `dir` next owes a wire contact, if it is tracked.
@@ -531,7 +526,10 @@ impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
         self.state.stats.fetched += 1;
         // A stale outcome means a resilience layer below already
         // bridged a failed contact; schedule-wise that is a failure.
-        let contact_ok = outcome.listed && outcome.freshness == Freshness::Fresh;
+        // So is a fetch with missing or corrupted files: the snapshot
+        // and marker hold the last *complete* fetch, and the caller
+        // still gets this outcome with its holes listed.
+        let contact_ok = outcome.is_complete() && outcome.freshness == Freshness::Fresh;
         if contact_ok {
             self.state.record_success(dir.host());
             self.reschedule_after_fetch(dir, &outcome);
@@ -614,6 +612,8 @@ mod tests {
     struct FakeSource {
         now: u64,
         up: bool,
+        /// The GET reply carrying `b.roa` is lost.
+        lossy: bool,
         version: u8,
         frames: u64,
         loads: u64,
@@ -622,13 +622,18 @@ mod tests {
 
     impl FakeSource {
         fn new(now: u64) -> Self {
-            FakeSource { now, up: true, version: 1, frames: 0, loads: 0, probes: 0 }
+            FakeSource { now, up: true, lossy: false, version: 1, frames: 0, loads: 0, probes: 0 }
         }
 
         fn outcome(&self, dir: &RepoUri) -> SyncOutcome {
             let mut files = BTreeMap::new();
             files.insert("a.roa".to_owned(), vec![self.version]);
+            files.insert("b.roa".to_owned(), vec![self.version]);
             let mut out = SyncOutcome::fresh(dir.clone(), files);
+            if self.lossy {
+                out.files.remove("b.roa");
+                out.missing.push("b.roa".to_owned());
+            }
             out.content = out.content_digest();
             out
         }
@@ -695,6 +700,64 @@ mod tests {
         }
         assert_eq!(inner.loads, 1, "a not-due point must not touch the wire");
         assert_eq!(state.stats().not_due, 1);
+    }
+
+    #[test]
+    fn partial_fetch_is_a_failed_contact_not_a_snapshot() {
+        let mut state = SchedulerState::new();
+        let mut inner = FakeSource::new(0);
+        // First contact loses a file: the caller sees the hole, and
+        // with no good snapshot to fall back on the next run refetches.
+        inner.lossy = true;
+        let out = ScheduledSource::new(&mut inner, &mut state, plan()).load_dir(&dir(0));
+        assert_eq!(out.missing, ["b.roa"]);
+        inner.lossy = false;
+        inner.now = 50;
+        let out = ScheduledSource::new(&mut inner, &mut state, plan()).load_dir(&dir(0));
+        assert_eq!(inner.loads, 2, "a partial first contact leaves the point due");
+        assert!(out.is_complete());
+        assert_eq!(out.files.len(), 2);
+
+        // A later partial fetch of new content: the good snapshot
+        // survives it and is what a not-due visit serves.
+        inner.now = state.next_due(&dir(0)).unwrap();
+        inner.version = 2;
+        inner.lossy = true;
+        let out = ScheduledSource::new(&mut inner, &mut state, plan()).load_dir(&dir(0));
+        assert_eq!(out.missing, ["b.roa"]);
+        inner.lossy = false;
+        inner.now += 50;
+        let out = ScheduledSource::new(&mut inner, &mut state, plan()).load_dir(&dir(0));
+        assert_eq!(inner.loads, 3, "retry pacing: not due yet");
+        assert!(out.is_complete());
+        assert_eq!(out.files["a.roa"], vec![1]);
+        assert_eq!(out.files["b.roa"], vec![1]);
+        assert_eq!(state.stats().changes_observed, 1, "a hole in a fetch is not a content change");
+    }
+
+    #[test]
+    fn dropped_get_reply_is_not_frozen_as_a_fresh_snapshot() {
+        let mut net = netsim::Network::new(0);
+        let rp = net.add_node("rp");
+        let mut repos = rpki_repo::RepoRegistry::new();
+        let server = repos.create(&mut net, "h");
+        let repo = repos.get_mut(server).unwrap();
+        repo.publish_raw(&dir(0), "a.roa", vec![1]);
+        repo.publish_raw(&dir(0), "b.roa", vec![2]);
+        let mut state = SchedulerState::new();
+        // The listing gets through, the first file does not.
+        net.faults.drop_nth(server, rp, 2);
+        let inner = crate::NetworkSource::new(&mut net, &repos, rp);
+        let out = ScheduledSource::new(inner, &mut state, plan()).load_dir(&dir(0));
+        assert!(out.listed && !out.is_complete());
+
+        // The loss was one frame; 50 s later the link is fine, and the
+        // relying party must end up with both files.
+        net.advance_to(net.now() + 50);
+        let inner = crate::NetworkSource::new(&mut net, &repos, rp);
+        let out = ScheduledSource::new(inner, &mut state, plan()).load_dir(&dir(0));
+        assert!(out.is_complete());
+        assert_eq!(out.files.keys().collect::<Vec<_>>(), ["a.roa", "b.roa"]);
     }
 
     #[test]

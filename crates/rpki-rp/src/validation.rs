@@ -22,12 +22,11 @@
 //! on these, and the `rpki-attacks` monitor consumes them.
 //!
 //! The walk is five stages per publication point — `seed`, `admit`,
-//! `process`, `settle`, `close` — each writing into whatever sinks
-//! its caller lends it. Two drivers call them and own only the visiting
-//! order and the executor: the depth-first one here
-//! ([`Validator::run`], [`Validator::run_incremental`]) and the wave
-//! one in [`crate::shard`] ([`Validator::run_sharded`]), which walks
-//! cold and so never reaches the cache's stages, `settle` and `close`.
+//! `process`, `settle`, `close` — each writing into the sinks its
+//! caller lends it. One depth-first driver calls them, behind two entry
+//! points: [`Validator::run`], which walks cold and so never reaches
+//! the cache's stages `settle` and `close`, and
+//! [`Validator::run_incremental`].
 
 use std::collections::BTreeSet;
 
@@ -403,9 +402,8 @@ pub(crate) struct WorkItem {
 }
 
 /// Where a walk stage writes: the run it appends to and the queue its
-/// child CAs go onto. The sequential driver lends the run and its LIFO
-/// queue themselves; the wave driver lends one fresh fragment per
-/// publication point.
+/// child CAs go onto. The driver lends the run and its LIFO queue
+/// themselves.
 pub(crate) struct Sinks<'a> {
     pub(crate) run: &'a mut ValidationRun,
     pub(crate) queue: &'a mut Vec<WorkItem>,
@@ -426,7 +424,7 @@ pub(crate) struct Marks {
 }
 
 impl Sinks<'_> {
-    pub(crate) fn marks(&self) -> Marks {
+    fn marks(&self) -> Marks {
         Marks {
             cas: self.run.cas.len(),
             diagnostics: self.run.diagnostics.len(),
@@ -505,9 +503,9 @@ impl Validator {
     /// Final canonicalisation shared by every entry point: the
     /// order-insensitive vectors are sorted and deduplicated, then the
     /// unsafe-VRP policy is applied as a pure post-pass over the
-    /// rejected-CA record (so every tier — cold, incremental, sharded —
-    /// reaches the identical verdict from identical walk outputs).
-    pub(crate) fn finish(&self, run: &mut ValidationRun) {
+    /// rejected-CA record (so both tiers, cold and incremental, reach
+    /// the identical verdict from identical walk outputs).
+    fn finish(&self, run: &mut ValidationRun) {
         run.vrps.sort_unstable();
         run.vrps.dedup();
         run.vrp_records.sort_unstable_by_key(|r| (r.vrp, r.serial));
@@ -536,7 +534,7 @@ impl Validator {
 
     /// Stage 1 of the walk: fetches every trust anchor, queueing the
     /// accepted ones in TAL order and diagnosing the rest.
-    pub(crate) fn seed(
+    fn seed(
         &self,
         source: &mut dyn ObjectSource,
         tals: &[TrustAnchorLocator],
@@ -601,7 +599,7 @@ impl Validator {
     /// yields to `out`. A job that carries a [`Memo`] gets it back
     /// holding the facts the cache needs to judge how long the result
     /// stays valid.
-    pub(crate) fn process(&self, job: Job, out: &mut Sinks<'_>) -> Option<Memo> {
+    fn process(&self, job: Job, out: &mut Sinks<'_>) -> Option<Memo> {
         let Job { item, outcome, mut memo } = job;
         out.run.cas.push(Self::validated_ca(&item));
         let obs = memo.as_mut().map(|m| &mut m.obs);

@@ -433,11 +433,6 @@ impl SyntheticInternet {
         SyntheticInternet { config, orgs, cas, topology, announcements, as_country }
     }
 
-    /// The CA of an organisation.
-    pub fn ca_of(&self, org: usize) -> &CertAuthority {
-        &self.cas[self.orgs[org].ca]
-    }
-
     /// Registers a repository for every CA and publishes everything.
     /// Returns the TAL a relying party should use.
     pub fn materialize(

@@ -9,7 +9,6 @@
 //! - the cold full walk,
 //! - the incremental engine (warmed on the healthy world, so the
 //!   poison arrives as a delta),
-//! - the sharded walk at 1/2/4/8 shards,
 //! - the trusting RRDP client (no freshness cross-check),
 //! - the verified RRDP client.
 //!
@@ -33,9 +32,7 @@ use rpki_attacks::CorpusKind;
 use rpki_objects::Moment;
 use rpki_repo::RrdpClientState;
 use rpki_risk::{ModelRpki, ValidationOptions};
-use rpki_rp::{
-    NetworkSource, ShardPlan, ValidationConfig, ValidationRun, ValidationState, Validator,
-};
+use rpki_rp::{ValidationRun, ValidationState};
 
 const POISONED_HOST: &str = "rpki.continental.example";
 
@@ -61,17 +58,6 @@ fn run_tier(tier: &str, kind: CorpusKind, seed: u64) -> ValidationRun {
             w.poison_host(POISONED_HOST, kind, seed, Moment(3)).expect("host exists");
             w.validate_with(ValidationOptions::at(at).incremental(&mut state))
         }
-        "sharded-1" | "sharded-2" | "sharded-4" | "sharded-8" => {
-            let shards: usize = tier.rsplit('-').next().expect("suffix").parse().expect("digit");
-            w.poison_host(POISONED_HOST, kind, seed, Moment(3)).expect("host exists");
-            // Not a `ValidationOptions` layer: the sharded walk is its
-            // own cold entry point, over the same bare network source.
-            let mut source = NetworkSource::new(&mut w.net, &w.repos, w.rp_node);
-            let tals = std::slice::from_ref(&w.tal);
-            Validator::new(ValidationConfig::at(at))
-                .run_sharded(&mut source, tals, ShardPlan::new(shards))
-                .0
-        }
         "rrdp-probe" => {
             let mut state = RrdpClientState::new();
             w.validate_with(ValidationOptions::at(warm).rrdp_trusting(&mut state));
@@ -88,16 +74,7 @@ fn run_tier(tier: &str, kind: CorpusKind, seed: u64) -> ValidationRun {
     }
 }
 
-const TIERS: [&str; 8] = [
-    "cold",
-    "incremental",
-    "sharded-1",
-    "sharded-2",
-    "sharded-4",
-    "sharded-8",
-    "rrdp-probe",
-    "rrdp-verified",
-];
+const TIERS: [&str; 4] = ["cold", "incremental", "rrdp-probe", "rrdp-verified"];
 
 /// The full differential matrix at one seed: no tier panics, all
 /// tiers agree byte-for-byte, siblings survive.

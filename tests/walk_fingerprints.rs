@@ -1,16 +1,16 @@
-//! Pinned digests of the validation walk's three entry points.
+//! Pinned digests of the validation walk's two entry points.
 //!
 //! Each row is the SHA-256 of one *table* of one `(entry point, world)`
 //! run: the `{:?}` of every round's `ValidationRun`, its JSONL trace,
 //! the `RevalidationStats`, the `{:?}` of the `ValidationState` after
-//! every round, the sharded walk's deterministic shape, and the
-//! network's frame counters. A `SyntheticRpki` is walked once and then
-//! through three mutation rounds (the `tests/sharding.rs` vocabulary),
-//! over a clean network, over one with seeded 5 % loss in both
-//! directions (so the order in which the walk asks for directories
-//! decides which dice each directory gets), and with `max_depth` low
-//! enough that the leaves hit the depth guard. Every run starts from
-//! two TALs, the first of which points at a file nobody publishes.
+//! every round, and the network's frame counters. A `SyntheticRpki` is
+//! walked once and then through three mutation rounds (the
+//! `tests/incremental.rs` vocabulary), over a clean network, over one
+//! with seeded 5 % loss in both directions (so the order in which the
+//! walk asks for directories decides which dice each directory gets),
+//! and with `max_depth` low enough that the leaves hit the depth guard.
+//! Every run starts from two TALs, the first of which points at a file
+//! nobody publishes.
 //!
 //! A refactor of the walk may not move a row. An intentional change
 //! prints the whole new table on mismatch; paste it over [`PINS`].
@@ -21,15 +21,13 @@ use ipres::Asn;
 use rpki_objects::{Moment, RepoUri, RoaPrefix, TrustAnchorLocator};
 use rpki_obs::Recorder;
 use rpki_risk::SyntheticRpki;
-use rpki_rp::{
-    NetworkSource, RevalidationMode, ShardPlan, ValidationConfig, ValidationState, Validator,
-};
+use rpki_rp::{NetworkSource, RevalidationMode, ValidationConfig, ValidationState, Validator};
 use rpkisim_crypto::sha256;
 
 const HOST: &str = "rpki.bench.example";
 
 /// One authority- or repository-side mutation against the synthetic
-/// world (the `tests/sharding.rs` vocabulary).
+/// world (the `tests/incremental.rs` vocabulary).
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Renew the CA's first ROA (churn without semantic change).
@@ -103,14 +101,12 @@ const ROUNDS: [&[Op]; 3] = [
     &[Op::Add(9, 2), Op::Renew(7)],
 ];
 
-/// `(label, sharded, memo mode)`: the three entry points, the
-/// incremental one in both revalidation modes. A memo mode selects
-/// `run_incremental`; the sharded walk has no cache to give one to.
-const ENTRIES: [(&str, bool, Option<RevalidationMode>); 4] = [
-    ("run", false, None),
-    ("sharded4", true, None),
-    ("incremental-full", false, Some(RevalidationMode::Full)),
-    ("incremental-probe", false, Some(RevalidationMode::Probe)),
+/// `(label, memo mode)`: the two entry points, the incremental one in
+/// both revalidation modes. A memo mode selects `run_incremental`.
+const ENTRIES: [(&str, Option<RevalidationMode>); 3] = [
+    ("run", None),
+    ("incremental-full", Some(RevalidationMode::Full)),
+    ("incremental-probe", Some(RevalidationMode::Probe)),
 ];
 
 /// `(label, loss probability, max_depth)`.
@@ -129,7 +125,7 @@ impl Table {
 
 fn walk(
     t: &mut Table,
-    (entry, sharded, mode): (&str, bool, Option<RevalidationMode>),
+    (entry, mode): (&str, Option<RevalidationMode>),
     (world, loss, max_depth): (&str, f64, usize),
 ) {
     let label = format!("{entry}/{world}");
@@ -142,11 +138,10 @@ fn walk(
         TrustAnchorLocator::new(RepoUri::new(HOST, &["ta", "absent.cer"]), w.cas[0].public_key()),
         w.tal.clone(),
     ];
-    let plan = ShardPlan::new(4);
     let mut state = mode.map(ValidationState::new);
 
-    let (mut runs, mut trace, mut stats, mut states, mut shape) =
-        (String::new(), String::new(), String::new(), String::new(), String::new());
+    let (mut runs, mut trace, mut stats, mut states) =
+        (String::new(), String::new(), String::new(), String::new());
     for round in 0..=ROUNDS.len() {
         let t0 = 60 * round as u64;
         if round > 0 {
@@ -157,13 +152,9 @@ fn walk(
         let v =
             Validator::new(ValidationConfig { max_depth, ..ValidationConfig::at(Moment(t0 + 30)) });
         let mut source = NetworkSource::new(&mut w.net, &w.repos, w.rp_node);
-        let (run, shard) = match state.as_mut() {
-            Some(state) => (v.run_incremental(&mut source, &tals, state), None),
-            None if sharded => {
-                let (run, shard) = v.run_sharded(&mut source, &tals, plan);
-                (run, Some(shard))
-            }
-            None => (v.run(&mut source, &tals), None),
+        let run = match state.as_mut() {
+            Some(state) => v.run_incremental(&mut source, &tals, state),
+            None => v.run(&mut source, &tals),
         };
         writeln!(runs, "{run:?}").expect("string write");
         let rec = Recorder::new();
@@ -173,10 +164,6 @@ fn walk(
             writeln!(stats, "{:?}", state.stats()).expect("string write");
             writeln!(states, "{state:?}").expect("string write");
         }
-        if let Some(s) = shard {
-            writeln!(shape, "{} {} {} {:?}", s.shards, s.waves, s.items, s.assigned)
-                .expect("string write");
-        }
     }
 
     t.bytes(&label, "runs", &runs);
@@ -184,9 +171,6 @@ fn walk(
     if state.is_some() {
         t.bytes(&label, "stats", &stats);
         t.bytes(&label, "state", &states);
-    }
-    if !shape.is_empty() {
-        t.bytes(&label, "shape", &shape);
     }
     t.bytes(&label, "net", &format!("{:?}", w.net.stats()));
 }
@@ -231,18 +215,6 @@ const PINS: &[(&str, &str)] = &[
     ("run/clean-depth2/runs", "740280b493b4e7616d0d6768c199b10bb36f74ed9a67c8dbb05843bb2bf2dd59"),
     ("run/clean-depth2/trace", "070770893937db1ee30512ee3efca972870f6aa0340a9e5d2644cadf957a9e19"),
     ("run/clean-depth2/net", "1287509cd1e12f265768abd9ddb5930bb26fd3b8abfa7926c11469b5d2268fa4"),
-    ("sharded4/clean/runs", "1241fce13ae648a9e0fb8151c255a846ae8e989c618d438e63b69ca6a4622a98"),
-    ("sharded4/clean/trace", "32a2469998151422771e9704600b9621c81295f6c17c639622109e386fb72e35"),
-    ("sharded4/clean/shape", "9dfa16fe51fd58c6042b2e7550edfbba7cde3f7815c52ce8abad14c9bb5ce322"),
-    ("sharded4/clean/net", "5475e10dd7065e9bd94c3ea74c2399ed1873999a950e026013b37d9bcf9a6fbb"),
-    ("sharded4/lossy/runs", "048b4c72e2e46abc0fc78b144eaf187207866ae35ff5c5c15f99457086dff30c"),
-    ("sharded4/lossy/trace", "39000245b5b3aa11f6d1e443981a9c873fd617866dd8e3a2dbc1299ca0476608"),
-    ("sharded4/lossy/shape", "bef189ad0e1a9f6c6d3b29c8ff86b34663d8e4628604e9763f635a8720f93a87"),
-    ("sharded4/lossy/net", "c4cc1b80dfef163013347d82d9376ee90f270efae8e12646b2428e658f246ed5"),
-    ("sharded4/clean-depth2/runs", "740280b493b4e7616d0d6768c199b10bb36f74ed9a67c8dbb05843bb2bf2dd59"),
-    ("sharded4/clean-depth2/trace", "070770893937db1ee30512ee3efca972870f6aa0340a9e5d2644cadf957a9e19"),
-    ("sharded4/clean-depth2/shape", "659eed605ca6795f3520e3f6db694c1e4576a1a383a73e6a5cf595288cb2739b"),
-    ("sharded4/clean-depth2/net", "1287509cd1e12f265768abd9ddb5930bb26fd3b8abfa7926c11469b5d2268fa4"),
     ("incremental-full/clean/runs", "1241fce13ae648a9e0fb8151c255a846ae8e989c618d438e63b69ca6a4622a98"),
     ("incremental-full/clean/trace", "32a2469998151422771e9704600b9621c81295f6c17c639622109e386fb72e35"),
     ("incremental-full/clean/stats", "68bb121e3b4eed348df96d8ce6e664a1d1528da5679fb9e4737e8d92ea0f6bb0"),
