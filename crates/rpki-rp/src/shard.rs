@@ -10,7 +10,7 @@ use crate::source::ObjectSource;
 use crate::validation::{ValidationRun, Validator};
 
 /// The shard count a caller asked for; nothing reads it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ShardPlan;
 
 impl ShardPlan {
@@ -21,7 +21,7 @@ impl ShardPlan {
 }
 
 /// The two schedule figures `seam.rs` reads; always zero.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct ShardStats {
     /// Always 0: one walker, nothing to steal.
     pub steals: u64,
@@ -30,7 +30,7 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// 1.0, the wave driver's reading at a zero critical path.
+    /// Always 1.0: one walker, nothing to balance.
     pub fn model_speedup(&self) -> f64 {
         1.0
     }
