@@ -420,8 +420,7 @@ mod tests {
         )
         .expect("fixture roa");
         let mut repo = Repository::new("rpki.corpus.example", NodeId(1));
-        let snapshot = ca.publication_snapshot(Moment(1));
-        repo.publish_snapshot(ca.sia(), &snapshot);
+        repo.publish_ca(&mut ca, Moment(1));
         (repo, ca)
     }
 

@@ -644,13 +644,9 @@ mod tests {
     }
 
     fn publish(rig: &mut Rig, now: Moment) {
-        let snap = rig.ta.publication_snapshot(now);
-        rig.repos
-            .by_host_mut("rpki.ta.example")
-            .unwrap()
-            .publish_snapshot(&RepoUri::new("rpki.ta.example", &["repo"]), &snap);
-        let snap = rig.sprint.publication_snapshot(now);
-        rig.repos.by_host_mut("rpki.sprint.example").unwrap().publish_snapshot(&rig.dir, &snap);
+        for ca in [&mut rig.ta, &mut rig.sprint] {
+            assert!(rig.repos.publish(ca, now));
+        }
         let _ = &rig.net;
     }
 

@@ -121,8 +121,7 @@ mod tests {
         let roa2 = sprint
             .issue_roa(Asn(7341), vec![RoaPrefix::exact(p("63.161.0.0/20"))], Moment(0))
             .unwrap();
-        let snap = sprint.publication_snapshot(Moment(1));
-        repos.by_host_mut("rpki.sprint.example").unwrap().publish_snapshot(&dir, &snap);
+        assert!(repos.publish(&mut sprint, Moment(1)));
 
         let view = CaView::from_repos(&rc, &repos);
         assert_eq!(view.handle, "Sprint");

@@ -8,7 +8,7 @@ use ipres::{Asn, Prefix, ResourceSet};
 use netsim::Network;
 use rpki_attacks::{damage_between, plan_whack, probes_for, CaView, WhackError, WhackStep};
 use rpki_ca::CertAuthority;
-use rpki_objects::{Encode, Moment, RepoUri, RoaPrefix, RpkiObject, Span, TrustAnchorLocator};
+use rpki_objects::{Moment, RepoUri, RoaPrefix, Span, TrustAnchorLocator};
 use rpki_repo::RepoRegistry;
 use rpki_rp::{DirectSource, Route, RouteValidity, ValidationConfig, Validator};
 
@@ -118,10 +118,7 @@ impl ModelWorld {
             .issue_roa(Asn(7344), vec![RoaPrefix::exact(p("63.174.25.0/24"))], Moment(0))
             .unwrap();
 
-        let tal = TrustAnchorLocator::new(
-            RepoUri::new("rpki.arin.example", &["ta", "root.cer"]),
-            arin.public_key(),
-        );
+        let tal = repos.publish_trust_anchor(&arin);
 
         let mut world = ModelWorld { net, repos, arin, sprint, etb, continental, tal };
         world.publish_all(Moment(1));
@@ -129,22 +126,8 @@ impl ModelWorld {
     }
 
     fn publish_all(&mut self, now: Moment) {
-        let ta_cert = self.arin.cert().unwrap().clone();
-        let ta_dir = RepoUri::new("rpki.arin.example", &["ta"]);
-        self.repos.by_host_mut("rpki.arin.example").unwrap().publish_raw(
-            &ta_dir,
-            "root.cer",
-            RpkiObject::Cert(ta_cert).to_bytes(),
-        );
-        for (host, ca) in [
-            ("rpki.arin.example", &mut self.arin),
-            ("rpki.sprint.example", &mut self.sprint),
-            ("rpki.etb.example", &mut self.etb),
-            ("rpki.continental.example", &mut self.continental),
-        ] {
-            let sia = ca.sia().clone();
-            let snap = ca.publication_snapshot(now);
-            self.repos.by_host_mut(host).unwrap().publish_snapshot(&sia, &snap);
+        for ca in [&mut self.arin, &mut self.sprint, &mut self.etb, &mut self.continental] {
+            assert!(self.repos.publish(ca, now));
         }
         let _ = &self.net;
     }

@@ -16,7 +16,7 @@ use netsim::Network;
 use proptest::prelude::*;
 use rpki_attacks::{plan_whack, CaView};
 use rpki_ca::CertAuthority;
-use rpki_objects::{Encode, Moment, RepoUri, RoaPrefix, RpkiObject, Span, TrustAnchorLocator};
+use rpki_objects::{Moment, RepoUri, RoaPrefix, Span, TrustAnchorLocator};
 use rpki_repo::RepoRegistry;
 use rpki_rp::{DirectSource, ValidationConfig, Validator, Vrp};
 
@@ -79,28 +79,15 @@ fn build(shape: &ChildShape, case: u64) -> World {
             .expect("inside child space");
     }
 
-    let tal = TrustAnchorLocator::new(
-        RepoUri::new("ta.example", &["repo-ta", "root.cer"]),
-        ta.public_key(),
-    );
+    let tal = repos.publish_trust_anchor(&ta);
     let mut world = World { repos, ta, child, tal };
     publish(&mut world, Moment(1));
     world
 }
 
 fn publish(w: &mut World, now: Moment) {
-    let ta_cert = w.ta.cert().expect("certified").clone();
-    let ta_pub_dir = RepoUri::new("ta.example", &["repo-ta"]);
-    w.repos.by_host_mut("ta.example").expect("exists").publish_raw(
-        &ta_pub_dir,
-        "root.cer",
-        RpkiObject::Cert(ta_cert).to_bytes(),
-    );
-    for host in ["ta.example", "child.example"] {
-        let ca = if host == "ta.example" { &mut w.ta } else { &mut w.child };
-        let sia = ca.sia().clone();
-        let snap = ca.publication_snapshot(now);
-        w.repos.by_host_mut(host).expect("exists").publish_snapshot(&sia, &snap);
+    for ca in [&mut w.ta, &mut w.child] {
+        assert!(w.repos.publish(ca, now), "both hosts are registered");
     }
 }
 

@@ -2,7 +2,7 @@
 //! the costs of attack and defence.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rpki_attacks::{plan_whack, CaView, Monitor, MonitorSnapshot};
+use rpki_attacks::{plan_whack, Monitor, MonitorSnapshot};
 use rpki_objects::Moment;
 use rpki_risk::ModelRpki;
 
@@ -10,14 +10,11 @@ fn bench_whack_planning(c: &mut Criterion) {
     let mut group = c.benchmark_group("whack");
     group.sample_size(20);
     let w = ModelRpki::build();
-    let rc = w.sprint.issued_cert_for(w.continental.key_id()).expect("issued").clone();
-    let view = CaView::from_repos(&rc, &w.repos);
+    let view = w.continental_view();
     let clean_target = w.covering_roa_file();
     let mbb_target = w.customer_roa_file();
 
-    group.bench_function("view_from_repos", |b| {
-        b.iter(|| black_box(CaView::from_repos(&rc, &w.repos)))
-    });
+    group.bench_function("view_from_repos", |b| b.iter(|| black_box(w.continental_view())));
     group.bench_function("plan_clean_carve", |b| {
         b.iter(|| black_box(plan_whack(std::slice::from_ref(&view), &clean_target).unwrap()))
     });

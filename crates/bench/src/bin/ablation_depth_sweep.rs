@@ -13,7 +13,7 @@ use ipres::{Addr, Asn, Prefix, ResourceSet};
 use netsim::Network;
 use rpki_attacks::{damage_between, plan_whack, probes_for, CaView, Monitor, MonitorSnapshot};
 use rpki_ca::CertAuthority;
-use rpki_objects::{Encode, Moment, RepoUri, RoaPrefix, RpkiObject, Span, TrustAnchorLocator};
+use rpki_objects::{Moment, RepoUri, RoaPrefix, Span, TrustAnchorLocator};
 use rpki_repo::RepoRegistry;
 use rpki_risk_bench::{emit_json, Table};
 use rpki_rp::{DirectSource, ValidationConfig, Validator};
@@ -82,29 +82,15 @@ fn build_chain(depth: usize) -> Chain {
         cas.push(ca);
     }
 
-    let tal = TrustAnchorLocator::new(
-        RepoUri::new("ta.example", &["ta", "root.cer"]),
-        cas[0].public_key(),
-    );
+    let tal = repos.publish_trust_anchor(&cas[0]);
     let mut chain = Chain { repos, cas, tal };
-    publish(&mut chain);
+    publish(&mut chain, Moment(1));
     chain
 }
 
-fn publish(c: &mut Chain) {
-    let ta_cert = c.cas[0].cert().expect("certified").clone();
-    let ta_dir = RepoUri::new("ta.example", &["ta"]);
-    c.repos.by_host_mut("ta.example").expect("exists").publish_raw(
-        &ta_dir,
-        "root.cer",
-        RpkiObject::Cert(ta_cert).to_bytes(),
-    );
+fn publish(c: &mut Chain, now: Moment) {
     for ca in &mut c.cas {
-        let sia = ca.sia().clone();
-        let snap = ca.publication_snapshot(Moment(1));
-        if let Some(repo) = c.repos.by_host_mut(sia.host()) {
-            repo.publish_snapshot(&sia, &snap);
-        }
+        assert!(c.repos.publish(ca, now), "every chain host is registered");
     }
 }
 
@@ -142,20 +128,7 @@ fn main() {
         plan.execute(&mut c.cas[0], Moment(3)).expect("executable");
         // Re-publish (the TA's point gained objects; the child's RC
         // changed).
-        for ca in &mut c.cas {
-            let sia = ca.sia().clone();
-            let snap = ca.publication_snapshot(Moment(3));
-            if let Some(repo) = c.repos.by_host_mut(sia.host()) {
-                repo.publish_snapshot(&sia, &snap);
-            }
-        }
-        let ta_cert = c.cas[0].cert().expect("certified").clone();
-        let ta_dir = RepoUri::new("ta.example", &["ta"]);
-        c.repos.by_host_mut("ta.example").expect("exists").publish_raw(
-            &ta_dir,
-            "root.cer",
-            RpkiObject::Cert(ta_cert).to_bytes(),
-        );
+        publish(&mut c, Moment(3));
 
         let mut source = DirectSource::new(&c.repos);
         let after = Validator::new(ValidationConfig::at(Moment(4)))
@@ -241,7 +214,7 @@ fn main() {
                 Moment(3),
             )
             .expect("carve");
-        publish(&mut c);
+        publish(&mut c, Moment(1));
 
         let count = |config: ValidationConfig| {
             let mut source = DirectSource::new(&c.repos);

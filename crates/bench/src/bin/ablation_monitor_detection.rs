@@ -9,7 +9,7 @@
 use ipres::Prefix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rpki_attacks::{plan_whack, CaView, Monitor, MonitorSnapshot};
+use rpki_attacks::{plan_whack, Monitor, MonitorSnapshot};
 use rpki_objects::{Moment, RoaPrefix};
 use rpki_risk::fixtures::asn;
 use rpki_risk::ModelRpki;
@@ -45,8 +45,7 @@ fn main() {
         // as churn.
         let mut attack = round % 8 == 3;
         if attack {
-            let rc = w.sprint.issued_cert_for(w.continental.key_id()).expect("issued").clone();
-            let view = CaView::from_repos(&rc, &w.repos);
+            let view = w.continental_view();
             // Target a ROA that is still alive (its space still inside
             // the — possibly already carved — RC), so every attack
             // round changes repository state.

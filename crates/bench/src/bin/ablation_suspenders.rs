@@ -11,7 +11,7 @@
 //!
 //! The fail-safe should absorb 1 and 3 and honour 2 immediately.
 
-use rpki_attacks::{plan_whack, CaView};
+use rpki_attacks::plan_whack;
 use rpki_objects::{Moment, Span};
 use rpki_risk::fixtures::asn;
 use rpki_risk::{ModelRpki, SuspendersConfig, SuspendersState, ValidationOptions};
@@ -47,8 +47,7 @@ fn main() {
         let mut w = ModelRpki::build();
         let mut s = SuspendersState::new(SuspendersConfig::default());
         s.ingest(&w.validate_direct(Moment(2)), Moment(2));
-        let rc = w.sprint.issued_cert_for(w.continental.key_id()).unwrap().clone();
-        let view = CaView::from_repos(&rc, &w.repos);
+        let view = w.continental_view();
         let file = w.covering_roa_file();
         let plan = plan_whack(std::slice::from_ref(&view), &file).unwrap();
         plan.execute(&mut w.sprint, Moment(3)).unwrap();

@@ -83,8 +83,7 @@ fn main() {
     {
         let mut w = ModelRpki::build();
         let before = w.validate_direct(Moment(2)).vrps;
-        let rc = w.sprint.issued_cert_for(w.continental.key_id()).expect("issued");
-        let view = CaView::from_repos(rc, &w.repos);
+        let view = w.continental_view();
         let file = w.covering_roa_file();
         let plan = plan_whack(std::slice::from_ref(&view), &file).expect("plan");
         plan.execute(&mut w.sprint, Moment(3)).expect("execute");
@@ -102,8 +101,7 @@ fn main() {
     {
         let mut w = ModelRpki::build();
         let before = w.validate_direct(Moment(2)).vrps;
-        let rc = w.sprint.issued_cert_for(w.continental.key_id()).expect("issued");
-        let view = CaView::from_repos(rc, &w.repos);
+        let view = w.continental_view();
         let file = w.customer_roa_file();
         let plan = plan_whack(std::slice::from_ref(&view), &file).expect("plan");
         plan.execute(&mut w.sprint, Moment(3)).expect("execute");
@@ -123,8 +121,7 @@ fn main() {
         let before = w.validate_direct(Moment(2)).vrps;
         let sprint_rc = w.arin.issued_cert_for(w.sprint.key_id()).expect("issued").clone();
         let sprint_view = CaView::from_repos(&sprint_rc, &w.repos);
-        let continental_rc = w.sprint.issued_cert_for(w.continental.key_id()).expect("issued");
-        let continental_view = CaView::from_repos(continental_rc, &w.repos);
+        let continental_view = w.continental_view();
         let file = w.covering_roa_file();
         let chain = vec![sprint_view, continental_view];
         let plan = plan_whack(&chain, &file).expect("plan");

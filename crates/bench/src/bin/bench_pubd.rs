@@ -45,10 +45,10 @@
 
 use rpki_ca::{ChurnConfig, ChurnEngine};
 use rpki_objects::Moment;
-use rpki_repo::{PubdPolicy, RetentionPolicy, RrdpClientState, SyncPolicy};
-use rpki_risk::SyntheticRpki;
+use rpki_repo::{PubdPolicy, RetentionPolicy, RrdpClientState};
+use rpki_risk::{SyntheticRpki, ValidationOptions};
 use rpki_risk_bench::{export, trace_recorder, RunStamp, Summary, SummaryTable};
-use rpki_rp::{RrdpSource, ValidationConfig, ValidationRun, ValidationState, Validator};
+use rpki_rp::{ValidationRun, ValidationState};
 use serde::Serialize;
 
 /// One measured (shape, churn, interval, retention) cell.
@@ -97,13 +97,7 @@ fn poll(
     rrdp: &mut RrdpClientState,
     state: &mut ValidationState,
 ) -> ValidationRun {
-    let mut source =
-        RrdpSource::new(&mut w.net, &w.repos, w.rp_node, rrdp, SyncPolicy::default()).trusting();
-    Validator::new(ValidationConfig::at(now)).run_incremental(
-        &mut source,
-        std::slice::from_ref(&w.tal),
-        state,
-    )
+    w.validate_with(ValidationOptions::at(now).rrdp_trusting(rrdp).incremental(state))
 }
 
 fn retention_of(depth: u64) -> RetentionPolicy {
@@ -174,7 +168,7 @@ fn main() {
                     }
 
                     // Server-side layout policies never change content.
-                    let cold = w.validate_cold(Moment(10 + steps * 60));
+                    let cold = w.validate_with(ValidationOptions::at(Moment(10 + steps * 60)));
                     assert_eq!(
                         final_run.expect("steps > 0"),
                         cold,

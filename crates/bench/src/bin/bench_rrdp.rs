@@ -34,12 +34,12 @@
 use std::time::Instant;
 
 use rpki_objects::Moment;
-use rpki_repo::{RrdpClientState, SyncPolicy};
-use rpki_risk::SyntheticRpki;
+use rpki_repo::RrdpClientState;
+use rpki_risk::{SyntheticRpki, ValidationOptions};
 use rpki_risk_bench::{
     export, scale_arg, time_min, trace_recorder, RunStamp, Summary, SummaryTable,
 };
-use rpki_rp::{RrdpSource, ValidationConfig, ValidationRun, ValidationState, Validator};
+use rpki_rp::{ValidationRun, ValidationState};
 use serde::Serialize;
 
 /// One measured (tree shape, churn rate) cell.
@@ -78,13 +78,7 @@ fn validate_rrdp(
     rrdp: &mut RrdpClientState,
     state: &mut ValidationState,
 ) -> ValidationRun {
-    let mut source =
-        RrdpSource::new(&mut w.net, &w.repos, w.rp_node, rrdp, SyncPolicy::default()).trusting();
-    Validator::new(ValidationConfig::at(now)).run_incremental(
-        &mut source,
-        std::slice::from_ref(&w.tal),
-        state,
-    )
+    w.validate_with(ValidationOptions::at(now).rrdp_trusting(rrdp).incremental(state))
 }
 
 fn main() {
@@ -112,7 +106,7 @@ fn main() {
             let mut rrdp_validation = ValidationState::probe();
             // Warm-up: fill the probe memo and snapshot every
             // publication point into the RRDP client state.
-            w.validate_incremental(Moment(2), &mut probe_state);
+            w.validate_with(ValidationOptions::at(Moment(2)).incremental(&mut probe_state));
             validate_rrdp(&mut w, Moment(2), &mut rrdp_state, &mut rrdp_validation);
 
             let mut cold_ns = u128::MAX;
@@ -129,7 +123,7 @@ fn main() {
 
                 let sent = w.net.stats().sent;
                 cold_ns = cold_ns.min(time_min(3, || {
-                    w.validate_cold(measure_at);
+                    w.validate_with(ValidationOptions::at(measure_at));
                 }));
                 // time_min ran 4 identical stateless walks.
                 cold_frames = (w.net.stats().sent - sent) / 4;
@@ -138,7 +132,8 @@ fn main() {
                 // round's single timed run measures the steady state.
                 let sent = w.net.stats().sent;
                 let start = Instant::now();
-                let probe_run = w.validate_incremental(measure_at, &mut probe_state);
+                let probe_run = w
+                    .validate_with(ValidationOptions::at(measure_at).incremental(&mut probe_state));
                 probe_ns = probe_ns.min(start.elapsed().as_nanos());
                 probe_frames = w.net.stats().sent - sent;
 
@@ -149,7 +144,7 @@ fn main() {
                 rrdp_ns = rrdp_ns.min(start.elapsed().as_nanos());
                 rrdp_frames = w.net.stats().sent - sent;
 
-                let cold = w.validate_cold(measure_at);
+                let cold = w.validate_with(ValidationOptions::at(measure_at));
                 assert_eq!(probe_run, cold, "probe output diverged from the cold walk");
                 assert_eq!(rrdp_run, cold, "RRDP output diverged from the cold walk");
             }

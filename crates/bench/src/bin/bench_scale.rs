@@ -17,7 +17,7 @@
 //! trace of one instrumented walk per shape (its network events).
 
 use rpki_objects::Moment;
-use rpki_risk::SyntheticRpki;
+use rpki_risk::{SyntheticRpki, ValidationOptions};
 use rpki_risk_bench::{
     export, scale_arg, time_min, trace_recorder, Recorder, RunStamp, Summary, SummaryTable,
 };
@@ -55,7 +55,7 @@ fn main() {
         let now = Moment(2);
 
         let seq_ns = time_min(iters, || {
-            w.validate_cold(now);
+            w.validate_with(ValidationOptions::at(now));
         });
         records.push(Record {
             pub_points: points,
@@ -71,7 +71,7 @@ fn main() {
         // walk's network events.
         if rec.is_enabled() {
             w.net.set_recorder(rec.clone());
-            w.validate_cold(Moment(60));
+            w.validate_with(ValidationOptions::at(Moment(60)));
             w.net.set_recorder(Recorder::disabled());
         }
     }

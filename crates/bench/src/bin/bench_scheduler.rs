@@ -13,10 +13,11 @@
 //!   a notification poll every round, dirtied points delta-sync (this
 //!   is the strongest pre-scheduler configuration, `bench_rrdp`'s best
 //!   column);
-//! - **scheduled** — the same stack under a [`ScheduledSource`]: each
-//!   point's refresh deadline follows its observed change cadence
-//!   (EWMA, clamped, jittered), so a quiet point costs *zero frames*
-//!   until it comes due.
+//! - **scheduled** — the same stack under a
+//!   [`ScheduledSource`](rpki_rp::ScheduledSource): each point's
+//!   refresh deadline follows its observed change cadence (EWMA,
+//!   clamped, jittered), so a quiet point costs *zero frames* until it
+//!   comes due.
 //!
 //! Rounds are spaced one epoch apart, the schedule clamps span
 //! 1–16 epochs, and the first `WARMUP` rounds let the per-point
@@ -36,13 +37,10 @@
 use std::time::Instant;
 
 use rpki_objects::{Moment, Span};
-use rpki_repo::{RrdpClientState, SyncPolicy};
-use rpki_risk::SyntheticRpki;
+use rpki_repo::RrdpClientState;
+use rpki_risk::{SyntheticRpki, ValidationOptions};
 use rpki_risk_bench::{export, scale_arg, trace_recorder, RunStamp, Summary, SummaryTable};
-use rpki_rp::{
-    RrdpSource, SchedulePlan, ScheduledSource, SchedulerState, ValidationConfig, ValidationRun,
-    ValidationState, Validator,
-};
+use rpki_rp::{SchedulePlan, SchedulerState, ValidationRun, ValidationState};
 use serde::Serialize;
 
 /// Seconds between validation rounds. Large enough to dominate the
@@ -106,13 +104,7 @@ fn validate_sweep(
     inc: &mut ValidationState,
 ) -> ValidationRun {
     let now = Moment(w.net.now());
-    let mut source =
-        RrdpSource::new(&mut w.net, &w.repos, w.rp_node, rrdp, SyncPolicy::default()).trusting();
-    Validator::new(ValidationConfig::at(now)).run_incremental(
-        &mut source,
-        std::slice::from_ref(&w.tal),
-        inc,
-    )
+    w.validate_with(ValidationOptions::at(now).rrdp_trusting(rrdp).incremental(inc))
 }
 
 /// One scheduled round: the same stack under the fetch scheduler.
@@ -124,13 +116,8 @@ fn validate_scheduled(
     plan: SchedulePlan,
 ) -> ValidationRun {
     let now = Moment(w.net.now());
-    let inner =
-        RrdpSource::new(&mut w.net, &w.repos, w.rp_node, rrdp, SyncPolicy::default()).trusting();
-    let mut source = ScheduledSource::new(inner, sched, plan);
-    Validator::new(ValidationConfig::at(now)).run_incremental(
-        &mut source,
-        std::slice::from_ref(&w.tal),
-        inc,
+    w.validate_with(
+        ValidationOptions::at(now).rrdp_trusting(rrdp).incremental(inc).scheduled(plan, sched),
     )
 }
 

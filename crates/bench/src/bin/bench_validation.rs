@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use ipres::Asn;
 use rpki_objects::{Moment, RoaPrefix};
-use rpki_risk::SyntheticRpki;
+use rpki_risk::{SyntheticRpki, ValidationOptions};
 use rpki_risk_bench::{
     export, scale_arg, time_min, trace_recorder, RunStamp, Summary, SummaryTable,
 };
@@ -87,9 +87,7 @@ fn mutate(
         )
         .expect("inside the root's /16");
     *extra = Some(roa.file_name());
-    let sia = w.cas[0].sia().clone();
-    let snap = w.cas[0].publication_snapshot(now);
-    w.repos.by_host_mut("rpki.bench.example").expect("exists").publish_snapshot(&sia, &snap);
+    assert!(w.repos.publish(&mut w.cas[0], now), "the bench host is registered");
     dirtied
 }
 
@@ -115,7 +113,7 @@ fn main() {
             let mut extra: Option<String> = None;
             // Warm-up: the first incremental run is a full walk that
             // fills the memo cache.
-            w.validate_incremental(Moment(2), &mut state);
+            w.validate_with(ValidationOptions::at(Moment(2)).incremental(&mut state));
 
             let mut cold_ns = u128::MAX;
             let mut incremental_ns = u128::MAX;
@@ -125,14 +123,15 @@ fn main() {
                 let measure_at = Moment(40 + round * 60);
                 dirtied = mutate(&mut w, churn_pct, round, &mut extra, mutate_at);
                 cold_ns = cold_ns.min(time_min(3, || {
-                    w.validate_cold(measure_at);
+                    w.validate_with(ValidationOptions::at(measure_at));
                 }));
                 // The incremental run re-warms the cache, so each
                 // round's single timed run measures the steady state.
                 let start = Instant::now();
-                let run = w.validate_incremental(measure_at, &mut state);
+                let run =
+                    w.validate_with(ValidationOptions::at(measure_at).incremental(&mut state));
                 incremental_ns = incremental_ns.min(start.elapsed().as_nanos());
-                let cold = w.validate_cold(measure_at);
+                let cold = w.validate_with(ValidationOptions::at(measure_at));
                 assert_eq!(run, cold, "incremental output diverged from the cold walk");
             }
 
@@ -142,7 +141,7 @@ fn main() {
                 w.net.set_recorder(rec.clone());
                 let at = Moment(10 + rounds * 60);
                 mutate(&mut w, churn_pct, rounds, &mut extra, at);
-                w.validate_incremental(Moment(at.0 + 30), &mut state);
+                w.validate_with(ValidationOptions::at(Moment(at.0 + 30)).incremental(&mut state));
                 state.stats().emit(&rec, at.0 + 30);
                 w.net.set_recorder(rpki_risk_bench::Recorder::disabled());
             }

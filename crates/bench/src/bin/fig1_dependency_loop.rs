@@ -8,7 +8,7 @@
 use bgp_sim::RpkiPolicy;
 use rpki_objects::Moment;
 use rpki_risk::fixtures::asn;
-use rpki_risk::{LoopbackWorld, ModelRpki};
+use rpki_risk::ModelRpki;
 use rpki_risk_bench::{emit_json, Table};
 use rpki_rp::Vrp;
 
@@ -20,18 +20,7 @@ fn main() {
     let full = w.validate_direct(Moment(3)).vrps;
     let degraded: Vec<Vrp> = full.iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
 
-    let ModelRpki { net, repos, rp_node, tal, topology, announcements, .. } = &mut w;
-    let tals = std::slice::from_ref(&*tal);
-    let mut world = LoopbackWorld {
-        net,
-        repos,
-        rp_node: *rp_node,
-        rp_asn: asn::RELYING_PARTY,
-        tals,
-        topology,
-        announcements,
-        policy: RpkiPolicy::DropInvalid,
-    };
+    let mut world = w.loopback(RpkiPolicy::DropInvalid);
 
     let healthy = world.run(&full, Moment(3));
     let trapped = world.run(&degraded, Moment(4));

@@ -6,7 +6,7 @@
 //! address ranges), and the measured damage.
 
 use ipres::Asn;
-use rpki_attacks::{damage_between, plan_whack, probes_for, CaView, WhackStep};
+use rpki_attacks::{damage_between, plan_whack, probes_for, WhackStep};
 use rpki_objects::Moment;
 use rpki_risk::fixtures::asn;
 use rpki_risk::ModelRpki;
@@ -26,8 +26,7 @@ fn run_whack(target_asn: Asn, label: &str) -> WhackRecord {
     let mut w = ModelRpki::build();
     let before = w.validate_direct(Moment(2));
 
-    let rc = w.sprint.issued_cert_for(w.continental.key_id()).expect("issued");
-    let view = CaView::from_repos(rc, &w.repos);
+    let view = w.continental_view();
     let target_file =
         view.roas.iter().find(|r| r.asn() == target_asn).expect("target present").file_name();
 

@@ -10,7 +10,6 @@
 use bgp_sim::RpkiPolicy;
 use rpki_objects::Moment;
 use rpki_repo::SyncPolicy;
-use rpki_risk::fixtures::asn;
 use rpki_risk::{LoopbackWorld, ModelRpki, ValidationOptions};
 use rpki_risk_bench::{emit_json, trace_recorder, write_trace, Summary, SummaryTable};
 use rpki_rp::{ResilienceConfig, ResilientState};
@@ -62,18 +61,7 @@ fn main() {
     // the relying party's routes are now computed from the degraded
     // cache. Close the loop and find the fixed point.
     let degraded = faulted.vrps.clone();
-    let ModelRpki { net, repos, rp_node, tal, topology, announcements, .. } = &mut w;
-    let tals = std::slice::from_ref(&*tal);
-    let mut world = LoopbackWorld {
-        net,
-        repos,
-        rp_node: *rp_node,
-        rp_asn: asn::RELYING_PARTY,
-        tals,
-        topology,
-        announcements,
-        policy: RpkiPolicy::DropInvalid,
-    };
+    let mut world = w.loopback(RpkiPolicy::DropInvalid);
     let stuck = world.run(&degraded, Moment(5));
     assert!(!stuck.can_fetch("rpki.continental.example"), "the trap must hold");
     phases.push(Phase {

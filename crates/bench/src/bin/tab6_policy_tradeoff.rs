@@ -1,46 +1,18 @@
 //! Table 6: prefix reachability during a routing attack vs during an
 //! RPKI manipulation, under each relying-party policy.
 
-use bgp_sim::{Announcement, RpkiPolicy};
-use ipres::Asn;
-use rpki_objects::Moment;
-use rpki_risk::fixtures::asn;
-use rpki_risk::tradeoff::TradeoffScenario;
-use rpki_risk::{policy_tradeoff, ModelRpki};
+use bgp_sim::RpkiPolicy;
+use rpki_risk::tradeoff::table6;
+use rpki_risk::ModelRpki;
 use rpki_risk_bench::{emit_json, Table};
-use rpki_rp::{Vrp, VrpCache};
 
 fn main() {
     println!("Table 6 — impact of relying-party local policies");
 
-    let mut w = ModelRpki::build();
-    let attacker = Asn(666);
-    w.topology.add_provider_customer(asn::SPRINT, attacker);
-
-    // Intact cache: the Figure 2 ROAs plus the Figure 5 (right)
-    // covering ROA (which is what keeps the whacked route INVALID
-    // rather than unknown in the manipulation scenario).
-    let covering = Vrp::new("63.160.0.0/12".parse().unwrap(), 13, asn::SPRINT);
-    let mut intact: Vec<Vrp> = w.validate_direct(Moment(2)).vrps;
-    intact.push(covering);
-    let whacked: Vec<Vrp> = intact.iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
-    let cache_intact: VrpCache = intact.into_iter().collect();
-    let cache_whacked: VrpCache = whacked.into_iter().collect();
-
-    let victim =
-        Announcement { prefix: "63.174.16.0/20".parse().unwrap(), origin: asn::CONTINENTAL };
-    let hijack = Announcement { prefix: "63.174.24.0/24".parse().unwrap(), origin: attacker };
-
-    let table = policy_tradeoff(&TradeoffScenario {
-        topology: &w.topology,
-        announcements: &w.announcements,
-        victim,
-        probe_addr: "63.174.24.9".parse().unwrap(),
-        attacker,
-        hijack,
-        cache_intact: &cache_intact,
-        cache_whacked: &cache_whacked,
-    });
+    // The scenario (attacker AS 666 under Sprint, the covering
+    // /12-13 ROA that keeps the whacked route INVALID rather than
+    // unknown, victim, hijack, probe) is `tradeoff::table6`.
+    let table = table6(&ModelRpki::build());
 
     let mut out = Table::new(&[
         "relying-party policy",

@@ -1,9 +1,11 @@
 //! Subcommand implementations.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
+use bgp_sim::RpkiPolicy;
 use ipres::Asn;
-use rpki_attacks::{damage_between, plan_whack, probes_for, CaView, WhackStep};
+use rpki_attacks::{damage_between, plan_whack, probes_for, WhackStep};
 use rpki_objects::Moment;
 use rpki_risk::fixtures::asn;
 use rpki_risk::{collapse_bands, jurisdiction_report, rir_reach, validity_grid, ModelRpki};
@@ -36,8 +38,24 @@ fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn opt(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+/// The number after flag `name`, or `default` when the flag is absent.
+/// A flag that is present must carry a value that parses: otherwise the
+/// offending flag and the usage go to stderr and this is `None`, on
+/// which the command fails.
+fn number_opt<T: FromStr>(args: &[String], name: &str, default: T) -> Option<T> {
+    let Some(at) = args.iter().position(|a| a == name) else {
+        return Some(default);
+    };
+    let value = args.get(at + 1);
+    let parsed = value.and_then(|v| v.parse().ok());
+    if parsed.is_none() {
+        match value {
+            Some(v) => eprintln!("{name} takes a number, not {v:?}\n"),
+            None => eprintln!("{name} takes a number, but none was given\n"),
+        }
+        eprint!("{USAGE}");
+    }
+    parsed
 }
 
 fn emit_json<T: serde::Serialize>(args: &[String], label: &str, value: &T) {
@@ -70,19 +88,13 @@ pub fn demo(args: &[String]) -> ExitCode {
 
 /// `rpki-risk whack --origin <asn> [--dry-run]`
 pub fn whack(args: &[String]) -> ExitCode {
-    let origin: u32 = match opt(args, "--origin").map(|v| v.parse()) {
-        Some(Ok(v)) => v,
-        Some(Err(_)) => {
-            eprintln!("--origin takes a numeric ASN");
-            return ExitCode::FAILURE;
-        }
-        None => asn::CONTINENTAL.0,
+    let Some(origin) = number_opt(args, "--origin", asn::CONTINENTAL.0) else {
+        return ExitCode::FAILURE;
     };
     let mut w = ModelRpki::build();
     let before = w.validate_direct(Moment(2));
 
-    let rc = w.sprint.issued_cert_for(w.continental.key_id()).expect("model invariant");
-    let view = CaView::from_repos(rc, &w.repos);
+    let view = w.continental_view();
     let Some(target) = view.roas.iter().find(|r| r.asn() == Asn(origin)) else {
         eprintln!("no ROA with origin AS{origin} at Continental's publication point;");
         eprintln!("try one of:");
@@ -143,8 +155,11 @@ pub fn whack(args: &[String]) -> ExitCode {
 
 /// `rpki-risk audit [--seed N] [--scale N]`
 pub fn audit(args: &[String]) -> ExitCode {
-    let seed: u64 = opt(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(2013);
-    let scale: usize = opt(args, "--scale").and_then(|v| v.parse().ok()).unwrap_or(1);
+    let (Some(seed), Some(scale)) =
+        (number_opt(args, "--seed", 2013u64), number_opt(args, "--scale", 1usize))
+    else {
+        return ExitCode::FAILURE;
+    };
     let config = Config {
         seed,
         transits: 25 * scale,
@@ -186,30 +201,7 @@ pub fn audit(args: &[String]) -> ExitCode {
 
 /// `rpki-risk tradeoff`
 pub fn tradeoff(args: &[String]) -> ExitCode {
-    use bgp_sim_reexport::*;
-    let mut w = ModelRpki::build();
-    let attacker = Asn(666);
-    w.topology.add_provider_customer(asn::SPRINT, attacker);
-    let covering = rpki_rp::Vrp::new("63.160.0.0/12".parse().unwrap(), 13, asn::SPRINT);
-    let mut intact = w.validate_direct(Moment(2)).vrps;
-    intact.push(covering);
-    let whacked: Vec<rpki_rp::Vrp> =
-        intact.iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
-    let cache_intact: rpki_rp::VrpCache = intact.into_iter().collect();
-    let cache_whacked: rpki_rp::VrpCache = whacked.into_iter().collect();
-    let table = rpki_risk::policy_tradeoff(&rpki_risk::tradeoff::TradeoffScenario {
-        topology: &w.topology,
-        announcements: &w.announcements,
-        victim: Announcement {
-            prefix: "63.174.16.0/20".parse().unwrap(),
-            origin: asn::CONTINENTAL,
-        },
-        probe_addr: "63.174.24.9".parse().unwrap(),
-        attacker,
-        hijack: Announcement { prefix: "63.174.24.0/24".parse().unwrap(), origin: attacker },
-        cache_intact: &cache_intact,
-        cache_whacked: &cache_whacked,
-    });
+    let table = rpki_risk::tradeoff::table6(&ModelRpki::build());
     println!("{:<16} {:>14} {:>14}", "policy", "under hijack", "under whack");
     for policy in [RpkiPolicy::Ignore, RpkiPolicy::DropInvalid, RpkiPolicy::DeprefInvalid] {
         println!(
@@ -221,12 +213,6 @@ pub fn tradeoff(args: &[String]) -> ExitCode {
     }
     emit_json(args, "tradeoff", &table.rows);
     ExitCode::SUCCESS
-}
-
-/// Re-exports so the CLI needs no direct bgp-sim dependency entry
-/// beyond what `rpki-risk` already links.
-mod bgp_sim_reexport {
-    pub use bgp_sim::{Announcement, RpkiPolicy};
 }
 
 /// `rpki-risk grid [--right]`

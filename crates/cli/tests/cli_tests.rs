@@ -76,6 +76,28 @@ fn audit_is_deterministic_per_seed() {
     assert_ne!(stdout(&a), stdout(&c));
 }
 
+/// A flag that is present must parse: a malformed or missing value
+/// names the flag on stderr and fails instead of running with the
+/// default.
+#[test]
+fn malformed_or_missing_flag_values_are_refused() {
+    for args in [
+        &["audit", "--seed", "abc"][..],
+        &["audit", "--scale", "x"],
+        &["whack", "--origin"],
+        &["whack", "--origin", "--dry-run"],
+    ] {
+        let out = run(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(stdout(&out).is_empty(), "{args:?} must not run the command");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(args[1]), "{args:?}: stderr must name the flag: {err}");
+        assert!(err.contains("USAGE"), "{args:?}: stderr must show the usage: {err}");
+    }
+    let out = run(&["audit", "--seed", "7", "--scale", "1"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
 #[test]
 fn tradeoff_prints_the_asymmetry() {
     let out = run(&["tradeoff"]);

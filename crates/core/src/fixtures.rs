@@ -23,12 +23,11 @@
 use bgp_sim::{Announcement, Topology};
 use ipres::{Asn, Prefix, ResourceSet};
 use netsim::{Network, NodeId};
+use rpki_attacks::CaView;
 use rpki_ca::{CertAuthority, ChurnEngine, ChurnReport};
-use rpki_objects::{Encode, Moment, RepoUri, Roa, RoaPrefix, RpkiObject, Span, TrustAnchorLocator};
+use rpki_objects::{Moment, RepoUri, Roa, RoaPrefix, Span, TrustAnchorLocator};
 use rpki_repo::RepoRegistry;
-use rpki_rp::{
-    DirectSource, NetworkSource, ValidationConfig, ValidationRun, ValidationState, Validator,
-};
+use rpki_rp::{DirectSource, ValidationConfig, ValidationRun, Validator};
 
 fn p(s: &str) -> Prefix {
     s.parse().unwrap()
@@ -184,10 +183,7 @@ impl ModelRpki {
             .issue_roa(asn::CUSTOMER_D, vec![RoaPrefix::exact(p("63.174.25.0/24"))], Moment(0))
             .expect("own space");
 
-        let tal = TrustAnchorLocator::new(
-            RepoUri::new("rpki.arin.example", &["ta", "root.cer"]),
-            arin.public_key(),
-        );
+        let tal = repos.publish_trust_anchor(&arin);
 
         // AS topology: Sprint at the top; ETB, Continental, and the
         // relying party are its customers; Continental's customers hang
@@ -227,24 +223,21 @@ impl ModelRpki {
         world
     }
 
+    /// The registry beside the model's four authorities in [arin,
+    /// sprint, etb, continental] order (the index the churn schedule is
+    /// keyed on), as field-disjoint borrows: each CA publishes at the
+    /// host its SIA names.
+    fn authorities(&mut self) -> (&mut RepoRegistry, [&mut CertAuthority; 4]) {
+        let cas = [&mut self.arin, &mut self.sprint, &mut self.etb, &mut self.continental];
+        (&mut self.repos, cas)
+    }
+
     /// Republishes every CA's snapshot (and the TA certificate).
     pub fn publish_all(&mut self, now: Moment) {
-        let ta_cert = self.arin.cert().expect("TA certified").clone();
-        let ta_dir = RepoUri::new("rpki.arin.example", &["ta"]);
-        self.repos.by_host_mut("rpki.arin.example").expect("exists").publish_raw(
-            &ta_dir,
-            "root.cer",
-            RpkiObject::Cert(ta_cert).to_bytes(),
-        );
-        for (host, ca) in [
-            ("rpki.arin.example", &mut self.arin),
-            ("rpki.sprint.example", &mut self.sprint),
-            ("rpki.etb.example", &mut self.etb),
-            ("rpki.continental.example", &mut self.continental),
-        ] {
-            let sia = ca.sia().clone();
-            let snap = ca.publication_snapshot(now);
-            self.repos.by_host_mut(host).expect("exists").publish_snapshot(&sia, &snap);
+        let (repos, cas) = self.authorities();
+        repos.publish_trust_anchor(cas[0]);
+        for ca in cas {
+            assert!(repos.publish(ca, now), "every model host is registered");
         }
     }
 
@@ -254,26 +247,10 @@ impl ModelRpki {
     /// the ordinary publication log, so RRDP clients see the churn as
     /// deltas. Returns the engine's report.
     pub fn run_churn(&mut self, engine: &mut ChurnEngine, now: Moment) -> ChurnReport {
-        let report = engine.step_with(
-            [&mut self.arin, &mut self.sprint, &mut self.etb, &mut self.continental],
-            now,
-        );
-        let hosts = [
-            "rpki.arin.example",
-            "rpki.sprint.example",
-            "rpki.etb.example",
-            "rpki.continental.example",
-        ];
+        let (repos, mut cas) = self.authorities();
+        let report = engine.step_with(cas.iter_mut().map(|ca| &mut **ca), now);
         for &idx in &report.touched {
-            let ca = match idx {
-                0 => &mut self.arin,
-                1 => &mut self.sprint,
-                2 => &mut self.etb,
-                _ => &mut self.continental,
-            };
-            let sia = ca.sia().clone();
-            let snap = ca.publication_snapshot(now);
-            self.repos.by_host_mut(hosts[idx]).expect("exists").publish_snapshot(&sia, &snap);
+            assert!(repos.publish(cas[idx], now), "every model host is registered");
         }
         report
     }
@@ -291,16 +268,9 @@ impl ModelRpki {
         seed: u64,
         now: Moment,
     ) -> Option<rpki_attacks::CorpusCase> {
-        let ca = match host {
-            "rpki.arin.example" => &self.arin,
-            "rpki.sprint.example" => &self.sprint,
-            "rpki.etb.example" => &self.etb,
-            "rpki.continental.example" => &self.continental,
-            _ => return None,
-        };
-        // Field-disjoint borrows: the CA is read, the repo mutated.
-        let repo = self.repos.by_host_mut(host)?;
-        Some(rpki_attacks::poison(repo, ca, kind, seed, now))
+        let (repos, cas) = self.authorities();
+        let ca = cas.into_iter().find(|ca| ca.sia().host() == host)?;
+        Some(rpki_attacks::poison(repos.by_host_mut(host)?, ca, kind, seed, now))
     }
 
     /// Validates over a perfect transport — the `&self` convenience
@@ -324,6 +294,15 @@ impl ModelRpki {
             .expect("own space");
         self.publish_all(now);
         roa
+    }
+
+    /// What Sprint — or anyone reading the repositories — sees of
+    /// Continental: the RC Sprint issued it and everything at its
+    /// publication point. The input whack planning and monitoring
+    /// start from.
+    pub fn continental_view(&self) -> CaView {
+        let rc = self.sprint.issued_cert_for(self.continental.key_id()).expect("issued in build");
+        CaView::from_repos(rc, &self.repos)
     }
 
     /// The file name of Continental's covering `/20` ROA (Figure 3's
@@ -444,10 +423,7 @@ impl SyntheticRpki {
             }
         }
 
-        let tal = TrustAnchorLocator::new(
-            RepoUri::new("rpki.bench.example", &["ta", "root.cer"]),
-            cas[0].public_key(),
-        );
+        let tal = repos.publish_trust_anchor(&cas[0]);
         let mut world = SyntheticRpki {
             net,
             repos,
@@ -495,17 +471,9 @@ impl SyntheticRpki {
 
     /// Republishes the TA certificate and every CA's snapshot.
     pub fn publish_all(&mut self, now: Moment) {
-        let ta_cert = self.cas[0].cert().expect("TA certified").clone();
-        let ta_dir = RepoUri::new("rpki.bench.example", &["ta"]);
-        let repo = self.repos.by_host_mut("rpki.bench.example").expect("exists");
-        repo.publish_raw(&ta_dir, "root.cer", RpkiObject::Cert(ta_cert).to_bytes());
+        self.repos.publish_trust_anchor(&self.cas[0]);
         for ca in &mut self.cas {
-            let sia = ca.sia().clone();
-            let snap = ca.publication_snapshot(now);
-            self.repos
-                .by_host_mut("rpki.bench.example")
-                .expect("exists")
-                .publish_snapshot(&sia, &snap);
+            assert!(self.repos.publish(ca, now), "the bench host is registered");
         }
     }
 
@@ -527,12 +495,7 @@ impl SyntheticRpki {
             let ca = &mut self.cas[idx];
             let file = ca.issued_roas().next().expect("every CA has ROAs").file_name();
             ca.renew_roa(&file, now).expect("renewable");
-            let sia = ca.sia().clone();
-            let snap = ca.publication_snapshot(now);
-            self.repos
-                .by_host_mut("rpki.bench.example")
-                .expect("exists")
-                .publish_snapshot(&sia, &snap);
+            assert!(self.repos.publish(ca, now), "the bench host is registered");
         }
         touched
     }
@@ -545,39 +508,12 @@ impl SyntheticRpki {
     pub fn run_churn(&mut self, engine: &mut ChurnEngine, now: Moment) -> ChurnReport {
         let report = engine.step_with(self.cas.iter_mut(), now);
         for &idx in &report.touched {
-            let ca = &mut self.cas[idx];
-            let sia = ca.sia().clone();
-            let snap = ca.publication_snapshot(now);
-            self.repos
-                .by_host_mut("rpki.bench.example")
-                .expect("exists")
-                .publish_snapshot(&sia, &snap);
+            assert!(self.repos.publish(&mut self.cas[idx], now), "the bench host is registered");
         }
         if report.added > 0 || report.withdrawn > 0 {
             self.roa_count = self.cas.iter().map(|ca| ca.issued_roas().count()).sum();
         }
         report
-    }
-
-    /// One cold full walk over the simulated network.
-    pub fn validate_cold(&mut self, now: Moment) -> ValidationRun {
-        let mut source = NetworkSource::new(&mut self.net, &self.repos, self.rp_node);
-        Validator::new(ValidationConfig::at(now)).run(&mut source, std::slice::from_ref(&self.tal))
-    }
-
-    /// One incremental revalidation over the simulated network against
-    /// the persistent `state`.
-    pub fn validate_incremental(
-        &mut self,
-        now: Moment,
-        state: &mut ValidationState,
-    ) -> ValidationRun {
-        let mut source = NetworkSource::new(&mut self.net, &self.repos, self.rp_node);
-        Validator::new(ValidationConfig::at(now)).run_incremental(
-            &mut source,
-            std::slice::from_ref(&self.tal),
-            state,
-        )
     }
 }
 
@@ -587,7 +523,7 @@ mod tests {
     use crate::validate::ValidationOptions;
     use ipres::Asn;
     use rpki_repo::SyncPolicy;
-    use rpki_rp::{ResilientState, Route, RouteValidity};
+    use rpki_rp::{ResilientState, Route, RouteValidity, ValidationState};
 
     #[test]
     fn model_validates_to_seven_plus_one_vrps() {
@@ -684,20 +620,20 @@ mod tests {
         let mut w = SyntheticRpki::build_seeded(11, 2, 3, 2);
         assert_eq!(w.publication_points(), 13);
         let mut state = ValidationState::full();
-        let first = w.validate_incremental(Moment(2), &mut state);
+        let first = w.validate_with(ValidationOptions::at(Moment(2)).incremental(&mut state));
         assert_eq!(first.vrps.len(), w.roa_count);
         assert_eq!(first.cas.len(), 13);
         // Dirty ~10% (two points after ceil): only those re-walk.
         let touched = w.churn(10, Moment(60));
         assert_eq!(touched, 2);
-        let second = w.validate_incremental(Moment(62), &mut state);
+        let second = w.validate_with(ValidationOptions::at(Moment(62)).incremental(&mut state));
         assert_eq!(second.vrps.len(), w.roa_count);
         assert_eq!(state.stats().subtrees_rewalked as usize, touched);
         assert_eq!(state.stats().subtrees_reused as usize, 13 - touched);
         // Renewals keep VRP content identical, so the delta is empty.
         assert!(state.last_delta().is_empty());
         // And the incremental output matches a cold walk of the same world.
-        assert_eq!(second.vrps, w.validate_cold(Moment(62)).vrps);
+        assert_eq!(second.vrps, w.validate_with(ValidationOptions::at(Moment(62))).vrps);
     }
 
     #[test]
@@ -727,7 +663,7 @@ mod tests {
         }
         // `roa_count` follows adds/withdraws, so the validated VRP set
         // always matches it.
-        let run = w.validate_cold(Moment(2 + 12 * 60));
+        let run = w.validate_with(ValidationOptions::at(Moment(2 + 12 * 60)));
         assert_eq!(run.vrps.len(), w.roa_count);
     }
 

@@ -29,8 +29,10 @@
 //! - [`validate`] — the single validation entry point:
 //!   [`ValidationOptions`] names the relying-party layers (retries,
 //!   RRDP, stale cache, fetch scheduler, Suspenders, the incremental
-//!   walk) and `validate_with` chains them into one source stack and
-//!   runs it, reporting through the world's observability recorder.
+//!   walk) and [`ValidationOptions::run`] chains them into one source
+//!   stack at a [`VantagePoint`] and runs it, reporting through the
+//!   network's observability recorder; every world's `validate_with`
+//!   and the loopback's per-iteration walk are that call.
 //! - [`campaign`] — seeded fault campaigns comparing relying-party
 //!   configurations (bare / retrying / stale-cache / Suspenders /
 //!   RRDP) on VRP availability and validity flips under scheduled
@@ -73,4 +75,4 @@ pub use loopback::{LoopbackOutcome, LoopbackWorld};
 pub use side_effects::{se5_new_roa_impact, se6_missing_roa_impact, Se5Impact, Se6Impact};
 pub use suspenders::{SuspendersConfig, SuspendersEvent, SuspendersState};
 pub use tradeoff::{policy_tradeoff, ScenarioOutcome, TradeoffTable};
-pub use validate::ValidationOptions;
+pub use validate::{ValidationOptions, VantagePoint};

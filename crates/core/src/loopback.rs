@@ -24,10 +24,11 @@ use ipres::Asn;
 use netsim::{Network, NodeId};
 use rpki_objects::{Moment, TrustAnchorLocator};
 use rpki_repo::{RepoRegistry, SyncPolicy};
-use rpki_rp::{
-    NetworkSource, ResilientSource, ResilientState, ValidationConfig, ValidationRun, Validator, Vrp,
-};
+use rpki_rp::{ResilientState, Vrp};
 use serde::Serialize;
+
+use crate::fixtures::{asn, ModelRpki};
+use crate::validate::{ValidationOptions, VantagePoint};
 
 /// The converged outcome of one loop evaluation.
 #[derive(Debug, Clone, Serialize)]
@@ -69,6 +70,24 @@ pub struct LoopbackWorld<'a> {
     pub announcements: &'a [Announcement],
     /// The relying party's local policy.
     pub policy: RpkiPolicy,
+}
+
+impl ModelRpki {
+    /// The model closed into Figure 1's loop: its own network,
+    /// repositories, topology and announcements, with the relying party
+    /// ([`asn::RELYING_PARTY`]) routing under `policy`.
+    pub fn loopback(&mut self, policy: RpkiPolicy) -> LoopbackWorld<'_> {
+        LoopbackWorld {
+            net: &mut self.net,
+            repos: &self.repos,
+            rp_node: self.rp_node,
+            rp_asn: asn::RELYING_PARTY,
+            tals: std::slice::from_ref(&self.tal),
+            topology: &self.topology,
+            announcements: &self.announcements,
+            policy,
+        }
+    }
 }
 
 impl LoopbackWorld<'_> {
@@ -158,19 +177,18 @@ impl LoopbackWorld<'_> {
                 }
             }));
 
-            let run: ValidationRun = match resilience.as_mut() {
-                None => {
-                    let mut source = NetworkSource::new(self.net, self.repos, self.rp_node);
-                    Validator::new(ValidationConfig::at(now)).run(&mut source, self.tals)
-                }
-                Some((policy, state)) => {
-                    let inner =
-                        NetworkSource::with_policy(self.net, self.repos, self.rp_node, *policy);
-                    let mut source = ResilientSource::new(inner, state);
-                    Validator::new(ValidationConfig::at(now)).run(&mut source, self.tals)
-                }
-            };
-            let new_vrps = run.vrps;
+            let mut opts = ValidationOptions::at(now);
+            if let Some((policy, state)) = resilience.as_mut() {
+                opts = opts.retry(*policy).stale_cache(state);
+            }
+            let new_vrps = opts
+                .run(VantagePoint {
+                    net: self.net,
+                    repos: self.repos,
+                    node: self.rp_node,
+                    tals: self.tals,
+                })
+                .vrps;
             let new_fetchable = self.fetchable_hosts(&new_vrps, &mut propagation);
             let settled = new_fetchable == fetchable && new_vrps == vrps;
             vrps = new_vrps;
@@ -195,7 +213,6 @@ impl LoopbackWorld<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{asn, ModelRpki};
 
     /// Side Effect 7, end to end. Premises per Section 6: route
     /// validity as in Figure 5 (right), Continental hosts its own
@@ -210,18 +227,7 @@ mod tests {
         let healthy = w.validate_direct(Moment(3));
         let full_vrps = healthy.vrps.clone();
 
-        let ModelRpki { net, repos, rp_node, tal, topology, announcements, .. } = &mut w;
-        let tals = std::slice::from_ref(&*tal);
-        let mut world = LoopbackWorld {
-            net,
-            repos,
-            rp_node: *rp_node,
-            rp_asn: asn::RELYING_PARTY,
-            tals,
-            topology,
-            announcements,
-            policy: RpkiPolicy::DropInvalid,
-        };
+        let mut world = w.loopback(RpkiPolicy::DropInvalid);
 
         // With the full cache, everything is fetchable and stays so.
         let outcome = world.run(&full_vrps, Moment(3));
@@ -268,18 +274,7 @@ mod tests {
         let degraded: Vec<Vrp> =
             full_vrps.iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
 
-        let ModelRpki { net, repos, rp_node, tal, topology, announcements, .. } = &mut w;
-        let tals = std::slice::from_ref(&*tal);
-        let mut world = LoopbackWorld {
-            net,
-            repos,
-            rp_node: *rp_node,
-            rp_asn: asn::RELYING_PARTY,
-            tals,
-            topology,
-            announcements,
-            policy: RpkiPolicy::DropInvalid,
-        };
+        let mut world = w.loopback(RpkiPolicy::DropInvalid);
 
         let outcome = world.run_resilient(&degraded, Moment(4), policy, &mut state);
         assert!(outcome.can_fetch("rpki.continental.example"), "{outcome:?}");
@@ -289,6 +284,29 @@ mod tests {
         // the persistent trap of `transient_fault_becomes_persistent`.
         let outcome = world.run(&degraded, Moment(4));
         assert!(!outcome.can_fetch("rpki.continental.example"), "{outcome:?}");
+    }
+
+    /// Under a healthy network the resilient pipeline has nothing to
+    /// bridge: the walk `run_resilient` assembles (`retry` +
+    /// `stale_cache`) settles exactly where the bare walk does.
+    #[test]
+    fn resilient_loop_equals_bare_loop_when_healthy() {
+        let mut bare = ModelRpki::build();
+        let mut armed = ModelRpki::build();
+        for w in [&mut bare, &mut armed] {
+            w.add_figure5_right_roa(Moment(2));
+        }
+        let full_vrps = bare.validate_direct(Moment(3)).vrps;
+        let plain = bare.loopback(RpkiPolicy::DropInvalid).run(&full_vrps, Moment(3));
+        let mut state = ResilientState::default();
+        let resilient = armed.loopback(RpkiPolicy::DropInvalid).run_resilient(
+            &full_vrps,
+            Moment(3),
+            SyncPolicy::default(),
+            &mut state,
+        );
+        assert_eq!(resilient.vrps, full_vrps);
+        assert_eq!(format!("{plain:?}"), format!("{resilient:?}"));
     }
 
     /// The same fault under depref-invalid self-heals: the invalid
@@ -302,18 +320,7 @@ mod tests {
         let degraded: Vec<Vrp> =
             full_vrps.iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
 
-        let ModelRpki { net, repos, rp_node, tal, topology, announcements, .. } = &mut w;
-        let tals = std::slice::from_ref(&*tal);
-        let mut world = LoopbackWorld {
-            net,
-            repos,
-            rp_node: *rp_node,
-            rp_asn: asn::RELYING_PARTY,
-            tals,
-            topology,
-            announcements,
-            policy: RpkiPolicy::DeprefInvalid,
-        };
+        let mut world = w.loopback(RpkiPolicy::DeprefInvalid);
         let outcome = world.run(&degraded, Moment(4));
         assert!(outcome.can_fetch("rpki.continental.example"), "{outcome:?}");
         assert_eq!(outcome.vrps, full_vrps);
@@ -331,18 +338,7 @@ mod tests {
         let degraded: Vec<Vrp> =
             full_vrps.iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
 
-        let ModelRpki { net, repos, rp_node, tal, topology, announcements, .. } = &mut w;
-        let tals = std::slice::from_ref(&*tal);
-        let mut world = LoopbackWorld {
-            net,
-            repos,
-            rp_node: *rp_node,
-            rp_asn: asn::RELYING_PARTY,
-            tals,
-            topology,
-            announcements,
-            policy: RpkiPolicy::DropInvalid,
-        };
+        let mut world = w.loopback(RpkiPolicy::DropInvalid);
         let outcome = world.run(&degraded, Moment(4));
         assert!(outcome.can_fetch("rpki.continental.example"), "{outcome:?}");
         assert_eq!(outcome.vrps, full_vrps);

@@ -243,9 +243,8 @@ mod tests {
         s.ingest(&w.validate_direct(Moment(2)), Moment(2));
 
         // Sprint whacks Continental's covering ROA via carve-out.
-        use rpki_attacks::{plan_whack, CaView};
-        let rc = w.sprint.issued_cert_for(w.continental.key_id()).unwrap().clone();
-        let view = CaView::from_repos(&rc, &w.repos);
+        use rpki_attacks::plan_whack;
+        let view = w.continental_view();
         let file = w.covering_roa_file();
         let plan = plan_whack(std::slice::from_ref(&view), &file).unwrap();
         plan.execute(&mut w.sprint, Moment(3)).unwrap();

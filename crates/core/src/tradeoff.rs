@@ -16,8 +16,11 @@
 
 use bgp_sim::{propagate_with_stats, Announcement, ConvergenceStats, RpkiPolicy, Topology};
 use ipres::{Addr, Asn};
-use rpki_rp::VrpCache;
+use rpki_objects::Moment;
+use rpki_rp::{Vrp, VrpCache};
 use serde::Serialize;
+
+use crate::fixtures::{asn, ModelRpki};
 
 /// Reachability outcomes of one scenario under every policy.
 #[derive(Debug, Clone, Serialize)]
@@ -111,46 +114,48 @@ pub fn policy_tradeoff(s: &TradeoffScenario<'_>) -> TradeoffTable {
     TradeoffTable { rows: vec![attack_row, manip_row], convergence }
 }
 
+/// Table 6 on the paper's model world: the victim is Continental's
+/// `/20`; the attacker, AS 666, is a (well-connected) customer of
+/// Sprint and hijacks a `/24` inside it; the manipulation whacks
+/// Continental's ROAs while Sprint's Figure 5 (right) covering
+/// `63.160.0.0/12-13` ROA remains, so the victim's route is *invalid*
+/// rather than unknown.
+pub fn table6(w: &ModelRpki) -> TradeoffTable {
+    let attacker = Asn(666);
+    let mut topology = w.topology.clone();
+    topology.add_provider_customer(asn::SPRINT, attacker);
+
+    let mut intact = w.validate_direct(Moment(2)).vrps;
+    intact.push(Vrp::new("63.160.0.0/12".parse().expect("literal"), 13, asn::SPRINT));
+    let whacked: Vec<Vrp> = intact.iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
+    let cache_intact: VrpCache = intact.into_iter().collect();
+    let cache_whacked: VrpCache = whacked.into_iter().collect();
+
+    policy_tradeoff(&TradeoffScenario {
+        topology: &topology,
+        announcements: &w.announcements,
+        victim: Announcement {
+            prefix: "63.174.16.0/20".parse().expect("literal"),
+            origin: asn::CONTINENTAL,
+        },
+        probe_addr: "63.174.24.9".parse().expect("literal"),
+        attacker,
+        hijack: Announcement {
+            prefix: "63.174.24.0/24".parse().expect("literal"),
+            origin: attacker,
+        },
+        cache_intact: &cache_intact,
+        cache_whacked: &cache_whacked,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{asn, ModelRpki};
-    use rpki_objects::Moment;
-    use rpki_rp::Vrp;
-
-    /// Builds the Table 6 inputs from the model world: the victim is
-    /// Continental's /20; the hijacker announces a /24 inside it.
-    fn scenario(w: &ModelRpki) -> (VrpCache, VrpCache, Announcement, Announcement) {
-        let intact = w.validate_direct(Moment(2)).vrp_cache();
-        // Whacked: remove the /20 VRP; the Figure 5 (right) covering
-        // ROA from Sprint remains so the route is INVALID, not unknown.
-        let mut whacked_vrps: Vec<Vrp> =
-            intact.vrps().iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
-        whacked_vrps.push(Vrp::new("63.160.0.0/12".parse().unwrap(), 13, asn::SPRINT));
-        let mut intact_vrps = intact.vrps().to_vec();
-        intact_vrps.push(Vrp::new("63.160.0.0/12".parse().unwrap(), 13, asn::SPRINT));
-        let victim =
-            Announcement { prefix: "63.174.16.0/20".parse().unwrap(), origin: asn::CONTINENTAL };
-        let hijack = Announcement { prefix: "63.174.24.0/24".parse().unwrap(), origin: Asn(666) };
-        (intact_vrps.into_iter().collect(), whacked_vrps.into_iter().collect(), victim, hijack)
-    }
 
     #[test]
     fn table6_shape_holds() {
-        let mut w = ModelRpki::build();
-        // The attacker is a customer of Sprint (well connected).
-        w.topology.add_provider_customer(asn::SPRINT, Asn(666));
-        let (cache_intact, cache_whacked, victim, hijack) = scenario(&w);
-        let table = policy_tradeoff(&TradeoffScenario {
-            topology: &w.topology,
-            announcements: &w.announcements,
-            victim,
-            probe_addr: "63.174.24.9".parse().unwrap(),
-            attacker: Asn(666),
-            hijack,
-            cache_intact: &cache_intact,
-            cache_whacked: &cache_whacked,
-        });
+        let table = table6(&ModelRpki::build());
 
         // Table 6, row "drop invalid": protects against the attack but
         // loses the prefix under manipulation.

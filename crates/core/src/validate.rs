@@ -3,11 +3,13 @@
 //! Each relying-party layer the suite models — retries, the stale
 //! cache, Suspenders, incremental revalidation, tracing — would widen
 //! a positional signature; [`ValidationOptions`] names them instead:
-//! callers list the layers they want and
-//! [`ModelRpki::validate_with`] assembles the source stack, runs the
+//! callers list the layers they want and [`ValidationOptions::run`]
+//! assembles the source stack at a [`VantagePoint`], runs the
 //! validator (cold, or incrementally against a persistent
 //! [`ValidationState`]), and reports the run (and any Suspenders
-//! transitions) through the world's observability recorder.
+//! transitions) through the network's observability recorder. Each
+//! world's `validate_with` ([`ModelRpki`], [`SyntheticRpki`]) is that
+//! call from its own relying party's vantage point.
 //!
 //! ```
 //! use rpki_objects::Moment;
@@ -29,19 +31,35 @@
 //! [`ModelRpki::validate_direct`] (a perfect-transport probe, `&self`)
 //! remains as the one standalone convenience.
 
-use rpki_objects::Moment;
-use rpki_repo::{RrdpClientState, SyncPolicy};
+use netsim::{Network, NodeId};
+use rpki_objects::{Moment, TrustAnchorLocator};
+use rpki_repo::{RepoRegistry, RrdpClientState, SyncPolicy};
 use rpki_rp::{
     NetworkSource, ObjectSource, ResilientSource, ResilientState, RrdpSource, SchedulePlan,
     ScheduledSource, SchedulerState, UnsafeVrpPolicy, ValidationConfig, ValidationRun,
     ValidationState, Validator,
 };
 
-use crate::fixtures::ModelRpki;
+use crate::fixtures::{ModelRpki, SyntheticRpki};
 use crate::suspenders::SuspendersState;
 
+/// Where a relying party stands when it validates: the network it
+/// fetches over, the repositories reachable on it, its own node, and
+/// the trust anchors it starts from.
+#[derive(Debug)]
+pub struct VantagePoint<'w> {
+    /// The simulated network.
+    pub net: &'w mut Network,
+    /// The repositories serving on it.
+    pub repos: &'w RepoRegistry,
+    /// The relying party's node.
+    pub node: NodeId,
+    /// The trust anchors.
+    pub tals: &'w [TrustAnchorLocator],
+}
+
 /// Which relying-party layers a validation run assembles, built
-/// fluently and consumed by [`ModelRpki::validate_with`].
+/// fluently and consumed by [`run`](ValidationOptions::run).
 ///
 /// Defaults to the bare networked relying party: one sync per
 /// directory over the simulated (faultable) network, no retries, no
@@ -164,13 +182,12 @@ impl<'a> ValidationOptions<'a> {
         self.scheduled = Some((plan, state));
         self
     }
-}
 
-impl ModelRpki {
-    /// Runs one validation with the layers selected in `opts`, emitting
+    /// Runs one validation from `at` with the selected layers, emitting
     /// the run summary (and any Suspenders transitions) through the
     /// network's recorder.
-    pub fn validate_with(&mut self, opts: ValidationOptions<'_>) -> ValidationRun {
+    pub fn run(self, at: VantagePoint<'_>) -> ValidationRun {
+        let VantagePoint { net, repos, node, tals } = at;
         let ValidationOptions {
             now,
             retry,
@@ -180,8 +197,8 @@ impl ModelRpki {
             rrdp,
             unsafe_vrps,
             scheduled,
-        } = opts;
-        let rec = self.net.recorder();
+        } = self;
+        let rec = net.recorder();
 
         // The source stack, innermost layer first. Each layer wraps
         // the one before it, so the order below is the nesting order.
@@ -189,8 +206,7 @@ impl ModelRpki {
         let mut source: &mut dyn ObjectSource = match rrdp {
             Some((state, verify)) => {
                 let policy = retry.unwrap_or_default();
-                let mut s =
-                    RrdpSource::new(&mut self.net, &self.repos, self.rp_node, state, policy);
+                let mut s = RrdpSource::new(net, repos, node, state, policy);
                 if !verify {
                     s = s.trusting();
                 }
@@ -202,10 +218,8 @@ impl ModelRpki {
             }
             None => {
                 network = match retry {
-                    Some(policy) => {
-                        NetworkSource::with_policy(&mut self.net, &self.repos, self.rp_node, policy)
-                    }
-                    None => NetworkSource::new(&mut self.net, &self.repos, self.rp_node),
+                    Some(policy) => NetworkSource::with_policy(net, repos, node, policy),
+                    None => NetworkSource::new(net, repos, node),
                 };
                 &mut network
             }
@@ -226,7 +240,6 @@ impl ModelRpki {
         }
 
         let validator = Validator::new(ValidationConfig::at(now).with_unsafe_policy(unsafe_vrps));
-        let tals = std::slice::from_ref(&self.tal);
         let run = match incremental.as_deref_mut() {
             Some(inc) => validator.run_incremental(source, tals, inc),
             None => validator.run(source, tals),
@@ -247,6 +260,32 @@ impl ModelRpki {
             }
         }
         run
+    }
+}
+
+impl ModelRpki {
+    /// Runs one validation from the model's relying party with the
+    /// layers selected in `opts` ([`ValidationOptions::run`]).
+    pub fn validate_with(&mut self, opts: ValidationOptions<'_>) -> ValidationRun {
+        opts.run(VantagePoint {
+            net: &mut self.net,
+            repos: &self.repos,
+            node: self.rp_node,
+            tals: std::slice::from_ref(&self.tal),
+        })
+    }
+}
+
+impl SyntheticRpki {
+    /// Runs one validation from the tree's relying party with the
+    /// layers selected in `opts` ([`ValidationOptions::run`]).
+    pub fn validate_with(&mut self, opts: ValidationOptions<'_>) -> ValidationRun {
+        opts.run(VantagePoint {
+            net: &mut self.net,
+            repos: &self.repos,
+            node: self.rp_node,
+            tals: std::slice::from_ref(&self.tal),
+        })
     }
 }
 
@@ -426,6 +465,41 @@ mod tests {
         assert_eq!(sched.net.stats().sent, before, "not-due points must cost zero frames");
         assert_eq!(state.last_run().fetched, 0);
         assert!(state.last_run().not_due > 0);
+    }
+
+    /// The builder serves every world, not one: the same four-layer
+    /// chain yields what the bare relying party sees, on the model and
+    /// on a synthetic tree alike, first contact and quiet re-run both.
+    #[test]
+    fn one_chain_matches_the_bare_walk_on_every_world() {
+        fn chain<'a>(
+            now: Moment,
+            (rrdp, sched, inc): &'a mut (RrdpClientState, SchedulerState, ValidationState),
+        ) -> ValidationOptions<'a> {
+            ValidationOptions::at(now)
+                .retry(SyncPolicy::default())
+                .rrdp(rrdp)
+                .scheduled(SchedulePlan::degenerate(), sched)
+                .incremental(inc)
+        }
+        let fresh = || (RrdpClientState::new(), SchedulerState::new(), ValidationState::probe());
+
+        let mut model = ModelRpki::build_seeded(7);
+        let mut state = fresh();
+        for t in [2, 3] {
+            let direct = model.validate_direct(Moment(t));
+            assert_eq!(model.validate_with(chain(Moment(t), &mut state)), direct);
+        }
+        assert_eq!(state.2.stats().subtrees_reused, 4, "the quiet re-run replays the memo");
+
+        let mut tree = SyntheticRpki::build_seeded(7, 2, 3, 2);
+        let mut state = fresh();
+        for t in [2, 3] {
+            let bare = tree.validate_with(ValidationOptions::at(Moment(t)));
+            assert_eq!(bare.vrps.len(), tree.roa_count);
+            assert_eq!(tree.validate_with(chain(Moment(t), &mut state)), bare);
+        }
+        assert_eq!(state.2.stats().subtrees_reused as usize, tree.publication_points());
     }
 
     #[test]

@@ -26,7 +26,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use netsim::{Network, NodeId, Occurrence};
-use rpki_objects::{Decode, Encode, RepoUri};
+use rpki_ca::CertAuthority;
+use rpki_objects::{Decode, Encode, Moment, RepoUri, RpkiObject, TrustAnchorLocator};
 use rpkisim_crypto::{sha256, Digest};
 use serde::Serialize;
 
@@ -88,6 +89,35 @@ impl RepoRegistry {
     /// Iterates all repositories.
     pub fn iter(&self) -> impl Iterator<Item = &Repository> {
         self.by_node.values()
+    }
+
+    /// Publishes `ca`'s current snapshot at the publication point its
+    /// SIA names ([`Repository::publish_ca`]). Returns `false`, with
+    /// nothing signed or published, when no repository serves that host.
+    pub fn publish(&mut self, ca: &mut CertAuthority, now: Moment) -> bool {
+        let Some(repo) = self.by_host_mut(ca.sia().host()) else {
+            return false;
+        };
+        repo.publish_ca(ca, now);
+        true
+    }
+
+    /// Bootstraps trust anchor `ta`: publishes its self-signed
+    /// certificate out of band as `ta/root.cer` on the host its SIA
+    /// names, and returns the locator a relying party starts from.
+    /// Republishing an unchanged certificate is a no-op.
+    ///
+    /// # Panics
+    /// If `ta` is not self-certified or its host is not registered.
+    pub fn publish_trust_anchor(&mut self, ta: &CertAuthority) -> TrustAnchorLocator {
+        let cert = ta.cert().expect("trust anchor is self-certified").clone();
+        let dir = RepoUri::new(ta.sia().host(), &["ta"]);
+        self.by_host_mut(dir.host()).expect("trust anchor's host is registered").publish_raw(
+            &dir,
+            "root.cer",
+            RpkiObject::Cert(cert).to_bytes(),
+        );
+        TrustAnchorLocator::new(dir.join("root.cer"), ta.public_key())
     }
 }
 
@@ -745,6 +775,34 @@ mod tests {
         repo.publish_raw(&dir, "a.roa", vec![1, 2, 3]);
         repo.publish_raw(&dir, "b.cer", vec![4, 5]);
         (net, repos, client, server, dir)
+    }
+
+    #[test]
+    fn publish_puts_a_ca_where_its_sia_points_and_bootstraps_the_anchor() {
+        use ipres::ResourceSet;
+        use rpki_objects::Span;
+
+        let (_, mut repos, _, server, dir) = world();
+        let mut ta = CertAuthority::new("TA", "publish-ta", dir.clone());
+        ta.certify_self(ResourceSet::from_prefix_strs("10.0.0.0/8"), Moment(0), Span::days(30));
+        let elsewhere = RepoUri::new("rpki.nobody.example", &["repo"]);
+        let mut stray = CertAuthority::new("Stray", "publish-stray", elsewhere);
+
+        assert!(!repos.publish(&mut stray, Moment(1)), "no repository serves that host");
+        assert!(repos.publish(&mut ta, Moment(1)));
+        // rsync `--delete` semantics: the snapshot replaced `world()`'s
+        // files with the CA's manifest and CRL.
+        let repo = repos.get(server).unwrap();
+        assert!(repo.fetch(&dir, "a.roa").is_none());
+        assert_eq!(repo.list(&dir).len(), 2);
+
+        let tal = repos.publish_trust_anchor(&ta);
+        assert_eq!(tal.uri, RepoUri::new("rpki.sprint.example", &["ta", "root.cer"]));
+        assert!(tal.accepts(ta.cert().unwrap()));
+        let ta_dir = RepoUri::new("rpki.sprint.example", &["ta"]);
+        let serial = repos.get(server).unwrap().rrdp_position(&ta_dir);
+        repos.publish_trust_anchor(&ta);
+        assert_eq!(repos.get(server).unwrap().rrdp_position(&ta_dir), serial);
     }
 
     #[test]

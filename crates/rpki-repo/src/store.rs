@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 
 use ipres::{Asn, Prefix};
 use netsim::NodeId;
-use rpki_ca::PublicationSnapshot;
-use rpki_objects::{Encode, RepoUri};
+use rpki_ca::{CertAuthority, PublicationSnapshot};
+use rpki_objects::{Encode, Moment, RepoUri};
 use rpkisim_crypto::{sha256, Digest};
 use serde::Serialize;
 
@@ -361,6 +361,14 @@ impl Repository {
         entry.refresh_digest();
         let events = entry.record_rrdp(changes, &policy);
         self.emit_pubd(dir, &events);
+    }
+
+    /// Publishes `ca`'s current snapshot (fresh manifest and CRL as of
+    /// `now`) at the publication point its SIA names — the one spelling
+    /// of "a CA publishes".
+    pub fn publish_ca(&mut self, ca: &mut CertAuthority, now: Moment) {
+        let snapshot = ca.publication_snapshot(now);
+        self.publish_snapshot(ca.sia(), &snapshot);
     }
 
     /// Deletes `dir/name`. Returns the removed bytes, or `None`.

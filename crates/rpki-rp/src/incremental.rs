@@ -581,7 +581,6 @@ pub(crate) mod tests {
         let mut net = Network::new(1);
         let mut repos = RepoRegistry::new();
         repos.create(&mut net, "h");
-        let ta_dir = RepoUri::new("h", &["ta"]);
         let root_dir = RepoUri::new("h", &["repo", "root"]);
         let mut root = CertAuthority::new("root", "shard-root", root_dir.clone());
         root.certify_self(ResourceSet::from_prefix_strs("10.0.0.0/8"), Moment(0), Span::days(30));
@@ -601,21 +600,9 @@ pub(crate) mod tests {
             .unwrap();
             children.push(ca);
         }
-        let tal = TrustAnchorLocator::new(ta_dir.join("root.cer"), root.public_key());
-        {
-            use rpki_objects::RpkiObject;
-            let cert = root.cert().unwrap().clone();
-            let root_snap = root.publication_snapshot(Moment(1));
-            let snaps: Vec<_> = children
-                .iter_mut()
-                .map(|ca| (ca.sia().clone(), ca.publication_snapshot(Moment(1))))
-                .collect();
-            let repo = repos.by_host_mut("h").unwrap();
-            repo.publish_raw(&ta_dir, "root.cer", RpkiObject::Cert(cert).to_bytes());
-            repo.publish_snapshot(root.sia(), &root_snap);
-            for (sia, snap) in &snaps {
-                repo.publish_snapshot(sia, snap);
-            }
+        let tal = repos.publish_trust_anchor(&root);
+        for ca in std::iter::once(&mut root).chain(&mut children) {
+            assert!(repos.publish(ca, Moment(1)));
         }
         Rig { net, repos, tal, root, children }
     }
@@ -724,8 +711,7 @@ pub(crate) mod tests {
                 let ca = &mut rig.children[0];
                 let inside = ResourceSet::from_prefix_strs("10.0.0.0/24");
                 ca.issue_cert("loop", root_key, inside, root_sia, Moment(1)).unwrap();
-                let snap = ca.publication_snapshot(Moment(1));
-                rig.repos.by_host_mut("h").unwrap().publish_snapshot(ca.sia(), &snap);
+                assert!(rig.repos.publish(ca, Moment(1)));
             }
         }
         assert_eq!(validate(&rig, config, &unlisted, &mut state), *expect, "{ctx}");

@@ -552,7 +552,7 @@ impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
     fn probe_dir(&mut self, dir: &RepoUri) -> Option<DirProbe> {
         let now = self.inner.now();
         match self.due(dir, now) {
-            DueState::BackedOff | DueState::NotDue => {
+            skipped @ (DueState::BackedOff | DueState::NotDue) => {
                 // Zero-frame answer from the recorded marker: a
                 // matching incremental memo replays without any wire
                 // traffic at all.
@@ -562,8 +562,15 @@ impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
                 }
                 let age = now.saturating_sub(entry.last_success);
                 self.state.run.max_served_age = self.state.run.max_served_age.max(age);
-                self.state.run.not_due += 1;
-                self.state.stats.not_due += 1;
+                // Booked like `load_dir` books it: a host skipped
+                // because it is failing is not a point that was fresh.
+                if matches!(skipped, DueState::BackedOff) {
+                    self.state.run.backoff_skips += 1;
+                    self.state.stats.backoff_skips += 1;
+                } else {
+                    self.state.run.not_due += 1;
+                    self.state.stats.not_due += 1;
+                }
                 return Some(DirProbe { dir: dir.clone(), listed: true, digest: entry.marker });
             }
             DueState::Due => {}
@@ -848,6 +855,32 @@ mod tests {
         }
         assert_eq!(inner.loads, loads_before);
         assert_eq!(state.stats().backoff_skips, 1);
+    }
+
+    #[test]
+    fn backed_off_probe_counts_a_backoff_skip_not_a_not_due() {
+        let mut state = SchedulerState::new();
+        let mut inner = FakeSource::new(0);
+        let p =
+            SchedulePlan { failure_threshold: 2, backoff_base: 200, backoff_cap: 1_000, ..plan() };
+        ScheduledSource::new(&mut inner, &mut state, p).load_dir(&dir(0));
+        inner.up = false;
+        for run in 0..2u64 {
+            inner.now = 1_000 + run * 500;
+            ScheduledSource::new(&mut inner, &mut state, p).load_dir(&dir(0));
+        }
+        assert!(state.host_backing_off("h", 1_600));
+        // A probe-mode walk asks for the marker first: the tripped
+        // breaker answers it from the snapshot, off the wire, and books
+        // the visit as a backoff skip.
+        let (probes_before, not_due_before) = (inner.probes, state.stats().not_due);
+        inner.now = 1_600;
+        let probe = ScheduledSource::new(&mut inner, &mut state, p).probe_dir(&dir(0));
+        assert!(probe.is_some_and(|probe| probe.listed && probe.digest.is_some()));
+        assert_eq!(inner.probes, probes_before);
+        assert_eq!(state.stats().backoff_skips, 1);
+        assert_eq!(state.last_run().backoff_skips, 1);
+        assert_eq!(state.stats().not_due, not_due_before);
     }
 
     #[test]

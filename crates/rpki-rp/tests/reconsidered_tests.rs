@@ -3,7 +3,7 @@
 
 use ipres::{Asn, Prefix, ResourceSet};
 use rpki_ca::CertAuthority;
-use rpki_objects::{Encode, Moment, RepoUri, RoaPrefix, RpkiObject, Span, TrustAnchorLocator};
+use rpki_objects::{Moment, RepoUri, RoaPrefix, Span, TrustAnchorLocator};
 use rpki_repo::RepoRegistry;
 use rpki_rp::{DirectSource, Issue, ValidationConfig, Validator, Vrp};
 
@@ -56,27 +56,15 @@ impl World {
         // (needs 10.1.8.0/24).
         leaf.issue_roa(Asn(42), vec![RoaPrefix::exact(p("10.1.0.0/24"))], Moment(0)).unwrap();
         leaf.issue_roa(Asn(7), vec![RoaPrefix::exact(p("10.1.8.0/24"))], Moment(0)).unwrap();
-        let tal = TrustAnchorLocator::new(
-            RepoUri::new("ta.example", &["ta", "root.cer"]),
-            ta.public_key(),
-        );
+        let tal = repos.publish_trust_anchor(&ta);
         let mut w = World { repos, ta, middle, leaf, tal };
         w.publish(Moment(1));
         w
     }
 
     fn publish(&mut self, now: Moment) {
-        let ta_cert = self.ta.cert().unwrap().clone();
-        let ta_dir = RepoUri::new("ta.example", &["ta"]);
-        self.repos.by_host_mut("ta.example").unwrap().publish_raw(
-            &ta_dir,
-            "root.cer",
-            RpkiObject::Cert(ta_cert).to_bytes(),
-        );
         for ca in [&mut self.ta, &mut self.middle, &mut self.leaf] {
-            let sia = ca.sia().clone();
-            let snap = ca.publication_snapshot(now);
-            self.repos.by_host_mut(sia.host()).unwrap().publish_snapshot(&sia, &snap);
+            assert!(self.repos.publish(ca, now));
         }
     }
 

@@ -29,8 +29,6 @@ struct World {
     sprint: CertAuthority,
     continental: CertAuthority,
     tal: TrustAnchorLocator,
-    ta_dir: RepoUri,
-    sprint_dir: RepoUri,
     continental_dir: RepoUri,
 }
 
@@ -43,7 +41,6 @@ impl World {
         let sprint_node = repos.create(&mut net, "rpki.sprint.example");
         let continental_node = repos.create(&mut net, "rpki.continental.example");
 
-        let ta_dir = RepoUri::new("rpki.arin.example", &["ta"]);
         let arin_dir = RepoUri::new("rpki.arin.example", &["repo"]);
         let sprint_dir = RepoUri::new("rpki.sprint.example", &["repo"]);
         let continental_dir = RepoUri::new("rpki.continental.example", &["repo"]);
@@ -91,20 +88,10 @@ impl World {
             .issue_roa(Asn(7341), vec![RoaPrefix::exact(p("63.174.16.0/22"))], Moment(0))
             .unwrap();
 
-        let tal = TrustAnchorLocator::new(ta_dir.join("arin-root.cer"), arin.public_key());
+        let tal = repos.publish_trust_anchor(&arin);
 
-        let mut world = World {
-            net,
-            repos,
-            rp_node,
-            arin,
-            sprint,
-            continental,
-            tal,
-            ta_dir,
-            sprint_dir,
-            continental_dir,
-        };
+        let mut world =
+            World { net, repos, rp_node, arin, sprint, continental, tal, continental_dir };
         let _ = (arin_node, sprint_node, continental_node);
         world.publish_all(Moment(1));
         world
@@ -112,24 +99,10 @@ impl World {
 
     /// Publishes every CA's snapshot (and the TA certificate) at `now`.
     fn publish_all(&mut self, now: Moment) {
-        use rpki_objects::{Encode, RpkiObject};
-        let ta_cert = self.arin.cert().unwrap().clone();
-        let arin_repo = self.repos.by_host_mut("rpki.arin.example").unwrap();
-        arin_repo.publish_raw(&self.ta_dir, "arin-root.cer", RpkiObject::Cert(ta_cert).to_bytes());
-        let snap = self.arin.publication_snapshot(now);
-        arin_repo.publish_snapshot(self.arin.sia(), &snap);
-
-        let snap = self.sprint.publication_snapshot(now);
-        self.repos
-            .by_host_mut("rpki.sprint.example")
-            .unwrap()
-            .publish_snapshot(&self.sprint_dir, &snap);
-
-        let snap = self.continental.publication_snapshot(now);
-        self.repos
-            .by_host_mut("rpki.continental.example")
-            .unwrap()
-            .publish_snapshot(&self.continental_dir, &snap);
+        self.repos.publish_trust_anchor(&self.arin);
+        for ca in [&mut self.arin, &mut self.sprint, &mut self.continental] {
+            assert!(self.repos.publish(ca, now));
+        }
     }
 
     fn validate_direct(&mut self, config: ValidationConfig) -> rpki_rp::ValidationRun {
@@ -320,7 +293,7 @@ fn missing_crl_noted() {
 fn bogus_tal_rejected() {
     let mut w = World::build();
     let evil = rpkisim_crypto::KeyPair::from_seed("w-evil");
-    w.tal = TrustAnchorLocator::new(w.ta_dir.join("arin-root.cer"), evil.public());
+    w.tal = TrustAnchorLocator::new(w.tal.uri.clone(), evil.public());
     let run = w.validate_direct(ValidationConfig::at(Moment(2)));
     assert!(run.has_issue(&Issue::TalRejected));
     assert!(run.vrps.is_empty());

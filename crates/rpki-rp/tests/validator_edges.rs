@@ -3,7 +3,7 @@
 
 use ipres::{Asn, Prefix, ResourceSet};
 use rpki_ca::CertAuthority;
-use rpki_objects::{Encode, Moment, RepoUri, RoaPrefix, RpkiObject, Span, TrustAnchorLocator};
+use rpki_objects::{Moment, RepoUri, RoaPrefix, Span, TrustAnchorLocator};
 use rpki_repo::RepoRegistry;
 use rpki_rp::{DirectSource, Issue, ValidationConfig, Validator};
 
@@ -23,22 +23,12 @@ fn rig(seed: &str) -> Rig {
     repos.create(&mut net, "ta.example");
     let mut ta = CertAuthority::new("TA", seed, RepoUri::new("ta.example", &["repo"]));
     ta.certify_self(rs("10.0.0.0/8"), Moment(0), Span::days(3650));
-    let tal =
-        TrustAnchorLocator::new(RepoUri::new("ta.example", &["ta", "root.cer"]), ta.public_key());
+    let tal = repos.publish_trust_anchor(&ta);
     Rig { repos, ta, tal }
 }
 
 fn publish_ta(rig: &mut Rig, now: Moment) {
-    let cert = rig.ta.cert().unwrap().clone();
-    let ta_dir = RepoUri::new("ta.example", &["ta"]);
-    rig.repos.by_host_mut("ta.example").unwrap().publish_raw(
-        &ta_dir,
-        "root.cer",
-        RpkiObject::Cert(cert).to_bytes(),
-    );
-    let sia = rig.ta.sia().clone();
-    let snap = rig.ta.publication_snapshot(now);
-    rig.repos.by_host_mut("ta.example").unwrap().publish_snapshot(&sia, &snap);
+    assert!(rig.repos.publish(&mut rig.ta, now));
 }
 
 fn validate(rig: &Rig, config: ValidationConfig) -> rpki_rp::ValidationRun {
@@ -87,19 +77,9 @@ fn mutual_certification_loop_detected() {
     // B needs a cert to issue from; it has one. It certifies A's key.
     b.issue_cert("A-again", a.public_key(), rs("10.0.0.0/24"), a.sia().clone(), Moment(0)).unwrap();
 
-    let tal =
-        TrustAnchorLocator::new(RepoUri::new("ta.example", &["ta", "root.cer"]), ta.public_key());
-    let ta_dir = RepoUri::new("ta.example", &["ta"]);
-    let cert = ta.cert().unwrap().clone();
-    repos.by_host_mut("ta.example").unwrap().publish_raw(
-        &ta_dir,
-        "root.cer",
-        RpkiObject::Cert(cert).to_bytes(),
-    );
+    let tal = repos.publish_trust_anchor(&ta);
     for ca in [&mut ta, &mut a, &mut b] {
-        let sia = ca.sia().clone();
-        let snap = ca.publication_snapshot(Moment(1));
-        repos.by_host_mut(sia.host()).unwrap().publish_snapshot(&sia, &snap);
+        assert!(repos.publish(ca, Moment(1)));
     }
 
     let mut source = DirectSource::new(&repos);
@@ -171,17 +151,8 @@ fn multiple_trust_anchors() {
             Moment(0),
         )
         .unwrap();
-        let ta_dir = RepoUri::new(host, &["ta"]);
-        let cert = ta.cert().unwrap().clone();
-        repos.by_host_mut(host).unwrap().publish_raw(
-            &ta_dir,
-            "root.cer",
-            RpkiObject::Cert(cert).to_bytes(),
-        );
-        let sia = ta.sia().clone();
-        let snap = ta.publication_snapshot(Moment(1));
-        repos.by_host_mut(host).unwrap().publish_snapshot(&sia, &snap);
-        tals.push(TrustAnchorLocator::new(ta_dir.join("root.cer"), ta.public_key()));
+        tals.push(repos.publish_trust_anchor(&ta));
+        assert!(repos.publish(&mut ta, Moment(1)));
     }
     let mut source = DirectSource::new(&repos);
     let run = Validator::new(ValidationConfig::at(Moment(2))).run(&mut source, &tals);

@@ -8,7 +8,7 @@ use netsim::Network;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpki_ca::{CertAuthority, ChurnEngine, ChurnReport};
-use rpki_objects::{Encode, Moment, RepoUri, RoaPrefix, RpkiObject, Span, TrustAnchorLocator};
+use rpki_objects::{Moment, RepoUri, RoaPrefix, Span, TrustAnchorLocator};
 use rpki_repo::RepoRegistry;
 
 use crate::data::{rir_of_country, ANCHOR_ORGS, RIRS};
@@ -447,27 +447,16 @@ impl SyntheticInternet {
                 repos.create(net, &host);
             }
         }
-        // Publish the TA certificate out of band.
-        let ta_cert = self.cas[0].cert().expect("TA certified").clone();
-        let ta_host = self.cas[0].sia().host().to_owned();
-        let ta_dir = RepoUri::new(&ta_host, &["ta"]);
-        repos.by_host_mut(&ta_host).expect("just created").publish_raw(
-            &ta_dir,
-            "root.cer",
-            RpkiObject::Cert(ta_cert).to_bytes(),
-        );
+        let tal = repos.publish_trust_anchor(&self.cas[0]);
         self.publish_all(repos, now);
-        TrustAnchorLocator::new(ta_dir.join("root.cer"), self.cas[0].public_key())
+        tal
     }
 
-    /// Republishes every CA's snapshot (periodic refresh).
+    /// Republishes every CA's snapshot (periodic refresh). A CA whose
+    /// host is not in `repos` is skipped.
     pub fn publish_all(&mut self, repos: &mut RepoRegistry, now: Moment) {
         for ca in &mut self.cas {
-            let sia = ca.sia().clone();
-            let snap = ca.publication_snapshot(now);
-            if let Some(repo) = repos.by_host_mut(sia.host()) {
-                repo.publish_snapshot(&sia, &snap);
-            }
+            repos.publish(ca, now);
         }
     }
 
@@ -484,12 +473,7 @@ impl SyntheticInternet {
     ) -> ChurnReport {
         let report = engine.step_with(self.cas.iter_mut(), now);
         for &idx in &report.touched {
-            let ca = &mut self.cas[idx];
-            let sia = ca.sia().clone();
-            let snap = ca.publication_snapshot(now);
-            if let Some(repo) = repos.by_host_mut(sia.host()) {
-                repo.publish_snapshot(&sia, &snap);
-            }
+            repos.publish(&mut self.cas[idx], now);
         }
         report
     }

@@ -8,7 +8,6 @@
 
 use bgp_sim::RpkiPolicy;
 use rpki_objects::Moment;
-use rpki_risk::fixtures::asn;
 use rpki_risk::{LoopbackWorld, ModelRpki, ValidationOptions};
 
 fn main() {
@@ -35,18 +34,7 @@ fn main() {
 
     // The fault is gone. The repository is fine. Watch the loop:
     let degraded = faulted.vrps.clone();
-    let ModelRpki { net, repos, rp_node, tal, topology, announcements, .. } = &mut w;
-    let tals = std::slice::from_ref(&*tal);
-    let mut world = LoopbackWorld {
-        net,
-        repos,
-        rp_node: *rp_node,
-        rp_asn: asn::RELYING_PARTY,
-        tals,
-        topology,
-        announcements,
-        policy: RpkiPolicy::DropInvalid,
-    };
+    let mut world = w.loopback(RpkiPolicy::DropInvalid);
     let stuck = world.run(&degraded, Moment(5));
     println!(
         "fixed point under drop-invalid: {} VRPs; unreachable repositories: {:?}",

@@ -7,7 +7,7 @@
 //! cargo run --example grandparent_whack
 //! ```
 
-use rpki_attacks::{damage_between, plan_whack, probes_for, CaView, Monitor, MonitorSnapshot};
+use rpki_attacks::{damage_between, plan_whack, probes_for, Monitor, MonitorSnapshot};
 use rpki_objects::Moment;
 use rpki_risk::fixtures::asn;
 use rpki_risk::ModelRpki;
@@ -23,8 +23,7 @@ fn main() {
 
     // Sprint plans entirely from public data: Continental's RC (which
     // Sprint itself issued) and Continental's publication point.
-    let rc = w.sprint.issued_cert_for(w.continental.key_id()).unwrap().clone();
-    let view = CaView::from_repos(&rc, &w.repos);
+    let view = w.continental_view();
     let target = w.customer_roa_file(); // (63.174.16.0/22, AS7341)
     let plan = plan_whack(std::slice::from_ref(&view), &target).expect("plan");
 

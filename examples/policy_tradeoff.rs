@@ -5,42 +5,17 @@
 //! cargo run --example policy_tradeoff
 //! ```
 
-use bgp_sim::{Announcement, RpkiPolicy};
-use ipres::Asn;
-use rpki_objects::Moment;
-use rpki_risk::fixtures::asn;
-use rpki_risk::tradeoff::TradeoffScenario;
-use rpki_risk::{policy_tradeoff, ModelRpki};
-use rpki_rp::{Vrp, VrpCache};
+use bgp_sim::RpkiPolicy;
+use rpki_risk::tradeoff::table6;
+use rpki_risk::ModelRpki;
 
 fn main() {
-    let mut w = ModelRpki::build();
-    let attacker = Asn(666);
-    w.topology.add_provider_customer(asn::SPRINT, attacker);
-
-    // Caches: intact (all ROAs + Sprint's covering /12-13), and whacked
-    // (Continental's /20 ROA removed — its route turns INVALID because
-    // the covering ROA remains).
-    let covering = Vrp::new("63.160.0.0/12".parse().unwrap(), 13, asn::SPRINT);
-    let mut intact = w.validate_direct(Moment(2)).vrps;
-    intact.push(covering);
-    let whacked: Vec<Vrp> = intact.iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
-    let cache_intact: VrpCache = intact.into_iter().collect();
-    let cache_whacked: VrpCache = whacked.into_iter().collect();
-
-    let table = policy_tradeoff(&TradeoffScenario {
-        topology: &w.topology,
-        announcements: &w.announcements,
-        victim: Announcement {
-            prefix: "63.174.16.0/20".parse().unwrap(),
-            origin: asn::CONTINENTAL,
-        },
-        probe_addr: "63.174.24.9".parse().unwrap(),
-        attacker,
-        hijack: Announcement { prefix: "63.174.24.0/24".parse().unwrap(), origin: attacker },
-        cache_intact: &cache_intact,
-        cache_whacked: &cache_whacked,
-    });
+    // Two caches over the model world: intact (all ROAs + Sprint's
+    // covering /12-13), and whacked (Continental's /20 ROA removed — its
+    // route turns INVALID because the covering ROA remains); the
+    // hijacker, AS 666, is a customer of Sprint announcing a /24 inside
+    // the victim's /20.
+    let table = table6(&ModelRpki::build());
 
     println!("reachability of the victim prefix (fraction of other ASes):\n");
     println!("{:<18} {:>16} {:>20}", "policy", "under hijack", "under manipulation");

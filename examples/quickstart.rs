@@ -8,9 +8,10 @@
 use ipres::{Asn, ResourceSet};
 use netsim::Network;
 use rpki_ca::CertAuthority;
-use rpki_objects::{Encode, Moment, RepoUri, RoaPrefix, RpkiObject, Span, TrustAnchorLocator};
+use rpki_objects::{Moment, RepoUri, RoaPrefix, Span};
 use rpki_repo::RepoRegistry;
-use rpki_rp::{NetworkSource, Route, ValidationConfig, Validator};
+use rpki_risk::{ValidationOptions, VantagePoint};
+use rpki_rp::Route;
 
 fn main() {
     // 1. A network with a relying party and two repository hosts.
@@ -51,25 +52,19 @@ fn main() {
 
     // 4. Publish everything: the TA certificate out of band, each CA's
     //    snapshot at its publication point.
-    let ta_dir = RepoUri::new("rpki.registry.example", &["ta"]);
-    let ta_cert = registry.cert().expect("self-signed").clone();
-    repos.by_host_mut("rpki.registry.example").unwrap().publish_raw(
-        &ta_dir,
-        "root.cer",
-        RpkiObject::Cert(ta_cert).to_bytes(),
-    );
+    let tal = repos.publish_trust_anchor(&registry);
     for ca in [&mut registry, &mut isp] {
-        let dir = ca.sia().clone();
-        let snap = ca.publication_snapshot(Moment(1));
-        repos.by_host_mut(dir.host()).unwrap().publish_snapshot(&dir, &snap);
+        assert!(repos.publish(ca, Moment(1)), "both hosts are registered");
     }
 
-    // 5. A relying party validates over the (simulated) network from a
-    //    trust anchor locator.
-    let tal = TrustAnchorLocator::new(ta_dir.join("root.cer"), registry.public_key());
-    let mut source = NetworkSource::new(&mut net, &repos, rp);
-    let run = Validator::new(ValidationConfig::at(Moment(2)))
-        .run(&mut source, std::slice::from_ref(&tal));
+    // 5. A relying party validates over the (simulated) network from
+    //    the trust anchor locator.
+    let run = ValidationOptions::at(Moment(2)).run(VantagePoint {
+        net: &mut net,
+        repos: &repos,
+        node: rp,
+        tals: std::slice::from_ref(&tal),
+    });
     println!(
         "validated {} CA(s), {} VRP(s), {} diagnostic(s)",
         run.cas.len(),

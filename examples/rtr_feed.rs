@@ -10,7 +10,7 @@
 //! cargo run --example rtr_feed
 //! ```
 
-use rpki_attacks::{plan_whack, CaView};
+use rpki_attacks::plan_whack;
 use rpki_objects::Moment;
 use rpki_risk::fixtures::asn;
 use rpki_risk::ModelRpki;
@@ -57,8 +57,7 @@ fn main() {
     assert_eq!(router_a.client().cache().classify(victim), RouteValidity::Valid);
 
     // Sprint whacks Continental's covering ROA.
-    let rc = w.sprint.issued_cert_for(w.continental.key_id()).unwrap().clone();
-    let view = CaView::from_repos(&rc, &w.repos);
+    let view = w.continental_view();
     let file = w.covering_roa_file();
     let plan = plan_whack(std::slice::from_ref(&view), &file).unwrap();
     plan.execute(&mut w.sprint, Moment(3)).unwrap();

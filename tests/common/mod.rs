@@ -1,0 +1,90 @@
+//! The mutation vocabulary the equivalence suites and the walk pins
+//! share: authority- and repository-side mutations against a
+//! [`SyntheticRpki`]. Each suite keeps its own `arb_op` (which kinds it
+//! draws, at what weights), so not every suite uses every item here.
+
+#![allow(dead_code)]
+
+use ipres::Asn;
+use rpki_objects::{Moment, RoaPrefix};
+use rpki_risk::SyntheticRpki;
+
+/// The one host a [`SyntheticRpki`] publishes on.
+pub const HOST: &str = "rpki.bench.example";
+
+/// One authority- or repository-side mutation against the synthetic
+/// world. Every variant names the CA index it targets.
+#[derive(Debug, Clone, Copy)]
+pub enum Op {
+    /// Renew the CA's first ROA: fresh file name, EE key, and serial,
+    /// same VRP content (the steady-state no-semantic-change churn).
+    Renew(usize),
+    /// Issue a new ROA in the CA's own /24 (a real announce).
+    Add(usize, u8),
+    /// Withdraw the CA's most recently issued extra ROA, if any.
+    Withdraw(usize),
+    /// Revoke the CA's first child certificate via its CRL.
+    Revoke(usize),
+    /// Delete one file at rest without republishing (a whack: the
+    /// manifest now references content the directory no longer has).
+    Takedown(usize),
+    /// Flip a byte of one stored file at rest (filesystem rot).
+    Corrupt(usize),
+}
+
+/// Republishes CA `idx`'s complete snapshot (fresh manifest and CRL).
+pub fn republish(w: &mut SyntheticRpki, idx: usize, now: Moment) {
+    assert!(w.repos.publish(&mut w.cas[idx], now), "the bench host is registered");
+}
+
+pub fn apply(w: &mut SyntheticRpki, op: Op, now: Moment) {
+    match op {
+        Op::Renew(ca) => {
+            let file =
+                w.cas[ca].issued_roas().next().expect("every CA keeps its first ROA").file_name();
+            w.cas[ca].renew_roa(&file, now).expect("renewable");
+            republish(w, ca, now);
+        }
+        Op::Add(ca, slot) => {
+            let prefix = format!("10.0.{ca}.{}/32", 100 + usize::from(slot));
+            w.cas[ca]
+                .issue_roa(
+                    Asn(64_000 + ca as u32),
+                    vec![RoaPrefix::exact(prefix.parse().expect("literal"))],
+                    now,
+                )
+                .expect("inside the CA's own /24");
+            republish(w, ca, now);
+        }
+        Op::Withdraw(ca) => {
+            // Keep the first ROA so Renew always has a target.
+            let extra: Option<String> =
+                w.cas[ca].issued_roas().skip(1).last().map(|r| r.file_name());
+            if let Some(file) = extra {
+                w.cas[ca].withdraw(&file).expect("present");
+                republish(w, ca, now);
+            }
+        }
+        Op::Revoke(ca) => {
+            let serial = w.cas[ca].issued_certs().next().map(|c| c.data().serial);
+            if let Some(serial) = serial {
+                w.cas[ca].revoke_serial(serial);
+                republish(w, ca, now);
+            }
+        }
+        Op::Takedown(ca) => {
+            let dir = w.cas[ca].sia().clone();
+            let repo = w.repos.by_host_mut(HOST).expect("exists");
+            if let Some((name, _)) = repo.list(&dir).first().cloned() {
+                repo.delete(&dir, &name);
+            }
+        }
+        Op::Corrupt(ca) => {
+            let dir = w.cas[ca].sia().clone();
+            let repo = w.repos.by_host_mut(HOST).expect("exists");
+            if let Some((name, _)) = repo.list(&dir).last().cloned() {
+                repo.corrupt_at_rest(&dir, &name);
+            }
+        }
+    }
+}

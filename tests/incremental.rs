@@ -10,35 +10,15 @@
 //! closes the delta pipeline: each run's [`VrpDelta`] applied to the
 //! previous serial's data set must reconstruct the next one exactly.
 
+mod common;
+
 use std::collections::BTreeSet;
 
-use ipres::Asn;
+use common::{apply, Op};
 use proptest::prelude::*;
-use rpki_objects::{Moment, RoaPrefix};
-use rpki_risk::SyntheticRpki;
+use rpki_objects::Moment;
+use rpki_risk::{SyntheticRpki, ValidationOptions};
 use rpki_rp::{RtrServer, ValidationState, Vrp, VrpDelta, VrpUpdate};
-
-const HOST: &str = "rpki.bench.example";
-
-/// One authority- or repository-side mutation against the synthetic
-/// world. Every variant names the CA index it targets.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// Renew the CA's first ROA: fresh file name, EE key, and serial,
-    /// same VRP content (the steady-state no-semantic-change churn).
-    Renew(usize),
-    /// Issue a new ROA in the CA's own /24 (a real announce).
-    Add(usize, u8),
-    /// Withdraw the CA's most recently issued extra ROA, if any.
-    Withdraw(usize),
-    /// Revoke the CA's first child certificate via its CRL.
-    Revoke(usize),
-    /// Delete one file at rest without republishing (a whack: the
-    /// manifest now references content the directory no longer has).
-    Takedown(usize),
-    /// Flip a byte of one stored file at rest (filesystem rot).
-    Corrupt(usize),
-}
 
 fn arb_op(cas: usize) -> impl Strategy<Value = Op> {
     (0u8..6, 0usize..cas, 0u8..8).prop_map(|(kind, ca, slot)| match kind {
@@ -49,65 +29,6 @@ fn arb_op(cas: usize) -> impl Strategy<Value = Op> {
         4 => Op::Takedown(ca),
         _ => Op::Corrupt(ca),
     })
-}
-
-/// Republishes CA `idx`'s complete snapshot (fresh manifest and CRL).
-fn republish(w: &mut SyntheticRpki, idx: usize, now: Moment) {
-    let sia = w.cas[idx].sia().clone();
-    let snap = w.cas[idx].publication_snapshot(now);
-    w.repos.by_host_mut(HOST).expect("exists").publish_snapshot(&sia, &snap);
-}
-
-fn apply(w: &mut SyntheticRpki, op: Op, now: Moment) {
-    match op {
-        Op::Renew(ca) => {
-            let file =
-                w.cas[ca].issued_roas().next().expect("every CA keeps its first ROA").file_name();
-            w.cas[ca].renew_roa(&file, now).expect("renewable");
-            republish(w, ca, now);
-        }
-        Op::Add(ca, slot) => {
-            let prefix = format!("10.0.{ca}.{}/32", 100 + usize::from(slot));
-            w.cas[ca]
-                .issue_roa(
-                    Asn(64_000 + ca as u32),
-                    vec![RoaPrefix::exact(prefix.parse().expect("literal"))],
-                    now,
-                )
-                .expect("inside the CA's own /24");
-            republish(w, ca, now);
-        }
-        Op::Withdraw(ca) => {
-            // Keep the first ROA so Renew always has a target.
-            let extra: Option<String> =
-                w.cas[ca].issued_roas().skip(1).last().map(|r| r.file_name());
-            if let Some(file) = extra {
-                w.cas[ca].withdraw(&file).expect("present");
-                republish(w, ca, now);
-            }
-        }
-        Op::Revoke(ca) => {
-            let serial = w.cas[ca].issued_certs().next().map(|c| c.data().serial);
-            if let Some(serial) = serial {
-                w.cas[ca].revoke_serial(serial);
-                republish(w, ca, now);
-            }
-        }
-        Op::Takedown(ca) => {
-            let dir = w.cas[ca].sia().clone();
-            let repo = w.repos.by_host_mut(HOST).expect("exists");
-            if let Some((name, _)) = repo.list(&dir).first().cloned() {
-                repo.delete(&dir, &name);
-            }
-        }
-        Op::Corrupt(ca) => {
-            let dir = w.cas[ca].sia().clone();
-            let repo = w.repos.by_host_mut(HOST).expect("exists");
-            if let Some((name, _)) = repo.list(&dir).last().cloned() {
-                repo.corrupt_at_rest(&dir, &name);
-            }
-        }
-    }
 }
 
 proptest! {
@@ -124,20 +45,20 @@ proptest! {
         let mut w = SyntheticRpki::build_seeded(5, 2, 3, 3);
         let mut full = ValidationState::full();
         let mut probe = ValidationState::probe();
-        w.validate_incremental(Moment(2), &mut full);
-        w.validate_incremental(Moment(3), &mut probe);
+        w.validate_with(ValidationOptions::at(Moment(2)).incremental(&mut full));
+        w.validate_with(ValidationOptions::at(Moment(3)).incremental(&mut probe));
 
         let mut t = 60u64;
         for op in ops {
             apply(&mut w, op, Moment(t));
             let at = Moment(t + 30);
-            let cold = w.validate_cold(at);
-            let warm_full = w.validate_incremental(at, &mut full);
+            let cold = w.validate_with(ValidationOptions::at(at));
+            let warm_full = w.validate_with(ValidationOptions::at(at).incremental(&mut full));
             prop_assert_eq!(
                 &warm_full, &cold,
                 "Full-mode incremental diverged from the cold walk after {:?}", op
             );
-            let warm_probe = w.validate_incremental(at, &mut probe);
+            let warm_probe = w.validate_with(ValidationOptions::at(at).incremental(&mut probe));
             prop_assert_eq!(
                 &warm_probe, &cold,
                 "Probe-mode incremental diverged from the cold walk after {:?}", op
@@ -157,7 +78,7 @@ fn vrp_deltas_reconstruct_rtr_serials() {
     let mut state = ValidationState::probe();
     let mut server = RtrServer::new(1, 8);
 
-    let run0 = w.validate_incremental(Moment(2), &mut state);
+    let run0 = w.validate_with(ValidationOptions::at(Moment(2)).incremental(&mut state));
     assert!(!run0.vrps.is_empty());
     server.publish(VrpUpdate::Delta(state.last_delta()));
     assert_eq!(server.vrps(), run0.vrps, "first delta announces the whole set");
@@ -171,7 +92,7 @@ fn vrp_deltas_reconstruct_rtr_serials() {
             _ => Op::Withdraw((round - 2) % 13),
         };
         apply(&mut w, op, Moment(t));
-        let run = w.validate_incremental(Moment(t + 30), &mut state);
+        let run = w.validate_with(ValidationOptions::at(Moment(t + 30)).incremental(&mut state));
         let delta: VrpDelta = state.last_delta().clone();
 
         let serial_before = server.serial();

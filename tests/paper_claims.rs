@@ -52,8 +52,7 @@ fn se2_stealthy_revocation() {
 fn se3_targeted_grandchild_whack() {
     let mut w = ModelRpki::build();
     let before = w.validate_direct(Moment(2)).vrps;
-    let rc = w.sprint.issued_cert_for(w.continental.key_id()).unwrap();
-    let view = CaView::from_repos(rc, &w.repos);
+    let view = w.continental_view();
     let file = w.covering_roa_file();
     let plan = plan_whack(std::slice::from_ref(&view), &file).unwrap();
     assert_eq!(plan.reissued, 0, "clean carve needs no reissues");
@@ -69,8 +68,7 @@ fn se3_targeted_grandchild_whack() {
 fn se4_depth_costs_reissues() {
     let w = ModelRpki::build();
     // Depth 1 (Sprint → Continental's ROA): zero reissues.
-    let rc = w.sprint.issued_cert_for(w.continental.key_id()).unwrap();
-    let view = CaView::from_repos(rc, &w.repos);
+    let view = w.continental_view();
     let shallow = plan_whack(std::slice::from_ref(&view), &w.covering_roa_file()).unwrap();
     // Depth 2 (ARIN → same ROA): one intermediate reissue.
     let sprint_rc = w.arin.issued_cert_for(w.sprint.key_id()).unwrap().clone();

@@ -19,9 +19,9 @@
 use proptest::prelude::*;
 use rpki_ca::{ChurnConfig, ChurnEngine};
 use rpki_objects::Moment;
-use rpki_repo::{PubdPolicy, RetentionPolicy, RrdpClientState, RrdpStats, SyncPolicy};
-use rpki_risk::SyntheticRpki;
-use rpki_rp::{RrdpSource, ValidationConfig, ValidationRun, ValidationState, Validator};
+use rpki_repo::{PubdPolicy, RetentionPolicy, RrdpClientState, RrdpStats};
+use rpki_risk::{SyntheticRpki, ValidationOptions};
+use rpki_rp::{ValidationRun, ValidationState};
 
 /// One RRDP-transported incremental revalidation (trusting: the
 /// subject under test is the serve path, not the rsync cross-check).
@@ -31,13 +31,7 @@ fn poll(
     rrdp: &mut RrdpClientState,
     state: &mut ValidationState,
 ) -> ValidationRun {
-    let mut source =
-        RrdpSource::new(&mut w.net, &w.repos, w.rp_node, rrdp, SyncPolicy::default()).trusting();
-    Validator::new(ValidationConfig::at(now)).run_incremental(
-        &mut source,
-        std::slice::from_ref(&w.tal),
-        state,
-    )
+    w.validate_with(ValidationOptions::at(now).rrdp_trusting(rrdp).incremental(state))
 }
 
 /// Every snapshot sync has exactly one recorded cause.
@@ -118,7 +112,7 @@ proptest! {
                     "policy (interval {}, {}) changed the client's conclusions at step {}",
                     interval, retention.label(), step
                 );
-                let cold = subject.validate_cold(Moment(measure.0 + 1));
+                let cold = subject.validate_with(ValidationOptions::at(Moment(measure.0 + 1)));
                 prop_assert_eq!(&s, &cold, "policied client diverged from the cold walk");
             }
         }
@@ -181,7 +175,7 @@ fn churn_soak_holds_equivalence_across_32_seeds() {
             if step % 7 == 6 {
                 poll(&mut w, measure, &mut lag_rrdp, &mut lag_val);
             }
-            let cold = w.validate_cold(Moment(measure.0 + 1));
+            let cold = w.validate_with(ValidationOptions::at(Moment(measure.0 + 1)));
             assert_eq!(
                 run, cold,
                 "seed {seed}: steady client diverged from the cold walk at step {step}"

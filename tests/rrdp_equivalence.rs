@@ -20,16 +20,17 @@
 //! session reset surfaces to routers as a `CacheReset`, never as a
 //! silent serial bump over changed data.
 
+mod common;
+
 use netsim::Network;
 use proptest::prelude::*;
 use rpki_objects::{Moment, RepoUri, RoaPrefix};
 use rpki_obs::Recorder;
-use rpki_repo::{rrdp_sync_dir, sync_dir, RepoRegistry, RrdpClientState, SyncPolicy};
-use rpki_risk::{run_campaign, standard_campaigns, ModelRpki, RpTier, SyntheticRpki, Walk};
-use rpki_rp::{
-    ClientAction, RrdpSource, RtrClient, RtrServer, ValidationConfig, ValidationRun, Validator,
-    VrpUpdate,
+use rpki_repo::{rrdp_sync_dir, sync_dir, RepoRegistry, RrdpClientState};
+use rpki_risk::{
+    run_campaign, standard_campaigns, ModelRpki, RpTier, SyntheticRpki, ValidationOptions, Walk,
 };
+use rpki_rp::{ClientAction, RtrClient, RtrServer, VrpUpdate};
 
 /// One direct-call RTR sync (query → answer → apply, retrying on
 /// reset); this test exercises the session/serial semantics, not the
@@ -154,12 +155,6 @@ proptest! {
     }
 }
 
-/// One verified RRDP validation run over the synthetic world.
-fn validate_rrdp(w: &mut SyntheticRpki, now: Moment, rrdp: &mut RrdpClientState) -> ValidationRun {
-    let mut source = RrdpSource::new(&mut w.net, &w.repos, w.rp_node, rrdp, SyncPolicy::default());
-    Validator::new(ValidationConfig::at(now)).run(&mut source, std::slice::from_ref(&w.tal))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -173,7 +168,7 @@ proptest! {
         // depth 2 / branching 3: 13 publication points, 2 ROAs each.
         let mut w = SyntheticRpki::build_seeded(6, 2, 3, 2);
         let mut rrdp = RrdpClientState::new();
-        validate_rrdp(&mut w, Moment(2), &mut rrdp);
+        w.validate_with(ValidationOptions::at(Moment(2)).rrdp(&mut rrdp));
 
         let mut t = 60u64;
         for (kind, ca) in steps {
@@ -210,13 +205,11 @@ proptest! {
                     }
                 }
             }
-            let sia = w.cas[ca].sia().clone();
-            let snap = w.cas[ca].publication_snapshot(now);
-            w.repos.by_host_mut("rpki.bench.example").expect("exists").publish_snapshot(&sia, &snap);
+            common::republish(&mut w, ca, now);
 
             let at = Moment(t + 30);
-            let over_rrdp = validate_rrdp(&mut w, at, &mut rrdp);
-            let cold = w.validate_cold(at);
+            let over_rrdp = w.validate_with(ValidationOptions::at(at).rrdp(&mut rrdp));
+            let cold = w.validate_with(ValidationOptions::at(at));
             prop_assert_eq!(
                 &over_rrdp, &cold,
                 "RRDP-sourced run diverged from the cold walk at step ({}, {})", kind, ca
@@ -261,8 +254,6 @@ fn rrdp_tier_matches_rsync_tier_on_every_standard_campaign() {
 /// reconverge on the same data — not as a serial bump.
 #[test]
 fn rrdp_session_reset_propagates_as_rtr_cache_reset() {
-    use rpki_risk::ValidationOptions;
-
     let mut w = ModelRpki::build_seeded(13);
     let mut rrdp = RrdpClientState::new();
     let run = w.validate_with(ValidationOptions::at(Moment(2)).rrdp(&mut rrdp));

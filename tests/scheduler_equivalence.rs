@@ -16,38 +16,20 @@
 //! inside the slow-serve window, costs freshness rather than
 //! availability, and never trips a breaker.
 
+mod common;
+
 use std::collections::BTreeSet;
 
-use ipres::Asn;
+use common::{apply, Op};
 use proptest::prelude::*;
-use rpki_objects::{Moment, RoaPrefix};
+use rpki_objects::Moment;
 use rpki_obs::Recorder;
 use rpki_risk::campaign::ROUND_SECS;
 use rpki_risk::{
     gaming_schedule_plan, run_scheduled_campaign, schedule_gaming_campaign, SyntheticRpki,
+    ValidationOptions,
 };
-use rpki_rp::{
-    NetworkSource, SchedulePlan, ScheduledSource, SchedulerState, ValidationConfig, ValidationRun,
-    ValidationState, Validator, Vrp,
-};
-
-const HOST: &str = "rpki.bench.example";
-
-/// One authority- or repository-side mutation against the synthetic
-/// world (the `tests/incremental.rs` vocabulary).
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// Renew the CA's first ROA (churn without semantic change).
-    Renew(usize),
-    /// Issue a new ROA in the CA's own /24 (a real announce).
-    Add(usize, u8),
-    /// Withdraw the CA's most recently issued extra ROA, if any.
-    Withdraw(usize),
-    /// Delete one file at rest without republishing (a whack).
-    Takedown(usize),
-    /// Flip a byte of one stored file at rest (filesystem rot).
-    Corrupt(usize),
-}
+use rpki_rp::{SchedulePlan, SchedulerState, ValidationRun, ValidationState, Vrp};
 
 fn arb_op(cas: usize) -> impl Strategy<Value = Op> {
     (0u8..5, 0usize..cas, 0u8..8).prop_map(|(kind, ca, slot)| match kind {
@@ -57,58 +39,6 @@ fn arb_op(cas: usize) -> impl Strategy<Value = Op> {
         3 => Op::Takedown(ca),
         _ => Op::Corrupt(ca),
     })
-}
-
-/// Republishes CA `idx`'s complete snapshot (fresh manifest and CRL).
-fn republish(w: &mut SyntheticRpki, idx: usize, now: Moment) {
-    let sia = w.cas[idx].sia().clone();
-    let snap = w.cas[idx].publication_snapshot(now);
-    w.repos.by_host_mut(HOST).expect("exists").publish_snapshot(&sia, &snap);
-}
-
-fn apply(w: &mut SyntheticRpki, op: Op, now: Moment) {
-    match op {
-        Op::Renew(ca) => {
-            let file =
-                w.cas[ca].issued_roas().next().expect("every CA keeps its first ROA").file_name();
-            w.cas[ca].renew_roa(&file, now).expect("renewable");
-            republish(w, ca, now);
-        }
-        Op::Add(ca, slot) => {
-            let prefix = format!("10.0.{ca}.{}/32", 100 + usize::from(slot));
-            w.cas[ca]
-                .issue_roa(
-                    Asn(64_000 + ca as u32),
-                    vec![RoaPrefix::exact(prefix.parse().expect("literal"))],
-                    now,
-                )
-                .expect("inside the CA's own /24");
-            republish(w, ca, now);
-        }
-        Op::Withdraw(ca) => {
-            // Keep the first ROA so Renew always has a target.
-            let extra: Option<String> =
-                w.cas[ca].issued_roas().skip(1).last().map(|r| r.file_name());
-            if let Some(file) = extra {
-                w.cas[ca].withdraw(&file).expect("present");
-                republish(w, ca, now);
-            }
-        }
-        Op::Takedown(ca) => {
-            let dir = w.cas[ca].sia().clone();
-            let repo = w.repos.by_host_mut(HOST).expect("exists");
-            if let Some((name, _)) = repo.list(&dir).first().cloned() {
-                repo.delete(&dir, &name);
-            }
-        }
-        Op::Corrupt(ca) => {
-            let dir = w.cas[ca].sia().clone();
-            let repo = w.repos.by_host_mut(HOST).expect("exists");
-            if let Some((name, _)) = repo.list(&dir).last().cloned() {
-                repo.corrupt_at_rest(&dir, &name);
-            }
-        }
-    }
 }
 
 /// The run's canonical byte form: its JSONL trace emitted into a
@@ -128,39 +58,24 @@ enum Tier {
 
 const TIERS: [Tier; 2] = [Tier::Cold, Tier::Incremental];
 
-/// One walk of `tier` over the network, optionally under a schedule.
-/// Returns the run and the wire frames it cost.
+/// One walk over the network — incremental when the tier brings its
+/// memo state — optionally under the degenerate schedule. Returns the
+/// run and the wire frames it cost.
 fn run_tier(
     w: &mut SyntheticRpki,
     at: Moment,
-    tier: Tier,
     inc: Option<&mut ValidationState>,
     sched: Option<&mut SchedulerState>,
 ) -> (ValidationRun, u64) {
     let sent = w.net.stats().sent;
-    let validator = Validator::new(ValidationConfig::at(at));
-    let tals = std::slice::from_ref(&w.tal);
-    let inner = NetworkSource::new(&mut w.net, &w.repos, w.rp_node);
-    let run = match sched {
-        Some(state) => {
-            let mut source = ScheduledSource::new(inner, state, SchedulePlan::degenerate());
-            match tier {
-                Tier::Cold => validator.run(&mut source, tals),
-                Tier::Incremental => {
-                    validator.run_incremental(&mut source, tals, inc.expect("state"))
-                }
-            }
-        }
-        None => {
-            let mut source = inner;
-            match tier {
-                Tier::Cold => validator.run(&mut source, tals),
-                Tier::Incremental => {
-                    validator.run_incremental(&mut source, tals, inc.expect("state"))
-                }
-            }
-        }
-    };
+    let mut opts = ValidationOptions::at(at);
+    if let Some(state) = inc {
+        opts = opts.incremental(state);
+    }
+    if let Some(state) = sched {
+        opts = opts.scheduled(SchedulePlan::degenerate(), state);
+    }
+    let run = w.validate_with(opts);
     (run, w.net.stats().sent - sent)
 }
 
@@ -191,14 +106,12 @@ proptest! {
                 let (plain, plain_frames) = run_tier(
                     &mut w,
                     at,
-                    *tier,
                     Some(&mut inc_plain).filter(|_| matches!(tier, Tier::Incremental)),
                     None,
                 );
                 let (scheduled, sched_frames) = run_tier(
                     &mut w,
                     at,
-                    *tier,
                     Some(&mut inc_sched).filter(|_| matches!(tier, Tier::Incremental)),
                     Some(&mut sched[i]),
                 );

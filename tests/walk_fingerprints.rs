@@ -15,83 +15,16 @@
 //! A refactor of the walk may not move a row. An intentional change
 //! prints the whole new table on mismatch; paste it over [`PINS`].
 
+mod common;
+
 use std::fmt::Write;
 
-use ipres::Asn;
-use rpki_objects::{Moment, RepoUri, RoaPrefix, TrustAnchorLocator};
+use common::{apply, Op, HOST};
+use rpki_objects::{Moment, RepoUri, TrustAnchorLocator};
 use rpki_obs::Recorder;
 use rpki_risk::SyntheticRpki;
 use rpki_rp::{NetworkSource, RevalidationMode, ValidationConfig, ValidationState, Validator};
 use rpkisim_crypto::sha256;
-
-const HOST: &str = "rpki.bench.example";
-
-/// One authority- or repository-side mutation against the synthetic
-/// world (the `tests/incremental.rs` vocabulary).
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// Renew the CA's first ROA (churn without semantic change).
-    Renew(usize),
-    /// Issue a new ROA in the CA's own /24 (a real announce).
-    Add(usize, u8),
-    /// Withdraw the CA's most recently issued extra ROA, if any.
-    Withdraw(usize),
-    /// Delete one file at rest without republishing (a whack).
-    Takedown(usize),
-    /// Flip a byte of one stored file at rest (filesystem rot).
-    Corrupt(usize),
-}
-
-/// Republishes CA `idx`'s complete snapshot (fresh manifest and CRL).
-fn republish(w: &mut SyntheticRpki, idx: usize, now: Moment) {
-    let sia = w.cas[idx].sia().clone();
-    let snap = w.cas[idx].publication_snapshot(now);
-    w.repos.by_host_mut(HOST).expect("exists").publish_snapshot(&sia, &snap);
-}
-
-fn apply(w: &mut SyntheticRpki, op: Op, now: Moment) {
-    match op {
-        Op::Renew(ca) => {
-            let file =
-                w.cas[ca].issued_roas().next().expect("every CA keeps its first ROA").file_name();
-            w.cas[ca].renew_roa(&file, now).expect("renewable");
-            republish(w, ca, now);
-        }
-        Op::Add(ca, slot) => {
-            let prefix = format!("10.0.{ca}.{}/32", 100 + usize::from(slot));
-            w.cas[ca]
-                .issue_roa(
-                    Asn(64_000 + ca as u32),
-                    vec![RoaPrefix::exact(prefix.parse().expect("literal"))],
-                    now,
-                )
-                .expect("inside the CA's own /24");
-            republish(w, ca, now);
-        }
-        Op::Withdraw(ca) => {
-            let extra: Option<String> =
-                w.cas[ca].issued_roas().skip(1).last().map(|r| r.file_name());
-            if let Some(file) = extra {
-                w.cas[ca].withdraw(&file).expect("present");
-                republish(w, ca, now);
-            }
-        }
-        Op::Takedown(ca) => {
-            let dir = w.cas[ca].sia().clone();
-            let repo = w.repos.by_host_mut(HOST).expect("exists");
-            if let Some((name, _)) = repo.list(&dir).first().cloned() {
-                repo.delete(&dir, &name);
-            }
-        }
-        Op::Corrupt(ca) => {
-            let dir = w.cas[ca].sia().clone();
-            let repo = w.repos.by_host_mut(HOST).expect("exists");
-            if let Some((name, _)) = repo.list(&dir).last().cloned() {
-                repo.corrupt_at_rest(&dir, &name);
-            }
-        }
-    }
-}
 
 /// The mutation rounds: every op kind, a takedown healed by a later
 /// renewal, and one round that leaves most directories untouched.
