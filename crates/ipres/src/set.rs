@@ -67,6 +67,16 @@ impl ResourceSet {
         ResourceSet { runs: out }
     }
 
+    /// Adopts `runs` as a set if they already are one in canonical form
+    /// (sorted, disjoint, non-abutting), without rebuilding it; `None`
+    /// otherwise. Accepts exactly the `runs` for which
+    /// `ResourceSet::from_ranges(runs.clone()).ranges() == runs`.
+    pub fn from_canonical_runs(runs: Vec<AddrRange>) -> Option<Self> {
+        runs.windows(2)
+            .all(|w| w[0].hi() < w[1].lo() && !w[0].abuts(w[1]))
+            .then_some(ResourceSet { runs })
+    }
+
     /// Builds a canonical set from prefixes.
     pub fn from_prefixes<I: IntoIterator<Item = Prefix>>(prefixes: I) -> Self {
         Self::from_ranges(prefixes.into_iter().map(AddrRange::from))

@@ -23,6 +23,24 @@ fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(v, len)| Prefix::new(Addr::v4(v), len))
 }
 
+/// Run vectors as a decoder may receive them: unsorted, overlapping,
+/// abutting and mixed-family. Sixteen /24-aligned values per family make
+/// every one of those shapes common.
+fn arb_run_vec() -> impl Strategy<Value = Vec<AddrRange>> {
+    proptest::collection::vec((any::<bool>(), 0u32..16, 0u32..16), 0..6).prop_map(|runs| {
+        runs.into_iter()
+            .map(|(v6, a, b)| {
+                let (lo, hi) = (a.min(b) << 8, (a.max(b) << 8) | 0xff);
+                if v6 {
+                    AddrRange::new(Addr::v6(lo.into()), Addr::v6(hi.into()))
+                } else {
+                    AddrRange::new(Addr::v4(lo), Addr::v4(hi))
+                }
+            })
+            .collect()
+    })
+}
+
 /// Membership oracle via the canonical runs.
 fn member(set: &ResourceSet, addr: Addr) -> bool {
     set.ranges().iter().any(|r| r.contains_addr(addr))
@@ -52,6 +70,22 @@ proptest! {
             prop_assert!(w[0].hi() < w[1].lo());
             prop_assert!(!w[0].abuts(w[1]));
         }
+    }
+
+    /// The decoder's canonical check adopts exactly the run vectors that
+    /// rebuilding would leave unchanged: unsorted, overlapping, abutting
+    /// and mixed-family vectors included.
+    #[test]
+    fn from_canonical_runs_accepts_exactly_the_canonical_vectors(runs in arb_run_vec()) {
+        let canonical = ResourceSet::from_ranges(runs.clone()).ranges() == runs.as_slice();
+        let adopted = ResourceSet::from_canonical_runs(runs.clone());
+        prop_assert_eq!(adopted.is_some(), canonical, "{:?}", runs);
+        if let Some(set) = adopted {
+            prop_assert_eq!(set.ranges(), runs.as_slice());
+        }
+        // Rebuilt runs are canonical by construction, so they are adopted.
+        let rebuilt = ResourceSet::from_ranges(runs).ranges().to_vec();
+        prop_assert!(ResourceSet::from_canonical_runs(rebuilt).is_some());
     }
 
     #[test]

@@ -17,7 +17,8 @@ use rpkisim_crypto::{KeyId, KeyPair, PublicKey, Signature, SignatureError};
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use crate::time::Validity;
+use crate::resenc::{resource_set_len, signed_span, DIGEST_LEN, SIGNATURE_LEN};
+use crate::time::{Validity, VALIDITY_LEN};
 use crate::uri::RepoUri;
 
 /// The to-be-signed content of a resource certificate.
@@ -120,7 +121,17 @@ impl ResourceCert {
 
     /// Verifies the signature under `issuer_key`.
     pub fn verify(&self, issuer_key: &PublicKey) -> Result<(), SignatureError> {
-        issuer_key.verify(&self.data.to_bytes(), &self.signature)
+        self.verify_encoded(&self.to_bytes(), issuer_key)
+    }
+
+    /// Verifies the signature under `issuer_key` over the to-be-signed
+    /// span of `encoded`, the bytes this certificate was decoded from.
+    pub fn verify_encoded(
+        &self,
+        encoded: &[u8],
+        issuer_key: &PublicKey,
+    ) -> Result<(), SignatureError> {
+        issuer_key.verify(signed_span(encoded), &self.signature)
     }
 
     /// Canonical file name at the issuer's publication point:
@@ -222,7 +233,31 @@ impl EeCert {
 
     /// Verifies the CA's signature under `issuer_key`.
     pub fn verify(&self, issuer_key: &PublicKey) -> Result<(), SignatureError> {
-        issuer_key.verify(&self.data.to_bytes(), &self.signature)
+        self.verify_encoded(&self.to_bytes(), issuer_key)
+    }
+
+    /// Verifies the CA's signature under `issuer_key` over the
+    /// to-be-signed span of `encoded`, the bytes this certificate was
+    /// decoded from.
+    pub fn verify_encoded(
+        &self,
+        encoded: &[u8],
+        issuer_key: &PublicKey,
+    ) -> Result<(), SignatureError> {
+        issuer_key.verify(signed_span(encoded), &self.signature)
+    }
+
+    /// The exact length of this certificate's encoding, computed from its
+    /// fields: where a ROA's content starts in the ROA's encoding.
+    pub fn encoded_len(&self) -> usize {
+        // Serial, subject key, resources, validity, issuer key: the
+        // fields `EeCertData` encodes, in order; then the signature.
+        size_of::<u64>()
+            + DIGEST_LEN
+            + resource_set_len(&self.data.resources)
+            + VALIDITY_LEN
+            + DIGEST_LEN
+            + SIGNATURE_LEN
     }
 }
 
@@ -296,15 +331,23 @@ mod tests {
         let arin = KeyPair::from_seed("arin");
         let sprint = KeyPair::from_seed("sprint");
         let cert = ResourceCert::sign(sample_data(&arin, &sprint), &arin);
-        let mut bytes = cert.to_bytes();
-        // Flip a bit inside the serial (offset 7: low byte of serial).
-        bytes[7] ^= 1;
-        match ResourceCert::from_bytes(&bytes) {
-            Ok(tampered) => {
-                assert!(tampered.verify(&arin.public()).is_err());
+        let bytes = cert.to_bytes();
+        // Flip every byte in turn. A structural break is detection too;
+        // whatever still decodes must fail its check over the bytes that
+        // arrived, as it fails the check over its re-encoding.
+        let mut decoded = 0;
+        for i in 0..bytes.len() {
+            let mut b = bytes.clone();
+            b[i] ^= 0xff;
+            if let Ok(tampered) = ResourceCert::from_bytes(&b) {
+                decoded += 1;
+                let verdict = tampered.verify_encoded(&b, &arin.public());
+                assert!(verdict.is_err(), "byte {i} corruption slipped through");
+                assert_eq!(verdict, tampered.verify(&arin.public()), "byte {i}");
             }
-            Err(_) => { /* structural break is also detection */ }
         }
+        // At least every flip inside the signature decodes.
+        assert!(decoded >= SIGNATURE_LEN, "only {decoded} flips decoded");
     }
 
     #[test]

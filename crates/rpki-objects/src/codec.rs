@@ -9,8 +9,10 @@
 //! The format is a minimal deterministic TLV-free layout: fixed-width
 //! big-endian integers, length-prefixed byte strings, `u32`-counted
 //! sequences, one-byte option tags. Every encodable type has a single
-//! canonical byte representation, so `encode(decode(b)) == b` for valid
-//! `b` and signatures/digests are well-defined.
+//! canonical byte representation, so `encode(decode(b)) == b` for every
+//! `b` that decodes (DESIGN.md invariant 13): signatures and digests are
+//! well-defined, and a signature can be checked over the bytes that
+//! arrived.
 
 use std::fmt;
 
@@ -83,6 +85,10 @@ impl std::error::Error for DecodeError {}
 /// rejecting it *before* any `take`/allocation keeps oversized-length
 /// corpus cases from turning into memory pressure.
 pub const MAX_LEN: usize = 16 * 1024 * 1024;
+
+/// Encoded width of a length prefix or sequence count: a big-endian
+/// `u32` ahead of every byte string, string and sequence.
+pub const LEN_PREFIX: usize = 4;
 
 /// A cursor over input bytes.
 pub struct Reader<'a> {
@@ -166,10 +172,14 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
+    /// Reads a u32-length-prefixed UTF-8 string, borrowed from the input.
+    pub fn str(&mut self) -> Result<&'a str, DecodeError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| DecodeError::BadUtf8)
+    }
+
     /// Reads a u32-length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, DecodeError> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::BadUtf8)
+        self.str().map(str::to_owned)
     }
 
     /// Reads a u32 element count for a sequence, sanity-bounded by the
@@ -268,12 +278,18 @@ impl Decode for String {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.len() as u32).to_be_bytes());
         for item in self {
             item.encode(out);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
     }
 }
 
@@ -285,6 +301,12 @@ impl<T: Decode> Decode for Vec<T> {
             out.push(T::decode(r)?);
         }
         Ok(out)
+    }
+}
+
+impl<A: Decode, B: Decode> Decode for (A, B) {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok((A::decode(r)?, B::decode(r)?))
     }
 }
 

@@ -13,6 +13,7 @@ use rpkisim_crypto::{KeyId, KeyPair, PublicKey, Signature, SignatureError};
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{Decode, DecodeError, Encode, Reader};
+use crate::resenc::signed_span;
 use crate::time::Moment;
 
 /// The to-be-signed CRL content.
@@ -100,7 +101,17 @@ impl Crl {
 
     /// Verifies the signature under `issuer_key`.
     pub fn verify(&self, issuer_key: &PublicKey) -> Result<(), SignatureError> {
-        issuer_key.verify(&self.data.to_bytes(), &self.signature)
+        self.verify_encoded(&self.to_bytes(), issuer_key)
+    }
+
+    /// Verifies the signature under `issuer_key` over the to-be-signed
+    /// span of `encoded`, the bytes this CRL was decoded from.
+    pub fn verify_encoded(
+        &self,
+        encoded: &[u8],
+        issuer_key: &PublicKey,
+    ) -> Result<(), SignatureError> {
+        issuer_key.verify(signed_span(encoded), &self.signature)
     }
 
     /// Canonical file name: `<issuer-key-id>.crl`.
@@ -137,6 +148,7 @@ impl fmt::Display for Crl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resenc::SIGNATURE_LEN;
 
     fn sample(issuer: &KeyPair) -> Crl {
         Crl::sign(
@@ -185,8 +197,8 @@ mod tests {
         let mut bytes = crl.to_bytes();
         // The serial list is the last CrlData field before the
         // signature; swap the first two serials (each 8 bytes, after a
-        // 4-byte count). Locate from the end: signature is 64 bytes.
-        let sig_start = bytes.len() - 64;
+        // 4-byte count). Locate from the end, before the signature.
+        let sig_start = bytes.len() - SIGNATURE_LEN;
         let serials_start = sig_start - 3 * 8;
         bytes.swap(serials_start + 7, serials_start + 15);
         assert!(Crl::from_bytes(&bytes).is_err());

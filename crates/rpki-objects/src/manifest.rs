@@ -19,6 +19,7 @@ use rpkisim_crypto::{sha256, Digest, KeyId, KeyPair, PublicKey, Signature, Signa
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{Decode, DecodeError, Encode, Reader, Writer};
+use crate::resenc::signed_span;
 use crate::time::Moment;
 
 /// One manifest entry: a published file and its hash.
@@ -144,7 +145,17 @@ impl Manifest {
 
     /// Verifies the signature under `issuer_key`.
     pub fn verify(&self, issuer_key: &PublicKey) -> Result<(), SignatureError> {
-        issuer_key.verify(&self.data.to_bytes(), &self.signature)
+        self.verify_encoded(&self.to_bytes(), issuer_key)
+    }
+
+    /// Verifies the signature under `issuer_key` over the to-be-signed
+    /// span of `encoded`, the bytes this manifest was decoded from.
+    pub fn verify_encoded(
+        &self,
+        encoded: &[u8],
+        issuer_key: &PublicKey,
+    ) -> Result<(), SignatureError> {
+        issuer_key.verify(signed_span(encoded), &self.signature)
     }
 
     /// Canonical file name: `<issuer-key-id>.mft`.

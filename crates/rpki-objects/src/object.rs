@@ -32,6 +32,8 @@ pub enum RpkiObject {
     Manifest(Manifest),
 }
 
+/// Encoded width of the kind tag ahead of every object.
+const TAG_LEN: usize = size_of::<u8>();
 const TAG_CERT: u8 = 1;
 const TAG_ROA: u8 = 2;
 const TAG_CRL: u8 = 3;
@@ -61,6 +63,13 @@ impl RpkiObject {
     /// SHA-256 of the canonical bytes (what manifests commit to).
     pub fn digest(&self) -> Digest {
         sha256(&self.to_bytes())
+    }
+
+    /// The encoding of the object inside `encoded`, a tagged encoding
+    /// this type decoded: everything after the kind tag. It is what the
+    /// object's own `verify_encoded` checks.
+    pub fn untagged(encoded: &[u8]) -> &[u8] {
+        encoded.get(TAG_LEN..).unwrap_or_default()
     }
 }
 
@@ -130,9 +139,15 @@ impl TrustAnchorLocator {
     /// Checks a fetched certificate against this TAL: self-signed, key
     /// matches, signature verifies.
     pub fn accepts(&self, cert: &ResourceCert) -> bool {
+        self.accepts_encoded(cert, &cert.to_bytes())
+    }
+
+    /// [`TrustAnchorLocator::accepts`], with the signature checked over
+    /// `encoded`, the bytes `cert` was decoded from.
+    pub fn accepts_encoded(&self, cert: &ResourceCert, encoded: &[u8]) -> bool {
         cert.is_self_signed()
             && cert.data().subject_key == self.key
-            && cert.verify(&self.key).is_ok()
+            && cert.verify_encoded(encoded, &self.key).is_ok()
     }
 }
 

@@ -8,7 +8,33 @@
 use ipres::{Addr, AddrRange, Asn, AsnSet, Family, Prefix, ResourceSet};
 use rpkisim_crypto::{Digest, KeyId, PublicKey, Signature};
 
-use crate::codec::{Decode, DecodeError, Encode, Reader};
+use crate::codec::{Decode, DecodeError, Encode, Reader, LEN_PREFIX};
+
+/// Encoded width of a [`Digest`], and so of a [`KeyId`] or a
+/// [`PublicKey`].
+pub(crate) const DIGEST_LEN: usize = size_of::<Digest>();
+
+/// Encoded width of a [`Signature`]: the signing key's id, then the tag.
+/// Every signed object encodes as its to-be-signed content followed by
+/// one signature, so the content is the encoding minus this suffix.
+pub(crate) const SIGNATURE_LEN: usize = 2 * DIGEST_LEN;
+
+/// Encoded width of an [`AddrRange`]: two addresses, each a family tag
+/// and a `u128` value.
+const ADDR_RANGE_LEN: usize = 2 * (1 + size_of::<u128>());
+
+/// The to-be-signed span of `encoded`, the encoding of a signed object:
+/// everything before its trailing [`Signature`]. Decoding is canonical
+/// (DESIGN.md invariant 13), so for bytes an object was decoded from
+/// this is exactly its content's re-encoding.
+pub(crate) fn signed_span(encoded: &[u8]) -> &[u8] {
+    &encoded[..encoded.len().saturating_sub(SIGNATURE_LEN)]
+}
+
+/// The exact encoded length of `set`: a run count, then fixed-width runs.
+pub(crate) fn resource_set_len(set: &ResourceSet) -> usize {
+    LEN_PREFIX + set.num_runs() * ADDR_RANGE_LEN
+}
 
 impl Encode for Family {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -91,20 +117,16 @@ impl Decode for AddrRange {
 
 impl Encode for ResourceSet {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.ranges().to_vec().encode(out);
+        self.ranges().encode(out);
     }
 }
 
 impl Decode for ResourceSet {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let ranges = Vec::<AddrRange>::decode(r)?;
-        let set = ResourceSet::from_ranges(ranges.iter().copied());
-        // Canonicality check: re-encoding must give the same runs, so
-        // signatures over resource sets are unambiguous.
-        if set.ranges() != ranges.as_slice() {
-            return Err(DecodeError::Invalid("resource set not in canonical form"));
-        }
-        Ok(set)
+        // Canonicality check: only the runs a canonical set would hold
+        // decode, so signatures over resource sets are unambiguous.
+        ResourceSet::from_canonical_runs(Vec::<AddrRange>::decode(r)?)
+            .ok_or(DecodeError::Invalid("resource set not in canonical form"))
     }
 }
 
@@ -122,7 +144,7 @@ impl Decode for Asn {
 
 impl Encode for AsnSet {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.members().to_vec().encode(out);
+        self.members().encode(out);
     }
 }
 
@@ -145,9 +167,9 @@ impl Encode for Digest {
 
 impl Decode for Digest {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        // `take(32)` returned exactly 32 bytes, so the conversion can
+        // `take` returned exactly `DIGEST_LEN` bytes, so the conversion can
         // only fail on truncated input, never by panicking.
-        let raw = r.take(32)?;
+        let raw = r.take(DIGEST_LEN)?;
         Ok(Digest(raw.try_into().map_err(|_| DecodeError::Truncated)?))
     }
 }

@@ -18,6 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cert::{EeCert, EeCertData};
 use crate::codec::{Decode, DecodeError, Encode, Reader};
+use crate::resenc::signed_span;
 use crate::time::Validity;
 
 /// One authorised prefix inside a ROA.
@@ -215,11 +216,19 @@ impl Roa {
     /// containment. Chain and revocation checks are the relying party's
     /// job.
     pub fn verify(&self, issuer_key: &PublicKey) -> Result<(), RoaError> {
-        self.ee.verify(issuer_key).map_err(RoaError::EeSignature)?;
+        self.verify_encoded(&self.to_bytes(), issuer_key)
+    }
+
+    /// [`Roa::verify`] over `encoded`, the bytes this ROA was decoded
+    /// from: the EE certificate's signature over its to-be-signed span,
+    /// and the content signature over the [`RoaData`] span after it.
+    pub fn verify_encoded(&self, encoded: &[u8], issuer_key: &PublicKey) -> Result<(), RoaError> {
+        let (ee, content) = encoded.split_at(self.ee.encoded_len().min(encoded.len()));
+        self.ee.verify_encoded(ee, issuer_key).map_err(RoaError::EeSignature)?;
         self.ee
             .data()
             .subject_key
-            .verify(&self.data.to_bytes(), &self.signature)
+            .verify(signed_span(content), &self.signature)
             .map_err(RoaError::ContentSignature)?;
         for rp in &self.data.prefixes {
             if !self.ee.data().resources.contains_prefix(rp.prefix) {
@@ -264,6 +273,7 @@ impl fmt::Display for Roa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resenc::SIGNATURE_LEN;
     use crate::time::{Moment, Span};
 
     fn p(s: &str) -> Prefix {
@@ -310,15 +320,28 @@ mod tests {
     fn corrupted_bytes_detected() {
         let (sprint, roa) = issue_sample();
         let bytes = roa.to_bytes();
+        let ee_len = roa.ee().encoded_len();
         // Corrupt every byte position in turn; each corruption must be
-        // caught structurally or cryptographically.
-        for i in (0..bytes.len()).step_by(13) {
+        // caught structurally or cryptographically, over the bytes that
+        // arrived, and by the signature whose span holds the byte: the EE
+        // certificate's up to `ee_len`, the content's after it. An
+        // off-by-one in either span shows up at its boundary.
+        let mut decoded = 0;
+        for i in 0..bytes.len() {
             let mut b = bytes.clone();
             b[i] ^= 0xff;
-            if let Ok(r) = Roa::from_bytes(&b) {
-                assert!(r.verify(&sprint.public()).is_err(), "byte {i} corruption slipped through");
+            let Ok(r) = Roa::from_bytes(&b) else { continue };
+            decoded += 1;
+            let verdict = r.verify_encoded(&b, &sprint.public());
+            assert_eq!(verdict, r.verify(&sprint.public()), "byte {i}");
+            match verdict {
+                Err(RoaError::EeSignature(_)) if i < ee_len => {}
+                Err(RoaError::ContentSignature(_)) if i >= ee_len => {}
+                other => panic!("byte {i} of {ee_len}-byte EE certificate: {other:?}"),
             }
         }
+        // At least every flip inside the two signatures decodes.
+        assert!(decoded >= 2 * SIGNATURE_LEN, "only {decoded} flips decoded");
     }
 
     #[test]

@@ -140,6 +140,9 @@ impl Decode for Moment {
     }
 }
 
+/// Encoded width of a [`Validity`]: two [`Moment`]s, each a `u64`.
+pub(crate) const VALIDITY_LEN: usize = 2 * size_of::<u64>();
+
 impl Encode for Validity {
     fn encode(&self, out: &mut Vec<u8>) {
         self.not_before.encode(out);

@@ -13,7 +13,7 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{Decode, DecodeError, Encode, Reader, Writer};
+use crate::codec::{Decode, DecodeError, Encode, Reader, Writer, LEN_PREFIX};
 
 /// An rsync-style URI: `rsync://<host>/<path...>`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -86,6 +86,39 @@ impl RepoUri {
             && self.path.len() <= other.path.len()
             && self.path.iter().zip(&other.path).all(|(a, b)| a == b)
     }
+
+    /// The exact length of this URI's encoding.
+    pub fn encoded_len(&self) -> usize {
+        let path: usize = self.path.iter().map(|c| LEN_PREFIX + c.len()).sum();
+        LEN_PREFIX + self.host.len() + LEN_PREFIX + path
+    }
+
+    /// Reads past one encoded URI, checking it exactly as
+    /// [`RepoUri::decode`] does, without allocating.
+    pub fn skip(r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        Self::read(r, |_| {}).map(drop)
+    }
+
+    /// The one URI reader: takes the host and then each path component
+    /// from `r`, borrowed, checks each as it is read, and hands the
+    /// components to `component` in order. Returns the host.
+    fn read<'a>(
+        r: &mut Reader<'a>,
+        mut component: impl FnMut(&'a str),
+    ) -> Result<&'a str, DecodeError> {
+        let host = r.str()?;
+        if host.is_empty() || host.contains('/') {
+            return Err(DecodeError::Invalid("bad URI host"));
+        }
+        for _ in 0..r.seq_len()? {
+            let c = r.str()?;
+            if c.is_empty() || c.contains('/') {
+                return Err(DecodeError::Invalid("bad URI path component"));
+            }
+            component(c);
+        }
+        Ok(host)
+    }
 }
 
 impl fmt::Display for RepoUri {
@@ -129,14 +162,8 @@ impl Encode for RepoUri {
 
 impl Decode for RepoUri {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let host = r.string()?;
-        let path = Vec::<String>::decode(r)?;
-        if host.is_empty() || host.contains('/') {
-            return Err(DecodeError::Invalid("bad URI host"));
-        }
-        if path.iter().any(|c| c.is_empty() || c.contains('/')) {
-            return Err(DecodeError::Invalid("bad URI path component"));
-        }
+        let mut path = Vec::new();
+        let host = Self::read(r, |c| path.push(c.to_owned()))?.to_owned();
         Ok(RepoUri { host, path })
     }
 }
@@ -181,7 +208,12 @@ mod tests {
     #[test]
     fn codec_round_trip() {
         let u = RepoUri::new("rpki.arin.example", &["repo", "sprint", "rc.cer"]);
-        assert_eq!(RepoUri::from_bytes(&u.to_bytes()).unwrap(), u);
+        let bytes = u.to_bytes();
+        assert_eq!(RepoUri::from_bytes(&bytes).unwrap(), u);
+        assert_eq!(u.encoded_len(), bytes.len());
+        let mut r = Reader::new(&bytes);
+        assert_eq!(RepoUri::skip(&mut r), Ok(()));
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -190,6 +222,7 @@ mod tests {
         Writer::string(&mut bytes, "host");
         vec!["ok".to_owned(), "bad/slash".to_owned()].encode(&mut bytes);
         assert!(matches!(RepoUri::from_bytes(&bytes), Err(DecodeError::Invalid(_))));
+        assert!(matches!(RepoUri::skip(&mut Reader::new(&bytes)), Err(DecodeError::Invalid(_))));
     }
 
     #[test]

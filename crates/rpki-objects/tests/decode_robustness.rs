@@ -9,7 +9,7 @@ use rpki_objects::{
     CertData, Crl, CrlData, Decode, Encode, Manifest, ManifestData, ManifestEntry, Moment, RepoUri,
     ResourceCert, Roa, RoaData, RoaPrefix, RpkiObject, Span, Validity,
 };
-use rpkisim_crypto::{sha256, KeyPair};
+use rpkisim_crypto::{sha256, KeyPair, PublicKey};
 
 fn valid_object() -> RpkiObject {
     let ca = KeyPair::from_seed("robustness-ca");
@@ -136,21 +136,67 @@ fn arb_valid_object() -> impl Strategy<Value = RpkiObject> {
         })
 }
 
+/// Decoding is canonical (DESIGN.md invariant 13): whatever
+/// `bytes` decodes to as a `T` re-encodes to exactly `bytes`. This is
+/// what makes checking a signature over the bytes that arrived the same
+/// check as over a re-encoding.
+fn decodes_canonically<T: Decode + Encode>(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(decoded) = T::from_bytes(bytes) {
+        prop_assert_eq!(decoded.to_bytes(), bytes);
+    }
+    Ok(())
+}
+
+/// The walk's check over the arrived span and the re-encoding check
+/// give one verdict for `obj`, decoded from `encoded`, under the key it
+/// names as its issuer.
+fn span_check_agrees(obj: &RpkiObject, encoded: &[u8]) -> Result<(), TestCaseError> {
+    let span = RpkiObject::untagged(encoded);
+    let issuer = |id| PublicKey::from_id(id);
+    match obj {
+        RpkiObject::Cert(c) => {
+            let key = issuer(c.data().issuer_key);
+            prop_assert_eq!(c.verify_encoded(span, &key), c.verify(&key));
+        }
+        RpkiObject::Roa(r) => {
+            let key = issuer(r.ee().data().issuer_key);
+            prop_assert_eq!(r.verify_encoded(span, &key), r.verify(&key));
+        }
+        RpkiObject::Crl(c) => {
+            let key = issuer(c.data().issuer_key);
+            prop_assert_eq!(c.verify_encoded(span, &key), c.verify(&key));
+        }
+        RpkiObject::Manifest(m) => {
+            let key = issuer(m.data().issuer_key);
+            prop_assert_eq!(m.verify_encoded(span, &key), m.verify(&key));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     /// Every valid encoding of every object family round-trips
     /// byte-identically: decode inverts encode, and re-encoding the
-    /// decoded value reproduces the original bytes exactly.
+    /// decoded value reproduces the original bytes exactly. A ROA's EE
+    /// certificate length, which places the ROA's two signed spans, is
+    /// the length of its encoding.
     #[test]
     fn valid_encodings_round_trip_byte_identically(obj in arb_valid_object()) {
         let bytes = obj.to_bytes();
         let decoded = RpkiObject::from_bytes(&bytes).expect("valid object decodes");
         prop_assert_eq!(&decoded, &obj);
-        prop_assert_eq!(decoded.to_bytes(), bytes);
+        prop_assert_eq!(decoded.to_bytes(), bytes.clone());
+        if let RpkiObject::Roa(roa) = &decoded {
+            prop_assert_eq!(roa.ee().encoded_len(), roa.ee().to_bytes().len());
+        }
+        span_check_agrees(&decoded, &bytes)?;
     }
 
     /// Bit-flips of *any* family's valid encoding never panic any
-    /// decoder (the narrow `valid_object` flip test below additionally
-    /// checks aliasing on a fixed ROA).
+    /// decoder, whatever still decodes re-encodes to exactly the flipped
+    /// bytes, and its span check agrees with its re-encoding check (the
+    /// narrow `valid_object` flip test below additionally checks
+    /// aliasing on a fixed ROA).
     #[test]
     fn bitflips_of_any_family_never_panic(
         obj in arb_valid_object(),
@@ -160,11 +206,14 @@ proptest! {
         let mut bytes = obj.to_bytes();
         let pos = pos % bytes.len();
         bytes[pos] ^= 1 << bit;
-        let _ = RpkiObject::from_bytes(&bytes);
-        let _ = ResourceCert::from_bytes(&bytes);
-        let _ = Roa::from_bytes(&bytes);
-        let _ = Crl::from_bytes(&bytes);
-        let _ = Manifest::from_bytes(&bytes);
+        decodes_canonically::<RpkiObject>(&bytes)?;
+        decodes_canonically::<ResourceCert>(&bytes)?;
+        decodes_canonically::<Roa>(&bytes)?;
+        decodes_canonically::<Crl>(&bytes)?;
+        decodes_canonically::<Manifest>(&bytes)?;
+        if let Ok(decoded) = RpkiObject::from_bytes(&bytes) {
+            span_check_agrees(&decoded, &bytes)?;
+        }
     }
 }
 
@@ -194,10 +243,9 @@ proptest! {
             Err(_) => {}
             Ok(decoded) => {
                 prop_assert_ne!(&decoded, &obj, "corruption at byte {} aliased", pos);
-                // Canonical re-encode.
-                let re = decoded.to_bytes();
-                let re2 = RpkiObject::from_bytes(&re).expect("canonical bytes decode");
-                prop_assert_eq!(decoded, re2);
+                // Canonical: the re-encode is the flipped bytes themselves.
+                prop_assert_eq!(decoded.to_bytes(), mutated.clone(), "byte {}", pos);
+                span_check_agrees(&decoded, &mutated)?;
             }
         }
     }

@@ -126,31 +126,29 @@ impl RepoRegistry {
 /// frame that is not a request of this protocol.
 fn serve_rsync(repo: &Repository, frame: &[u8]) -> Option<Vec<u8>> {
     let req = RsyncRequest::from_bytes(frame).ok()?;
-    let resp = match &req {
-        RsyncRequest::List { dir } => {
-            let entries = repo.list(dir);
-            if entries.is_empty() {
-                RsyncResponse::NotFound { dir: dir.clone(), name: None }
-            } else {
-                RsyncResponse::Listing { dir: dir.clone(), entries }
-            }
-        }
+    let reply = match &req {
+        RsyncRequest::List { dir } => match repo.entries(dir) {
+            Some(entries) if entries.len() > 0 => RsyncResponse::listing_frame(dir, entries),
+            _ => RsyncResponse::NotFound { dir: dir.clone(), name: None }.to_bytes(),
+        },
         RsyncRequest::Get { dir, name } => match repo.fetch(dir, name) {
-            Some(bytes) => {
-                RsyncResponse::File { dir: dir.clone(), name: name.clone(), bytes: bytes.to_vec() }
+            Some(bytes) => RsyncResponse::file_frame(dir, name, bytes),
+            None => {
+                RsyncResponse::NotFound { dir: dir.clone(), name: Some(name.clone()) }.to_bytes()
             }
-            None => RsyncResponse::NotFound { dir: dir.clone(), name: Some(name.clone()) },
         },
         RsyncRequest::Digest { dir } if dir.host() == repo.host() => {
             RsyncResponse::DirDigest { dir: dir.clone(), digest: repo.content_digest(dir) }
+                .to_bytes()
         }
         // Another host's directory: not found here, like its listing
         // and its files (which the store reads as an unknown directory).
-        RsyncRequest::Digest { dir } => RsyncResponse::NotFound { dir: dir.clone(), name: None },
+        RsyncRequest::Digest { dir } => {
+            RsyncResponse::NotFound { dir: dir.clone(), name: None }.to_bytes()
+        }
     };
     let (RsyncRequest::List { dir } | RsyncRequest::Get { dir, .. } | RsyncRequest::Digest { dir }) =
         &req;
-    let reply = resp.to_bytes();
     repo.note_served(dir, reply.len());
     Some(reply)
 }
@@ -335,16 +333,17 @@ impl Session<'_> {
     ///   server stays silent). Every repository node is served, after
     ///   its serve delay, so worlds with several repositories and
     ///   clients work; frames to other nodes fall on the floor.
-    /// - `on_reply`, which is handed every reply from the server that
-    ///   decodes (a torn one resolves its exchange with nothing) and
-    ///   returns how many follow-up requests it sent.
+    /// - `on_reply`, which is handed every reply frame from the server
+    ///   and returns how many follow-up requests it sent. The protocol
+    ///   decodes the frame, in place or owned; a torn one resolves its
+    ///   exchange with nothing.
     ///
     /// Returns whether the deadline ended the session.
-    pub(crate) fn run<R: Decode>(
+    pub(crate) fn run(
         self,
         serve: fn(&Repository, &[u8]) -> Option<Vec<u8>>,
         opening: impl IntoIterator<Item = Vec<u8>>,
-        mut on_reply: impl FnMut(&mut Network, R) -> u64,
+        mut on_reply: impl FnMut(&mut Network, &[u8]) -> u64,
     ) -> bool {
         let Session { net, repos, client, server, deadline, token } = self;
         if let Some(d) = deadline {
@@ -376,9 +375,7 @@ impl Session<'_> {
                     // Anyone else's frame is not part of this session.
                     if delivery.from == server {
                         outstanding = outstanding.saturating_sub(1);
-                        if let Ok(reply) = R::from_bytes(&delivery.payload) {
-                            outstanding += on_reply(net, reply);
-                        }
+                        outstanding += on_reply(net, &delivery.payload);
                     }
                 }
                 Occurrence::Delivered(delivery) => {
@@ -449,13 +446,13 @@ pub fn probe_dir(
     Session { net, repos, client, server, deadline, token: DEADLINE_TOKEN }.run(
         serve_rsync,
         [RsyncRequest::Digest { dir: dir.clone() }.to_bytes()],
-        |_, reply| {
-            match reply {
-                RsyncResponse::DirDigest { digest, .. } => {
+        |_, frame| {
+            match RsyncResponse::from_bytes(frame) {
+                Ok(RsyncResponse::DirDigest { digest, .. }) => {
                     probe.listed = true;
                     probe.digest = Some(digest);
                 }
-                RsyncResponse::NotFound { name: None, .. } => probe.listed = true,
+                Ok(RsyncResponse::NotFound { name: None, .. }) => probe.listed = true,
                 _ => {}
             }
             0
@@ -577,51 +574,52 @@ fn run_session(
     let deadline_hit = Session { net, repos, client, server, deadline, token: DEADLINE_TOKEN }.run(
         serve_rsync,
         [RsyncRequest::List { dir: dir.clone() }.to_bytes()],
-        |net, reply| {
-            let mut gets = 0;
-            match reply {
-                RsyncResponse::Listing { entries, .. } => {
-                    outcome.listed = true;
-                    for (name, digest) in entries {
-                        let reusable = have.get(&name).is_some_and(|bytes| sha256(bytes) == digest);
-                        digests.insert(name.clone(), digest);
-                        if reusable {
-                            outcome.files.insert(name.clone(), have[&name].clone());
-                        } else {
-                            gets += 1;
-                            net.send(
-                                client,
-                                server,
-                                RsyncRequest::Get { dir: dir.clone(), name }.to_bytes(),
-                            );
-                        }
-                    }
-                }
-                RsyncResponse::File { name, bytes, .. } => match digests.get(&name) {
-                    Some(digest) if sha256(&bytes) == *digest => {
-                        outcome.files.insert(name, bytes);
+        |net, frame| {
+            // The one `File` decoder: name and bytes borrowed from the
+            // frame, the bytes copied once, into the outcome.
+            if let Some((name, bytes)) = RsyncResponse::parse_file(frame) {
+                match digests.get(name) {
+                    Some(digest) if sha256(bytes) == *digest => {
+                        outcome.files.insert(name.to_owned(), bytes.to_vec());
                     }
                     Some(_) => {
                         if rec.is_enabled() {
                             rec.count("repo.digest_failures", 1);
                             rec.event(net.now(), "repo", "digest_fail")
                                 .str("host", dir.host())
-                                .str("file", &name)
+                                .str("file", name)
                                 .emit();
                         }
-                        outcome.corrupted.push(name);
+                        outcome.corrupted.push(name.to_owned());
                     }
                     // A file the listing never promised: ignore
                     // (unsolicited).
                     None => {}
-                },
+                }
+                return 0;
+            }
+            let mut gets = 0;
+            match RsyncResponse::from_bytes(frame) {
+                Ok(RsyncResponse::Listing { entries, .. }) => {
+                    outcome.listed = true;
+                    for (name, digest) in entries {
+                        if have.get(&name).is_some_and(|bytes| sha256(bytes) == digest) {
+                            outcome.files.insert(name.clone(), have[&name].clone());
+                        } else {
+                            gets += 1;
+                            net.send(client, server, RsyncRequest::get_frame(dir, &name));
+                        }
+                        digests.insert(name, digest);
+                    }
+                }
                 // Directory absent: an empty (but reachable)
                 // publication point.
-                RsyncResponse::NotFound { name: None, .. } => outcome.listed = true,
-                // A GET that found nothing leaves its file missing;
-                // digest probes happen in their own sessions, so a
-                // stray one here is unsolicited.
-                RsyncResponse::NotFound { .. } | RsyncResponse::DirDigest { .. } => {}
+                Ok(RsyncResponse::NotFound { name: None, .. }) => outcome.listed = true,
+                // A torn frame; a GET that found nothing, which leaves
+                // its file missing; a stray digest probe answer (probes
+                // run in their own sessions); or a `File` reply, read
+                // in place above.
+                _ => {}
             }
             gets
         },

@@ -7,6 +7,7 @@
 //! hit protocol frames too (a corrupted frame decodes as garbage and the
 //! client records a failed fetch — exactly like a torn rsync session).
 
+use rpki_objects::codec::LEN_PREFIX;
 use rpki_objects::{Decode, DecodeError, Encode, Reader, RepoUri, Writer};
 use rpkisim_crypto::Digest;
 
@@ -40,6 +41,9 @@ const REQ_LIST: u8 = 1;
 const REQ_GET: u8 = 2;
 const REQ_DIGEST: u8 = 3;
 
+/// Encoded width of a listing entry's digest.
+const DIGEST_LEN: usize = size_of::<Digest>();
+
 impl Encode for RsyncRequest {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -47,11 +51,7 @@ impl Encode for RsyncRequest {
                 out.push(REQ_LIST);
                 dir.encode(out);
             }
-            RsyncRequest::Get { dir, name } => {
-                out.push(REQ_GET);
-                dir.encode(out);
-                Writer::string(out, name);
-            }
+            RsyncRequest::Get { dir, name } => write_get(out, dir, name),
             RsyncRequest::Digest { dir } => {
                 out.push(REQ_DIGEST);
                 dir.encode(out);
@@ -114,43 +114,98 @@ const RESP_FILE: u8 = 2;
 const RESP_NOT_FOUND: u8 = 3;
 const RESP_DIR_DIGEST: u8 = 4;
 
-/// A `(name, digest)` listing entry — helper for the codec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Entry(String, Digest);
+/// Encoded width of a frame's tag.
+const TAG_LEN: usize = size_of::<u8>();
 
-impl Encode for Entry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        Writer::string(out, &self.0);
-        self.1.encode(out);
+impl RsyncRequest {
+    /// The frame of `RsyncRequest::Get { dir, name }`, encoded from
+    /// borrowed parts.
+    pub(crate) fn get_frame(dir: &RepoUri, name: &str) -> Vec<u8> {
+        let mut out = Vec::with_capacity(TAG_LEN + dir.encoded_len() + LEN_PREFIX + name.len());
+        write_get(&mut out, dir, name);
+        out
     }
 }
 
-impl Decode for Entry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Entry(r.string()?, Digest::decode(r)?))
+fn write_get(out: &mut Vec<u8>, dir: &RepoUri, name: &str) {
+    out.push(REQ_GET);
+    dir.encode(out);
+    Writer::string(out, name);
+}
+
+impl RsyncResponse {
+    /// The frame of a `Listing` reply for `dir`, encoded straight from
+    /// borrowed `(name, digest)` entries into one buffer of exactly its
+    /// size.
+    pub(crate) fn listing_frame<'a, I>(dir: &RepoUri, entries: I) -> Vec<u8>
+    where
+        I: ExactSizeIterator<Item = (&'a str, Digest)> + Clone,
+    {
+        let names: usize = entries.clone().map(|(n, _)| LEN_PREFIX + n.len()).sum();
+        let len = TAG_LEN + dir.encoded_len() + LEN_PREFIX + names + entries.len() * DIGEST_LEN;
+        let mut out = Vec::with_capacity(len);
+        write_listing(&mut out, dir, entries);
+        out
     }
+
+    /// The frame of a `File` reply carrying `dir/name`'s `bytes`, encoded
+    /// straight from borrowed parts into one buffer of exactly its size.
+    pub(crate) fn file_frame(dir: &RepoUri, name: &str, bytes: &[u8]) -> Vec<u8> {
+        let len = TAG_LEN + dir.encoded_len() + LEN_PREFIX + name.len() + LEN_PREFIX + bytes.len();
+        let mut out = Vec::with_capacity(len);
+        write_file(&mut out, dir, name, bytes);
+        out
+    }
+
+    /// Reads a `File` reply in place: its name and bytes, borrowed from
+    /// `frame`. `Some` exactly when [`RsyncResponse::from_bytes`] would
+    /// decode `frame` as a `File` with that name and those bytes: the
+    /// same tag, URI rules, UTF-8 and length checks, and no trailing
+    /// bytes.
+    pub(crate) fn parse_file(frame: &[u8]) -> Option<(&str, &[u8])> {
+        let mut r = Reader::new(frame);
+        if r.u8().ok()? != RESP_FILE {
+            return None;
+        }
+        RepoUri::skip(&mut r).ok()?;
+        let name = r.str().ok()?;
+        let bytes = r.bytes().ok()?;
+        r.is_empty().then_some((name, bytes))
+    }
+}
+
+fn write_listing<'a>(
+    out: &mut Vec<u8>,
+    dir: &RepoUri,
+    entries: impl ExactSizeIterator<Item = (&'a str, Digest)>,
+) {
+    out.push(RESP_LISTING);
+    dir.encode(out);
+    out.extend_from_slice(&(entries.len() as u32).to_be_bytes());
+    for (name, digest) in entries {
+        Writer::string(out, name);
+        digest.encode(out);
+    }
+}
+
+fn write_file(out: &mut Vec<u8>, dir: &RepoUri, name: &str, bytes: &[u8]) {
+    out.push(RESP_FILE);
+    dir.encode(out);
+    Writer::string(out, name);
+    Writer::bytes(out, bytes);
 }
 
 impl Encode for RsyncResponse {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             RsyncResponse::Listing { dir, entries } => {
-                out.push(RESP_LISTING);
-                dir.encode(out);
-                let entries: Vec<Entry> =
-                    entries.iter().map(|(n, d)| Entry(n.clone(), *d)).collect();
-                entries.encode(out);
+                write_listing(out, dir, entries.iter().map(|(n, d)| (n.as_str(), *d)));
             }
-            RsyncResponse::File { dir, name, bytes } => {
-                out.push(RESP_FILE);
-                dir.encode(out);
-                Writer::string(out, name);
-                Writer::bytes(out, bytes);
-            }
+            RsyncResponse::File { dir, name, bytes } => write_file(out, dir, name, bytes),
             RsyncResponse::NotFound { dir, name } => {
                 out.push(RESP_NOT_FOUND);
                 dir.encode(out);
-                name.clone().encode(out);
+                name.encode(out);
             }
             RsyncResponse::DirDigest { dir, digest } => {
                 out.push(RESP_DIR_DIGEST);
@@ -164,12 +219,12 @@ impl Encode for RsyncResponse {
 impl Decode for RsyncResponse {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         match r.u8()? {
-            RESP_LISTING => {
-                let dir = RepoUri::decode(r)?;
-                let entries =
-                    Vec::<Entry>::decode(r)?.into_iter().map(|Entry(n, d)| (n, d)).collect();
-                Ok(RsyncResponse::Listing { dir, entries })
-            }
+            RESP_LISTING => Ok(RsyncResponse::Listing {
+                dir: RepoUri::decode(r)?,
+                entries: Vec::<(String, Digest)>::decode(r)?,
+            }),
+            // The relying party reads `File` replies in place
+            // (`parse_file`); this owned decode is its reference.
             RESP_FILE => Ok(RsyncResponse::File {
                 dir: RepoUri::decode(r)?,
                 name: r.string()?,
@@ -191,6 +246,7 @@ impl Decode for RsyncResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rpkisim_crypto::sha256;
 
     fn dir() -> RepoUri {
@@ -221,6 +277,116 @@ mod tests {
             RsyncResponse::DirDigest { dir: dir(), digest: sha256(b"dir") },
         ] {
             assert_eq!(RsyncResponse::from_bytes(&resp.to_bytes()).unwrap(), resp);
+        }
+    }
+
+    /// Requests of every kind, as a relying party encodes them.
+    fn arb_request() -> impl Strategy<Value = RsyncRequest> {
+        (0u8..3, 0usize..3).prop_map(|(kind, depth)| {
+            let dir = RepoUri::new("rpki.sprint.example", &["repo", "ca"][..depth]);
+            match kind {
+                0 => RsyncRequest::List { dir },
+                1 => RsyncRequest::Get { dir, name: format!("f{depth}.roa") },
+                _ => RsyncRequest::Digest { dir },
+            }
+        })
+    }
+
+    /// Replies of every kind, as the server encodes them; half of them
+    /// `File` replies.
+    fn arb_reply() -> impl Strategy<Value = RsyncResponse> {
+        (0u8..6, 0usize..3, proptest::collection::vec(any::<u8>(), 0..24)).prop_map(
+            |(kind, n, bytes)| {
+                let dir = RepoUri::new("rpki.sprint.example", &["repo", "ca"][..n]);
+                let name = format!("f{n}.roa");
+                match kind {
+                    0..=2 => RsyncResponse::File { dir, name, bytes },
+                    3 => RsyncResponse::Listing {
+                        dir,
+                        entries: (0..n)
+                            .map(|i| (format!("f{i}.cer"), sha256(&[i as u8])))
+                            .collect(),
+                    },
+                    4 => RsyncResponse::NotFound { dir, name: (n > 0).then_some(name) },
+                    _ => RsyncResponse::DirDigest { dir, digest: sha256(&bytes) },
+                }
+            },
+        )
+    }
+
+    /// `frame` after one of: nothing, a bit flip, a truncation, or
+    /// trailing garbage — picked by `how`, placed by `at`.
+    fn mutate(mut frame: Vec<u8>, how: u8, at: usize, garbage: &[u8]) -> Vec<u8> {
+        match how {
+            0 => {}
+            1 => {
+                let pos = at % frame.len();
+                frame[pos] ^= 1 << (at % 8);
+            }
+            2 => frame.truncate(at % frame.len()),
+            _ => frame.extend_from_slice(garbage),
+        }
+        frame
+    }
+
+    proptest! {
+        /// Decoding is canonical on the wire too: a flipped frame that
+        /// still decodes re-encodes to exactly the flipped bytes.
+        #[test]
+        fn flipped_frames_decode_canonically(
+            req in arb_request(),
+            reply in arb_reply(),
+            at in any::<usize>(),
+        ) {
+            let req = mutate(req.to_bytes(), 1, at, &[]);
+            if let Ok(decoded) = RsyncRequest::from_bytes(&req) {
+                prop_assert_eq!(decoded.to_bytes(), req);
+            }
+            let reply = mutate(reply.to_bytes(), 1, at, &[]);
+            if let Ok(decoded) = RsyncResponse::from_bytes(&reply) {
+                prop_assert_eq!(decoded.to_bytes(), reply);
+            }
+        }
+
+        /// The borrowed encoders write exactly the enum's bytes, each
+        /// into a buffer of exactly its size.
+        #[test]
+        fn borrowed_frames_equal_the_enum_encoding(req in arb_request(), reply in arb_reply()) {
+            if let RsyncRequest::Get { dir, name } = &req {
+                let frame = RsyncRequest::get_frame(dir, name);
+                prop_assert_eq!(frame.capacity(), frame.len());
+                prop_assert_eq!(frame, req.to_bytes());
+            }
+            let frame = match &reply {
+                RsyncResponse::File { dir, name, bytes } => RsyncResponse::file_frame(dir, name, bytes),
+                RsyncResponse::Listing { dir, entries } => RsyncResponse::listing_frame(
+                    dir,
+                    entries.iter().map(|(n, d)| (n.as_str(), *d)),
+                ),
+                _ => return Ok(()),
+            };
+            prop_assert_eq!(frame.capacity(), frame.len());
+            prop_assert_eq!(frame, reply.to_bytes());
+        }
+
+        /// The in-place `File` parse accepts exactly the frames the owned
+        /// decoder reads as a `File`, with the same name and bytes:
+        /// valid replies of every kind, bit flips, truncations and
+        /// trailing garbage.
+        #[test]
+        fn in_place_file_parse_is_the_owned_decode(
+            reply in arb_reply(),
+            how in 0u8..4,
+            at in any::<usize>(),
+            garbage in proptest::collection::vec(any::<u8>(), 1..8),
+        ) {
+            let frame = mutate(reply.to_bytes(), how, at, &garbage);
+            let owned = match RsyncResponse::from_bytes(&frame) {
+                Ok(RsyncResponse::File { name, bytes, .. }) => Some((name, bytes)),
+                _ => None,
+            };
+            let in_place = RsyncResponse::parse_file(&frame);
+            prop_assert_eq!(in_place.map(|(n, b)| (n.to_owned(), b.to_vec())), owned);
         }
     }
 

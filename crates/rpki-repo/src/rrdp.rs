@@ -274,7 +274,7 @@ pub(crate) fn delta_document(session: u64, serial: u64, changes: &[DeltaChange])
     let mut buf = Vec::new();
     buf.extend_from_slice(&session.to_be_bytes());
     buf.extend_from_slice(&serial.to_be_bytes());
-    changes.to_vec().encode(&mut buf);
+    changes.encode(&mut buf);
     buf
 }
 
@@ -869,8 +869,9 @@ fn rrdp_exchange(
     Session { net, repos, client, server, deadline, token: RRDP_DEADLINE_TOKEN }.run(
         serve_rrdp,
         reqs.iter().map(Encode::to_bytes),
-        |_, reply| {
-            responses.push(reply);
+        |_, frame| {
+            // A torn reply resolves its exchange with nothing.
+            responses.extend(RrdpResponse::from_bytes(frame).ok());
             0
         },
     );

@@ -674,9 +674,19 @@ impl Repository {
     /// Lists `(name, digest)` for every file in `dir`. Digests are the
     /// ones cached at write time — no bytes are re-hashed here.
     pub fn list(&self, dir: &RepoUri) -> Vec<(String, Digest)> {
-        self.dir(dir)
-            .map(|d| d.files.iter().map(|(n, f)| (n.clone(), f.digest)).collect())
+        self.entries(dir)
+            .map(|entries| entries.map(|(n, d)| (n.to_owned(), d)).collect())
             .unwrap_or_default()
+    }
+
+    /// [`Repository::list`] borrowed from the store, in name order:
+    /// what a listing reply is encoded from. `None` for an unknown
+    /// directory.
+    pub(crate) fn entries(
+        &self,
+        dir: &RepoUri,
+    ) -> Option<impl ExactSizeIterator<Item = (&str, Digest)> + Clone> {
+        self.dir(dir).map(|d| d.files.iter().map(|(n, f)| (n.as_str(), f.digest)))
     }
 
     /// The canonical complete-sync content digest of `dir`, served

@@ -574,7 +574,7 @@ impl Validator {
         let bytes = outcome.files.get(&file)?;
         let obj = RpkiObject::from_bytes(bytes).ok()?;
         let RpkiObject::Cert(cert) = obj else { return None };
-        if !tal.accepts(&cert) {
+        if !tal.accepts_encoded(&cert, RpkiObject::untagged(bytes)) {
             return None;
         }
         if !cert.data().validity.contains(self.config.now) {
@@ -659,7 +659,7 @@ impl Validator {
                         // manifest as absent.
                         diag(run, Issue::MalformedObject(mft_name.clone()));
                         None
-                    } else if m.verify(&key).is_err() {
+                    } else if m.verify_encoded(RpkiObject::untagged(bytes), &key).is_err() {
                         diag(run, Issue::BadManifestSignature);
                         None
                     } else if m.is_stale_at(self.config.now) {
@@ -729,7 +729,7 @@ impl Validator {
                     if let Some(o) = obs.as_deref_mut() {
                         o.next_update(c.data().next_update);
                     }
-                    if c.verify(&key).is_err() {
+                    if c.verify_encoded(RpkiObject::untagged(bytes), &key).is_err() {
                         diag(run, Issue::BadCrlSignature);
                         None
                     } else if c.is_stale_at(self.config.now) {
@@ -781,7 +781,7 @@ impl Validator {
                             resources: child.data().resources.clone(),
                         });
                     };
-                    if child.verify(&key).is_err() {
+                    if child.verify_encoded(RpkiObject::untagged(bytes), &key).is_err() {
                         diag(run, Issue::BadSignature(name.clone()));
                         reject_child(run, &child);
                         continue;
@@ -842,7 +842,7 @@ impl Validator {
                     if let Some(o) = obs.as_deref_mut() {
                         o.validity(roa.validity());
                     }
-                    if roa.verify(&key).is_err() {
+                    if roa.verify_encoded(RpkiObject::untagged(bytes), &key).is_err() {
                         diag(run, Issue::BadSignature(name.clone()));
                         continue;
                     }
@@ -859,8 +859,7 @@ impl Validator {
                         diag(run, Issue::Revoked(name.clone()));
                         continue;
                     }
-                    let needed: ResourceSet = roa.resources();
-                    if !resources.contains_set(&needed) {
+                    if !roa.data().prefixes.iter().all(|rp| resources.contains_prefix(rp.prefix)) {
                         diag(run, Issue::OverClaim(name.clone()));
                         continue;
                     }
