@@ -26,8 +26,9 @@
 //! but every message is held for an extra fixed delay, so a client
 //! without a deadline hangs for the duration.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
+use crate::hash::{LinkMap, LinkSet};
 use crate::net::NodeId;
 
 /// A directed link key.
@@ -48,23 +49,23 @@ pub(crate) struct ScheduledFate {
 pub struct FaultPlan {
     /// Per-directed-link probability (0..=1) of silently dropping a
     /// message.
-    loss: HashMap<Link, f64>,
+    loss: LinkMap<Link, f64>,
     /// Per-directed-link probability (0..=1) of corrupting a message
     /// payload in flight.
-    corruption: HashMap<Link, f64>,
+    corruption: LinkMap<Link, f64>,
     /// Unordered pairs with no connectivity at all.
-    partitions: HashSet<(NodeId, NodeId)>,
+    partitions: LinkSet<Link>,
     /// Nodes that are down (neither send nor receive).
-    down: HashSet<NodeId>,
+    down: LinkSet<NodeId>,
     /// Per-directed-link extra delay added to every send (slow serve).
-    stall: HashMap<Link, u64>,
+    stall: LinkMap<Link, u64>,
     /// Messages evaluated so far, per directed link.
-    counters: HashMap<Link, u64>,
+    counters: LinkMap<Link, u64>,
     /// Absolute message indices scheduled for corruption, mapped to the
     /// payload byte offset to flip.
-    corrupt_at: HashMap<Link, BTreeMap<u64, usize>>,
+    corrupt_at: LinkMap<Link, BTreeMap<u64, usize>>,
     /// Absolute message indices scheduled for dropping.
-    drop_at: HashMap<Link, BTreeSet<u64>>,
+    drop_at: LinkMap<Link, BTreeSet<u64>>,
 }
 
 fn unordered(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -214,8 +215,9 @@ impl FaultPlan {
     /// evaluation.
     pub(crate) fn on_message(&mut self, a: NodeId, b: NodeId) -> ScheduledFate {
         let link = (a, b);
-        let idx = self.counter(link) + 1;
-        self.counters.insert(link, idx);
+        let counter = self.counters.entry(link).or_insert(0);
+        *counter += 1;
+        let idx = *counter;
         let drop = self.drop_at.get_mut(&link).map(|s| s.remove(&idx)).unwrap_or(false);
         let corrupt = self.corrupt_at.get_mut(&link).and_then(|s| s.remove(&idx));
         ScheduledFate { drop, corrupt }

@@ -28,7 +28,9 @@
 #![warn(missing_docs)]
 
 pub mod fault;
+mod hash;
 pub mod net;
+mod queue;
 
 pub use fault::FaultPlan;
 pub use net::{Delivery, DropReason, Network, NodeId, Occurrence, Stats};

@@ -1,7 +1,6 @@
 //! The event-driven network core.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -10,6 +9,8 @@ use rpki_obs::Recorder;
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultPlan;
+use crate::hash::LinkMap;
+use crate::queue::EventQueue;
 
 /// Identifies a node in the simulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -107,47 +108,17 @@ enum EventKind {
     Timer { node: NodeId, token: u64 },
 }
 
-#[derive(Debug)]
-struct Event {
-    at: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Time, then insertion order: a strict total order makes the
-        // simulation fully deterministic.
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
-}
-
 /// The deterministic discrete-event network.
 pub struct Network {
     now: u64,
-    next_seq: u64,
-    queue: BinaryHeap<Reverse<Event>>,
+    queue: EventQueue<EventKind>,
     names: Vec<String>,
     by_name: HashMap<String, NodeId>,
     /// Fault configuration, mutable mid-run.
     pub faults: FaultPlan,
     rng: StdRng,
     default_latency: u64,
-    link_latency: HashMap<(NodeId, NodeId), u64>,
+    link_latency: LinkMap<(NodeId, NodeId), u64>,
     stats: Stats,
     #[allow(clippy::type_complexity)]
     oracle: Option<Box<dyn FnMut(NodeId, NodeId) -> bool>>,
@@ -171,14 +142,13 @@ impl Network {
     pub fn new(seed: u64) -> Self {
         Network {
             now: 0,
-            next_seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             names: Vec::new(),
             by_name: HashMap::new(),
             faults: FaultPlan::new(),
             rng: StdRng::seed_from_u64(seed),
             default_latency: 10,
-            link_latency: HashMap::new(),
+            link_latency: LinkMap::default(),
             stats: Stats::default(),
             oracle: None,
             recorder: Recorder::disabled(),
@@ -264,12 +234,6 @@ impl Network {
         self.stats
     }
 
-    fn push(&mut self, at: u64, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Reverse(Event { at, seq, kind }));
-    }
-
     /// Sends `payload` from `from` to `to`, arriving after the link's
     /// latency plus any configured stall (fault layer permitting).
     pub fn send(&mut self, from: NodeId, to: NodeId, payload: Vec<u8>) {
@@ -296,25 +260,21 @@ impl Network {
                 .u64("deliver_at", at)
                 .emit();
         }
-        self.push(at, EventKind::Deliver { from, to, payload });
+        self.queue.push(at, EventKind::Deliver { from, to, payload });
     }
 
     /// Sets a timer on `node` firing after `delay` seconds, carrying a
     /// caller-chosen `token`.
     pub fn set_timer(&mut self, node: NodeId, delay: u64, token: u64) {
         let at = self.now + delay;
-        self.push(at, EventKind::Timer { node, token });
+        self.queue.push(at, EventKind::Timer { node, token });
     }
 
     /// Cancels every pending timer on `node` carrying `token`.
     pub fn cancel_timer(&mut self, node: NodeId, token: u64) {
-        let events = std::mem::take(&mut self.queue);
-        self.queue = events
-            .into_iter()
-            .filter(|Reverse(e)| {
-                !matches!(e.kind, EventKind::Timer { node: n, token: t } if n == node && t == token)
-            })
-            .collect();
+        self.queue.retain(
+            |e| !matches!(*e, EventKind::Timer { node: n, token: t } if n == node && t == token),
+        );
     }
 
     /// Discards every in-flight message between `a` and `b` (both
@@ -322,21 +282,17 @@ impl Network {
     /// down a timed-out session: bytes still on the wire never reach
     /// the application.
     pub fn flush_pair(&mut self, a: NodeId, b: NodeId) {
-        let events = std::mem::take(&mut self.queue);
-        self.queue = events
-            .into_iter()
-            .filter(|Reverse(e)| {
-                let purge = matches!(
-                    e.kind,
-                    EventKind::Deliver { from, to, .. }
-                        if (from == a && to == b) || (from == b && to == a)
-                );
-                if purge {
-                    self.stats.dropped += 1;
-                }
-                !purge
-            })
-            .collect();
+        let mut purged = 0;
+        self.queue.retain(|e| {
+            let purge = matches!(
+                *e,
+                EventKind::Deliver { from, to, .. }
+                    if (from == a && to == b) || (from == b && to == a)
+            );
+            purged += u64::from(purge);
+            !purge
+        });
+        self.stats.dropped += purged;
     }
 
     /// Jumps the clock forward to `t` (no-op when `t` is in the past).
@@ -347,8 +303,8 @@ impl Network {
     /// Panics if an event is queued before `t` — stepping over pending
     /// work would silently reorder the simulation.
     pub fn advance_to(&mut self, t: u64) {
-        if let Some(Reverse(e)) = self.queue.peek() {
-            assert!(e.at >= t, "advance_to({t}) would skip an event queued at {}", e.at);
+        if let Some(at) = self.next_event_at() {
+            assert!(at >= t, "advance_to({t}) would skip an event queued at {at}");
         }
         self.now = self.now.max(t);
     }
@@ -366,16 +322,16 @@ impl Network {
     /// stays queued. The RTR fabric uses this to model a bounded poll
     /// window: frames stalled beyond it leave routers visibly stale.
     pub fn next_event_at(&self) -> Option<u64> {
-        self.queue.peek().map(|Reverse(e)| e.at)
+        self.queue.next_at()
     }
 
     /// Advances to the next event and resolves it. Returns `None` when
     /// the queue is empty. The clock jumps to the event's time.
     pub fn step(&mut self) -> Option<Occurrence> {
-        let Reverse(event) = self.queue.pop()?;
-        debug_assert!(event.at >= self.now, "time went backwards");
-        self.now = event.at;
-        Some(match event.kind {
+        let (at, kind) = self.queue.pop()?;
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        Some(match kind {
             EventKind::Timer { node, token } => {
                 if self.recorder.is_enabled() {
                     self.recorder
