@@ -14,9 +14,7 @@
 //! see the feed at all).
 
 use rpki_attacks::MisbehaviorReport;
-use rpki_risk::{
-    run_campaign, run_downgrade_traced, standard_campaigns, DowngradeOutcome, RpTier, Walk,
-};
+use rpki_risk::{stalloris_campaign, standard_campaigns, Campaign, DowngradeRecord, RpTier, Walk};
 use rpki_risk_bench::{emit_json, trace_recorder, write_trace, Recorder, Summary, SummaryTable};
 use serde::Serialize;
 
@@ -33,7 +31,7 @@ fn seed_arg() -> u64 {
 /// misbehaviour dossier, and the campaign view.
 #[derive(Debug, Serialize)]
 struct Export {
-    scenario: DowngradeOutcome,
+    scenario: DowngradeRecord,
     misbehavior: MisbehaviorReport,
     campaign_rrdp_downgrades: usize,
     campaign_rrdp_min_vrps: usize,
@@ -47,7 +45,10 @@ fn main() {
     // The scenario's rp-layer events feed the misbehaviour dossier, so
     // record them even when no --trace destination was given.
     let evidence = if recorder.is_enabled() { recorder.clone() } else { Recorder::new() };
-    let scenario = run_downgrade_traced(seed, &evidence);
+    let scenario = Campaign::Stalloris
+        .run(&stalloris_campaign(), seed, &evidence)
+        .downgrade
+        .expect("a Stalloris run records the scenario");
     let mut table = SummaryTable::new(&[
         "round",
         "truth",
@@ -121,7 +122,7 @@ fn main() {
         .into_iter()
         .find(|s| s.name == "stalloris-downgrade")
         .expect("standard campaign exists");
-    let campaign = run_campaign(&spec, seed, Walk::Incremental, &recorder);
+    let campaign = Campaign::Private(Walk::Incremental).run(&spec, seed, &recorder);
     let mut table = SummaryTable::new(&["tier", "VRP-rounds", "min VRPs", "rrdp downgrades"]);
     for t in &campaign.tiers {
         table.row(&[

@@ -14,7 +14,7 @@
 //! RP eventually gets; the stale cache refuses to bridge authority-side
 //! withdrawals — that separation is Suspenders' niche).
 
-use rpki_risk::{run_campaign, standard_campaigns, CampaignOutcome, RpTier, Walk};
+use rpki_risk::{standard_campaigns, Campaign, CampaignOutcome, RpTier, Walk};
 use rpki_risk_bench::{emit_json, trace_recorder, write_trace, Summary, SummaryTable};
 
 fn seed_arg() -> u64 {
@@ -34,7 +34,7 @@ fn main() {
 
     let mut outcomes: Vec<CampaignOutcome> = Vec::new();
     for spec in standard_campaigns() {
-        let out = run_campaign(&spec, seed, Walk::Incremental, &recorder);
+        let out = Campaign::Private(Walk::Incremental).run(&spec, seed, &recorder);
         let mut table = SummaryTable::new(&[
             "tier",
             "VRP-rounds",

@@ -21,7 +21,7 @@
 
 use rpki_attacks::{CorpusKind, MisbehaviorReport};
 use rpki_objects::Moment;
-use rpki_risk::{run_campaign, CampaignSpec, FaultKind, FaultWindow, ModelRpki, RpTier, Walk};
+use rpki_risk::{Campaign, CampaignSpec, FaultKind, FaultWindow, ModelRpki, RpTier, Walk};
 use rpki_risk_bench::{export, Recorder, RunStamp, Summary, SummaryTable};
 use rpki_rp::UnsafeVrpPolicy;
 use serde::Serialize;
@@ -92,7 +92,7 @@ fn main() {
     ]);
     for policy in policies {
         let spec = overclaim_campaign().with_unsafe_policy(policy);
-        let outcome = run_campaign(&spec, seed, Walk::Incremental, &Recorder::disabled());
+        let outcome = Campaign::Private(Walk::Incremental).run(&spec, seed, &Recorder::disabled());
         for t in &outcome.tiers {
             table.row(&[
                 policy_label(policy).to_owned(),

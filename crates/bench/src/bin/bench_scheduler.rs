@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use rpki_objects::{Moment, Span};
 use rpki_repo::RrdpClientState;
-use rpki_risk::{SyntheticRpki, ValidationOptions};
+use rpki_risk::{RrdpMode, SyntheticRpki, ValidationOptions};
 use rpki_risk_bench::{export, scale_arg, trace_recorder, RunStamp, Summary, SummaryTable};
 use rpki_rp::{SchedulePlan, SchedulerState, ValidationRun, ValidationState};
 use serde::Serialize;
@@ -104,7 +104,7 @@ fn validate_sweep(
     inc: &mut ValidationState,
 ) -> ValidationRun {
     let now = Moment(w.net.now());
-    w.validate_with(ValidationOptions::at(now).rrdp_trusting(rrdp).incremental(inc))
+    w.validate_with(ValidationOptions::at(now).rrdp(rrdp, RrdpMode::Trusting).incremental(inc))
 }
 
 /// One scheduled round: the same stack under the fetch scheduler.
@@ -117,7 +117,10 @@ fn validate_scheduled(
 ) -> ValidationRun {
     let now = Moment(w.net.now());
     w.validate_with(
-        ValidationOptions::at(now).rrdp_trusting(rrdp).incremental(inc).scheduled(plan, sched),
+        ValidationOptions::at(now)
+            .rrdp(rrdp, RrdpMode::Trusting)
+            .incremental(inc)
+            .scheduled(plan, sched),
     )
 }
 

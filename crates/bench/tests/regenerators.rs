@@ -12,8 +12,9 @@ macro_rules! bins {
 }
 
 /// Every figure / table / side-effect regenerator, and the ablations
-/// that need no benchmark-sized world.
-const REGENERATORS: [(&str, &str); 13] = bins![
+/// that need no benchmark-sized world and write no file untraced
+/// (`ablation_unsafe_vrp` exports `BENCH_unsafe_vrp.json`).
+const REGENERATORS: [(&str, &str); 15] = bins![
     "fig1_dependency_loop",
     "fig2_model_rpki",
     "fig3_grandparent_whack",
@@ -24,7 +25,9 @@ const REGENERATORS: [(&str, &str); 13] = bins![
     "tab4_jurisdiction",
     "tab6_policy_tradeoff",
     "ablation_depth_sweep",
+    "ablation_downgrade",
     "ablation_monitor_detection",
+    "ablation_resilience",
     "ablation_suspenders",
     "ablation_whack_strategies",
 ];

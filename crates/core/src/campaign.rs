@@ -1,68 +1,35 @@
-//! Seeded fault campaigns: the `ablation_resilience` harness.
+//! Seeded fault campaigns: the `ablation_resilience` and
+//! `ablation_downgrade` harness.
 //!
 //! A *campaign* is a deterministic schedule of repository faults —
 //! corruption bursts, flapping partitions, takedowns, Stalloris-style
 //! slow serves and RRDP pins, stealthy withdrawals — played against the
-//! model world while five relying-party configurations validate on a
-//! fixed cadence:
+//! model world while relying parties ([`RpTier`]) validate on a fixed
+//! cadence.
 //!
-//! 1. **bare** — one sync per directory, no timeouts (the RP the paper
-//!    assumes);
-//! 2. **retrying** — deadlines, exponential backoff, digest-checked
-//!    retries ([`SyncPolicy`]);
-//! 3. **retrying + stale cache** — plus last-good snapshot fallback and
-//!    circuit breaking ([`ResilientState`]);
-//! 4. **suspenders** — plus the hold-down fail-safe
-//!    ([`SuspendersState`]) over the validated VRPs;
-//! 5. **rrdp** — the resilient stack fetching over RRDP
-//!    ([`RrdpSource`](rpki_rp::RrdpSource), verified mode) with the
-//!    rsync path as its downgrade target.
+//! Every campaign is one round loop, [`Campaign::run`], over four
+//! inputs: the [`CampaignSpec`]; the relying parties' source stacks; a
+//! world topology — a freshly seeded world per relying party, run one
+//! after another, or one shared world they validate in turn each round;
+//! and an observer that records one table of the [`CampaignOutcome`].
+//! Each world is built with the recorder installed, warmed up by one
+//! faultless validation per relying party (round 0), then played round
+//! by round: clock ([`ROUND_SECS`]), churn, fault windows ([`FaultKind`]
+//! states the rule), validations — each tier recording and emitting its
+//! [`RoundMetrics`] row — with the observer looking before and after.
+//! All metrics are integers, so outcomes and traces replay
+//! byte-identically; `tests/campaign_fingerprints.rs` pins them.
 //!
-//! # The engine
-//!
-//! Every campaign is the same round loop, run by one private engine
-//! that owns the world, its relying parties (each with its persistent
-//! caches) and the background churn. Its steps, in the order every
-//! driver calls them:
-//!
-//! - **new** — build the seeded world and install the recorder. A
-//!   *private* world validates from its built-in relying-party node; a
-//!   *shared* world adds one `rp-<tier>` node per tier.
-//! - **warm-up** — one faultless validation per relying party, so
-//!   snapshots, RRDP sessions and the Suspenders baseline reflect the
-//!   healthy world.
-//! - **begin round** — advance the clock to the round boundary
-//!   ([`ROUND_SECS`]), apply one step of background churn, then switch
-//!   every fault window off and the armed ones back on.
-//! - **validate round** — every relying party validates through its
-//!   stack; each tier's [`RoundMetrics`] row is recorded and emitted as
-//!   a `campaign/round` event.
-//! - **finish** — fold the rows into [`TierTotals`].
-//!
-//! The four entry points — [`run_campaign`] (a private world per
-//! tier), [`run_shared_campaign`], [`run_rtr_campaign`] and
-//! [`run_scheduled_campaign`] — are straight-line drivers over those
-//! steps, each adding its own table to the one [`CampaignOutcome`].
-//!
-//! All metrics are integers, so serialized outcomes and traces are
-//! byte-identical across runs of the same seed —
-//! `tests/campaign_fingerprints.rs` pins a digest of every table and
-//! trace of every entry point.
-//!
-//! The interesting separations the standard campaigns expose:
-//!
-//! - transport faults (corruption, partitions, takedowns) separate the
-//!   first three tiers: retries repair lossy rounds, the stale cache
-//!   bridges rounds where even retries fail;
-//! - a **slow serve** separates *boundedness* from availability: the
-//!   bare RP hangs until the stalled bytes arrive (counted available,
-//!   hours late), the retrying RP times out and loses the round — only
-//!   the stale cache gets both bounded time and availability;
-//! - a **withdrawal** separates the stale cache from Suspenders: a
-//!   complete sync that simply lacks a file updates the snapshot, so
-//!   only the hold-down layer bridges authority-side removals.
+//! The separations the standard campaigns expose: transport faults
+//! order the first three tiers (retries repair lossy rounds, the stale
+//! cache bridges the rest); a **slow serve** separates boundedness from
+//! availability (the bare RP waits hours, the retrying one times out —
+//! only the stale cache gets both); a **withdrawal** is bridged by
+//! Suspenders alone, since a complete sync lacking a file updates the
+//! snapshot.
 
 use std::collections::BTreeSet;
+use std::mem::Discriminant;
 
 use ipres::Prefix;
 use netsim::{Network, NodeId};
@@ -70,7 +37,7 @@ use rpki_attacks::CorpusKind;
 use rpki_ca::{ChurnConfig, ChurnEngine};
 use rpki_objects::{Moment, RoaPrefix, Span};
 use rpki_obs::Recorder;
-use rpki_repo::{Freshness, Repository, RrdpClientState, SyncPolicy};
+use rpki_repo::{Freshness, Repository, RrdpClientState, RrdpStats, SyncPolicy};
 use rpki_rp::fabric::{pump_until, RtrEndpoint};
 use rpki_rp::{
     MergePolicy, Relay, ResilienceConfig, ResilientState, Route, RouteValidity, RtrFabric,
@@ -79,9 +46,10 @@ use rpki_rp::{
 };
 use serde::Serialize;
 
+use crate::downgrade::{DowngradeRecord, Stalloris};
 use crate::fixtures::{asn, ModelRpki};
 use crate::suspenders::{SuspendersConfig, SuspendersState};
-use crate::validate::ValidationOptions;
+use crate::validate::{RrdpMode, ValidationOptions};
 
 /// Seconds between validation rounds (a 30-minute RP cadence; short
 /// enough that a full campaign stays inside every manifest's one-day
@@ -89,6 +57,15 @@ use crate::validate::ValidationOptions;
 pub const ROUND_SECS: u64 = 1800;
 
 /// One kind of repository fault a window can impose.
+///
+/// Off before on: each round every window is switched off, then the
+/// armed ones on, so an expired window never disarms an armed one. The
+/// stateful kinds (`RrdpPin`, `Withdraw`, `AdversarialPublish`) change
+/// the repository and act once per host and kind: engaged when the
+/// first of that host's windows of that kind arms, released the round
+/// after the last one disarms (releases first). Overlapping windows
+/// thus act as one over their union, with the first armed window's
+/// `AdversarialPublish` case.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum FaultKind {
     /// Probabilistic corruption of every repository→RP frame.
@@ -107,58 +84,42 @@ pub enum FaultKind {
         /// Added one-way delay on repository→RP frames.
         extra: u64,
     },
-    /// Schedule gaming ([`Repository::set_serve_delay`]): the
-    /// repository itself holds every response for `extra` seconds
-    /// before answering. Unlike [`Stall`](FaultKind::Stall) — a transport
-    /// fault armed per RP pair — this is the authority's own serve
-    /// latency, seen identically by every client, and tuned *under*
-    /// the per-attempt deadline so nothing ever fails: the slow host
-    /// just burns a budgeted fetch scheduler's time budget and starves
-    /// the publication points behind it in the walk order.
+    /// Schedule gaming ([`Repository::set_serve_delay`]): the authority
+    /// itself holds every response `extra` seconds, for every client,
+    /// under the per-attempt deadline — nothing fails, but a budgeted
+    /// scheduler's time budget burns and the points behind it starve.
     SlowServe {
         /// Seconds the repository sits on each response.
         extra: u64,
     },
     /// The authority stealthily withdraws Continental's covering `/20`
-    /// ROA (file deleted, manifest regenerated — no revocation) for the
-    /// window, then reissues it. An authority-side fault: transport
-    /// defenses must *not* bridge it; Suspenders must. Continental is
-    /// the only authority that can take it: a window naming another
-    /// host is refused when it engages.
+    /// ROA (no revocation) for the window, then reissues it: transport
+    /// defenses must *not* bridge it; Suspenders must. Only Continental
+    /// can take it; a window naming another host is refused.
     Withdraw,
-    /// Stalloris stale-data pinning: at the window's first round the
-    /// host freezes its RRDP feed at the then-current state and replays
-    /// it (notification, snapshot, deltas) until the window closes.
-    /// Writes landing during the window — including a concurrent
-    /// [`Withdraw`](FaultKind::Withdraw) — stay hidden from RRDP while
-    /// rsync serves the truth. Only RRDP-preferring tiers are affected;
-    /// a verified RRDP client detects the pin and downgrades.
+    /// Stalloris stale-data pinning: the host freezes its RRDP feed at
+    /// the window's first round and replays it until the window closes,
+    /// hiding later writes from RRDP while rsync serves the truth; a
+    /// verified RRDP client detects the pin and downgrades.
     RrdpPin,
-    /// The host refuses RRDP outright for the window (every request
-    /// answered NotFound), forcing RRDP-preferring clients through the
-    /// rsync downgrade path each round.
+    /// The host refuses RRDP outright for the window, forcing
+    /// RRDP-preferring clients down to rsync each round.
     RrdpWithhold,
     /// The authority publishes one adversarial corpus case
-    /// ([`rpki_attacks::corpus`]) at the window's first round — signed
-    /// with its own key, written through the publication log — and
-    /// heals it with a fresh honest snapshot when the window closes.
-    /// Tests pin that every tier survives this without panicking and
-    /// that campaign metrics stay byte-identical across replays.
+    /// ([`rpki_attacks::corpus`]), signed with its own key, at the
+    /// window's first round, and heals it with an honest snapshot after.
     AdversarialPublish {
         /// Which corpus family to publish.
         kind: CorpusKind,
     },
     /// A hard partition of the RTR feed path (relay ↔ every router):
-    /// the relying parties stay perfectly synchronised while *routers*
-    /// go deaf — the hop the repository fault kinds cannot reach. Only
-    /// [`run_rtr_campaign`] interprets this; repository-only runners
-    /// treat it as a no-op. The window's `host` is a label, not a
-    /// repository lookup.
+    /// relying parties stay synchronised while routers go deaf. Only a
+    /// [`Campaign::Rtr`] run interprets the RTR kinds; the window's
+    /// `host` is then a label, not a repository.
     RtrPartition,
-    /// The RTR feed path serves, but `extra` seconds late (Stalloris
-    /// moved one hop down): frames stalled past the per-round pump
-    /// budget never arrive, the session times out, and routers act on
-    /// yesterday's VRPs. Only [`run_rtr_campaign`] interprets this.
+    /// The RTR feed path serves `extra` seconds late (Stalloris one hop
+    /// down): frames stalled past the pump budget never arrive, and
+    /// routers act on yesterday's VRPs.
     RtrStall {
         /// Added one-way delay on relay→router frames.
         extra: u64,
@@ -201,6 +162,14 @@ impl FaultWindow {
         // always starts severed and heals every other round.
         inside && (self.kind != FaultKind::Flapping || (round - self.from).is_multiple_of(2))
     }
+
+    /// The (host, kind) group a stateful window engages and releases
+    /// with; `None` for the kinds switched every round.
+    fn group(&self) -> Option<(&str, Discriminant<FaultKind>)> {
+        use FaultKind::{AdversarialPublish, RrdpPin, Withdraw};
+        matches!(self.kind, RrdpPin | Withdraw | AdversarialPublish { .. })
+            .then(|| (self.host.as_str(), std::mem::discriminant(&self.kind)))
+    }
 }
 
 /// A named, fully deterministic fault schedule.
@@ -215,13 +184,10 @@ pub struct CampaignSpec {
     /// The unsafe-VRP policy every tier validates under (default
     /// [`UnsafeVrpPolicy::Accept`], matching deployed practice).
     pub unsafe_vrps: UnsafeVrpPolicy,
-    /// Background CA churn applied to the world every round *before*
-    /// that round's faults. `None` keeps repositories quiet between
-    /// faults — the behaviour of every earlier campaign. The engine is
-    /// seeded with the campaign seed, so per-tier worlds churn through
-    /// byte-identical schedules and tiers stay comparable. Use
-    /// [`ChurnConfig::renew_only`] for campaigns whose assertions
-    /// depend on a fixed VRP population.
+    /// Background CA churn applied every round *before* that round's
+    /// faults, seeded with the campaign seed so every world churns
+    /// identically; `None` keeps repositories quiet between faults
+    /// ([`ChurnConfig::renew_only`] keeps the VRP population fixed).
     pub churn: Option<ChurnConfig>,
 }
 
@@ -302,8 +268,7 @@ macro_rules! metrics_struct {
 }
 
 metrics_struct! {
-    /// What one tier saw in one round. All counts are integers so that the
-    /// serialized campaign outcome is byte-identical across replays.
+    /// What one tier saw in one round.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
     pub struct RoundMetrics {
         /// Round number (1-based; the warm-up round is not recorded).
@@ -368,8 +333,7 @@ pub struct TierOutcome {
 
 metrics_struct! {
     /// Cross-RP divergence in one shared-world round: how far the tiers'
-    /// validated VRP sets drifted apart. All integers, so serialized
-    /// outcomes replay byte-identically.
+    /// validated VRP sets drifted apart.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
     pub struct DivergenceMetrics {
         /// Round number (1-based).
@@ -398,22 +362,18 @@ pub struct HostLoad {
     pub bytes: u64,
 }
 
-/// Shape of the RTR fabric a [`run_rtr_campaign`] run attaches to the
-/// shared world: a relay merging the five tier feeds, re-serving a
-/// population of routers.
+/// Shape of the RTR fabric a [`Campaign::Rtr`] run attaches: a relay
+/// merging the five tier feeds, re-serving a population of routers.
 #[derive(Debug, Clone, Copy)]
 pub struct RtrConfig {
     /// Routers behind the relay.
     pub routers: usize,
-    /// Per-serial delta-history depth on every cache (tier fabrics and
-    /// the relay's downstream target).
+    /// Per-serial delta-history depth on every cache.
     pub max_history: usize,
     /// How the relay merges the five tier feeds.
     pub policy: MergePolicy,
-    /// Seconds of simulated time each of the round's two RTR pump
-    /// windows may consume. Frames stalled past the budget never
-    /// arrive: the session times out (the pair is flushed) and the
-    /// router stays stale until a later round reaches it.
+    /// Simulated seconds each of the round's two RTR pump windows may
+    /// consume; frames stalled past it are flushed (a session timeout).
     pub pump_budget: u64,
 }
 
@@ -424,8 +384,7 @@ impl Default for RtrConfig {
 }
 
 metrics_struct! {
-    /// What the router population saw in one round. All integers, so the
-    /// serialized outcome replays byte-identically.
+    /// What the router population saw in one round.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
     pub struct RtrRoundMetrics {
         /// Round number (1-based).
@@ -434,27 +393,23 @@ metrics_struct! {
         pub relay_serial: u32,
         /// Routers whose serial equals the relay's.
         pub synced_routers: usize,
-        /// Routers lagging the relay (behind by ≥1 serial, or never
-        /// synced at all).
+        /// Routers behind the relay's serial, or never synced.
         pub stale_routers: usize,
-        /// The largest serial lag among routers that have synced at least
-        /// once (RFC 1982 distance).
+        /// The largest RFC 1982 serial lag among routers that have synced.
         pub max_serial_lag: u32,
         /// Σ over routers of the symmetric difference between the router's
         /// VRP set and the perfect-transport truth at the round's moment.
         pub truth_distance_sum: usize,
         /// The single worst router's distance from truth.
         pub max_truth_distance: usize,
-        /// Symmetric difference between the relay's merged (SLURM-applied)
-        /// set and the truth — divergence the *relying-party* path
-        /// contributed, before the router hop adds its own lag.
+        /// The relay's merged (SLURM-applied) set's distance from truth:
+        /// what the relying-party path contributed, before the router hop.
         pub relay_truth_distance: usize,
     }
 }
 
 /// One round of a scheduled campaign: what the scheduler did and how
-/// stale the starved points got. All integers, so serialized outcomes
-/// replay byte-identically.
+/// stale the starved points got.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ScheduleRoundMetrics {
     /// Round number (1-based; the warm-up round is not recorded).
@@ -479,8 +434,8 @@ pub struct ScheduleRoundMetrics {
     pub max_served_age: u64,
 }
 
-/// The result of running one campaign at one seed. Every entry point
-/// returns this type; a table the run did not produce is empty.
+/// The result of running one campaign at one seed: every [`Campaign`]
+/// returns this type, and a table the run did not record is empty.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct CampaignOutcome {
     /// The campaign's name.
@@ -489,54 +444,47 @@ pub struct CampaignOutcome {
     pub seed: u64,
     /// Rounds per tier.
     pub rounds: usize,
-    /// One trace per tier, in [`RpTier::ALL`] order (empty for
-    /// [`run_scheduled_campaign`], whose relying party is no tier).
+    /// One trace per tier, in [`RpTier::ALL`] order (empty when the
+    /// relying parties are no tiers).
     pub tiers: Vec<TierOutcome>,
-    /// Per-round cross-tier divergence ([`run_shared_campaign`]).
+    /// Per-round cross-tier divergence ([`Campaign::Shared`]).
     pub divergence: Vec<DivergenceMetrics>,
     /// Per-host server-side load over the campaign rounds (warm-up
-    /// excluded), in host order ([`run_shared_campaign`]).
+    /// excluded), in host order ([`Campaign::Shared`]).
     pub load: Vec<HostLoad>,
     /// Per-round router-population staleness and divergence
-    /// ([`run_rtr_campaign`]).
+    /// ([`Campaign::Rtr`]).
     pub rtr: Vec<RtrRoundMetrics>,
     /// Per-round scheduler metrics, in round order
-    /// ([`run_scheduled_campaign`]).
+    /// ([`Campaign::Scheduled`]).
     pub schedule: Vec<ScheduleRoundMetrics>,
+    /// The Stalloris record ([`Campaign::Stalloris`]): an artifact of
+    /// its own, so the serialized outcome keeps its shape without it.
+    #[serde(skip)]
+    pub downgrade: Option<DowngradeRecord>,
 }
 
 impl CampaignOutcome {
-    fn empty(spec: &CampaignSpec, seed: u64) -> Self {
-        let (name, rounds) = (spec.name.clone(), spec.rounds);
-        CampaignOutcome { name, seed, rounds, ..CampaignOutcome::default() }
-    }
-
     /// The trace of `tier`.
     pub fn tier(&self, tier: RpTier) -> &TierOutcome {
         self.tiers.iter().find(|t| t.tier == tier).expect("all tiers present")
     }
 }
 
-/// How [`run_campaign`]'s relying parties walk the tree each round.
+/// How a [`Campaign::Private`] run's relying parties walk the tree each
+/// round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Walk {
-    /// Revalidate against a persistent [`ValidationState`] (full-fetch
-    /// mode, so the network sees exactly the traffic a cold walk
-    /// would): unchanged publication points replay instead of
-    /// re-verifying, without changing a byte of output.
+    /// Revalidate against a persistent [`ValidationState`] in full-fetch
+    /// mode: the same traffic and output as a cold walk, but unchanged
+    /// publication points replay instead of re-verifying.
     Incremental,
-    /// A cold full walk every round — the oracle the incremental
-    /// engine's output is tested against.
+    /// A cold full walk every round — the incremental walk's oracle.
     Cold,
 }
 
 /// The repository host every standard campaign targets.
-const CONTINENTAL_HOST: &str = "rpki.continental.example";
-
-/// The retry policy every non-bare tier uses.
-pub fn campaign_policy() -> SyncPolicy {
-    SyncPolicy::default()
-}
+pub(crate) const CONTINENTAL_HOST: &str = "rpki.continental.example";
 
 /// The resilience knobs the stale-cache tiers use: snapshots may bridge
 /// up to six hours (12 rounds); three dead sessions open the circuit
@@ -554,14 +502,8 @@ fn emit_row(
     tags: &[(&'static str, &str)],
     columns: &[(&'static str, u64)],
 ) {
-    let mut event = recorder.event(at, layer, kind);
-    for &(key, value) in tags {
-        event = event.str(key, value);
-    }
-    for &(key, value) in columns {
-        event = event.u64(key, value);
-    }
-    event.emit();
+    let event = tags.iter().fold(recorder.event(at, layer, kind), |e, &(k, v)| e.str(k, v));
+    columns.iter().fold(event, |e, &(k, v)| e.u64(k, v)).emit();
 }
 
 /// The source stack a campaign relying party validates through.
@@ -569,33 +511,27 @@ fn emit_row(
 pub(crate) enum Stack {
     /// One of the five ablation tiers.
     Tier(RpTier),
-    /// Retries + RRDP under a fetch scheduler: the budgeted relying
-    /// party [`run_scheduled_campaign`] starves.
+    /// Retries + RRDP under a fetch scheduler ([`Campaign::Scheduled`]).
     Scheduled(SchedulePlan),
-    /// Retries + RRDP and nothing else — no stale cache to bridge a
-    /// lie: the two stances [`crate::downgrade`] compares. `verify`
-    /// cross-checks each sync against an rsync digest probe.
-    Rrdp {
-        /// Whether the feed's freshness is cross-checked.
-        verify: bool,
-    },
+    /// Retries + RRDP and no stale cache to bridge a lie: the Stalloris
+    /// stances.
+    Rrdp(RrdpMode),
 }
 
 /// One relying party in a campaign: its network node, its stack, and
 /// every piece of state that persists across its rounds.
 pub(crate) struct Rp {
     node: NodeId,
-    stack: Stack,
+    pub(crate) stack: Stack,
     /// The memo cache of an incremental walk; `None` walks cold.
     validation: Option<ValidationState>,
     resilient: ResilientState,
     suspenders: SuspendersState,
-    /// Per-directory RRDP session state: what makes round N+1 a delta
-    /// (or fast-path) sync of round N.
+    /// Per-directory RRDP sessions: round N+1 syncs deltas on round N.
     pub(crate) rrdp: RrdpClientState,
     scheduler: SchedulerState,
-    /// RRDP→rsync downgrades during the latest run.
-    downgrades: u64,
+    /// The RRDP counters before the latest run.
+    pub(crate) rrdp_before: RrdpStats,
     rounds: Vec<RoundMetrics>,
 }
 
@@ -611,18 +547,21 @@ impl Rp {
             suspenders: SuspendersState::new(SuspendersConfig { hold_down: Span::days(1) }),
             rrdp: RrdpClientState::new(),
             scheduler: SchedulerState::new(),
-            downgrades: 0,
+            rrdp_before: RrdpStats::default(),
             rounds: Vec::new(),
         }
     }
 
-    /// One validation from this relying party's node through its
-    /// stack, at the world's current moment.
-    fn validate(&mut self, w: &mut ModelRpki, unsafe_vrps: UnsafeVrpPolicy) -> ValidationRun {
+    /// One validation from this relying party's node through its stack,
+    /// at the world's current moment. From round 1 on, a tier classifies
+    /// the announcements against its effective VRPs and records its row,
+    /// emitted as a `campaign/round` event stamped with that moment.
+    fn validate(&mut self, w: &mut ModelRpki, spec: &CampaignSpec, round: usize) -> ValidationRun {
+        let at = w.net.now();
         w.rp_node = self.node;
-        let before = self.rrdp.stats().downgrades;
-        let policy = campaign_policy();
-        let base = ValidationOptions::at(Moment(w.net.now())).unsafe_vrps(unsafe_vrps);
+        self.rrdp_before = self.rrdp.stats();
+        let base = ValidationOptions::at(Moment(at)).unsafe_vrps(spec.unsafe_vrps);
+        let policy = SyncPolicy::default();
         let opts = match self.stack {
             Stack::Tier(RpTier::Bare) => base,
             Stack::Tier(RpTier::Retrying) => base.retry(policy),
@@ -632,48 +571,22 @@ impl Rp {
             Stack::Tier(RpTier::Suspenders) => {
                 base.retry(policy).stale_cache(&mut self.resilient).suspenders(&mut self.suspenders)
             }
-            Stack::Tier(RpTier::Rrdp) => {
-                base.retry(policy).rrdp(&mut self.rrdp).stale_cache(&mut self.resilient)
-            }
-            Stack::Scheduled(plan) => {
-                base.retry(policy).rrdp(&mut self.rrdp).scheduled(plan, &mut self.scheduler)
-            }
-            Stack::Rrdp { verify: true } => base.retry(policy).rrdp(&mut self.rrdp),
-            Stack::Rrdp { verify: false } => base.retry(policy).rrdp_trusting(&mut self.rrdp),
+            Stack::Tier(RpTier::Rrdp) => base
+                .retry(policy)
+                .rrdp(&mut self.rrdp, RrdpMode::Verified)
+                .stale_cache(&mut self.resilient),
+            Stack::Scheduled(plan) => base
+                .retry(policy)
+                .rrdp(&mut self.rrdp, RrdpMode::Verified)
+                .scheduled(plan, &mut self.scheduler),
+            Stack::Rrdp(mode) => base.retry(policy).rrdp(&mut self.rrdp, mode),
         };
-        let opts = match self.validation.as_mut() {
+        let run = w.validate_with(match self.validation.as_mut() {
             Some(state) => opts.incremental(state),
             None => opts,
-        };
-        let run = w.validate_with(opts);
-        self.downgrades = self.rrdp.stats().downgrades - before;
-        run
-    }
-
-    /// The VRPs this relying party acts on after `run`: the Suspenders
-    /// tier serves its hold-down-protected effective set, every other
-    /// stack the run's own.
-    fn effective_vrps(&self, run: &ValidationRun) -> Vec<Vrp> {
-        match self.stack {
-            Stack::Tier(RpTier::Suspenders) => self.suspenders.effective_cache().vrps().to_vec(),
-            _ => run.vrps.clone(),
-        }
-    }
-
-    /// Classifies the announcements against the effective VRPs and
-    /// records a tier's row for `round`, emitting it as a
-    /// `campaign/round` event stamped `at`. Non-tier stacks record
-    /// nothing here.
-    fn record(
-        &mut self,
-        w: &ModelRpki,
-        campaign: &str,
-        round: usize,
-        at: u64,
-        run: &ValidationRun,
-    ) {
-        let Stack::Tier(tier) = self.stack else { return };
-        let effective = self.effective_vrps(run);
+        });
+        let (Stack::Tier(tier), 1..) = (self.stack, round) else { return run };
+        let effective = self.effective_vrps(&run);
         let cache: VrpCache = effective.iter().copied().collect();
         let mut m = RoundMetrics { round, vrps: effective.len(), ..RoundMetrics::default() };
         for ann in &w.announcements {
@@ -685,7 +598,7 @@ impl Rp {
         }
         m.stale_dirs =
             run.freshness.iter().filter(|(_, f)| matches!(f, Freshness::Stale { .. })).count();
-        m.rrdp_downgrades = self.downgrades as usize;
+        m.rrdp_downgrades = (self.rrdp.stats().downgrades - self.rrdp_before.downgrades) as usize;
         m.unsafe_vrps = run.unsafe_vrps.len();
         m.rejected_cas = run.rejected_cas.len();
 
@@ -696,9 +609,20 @@ impl Rp {
         recorder.count("campaign.stale_dir_rounds", m.stale_dirs as u64);
         recorder.count("campaign.rrdp_downgrades", m.rrdp_downgrades as u64);
         recorder.observe("campaign.vrps_per_round", m.vrps as u64);
-        let tags = [("campaign", campaign), ("tier", tier.label())];
+        let tags = [("campaign", spec.name.as_str()), ("tier", tier.label())];
         emit_row(&recorder, at, ("campaign", "round"), &tags, &m.columns());
         self.rounds.push(m);
+        run
+    }
+
+    /// The VRPs this relying party acts on after `run`: the Suspenders
+    /// tier serves its hold-down-protected effective set, every other
+    /// stack the run's own.
+    fn effective_vrps(&self, run: &ValidationRun) -> Vec<Vrp> {
+        match self.stack {
+            Stack::Tier(RpTier::Suspenders) => self.suspenders.effective_cache().vrps().to_vec(),
+            _ => run.vrps.clone(),
+        }
     }
 }
 
@@ -716,104 +640,104 @@ fn tier_totals(rounds: &[RoundMetrics]) -> TierTotals {
     }
 }
 
-/// The one campaign engine: a world, the relying parties validating it,
-/// and everything that happens to it between rounds. Drivers call the
-/// steps in order and interleave their own work between them.
+/// Where a campaign's relying parties validate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Topology {
+    /// A freshly seeded world per relying party, run one after another,
+    /// each relying party validating from the world's own node.
+    Private,
+    /// One world that every relying party validates in turn each round,
+    /// each from its own `rp-<tier>` node.
+    Shared,
+}
+
+/// One campaign world: the world, the relying parties validating it,
+/// and everything that happens to it between rounds.
 pub(crate) struct Engine<'a> {
-    spec: &'a CampaignSpec,
+    pub(crate) spec: &'a CampaignSpec,
     pub(crate) w: ModelRpki,
     pub(crate) rps: Vec<Rp>,
-    /// Indices of stateful windows currently engaged, so their
-    /// activation and release each happen exactly once.
-    engaged: BTreeSet<usize>,
-    /// Background churn, seeded with the campaign seed: per-tier
-    /// private worlds advance through byte-identical schedules, and
-    /// every relying party of a shared world syncs the same serials.
+    topology: Topology,
+    /// One window of each engaged stateful (host, kind) group.
+    engaged: Vec<usize>,
+    /// Background churn, seeded with the campaign seed, so every world
+    /// churns through the same schedule.
     churn: Option<ChurnEngine>,
-    /// The RTR feed path the RTR fault kinds act on — the relay and the
-    /// routers behind it. `None` (a repository-only campaign) makes
-    /// those kinds a no-op.
+    /// The relay and routers the RTR fault kinds act on; `None` makes
+    /// them a no-op.
     rtr_path: Option<(NodeId, Vec<NodeId>)>,
 }
 
 impl<'a> Engine<'a> {
-    fn new(spec: &'a CampaignSpec, seed: u64, recorder: &Recorder) -> Self {
-        let mut w = ModelRpki::build_seeded(seed);
-        w.net.set_recorder(recorder.clone());
-        Engine {
-            spec,
-            w,
-            rps: Vec::new(),
-            engaged: BTreeSet::new(),
-            churn: spec.churn.map(|cfg| ChurnEngine::new(seed, cfg)),
-            rtr_path: None,
-        }
-    }
-
-    /// A private world: one relying party at the world's built-in node.
-    pub(crate) fn private(
+    /// Builds the seeded world, installs `recorder`, and places one
+    /// relying party per stack (a shared world holds tiers only).
+    fn new(
         spec: &'a CampaignSpec,
         seed: u64,
         recorder: &Recorder,
-        stack: Stack,
+        stacks: &[Stack],
         walk: Walk,
+        topology: Topology,
     ) -> Self {
-        let mut e = Engine::new(spec, seed, recorder);
-        e.rps.push(Rp::new(e.w.rp_node, stack, walk));
-        e
-    }
-
-    /// A shared world: every tier validates the same repositories from
-    /// its own `rp-<label>` node, with its own persistent caches.
-    fn shared(spec: &'a CampaignSpec, seed: u64, recorder: &Recorder) -> Self {
-        let mut e = Engine::new(spec, seed, recorder);
-        for tier in RpTier::ALL {
-            let node = e.w.net.add_node(&format!("rp-{}", tier.label()));
-            e.rps.push(Rp::new(node, Stack::Tier(tier), Walk::Incremental));
+        let mut w = ModelRpki::build_seeded(seed);
+        w.net.set_recorder(recorder.clone());
+        let mut rps = Vec::with_capacity(stacks.len());
+        for &stack in stacks {
+            let node = match stack {
+                Stack::Tier(tier) if topology == Topology::Shared => {
+                    w.net.add_node(&format!("rp-{}", tier.label()))
+                }
+                _ => w.rp_node,
+            };
+            rps.push(Rp::new(node, stack, walk));
         }
-        e
-    }
-
-    /// One faultless, unrecorded validation per relying party against
-    /// the healthy world.
-    pub(crate) fn warm_up(&mut self) -> Vec<ValidationRun> {
-        let (w, spec) = (&mut self.w, self.spec);
-        self.rps.iter_mut().map(|rp| rp.validate(w, spec.unsafe_vrps)).collect()
+        let churn = spec.churn.map(|cfg| ChurnEngine::new(seed, cfg));
+        Engine { spec, w, rps, topology, engaged: Vec::new(), churn, rtr_path: None }
     }
 
     /// Opens `round`: clock, then churn, then faults.
-    pub(crate) fn begin_round(&mut self, round: usize) {
+    fn begin_round(&mut self, round: usize) {
         // Stalled sessions may overrun the boundary; `advance_to` is
         // monotone, so pacing simply resumes once they drain.
         self.w.net.advance_to(round as u64 * ROUND_SECS);
         if let Some(engine) = self.churn.as_mut() {
             self.w.run_churn(engine, Moment(self.w.net.now()));
         }
-        // Every window off before any goes on: expired and flapping
-        // windows heal, and an expired window cannot disarm an armed
-        // one of the same kind on the same host.
+        // Off before on, as `FaultKind` states: every window off, the
+        // armed ones on, noting the first armed window of each stateful
+        // group; then the groups left unarmed are released and the
+        // newly armed ones engaged.
         let spec = self.spec;
+        let grouped = |set: &[usize], i: usize| {
+            set.iter().any(|&j| spec.windows[j].group() == spec.windows[i].group())
+        };
         for win in &spec.windows {
             self.set_fault(win, false);
         }
-        for (i, win) in spec.windows.iter().enumerate() {
-            let armed = win.armed(round);
-            if armed {
-                self.set_fault(win, true);
+        let mut armed = Vec::new();
+        for (i, win) in spec.windows.iter().enumerate().filter(|(_, win)| win.armed(round)) {
+            self.set_fault(win, true);
+            if win.group().is_some() && !grouped(&armed, i) {
+                armed.push(i);
             }
-            self.engage(i, win, armed);
         }
+        let engaged = std::mem::take(&mut self.engaged);
+        for &i in engaged.iter().filter(|&&i| !grouped(&armed, i)) {
+            self.engage(i, false);
+        }
+        for &i in armed.iter().filter(|&&i| !grouped(&engaged, i)) {
+            self.engage(i, true);
+        }
+        self.engaged = armed;
     }
 
     fn repo_mut(&mut self, host: &str) -> &mut Repository {
         self.w.repos.by_host_mut(host).expect("campaign host exists")
     }
 
-    /// Switches one window's transport or serve fault on or off.
-    /// Pairwise kinds act between the serving node and every client
-    /// behind it: a repository host and each relying party, or — for
-    /// the RTR kinds, whose `host` is only a label — the relay and each
-    /// router.
+    /// Switches one window's transport or serve fault on or off; pairwise
+    /// kinds act between the server — the host, or the relay for the RTR
+    /// kinds — and each of its clients.
     fn set_fault(&mut self, win: &FaultWindow, on: bool) {
         let (server, clients) = if win.kind.is_rtr() {
             let Some(path) = &self.rtr_path else { return };
@@ -822,58 +746,44 @@ impl<'a> Engine<'a> {
             (self.repo_mut(&win.host).node(), self.rps.iter().map(|rp| rp.node).collect())
         };
         let faults = &mut self.w.net.faults;
-        match win.kind {
-            FaultKind::CorruptionBurst { prob } => {
-                for &c in &clients {
+        for &c in &clients {
+            match win.kind {
+                FaultKind::CorruptionBurst { prob } => {
                     faults.set_corruption(server, c, if on { prob } else { 0.0 });
                 }
-            }
-            FaultKind::Partition | FaultKind::Flapping | FaultKind::RtrPartition => {
-                for &c in &clients {
-                    if on {
-                        faults.partition(server, c);
-                    } else {
-                        faults.heal(server, c);
-                    }
+                FaultKind::Partition | FaultKind::Flapping | FaultKind::RtrPartition if on => {
+                    faults.partition(server, c);
                 }
-            }
-            FaultKind::Stall { extra } | FaultKind::RtrStall { extra } => {
-                for &c in &clients {
+                FaultKind::Partition | FaultKind::Flapping | FaultKind::RtrPartition => {
+                    faults.heal(server, c);
+                }
+                FaultKind::Stall { extra } | FaultKind::RtrStall { extra } => {
                     faults.set_stall(server, c, if on { extra } else { 0 });
                 }
+                _ => {}
             }
+        }
+        match win.kind {
             FaultKind::Takedown => faults.set_down(server, on),
             FaultKind::SlowServe { extra } => {
                 self.repo_mut(&win.host).set_serve_delay(if on { extra } else { 0 });
             }
             FaultKind::RrdpWithhold => self.repo_mut(&win.host).set_rrdp_offline(on),
-            // Stateful: `engage` arms and releases these exactly once.
-            FaultKind::RrdpPin | FaultKind::Withdraw | FaultKind::AdversarialPublish { .. } => {}
+            // Pairwise kinds are set above; stateful ones in `engage`.
+            _ => {}
         }
     }
 
-    /// Engages a stateful window (`RrdpPin`, `Withdraw`,
-    /// `AdversarialPublish`) at its first armed round and releases it
-    /// at the first round after — once each: re-arming a pin every
-    /// round would re-capture the current state and defeat the point,
-    /// and re-running a round must never re-mutate the repository.
-    fn engage(&mut self, i: usize, win: &FaultWindow, armed: bool) {
-        if !matches!(
-            win.kind,
-            FaultKind::RrdpPin | FaultKind::Withdraw | FaultKind::AdversarialPublish { .. }
-        ) {
-            return;
-        }
-        let start = armed && self.engaged.insert(i);
-        let stop = !armed && self.engaged.remove(&i);
-        if !start && !stop {
-            return;
-        }
+    /// Engages (`on`) or releases the stateful fault of window `i`'s
+    /// group — once each: re-arming a pin would re-capture the state.
+    fn engage(&mut self, i: usize, on: bool) {
+        let spec = self.spec;
+        let win = &spec.windows[i];
         let now = Moment(self.w.net.now());
         match win.kind {
-            FaultKind::RrdpPin if start => self.repo_mut(&win.host).rrdp_pin(),
+            FaultKind::RrdpPin if on => self.repo_mut(&win.host).rrdp_pin(),
             FaultKind::RrdpPin => self.repo_mut(&win.host).rrdp_unpin(),
-            FaultKind::Withdraw if start => {
+            FaultKind::Withdraw if on => {
                 assert_eq!(
                     win.host, CONTINENTAL_HOST,
                     "a Withdraw window whacks Continental's covering ROA; host {} cannot take it",
@@ -893,7 +803,7 @@ impl<'a> Engine<'a> {
             }
             // Seeded by the window index so concurrent windows of one
             // campaign draw distinct corpus streams.
-            FaultKind::AdversarialPublish { kind } if start => {
+            FaultKind::AdversarialPublish { kind } if on => {
                 self.w.poison_host(&win.host, kind, i as u64, now).expect("campaign host exists");
             }
             // A fresh honest snapshot overwrites the poison and deletes
@@ -902,134 +812,222 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Every relying party validates, in order; tiers record and emit
-    /// their row. Returns the round's runs, one per relying party.
-    pub(crate) fn validate_round(&mut self, round: usize) -> Vec<ValidationRun> {
+    /// Every relying party validates, in order; returns the round's
+    /// runs, one per relying party.
+    fn validate_round(&mut self, round: usize) -> Vec<ValidationRun> {
         let (w, spec) = (&mut self.w, self.spec);
-        self.rps
-            .iter_mut()
-            .map(|rp| {
-                let at = w.net.now();
-                let run = rp.validate(w, spec.unsafe_vrps);
-                rp.record(w, &spec.name, round, at, &run);
-                run
-            })
-            .collect()
+        self.rps.iter_mut().map(|rp| rp.validate(w, spec, round)).collect()
     }
 
-    /// The recorded tiers with their totals, in relying-party order.
+    /// The recorded tiers with their totals, in relying-party order;
+    /// each tier of a private world closes with a `campaign/tier_totals`
+    /// event.
     fn finish(self) -> Vec<TierOutcome> {
-        let tier_of = |rp: Rp| match rp.stack {
-            Stack::Tier(tier) => {
-                Some(TierOutcome { tier, totals: tier_totals(&rp.rounds), rounds: rp.rounds })
+        let (recorder, now) = (self.w.net.recorder(), self.w.net.now());
+        let mut tiers = Vec::new();
+        for rp in self.rps {
+            let Stack::Tier(tier) = rp.stack else { continue };
+            let totals = tier_totals(&rp.rounds);
+            if self.topology == Topology::Private {
+                let tags = [("campaign", self.spec.name.as_str()), ("tier", tier.label())];
+                emit_row(&recorder, now, ("campaign", "tier_totals"), &tags, &totals.columns());
             }
-            Stack::Scheduled(_) | Stack::Rrdp { .. } => None,
+            tiers.push(TierOutcome { tier, totals, rounds: rp.rounds });
+        }
+        tiers
+    }
+}
+
+/// One of the campaigns the harness runs: its relying parties, their
+/// world topology, and the observer that records its table.
+/// [`run`](Campaign::run) plays a [`CampaignSpec`] through it.
+#[derive(Debug, Clone)]
+pub enum Campaign {
+    /// The five tiers, each in its own freshly seeded world, so tiers
+    /// never share fault dice; they walk as the [`Walk`] says, and both
+    /// walks give byte-identical outcomes.
+    Private(Walk),
+    /// The five tiers validating **one** shared world, each from its own
+    /// node with its own caches, plus per-round cross-tier divergence
+    /// and per-host server load. Probabilistic faults draw from one dice
+    /// stream here, so a burst that eats one tier's frame spares
+    /// another's: that asymmetry is what divergence measures.
+    Shared,
+    /// The shared world feeding an RTR fabric: each tier publishes into
+    /// its own framed cache, a relay merges the five under the SLURM
+    /// exceptions, and routers sync from it over netsim. The warm-up and
+    /// every round end with one publish → merge → sync cycle in two
+    /// bounded pump windows; frames still in flight are flushed (a
+    /// session timeout), so a stalled path shows as stale routers.
+    Rtr(RtrConfig, SlurmFile),
+    /// One relying party on retries + RRDP under the plan's fetch
+    /// scheduler, in a private world republished whole every round, so
+    /// the run budget, not quiescence, rations the wire.
+    Scheduled(SchedulePlan),
+    /// The Stalloris scenario ([`crate::downgrade`]): a trusting and a
+    /// verified RRDP stance, each in its own private world.
+    Stalloris,
+}
+
+impl Campaign {
+    /// Plays `spec` at `seed`, with `recorder` installed in every world,
+    /// so the whole event stream and the campaign's rows share a trace.
+    pub fn run(&self, spec: &CampaignSpec, seed: u64, recorder: &Recorder) -> CampaignOutcome {
+        use Topology::{Private, Shared};
+        let tiers = RpTier::ALL.map(Stack::Tier).to_vec();
+        let (stacks, topology, walk, mut observer) = match self {
+            Campaign::Private(walk) => (tiers, Private, *walk, Observer::Tiers),
+            Campaign::Shared => (tiers, Shared, Walk::Incremental, Observer::Divergence),
+            Campaign::Rtr(cfg, slurm) => {
+                (tiers, Shared, Walk::Incremental, Observer::Rtr(*cfg, slurm, None))
+            }
+            Campaign::Scheduled(plan) => {
+                (vec![Stack::Scheduled(*plan)], Private, Walk::Cold, Observer::Schedule)
+            }
+            Campaign::Stalloris => {
+                let stances = [RrdpMode::Trusting, RrdpMode::Verified].map(Stack::Rrdp).to_vec();
+                (stances, Private, Walk::Cold, Observer::Stalloris(Stalloris::default()))
+            }
         };
-        self.rps.into_iter().filter_map(tier_of).collect()
-    }
-}
-
-/// Runs `spec` at `seed` across all five tiers, each in its own freshly
-/// seeded world — so tiers never contaminate each other's fault dice
-/// and determinism is per `(campaign, seed, tier)` — reporting through
-/// `recorder`: each tier's world gets the
-/// recorder installed (so the whole netsim/repo/rp/suspenders event
-/// stream lands in one trace), every round emits a `campaign/round`
-/// event plus the campaign counters that the [`TierTotals`] integers
-/// mirror, and every tier closes with a `campaign/tier_totals` event.
-/// [`Walk::Incremental`] and [`Walk::Cold`] are byte-identical by
-/// construction.
-pub fn run_campaign(
-    spec: &CampaignSpec,
-    seed: u64,
-    walk: Walk,
-    recorder: &Recorder,
-) -> CampaignOutcome {
-    let mut out = CampaignOutcome::empty(spec, seed);
-    for tier in RpTier::ALL {
-        let mut e = Engine::private(spec, seed, recorder, Stack::Tier(tier), walk);
-        e.warm_up();
-        for round in 1..=spec.rounds {
-            e.begin_round(round);
-            e.validate_round(round);
-        }
-        let now = e.w.net.now();
-        let t = e.finish().pop().expect("a private world has one tier");
-        let tags = [("campaign", spec.name.as_str()), ("tier", tier.label())];
-        emit_row(recorder, now, ("campaign", "tier_totals"), &tags, &t.totals.columns());
-        out.tiers.push(t);
-    }
-    out
-}
-
-/// Runs `spec` at `seed` with all five tiers validating against **one**
-/// shared repository world — the planet-scale deployment shape, where
-/// thousands of relying parties hammer the same publication points —
-/// instead of the per-tier clones [`run_campaign`] uses to isolate
-/// fault dice. Each tier gets its own relying-party network node and
-/// its own persistent caches. The outcome adds per-round cross-tier VRP
-/// divergence and the server-side load ledger each host accumulated
-/// over the campaign rounds.
-///
-/// Note the shared world is *not* metric-identical to the per-tier
-/// worlds: probabilistic faults draw from one shared dice stream, so a
-/// corruption burst that eats tier A's frame spares tier B's. That
-/// asymmetry is the point — it is what the divergence metrics measure.
-pub fn run_shared_campaign(spec: &CampaignSpec, seed: u64, recorder: &Recorder) -> CampaignOutcome {
-    let mut e = Engine::shared(spec, seed, recorder);
-    e.warm_up();
-    // The load ledger measures the campaign proper, not the warm-up.
-    for repo in e.w.repos.iter() {
-        repo.reset_served_load();
-    }
-
-    let campaign = ("campaign", spec.name.as_str());
-    let mut divergence = Vec::with_capacity(spec.rounds);
-    for round in 1..=spec.rounds {
-        e.begin_round(round);
-        let runs = e.validate_round(round);
-        let sets: Vec<BTreeSet<Vrp>> =
-            runs.iter().map(|run| run.vrps.iter().copied().collect()).collect();
-        let mut d = DivergenceMetrics { round, ..DivergenceMetrics::default() };
-        for (i, a) in sets.iter().enumerate() {
-            if !sets[..i].contains(a) {
-                d.distinct_vrp_sets += 1;
-            }
-            for b in &sets[..i] {
-                let diff = a.symmetric_difference(b).count();
-                d.pairwise_diff_sum += diff;
-                d.max_pairwise_diff = d.max_pairwise_diff.max(diff);
-            }
-        }
-        recorder.observe("campaign.distinct_vrp_sets", d.distinct_vrp_sets as u64);
-        emit_row(recorder, e.w.net.now(), ("campaign", "divergence"), &[campaign], &d.columns());
-        divergence.push(d);
-    }
-
-    let mut load: Vec<HostLoad> =
-        e.w.repos
-            .iter()
-            .map(|repo| {
-                let total = repo.served_total();
-                HostLoad {
-                    host: repo.host().to_owned(),
-                    dirs: repo.served_load().len(),
-                    frames: total.frames,
-                    bytes: total.bytes,
+        let per_world = if topology == Shared { stacks.len() } else { 1 };
+        let (name, rounds) = (spec.name.clone(), spec.rounds);
+        let mut out = CampaignOutcome { name, seed, rounds, ..CampaignOutcome::default() };
+        for rps in stacks.chunks(per_world) {
+            // Stalloris reads the truth from the trusting stance's world,
+            // which runs silent: the trace is the verified stance's.
+            let silent = matches!(rps, [Stack::Rrdp(RrdpMode::Trusting)]);
+            let recorder = if silent { Recorder::disabled() } else { recorder.clone() };
+            let mut e = Engine::new(spec, seed, &recorder, rps, walk, topology);
+            // Round 0 is the warm-up: caches, RRDP sessions and the
+            // Suspenders baseline start from the healthy world.
+            for round in 0..=spec.rounds {
+                if round > 0 {
+                    e.begin_round(round);
+                    observer.observe(&mut e, Step::Before(round), &mut out);
                 }
-            })
-            .collect();
-    load.sort_by(|a, b| a.host.cmp(&b.host));
-    for h in &load {
-        let tags = [campaign, ("host", h.host.as_str())];
-        let columns = [("dirs", h.dirs as u64), ("frames", h.frames), ("bytes", h.bytes)];
-        emit_row(recorder, e.w.net.now(), ("campaign", "host_load"), &tags, &columns);
+                let runs = e.validate_round(round);
+                observer.observe(&mut e, Step::After(round, &runs), &mut out);
+            }
+            observer.observe(&mut e, Step::End, &mut out);
+            out.tiers.extend(e.finish());
+        }
+        out
     }
-    CampaignOutcome { tiers: e.finish(), divergence, load, ..CampaignOutcome::empty(spec, seed) }
 }
 
-/// The RTR side of [`run_rtr_campaign`]: one framed cache per tier, a
-/// relay merging all five, and the router population behind the relay.
+/// Where in a world's run an observer looks.
+#[derive(Clone, Copy)]
+pub(crate) enum Step<'r> {
+    /// A round's faults are set; nobody has validated yet.
+    Before(usize),
+    /// A round's runs are in, one per relying party (round 0: warm-up).
+    After(usize, &'r [ValidationRun]),
+    /// The world's last round is done.
+    End,
+}
+
+/// What a campaign records beyond the tiers' own rows: one table of the
+/// [`CampaignOutcome`] each.
+enum Observer<'c> {
+    /// The tiers' rows alone.
+    Tiers,
+    /// Cross-tier divergence each round, per-host load at the end.
+    Divergence,
+    /// The router rows of an RTR fabric attached after the warm-up.
+    Rtr(RtrConfig, &'c SlurmFile, Option<RtrSide>),
+    /// The scheduler's row each round, the world republished before it.
+    Schedule,
+    /// The Stalloris truth/monitor row.
+    Stalloris(Stalloris),
+}
+
+impl Observer<'_> {
+    fn observe(&mut self, e: &mut Engine<'_>, step: Step<'_>, out: &mut CampaignOutcome) {
+        let (recorder, spec) = (e.w.net.recorder(), e.spec);
+        let campaign = ("campaign", spec.name.as_str());
+        match (self, step) {
+            // The load ledger measures the rounds, not the warm-up.
+            (Observer::Divergence, Step::After(0, _)) => {
+                e.w.repos.iter().for_each(Repository::reset_served_load);
+            }
+            (Observer::Divergence, Step::After(round, runs)) => {
+                let sets: Vec<BTreeSet<Vrp>> =
+                    runs.iter().map(|run| run.vrps.iter().copied().collect()).collect();
+                let mut d = DivergenceMetrics { round, ..DivergenceMetrics::default() };
+                for (i, a) in sets.iter().enumerate() {
+                    d.distinct_vrp_sets += usize::from(!sets[..i].contains(a));
+                    for b in &sets[..i] {
+                        let diff = a.symmetric_difference(b).count();
+                        d.pairwise_diff_sum += diff;
+                        d.max_pairwise_diff = d.max_pairwise_diff.max(diff);
+                    }
+                }
+                recorder.observe("campaign.distinct_vrp_sets", d.distinct_vrp_sets as u64);
+                let at = e.w.net.now();
+                emit_row(&recorder, at, ("campaign", "divergence"), &[campaign], &d.columns());
+                out.divergence.push(d);
+            }
+            (Observer::Divergence, Step::End) => {
+                for repo in e.w.repos.iter() {
+                    let (total, dirs) = (repo.served_total(), repo.served_load().len());
+                    let host = repo.host().to_owned();
+                    out.load.push(HostLoad {
+                        host,
+                        dirs,
+                        frames: total.frames,
+                        bytes: total.bytes,
+                    });
+                }
+                out.load.sort_by(|a, b| a.host.cmp(&b.host));
+                for h in &out.load {
+                    let tags = [campaign, ("host", h.host.as_str())];
+                    let columns =
+                        [("dirs", h.dirs as u64), ("frames", h.frames), ("bytes", h.bytes)];
+                    emit_row(&recorder, e.w.net.now(), ("campaign", "host_load"), &tags, &columns);
+                }
+            }
+            (Observer::Rtr(cfg, slurm, side), Step::After(0, runs)) => {
+                side.insert(RtrSide::attach(e, *cfg, slurm)).cycle(e, runs);
+            }
+            (Observer::Rtr(.., Some(side)), Step::After(round, runs)) => {
+                side.cycle(e, runs);
+                let m = side.measure(&e.w, round);
+                recorder.count("rtr.stale_router_rounds", m.stale_routers as u64);
+                recorder.observe("rtr.truth_distance", m.truth_distance_sum as u64);
+                emit_row(&recorder, e.w.net.now(), ("rtr", "round"), &[campaign], &m.columns());
+                out.rtr.push(m);
+            }
+            (Observer::Schedule, Step::Before(_)) => e.w.publish_all(Moment(e.w.net.now())),
+            (Observer::Schedule, Step::After(round, runs)) if round > 0 => {
+                let rs = e.rps[0].scheduler.last_run();
+                let traced = [
+                    ("round", round as u64),
+                    ("fetched", rs.fetched),
+                    ("deferred", rs.deferred),
+                    ("time_used", rs.time_used),
+                    ("max_served_age", rs.max_served_age),
+                ];
+                emit_row(&recorder, e.w.net.now(), ("campaign", "schedule_round"), &[], &traced);
+                out.schedule.push(ScheduleRoundMetrics {
+                    round,
+                    vrps: runs[0].vrps.len(),
+                    fetched: rs.fetched,
+                    not_due: rs.not_due,
+                    deferred: rs.deferred,
+                    backoff_skips: rs.backoff_skips,
+                    frames_used: rs.frames_used,
+                    time_used: rs.time_used,
+                    max_served_age: rs.max_served_age,
+                });
+            }
+            (Observer::Stalloris(s), step) => s.observe(e, step, out),
+            _ => {}
+        }
+    }
+}
+
+/// The fabric of a [`Campaign::Rtr`] run: one framed cache per tier, a
+/// relay merging all five, and the routers behind the relay.
 struct RtrSide {
     fabrics: Vec<RtrFabric>,
     relay: Relay,
@@ -1066,20 +1064,15 @@ impl RtrSide {
     /// One bounded RTR pump window over all fabric endpoints.
     fn pump(&mut self, net: &mut Network) {
         let deadline = net.now() + self.pump_budget;
-        let mut endpoints: Vec<&mut dyn RtrEndpoint> =
-            Vec::with_capacity(self.fabrics.len() + self.routers.len() + 1);
-        for f in self.fabrics.iter_mut() {
-            endpoints.push(f);
-        }
-        endpoints.push(&mut self.relay);
-        for r in self.routers.iter_mut() {
-            endpoints.push(r);
-        }
+        let fabrics = self.fabrics.iter_mut().map(|f| f as &mut dyn RtrEndpoint);
+        let routers = self.routers.iter_mut().map(|r| r as &mut dyn RtrEndpoint);
+        let relay: &mut dyn RtrEndpoint = &mut self.relay;
+        let mut endpoints: Vec<_> = fabrics.chain([relay]).chain(routers).collect();
         pump_until(net, deadline, &mut endpoints);
     }
 
     /// One publish → merge → sync cycle over the round's `runs` (the
-    /// sequence [`run_rtr_campaign`] documents).
+    /// sequence [`Campaign::Rtr`] documents).
     fn cycle(&mut self, e: &mut Engine<'_>, runs: &[ValidationRun]) {
         let net = &mut e.w.net;
         for ((f, rp), run) in self.fabrics.iter_mut().zip(&e.rps).zip(runs) {
@@ -1088,48 +1081,36 @@ impl RtrSide {
         self.relay.poll_feeds(net);
         self.pump(net);
         self.relay.republish(net);
-        for r in &mut self.routers {
-            r.poll(net);
-        }
+        self.routers.iter_mut().for_each(|r| r.poll(net));
         self.pump(net);
-        // Session timeout: every RTR frame still in flight (tier→relay
-        // and relay→router, both directions) is dead air, which turns a
-        // stalled path into visible staleness.
-        for f in &self.fabrics {
-            net.flush_pair(f.node(), self.relay.node());
-        }
-        for r in &self.routers {
-            net.flush_pair(self.relay.node(), r.node());
-        }
+        // Session timeout: every RTR frame still in flight is dead air,
+        // which turns a stalled path into visible staleness.
+        let relay = self.relay.node();
+        self.fabrics.iter().for_each(|f| net.flush_pair(f.node(), relay));
+        self.routers.iter().for_each(|r| net.flush_pair(relay, r.node()));
     }
 
     /// How far the router population sits from the relay and from the
     /// truth after `round`'s cycle.
     fn measure(&self, w: &ModelRpki, round: usize) -> RtrRoundMetrics {
-        // Truth: a perfect-transport walk of the repositories as they
-        // stand now. Router divergence from it is the paper's bottom
-        // line — what BGP actually acts on versus what the authorities
-        // published.
+        // Truth: a perfect-transport walk of the repositories now —
+        // what the authorities published, against what BGP acts on.
         let truth: BTreeSet<Vrp> =
             w.validate_direct(Moment(w.net.now())).vrps.into_iter().collect();
         let server = self.relay.target().server();
         let (relay_serial, relay_session) = (server.serial(), server.session());
         let mut m = RtrRoundMetrics { round, relay_serial, ..RtrRoundMetrics::default() };
         for r in &self.routers {
-            // Ground truth from the router's own state machine — the
-            // fabric's session table is optimistic under frame loss
-            // (it records what was *served*, not what arrived).
+            // The router's own state, not the fabric's session table,
+            // which records what was *served*, not what arrived.
             let client = r.client();
-            if client.session() == Some(relay_session) {
-                let lag = rpki_rp::serial_distance(client.serial(), relay_serial);
-                if lag == 0 {
-                    m.synced_routers += 1;
-                } else {
+            let synced = client.session() == Some(relay_session);
+            match synced.then(|| rpki_rp::serial_distance(client.serial(), relay_serial)) {
+                Some(0) => m.synced_routers += 1,
+                lag => {
                     m.stale_routers += 1;
-                    m.max_serial_lag = m.max_serial_lag.max(lag);
+                    m.max_serial_lag = m.max_serial_lag.max(lag.unwrap_or(0));
                 }
-            } else {
-                m.stale_routers += 1;
             }
             let dist = r.vrps().symmetric_difference(&truth).count();
             m.truth_distance_sum += dist;
@@ -1138,100 +1119,6 @@ impl RtrSide {
         m.relay_truth_distance = self.relay.merged().symmetric_difference(&truth).count();
         m
     }
-}
-
-/// Runs `spec` at `seed` with the five tiers validating a **shared**
-/// world *and* feeding an RTR fabric: each tier publishes its validated
-/// VRPs into its own framed RTR cache, an rtrtr-style relay merges the
-/// five feeds under `rtr.policy` (SLURM exceptions via `slurm`), and
-/// `rtr.routers` routers sync from the relay over netsim — so the
-/// repository fault kinds *and* the RTR fault kinds
-/// ([`FaultKind::RtrPartition`], [`FaultKind::RtrStall`]) land on one
-/// deterministic timeline.
-///
-/// Each round: faults are armed, every tier validates (the RTR queue is
-/// empty while repository syncs drive the network), every tier fabric
-/// publishes its snapshot, the relay polls its feeds and republishes
-/// the merge, every router polls, and two bounded pump windows
-/// (`rtr.pump_budget` each) carry the frames. Frames still in flight
-/// after the second window are flushed — the session-timeout model —
-/// so a stalled RTR path yields visibly stale routers instead of a
-/// silently extended round.
-pub fn run_rtr_campaign(
-    spec: &CampaignSpec,
-    seed: u64,
-    rtr: RtrConfig,
-    slurm: &SlurmFile,
-    recorder: &Recorder,
-) -> CampaignOutcome {
-    let mut e = Engine::shared(spec, seed, recorder);
-    let mut side = RtrSide::attach(&mut e, rtr, slurm);
-    // The warm-up is one full faultless cycle — validate, publish,
-    // merge, sync — so round 1 starts from converged routers.
-    let runs = e.warm_up();
-    side.cycle(&mut e, &runs);
-
-    let campaign = ("campaign", spec.name.as_str());
-    let mut rows = Vec::with_capacity(spec.rounds);
-    for round in 1..=spec.rounds {
-        e.begin_round(round);
-        let runs = e.validate_round(round);
-        side.cycle(&mut e, &runs);
-        let m = side.measure(&e.w, round);
-        recorder.count("rtr.stale_router_rounds", m.stale_routers as u64);
-        recorder.observe("rtr.truth_distance", m.truth_distance_sum as u64);
-        emit_row(recorder, e.w.net.now(), ("rtr", "round"), &[campaign], &m.columns());
-        rows.push(m);
-    }
-    CampaignOutcome { tiers: e.finish(), rtr: rows, ..CampaignOutcome::empty(spec, seed) }
-}
-
-/// Runs `spec` at `seed` with a single scheduled relying party
-/// (RRDP + retries under `plan`). Every round republishes the whole
-/// world, so each publication point's content moves at the round
-/// cadence and the scheduler must keep fetching — the run budget, not
-/// quiescence, is what rations the wire. Per-round scheduler counters
-/// come from [`SchedulerState::last_run`]; a `campaign/schedule_round`
-/// event lands in `recorder` per round.
-pub fn run_scheduled_campaign(
-    spec: &CampaignSpec,
-    seed: u64,
-    plan: SchedulePlan,
-    recorder: &Recorder,
-) -> CampaignOutcome {
-    let mut e = Engine::private(spec, seed, recorder, Stack::Scheduled(plan), Walk::Cold);
-    // The warm-up already runs scheduled, so every point has a schedule
-    // entry and a snapshot before budgets start to bite (first contacts
-    // are exempt from the budget by design).
-    e.warm_up();
-
-    let mut schedule = Vec::with_capacity(spec.rounds);
-    for round in 1..=spec.rounds {
-        e.begin_round(round);
-        e.w.publish_all(Moment(e.w.net.now()));
-        let runs = e.validate_round(round);
-        let rs = e.rps[0].scheduler.last_run();
-        let traced = [
-            ("round", round as u64),
-            ("fetched", rs.fetched),
-            ("deferred", rs.deferred),
-            ("time_used", rs.time_used),
-            ("max_served_age", rs.max_served_age),
-        ];
-        emit_row(recorder, e.w.net.now(), ("campaign", "schedule_round"), &[], &traced);
-        schedule.push(ScheduleRoundMetrics {
-            round,
-            vrps: runs[0].vrps.len(),
-            fetched: rs.fetched,
-            not_due: rs.not_due,
-            deferred: rs.deferred,
-            backoff_skips: rs.backoff_skips,
-            frames_used: rs.frames_used,
-            time_used: rs.time_used,
-            max_served_age: rs.max_served_age,
-        });
-    }
-    CampaignOutcome { schedule, ..CampaignOutcome::empty(spec, seed) }
 }
 
 /// The standard campaign suite the `ablation_resilience` binary runs.
@@ -1248,11 +1135,8 @@ pub fn standard_campaigns() -> Vec<CampaignSpec> {
         CampaignSpec::new("flapping-partition", 12, vec![c(FaultKind::Flapping, 3, 10)]),
         CampaignSpec::new("takedown", 12, vec![c(FaultKind::Takedown, 3, 8)]),
         CampaignSpec::new("slow-serve", 10, vec![c(FaultKind::Stall { extra: 3600 }, 3, 6)]),
-        // The Stalloris scenario: the RRDP feed freezes, then the
-        // authority whacks the covering ROA behind the frozen view. A
-        // trusting RRDP client never sees the whack; the verified rrdp
-        // tier detects the pin each round and downgrades to rsync for
-        // the truth.
+        // Stalloris: the whack lands behind a frozen RRDP feed; the
+        // verified rrdp tier detects the pin and downgrades to rsync.
         CampaignSpec::new(
             "stalloris-downgrade",
             12,
@@ -1291,10 +1175,8 @@ pub fn rtr_campaign() -> CampaignSpec {
 pub fn gaming_schedule_plan() -> SchedulePlan {
     SchedulePlan {
         min_refresh: 600,
-        // Below the round cadence, so a point fetched early in one
-        // round is always due again by the next and the schedule stays
-        // round-aligned instead of drifting onto every-other-round
-        // beats.
+        // Below the round cadence, so every point is due again by the
+        // next round instead of drifting onto every-other-round beats.
         max_refresh: 1_200,
         jitter: 60,
         time_budget: Some(600),
@@ -1305,10 +1187,9 @@ pub fn gaming_schedule_plan() -> SchedulePlan {
 /// The schedule-gaming campaign: Sprint — second in the fixed
 /// arin → sprint → etb → continental walk order — holds every response
 /// 250 seconds over rounds 4–9, so the budgeted scheduler reaches ETB
-/// and CONTINENTAL with nothing left to spend. 250 s is tuned *under*
-/// the 300 s per-attempt deadline ([`campaign_policy`]): a served-late
-/// answer still counts as a success, so no retry or breaker ever
-/// fires, yet one publication point's worth of exchanges burns
+/// and CONTINENTAL with nothing left to spend. 250 s is *under* the
+/// default [`SyncPolicy`]'s 300 s per-attempt deadline, so no retry or
+/// breaker ever fires, yet one point's exchanges burn
 /// [`gaming_schedule_plan`]'s whole 600 s run budget.
 pub fn schedule_gaming_campaign() -> CampaignSpec {
     let slow = FaultKind::SlowServe { extra: 250 };
@@ -1328,7 +1209,7 @@ mod tests {
 
     /// An untraced incremental private-world run.
     fn run(spec: &CampaignSpec, seed: u64) -> CampaignOutcome {
-        run_campaign(spec, seed, Walk::Incremental, &Recorder::disabled())
+        Campaign::Private(Walk::Incremental).run(spec, seed, &Recorder::disabled())
     }
 
     #[test]
@@ -1458,7 +1339,7 @@ mod tests {
 
     #[test]
     fn shared_campaign_measures_divergence_and_load() {
-        let out = run_shared_campaign(&takedown_spec(), 42, &Recorder::disabled());
+        let out = Campaign::Shared.run(&takedown_spec(), 42, &Recorder::disabled());
         assert_eq!(out.tiers.len(), RpTier::ALL.len());
         assert_eq!(out.divergence.len(), out.rounds);
         // During the takedown window the stale tier keeps serving while
@@ -1479,7 +1360,7 @@ mod tests {
         let bare = out.tier(RpTier::Bare).totals;
         assert!(stale.vrp_round_sum > bare.vrp_round_sum, "{stale:?} vs {bare:?}");
         // Deterministic replay, since every fault here is dice-free.
-        let again = run_shared_campaign(&takedown_spec(), 42, &Recorder::disabled());
+        let again = Campaign::Shared.run(&takedown_spec(), 42, &Recorder::disabled());
         assert_eq!(serde_json::to_string(&out).unwrap(), serde_json::to_string(&again).unwrap());
     }
 
@@ -1490,7 +1371,7 @@ mod tests {
         // 3–5) leaves routers acting on the pre-whack VRPs.
         let cfg = RtrConfig { routers: 4, policy: MergePolicy::All, ..RtrConfig::default() };
         let out =
-            run_rtr_campaign(&rtr_campaign(), 42, cfg, &SlurmFile::empty(), &Recorder::disabled());
+            Campaign::Rtr(cfg, SlurmFile::empty()).run(&rtr_campaign(), 42, &Recorder::disabled());
         assert_eq!(out.rtr.len(), 10);
 
         // Healthy rounds: everyone synced, routers hold the truth.
@@ -1529,7 +1410,7 @@ mod tests {
         ];
         let spec = CampaignSpec::new("rtr-p", 6, windows);
         let cfg = RtrConfig { routers: 3, policy: MergePolicy::All, ..RtrConfig::default() };
-        let out = run_rtr_campaign(&spec, 42, cfg, &SlurmFile::empty(), &Recorder::disabled());
+        let out = Campaign::Rtr(cfg, SlurmFile::empty()).run(&spec, 42, &Recorder::disabled());
         // During the partition the routers hold the pre-whack set.
         let r2 = &out.rtr[1];
         assert_eq!(r2.stale_routers, 3, "{r2:?}");
@@ -1545,12 +1426,12 @@ mod tests {
     #[test]
     fn slow_serve_starves_victims_only_inside_the_window() {
         let spec = schedule_gaming_campaign();
-        let out = run_scheduled_campaign(&spec, 7, gaming_schedule_plan(), &Recorder::disabled());
+        let out = Campaign::Scheduled(gaming_schedule_plan()).run(&spec, 7, &Recorder::disabled());
         let window = &spec.windows[0];
         // Tuned under the per-attempt deadline: a held answer is late,
         // not lost, so no attempt ever times out.
         let FaultKind::SlowServe { extra } = window.kind else { panic!("{window:?}") };
-        assert!(extra < campaign_policy().deadline.expect("the campaign policy has a deadline"));
+        assert!(extra < SyncPolicy::default().deadline.expect("the retry policy has a deadline"));
         let budget = gaming_schedule_plan().time_budget.expect("the gaming plan is budgeted");
         for r in &out.schedule {
             let in_window = window.from <= r.round && r.round <= window.to;
@@ -1596,8 +1477,9 @@ mod tests {
                     windows.reverse();
                 }
                 let spec = CampaignSpec::new("overlap", 5, windows);
-                let bare = Stack::Tier(RpTier::Bare);
-                let mut e = Engine::private(&spec, 1, &Recorder::disabled(), bare, Walk::Cold);
+                let bare = [Stack::Tier(RpTier::Bare)];
+                let (rec, walk) = (Recorder::disabled(), Walk::Cold);
+                let mut e = Engine::new(&spec, 1, &rec, &bare, walk, Topology::Private);
                 let (repo, rp) = (e.repo_mut(CONTINENTAL).node(), e.w.rp_node);
                 let armed = |e: &Engine<'_>| match kind {
                     FaultKind::Partition => e.w.net.faults.is_partitioned(rp, repo),
@@ -1610,6 +1492,31 @@ mod tests {
                 assert!(!armed(&e), "{kind:?}, expired_first={expired_first}: clear at round 5");
             }
         }
+    }
+
+    #[test]
+    fn stateful_windows_of_one_kind_on_one_host_act_as_one() {
+        let window = |kind, from, to| FaultWindow::new(CONTINENTAL, kind, from, to);
+        // Pins at 2–3 and 4–6, declared in reverse, over a whack at
+        // 5–6: the pin holds from round 2 to 6, so a trusting stance
+        // never sees the whack — whichever window's release or
+        // engagement comes first in declaration order.
+        let pins = vec![
+            window(FaultKind::RrdpPin, 4, 6),
+            window(FaultKind::RrdpPin, 2, 3),
+            window(FaultKind::Withdraw, 5, 6),
+        ];
+        let out =
+            Campaign::Stalloris.run(&CampaignSpec::new("pins", 6, pins), 1, &Recorder::disabled());
+        let record = out.downgrade.expect("a Stalloris run records the scenario");
+        let trusting: Vec<usize> = record.rounds.iter().map(|m| m.trusting_vrps).collect();
+        assert_eq!(trusting, [8; 6]);
+        // Withdraws at 2–4 and 3–5: one withdrawal from round 2 to 5,
+        // reissued at 6 — the second window must not whack again.
+        let whacks = vec![window(FaultKind::Withdraw, 2, 4), window(FaultKind::Withdraw, 3, 5)];
+        let out = run(&CampaignSpec::new("whacks", 6, whacks), 1);
+        let bare: Vec<usize> = out.tier(RpTier::Bare).rounds.iter().map(|m| m.vrps).collect();
+        assert_eq!(bare, [8, 7, 7, 7, 7, 8]);
     }
 
     #[test]

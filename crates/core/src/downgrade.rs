@@ -1,50 +1,41 @@
 //! The Stalloris scenario: an RRDP downgrade hiding a whack.
 //!
 //! [`campaign`](crate::campaign) measures relying-party tiers under
-//! *random* transport faults. This module runs the *deliberate* one:
-//! the paper's stealthy withdrawal (Side Effect 2) executed behind a
-//! Stalloris-style RRDP pin, so the publication point keeps replaying
+//! *random* transport faults. This module supplies the *deliberate*
+//! one: the paper's stealthy withdrawal (Side Effect 2) executed behind
+//! a Stalloris-style RRDP pin, so the publication point keeps replaying
 //! its pre-whack feed while the at-rest truth has moved on.
 //!
-//! The scenario is a campaign: two private-world campaign engines, one
-//! per transported stance, stepped in lock-step through one fault
-//! schedule — an [`RrdpPin`](FaultKind::RrdpPin) window with a
-//! [`Withdraw`](FaultKind::Withdraw) window opening behind it. What
-//! this module adds is the comparison: the at-rest truth read, the
-//! at-rest [`Monitor`], and the per-round row that sets the stances
-//! side by side.
+//! The scenario is a campaign, [`stalloris_campaign`] played through
+//! [`Campaign::Stalloris`](crate::Campaign::Stalloris): an
+//! [`RrdpPin`](FaultKind::RrdpPin) window with a
+//! [`Withdraw`](FaultKind::Withdraw) window opening behind it. This
+//! module is that campaign's observer, setting three stances side by
+//! side each round: the at-rest **truth**; a **trusting** RRDP relying
+//! party ([`RrdpMode::Trusting`]), the stance Stalloris exploits; and a
+//! **verified** one ([`RrdpMode::Verified`]), which cross-checks
+//! freshness against rsync and downgrades — the hardening this repo
+//! argues for. The trusting stance's world runs first, silent, and the
+//! truth is read from it (the pin is transport-only, so its files are
+//! the real state); the verified world runs second, traced, under the
+//! at-rest [`Monitor`].
 //!
-//! Three relying-party stances watch the same worlds in lock-step:
-//!
-//! - **truth** — direct at-rest validation, no transport: what a
-//!   relying party *should* see each round;
-//! - **trusting** — prefers RRDP and believes it
-//!   ([`ValidationOptions::rrdp_trusting`](crate::ValidationOptions::rrdp_trusting)):
-//!   the stance Stalloris exploits;
-//! - **verified** — prefers RRDP but cross-checks freshness against an
-//!   rsync digest probe and downgrades on disagreement
-//!   ([`ValidationOptions::rrdp`](crate::ValidationOptions::rrdp)): the
-//!   hardening this repo argues for.
-//!
-//! The outcome quantifies the attack as *stale rounds*: rounds where a
-//! stance's VRP set differs from truth. The Stalloris effect is the
-//! gap — the trusting stance stays stale for the whole pin window, the
-//! verified stance for none of it. Every count is an integer and the
-//! schedule is fixed, so a seed replays byte-identically; the
-//! `ablation_downgrade` binary serialises [`DowngradeOutcome`] as the
-//! experiment artifact.
+//! The record counts *stale rounds*, where a stance's VRP set differs
+//! from truth: the Stalloris effect is the gap — the trusting stance is
+//! stale for the whole pin window, the verified one never. The
+//! `ablation_downgrade` binary exports [`DowngradeRecord`].
 
 use rpki_attacks::{Monitor, MonitorEvent, MonitorSnapshot};
 use rpki_objects::Moment;
-use rpki_obs::Recorder;
+use rpki_rp::Vrp;
 use serde::Serialize;
 
-use crate::campaign::{CampaignSpec, Engine, FaultKind, FaultWindow, Stack, Walk};
+use crate::campaign::{
+    CampaignOutcome, CampaignSpec, Engine, FaultKind, FaultWindow, Stack, Step, CONTINENTAL_HOST,
+};
+use crate::validate::RrdpMode;
 
-/// The misbehaving publication point (it hosts the whacked ROA).
-const TARGET_HOST: &str = "rpki.continental.example";
-
-/// The fixed schedule: what happens at which round.
+/// The schedule a Stalloris campaign plays: what happens at which round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DowngradeSchedule {
     /// Total rounds.
@@ -57,14 +48,31 @@ pub struct DowngradeSchedule {
     pub restore_round: usize,
 }
 
-impl Default for DowngradeSchedule {
-    fn default() -> Self {
-        DowngradeSchedule { rounds: 12, pin_round: 3, whack_round: 4, restore_round: 9 }
+impl DowngradeSchedule {
+    /// The schedule of `spec`'s first `RrdpPin` and first `Withdraw`
+    /// windows (a round is 0 where the spec has no such window).
+    fn of(spec: &CampaignSpec) -> Self {
+        let span = |kind| {
+            spec.windows.iter().find(|w| w.kind == kind).map_or((0, 0), |w| (w.from, w.to + 1))
+        };
+        let ((pin_round, restore_round), (whack_round, _)) =
+            (span(FaultKind::RrdpPin), span(FaultKind::Withdraw));
+        DowngradeSchedule { rounds: spec.rounds, pin_round, whack_round, restore_round }
     }
 }
 
+/// The Stalloris scenario: Continental pins its feed over rounds 3–8
+/// and restores it at round 9; the whack lands inside the pin at round
+/// 4, invisible to anyone still watching the pinned feed, and is never
+/// reissued within the 12 rounds.
+pub fn stalloris_campaign() -> CampaignSpec {
+    let window = |kind, from, to| FaultWindow::new(CONTINENTAL_HOST, kind, from, to);
+    let windows = vec![window(FaultKind::RrdpPin, 3, 8), window(FaultKind::Withdraw, 4, 12)];
+    CampaignSpec::new("stalloris", 12, windows)
+}
+
 /// One round of the scenario, all three stances side by side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DowngradeRound {
     /// Round number (1-based).
     pub round: usize,
@@ -84,10 +92,11 @@ pub struct DowngradeRound {
     pub pinned_detected: usize,
 }
 
-/// The full scenario record: schedule, per-round data, and the stale
-/// totals the Stalloris claim rests on.
+/// The scenario record a [`Campaign::Stalloris`](crate::Campaign::Stalloris)
+/// run files as [`CampaignOutcome::downgrade`]: schedule, per-round data,
+/// and the stale totals the Stalloris claim rests on.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct DowngradeOutcome {
+pub struct DowngradeRecord {
     /// Network seed the scenario ran under.
     pub seed: u64,
     /// The attacked host.
@@ -101,120 +110,114 @@ pub struct DowngradeOutcome {
     /// Rounds the verified stance spent diverged from truth.
     pub verified_stale_rounds: usize,
     /// The at-rest monitor's classified diff, round by round: the
-    /// object-layer half of the evidence (the stealthy withdrawal
-    /// shows up here even while the pinned feed hides it).
+    /// object-layer evidence, which a [`rpki_attacks::MisbehaviorReport`]
+    /// merges with the trace's transport events.
     pub monitor_events: Vec<MonitorEvent>,
 }
 
-/// Runs the Stalloris scenario at `seed` with `recorder` installed on
-/// the verified world, so the relying party's `rrdp_pinned` and
-/// `rrdp_downgrade` events land in the trace — the transport half of
-/// the evidence a [`rpki_attacks::MisbehaviorReport`] merges with the
-/// outcome's `monitor_events` (pass [`Recorder::disabled`] for the
-/// outcome alone).
-///
-/// Two engines are built from the same seed — one per transported
-/// stance — and run the same spec, so their worlds are mutated
-/// identically: the pin holds over `pin_round..restore_round` and the
-/// whack lands inside it at `whack_round`, invisible to anyone still
-/// watching the pinned feed, and is never reissued. Truth is read at
-/// rest, so a third world is unnecessary. An at-rest [`Monitor`]
-/// snapshots the verified world every round; its classified diff rides
-/// along in the outcome.
-pub fn run_downgrade_traced(seed: u64, recorder: &Recorder) -> DowngradeOutcome {
-    let schedule = DowngradeSchedule::default();
-    let window = |kind, from, to| FaultWindow::new(TARGET_HOST, kind, from, to);
-    let windows = vec![
-        window(FaultKind::RrdpPin, schedule.pin_round, schedule.restore_round - 1),
-        window(FaultKind::Withdraw, schedule.whack_round, schedule.rounds),
-    ];
-    let spec = CampaignSpec::new("stalloris", schedule.rounds, windows);
-    let stance = |verify, recorder: &Recorder| {
-        Engine::private(&spec, seed, recorder, Stack::Rrdp { verify }, Walk::Cold)
-    };
-    let mut trusting = stance(false, &Recorder::disabled());
-    let mut verified = stance(true, recorder);
-    let mut monitor = Monitor::new();
-    let mut monitor_events: Vec<MonitorEvent> = Vec::new();
-    monitor.observe(MonitorSnapshot::capture(&verified.w.repos, Moment(verified.w.net.now())));
+/// The Stalloris observer. The trusting world fills each round's truth
+/// and trusting columns; the verified world fills the rest, emits the
+/// row, and files the record.
+#[derive(Debug, Default)]
+pub(crate) struct Stalloris {
+    /// Each round's moment and at-rest truth, read in the silent trusting
+    /// world (on the traced one `validate_direct` would emit a `run`).
+    truth: Vec<(Moment, Vec<Vrp>)>,
+    rounds: Vec<DowngradeRound>,
+    /// The at-rest monitor over the verified world: the pin is
+    /// transport-only, so the whack is in plain sight here.
+    monitor: Monitor,
+    monitor_events: Vec<MonitorEvent>,
+}
 
-    // Warm-up: both stances converge on the healthy world.
-    trusting.warm_up();
-    verified.warm_up();
-    let mut before = verified.rps[0].rrdp.stats();
-
-    let mut rounds = Vec::with_capacity(schedule.rounds);
-    for round in 1..=schedule.rounds {
-        trusting.begin_round(round);
-        verified.begin_round(round);
-        let moment = Moment(trusting.w.net.now());
-
-        // The at-rest monitor diffs the verified world's repositories:
-        // the pin is transport-only, so the whack is in plain sight
-        // here even while the feed replays the pre-whack view.
-        monitor_events.extend(monitor.observe(MonitorSnapshot::capture(&verified.w.repos, moment)));
-
-        // Truth reads either world at rest: the pin is transport-only,
-        // so the trusting world's files are already the real state.
-        let truth = trusting.w.validate_direct(moment);
-        let t = trusting.validate_round(round).pop().expect("one relying party");
-        let v = verified.validate_round(round).pop().expect("one relying party");
-
-        let stats = verified.rps[0].rrdp.stats();
-        let m = DowngradeRound {
-            round,
-            truth_vrps: truth.vrps.len(),
-            trusting_vrps: t.vrps.len(),
-            verified_vrps: v.vrps.len(),
-            trusting_stale: t.vrps != truth.vrps,
-            verified_stale: v.vrps != truth.vrps,
-            verified_downgrades: (stats.downgrades - before.downgrades) as usize,
-            pinned_detected: (stats.pinned_detected - before.pinned_detected) as usize,
-        };
-        before = stats;
-        recorder.count("downgrade.rounds", 1);
-        recorder.count("downgrade.trusting_stale_rounds", m.trusting_stale as u64);
-        recorder.count("downgrade.verified_stale_rounds", m.verified_stale as u64);
-        recorder
-            .event(moment.0, "downgrade", "round")
-            .u64("round", round as u64)
-            .u64("truth_vrps", m.truth_vrps as u64)
-            .u64("trusting_vrps", m.trusting_vrps as u64)
-            .u64("verified_vrps", m.verified_vrps as u64)
-            .bool("trusting_stale", m.trusting_stale)
-            .bool("verified_stale", m.verified_stale)
-            .u64("verified_downgrades", m.verified_downgrades as u64)
-            .u64("pinned_detected", m.pinned_detected as u64)
-            .emit();
-        rounds.push(m);
+impl Stalloris {
+    pub(crate) fn observe(&mut self, e: &Engine<'_>, step: Step<'_>, out: &mut CampaignOutcome) {
+        let trusting = matches!(e.rps[0].stack, Stack::Rrdp(RrdpMode::Trusting));
+        let (now, recorder) = (Moment(e.w.net.now()), e.w.net.recorder());
+        match (trusting, step) {
+            (true, Step::Before(_)) => self.truth.push((now, e.w.validate_direct(now).vrps)),
+            (true, Step::After(round, runs)) if round > 0 => {
+                let (vrps, truth) = (&runs[0].vrps, &self.truth[round - 1].1);
+                self.rounds.push(DowngradeRound {
+                    round,
+                    truth_vrps: truth.len(),
+                    trusting_vrps: vrps.len(),
+                    trusting_stale: vrps != truth,
+                    ..DowngradeRound::default()
+                });
+            }
+            // The monitor's baseline: the verified world after warm-up.
+            (false, Step::After(0, _)) => {
+                self.monitor.observe(MonitorSnapshot::capture(&e.w.repos, now));
+            }
+            (false, Step::Before(round)) => {
+                let snapshot = MonitorSnapshot::capture(&e.w.repos, self.truth[round - 1].0);
+                self.monitor_events.extend(self.monitor.observe(snapshot));
+            }
+            (false, Step::After(round, runs)) => {
+                let (moment, truth) = &self.truth[round - 1];
+                let (rp, m) = (&e.rps[0], &mut self.rounds[round - 1]);
+                let (before, stats) = (rp.rrdp_before, rp.rrdp.stats());
+                m.verified_vrps = runs[0].vrps.len();
+                m.verified_stale = runs[0].vrps != *truth;
+                m.verified_downgrades = (stats.downgrades - before.downgrades) as usize;
+                m.pinned_detected = (stats.pinned_detected - before.pinned_detected) as usize;
+                recorder.count("downgrade.rounds", 1);
+                recorder.count("downgrade.trusting_stale_rounds", m.trusting_stale as u64);
+                recorder.count("downgrade.verified_stale_rounds", m.verified_stale as u64);
+                recorder
+                    .event(moment.0, "downgrade", "round")
+                    .u64("round", round as u64)
+                    .u64("truth_vrps", m.truth_vrps as u64)
+                    .u64("trusting_vrps", m.trusting_vrps as u64)
+                    .u64("verified_vrps", m.verified_vrps as u64)
+                    .bool("trusting_stale", m.trusting_stale)
+                    .bool("verified_stale", m.verified_stale)
+                    .u64("verified_downgrades", m.verified_downgrades as u64)
+                    .u64("pinned_detected", m.pinned_detected as u64)
+                    .emit();
+            }
+            (false, Step::End) => {
+                let rounds = std::mem::take(&mut self.rounds);
+                let record = DowngradeRecord {
+                    seed: out.seed,
+                    host: CONTINENTAL_HOST.to_owned(),
+                    schedule: DowngradeSchedule::of(e.spec),
+                    trusting_stale_rounds: rounds.iter().filter(|m| m.trusting_stale).count(),
+                    verified_stale_rounds: rounds.iter().filter(|m| m.verified_stale).count(),
+                    rounds,
+                    monitor_events: std::mem::take(&mut self.monitor_events),
+                };
+                recorder
+                    .event(now.0, "downgrade", "outcome")
+                    .str("host", &record.host)
+                    .u64("trusting_stale_rounds", record.trusting_stale_rounds as u64)
+                    .u64("verified_stale_rounds", record.verified_stale_rounds as u64)
+                    .emit();
+                out.downgrade = Some(record);
+            }
+            _ => {}
+        }
     }
-
-    let outcome = DowngradeOutcome {
-        seed,
-        host: TARGET_HOST.to_owned(),
-        schedule,
-        trusting_stale_rounds: rounds.iter().filter(|m| m.trusting_stale).count(),
-        verified_stale_rounds: rounds.iter().filter(|m| m.verified_stale).count(),
-        rounds,
-        monitor_events,
-    };
-    recorder
-        .event(verified.w.net.now(), "downgrade", "outcome")
-        .str("host", &outcome.host)
-        .u64("trusting_stale_rounds", outcome.trusting_stale_rounds as u64)
-        .u64("verified_stale_rounds", outcome.verified_stale_rounds as u64)
-        .emit();
-    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
+    use rpki_obs::Recorder;
+
+    /// The scenario at `seed`, traced into `recorder`.
+    fn scenario(seed: u64, recorder: &Recorder) -> DowngradeRecord {
+        let out = Campaign::Stalloris.run(&stalloris_campaign(), seed, recorder);
+        out.downgrade.expect("a Stalloris run records the scenario")
+    }
 
     #[test]
     fn stalloris_effect_holds_under_default_schedule() {
-        let out = run_downgrade_traced(41, &Recorder::disabled());
+        let out = scenario(41, &Recorder::disabled());
         let s = out.schedule;
+        assert_eq!((s.rounds, s.pin_round, s.whack_round, s.restore_round), (12, 3, 4, 9));
         for m in &out.rounds {
             // Healthy world is 8 VRPs; the whack takes truth to 7.
             let expected_truth = if m.round >= s.whack_round { 7 } else { 8 };
@@ -242,8 +245,8 @@ mod tests {
 
     #[test]
     fn scenario_replays_byte_identically() {
-        let a = run_downgrade_traced(17, &Recorder::disabled());
-        let b = run_downgrade_traced(17, &Recorder::disabled());
+        let a = scenario(17, &Recorder::disabled());
+        let b = scenario(17, &Recorder::disabled());
         assert_eq!(a, b);
         assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
     }
@@ -253,7 +256,7 @@ mod tests {
         use rpki_attacks::{Classification, MisbehaviorReport};
 
         let rec = Recorder::new();
-        let out = run_downgrade_traced(23, &rec);
+        let out = scenario(23, &rec);
         // Object layer: the covering-ROA withdrawal is a stealthy
         // removal in the host's own directory.
         assert!(out
@@ -278,8 +281,8 @@ mod tests {
 
         let mut w = ModelRpki::build_seeded(41);
         let mut client = RrdpClientState::new();
-        let policy = SyncPolicy::default();
-        w.validate_with(ValidationOptions::at(Moment(2)).retry(policy).rrdp(&mut client));
+        let (policy, verified) = (SyncPolicy::default(), RrdpMode::Verified);
+        w.validate_with(ValidationOptions::at(Moment(2)).retry(policy).rrdp(&mut client, verified));
         // Cold syncs are initial-cause snapshot fetches, nothing else.
         let stats = client.stats();
         assert_eq!(stats.fallback_initial, stats.snapshot_syncs, "{stats:?}");
@@ -288,8 +291,8 @@ mod tests {
         // The session-reset misbehaviour: fresh session ids, history
         // gone — every Continental directory forces a re-snapshot, and
         // the cause ledger must say *why*.
-        w.repos.by_host_mut(TARGET_HOST).expect("model host").rrdp_reset_sessions();
-        w.validate_with(ValidationOptions::at(Moment(3)).retry(policy).rrdp(&mut client));
+        w.repos.by_host_mut(CONTINENTAL_HOST).expect("model host").rrdp_reset_sessions();
+        w.validate_with(ValidationOptions::at(Moment(3)).retry(policy).rrdp(&mut client, verified));
         let stats = client.stats();
         assert!(stats.fallback_session_reset > 0, "{stats:?}");
         assert_eq!(stats.fallback_evicted, 0, "no history was outrun: {stats:?}");

@@ -36,14 +36,17 @@
 //! - [`campaign`] — seeded fault campaigns comparing relying-party
 //!   configurations (bare / retrying / stale-cache / Suspenders /
 //!   RRDP) on VRP availability and validity flips under scheduled
-//!   repository faults: one round-loop engine under four entry points
-//!   (private worlds, one shared world, shared + RTR fabric, one
-//!   scheduled relying party), all returning [`CampaignOutcome`]; the
-//!   harness behind the `ablation_resilience` experiment.
+//!   repository faults: one round loop, [`Campaign::run`], over a
+//!   spec, the relying parties' stacks, a world topology (a private
+//!   world per relying party, or one shared world) and an observer
+//!   (tiers alone, divergence and host load, the RTR fabric, the
+//!   schedule, the Stalloris row), returning one [`CampaignOutcome`];
+//!   the harness behind the `ablation_resilience` experiment.
 //! - [`downgrade`] — the Stalloris scenario: a stealthy withdrawal
-//!   executed behind a pinned RRDP feed, measured against trusting,
-//!   verified, and at-rest relying-party stances; the harness behind
-//!   the `ablation_downgrade` experiment.
+//!   executed behind a pinned RRDP feed — its spec, and the observer
+//!   that measures it against trusting, verified, and at-rest
+//!   relying-party stances; the harness behind the
+//!   `ablation_downgrade` experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,12 +63,12 @@ pub mod tradeoff;
 pub mod validate;
 
 pub use campaign::{
-    gaming_schedule_plan, rtr_campaign, run_campaign, run_rtr_campaign, run_scheduled_campaign,
-    run_shared_campaign, schedule_gaming_campaign, standard_campaigns, CampaignOutcome,
-    CampaignSpec, DivergenceMetrics, FaultKind, FaultWindow, HostLoad, RoundMetrics, RpTier,
-    RtrConfig, RtrRoundMetrics, ScheduleRoundMetrics, TierOutcome, TierTotals, Walk,
+    gaming_schedule_plan, rtr_campaign, schedule_gaming_campaign, standard_campaigns, Campaign,
+    CampaignOutcome, CampaignSpec, DivergenceMetrics, FaultKind, FaultWindow, HostLoad,
+    RoundMetrics, RpTier, RtrConfig, RtrRoundMetrics, ScheduleRoundMetrics, TierOutcome,
+    TierTotals, Walk,
 };
-pub use downgrade::{run_downgrade_traced, DowngradeOutcome, DowngradeRound, DowngradeSchedule};
+pub use downgrade::{stalloris_campaign, DowngradeRecord, DowngradeRound, DowngradeSchedule};
 pub use fixtures::{ModelRpki, SyntheticRpki};
 pub use grid::{collapse_bands, validity_grid, Band, GridRow};
 pub use jurisdiction::{
@@ -75,4 +78,4 @@ pub use loopback::{LoopbackOutcome, LoopbackWorld};
 pub use side_effects::{se5_new_roa_impact, se6_missing_roa_impact, Se5Impact, Se6Impact};
 pub use suspenders::{SuspendersConfig, SuspendersEvent, SuspendersState};
 pub use tradeoff::{policy_tradeoff, ScenarioOutcome, TradeoffTable};
-pub use validate::{ValidationOptions, VantagePoint};
+pub use validate::{RrdpMode, ValidationOptions, VantagePoint};

@@ -58,6 +58,20 @@ pub struct VantagePoint<'w> {
     pub tals: &'w [TrustAnchorLocator],
 }
 
+/// How an RRDP-preferring relying party treats what the feed confirms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RrdpMode {
+    /// Every successful RRDP sync is cross-checked against an rsync
+    /// digest probe, so a publication point replaying a frozen stale
+    /// view is detected ([`RrdpClientState::note_pinned`]) and
+    /// bypassed.
+    Verified,
+    /// No freshness cross-check: the relying party believes whatever
+    /// the feed confirms — the Stalloris-vulnerable stance the
+    /// downgrade scenario measures.
+    Trusting,
+}
+
 /// Which relying-party layers a validation run assembles, built
 /// fluently and consumed by [`run`](ValidationOptions::run).
 ///
@@ -71,9 +85,7 @@ pub struct ValidationOptions<'a> {
     stale_cache: Option<&'a mut ResilientState>,
     suspenders: Option<&'a mut SuspendersState>,
     incremental: Option<&'a mut ValidationState>,
-    /// The session state, and whether each sync is cross-checked
-    /// against an rsync digest probe.
-    rrdp: Option<(&'a mut RrdpClientState, bool)>,
+    rrdp: Option<(&'a mut RrdpClientState, RrdpMode)>,
     unsafe_vrps: UnsafeVrpPolicy,
     scheduled: Option<(SchedulePlan, &'a mut SchedulerState)>,
 }
@@ -134,21 +146,10 @@ impl<'a> ValidationOptions<'a> {
 
     /// Fetch over RRDP (notification poll, delta chains, snapshot
     /// fallback) with the rsync path as the downgrade target, keeping
-    /// per-directory session state in `state` across runs. Every
-    /// successful RRDP sync is cross-checked against an rsync digest
-    /// probe, so a publication point replaying a frozen stale view is
-    /// detected ([`RrdpClientState::note_pinned`]) and bypassed.
-    pub fn rrdp(mut self, state: &'a mut RrdpClientState) -> Self {
-        self.rrdp = Some((state, true));
-        self
-    }
-
-    /// Like [`rrdp`](ValidationOptions::rrdp) but without the freshness
-    /// cross-check: the relying party believes whatever the RRDP feed
-    /// confirms. This is the Stalloris-vulnerable configuration the
-    /// downgrade campaign measures.
-    pub fn rrdp_trusting(mut self, state: &'a mut RrdpClientState) -> Self {
-        self.rrdp = Some((state, false));
+    /// per-directory session state in `state` across runs; `mode` says
+    /// whether the feed's freshness is cross-checked ([`RrdpMode`]).
+    pub fn rrdp(mut self, state: &'a mut RrdpClientState, mode: RrdpMode) -> Self {
+        self.rrdp = Some((state, mode));
         self
     }
 
@@ -204,10 +205,10 @@ impl<'a> ValidationOptions<'a> {
         // the one before it, so the order below is the nesting order.
         let (mut network, mut rrdp_source, mut resilient, mut schedule);
         let mut source: &mut dyn ObjectSource = match rrdp {
-            Some((state, verify)) => {
+            Some((state, mode)) => {
                 let policy = retry.unwrap_or_default();
                 let mut s = RrdpSource::new(net, repos, node, state, policy);
-                if !verify {
+                if mode == RrdpMode::Trusting {
                     s = s.trusting();
                 }
                 if let Some(window) = scheduled.as_ref().and_then(|(p, _)| p.rrdp_fallback_time) {
@@ -388,12 +389,14 @@ mod tests {
         let mut warm = ModelRpki::build_seeded(5);
         let mut state = RrdpClientState::new();
         let a = cold.validate_with(ValidationOptions::at(Moment(2)));
-        let b = warm.validate_with(ValidationOptions::at(Moment(2)).rrdp(&mut state));
+        let b = warm
+            .validate_with(ValidationOptions::at(Moment(2)).rrdp(&mut state, RrdpMode::Verified));
         assert_eq!(a, b, "RRDP-sourced output must equal the rsync cold walk");
         assert_eq!(state.stats().snapshot_syncs, 5, "first contact snapshots every pub point");
         assert_eq!(state.stats().downgrades, 0);
         // A quiet re-run is all fast-path confirmations, same output.
-        let c = warm.validate_with(ValidationOptions::at(Moment(3)).rrdp(&mut state));
+        let c = warm
+            .validate_with(ValidationOptions::at(Moment(3)).rrdp(&mut state, RrdpMode::Verified));
         assert_eq!(a.vrps, c.vrps);
         assert_eq!(state.stats().unchanged, 5);
     }
@@ -408,7 +411,8 @@ mod tests {
             }
         }
         let mut state = RrdpClientState::new();
-        let run = w.validate_with(ValidationOptions::at(Moment(3)).rrdp(&mut state));
+        let run =
+            w.validate_with(ValidationOptions::at(Moment(3)).rrdp(&mut state, RrdpMode::Verified));
         assert_eq!(run.vrps, baseline.vrps, "the rsync fallback must keep the RP whole");
         assert!(state.stats().downgrades > 0);
     }
@@ -419,8 +423,12 @@ mod tests {
         let mut verified_world = ModelRpki::build_seeded(9);
         let mut trusting = RrdpClientState::new();
         let mut verified = RrdpClientState::new();
-        trusting_world.validate_with(ValidationOptions::at(Moment(2)).rrdp_trusting(&mut trusting));
-        verified_world.validate_with(ValidationOptions::at(Moment(2)).rrdp(&mut verified));
+        trusting_world.validate_with(
+            ValidationOptions::at(Moment(2)).rrdp(&mut trusting, RrdpMode::Trusting),
+        );
+        verified_world.validate_with(
+            ValidationOptions::at(Moment(2)).rrdp(&mut verified, RrdpMode::Verified),
+        );
         // The CONTINENTAL host pins its feed, then whacks the covering
         // ROA (the paper's stealthy delete).
         for w in [&mut trusting_world, &mut verified_world] {
@@ -429,9 +437,12 @@ mod tests {
             w.continental.withdraw(&file).unwrap();
             w.publish_all(Moment(3));
         }
-        let t = trusting_world
-            .validate_with(ValidationOptions::at(Moment(4)).rrdp_trusting(&mut trusting));
-        let v = verified_world.validate_with(ValidationOptions::at(Moment(4)).rrdp(&mut verified));
+        let t = trusting_world.validate_with(
+            ValidationOptions::at(Moment(4)).rrdp(&mut trusting, RrdpMode::Trusting),
+        );
+        let v = verified_world.validate_with(
+            ValidationOptions::at(Moment(4)).rrdp(&mut verified, RrdpMode::Verified),
+        );
         assert_eq!(t.vrps.len(), 8, "the trusting RP still sees the whacked ROA");
         assert_eq!(v.vrps.len(), 7, "the verified RP sees the truth via the downgrade");
         assert!(verified.stats().pinned_detected > 0);
@@ -478,7 +489,7 @@ mod tests {
         ) -> ValidationOptions<'a> {
             ValidationOptions::at(now)
                 .retry(SyncPolicy::default())
-                .rrdp(rrdp)
+                .rrdp(rrdp, RrdpMode::Verified)
                 .scheduled(SchedulePlan::degenerate(), sched)
                 .incremental(inc)
         }
@@ -514,7 +525,9 @@ mod tests {
         // and reports the point unreachable rather than silently
         // switching transports.
         let run = w.validate_with(
-            ValidationOptions::at(Moment(3)).rrdp(&mut rrdp).scheduled(plan, &mut state),
+            ValidationOptions::at(Moment(3))
+                .rrdp(&mut rrdp, RrdpMode::Verified)
+                .scheduled(plan, &mut state),
         );
         assert!(run.vrps.len() < baseline.vrps.len());
         assert!(rrdp.stats().fallback_deferrals > 0);
@@ -523,7 +536,9 @@ mod tests {
         // the RP is whole again.
         w.net.advance_to(w.net.now() + 4_000);
         let run = w.validate_with(
-            ValidationOptions::at(Moment(4)).rrdp(&mut rrdp).scheduled(plan, &mut state),
+            ValidationOptions::at(Moment(4))
+                .rrdp(&mut rrdp, RrdpMode::Verified)
+                .scheduled(plan, &mut state),
         );
         assert_eq!(run.vrps, baseline.vrps);
         assert!(rrdp.stats().fallback_switches > 0);

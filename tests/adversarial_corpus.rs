@@ -31,7 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rpki_attacks::CorpusKind;
 use rpki_objects::Moment;
 use rpki_repo::RrdpClientState;
-use rpki_risk::{ModelRpki, ValidationOptions};
+use rpki_risk::{ModelRpki, RrdpMode, ValidationOptions};
 use rpki_rp::{ValidationRun, ValidationState};
 
 const POISONED_HOST: &str = "rpki.continental.example";
@@ -60,15 +60,15 @@ fn run_tier(tier: &str, kind: CorpusKind, seed: u64) -> ValidationRun {
         }
         "rrdp-probe" => {
             let mut state = RrdpClientState::new();
-            w.validate_with(ValidationOptions::at(warm).rrdp_trusting(&mut state));
+            w.validate_with(ValidationOptions::at(warm).rrdp(&mut state, RrdpMode::Trusting));
             w.poison_host(POISONED_HOST, kind, seed, Moment(3)).expect("host exists");
-            w.validate_with(ValidationOptions::at(at).rrdp_trusting(&mut state))
+            w.validate_with(ValidationOptions::at(at).rrdp(&mut state, RrdpMode::Trusting))
         }
         "rrdp-verified" => {
             let mut state = RrdpClientState::new();
-            w.validate_with(ValidationOptions::at(warm).rrdp(&mut state));
+            w.validate_with(ValidationOptions::at(warm).rrdp(&mut state, RrdpMode::Verified));
             w.poison_host(POISONED_HOST, kind, seed, Moment(3)).expect("host exists");
-            w.validate_with(ValidationOptions::at(at).rrdp(&mut state))
+            w.validate_with(ValidationOptions::at(at).rrdp(&mut state, RrdpMode::Verified))
         }
         other => panic!("unknown tier {other}"),
     }

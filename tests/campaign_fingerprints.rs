@@ -1,9 +1,8 @@
-//! Pinned digests of every campaign entry point's outcome tables and
-//! traces.
+//! Pinned digests of every campaign's outcome tables and traces.
 //!
-//! Each row is the SHA-256 of one *table* of one `(spec, seed, entry
-//! point)` run — `tiers`, `divergence`, `load`, `rtr`, the schedule
-//! rounds, the Stalloris scenario's whole `DowngradeOutcome` — or of
+//! Each row is the SHA-256 of one *table* of one `(spec, seed,
+//! campaign)` run — `tiers`, `divergence`, `load`, `rtr`, the schedule
+//! rounds, the Stalloris scenario's whole `DowngradeRecord` — or of
 //! the run's JSONL trace or metrics registry. A pinned digest is
 //! strictly stronger than running the triple twice and comparing: it
 //! fails on cross-process nondeterminism and on any refactor that moves
@@ -16,9 +15,8 @@ use rpki_attacks::CorpusKind;
 use rpki_ca::ChurnConfig;
 use rpki_obs::Recorder;
 use rpki_risk::{
-    gaming_schedule_plan, rtr_campaign, run_campaign, run_downgrade_traced, run_rtr_campaign,
-    run_scheduled_campaign, run_shared_campaign, schedule_gaming_campaign, standard_campaigns,
-    CampaignSpec, FaultKind, FaultWindow, RtrConfig, Walk,
+    gaming_schedule_plan, rtr_campaign, schedule_gaming_campaign, stalloris_campaign,
+    standard_campaigns, Campaign, CampaignSpec, FaultKind, FaultWindow, RtrConfig, Walk,
 };
 use rpki_rp::{MergePolicy, SlurmFile, UnsafeVrpPolicy};
 use rpkisim_crypto::sha256;
@@ -84,20 +82,21 @@ fn odd_kinds() -> CampaignSpec {
 fn private(t: &mut Table, spec: &CampaignSpec, seed: u64) {
     let run = format!("private/{}@{seed}", spec.name);
     let rec = Recorder::new();
-    let out = run_campaign(spec, seed, Walk::Incremental, &rec);
+    let out = Campaign::Private(Walk::Incremental).run(spec, seed, &rec);
     json!(t, run, "tiers", out.tiers);
     t.trace(&run, &rec);
 }
 
 fn cold(t: &mut Table, spec: &CampaignSpec, seed: u64) {
     let run = format!("cold/{}@{seed}", spec.name);
-    json!(t, run, "tiers", run_campaign(spec, seed, Walk::Cold, &Recorder::disabled()).tiers);
+    let out = Campaign::Private(Walk::Cold).run(spec, seed, &Recorder::disabled());
+    json!(t, run, "tiers", out.tiers);
 }
 
 fn shared(t: &mut Table, spec: &CampaignSpec, seed: u64) {
     let run = format!("shared/{}@{seed}", spec.name);
     let rec = Recorder::new();
-    let out = run_shared_campaign(spec, seed, &rec);
+    let out = Campaign::Shared.run(spec, seed, &rec);
     json!(t, run, "tiers", out.tiers);
     json!(t, run, "divergence", out.divergence);
     json!(t, run, "load", out.load);
@@ -107,7 +106,7 @@ fn shared(t: &mut Table, spec: &CampaignSpec, seed: u64) {
 fn rtr(t: &mut Table, spec: &CampaignSpec, seed: u64, cfg: RtrConfig) {
     let run = format!("rtr{}{:?}/{}@{seed}", cfg.routers, cfg.policy, spec.name);
     let rec = Recorder::new();
-    let out = run_rtr_campaign(spec, seed, cfg, &SlurmFile::empty(), &rec);
+    let out = Campaign::Rtr(cfg, SlurmFile::empty()).run(spec, seed, &rec);
     json!(t, run, "tiers", out.tiers);
     json!(t, run, "rtr", out.rtr);
     t.trace(&run, &rec);
@@ -116,16 +115,17 @@ fn rtr(t: &mut Table, spec: &CampaignSpec, seed: u64, cfg: RtrConfig) {
 fn scheduled(t: &mut Table, spec: &CampaignSpec, seed: u64) {
     let run = format!("scheduled/{}@{seed}", spec.name);
     let rec = Recorder::new();
-    let out = run_scheduled_campaign(spec, seed, gaming_schedule_plan(), &rec);
+    let out = Campaign::Scheduled(gaming_schedule_plan()).run(spec, seed, &rec);
     json!(t, run, "schedule", out.schedule);
     t.trace(&run, &rec);
 }
 
-/// The Stalloris scenario: the whole outcome record is one table.
+/// The Stalloris scenario: the whole record is one table.
 fn downgrade(t: &mut Table, seed: u64) {
     let run = format!("downgrade@{seed}");
     let rec = Recorder::new();
-    json!(t, run, "outcome", run_downgrade_traced(seed, &rec));
+    let out = Campaign::Stalloris.run(&stalloris_campaign(), seed, &rec);
+    json!(t, run, "outcome", out.downgrade.expect("a Stalloris run records the scenario"));
     t.trace(&run, &rec);
 }
 

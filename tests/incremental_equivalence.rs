@@ -1,6 +1,7 @@
-//! Campaign-level equivalence: `run_campaign` under `Walk::Incremental`
-//! versus `Walk::Cold` (every round a full walk) must serialise to
-//! identical outcomes across all four relying-party tiers.
+//! Campaign-level equivalence: `Campaign::Private` under
+//! `Walk::Incremental` versus `Walk::Cold` (every round a full walk)
+//! must serialise to identical outcomes across all five relying-party
+//! tiers.
 //!
 //! The campaigns chosen cover the fault classes the memo cache has to
 //! survive without changing a single byte of output: "mixed" layers
@@ -12,7 +13,7 @@
 //! same way in both runs.
 
 use rpki_obs::Recorder;
-use rpki_risk::{run_campaign, standard_campaigns, Walk};
+use rpki_risk::{standard_campaigns, Campaign, Walk};
 
 #[test]
 fn incremental_campaigns_match_cold_campaigns_across_all_tiers() {
@@ -21,8 +22,8 @@ fn incremental_campaigns_match_cold_campaigns_across_all_tiers() {
             .into_iter()
             .find(|s| s.name == name)
             .expect("standard campaign present");
-        let warm = run_campaign(&spec, 11, Walk::Incremental, &Recorder::disabled());
-        let cold = run_campaign(&spec, 11, Walk::Cold, &Recorder::disabled());
+        let warm = Campaign::Private(Walk::Incremental).run(&spec, 11, &Recorder::disabled());
+        let cold = Campaign::Private(Walk::Cold).run(&spec, 11, &Recorder::disabled());
         let warm_json = serde_json::to_string(&warm).expect("serialise");
         let cold_json = serde_json::to_string(&cold).expect("serialise");
         assert_eq!(

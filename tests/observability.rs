@@ -8,8 +8,10 @@
 //! must satisfy (parseable JSON, fixed key prefix, dense seq).
 
 use rpki_obs::Recorder;
-use rpki_risk::{run_campaign, standard_campaigns, CampaignSpec, Walk};
+use rpki_risk::{standard_campaigns, Campaign, CampaignSpec, Walk};
 use serde_json::Json;
+
+const PRIVATE: Campaign = Campaign::Private(Walk::Incremental);
 
 fn corruption_campaign() -> CampaignSpec {
     standard_campaigns()
@@ -23,9 +25,9 @@ fn seed_2013_corruption_campaign_replays_byte_identical() {
     let spec = corruption_campaign();
 
     let first = Recorder::new();
-    let out_a = run_campaign(&spec, 2013, Walk::Incremental, &first);
+    let out_a = PRIVATE.run(&spec, 2013, &first);
     let second = Recorder::new();
-    let out_b = run_campaign(&spec, 2013, Walk::Incremental, &second);
+    let out_b = PRIVATE.run(&spec, 2013, &second);
 
     // The trace is non-trivial: network, repository, relying-party,
     // and campaign layers all contributed events.
@@ -43,7 +45,7 @@ fn seed_2013_corruption_campaign_replays_byte_identical() {
 #[test]
 fn trace_lines_are_json_with_canonical_header_and_dense_seq() {
     let rec = Recorder::new();
-    run_campaign(&corruption_campaign(), 2013, Walk::Incremental, &rec);
+    PRIVATE.run(&corruption_campaign(), 2013, &rec);
     let jsonl = rec.trace_jsonl();
     assert!(jsonl.ends_with('\n'));
 
@@ -66,8 +68,8 @@ fn different_seeds_diverge() {
     // corruption schedule and therefore the trace.
     let spec = corruption_campaign();
     let a = Recorder::new();
-    run_campaign(&spec, 2013, Walk::Incremental, &a);
+    PRIVATE.run(&spec, 2013, &a);
     let b = Recorder::new();
-    run_campaign(&spec, 2014, Walk::Incremental, &b);
+    PRIVATE.run(&spec, 2014, &b);
     assert_ne!(a.trace_jsonl(), b.trace_jsonl());
 }

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use rpki_ca::{ChurnConfig, ChurnEngine};
 use rpki_objects::Moment;
 use rpki_repo::{PubdPolicy, RetentionPolicy, RrdpClientState, RrdpStats};
-use rpki_risk::{SyntheticRpki, ValidationOptions};
+use rpki_risk::{RrdpMode, SyntheticRpki, ValidationOptions};
 use rpki_rp::{ValidationRun, ValidationState};
 
 /// One RRDP-transported incremental revalidation (trusting: the
@@ -31,7 +31,7 @@ fn poll(
     rrdp: &mut RrdpClientState,
     state: &mut ValidationState,
 ) -> ValidationRun {
-    w.validate_with(ValidationOptions::at(now).rrdp_trusting(rrdp).incremental(state))
+    w.validate_with(ValidationOptions::at(now).rrdp(rrdp, RrdpMode::Trusting).incremental(state))
 }
 
 /// Every snapshot sync has exactly one recorded cause.

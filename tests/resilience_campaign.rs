@@ -17,14 +17,14 @@
 use rpki_attacks::CorpusKind;
 use rpki_obs::Recorder;
 use rpki_risk::{
-    run_campaign, run_shared_campaign, standard_campaigns, CampaignOutcome, CampaignSpec,
-    FaultKind, FaultWindow, RpTier, Walk,
+    stalloris_campaign, standard_campaigns, Campaign, CampaignOutcome, CampaignSpec, FaultKind,
+    FaultWindow, RpTier, Walk,
 };
 use rpki_rp::UnsafeVrpPolicy;
 
 /// An untraced incremental private-world run.
 fn run(spec: &CampaignSpec, seed: u64) -> CampaignOutcome {
-    run_campaign(spec, seed, Walk::Incremental, &Recorder::disabled())
+    Campaign::Private(Walk::Incremental).run(spec, seed, &Recorder::disabled())
 }
 
 fn campaign(name: &str, seed: u64) -> CampaignOutcome {
@@ -172,9 +172,10 @@ fn unsafe_policies_order_vrp_availability() {
     }
 }
 
-/// Fault-campaign soak: sweep all standard campaigns across many seeds
-/// and check the layer invariants hold everywhere (run explicitly or
-/// from the scheduled CI job: `cargo test --release -- --ignored`).
+/// Fault-campaign soak: sweep all standard campaigns, a shared-world
+/// campaign and the Stalloris scenario across many seeds and check
+/// their invariants hold everywhere (run explicitly or from the
+/// scheduled CI job: `cargo test --release -- --ignored`).
 #[test]
 #[ignore = "long-running fault-campaign soak; exercised by scheduled CI"]
 fn campaign_soak_across_seeds() {
@@ -235,7 +236,7 @@ fn campaign_soak_across_seeds() {
             .into_iter()
             .find(|s| s.name == "takedown")
             .expect("standard campaign exists");
-        let shared = run_shared_campaign(&spec, seed, &Recorder::disabled());
+        let shared = Campaign::Shared.run(&spec, seed, &Recorder::disabled());
         let stale = shared.tier(RpTier::RetryingStale).totals.vrp_round_sum;
         let bare = shared.tier(RpTier::Bare).totals.vrp_round_sum;
         assert!(bare <= stale, "shared world seed {seed}: bare {bare} > stale {stale}");
@@ -244,6 +245,27 @@ fn campaign_soak_across_seeds() {
             shared.load.iter().all(|h| h.frames > 0 && h.bytes > h.frames),
             "seed {seed}: {:?}",
             shared.load
+        );
+
+        // The Stalloris scenario per seed: the verified stance never
+        // leaves the truth, the trusting one is captive for exactly the
+        // pinned rounds after the whack, and the record replays.
+        let stalloris = || {
+            let out = Campaign::Stalloris.run(&stalloris_campaign(), seed, &Recorder::disabled());
+            out.downgrade.expect("a Stalloris run records the scenario")
+        };
+        let record = stalloris();
+        let s = record.schedule;
+        assert_eq!(record.verified_stale_rounds, 0, "Stalloris seed {seed}: {record:?}");
+        assert_eq!(
+            record.trusting_stale_rounds,
+            s.restore_round - s.whack_round,
+            "Stalloris seed {seed}: {record:?}"
+        );
+        assert_eq!(
+            serde_json::to_string(&record).expect("serializes"),
+            serde_json::to_string(&stalloris()).expect("serializes"),
+            "Stalloris seed {seed}: replay diverged"
         );
     }
 }

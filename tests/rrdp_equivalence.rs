@@ -28,7 +28,8 @@ use rpki_objects::{Moment, RepoUri, RoaPrefix};
 use rpki_obs::Recorder;
 use rpki_repo::{rrdp_sync_dir, sync_dir, RepoRegistry, RrdpClientState};
 use rpki_risk::{
-    run_campaign, standard_campaigns, ModelRpki, RpTier, SyntheticRpki, ValidationOptions, Walk,
+    standard_campaigns, Campaign, ModelRpki, RpTier, RrdpMode, SyntheticRpki, ValidationOptions,
+    Walk,
 };
 use rpki_rp::{ClientAction, RtrClient, RtrServer, VrpUpdate};
 
@@ -168,7 +169,7 @@ proptest! {
         // depth 2 / branching 3: 13 publication points, 2 ROAs each.
         let mut w = SyntheticRpki::build_seeded(6, 2, 3, 2);
         let mut rrdp = RrdpClientState::new();
-        w.validate_with(ValidationOptions::at(Moment(2)).rrdp(&mut rrdp));
+        w.validate_with(ValidationOptions::at(Moment(2)).rrdp(&mut rrdp, RrdpMode::Verified));
 
         let mut t = 60u64;
         for (kind, ca) in steps {
@@ -208,7 +209,7 @@ proptest! {
             common::republish(&mut w, ca, now);
 
             let at = Moment(t + 30);
-            let over_rrdp = w.validate_with(ValidationOptions::at(at).rrdp(&mut rrdp));
+            let over_rrdp = w.validate_with(ValidationOptions::at(at).rrdp(&mut rrdp, RrdpMode::Verified));
             let cold = w.validate_with(ValidationOptions::at(at));
             prop_assert_eq!(
                 &over_rrdp, &cold,
@@ -240,7 +241,7 @@ proptest! {
 #[test]
 fn rrdp_tier_matches_rsync_tier_on_every_standard_campaign() {
     for spec in standard_campaigns() {
-        let out = run_campaign(&spec, 2013, Walk::Incremental, &Recorder::disabled());
+        let out = Campaign::Private(Walk::Incremental).run(&spec, 2013, &Recorder::disabled());
         let rrdp: Vec<usize> = out.tier(RpTier::Rrdp).rounds.iter().map(|m| m.vrps).collect();
         let stale: Vec<usize> =
             out.tier(RpTier::RetryingStale).rounds.iter().map(|m| m.vrps).collect();
@@ -256,7 +257,7 @@ fn rrdp_tier_matches_rsync_tier_on_every_standard_campaign() {
 fn rrdp_session_reset_propagates_as_rtr_cache_reset() {
     let mut w = ModelRpki::build_seeded(13);
     let mut rrdp = RrdpClientState::new();
-    let run = w.validate_with(ValidationOptions::at(Moment(2)).rrdp(&mut rrdp));
+    let run = w.validate_with(ValidationOptions::at(Moment(2)).rrdp(&mut rrdp, RrdpMode::Verified));
 
     let session = 1 + rrdp.epoch() as u16;
     let mut server = RtrServer::new(session, 8);
@@ -274,7 +275,7 @@ fn rrdp_session_reset_propagates_as_rtr_cache_reset() {
         w.repos.by_host_mut(host).expect("exists").rrdp_reset_sessions();
     }
     let epoch_before = rrdp.epoch();
-    let run = w.validate_with(ValidationOptions::at(Moment(3)).rrdp(&mut rrdp));
+    let run = w.validate_with(ValidationOptions::at(Moment(3)).rrdp(&mut rrdp, RrdpMode::Verified));
     assert!(rrdp.epoch() > epoch_before, "session resets must bump the client epoch");
 
     // The relying party translates the epoch change into a fresh RTR

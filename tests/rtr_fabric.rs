@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 use ipres::{Asn, Prefix};
 use netsim::Network;
 use rpki_obs::Recorder;
-use rpki_risk::{rtr_campaign, run_rtr_campaign, RtrConfig};
+use rpki_risk::{rtr_campaign, Campaign, RtrConfig};
 use rpki_rp::{
     pump_until, reference_merge, MergePolicy, Relay, RtrEndpoint, RtrFabric, RtrRouter, SlurmFile,
     SlurmFilter, Vrp, VrpUpdate,
@@ -151,9 +151,8 @@ fn merge_policy_chooses_where_divergence_lives() {
     let spec = rtr_campaign();
     let union_cfg = RtrConfig { routers: 4, policy: MergePolicy::Union, ..RtrConfig::default() };
     let all_cfg = RtrConfig { routers: 4, policy: MergePolicy::All, ..RtrConfig::default() };
-    let union =
-        run_rtr_campaign(&spec, 2013, union_cfg, &SlurmFile::empty(), &Recorder::disabled());
-    let all = run_rtr_campaign(&spec, 2013, all_cfg, &SlurmFile::empty(), &Recorder::disabled());
+    let run = |cfg| Campaign::Rtr(cfg, SlurmFile::empty()).run(&spec, 2013, &Recorder::disabled());
+    let (union, all) = (run(union_cfg), run(all_cfg));
 
     // Round 4: the withdraw lands while the relay→router path stalls.
     let u4 = &union.rtr[3];
@@ -184,15 +183,10 @@ fn merge_policy_chooses_where_divergence_lives() {
 #[test]
 fn rtr_campaign_replays_byte_identical() {
     let cfg = RtrConfig { routers: 4, policy: MergePolicy::All, ..RtrConfig::default() };
+    let campaign = Campaign::Rtr(cfg, SlurmFile::empty());
     let run = |seed| {
-        serde_json::to_string(&run_rtr_campaign(
-            &rtr_campaign(),
-            seed,
-            cfg,
-            &SlurmFile::empty(),
-            &Recorder::disabled(),
-        ))
-        .expect("serializes")
+        serde_json::to_string(&campaign.run(&rtr_campaign(), seed, &Recorder::disabled()))
+            .expect("serializes")
     };
     for seed in [2013u64, 6810] {
         assert_eq!(run(seed), run(seed), "seed {seed} replay diverged");
@@ -206,21 +200,10 @@ fn rtr_campaign_replays_byte_identical() {
 #[ignore = "long-running RTR campaign soak; exercised by scheduled CI"]
 fn rtr_campaign_soak_across_seeds() {
     let cfg = RtrConfig { routers: 6, policy: MergePolicy::All, ..RtrConfig::default() };
+    let campaign = Campaign::Rtr(cfg, SlurmFile::empty());
     for seed in 0..32u64 {
-        let out = run_rtr_campaign(
-            &rtr_campaign(),
-            seed,
-            cfg,
-            &SlurmFile::empty(),
-            &Recorder::disabled(),
-        );
-        let again = run_rtr_campaign(
-            &rtr_campaign(),
-            seed,
-            cfg,
-            &SlurmFile::empty(),
-            &Recorder::disabled(),
-        );
+        let out = campaign.run(&rtr_campaign(), seed, &Recorder::disabled());
+        let again = campaign.run(&rtr_campaign(), seed, &Recorder::disabled());
         assert_eq!(
             serde_json::to_string(&out).unwrap(),
             serde_json::to_string(&again).unwrap(),

@@ -26,8 +26,7 @@ use rpki_objects::Moment;
 use rpki_obs::Recorder;
 use rpki_risk::campaign::ROUND_SECS;
 use rpki_risk::{
-    gaming_schedule_plan, run_scheduled_campaign, schedule_gaming_campaign, SyntheticRpki,
-    ValidationOptions,
+    gaming_schedule_plan, schedule_gaming_campaign, Campaign, SyntheticRpki, ValidationOptions,
 };
 use rpki_rp::{SchedulePlan, SchedulerState, ValidationRun, ValidationState, Vrp};
 
@@ -143,11 +142,11 @@ proptest! {
 #[ignore = "32-seed soak; run explicitly with --ignored"]
 fn slow_serve_starvation_soak_over_seeds() {
     let spec = schedule_gaming_campaign();
-    let plan = gaming_schedule_plan();
+    let campaign = Campaign::Scheduled(gaming_schedule_plan());
     let window = &spec.windows[0];
     let window_len = window.to - window.from + 1;
     for seed in 0..32 {
-        let out = run_scheduled_campaign(&spec, seed, plan, &Recorder::disabled());
+        let out = campaign.run(&spec, seed, &Recorder::disabled());
         for r in &out.schedule {
             let in_window = window.from <= r.round && r.round <= window.to;
             assert!(
