@@ -46,7 +46,7 @@
 use rpki_ca::{ChurnConfig, ChurnEngine};
 use rpki_objects::Moment;
 use rpki_repo::{PubdPolicy, RetentionPolicy, RrdpClientState};
-use rpki_risk::{RrdpMode, SyntheticRpki, ValidationOptions};
+use rpki_risk::{Fetch, RrdpMode, SyntheticRpki, ValidationOptions};
 use rpki_risk_bench::{export, trace_recorder, RunStamp, Summary, SummaryTable};
 use rpki_rp::{ValidationRun, ValidationState};
 use serde::Serialize;
@@ -97,7 +97,9 @@ fn poll(
     rrdp: &mut RrdpClientState,
     state: &mut ValidationState,
 ) -> ValidationRun {
-    w.validate_with(ValidationOptions::at(now).rrdp(rrdp, RrdpMode::Trusting).incremental(state))
+    w.validate_with(
+        ValidationOptions::at(now).fetch(Fetch::Rrdp(rrdp, RrdpMode::Trusting)).incremental(state),
+    )
 }
 
 fn retention_of(depth: u64) -> RetentionPolicy {

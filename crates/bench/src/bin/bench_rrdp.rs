@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use rpki_objects::Moment;
 use rpki_repo::RrdpClientState;
-use rpki_risk::{RrdpMode, SyntheticRpki, ValidationOptions};
+use rpki_risk::{Fetch, RrdpMode, SyntheticRpki, ValidationOptions};
 use rpki_risk_bench::{
     export, scale_arg, time_min, trace_recorder, RunStamp, Summary, SummaryTable,
 };
@@ -78,7 +78,9 @@ fn validate_rrdp(
     rrdp: &mut RrdpClientState,
     state: &mut ValidationState,
 ) -> ValidationRun {
-    w.validate_with(ValidationOptions::at(now).rrdp(rrdp, RrdpMode::Trusting).incremental(state))
+    w.validate_with(
+        ValidationOptions::at(now).fetch(Fetch::Rrdp(rrdp, RrdpMode::Trusting)).incremental(state),
+    )
 }
 
 fn main() {

@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use rpki_objects::{Moment, Span};
 use rpki_repo::RrdpClientState;
-use rpki_risk::{RrdpMode, SyntheticRpki, ValidationOptions};
+use rpki_risk::{Fetch, RrdpMode, SyntheticRpki, ValidationOptions};
 use rpki_risk_bench::{export, scale_arg, trace_recorder, RunStamp, Summary, SummaryTable};
 use rpki_rp::{SchedulePlan, SchedulerState, ValidationRun, ValidationState};
 use serde::Serialize;
@@ -104,7 +104,9 @@ fn validate_sweep(
     inc: &mut ValidationState,
 ) -> ValidationRun {
     let now = Moment(w.net.now());
-    w.validate_with(ValidationOptions::at(now).rrdp(rrdp, RrdpMode::Trusting).incremental(inc))
+    w.validate_with(
+        ValidationOptions::at(now).fetch(Fetch::Rrdp(rrdp, RrdpMode::Trusting)).incremental(inc),
+    )
 }
 
 /// One scheduled round: the same stack under the fetch scheduler.
@@ -118,7 +120,7 @@ fn validate_scheduled(
     let now = Moment(w.net.now());
     w.validate_with(
         ValidationOptions::at(now)
-            .rrdp(rrdp, RrdpMode::Trusting)
+            .fetch(Fetch::Rrdp(rrdp, RrdpMode::Trusting))
             .incremental(inc)
             .scheduled(plan, sched),
     )

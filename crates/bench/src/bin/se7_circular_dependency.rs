@@ -10,7 +10,7 @@
 use bgp_sim::RpkiPolicy;
 use rpki_objects::Moment;
 use rpki_repo::SyncPolicy;
-use rpki_risk::{LoopbackWorld, ModelRpki, ValidationOptions};
+use rpki_risk::{Fetch, LoopbackWorld, ModelRpki, ValidationOptions};
 use rpki_risk_bench::{emit_json, trace_recorder, write_trace, Summary, SummaryTable};
 use rpki_rp::{ResilienceConfig, ResilientState};
 use serde::Serialize;
@@ -41,7 +41,9 @@ fn main() {
     phases.push(Phase { phase: "healthy", vrps: healthy.vrps.len(), continental_fetchable: true });
     let policy = SyncPolicy::default();
     let mut resilient = ResilientState::new(ResilienceConfig::default());
-    w.validate_with(ValidationOptions::at(Moment(3)).retry(policy).stale_cache(&mut resilient));
+    w.validate_with(
+        ValidationOptions::at(Moment(3)).fetch(Fetch::Retry(policy)).stale_cache(&mut resilient),
+    );
 
     // Phase 2 — the transient fault: corrupt ONE fetch from
     // Continental's repository (Side Effect 6's corrupted-object case).

@@ -49,7 +49,7 @@ use serde::Serialize;
 use crate::downgrade::{DowngradeRecord, Stalloris};
 use crate::fixtures::{asn, ModelRpki};
 use crate::suspenders::{SuspendersConfig, SuspendersState};
-use crate::validate::{RrdpMode, ValidationOptions};
+use crate::validate::{Fetch, RrdpMode, ValidationOptions};
 
 /// Seconds between validation rounds (a 30-minute RP cadence; short
 /// enough that a full campaign stays inside every manifest's one-day
@@ -564,22 +564,21 @@ impl Rp {
         let policy = SyncPolicy::default();
         let opts = match self.stack {
             Stack::Tier(RpTier::Bare) => base,
-            Stack::Tier(RpTier::Retrying) => base.retry(policy),
+            Stack::Tier(RpTier::Retrying) => base.fetch(Fetch::Retry(policy)),
             Stack::Tier(RpTier::RetryingStale) => {
-                base.retry(policy).stale_cache(&mut self.resilient)
+                base.fetch(Fetch::Retry(policy)).stale_cache(&mut self.resilient)
             }
-            Stack::Tier(RpTier::Suspenders) => {
-                base.retry(policy).stale_cache(&mut self.resilient).suspenders(&mut self.suspenders)
-            }
+            Stack::Tier(RpTier::Suspenders) => base
+                .fetch(Fetch::Retry(policy))
+                .stale_cache(&mut self.resilient)
+                .suspenders(&mut self.suspenders),
             Stack::Tier(RpTier::Rrdp) => base
-                .retry(policy)
-                .rrdp(&mut self.rrdp, RrdpMode::Verified)
+                .fetch(Fetch::Rrdp(&mut self.rrdp, RrdpMode::Verified))
                 .stale_cache(&mut self.resilient),
             Stack::Scheduled(plan) => base
-                .retry(policy)
-                .rrdp(&mut self.rrdp, RrdpMode::Verified)
+                .fetch(Fetch::Rrdp(&mut self.rrdp, RrdpMode::Verified))
                 .scheduled(plan, &mut self.scheduler),
-            Stack::Rrdp(mode) => base.retry(policy).rrdp(&mut self.rrdp, mode),
+            Stack::Rrdp(mode) => base.fetch(Fetch::Rrdp(&mut self.rrdp, mode)),
         };
         let run = w.validate_with(match self.validation.as_mut() {
             Some(state) => opts.incremental(state),

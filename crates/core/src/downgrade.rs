@@ -276,13 +276,13 @@ mod tests {
     #[test]
     fn session_reset_rounds_register_as_session_reset_fallbacks() {
         use crate::fixtures::ModelRpki;
-        use crate::validate::ValidationOptions;
-        use rpki_repo::{RrdpClientState, SyncPolicy};
+        use crate::validate::{Fetch, ValidationOptions};
+        use rpki_repo::RrdpClientState;
 
         let mut w = ModelRpki::build_seeded(41);
         let mut client = RrdpClientState::new();
-        let (policy, verified) = (SyncPolicy::default(), RrdpMode::Verified);
-        w.validate_with(ValidationOptions::at(Moment(2)).retry(policy).rrdp(&mut client, verified));
+        let verified = RrdpMode::Verified;
+        w.validate_with(ValidationOptions::at(Moment(2)).fetch(Fetch::Rrdp(&mut client, verified)));
         // Cold syncs are initial-cause snapshot fetches, nothing else.
         let stats = client.stats();
         assert_eq!(stats.fallback_initial, stats.snapshot_syncs, "{stats:?}");
@@ -292,7 +292,7 @@ mod tests {
         // gone — every Continental directory forces a re-snapshot, and
         // the cause ledger must say *why*.
         w.repos.by_host_mut(CONTINENTAL_HOST).expect("model host").rrdp_reset_sessions();
-        w.validate_with(ValidationOptions::at(Moment(3)).retry(policy).rrdp(&mut client, verified));
+        w.validate_with(ValidationOptions::at(Moment(3)).fetch(Fetch::Rrdp(&mut client, verified)));
         let stats = client.stats();
         assert!(stats.fallback_session_reset > 0, "{stats:?}");
         assert_eq!(stats.fallback_evicted, 0, "no history was outrun: {stats:?}");

@@ -520,7 +520,7 @@ impl SyntheticRpki {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::ValidationOptions;
+    use crate::validate::{Fetch, ValidationOptions};
     use ipres::Asn;
     use rpki_repo::SyncPolicy;
     use rpki_rp::{ResilientState, Route, RouteValidity, ValidationState};
@@ -588,7 +588,9 @@ mod tests {
         let direct = w.validate_direct(Moment(2));
         let mut state = ResilientState::default();
         let resilient = w.validate_with(
-            ValidationOptions::at(Moment(2)).retry(SyncPolicy::default()).stale_cache(&mut state),
+            ValidationOptions::at(Moment(2))
+                .fetch(Fetch::Retry(SyncPolicy::default()))
+                .stale_cache(&mut state),
         );
         assert_eq!(direct.vrps, resilient.vrps);
         // Every visited directory left a snapshot behind.

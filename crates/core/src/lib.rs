@@ -78,4 +78,4 @@ pub use loopback::{LoopbackOutcome, LoopbackWorld};
 pub use side_effects::{se5_new_roa_impact, se6_missing_roa_impact, Se5Impact, Se6Impact};
 pub use suspenders::{SuspendersConfig, SuspendersEvent, SuspendersState};
 pub use tradeoff::{policy_tradeoff, ScenarioOutcome, TradeoffTable};
-pub use validate::{RrdpMode, ValidationOptions, VantagePoint};
+pub use validate::{Fetch, RrdpMode, ValidationOptions, VantagePoint};

@@ -28,7 +28,7 @@ use rpki_rp::{ResilientState, Vrp};
 use serde::Serialize;
 
 use crate::fixtures::{asn, ModelRpki};
-use crate::validate::{ValidationOptions, VantagePoint};
+use crate::validate::{Fetch, ValidationOptions, VantagePoint};
 
 /// The converged outcome of one loop evaluation.
 #[derive(Debug, Clone, Serialize)]
@@ -179,7 +179,7 @@ impl LoopbackWorld<'_> {
 
             let mut opts = ValidationOptions::at(now);
             if let Some((policy, state)) = resilience.as_mut() {
-                opts = opts.retry(*policy).stale_cache(state);
+                opts = opts.fetch(Fetch::Retry(*policy)).stale_cache(state);
             }
             let new_vrps = opts
                 .run(VantagePoint {
@@ -268,7 +268,9 @@ mod tests {
         let policy = rpki_repo::SyncPolicy::default();
         let mut state = ResilientState::new(ResilienceConfig::default());
         w.validate_with(
-            crate::ValidationOptions::at(Moment(3)).retry(policy).stale_cache(&mut state),
+            crate::ValidationOptions::at(Moment(3))
+                .fetch(crate::Fetch::Retry(policy))
+                .stale_cache(&mut state),
         );
 
         let degraded: Vec<Vrp> =

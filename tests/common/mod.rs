@@ -1,7 +1,6 @@
-//! The mutation vocabulary the equivalence suites and the walk pins
+//! The mutation vocabulary the differential harness and the walk pins
 //! share: authority- and repository-side mutations against a
-//! [`SyntheticRpki`]. Each suite keeps its own `arb_op` (which kinds it
-//! draws, at what weights), so not every suite uses every item here.
+//! [`SyntheticRpki`]. Not every test draws every item.
 
 #![allow(dead_code)]
 

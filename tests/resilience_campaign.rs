@@ -16,9 +16,10 @@
 
 use rpki_attacks::CorpusKind;
 use rpki_obs::Recorder;
+use rpki_risk::campaign::ROUND_SECS;
 use rpki_risk::{
-    stalloris_campaign, standard_campaigns, Campaign, CampaignOutcome, CampaignSpec, FaultKind,
-    FaultWindow, RpTier, Walk,
+    gaming_schedule_plan, schedule_gaming_campaign, stalloris_campaign, standard_campaigns,
+    Campaign, CampaignOutcome, CampaignSpec, FaultKind, FaultWindow, RpTier, Walk,
 };
 use rpki_rp::UnsafeVrpPolicy;
 
@@ -267,5 +268,44 @@ fn campaign_soak_across_seeds() {
             serde_json::to_string(&stalloris()).expect("serializes"),
             "Stalloris seed {seed}: replay diverged"
         );
+    }
+}
+
+/// 32-seed soak of the schedule-gaming campaign: a slow-serving
+/// authority must starve only inside its window, cost freshness rather
+/// than availability, and never trip a breaker — on every seed.
+#[test]
+#[ignore = "32-seed soak; run explicitly with --ignored"]
+fn slow_serve_starvation_soak_over_seeds() {
+    let spec = schedule_gaming_campaign();
+    let campaign = Campaign::Scheduled(gaming_schedule_plan());
+    let window = &spec.windows[0];
+    let window_len = window.to - window.from + 1;
+    for seed in 0..32 {
+        let out = campaign.run(&spec, seed, &Recorder::disabled());
+        for r in &out.schedule {
+            let in_window = window.from <= r.round && r.round <= window.to;
+            assert!(
+                in_window || r.deferred == 0,
+                "seed {seed} round {}: deferral outside the slow-serve window ({r:?})",
+                r.round
+            );
+        }
+        let starved = out.schedule.iter().filter(|r| r.deferred > 0).count();
+        assert!(
+            starved >= window_len / 2,
+            "seed {seed}: starved only {starved} of {window_len} window rounds: {out:?}"
+        );
+        assert!(
+            out.schedule.iter().all(|r| r.vrps == 8),
+            "seed {seed}: availability must hold ({out:?})"
+        );
+        assert!(
+            out.schedule.iter().any(|r| r.max_served_age >= ROUND_SECS),
+            "seed {seed}: victims must be served stale past a round ({out:?})"
+        );
+        let last = out.schedule.last().expect("campaign has rounds");
+        assert_eq!(last.deferred, 0, "seed {seed}: recovery after the window ({last:?})");
+        assert_eq!(last.backoff_skips, 0, "seed {seed}: slow is not down ({last:?})");
     }
 }

@@ -16,7 +16,7 @@ use rpki_attacks::{Monitor, MonitorSnapshot};
 use rpki_objects::{Moment, Span};
 use rpki_repo::{Freshness, SyncPolicy};
 use rpki_risk::fixtures::asn;
-use rpki_risk::{ModelRpki, SuspendersConfig, SuspendersState, ValidationOptions};
+use rpki_risk::{Fetch, ModelRpki, SuspendersConfig, SuspendersState, ValidationOptions};
 use rpki_rp::{ResilienceConfig, ResilientState, Route, RouteValidity};
 
 const DAY: u64 = 86_400;
@@ -197,7 +197,7 @@ fn three_hundred_days_of_operations() {
             // -- The resilient relying party, over the real network --
             let net_run = w.validate_with(
                 ValidationOptions::at(now + Span::hours(1))
-                    .retry(policy)
+                    .fetch(Fetch::Retry(policy))
                     .stale_cache(&mut resilient),
             );
             let net_cache = net_run.vrp_cache();

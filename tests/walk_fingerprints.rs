@@ -5,7 +5,7 @@
 //! the `RevalidationStats`, the `{:?}` of the `ValidationState` after
 //! every round, and the network's frame counters. A `SyntheticRpki` is
 //! walked once and then through three mutation rounds (the
-//! `tests/incremental.rs` vocabulary), over a clean network, over one
+//! `tests/common` vocabulary), over a clean network, over one
 //! with seeded 5 % loss in both directions (so the order in which the
 //! walk asks for directories decides which dice each directory gets),
 //! and with `max_depth` low enough that the leaves hit the depth guard.
