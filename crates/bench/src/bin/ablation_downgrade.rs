@@ -15,17 +15,10 @@
 
 use rpki_attacks::MisbehaviorReport;
 use rpki_risk::{stalloris_campaign, standard_campaigns, Campaign, DowngradeRecord, RpTier, Walk};
-use rpki_risk_bench::{emit_json, trace_recorder, write_trace, Recorder, Summary, SummaryTable};
+use rpki_risk_bench::{
+    emit_json, seed_arg, trace_recorder, write_trace, Recorder, Summary, SummaryTable,
+};
 use serde::Serialize;
-
-fn seed_arg() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2013)
-}
 
 /// The experiment's JSON export: the scenario, the merged
 /// misbehaviour dossier, and the campaign view.

@@ -15,16 +15,7 @@
 //! withdrawals — that separation is Suspenders' niche).
 
 use rpki_risk::{standard_campaigns, Campaign, CampaignOutcome, RpTier, Walk};
-use rpki_risk_bench::{emit_json, trace_recorder, write_trace, Summary, SummaryTable};
-
-fn seed_arg() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2013)
-}
+use rpki_risk_bench::{emit_json, seed_arg, trace_recorder, write_trace, Summary, SummaryTable};
 
 fn main() {
     let seed = seed_arg();

@@ -22,18 +22,9 @@
 use rpki_attacks::{CorpusKind, MisbehaviorReport};
 use rpki_objects::Moment;
 use rpki_risk::{Campaign, CampaignSpec, FaultKind, FaultWindow, ModelRpki, RpTier, Walk};
-use rpki_risk_bench::{export, Recorder, RunStamp, Summary, SummaryTable};
+use rpki_risk_bench::{export, seed_arg, Recorder, RunStamp, Summary, SummaryTable};
 use rpki_rp::UnsafeVrpPolicy;
 use serde::Serialize;
-
-fn seed_arg() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2013)
-}
 
 /// One (policy, tier) row of the export.
 #[derive(Debug, Serialize)]

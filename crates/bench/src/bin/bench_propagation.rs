@@ -125,7 +125,7 @@ fn assert_counts_unmoved(fresh: &str) -> usize {
 
 fn main() {
     // `--scale 0` would generate an empty world and a NaN speedup.
-    let scale = scale_arg().max(1);
+    let scale = scale_arg();
     let stamp = RunStamp::capture();
     let mut report = Summary::new(&format!("Propagation engine benchmark (scale {scale})"));
 

@@ -84,7 +84,7 @@ fn validate_rrdp(
 }
 
 fn main() {
-    let scale = scale_arg().max(1);
+    let scale = scale_arg();
     let stamp = RunStamp::capture();
     let mut report = Summary::new(&format!("RRDP transport benchmark (scale {scale})"));
     let rec = trace_recorder();

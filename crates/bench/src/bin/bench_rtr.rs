@@ -105,7 +105,7 @@ fn pump(net: &mut Network, fabric: &mut RtrFabric, routers: &mut [RtrRouter]) ->
 }
 
 fn main() {
-    let scale = scale_arg().max(1);
+    let scale = scale_arg();
     let n_vrps = 256 * scale;
     let stamp = RunStamp::capture();
     let mut report = Summary::new(&format!("RTR fan-out benchmark (scale {scale})"));

@@ -36,7 +36,7 @@ struct Record {
 }
 
 fn main() {
-    let scale = scale_arg().max(1);
+    let scale = scale_arg();
     let stamp = RunStamp::capture();
     let mut report = Summary::new(&format!("Walk scaling benchmark (scale {scale})"));
     let rec = trace_recorder();

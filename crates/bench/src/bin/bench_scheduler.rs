@@ -127,7 +127,7 @@ fn validate_scheduled(
 }
 
 fn main() {
-    let scale = scale_arg().max(1);
+    let scale = scale_arg();
     let stamp = RunStamp::capture();
     let mut report = Summary::new(&format!("Fetch-scheduler benchmark (scale {scale})"));
     let rec = trace_recorder();

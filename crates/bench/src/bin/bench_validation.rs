@@ -92,7 +92,7 @@ fn mutate(
 }
 
 fn main() {
-    let scale = scale_arg().max(1);
+    let scale = scale_arg();
     let stamp = RunStamp::capture();
     let mut report = Summary::new(&format!("Incremental validation benchmark (scale {scale})"));
     let rec = trace_recorder();

@@ -1,10 +1,13 @@
-//! Support library for the experiment harness binaries.
+//! Support library for the harness binaries: the ablations, the
+//! component benches (`bench_*`) and `schema_check`. The paper's own
+//! figures and tables are the `rpki-risk` CLI's subcommands. Each
+//! binary prints a human-readable table to stdout and, with `--json`,
+//! a machine-readable record to stderr.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's per-experiment index). They all print a
-//! human-readable table to stdout and, with `--json`, a machine-
-//! readable record to stderr — EXPERIMENTS.md is built from these
-//! outputs.
+//! Flags parse through one parser ([`seed_arg`], [`scale_arg`],
+//! [`trace_path`]) with the CLI's contract: a flag that is present must
+//! carry a value that parses, or the binary names it, prints the usage
+//! and exits non-zero.
 //!
 //! Rendering goes through the `rpki-obs` summary pipeline: [`Table`]
 //! is a thin wrapper over [`SummaryTable`], and the richer binaries
@@ -16,6 +19,7 @@
 #![warn(missing_docs)]
 
 use std::fmt::Display;
+use std::str::FromStr;
 use std::time::Instant;
 
 pub use rpki_obs::{Recorder, Summary, SummaryTable};
@@ -51,14 +55,64 @@ impl Table {
     }
 }
 
+/// The flags the harness binaries read; each reads only those its
+/// header documents.
+const USAGE: &str = "\
+USAGE:
+    <binary> [--json] [--seed <N>] [--scale <N>] [--trace <PATH>]
+
+    --json           mirror the printed records as JSON on stderr
+    --seed <N>       campaign seed (default 2013)
+    --scale <N>      world size multiplier, at least 1 (default 1)
+    --trace <PATH>   write the JSONL event trace to PATH (or set BENCH_TRACE)
+";
+
+/// Puts `problem` and the usage on stderr and exits non-zero.
+fn refuse(problem: &str) -> ! {
+    eprintln!("{problem}\n");
+    eprint!("{USAGE}");
+    std::process::exit(1)
+}
+
+/// The word after flag `name`, when the flag is present; a flag with
+/// no word after it (or only another flag) is [`refuse`]d.
+fn flag_word(name: &str, what: &str) -> Option<String> {
+    let mut args = std::env::args().skip_while(|a| a != name);
+    args.next()?;
+    match args.next() {
+        Some(word) if !word.starts_with("--") => Some(word),
+        _ => refuse(&format!("{name} takes {what}, but none was given")),
+    }
+}
+
+/// The number after flag `name`, or `default` when the flag is absent.
+/// A value that does not parse is never replaced by the default: the
+/// binary names the flag, prints the usage and exits non-zero.
+fn flag_value<T: FromStr>(name: &str, default: T) -> T {
+    match flag_word(name, "a number") {
+        None => default,
+        Some(v) => {
+            v.parse().unwrap_or_else(|_| refuse(&format!("{name} takes a number, not {v:?}")))
+        }
+    }
+}
+
+/// `--seed N` (campaign seed; default 2013).
+pub fn seed_arg() -> u64 {
+    flag_value("--seed", 2013)
+}
+
+/// `--scale N` (experiment size multiplier, at least 1; default 1).
+pub fn scale_arg() -> usize {
+    match flag_value("--scale", 1) {
+        0 => refuse("--scale multiplies the world size, so it must be at least 1"),
+        scale => scale,
+    }
+}
+
 /// The JSONL trace destination: `--trace PATH` or `BENCH_TRACE`.
 pub fn trace_path() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .or_else(|| std::env::var("BENCH_TRACE").ok())
+    flag_word("--trace", "a path").or_else(|| std::env::var("BENCH_TRACE").ok())
 }
 
 /// A recorder that is live exactly when a trace destination was given,
@@ -289,16 +343,6 @@ pub fn emit_json<T: serde::Serialize>(label: &str, value: &T) {
     if json_requested() {
         eprintln!("{}", serde_json::json!({ "experiment": label, "data": value }));
     }
-}
-
-/// Parses `--scale N` (experiment size multiplier; default 1).
-pub fn scale_arg() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

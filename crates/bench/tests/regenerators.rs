@@ -1,6 +1,7 @@
-//! The paper regenerators end in `assert!`s on the paper's shape (the
-//! Table 6 asymmetry, the Side Effect 7 trap, the Figure 5 grid …);
-//! this runs each one so tier-1 notices when a shape breaks.
+//! The ablations end in `assert!`s on their shape (the campaign tier
+//! separations, the Stalloris gap …); this runs each one so tier-1
+//! notices when a shape breaks. The paper's own figures and tables are
+//! the `rpki-risk` CLI's subcommands, run by its tests.
 
 use std::process::Command;
 
@@ -11,19 +12,9 @@ macro_rules! bins {
     };
 }
 
-/// Every figure / table / side-effect regenerator, and the ablations
-/// that need no benchmark-sized world and write no file untraced
-/// (`ablation_unsafe_vrp` exports `BENCH_unsafe_vrp.json`).
-const REGENERATORS: [(&str, &str); 15] = bins![
-    "fig1_dependency_loop",
-    "fig2_model_rpki",
-    "fig3_grandparent_whack",
-    "fig5_validity_grid",
-    "se5_new_roa_invalidation",
-    "se6_missing_roa",
-    "se7_circular_dependency",
-    "tab4_jurisdiction",
-    "tab6_policy_tradeoff",
+/// The ablations that need no benchmark-sized world and write no file
+/// untraced (`ablation_unsafe_vrp` exports `BENCH_unsafe_vrp.json`).
+const ABLATIONS: [(&str, &str); 6] = bins![
     "ablation_depth_sweep",
     "ablation_downgrade",
     "ablation_monitor_detection",
@@ -34,7 +25,7 @@ const REGENERATORS: [(&str, &str); 15] = bins![
 
 #[test]
 fn every_regenerator_exits_zero_with_output() {
-    for (name, path) in REGENERATORS {
+    for (name, path) in ABLATIONS {
         // `BENCH_TRACE` would make the traced ones write a file.
         let out = Command::new(path).env_remove("BENCH_TRACE").output().expect("binary runs");
         assert!(
@@ -44,5 +35,23 @@ fn every_regenerator_exits_zero_with_output() {
             String::from_utf8_lossy(&out.stderr)
         );
         assert!(!out.stdout.is_empty(), "{name} printed nothing");
+    }
+}
+
+/// A flag that is present must parse: a malformed value, or a scale of
+/// zero, names the flag on stderr and fails before running instead of
+/// running with the default.
+#[test]
+fn malformed_flag_values_are_refused() {
+    for (path, args) in [
+        (env!("CARGO_BIN_EXE_ablation_resilience"), ["--seed", "7x"]),
+        (env!("CARGO_BIN_EXE_ablation_monitor_detection"), ["--scale", "0"]),
+    ] {
+        let out = Command::new(path).args(args).env_remove("BENCH_TRACE").output().expect("runs");
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} must not run the experiment");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(args[0]), "{args:?}: stderr must name the flag: {err}");
+        assert!(err.contains("USAGE"), "{args:?}: stderr must show the usage: {err}");
     }
 }

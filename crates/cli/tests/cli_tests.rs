@@ -86,6 +86,10 @@ fn malformed_or_missing_flag_values_are_refused() {
         &["audit", "--scale", "x"],
         &["whack", "--origin"],
         &["whack", "--origin", "--dry-run"],
+        &["audit", "--scale", "0"],
+        &["se5", "--scale", "abc"],
+        &["se6", "--scale", "0"],
+        &["se7", "--trace"],
     ] {
         let out = run(args);
         assert!(!out.status.success(), "{args:?} must fail");
@@ -96,6 +100,22 @@ fn malformed_or_missing_flag_values_are_refused() {
     }
     let out = run(&["audit", "--seed", "7", "--scale", "1"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// Every paper subcommand runs at its defaults: each ends in the
+/// paper's shape checks, so a broken shape fails here.
+#[test]
+fn every_paper_subcommand_runs_at_its_defaults() {
+    for cmd in ["loop", "demo", "whack", "audit", "grid", "tradeoff", "se5", "se6", "se7"] {
+        let out = run(&[cmd]);
+        assert!(
+            out.status.success(),
+            "{cmd} failed ({}):\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(!out.stdout.is_empty(), "{cmd} printed nothing");
+    }
 }
 
 #[test]

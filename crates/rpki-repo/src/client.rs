@@ -493,14 +493,6 @@ impl Default for SyncPolicy {
     }
 }
 
-impl SyncPolicy {
-    /// One attempt, no backoff, no deadline: byte-for-byte the bare
-    /// [`sync_dir`] behaviour, for ablation baselines.
-    pub fn single() -> Self {
-        SyncPolicy { attempts: 1, backoff: 0, deadline: None }
-    }
-}
-
 /// The fate of one listed file across a whole retry sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FileFate {

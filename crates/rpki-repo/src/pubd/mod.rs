@@ -66,12 +66,6 @@ impl Default for PubdPolicy {
 }
 
 impl PubdPolicy {
-    /// The degenerate policy: rebuild the snapshot on every write,
-    /// keep the default count-bounded history — exactly the old server.
-    pub fn rebuild_on_demand() -> Self {
-        PubdPolicy::default()
-    }
-
     /// A compacting policy: materialise every `interval` serials.
     pub fn compacted(interval: u64) -> Self {
         assert!(interval >= 1, "compaction interval must be at least 1");
