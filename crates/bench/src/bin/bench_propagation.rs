@@ -1,11 +1,9 @@
 //! Propagation-engine benchmark: worklist vs the full-scan reference,
 //! at growing topology sizes, exported to `BENCH_propagation.json`.
 //!
-//! The Criterion bench (`benches/routing.rs`) tracks the worklist
-//! engine's absolute numbers over time; this binary is the comparative
-//! harness behind EXPERIMENTS.md — it times both engines on identical
-//! inputs and records the speedup, the round counts, and the validity
-//! memo's hit rate.
+//! The comparative harness behind EXPERIMENTS.md: it times both
+//! engines on identical inputs and records the speedup, the round
+//! counts, and the validity memo's hit rate.
 //!
 //! ```sh
 //! cargo run --release -p rpki-risk-bench --bin bench_propagation
@@ -16,7 +14,9 @@
 
 use bgp_sim::{propagate_with_stats, reference, Announcement, RpkiPolicy, Topology};
 use ipres::Asn;
-use rpki_risk_bench::{export, scale_arg, time_min, Recorder, RunStamp, Summary, SummaryTable};
+use rpki_risk_bench::{
+    assert_counts_unmoved, export, scale_arg, time_min, Recorder, RunStamp, Summary, SummaryTable,
+};
 use rpki_rp::{Route, RouteValidity, Vrp, VrpCache};
 use serde::Serialize;
 use topogen::{Config, SyntheticInternet};
@@ -95,38 +95,11 @@ fn measure(
     }
 }
 
-/// Asserts that every cell `(ases, prefixes, policy)` of `fresh` (the
-/// export about to be written) that is also in the
-/// `BENCH_propagation.json` it overwrites kept its count columns.
-/// Returns how many cells were compared.
-fn assert_counts_unmoved(fresh: &str) -> usize {
-    let Ok(committed) = std::fs::read_to_string("BENCH_propagation.json") else { return 0 };
-    let committed = serde_json::from_str(&committed).expect("committed export parses");
-    let fresh = serde_json::from_str(fresh).expect("fresh export parses");
-    let cell = |r: &serde_json::Value| {
-        (r["ases"].to_string(), r["prefixes"].to_string(), r["policy"].to_string())
-    };
-    let mut compared = 0;
-    for new in fresh.as_array().expect("array") {
-        let old = committed.as_array().expect("array").iter().find(|old| cell(old) == cell(new));
-        let Some(old) = old else { continue };
-        for column in COUNT_COLUMNS {
-            assert_eq!(
-                new[column],
-                old[column],
-                "{column} moved against the committed record at {:?}",
-                cell(new)
-            );
-        }
-        compared += 1;
-    }
-    compared
-}
-
 fn main() {
     // `--scale 0` would generate an empty world and a NaN speedup.
     let scale = scale_arg();
     let stamp = RunStamp::capture();
+    let committed = std::fs::read_to_string("BENCH_propagation.json").ok();
     let mut report = Summary::new(&format!("Propagation engine benchmark (scale {scale})"));
 
     let sizes = [(15usize, 85usize), (40, 360), (80, 720)];
@@ -188,8 +161,12 @@ fn main() {
             records.push(measure(&world.topology, &flipped, policy, &cache));
         }
     }
-    let json = serde_json::to_string(&records).expect("serialise records");
-    let compared = assert_counts_unmoved(&json);
+    let compared = assert_counts_unmoved(
+        committed.as_deref(),
+        &records,
+        &["ases", "prefixes", "policy"],
+        &COUNT_COLUMNS,
+    );
 
     let mut out = SummaryTable::new(&[
         "ASes",

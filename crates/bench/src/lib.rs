@@ -1,8 +1,14 @@
 //! Support library for the harness binaries: the ablations, the
-//! component benches (`bench_*`) and `schema_check`. The paper's own
-//! figures and tables are the `rpki-risk` CLI's subcommands. Each
-//! binary prints a human-readable table to stdout and, with `--json`,
-//! a machine-readable record to stderr.
+//! component benches (`bench_rp` for the relying party's source
+//! stacks, `bench_rtr`, `bench_pubd`, `bench_propagation`) and
+//! `schema_check`. The paper's own figures and tables are the
+//! `rpki-risk` CLI's subcommands. Each binary prints a human-readable
+//! table to stdout and, with `--json`, a machine-readable record to
+//! stderr.
+//!
+//! Benches time with [`time`] (one run) or [`time_min`] (min of N),
+//! write stamped records through [`export`], and pin the columns that
+//! depend on the input alone with [`assert_counts_unmoved`].
 //!
 //! Flags parse through one parser ([`seed_arg`], [`scale_arg`],
 //! [`trace_path`]) with the CLI's contract: a flag that is present must
@@ -125,18 +131,51 @@ pub fn trace_recorder() -> Recorder {
     }
 }
 
+/// The result of one run of `f` and its wall time in nanoseconds.
+pub fn time<R>(f: impl FnOnce() -> R) -> (R, u128) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_nanos())
+}
+
 /// Minimum wall time in nanoseconds of `iters` runs of `f` (after one
 /// warmup run).
 pub fn time_min<F: FnMut()>(iters: usize, mut f: F) -> u128 {
     f();
-    (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .min()
-        .expect("at least one iteration")
+    (0..iters).map(|_| time(&mut f).1).min().expect("at least one iteration")
+}
+
+/// Asserts that every record of `fresh` whose `key` columns match a
+/// record of `committed` (the text of the `BENCH_*.json` about to be
+/// overwritten, read before the run exports) kept its `counts`
+/// columns: the ones that are a function of the input alone. Returns
+/// how many records were compared.
+pub fn assert_counts_unmoved<T: serde::Serialize>(
+    committed: Option<&str>,
+    fresh: &[T],
+    key: &[&str],
+    counts: &[&str],
+) -> usize {
+    let Some(committed) = committed else { return 0 };
+    let committed = serde_json::from_str(committed).expect("committed export parses");
+    let fresh = serde_json::to_string(fresh).expect("serialise records");
+    let fresh = serde_json::from_str(&fresh).expect("fresh records parse");
+    let cell = |r: &serde_json::Value| key.iter().map(|k| r[*k].clone()).collect::<Vec<_>>();
+    let mut compared = 0;
+    for new in fresh.as_array().expect("array") {
+        let old = committed.as_array().expect("an export is an array");
+        let Some(old) = old.iter().find(|old| cell(old) == cell(new)) else { continue };
+        for column in counts {
+            assert_eq!(
+                new[*column],
+                old[*column],
+                "{column} moved against the committed record at {key:?} = {:?}",
+                cell(new)
+            );
+        }
+        compared += 1;
+    }
+    compared
 }
 
 /// Where and how a benchmark record was measured — stamped on every
