@@ -115,7 +115,7 @@ fn main() {
     let mut report = Summary::new("publication-server benchmark (compaction x retention x churn)");
     let rec = trace_recorder();
 
-    // 156 and ~1000 publication points: the bench_validation flagship
+    // 156 and ~1000 publication points: the bench_rp flagship
     // shape and a planet-scale flat tree (1 + 31 + 961 = 993).
     let shapes = [(3u32, 5u32, 12usize), (2, 31, 12)];
     let churns = [2u32, 10, 50];
