@@ -10,14 +10,23 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Json, Serialize};
 
 use crate::codec::{Decode, DecodeError, Encode, Reader, Writer, LEN_PREFIX};
 
 /// An rsync-style URI: `rsync://<host>/<path...>`.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct RepoUri {
+///
+/// Clones share one allocation, so a URI is as cheap to copy into a
+/// probe, an outcome or a map key as a reference count. Ordering,
+/// equality, hashing, the wire encoding and the JSON form are those of
+/// the `(host, path)` pair it wraps.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RepoUri(Arc<UriParts>);
+
+#[derive(PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+struct UriParts {
     /// The repository host, e.g. `rpki.sprint.example`. Repositories are
     /// registered in the network simulator under this name; whether the
     /// host is *reachable* depends on BGP (Section 6 of the paper).
@@ -50,22 +59,26 @@ impl RepoUri {
         for c in path {
             assert!(!c.is_empty() && !c.contains('/'), "bad URI path component {c:?}");
         }
-        RepoUri { host: host.to_owned(), path: path.iter().map(|s| (*s).to_owned()).collect() }
+        Self::from_parts(host.to_owned(), path.iter().map(|s| (*s).to_owned()).collect())
+    }
+
+    fn from_parts(host: String, path: Vec<String>) -> Self {
+        RepoUri(Arc::new(UriParts { host, path }))
     }
 
     /// The repository host.
     pub fn host(&self) -> &str {
-        &self.host
+        &self.0.host
     }
 
     /// The path components.
     pub fn path(&self) -> &[String] {
-        &self.path
+        &self.0.path
     }
 
     /// The final path component (the object's file name), if any.
     pub fn file_name(&self) -> Option<&str> {
-        self.path.last().map(String::as_str)
+        self.path().last().map(String::as_str)
     }
 
     /// A new URI with `component` appended.
@@ -74,23 +87,22 @@ impl RepoUri {
             !component.is_empty() && !component.contains('/'),
             "bad URI path component {component:?}"
         );
-        let mut path = self.path.clone();
+        let mut path = self.path().to_vec();
         path.push(component.to_owned());
-        RepoUri { host: self.host.clone(), path }
+        Self::from_parts(self.host().to_owned(), path)
     }
 
     /// Whether `self` is a directory prefix of `other` (same host, path
     /// is a proper or improper prefix).
     pub fn contains(&self, other: &RepoUri) -> bool {
-        self.host == other.host
-            && self.path.len() <= other.path.len()
-            && self.path.iter().zip(&other.path).all(|(a, b)| a == b)
+        let (a, b) = (self.path(), other.path());
+        self.host() == other.host() && a.len() <= b.len() && a.iter().zip(b).all(|(a, b)| a == b)
     }
 
     /// The exact length of this URI's encoding.
     pub fn encoded_len(&self) -> usize {
-        let path: usize = self.path.iter().map(|c| LEN_PREFIX + c.len()).sum();
-        LEN_PREFIX + self.host.len() + LEN_PREFIX + path
+        let path: usize = self.path().iter().map(|c| LEN_PREFIX + c.len()).sum();
+        LEN_PREFIX + self.host().len() + LEN_PREFIX + path
     }
 
     /// Reads past one encoded URI, checking it exactly as
@@ -123,11 +135,17 @@ impl RepoUri {
 
 impl fmt::Display for RepoUri {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "rsync://{}", self.host)?;
-        for c in &self.path {
+        write!(f, "rsync://{}", self.host())?;
+        for c in self.path() {
             write!(f, "/{c}")?;
         }
         Ok(())
+    }
+}
+
+impl Serialize for RepoUri {
+    fn to_json(&self) -> Json {
+        self.0.to_json()
     }
 }
 
@@ -149,14 +167,14 @@ impl FromStr for RepoUri {
         if path.iter().any(String::is_empty) {
             return Err(err());
         }
-        Ok(RepoUri { host: host.to_owned(), path })
+        Ok(Self::from_parts(host.to_owned(), path))
     }
 }
 
 impl Encode for RepoUri {
     fn encode(&self, out: &mut Vec<u8>) {
-        Writer::string(out, &self.host);
-        self.path.encode(out);
+        Writer::string(out, self.host());
+        self.path().encode(out);
     }
 }
 
@@ -164,13 +182,14 @@ impl Decode for RepoUri {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let mut path = Vec::new();
         let host = Self::read(r, |c| path.push(c.to_owned()))?.to_owned();
-        Ok(RepoUri { host, path })
+        Ok(Self::from_parts(host, path))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parse_and_display() {
@@ -229,5 +248,65 @@ mod tests {
     #[should_panic(expected = "bad URI path component")]
     fn join_rejects_slash() {
         let _ = RepoUri::new("h", &[]).join("a/b");
+    }
+
+    /// The `(host, path)` pair a [`RepoUri`] must behave as.
+    type Pair = (String, Vec<String>);
+
+    /// Short names over letters and over `-`, `.` and digits, which
+    /// sort below and above `/`, so display order and pair order
+    /// disagree and small draws collide.
+    fn arb_name() -> impl Strategy<Value = String> {
+        const CHARS: &[u8] = b"ab-.09";
+        proptest::collection::vec(0..CHARS.len(), 1..3)
+            .prop_map(|ix| ix.into_iter().map(|i| char::from(CHARS[i])).collect())
+    }
+
+    fn arb_pair() -> impl Strategy<Value = Pair> {
+        (arb_name(), proptest::collection::vec(arb_name(), 0..4))
+    }
+
+    fn uri(pair: &Pair) -> RepoUri {
+        let path: Vec<&str> = pair.1.iter().map(String::as_str).collect();
+        RepoUri::new(&pair.0, &path)
+    }
+
+    fn hash_of(value: &impl std::hash::Hash) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(value)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every comparison, hash, encoding and rendering of a
+        /// [`RepoUri`] is its pair's, and a clone is the same
+        /// allocation.
+        #[test]
+        fn repo_uri_is_its_pair(a in arb_pair(), b in arb_pair()) {
+            let (ua, ub) = (uri(&a), uri(&b));
+            prop_assert_eq!(ua.cmp(&ub), a.cmp(&b));
+            prop_assert_eq!(ua == ub, a == b);
+            for (u, pair) in [(&ua, &a), (&ub, &b)] {
+                prop_assert_eq!(hash_of(u), hash_of(pair));
+                let mut bytes = Vec::new();
+                pair.0.encode(&mut bytes);
+                pair.1.encode(&mut bytes);
+                prop_assert_eq!(&u.to_bytes(), &bytes);
+                prop_assert_eq!(&RepoUri::from_bytes(&bytes).unwrap(), u);
+                prop_assert_eq!(&<Pair>::from_bytes(&bytes).unwrap(), pair);
+                let shown: String = pair.1.iter().map(|c| format!("/{c}")).collect();
+                prop_assert_eq!(u.to_string(), format!("rsync://{}{shown}", pair.0));
+                let json = Json::Object(vec![
+                    ("host".to_owned(), pair.0.to_json()),
+                    ("path".to_owned(), pair.1.to_json()),
+                ]);
+                prop_assert_eq!(u.to_json(), json);
+                let copy = u.clone();
+                prop_assert_eq!(&copy, u);
+                prop_assert!(std::ptr::eq(copy.host(), u.host()), "a clone copied the host");
+                prop_assert!(std::ptr::eq(copy.path(), u.path()), "a clone copied the path");
+            }
+        }
     }
 }

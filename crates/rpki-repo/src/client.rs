@@ -45,6 +45,8 @@ const BACKOFF_TOKEN: u64 = 0x5359_4e43_dead_0002;
 #[derive(Debug, Default)]
 pub struct RepoRegistry {
     by_node: HashMap<NodeId, Repository>,
+    /// The node serving each host, the first one created for it.
+    by_host: HashMap<String, NodeId>,
 }
 
 impl RepoRegistry {
@@ -58,6 +60,7 @@ impl RepoRegistry {
     pub fn create(&mut self, net: &mut Network, host: &str) -> NodeId {
         let node = net.add_node(host);
         self.by_node.insert(node, Repository::new(host, node));
+        self.by_host.entry(host.to_owned()).or_insert(node);
         node
     }
 
@@ -73,17 +76,17 @@ impl RepoRegistry {
 
     /// Finds the repository serving `host`.
     pub fn by_host(&self, host: &str) -> Option<&Repository> {
-        self.by_node.values().find(|r| r.host() == host)
+        self.get(self.node_of(host)?)
     }
 
     /// Mutable access by host name.
     pub fn by_host_mut(&mut self, host: &str) -> Option<&mut Repository> {
-        self.by_node.values_mut().find(|r| r.host() == host)
+        self.get_mut(self.node_of(host)?)
     }
 
     /// The node serving `host`.
     pub fn node_of(&self, host: &str) -> Option<NodeId> {
-        self.by_host(host).map(Repository::node)
+        self.by_host.get(host).copied()
     }
 
     /// Iterates all repositories.

@@ -566,9 +566,9 @@ fn answer_rrdp(repo: &Repository, req: &RrdpRequest) -> RrdpResponse {
             (dir, Some(*serial))
         }
     };
-    let not_found = RrdpResponse::NotFound { dir: dir.clone(), serial: req_serial };
+    let not_found = || RrdpResponse::NotFound { dir: dir.clone(), serial: req_serial };
     if repo.host() != dir.host() || repo.rrdp_offline() {
-        return not_found;
+        return not_found();
     }
     match req {
         RrdpRequest::Notification { .. } => match repo.rrdp_notification(dir) {
@@ -581,23 +581,23 @@ fn answer_rrdp(repo: &Repository, req: &RrdpRequest) -> RrdpResponse {
                 snapshot_hash: info.snapshot_hash,
                 deltas: info.deltas,
             },
-            None => not_found,
+            None => not_found(),
         },
         RrdpRequest::Snapshot { serial, .. } => match repo.rrdp_snapshot(dir, *serial) {
             Some((session, files)) => {
                 RrdpResponse::Snapshot { dir: dir.clone(), session, serial: *serial, files }
             }
-            None => not_found,
+            None => not_found(),
         },
         RrdpRequest::Delta { serial, .. } => {
             if repo.rrdp_withhold_deltas() {
-                return not_found;
+                return not_found();
             }
             match repo.rrdp_delta(dir, *serial) {
                 Some((session, changes)) => {
                     RrdpResponse::Delta { dir: dir.clone(), session, serial: *serial, changes }
                 }
-                None => not_found,
+                None => not_found(),
             }
         }
     }
@@ -698,7 +698,7 @@ impl DirState {
 /// makes delta sync cheap.
 #[derive(Debug, Default)]
 pub struct RrdpClientState {
-    dirs: BTreeMap<String, DirState>,
+    dirs: BTreeMap<RepoUri, DirState>,
     stats: RrdpStats,
     /// Bumps every time a session reset is observed on any directory.
     /// An RTR cache keyed on this epoch starts a new RTR session
@@ -708,7 +708,7 @@ pub struct RrdpClientState {
     /// unreachable streak`. Cleared on any successful sync. Drives the
     /// routinator-style timed RRDP→rsync fallback (`--rrdp-fallback-time`):
     /// the caller downgrades only once a streak outlives the window.
-    unreachable_since: BTreeMap<String, u64>,
+    unreachable_since: BTreeMap<RepoUri, u64>,
 }
 
 impl RrdpClientState {
@@ -730,7 +730,7 @@ impl RrdpClientState {
 
     /// The `(session, serial)` this client holds for `dir`, if synced.
     pub fn position(&self, dir: &RepoUri) -> Option<(u64, u64)> {
-        self.dirs.get(&dir.to_string()).map(|d| (d.session, d.serial))
+        self.dirs.get(dir).map(|d| (d.session, d.serial))
     }
 
     /// Records that the caller fell back to rsync for a directory.
@@ -747,18 +747,18 @@ impl RrdpClientState {
     /// current unreachable streak began (i.e. `now` on the first
     /// failure, the original timestamp on later ones).
     pub fn note_unreachable(&mut self, dir: &RepoUri, now: u64) -> u64 {
-        *self.unreachable_since.entry(dir.to_string()).or_insert(now)
+        *self.unreachable_since.entry(dir.clone()).or_insert(now)
     }
 
     /// When the current unreachable streak of `dir` began, if one is
     /// active.
     pub fn unreachable_since(&self, dir: &RepoUri) -> Option<u64> {
-        self.unreachable_since.get(&dir.to_string()).copied()
+        self.unreachable_since.get(dir).copied()
     }
 
     /// Clears the unreachable streak of `dir` (a sync succeeded).
     pub fn note_reachable(&mut self, dir: &RepoUri) {
-        self.unreachable_since.remove(&dir.to_string());
+        self.unreachable_since.remove(dir);
     }
 
     /// Records a failed sync held back from rsync by the timed-fallback
@@ -1041,14 +1041,13 @@ pub fn rrdp_sync_dir(
         None => return fail(net, state, RrdpError::Unreachable),
     };
 
-    let key = dir.to_string();
     // Decide the cheapest safe path to the notification's serial.
     enum Plan {
         Unchanged,
         Deltas(Vec<DeltaRef>),
         Snapshot(FallbackCause),
     }
-    let plan = match state.dirs.get(&key) {
+    let plan = match state.dirs.get(dir) {
         Some(local) if local.session == notif.session => {
             if local.serial == notif.serial {
                 if local.content() == notif.content {
@@ -1112,7 +1111,7 @@ pub fn rrdp_sync_dir(
             rec.count("repo.rrdp_unchanged", 1);
         }
         emit_sync(net, RrdpSyncKind::Unchanged, notif.serial, None);
-        let local = &state.dirs[&key];
+        let local = &state.dirs[dir];
         return Ok((local.outcome(dir), RrdpSyncKind::Unchanged));
     }
 
@@ -1121,7 +1120,7 @@ pub fn rrdp_sync_dir(
         // reproduces the notification's content digest. Any failure
         // (withheld, torn, hash mismatch, inconsistent chain) falls
         // through to the snapshot.
-        let mut files = state.dirs[&key].files.clone();
+        let mut files = state.dirs[dir].files.clone();
         let applied = fetch_and_apply_deltas(
             |reqs| exchange(net, reqs),
             dir,
@@ -1140,7 +1139,7 @@ pub fn rrdp_sync_dir(
             }
             emit_sync(net, RrdpSyncKind::Deltas(n), notif.serial, None);
             let outcome = next.outcome(dir);
-            state.dirs.insert(key, next);
+            state.dirs.insert(dir.clone(), next);
             return Ok((outcome, RrdpSyncKind::Deltas(n)));
         }
     }
@@ -1216,7 +1215,7 @@ pub fn rrdp_sync_dir(
     }
     emit_sync(net, kind, notif.serial, Some(cause));
     let outcome = next.outcome(dir);
-    state.dirs.insert(key, next);
+    state.dirs.insert(dir.clone(), next);
     Ok((outcome, kind))
 }
 

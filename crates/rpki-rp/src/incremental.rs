@@ -65,9 +65,10 @@
 //! RTR serial bump carries a real delta instead of a recomputed set.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use ipres::ResourceSet;
-use rpki_objects::{Encode, Moment, TrustAnchorLocator, Validity};
+use rpki_objects::{Encode, Moment, ResourceCert, TrustAnchorLocator, Validity};
 use rpki_obs::Recorder;
 use rpki_repo::Freshness;
 use rpkisim_crypto::{sha256, Digest, KeyId};
@@ -260,7 +261,7 @@ impl RevalidationStats {
 #[derive(Debug, Clone)]
 pub(crate) struct CacheEntry {
     pub(crate) cert_digest: Digest,
-    pub(crate) effective: ResourceSet,
+    pub(crate) effective: Arc<ResourceSet>,
     pub(crate) depth: usize,
     pub(crate) incomplete: IncompletePolicy,
     pub(crate) overclaim: OverclaimPolicy,
@@ -281,8 +282,8 @@ pub(crate) struct CacheEntry {
     pub(crate) rejected_cas: Vec<RejectedCa>,
     /// Child CAs in the order processing queued them, each with its
     /// cert digest precomputed so replayed subtrees never re-encode or
-    /// re-hash certificates.
-    pub(crate) children: Vec<(rpki_objects::ResourceCert, ResourceSet, Digest)>,
+    /// re-hash certificates. A replay re-queues them shared, not copied.
+    pub(crate) children: Vec<(Arc<ResourceCert>, Arc<ResourceSet>, Digest)>,
 }
 
 /// Persistent memory of an incremental relying party: the per-CA
@@ -372,7 +373,7 @@ impl ValidationState {
 pub(crate) struct Memo {
     key: KeyId,
     cert_digest: Digest,
-    effective: ResourceSet,
+    effective: Arc<ResourceSet>,
     depth: usize,
     dir: String,
     /// `None` for an unlisted directory, which has no content to key on.
@@ -438,7 +439,7 @@ impl Validator {
                 && e.max_depth == config.max_depth
                 && e.window.0 <= now
                 && now < e.window.1
-                && e.child_keys.is_disjoint(&item.ancestors)
+                && !item.ancestors.keys().any(|k| e.child_keys.contains(&k))
         });
 
         if let (Some(entry), RevalidationMode::Probe) = (usable, state.mode) {
@@ -489,8 +490,10 @@ impl Validator {
         run.vrp_records.extend_from_slice(&entry.vrp_records);
         run.revocations.extend(entry.revocations.iter().cloned());
         run.rejected_cas.extend(entry.rejected_cas.iter().cloned());
-        let mut ancestors = item.ancestors.clone();
-        ancestors.insert(entry.ca.key);
+        if entry.children.is_empty() {
+            return;
+        }
+        let ancestors = item.ancestors.below(entry.ca.key);
         for (cert, effective, digest) in &entry.children {
             out.queue.push(WorkItem {
                 cert: cert.clone(),
@@ -630,27 +633,37 @@ pub(crate) mod tests {
     }
 
     /// How one row of the admission table perturbs a warmed-up world
-    /// (TA + three children, validated once at `now`).
+    /// (TA + three children, validated once at `now`). The target is
+    /// child 0 unless the flip is [`Flip::Deep`].
     enum Flip {
         Nothing,
-        /// Edits child 0's cache entry: `(entry, now, root key)`.
+        /// Edits the target's cache entry: `(entry, now, root key)`.
         Entry(fn(&mut CacheEntry, u64, KeyId)),
         /// Validates under a different policy from here on.
         Config(fn(&mut ValidationConfig)),
-        /// Child 0's directory stops answering.
+        /// The target's directory stops answering.
         Unlisted,
-        /// Child 0 publishes a certificate for the root's key.
+        /// The target publishes a certificate for the root's key.
         Loop,
+        /// The same flip one level down: child 0 certifies a grandchild
+        /// before the warm-up, and the grandchild is the target, with
+        /// the root two links up its chain.
+        Deep(&'static Flip),
     }
 
     /// `(clause, perturbation, (reused, rewalked) of the next run,
-    /// whether child 0 ends up memoised)`.
+    /// whether the target ends up memoised)`.
     type Row = (&'static str, Flip, (u64, u64), bool);
 
-    const ADMISSION: [Row; 14] = [
+    const ADMISSION: [Row; 16] = [
         ("control", Flip::Nothing, (4, 0), true),
         ("cert digest", Flip::Entry(|e, _, _| e.cert_digest = sha256(b"other")), (3, 1), true),
-        ("effective", Flip::Entry(|e, _, _| e.effective = ResourceSet::empty()), (3, 1), true),
+        (
+            "effective",
+            Flip::Entry(|e, _, _| e.effective = ResourceSet::empty().into()),
+            (3, 1),
+            true,
+        ),
         ("depth", Flip::Entry(|e, _, _| e.depth += 1), (3, 1), true),
         (
             "incomplete",
@@ -674,7 +687,29 @@ pub(crate) mod tests {
         ("directory digest", Flip::Entry(|e, _, _| e.dir_digest = sha256(b"other")), (3, 1), true),
         ("unlisted directory evicts", Flip::Unlisted, (3, 1), false),
         ("loop seen evicts", Flip::Loop, (3, 1), false),
+        (
+            "child key two links up",
+            Flip::Deep(&Flip::Entry(|e, _, root| {
+                e.child_keys.insert(root);
+            })),
+            (4, 1),
+            true,
+        ),
+        ("loop two links up evicts", Flip::Deep(&Flip::Loop), (4, 1), false),
     ];
+
+    /// Child 0 certifies a CA of its own at its own publication point.
+    fn grandchild(rig: &mut Rig) -> CertAuthority {
+        let dir = RepoUri::new("h", &["repo", "g"]);
+        let mut g = CertAuthority::new("g", "shard-g", dir.clone());
+        let res = ResourceSet::from_prefix_strs("10.0.0.0/20");
+        g.install_cert(
+            rig.children[0].issue_cert("g", g.public_key(), res, dir, Moment(0)).unwrap(),
+        );
+        assert!(rig.repos.publish(&mut rig.children[0], Moment(1)));
+        assert!(rig.repos.publish(&mut g, Moment(1)));
+        g
+    }
 
     /// Warms a state up, applies `row`'s perturbation, and checks the
     /// next two runs: the row's verdict, then reuse of whatever was
@@ -683,7 +718,12 @@ pub(crate) mod tests {
         let (clause, flip, expect, memoised) = row;
         let ctx = format!("{clause} / {mode:?}");
         let mut rig = rig(3);
-        let child0 = rig.children[0].key_id();
+        let (flip, mut deep) = match flip {
+            Flip::Deep(flip) => (*flip, Some(grandchild(&mut rig))),
+            flip => (flip, None),
+        };
+        let points = 4 + u64::from(deep.is_some());
+        let target = deep.as_ref().unwrap_or(&rig.children[0]).key_id();
         let mut config = ValidationConfig::at(Moment(2));
         let mut state = ValidationState::new(mode);
         let mut unlisted = None;
@@ -696,29 +736,30 @@ pub(crate) mod tests {
             (state.stats().subtrees_reused, state.stats().subtrees_rewalked)
         };
 
-        assert_eq!(validate(&rig, config, &unlisted, &mut state), (0, 4), "{ctx}");
+        assert_eq!(validate(&rig, config, &unlisted, &mut state), (0, points), "{ctx}");
+        let ca = deep.as_mut().unwrap_or(&mut rig.children[0]);
         match flip {
             Flip::Nothing => {}
             Flip::Entry(edit) => edit(
-                state.entries.get_mut(&child0).expect("warmed up"),
+                state.entries.get_mut(&target).expect("warmed up"),
                 config.now.0,
                 rig.root.key_id(),
             ),
             Flip::Config(edit) => edit(&mut config),
-            Flip::Unlisted => unlisted = Some(rig.children[0].sia().clone()),
+            Flip::Unlisted => unlisted = Some(ca.sia().clone()),
             Flip::Loop => {
                 let (root_key, root_sia) = (rig.root.public_key(), rig.root.sia().clone());
-                let ca = &mut rig.children[0];
                 let inside = ResourceSet::from_prefix_strs("10.0.0.0/24");
                 ca.issue_cert("loop", root_key, inside, root_sia, Moment(1)).unwrap();
                 assert!(rig.repos.publish(ca, Moment(1)));
             }
+            Flip::Deep(_) => unreachable!("one level down at most"),
         }
         assert_eq!(validate(&rig, config, &unlisted, &mut state), *expect, "{ctx}");
-        assert_eq!(state.entries.contains_key(&child0), *memoised, "{ctx}");
-        let again = if *memoised { (4, 0) } else { (3, 1) };
+        assert_eq!(state.entries.contains_key(&target), *memoised, "{ctx}");
+        let again = if *memoised { (points, 0) } else { (points - 1, 1) };
         assert_eq!(validate(&rig, config, &unlisted, &mut state), again, "{ctx}");
-        assert_eq!(state.entries.contains_key(&child0), *memoised, "{ctx}");
+        assert_eq!(state.entries.contains_key(&target), *memoised, "{ctx}");
     }
 
     /// Each row flips one clause of the cache decision for one

@@ -38,7 +38,7 @@ use rpki_repo::{DirProbe, SyncOutcome};
 use rpkisim_crypto::Digest;
 use serde::Serialize;
 
-use crate::source::ObjectSource;
+use crate::source::{host_entry, ObjectSource};
 
 /// Knobs of the resilience layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -104,7 +104,7 @@ struct Snapshot {
 #[derive(Debug, Default)]
 pub struct ResilientState {
     config: ResilienceConfig,
-    snapshots: BTreeMap<String, Snapshot>,
+    snapshots: BTreeMap<RepoUri, Snapshot>,
     health: BTreeMap<String, FetchHealth>,
     recorder: Recorder,
 }
@@ -135,7 +135,7 @@ impl ResilientState {
     /// Age of the stored snapshot for `dir` at time `now`, if one
     /// exists.
     pub fn snapshot_age(&self, dir: &RepoUri, now: u64) -> Option<u64> {
-        self.snapshots.get(&dir.to_string()).map(|s| now.saturating_sub(s.taken_at))
+        self.snapshots.get(dir).map(|s| now.saturating_sub(s.taken_at))
     }
 
     /// Number of directories with a stored snapshot.
@@ -164,7 +164,7 @@ impl ResilientState {
     }
 
     fn record_session(&mut self, host: &str, listed: bool, now: u64) {
-        let health = self.health.entry(host.to_owned()).or_default();
+        let health = host_entry(&mut self.health, host);
         if listed {
             let was_tripped = *health != FetchHealth::healthy();
             *health = FetchHealth::healthy();
@@ -228,24 +228,24 @@ impl<'s, S: ObjectSource> ResilientSource<'s, S> {
 impl<S: ObjectSource> ObjectSource for ResilientSource<'_, S> {
     fn load_dir(&mut self, dir: &RepoUri) -> SyncOutcome {
         let now = self.inner.now();
-        let host = dir.host().to_owned();
-        let outcome = if self.state.circuit_open(&host, now) {
+        let host = dir.host();
+        let outcome = if self.state.circuit_open(host, now) {
             // Open circuit: don't touch the network at all.
             if self.state.recorder.is_enabled() {
                 self.state.recorder.count("rp.circuit_skips", 1);
-                self.state.recorder.event(now, "rp", "circuit_skip").str("host", &host).emit();
+                self.state.recorder.event(now, "rp", "circuit_skip").str("host", host).emit();
             }
             SyncOutcome::unreachable(dir.clone())
         } else {
             let outcome = self.inner.load_dir(dir);
-            self.state.record_session(&host, outcome.listed, now);
+            self.state.record_session(host, outcome.listed, now);
             outcome
         };
 
         if outcome.is_complete() {
             self.state.recorder.count("rp.snapshot_refreshes", 1);
             self.state.snapshots.insert(
-                dir.to_string(),
+                dir.clone(),
                 Snapshot {
                     files: outcome.files.clone(),
                     taken_at: now,
@@ -256,7 +256,7 @@ impl<S: ObjectSource> ObjectSource for ResilientSource<'_, S> {
         }
 
         // Incomplete: serve the last good copy while within budget.
-        if let Some(snapshot) = self.state.snapshots.get(&dir.to_string()) {
+        if let Some(snapshot) = self.state.snapshots.get(dir) {
             let age = now.saturating_sub(snapshot.taken_at);
             if age <= self.state.config.max_stale {
                 if self.state.recorder.is_enabled() {
@@ -265,7 +265,7 @@ impl<S: ObjectSource> ObjectSource for ResilientSource<'_, S> {
                     self.state
                         .recorder
                         .event(now, "rp", "stale_served")
-                        .str("host", &host)
+                        .str("host", host)
                         .u64("age", age)
                         .u64("files", snapshot.files.len() as u64)
                         .emit();
@@ -294,21 +294,21 @@ impl<S: ObjectSource> ObjectSource for ResilientSource<'_, S> {
     /// once.
     fn probe_dir(&mut self, dir: &RepoUri) -> Option<DirProbe> {
         let now = self.inner.now();
-        let host = dir.host().to_owned();
-        if self.state.circuit_open(&host, now) {
+        let host = dir.host();
+        if self.state.circuit_open(host, now) {
             return None;
         }
         let probe = self.inner.probe_dir(dir)?;
         if !probe.listed {
             return None;
         }
-        self.state.record_session(&host, true, now);
-        if let Some(snapshot) = self.state.snapshots.get_mut(&dir.to_string()) {
+        self.state.record_session(host, true, now);
+        if let Some(snapshot) = self.state.snapshots.get_mut(dir) {
             if snapshot.digest.is_some() && snapshot.digest == probe.content_digest() {
                 snapshot.taken_at = now;
                 if self.state.recorder.is_enabled() {
                     self.state.recorder.count("rp.probe_confirms", 1);
-                    self.state.recorder.event(now, "rp", "probe_confirm").str("host", &host).emit();
+                    self.state.recorder.event(now, "rp", "probe_confirm").str("host", host).emit();
                 }
             }
         }

@@ -38,6 +38,7 @@
 //! changing what a delegated fetch returns.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 
 use rpki_objects::RepoUri;
 use rpki_obs::Recorder;
@@ -45,7 +46,7 @@ use rpki_repo::{DirProbe, Freshness, SyncOutcome};
 use rpkisim_crypto::Digest;
 use serde::Serialize;
 
-use crate::source::ObjectSource;
+use crate::source::{host_entry, ObjectSource};
 
 /// The schedule policy: cadence clamps, jitter, budgets, backoff.
 ///
@@ -126,11 +127,15 @@ impl SchedulePlan {
         interval.clamp(self.min_refresh, self.max_refresh)
     }
 
+    /// `dir`'s offset in `[0, jitter)`: FNV-1a over its display form,
+    /// streamed as it is formatted, mixed with the seed.
     fn jitter_for(&self, dir: &RepoUri) -> u64 {
         if self.jitter == 0 {
             return 0;
         }
-        splitmix64(self.seed ^ fnv1a(dir.to_string().as_bytes())) % self.jitter
+        let mut fnv = Fnv1a(0xcbf2_9ce4_8422_2325);
+        write!(fnv, "{dir}").expect("hashing never fails");
+        splitmix64(self.seed ^ fnv.0) % self.jitter
     }
 }
 
@@ -143,13 +148,17 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
+/// The FNV-1a state over everything written into it.
+struct Fnv1a(u64);
+
+impl Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+        Ok(())
     }
-    hash
 }
 
 /// One publication point's schedule entry.
@@ -249,7 +258,7 @@ pub struct RunStats {
 /// [`ResilientState`](crate::resilience::ResilientState).
 #[derive(Debug, Default)]
 pub struct SchedulerState {
-    dirs: BTreeMap<String, DirSchedule>,
+    dirs: BTreeMap<RepoUri, DirSchedule>,
     hosts: BTreeMap<String, HostSchedule>,
     stats: SchedulerStats,
     run: RunStats,
@@ -281,12 +290,12 @@ impl SchedulerState {
 
     /// When `dir` next owes a wire contact, if it is tracked.
     pub fn next_due(&self, dir: &RepoUri) -> Option<u64> {
-        self.dirs.get(&dir.to_string()).map(|d| d.next_due)
+        self.dirs.get(dir).map(|d| d.next_due)
     }
 
     /// The refresh interval `dir` has currently earned, if tracked.
     pub fn interval(&self, dir: &RepoUri) -> Option<u64> {
-        self.dirs.get(&dir.to_string()).map(|d| d.interval)
+        self.dirs.get(dir).map(|d| d.interval)
     }
 
     /// Whether `host` is currently in backoff at `now`.
@@ -301,14 +310,14 @@ impl SchedulerState {
     }
 
     fn record_success(&mut self, host: &str) {
-        let entry = self.hosts.entry(host.to_owned()).or_default();
+        let entry = host_entry(&mut self.hosts, host);
         entry.consecutive_failures = 0;
         entry.trips = 0;
         entry.backoff_until = None;
     }
 
     fn record_failure(&mut self, host: &str, now: u64, plan: &SchedulePlan) {
-        let entry = self.hosts.entry(host.to_owned()).or_default();
+        let entry = host_entry(&mut self.hosts, host);
         entry.consecutive_failures += 1;
         if entry.consecutive_failures >= plan.failure_threshold && plan.backoff_base > 0 {
             entry.trips += 1;
@@ -360,22 +369,25 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
             || self.plan.time_budget.is_some_and(|b| self.state.run.time_used >= b)
     }
 
-    /// Whether `dir` owes a wire contact right now. Unknown points are
-    /// always due; backed-off hosts are never polled.
-    fn due(&self, dir: &RepoUri, now: u64) -> DueState {
-        if self.state.host_backing_off(dir.host(), now) {
-            return DueState::BackedOff;
-        }
-        match self.state.dirs.get(&dir.to_string()) {
-            None => DueState::Due,
-            Some(entry) if entry.next_due <= now => DueState::Due,
-            Some(_) => DueState::NotDue,
-        }
+    /// Whether `dir` owes a wire contact right now, and what its entry
+    /// (if tracked) held when asked. Unknown points are always due;
+    /// backed-off hosts are never polled.
+    fn due(&self, dir: &RepoUri, now: u64) -> (DueState, Option<Seen>) {
+        let entry = self.state.dirs.get(dir);
+        let seen = entry.map(|e| Seen { listed: e.listed, marker: e.marker, at: e.last_success });
+        let due = if self.state.host_backing_off(dir.host(), now) {
+            DueState::BackedOff
+        } else if entry.is_some_and(|e| e.next_due > now) {
+            DueState::NotDue
+        } else {
+            DueState::Due
+        };
+        (due, seen)
     }
 
     /// Serves `dir` from schedule state without touching the wire.
     fn serve_snapshot(&mut self, dir: &RepoUri, now: u64) -> SyncOutcome {
-        let Some(entry) = self.state.dirs.get(&dir.to_string()) else {
+        let Some(entry) = self.state.dirs.get(dir) else {
             return SyncOutcome::unreachable(dir.clone());
         };
         if !entry.listed {
@@ -423,9 +435,8 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
     fn reschedule_after_fetch(&mut self, dir: &RepoUri, outcome: &SyncOutcome) {
         let done = self.inner.now();
         let digest = outcome.content_digest();
-        let key = dir.to_string();
         let plan = self.plan;
-        let entry = self.state.dirs.entry(key).or_insert_with(|| DirSchedule {
+        let entry = self.state.dirs.entry(dir.clone()).or_insert_with(|| DirSchedule {
             next_due: 0,
             interval: plan.min_refresh,
             ewma: 0,
@@ -467,7 +478,7 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
     fn reschedule_after_poll(&mut self, dir: &RepoUri) {
         let done = self.inner.now();
         let plan = self.plan;
-        if let Some(entry) = self.state.dirs.get_mut(&dir.to_string()) {
+        if let Some(entry) = self.state.dirs.get_mut(dir) {
             entry.interval = plan.clamp_interval(entry.interval.saturating_mul(2).max(1));
             entry.last_success = done;
             entry.next_due = done + entry.interval + plan.jitter_for(dir);
@@ -481,7 +492,7 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
     fn reschedule_after_failure(&mut self, dir: &RepoUri) {
         let done = self.inner.now();
         let retry = self.plan.backoff_base.max(self.plan.min_refresh);
-        if let Some(entry) = self.state.dirs.get_mut(&dir.to_string()) {
+        if let Some(entry) = self.state.dirs.get_mut(dir) {
             entry.next_due = done + retry;
         }
     }
@@ -493,10 +504,21 @@ enum DueState {
     BackedOff,
 }
 
+/// What a tracked point's entry held when [`ScheduledSource::due`]
+/// read it.
+#[derive(Clone, Copy)]
+struct Seen {
+    listed: bool,
+    marker: Option<Digest>,
+    /// `last_success`.
+    at: u64,
+}
+
 impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
     fn load_dir(&mut self, dir: &RepoUri) -> SyncOutcome {
         let now = self.inner.now();
-        match self.due(dir, now) {
+        let (due, seen) = self.due(dir, now);
+        match due {
             DueState::BackedOff => {
                 self.state.run.backoff_skips += 1;
                 self.state.stats.backoff_skips += 1;
@@ -511,7 +533,7 @@ impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
         }
         self.state.run.due += 1;
         self.state.stats.due += 1;
-        let has_snapshot = self.state.dirs.get(&dir.to_string()).is_some_and(|e| e.listed);
+        let has_snapshot = seen.is_some_and(|e| e.listed);
         if self.budget_spent() && has_snapshot {
             // Budget gone: defer to the next run. A point with no
             // snapshot is fetched regardless — deferral must never
@@ -551,16 +573,17 @@ impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
 
     fn probe_dir(&mut self, dir: &RepoUri) -> Option<DirProbe> {
         let now = self.inner.now();
-        match self.due(dir, now) {
+        let (due, seen) = self.due(dir, now);
+        match due {
             skipped @ (DueState::BackedOff | DueState::NotDue) => {
                 // Zero-frame answer from the recorded marker: a
                 // matching incremental memo replays without any wire
                 // traffic at all.
-                let entry = self.state.dirs.get(&dir.to_string())?;
+                let entry = seen?;
                 if !entry.listed {
                     return None;
                 }
-                let age = now.saturating_sub(entry.last_success);
+                let age = now.saturating_sub(entry.at);
                 self.state.run.max_served_age = self.state.run.max_served_age.max(age);
                 // Booked like `load_dir` books it: a host skipped
                 // because it is failing is not a point that was fresh.
@@ -575,14 +598,12 @@ impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
             }
             DueState::Due => {}
         }
-        let has_snapshot =
-            self.state.dirs.get(&dir.to_string()).is_some_and(|e| e.listed && e.marker.is_some());
-        if self.budget_spent() && has_snapshot {
+        let marker = seen.and_then(|e| e.marker);
+        if self.budget_spent() && seen.is_some_and(|e| e.listed) && marker.is_some() {
             self.state.run.due += 1;
             self.state.stats.due += 1;
             self.note_deferred(dir, now);
-            let entry = &self.state.dirs[&dir.to_string()];
-            return Some(DirProbe { dir: dir.clone(), listed: true, digest: entry.marker });
+            return Some(DirProbe { dir: dir.clone(), listed: true, digest: marker });
         }
         let frames_before = self.inner.wire_frames();
         let probe = self.inner.probe_dir(dir)?;
@@ -590,12 +611,9 @@ impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
         self.state.run.polled += 1;
         self.state.stats.polled += 1;
         if probe.listed {
-            let matches = self
-                .state
-                .dirs
-                .get(&dir.to_string())
-                .is_some_and(|e| e.marker.is_some() && e.marker == probe.digest);
-            if matches {
+            // The inner probe cannot touch schedule state, so `seen`
+            // still holds.
+            if marker.is_some() && marker == probe.digest {
                 // Confirmed unchanged: this poll settles the visit, so
                 // it counts as the due contact and reschedules.
                 self.state.run.due += 1;
@@ -613,6 +631,7 @@ impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A scriptable inner source with a settable clock and content
     /// version, counting wire activity.
@@ -947,5 +966,39 @@ mod tests {
         // Different seeds de-correlate (overwhelmingly likely to
         // differ for at least one of two points).
         assert!(a != other.jitter_for(&dir(1)) || b != other.jitter_for(&dir(2)));
+    }
+
+    /// FNV-1a over a byte string: the oracle for the streamed hash.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x100_0000_01b3);
+        }
+        hash
+    }
+
+    fn arb_name() -> impl Strategy<Value = String> {
+        const CHARS: &[u8] = b"az-.09_";
+        proptest::collection::vec(0..CHARS.len(), 1..12)
+            .prop_map(|ix| ix.into_iter().map(|i| char::from(CHARS[i])).collect())
+    }
+
+    proptest! {
+        /// The jitter hashes a point's display form as it is formatted,
+        /// to the same offset as hashing the formatted string.
+        #[test]
+        fn jitter_is_the_hash_of_the_display_form(
+            host in arb_name(),
+            path in proptest::collection::vec(arb_name(), 0..5),
+            seed in any::<u64>(),
+            jitter in 1u64..100_000,
+        ) {
+            let path: Vec<&str> = path.iter().map(String::as_str).collect();
+            let dir = RepoUri::new(&host, &path);
+            let plan = SchedulePlan { seed, jitter, ..SchedulePlan::default() };
+            let oracle = splitmix64(seed ^ fnv1a(dir.to_string().as_bytes())) % jitter;
+            prop_assert_eq!(plan.jitter_for(&dir), oracle);
+        }
     }
 }

@@ -22,6 +22,18 @@ use rpki_repo::{sync_dir, sync_dir_with_policy, DirProbe, RepoRegistry, SyncOutc
 
 pub use crate::resilience::ResilientSource;
 
+/// `hosts[host]`, inserted as the default on first contact. Unlike
+/// `entry`, it copies the host name only when the host is new.
+pub(crate) fn host_entry<'m, V: Default>(
+    hosts: &'m mut BTreeMap<String, V>,
+    host: &str,
+) -> &'m mut V {
+    if !hosts.contains_key(host) {
+        hosts.insert(host.to_owned(), V::default());
+    }
+    hosts.get_mut(host).expect("inserted above")
+}
+
 /// Supplies publication-point contents to the validator.
 pub trait ObjectSource {
     /// Syncs one directory, returning whatever arrived.

@@ -28,7 +28,7 @@
 //! the cache's stages `settle` and `close`, and
 //! [`Validator::run_incremental`].
 
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use ipres::ResourceSet;
 use rpki_objects::{Decode, Moment, RepoUri, ResourceCert, RpkiObject, TrustAnchorLocator};
@@ -329,7 +329,7 @@ impl ValidationRun {
         let ca = item.cert.data().subject.clone();
         let dir = item.cert.data().sia.to_string();
         self.diagnostics.push(Diagnostic { ca: ca.clone(), dir: dir.clone(), issue });
-        self.rejected_cas.push(RejectedCa { ca, dir, resources: item.effective.clone() });
+        self.rejected_cas.push(RejectedCa { ca, dir, resources: (*item.effective).clone() });
     }
 
     /// Emits this run's outcome into an observability recorder at
@@ -387,18 +387,50 @@ pub struct Validator {
     config: ValidationConfig,
 }
 
+/// One CA waiting on the walk's queue. The certificate and resources
+/// are shared with the cache entry that re-queues them, and the
+/// ancestor chain with every sibling.
 pub(crate) struct WorkItem {
-    pub(crate) cert: ResourceCert,
+    pub(crate) cert: Arc<ResourceCert>,
     /// The resources this CA may actually speak for: its certificate's
     /// set under [`OverclaimPolicy::Strict`], possibly an intersection
     /// under [`OverclaimPolicy::Trim`].
-    pub(crate) effective: ResourceSet,
+    pub(crate) effective: Arc<ResourceSet>,
     pub(crate) depth: usize,
     /// Keys of every CA above this one (loop detection).
-    pub(crate) ancestors: BTreeSet<KeyId>,
+    pub(crate) ancestors: Ancestors,
     /// Digest of the encoded certificate, when a cache already knows it
     /// (replayed subtrees); `None` means compute on demand.
     pub(crate) digest: Option<Digest>,
+}
+
+/// The keys of the CAs above a work item, nearest first: a chain of
+/// parent links, so siblings share their parent's chain and a child
+/// adds one link. At most `max_depth` long.
+#[derive(Clone, Default)]
+pub(crate) struct Ancestors(Option<Arc<Link>>);
+
+struct Link {
+    key: KeyId,
+    up: Ancestors,
+}
+
+impl Ancestors {
+    /// The chain of a child of the CA that holds `key` and has this
+    /// chain: `key`, then this chain.
+    pub(crate) fn below(&self, key: KeyId) -> Ancestors {
+        Ancestors(Some(Arc::new(Link { key, up: self.clone() })))
+    }
+
+    /// Every key on the chain, nearest first.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = KeyId> + '_ {
+        std::iter::successors(self.0.as_deref(), |link| link.up.0.as_deref()).map(|link| link.key)
+    }
+
+    /// Whether `key` is on the chain.
+    pub(crate) fn contains(&self, key: KeyId) -> bool {
+        self.keys().any(|k| k == key)
+    }
 }
 
 /// Where a walk stage writes: the run it appends to and the queue its
@@ -543,12 +575,12 @@ impl Validator {
         for tal in tals {
             match self.fetch_ta(source, tal) {
                 Some(cert) => {
-                    let effective = cert.data().resources.clone();
+                    let effective = Arc::new(cert.data().resources.clone());
                     out.queue.push(WorkItem {
-                        cert,
+                        cert: Arc::new(cert),
                         effective,
                         depth: 0,
-                        ancestors: BTreeSet::new(),
+                        ancestors: Ancestors::default(),
                         digest: None,
                     })
                 }
@@ -623,7 +655,9 @@ impl Validator {
         let dir = cert.data().sia.clone();
         let dir_s = dir.to_string();
         let key = cert.data().subject_key;
-        let resources = item.effective.clone();
+        let resources = &*item.effective;
+        // The chain every queued child shares, made for the first one.
+        let mut below = None;
 
         let diag = |run: &mut ValidationRun, issue: Issue| {
             run.diagnostics.push(Diagnostic { ca: handle.clone(), dir: dir_s.clone(), issue });
@@ -812,7 +846,7 @@ impl Validator {
                             child.data().resources.clone()
                         }
                         OverclaimPolicy::Trim => {
-                            let trimmed = child.data().resources.intersection(&resources);
+                            let trimmed = child.data().resources.intersection(resources);
                             if trimmed != child.data().resources {
                                 diag(run, Issue::TrimmedOverClaim(name.clone()));
                             }
@@ -820,7 +854,7 @@ impl Validator {
                         }
                     };
                     let child_key = child.subject_key_id();
-                    if item.ancestors.contains(&child_key) || child_key == key.id() {
+                    if item.ancestors.contains(child_key) || child_key == key.id() {
                         if let Some(o) = obs.as_deref_mut() {
                             o.saw_loop();
                         }
@@ -828,13 +862,12 @@ impl Validator {
                         reject_child(run, &child);
                         continue;
                     }
-                    let mut ancestors = item.ancestors.clone();
-                    ancestors.insert(key.id());
+                    let ancestors = below.get_or_insert_with(|| item.ancestors.below(key.id()));
                     queue.push(WorkItem {
-                        cert: child,
-                        effective: child_effective,
+                        cert: Arc::new(child),
+                        effective: Arc::new(child_effective),
                         depth: item.depth + 1,
-                        ancestors,
+                        ancestors: ancestors.clone(),
                         digest: None,
                     });
                 }
