@@ -27,7 +27,7 @@ use rpki_objects::{
     RoaData, RoaPrefix, RpkiObject, Span, Validity,
 };
 use rpki_repo::Repository;
-use rpkisim_crypto::{sha256, KeyPair};
+use rpkisim_crypto::{sha256, splitmix64, KeyPair, SPLITMIX64_GAMMA};
 use serde::Serialize;
 
 /// One family of adversarial bytes the corpus can produce.
@@ -116,15 +116,13 @@ pub struct CorpusCase {
     pub note: String,
 }
 
-/// splitmix64: small, deterministic, good enough to spread corpus
-/// choices across seeds. (The attacks crate deliberately has no rand
-/// dependency.)
+/// The next draw of the SplitMix64 stream at `state`: small,
+/// deterministic, good enough to spread corpus choices across seeds.
+/// (The attacks crate deliberately has no rand dependency.)
 fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let draw = splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX64_GAMMA);
+    draw
 }
 
 /// Picks a deterministic file from `files` satisfying `pred`.

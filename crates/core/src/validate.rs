@@ -176,8 +176,8 @@ impl<'a> ValidationOptions<'a> {
     /// Drive fetching through `plan`'s notification-cadence scheduler:
     /// publication points whose refresh deadline has not arrived replay
     /// their scheduled snapshot instead of being re-fetched, hosts in
-    /// breaker cooldown inherit exponential backoff, and per-run frame
-    /// or time budgets defer the remainder of the sweep. `state`
+    /// breaker cooldown inherit exponential backoff, and a per-run
+    /// time budget defers the remainder of the sweep. `state`
     /// persists cadence estimates and snapshots across runs; a
     /// [`SchedulePlan::degenerate`] plan makes the run byte-identical
     /// to the unscheduled sweep. When combined with

@@ -38,3 +38,16 @@ pub mod sha256;
 
 pub use keys::{KeyId, KeyPair, PublicKey, Signature, SignatureError};
 pub use sha256::{sha256, Digest};
+
+/// SplitMix64's increment: what its stream adds to the state per draw.
+pub const SPLITMIX64_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64 — the workspace's seeded stateless mixer: one
+/// deterministic, well-mixed u64 per input. The stream seeded at `s` is
+/// `splitmix64(s)`, `splitmix64(s + SPLITMIX64_GAMMA)`, and so on.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(SPLITMIX64_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

@@ -23,6 +23,7 @@ use std::collections::BTreeMap;
 
 use ipres::Asn;
 use rpki_objects::{Moment, RoaPrefix};
+use rpkisim_crypto::splitmix64;
 use serde::Serialize;
 
 use crate::authority::CertAuthority;
@@ -110,14 +111,6 @@ impl ChurnReport {
     pub fn operations(&self) -> u64 {
         self.renewed + self.added + self.withdrawn + self.resigned
     }
-}
-
-/// SplitMix64 — the workspace's seeded stateless mixer.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A deterministic churn-decision draw: one u64 per

@@ -13,16 +13,16 @@
 use std::fmt;
 
 use ipres::{AsnSet, ResourceSet};
-use rpkisim_crypto::{KeyId, KeyPair, PublicKey, Signature, SignatureError};
-use serde::{Deserialize, Serialize};
+use rpkisim_crypto::{KeyId, PublicKey};
 
 use crate::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use crate::resenc::{resource_set_len, signed_span, DIGEST_LEN, SIGNATURE_LEN};
+use crate::resenc::{resource_set_len, DIGEST_LEN, SIGNATURE_LEN};
+use crate::signed::{Signed, ToBeSigned};
 use crate::time::{Validity, VALIDITY_LEN};
 use crate::uri::RepoUri;
 
 /// The to-be-signed content of a resource certificate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertData {
     /// Issuer-assigned serial number, unique per issuer.
     pub serial: u64,
@@ -78,60 +78,26 @@ impl Decode for CertData {
     }
 }
 
-/// A signed resource certificate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ResourceCert {
-    data: CertData,
-    signature: Signature,
+impl ToBeSigned for CertData {
+    const NAME: &'static str = "ResourceCert";
+
+    fn issuer_key(&self) -> KeyId {
+        self.issuer_key
+    }
 }
 
+/// A signed resource certificate.
+pub type ResourceCert = Signed<CertData>;
+
 impl ResourceCert {
-    /// Signs `data` with the issuer's key pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.issuer_key` does not match `issuer`'s key —
-    /// signing on behalf of someone else is a fixture bug, not a
-    /// simulated attack (attacks *hold* the issuer key).
-    pub fn sign(data: CertData, issuer: &KeyPair) -> Self {
-        assert_eq!(data.issuer_key, issuer.id(), "issuer key mismatch in CertData");
-        let signature = issuer.sign(&data.to_bytes());
-        ResourceCert { data, signature }
-    }
-
-    /// The to-be-signed content.
-    pub fn data(&self) -> &CertData {
-        &self.data
-    }
-
-    /// The signature.
-    pub fn signature(&self) -> &Signature {
-        &self.signature
-    }
-
     /// The subject's key id (RFC 6487 names published certs by it).
     pub fn subject_key_id(&self) -> KeyId {
-        self.data.subject_key.id()
+        self.data().subject_key.id()
     }
 
     /// Whether this is a self-signed (trust anchor) certificate.
     pub fn is_self_signed(&self) -> bool {
-        self.data.issuer_key == self.data.subject_key.id()
-    }
-
-    /// Verifies the signature under `issuer_key`.
-    pub fn verify(&self, issuer_key: &PublicKey) -> Result<(), SignatureError> {
-        self.verify_encoded(&self.to_bytes(), issuer_key)
-    }
-
-    /// Verifies the signature under `issuer_key` over the to-be-signed
-    /// span of `encoded`, the bytes this certificate was decoded from.
-    pub fn verify_encoded(
-        &self,
-        encoded: &[u8],
-        issuer_key: &PublicKey,
-    ) -> Result<(), SignatureError> {
-        issuer_key.verify(signed_span(encoded), &self.signature)
+        self.data().issuer_key == self.data().subject_key.id()
     }
 
     /// Canonical file name at the issuer's publication point:
@@ -143,34 +109,21 @@ impl ResourceCert {
     }
 }
 
-impl Encode for ResourceCert {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.data.encode(out);
-        self.signature.encode(out);
-    }
-}
-
-impl Decode for ResourceCert {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ResourceCert { data: CertData::decode(r)?, signature: Signature::decode(r)? })
-    }
-}
-
 impl fmt::Display for ResourceCert {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "RC[{} serial={} key={} res={}]",
-            self.data.subject,
-            self.data.serial,
+            self.data().subject,
+            self.data().serial,
             self.subject_key_id().short(),
-            self.data.resources
+            self.data().resources
         )
     }
 }
 
 /// The to-be-signed content of an end-entity certificate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EeCertData {
     /// Issuer-assigned serial, drawn from the same space as RC serials
     /// (so one CRL covers both).
@@ -207,46 +160,18 @@ impl Decode for EeCertData {
     }
 }
 
-/// A signed end-entity certificate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EeCert {
-    data: EeCertData,
-    signature: Signature,
+impl ToBeSigned for EeCertData {
+    const NAME: &'static str = "EeCert";
+
+    fn issuer_key(&self) -> KeyId {
+        self.issuer_key
+    }
 }
 
+/// A signed end-entity certificate.
+pub type EeCert = Signed<EeCertData>;
+
 impl EeCert {
-    /// Signs `data` with the issuing CA's key pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics on issuer key mismatch (fixture bug).
-    pub fn sign(data: EeCertData, issuer: &KeyPair) -> Self {
-        assert_eq!(data.issuer_key, issuer.id(), "issuer key mismatch in EeCertData");
-        let signature = issuer.sign(&data.to_bytes());
-        EeCert { data, signature }
-    }
-
-    /// The to-be-signed content.
-    pub fn data(&self) -> &EeCertData {
-        &self.data
-    }
-
-    /// Verifies the CA's signature under `issuer_key`.
-    pub fn verify(&self, issuer_key: &PublicKey) -> Result<(), SignatureError> {
-        self.verify_encoded(&self.to_bytes(), issuer_key)
-    }
-
-    /// Verifies the CA's signature under `issuer_key` over the
-    /// to-be-signed span of `encoded`, the bytes this certificate was
-    /// decoded from.
-    pub fn verify_encoded(
-        &self,
-        encoded: &[u8],
-        issuer_key: &PublicKey,
-    ) -> Result<(), SignatureError> {
-        issuer_key.verify(signed_span(encoded), &self.signature)
-    }
-
     /// The exact length of this certificate's encoding, computed from its
     /// fields: where a ROA's content starts in the ROA's encoding.
     pub fn encoded_len(&self) -> usize {
@@ -254,23 +179,10 @@ impl EeCert {
         // fields `EeCertData` encodes, in order; then the signature.
         size_of::<u64>()
             + DIGEST_LEN
-            + resource_set_len(&self.data.resources)
+            + resource_set_len(&self.data().resources)
             + VALIDITY_LEN
             + DIGEST_LEN
             + SIGNATURE_LEN
-    }
-}
-
-impl Encode for EeCert {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.data.encode(out);
-        self.signature.encode(out);
-    }
-}
-
-impl Decode for EeCert {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(EeCert { data: EeCertData::decode(r)?, signature: Signature::decode(r)? })
     }
 }
 
@@ -279,6 +191,7 @@ mod tests {
     use super::*;
     use crate::time::{Moment, Span};
     use ipres::Asn;
+    use rpkisim_crypto::KeyPair;
 
     fn sample_data(issuer: &KeyPair, subject: &KeyPair) -> CertData {
         CertData {

@@ -9,15 +9,14 @@
 
 use std::fmt;
 
-use rpkisim_crypto::{KeyId, KeyPair, PublicKey, Signature, SignatureError};
-use serde::{Deserialize, Serialize};
+use rpkisim_crypto::KeyId;
 
 use crate::codec::{Decode, DecodeError, Encode, Reader};
-use crate::resenc::signed_span;
+use crate::signed::{Signed, ToBeSigned};
 use crate::time::Moment;
 
 /// The to-be-signed CRL content.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrlData {
     /// The issuing CA's key.
     pub issuer_key: KeyId,
@@ -61,75 +60,42 @@ impl Decode for CrlData {
     }
 }
 
-/// A signed CRL.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Crl {
-    data: CrlData,
-    signature: Signature,
-}
+impl ToBeSigned for CrlData {
+    const NAME: &'static str = "Crl";
 
-impl Crl {
-    /// Signs a CRL. Serials are sorted and deduplicated to canonical
-    /// form before signing.
+    fn issuer_key(&self) -> KeyId {
+        self.issuer_key
+    }
+
+    /// Sorts and deduplicates the serials.
     ///
     /// # Panics
     ///
-    /// Panics on issuer key mismatch or inverted update window.
-    pub fn sign(mut data: CrlData, issuer: &KeyPair) -> Self {
-        assert_eq!(data.issuer_key, issuer.id(), "issuer key mismatch in CrlData");
-        assert!(data.this_update <= data.next_update, "CRL update window inverted");
-        data.revoked.sort_unstable();
-        data.revoked.dedup();
-        let signature = issuer.sign(&data.to_bytes());
-        Crl { data, signature }
+    /// Panics on an inverted update window.
+    fn canonicalise(&mut self) {
+        assert!(self.this_update <= self.next_update, "CRL update window inverted");
+        self.revoked.sort_unstable();
+        self.revoked.dedup();
     }
+}
 
-    /// The to-be-signed content.
-    pub fn data(&self) -> &CrlData {
-        &self.data
-    }
+/// A signed CRL.
+pub type Crl = Signed<CrlData>;
 
+impl Crl {
     /// Whether `serial` is revoked by this CRL.
     pub fn is_revoked(&self, serial: u64) -> bool {
-        self.data.revoked.binary_search(&serial).is_ok()
+        self.data().revoked.binary_search(&serial).is_ok()
     }
 
     /// Whether the CRL is stale at `now` (past its `next_update`).
     pub fn is_stale_at(&self, now: Moment) -> bool {
-        now > self.data.next_update
-    }
-
-    /// Verifies the signature under `issuer_key`.
-    pub fn verify(&self, issuer_key: &PublicKey) -> Result<(), SignatureError> {
-        self.verify_encoded(&self.to_bytes(), issuer_key)
-    }
-
-    /// Verifies the signature under `issuer_key` over the to-be-signed
-    /// span of `encoded`, the bytes this CRL was decoded from.
-    pub fn verify_encoded(
-        &self,
-        encoded: &[u8],
-        issuer_key: &PublicKey,
-    ) -> Result<(), SignatureError> {
-        issuer_key.verify(signed_span(encoded), &self.signature)
+        now > self.data().next_update
     }
 
     /// Canonical file name: `<issuer-key-id>.crl`.
     pub fn file_name(&self) -> String {
-        format!("{}.crl", self.data.issuer_key.short())
-    }
-}
-
-impl Encode for Crl {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.data.encode(out);
-        self.signature.encode(out);
-    }
-}
-
-impl Decode for Crl {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Crl { data: CrlData::decode(r)?, signature: Signature::decode(r)? })
+        format!("{}.crl", self.data().issuer_key.short())
     }
 }
 
@@ -138,9 +104,9 @@ impl fmt::Display for Crl {
         write!(
             f,
             "CRL[{} #{} revoked={:?}]",
-            self.data.issuer_key.short(),
-            self.data.number,
-            self.data.revoked
+            self.data().issuer_key.short(),
+            self.data().number,
+            self.data().revoked
         )
     }
 }
@@ -149,6 +115,7 @@ impl fmt::Display for Crl {
 mod tests {
     use super::*;
     use crate::resenc::SIGNATURE_LEN;
+    use rpkisim_crypto::KeyPair;
 
     fn sample(issuer: &KeyPair) -> Crl {
         Crl::sign(

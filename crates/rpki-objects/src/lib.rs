@@ -14,8 +14,9 @@
 //! - [`RpkiObject`] — the tagged wire union repositories store.
 //! - [`TrustAnchorLocator`] — the relying party's pinned root.
 //!
-//! Plus the substrate they share: a canonical binary [`codec`],
-//! simulated [`time`], and rsync-style [`uri`]s.
+//! Plus the substrate they share: a canonical binary [`codec`], the one
+//! [`signed`] envelope (certificates, CRLs and manifests are each a
+//! [`Signed`] value), simulated [`time`], and rsync-style [`uri`]s.
 //!
 //! All objects are immutable values: a CA "overwrites" an object by
 //! publishing a different value under the same file name — which is
@@ -32,6 +33,7 @@ pub mod manifest;
 pub mod object;
 mod resenc;
 pub mod roa;
+pub mod signed;
 pub mod time;
 pub mod uri;
 
@@ -41,5 +43,6 @@ pub use crl::{Crl, CrlData};
 pub use manifest::{Manifest, ManifestData, ManifestEntry};
 pub use object::{RpkiObject, TrustAnchorLocator};
 pub use roa::{Roa, RoaData, RoaError, RoaPrefix};
+pub use signed::{Signed, ToBeSigned};
 pub use time::{Moment, Span, Validity};
 pub use uri::{RepoUri, UriParseError};

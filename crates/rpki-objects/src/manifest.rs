@@ -15,15 +15,14 @@
 
 use std::fmt;
 
-use rpkisim_crypto::{sha256, Digest, KeyId, KeyPair, PublicKey, Signature, SignatureError};
-use serde::{Deserialize, Serialize};
+use rpkisim_crypto::{sha256, Digest, KeyId};
 
 use crate::codec::{Decode, DecodeError, Encode, Reader, Writer};
-use crate::resenc::signed_span;
+use crate::signed::{Signed, ToBeSigned};
 use crate::time::Moment;
 
 /// One manifest entry: a published file and its hash.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
     /// File name within the CA's publication directory.
     pub name: String,
@@ -45,7 +44,7 @@ impl Decode for ManifestEntry {
 }
 
 /// The to-be-signed manifest content.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestData {
     /// The issuing CA's key.
     pub issuer_key: KeyId,
@@ -88,92 +87,57 @@ impl Decode for ManifestData {
     }
 }
 
-/// A signed manifest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Manifest {
-    data: ManifestData,
-    signature: Signature,
-}
+impl ToBeSigned for ManifestData {
+    const NAME: &'static str = "Manifest";
 
-impl Manifest {
-    /// Signs a manifest, sorting entries into canonical order first.
+    fn issuer_key(&self) -> KeyId {
+        self.issuer_key
+    }
+
+    /// Sorts the entries by file name.
     ///
     /// # Panics
     ///
-    /// Panics on issuer key mismatch, inverted window, or duplicate
-    /// file names (a CA never publishes two files with one name).
-    pub fn sign(mut data: ManifestData, issuer: &KeyPair) -> Self {
-        assert_eq!(data.issuer_key, issuer.id(), "issuer key mismatch in ManifestData");
-        assert!(data.this_update <= data.next_update, "manifest update window inverted");
-        data.entries.sort_by(|a, b| a.name.cmp(&b.name));
+    /// Panics on an inverted update window or duplicate file names (a
+    /// CA never publishes two files with one name).
+    fn canonicalise(&mut self) {
+        assert!(self.this_update <= self.next_update, "manifest update window inverted");
+        self.entries.sort_by(|a, b| a.name.cmp(&b.name));
         assert!(
-            data.entries.windows(2).all(|w| w[0].name != w[1].name),
+            self.entries.windows(2).all(|w| w[0].name != w[1].name),
             "duplicate file name in manifest"
         );
-        let signature = issuer.sign(&data.to_bytes());
-        Manifest { data, signature }
     }
+}
 
+/// A signed manifest.
+pub type Manifest = Signed<ManifestData>;
+
+impl Manifest {
     /// Convenience: build an entry for a file's bytes.
     pub fn entry_for(name: &str, bytes: &[u8]) -> ManifestEntry {
         ManifestEntry { name: name.to_owned(), hash: sha256(bytes) }
     }
 
-    /// The to-be-signed content.
-    pub fn data(&self) -> &ManifestData {
-        &self.data
-    }
-
     /// The hash this manifest commits to for `name`, if listed.
     pub fn hash_of(&self, name: &str) -> Option<Digest> {
-        self.data
-            .entries
-            .binary_search_by(|e| e.name.as_str().cmp(name))
-            .ok()
-            .map(|i| self.data.entries[i].hash)
+        let entries = &self.data().entries;
+        entries.binary_search_by(|e| e.name.as_str().cmp(name)).ok().map(|i| entries[i].hash)
     }
 
     /// The listed file names, sorted.
     pub fn file_names(&self) -> impl Iterator<Item = &str> {
-        self.data.entries.iter().map(|e| e.name.as_str())
+        self.data().entries.iter().map(|e| e.name.as_str())
     }
 
     /// Whether the manifest is stale at `now`.
     pub fn is_stale_at(&self, now: Moment) -> bool {
-        now > self.data.next_update
-    }
-
-    /// Verifies the signature under `issuer_key`.
-    pub fn verify(&self, issuer_key: &PublicKey) -> Result<(), SignatureError> {
-        self.verify_encoded(&self.to_bytes(), issuer_key)
-    }
-
-    /// Verifies the signature under `issuer_key` over the to-be-signed
-    /// span of `encoded`, the bytes this manifest was decoded from.
-    pub fn verify_encoded(
-        &self,
-        encoded: &[u8],
-        issuer_key: &PublicKey,
-    ) -> Result<(), SignatureError> {
-        issuer_key.verify(signed_span(encoded), &self.signature)
+        now > self.data().next_update
     }
 
     /// Canonical file name: `<issuer-key-id>.mft`.
     pub fn file_name(&self) -> String {
-        format!("{}.mft", self.data.issuer_key.short())
-    }
-}
-
-impl Encode for Manifest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.data.encode(out);
-        self.signature.encode(out);
-    }
-}
-
-impl Decode for Manifest {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Manifest { data: ManifestData::decode(r)?, signature: Signature::decode(r)? })
+        format!("{}.mft", self.data().issuer_key.short())
     }
 }
 
@@ -182,9 +146,9 @@ impl fmt::Display for Manifest {
         write!(
             f,
             "MFT[{} #{} files={}]",
-            self.data.issuer_key.short(),
-            self.data.number,
-            self.data.entries.len()
+            self.data().issuer_key.short(),
+            self.data().number,
+            self.data().entries.len()
         )
     }
 }
@@ -192,6 +156,7 @@ impl fmt::Display for Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpkisim_crypto::KeyPair;
 
     fn sample(issuer: &KeyPair) -> Manifest {
         Manifest::sign(

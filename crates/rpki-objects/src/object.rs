@@ -10,7 +10,6 @@
 use std::fmt;
 
 use rpkisim_crypto::{sha256, Digest, PublicKey};
-use serde::{Deserialize, Serialize};
 
 use crate::cert::ResourceCert;
 use crate::codec::{Decode, DecodeError, Encode, Reader};
@@ -20,7 +19,7 @@ use crate::roa::Roa;
 use crate::uri::RepoUri;
 
 /// Any object that can appear at a publication point.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RpkiObject {
     /// A resource certificate (CA certificate).
     Cert(ResourceCert),
@@ -122,7 +121,7 @@ impl fmt::Display for RpkiObject {
 /// A trust anchor locator: the relying party's out-of-band root of
 /// trust (RFC 7730-shaped). It pins the *key*, so a repository cannot
 /// swap in a different root.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrustAnchorLocator {
     /// Where the self-signed root certificate is published.
     pub uri: RepoUri,

@@ -14,7 +14,6 @@ use std::fmt;
 
 use ipres::{Asn, Prefix, ResourceSet};
 use rpkisim_crypto::{KeyPair, PublicKey, Signature, SignatureError};
-use serde::{Deserialize, Serialize};
 
 use crate::cert::{EeCert, EeCertData};
 use crate::codec::{Decode, DecodeError, Encode, Reader};
@@ -22,7 +21,7 @@ use crate::resenc::signed_span;
 use crate::time::Validity;
 
 /// One authorised prefix inside a ROA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RoaPrefix {
     /// The authorised prefix.
     pub prefix: Prefix,
@@ -100,7 +99,7 @@ impl Decode for RoaPrefix {
 }
 
 /// The to-be-signed ROA content.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoaData {
     /// The AS authorised to originate.
     pub asn: Asn,
@@ -122,7 +121,7 @@ impl Decode for RoaData {
 }
 
 /// A complete signed ROA: EE certificate + content + EE signature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Roa {
     ee: EeCert,
     data: RoaData,

@@ -799,6 +799,34 @@ mod tests {
     }
 
     #[test]
+    fn pubd_events_are_stamped_at_the_publication_moment() {
+        use crate::pubd::PubdPolicy;
+        use ipres::ResourceSet;
+        use rpki_objects::Span;
+        use rpki_obs::Recorder;
+
+        let (_, mut repos, _, server, dir) = world();
+        let rec = Recorder::new();
+        let repo = repos.get_mut(server).unwrap();
+        repo.set_pubd_policy(PubdPolicy::compacted(2));
+        repo.set_recorder(rec.clone());
+        let mut ta = CertAuthority::new("TA", "pubd-clock-ta", dir);
+        ta.certify_self(ResourceSet::from_prefix_strs("10.0.0.0/8"), Moment(0), Span::days(30));
+
+        // Each publication is one write; every second one materialises.
+        for t in [4_321, 4_322, 4_323] {
+            assert!(repos.publish(&mut ta, Moment(t)));
+        }
+        let materialised: Vec<u64> = rec
+            .events()
+            .iter()
+            .filter(|e| (e.layer, e.kind) == ("pubd", "materialise"))
+            .map(|e| e.at)
+            .collect();
+        assert_eq!(materialised, vec![4_322]);
+    }
+
+    #[test]
     fn clean_sync_fetches_everything() {
         let (mut net, repos, client, _, dir) = world();
         let out = sync_dir(&mut net, &repos, client, &dir);

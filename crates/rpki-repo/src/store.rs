@@ -204,9 +204,9 @@ pub struct Repository {
     /// Recorder for `pubd/*` events; disabled unless a scenario wires
     /// one in with [`set_recorder`](Repository::set_recorder).
     recorder: Recorder,
-    /// The simulated time stamped onto pubd events. Stores sit outside
-    /// the network event loop, so scenarios that want timestamped
-    /// traces advance this via [`set_clock`](Repository::set_clock).
+    /// The simulated time stamped onto pubd events: the moment of the
+    /// latest [`publish_ca`](Repository::publish_ca). Stores sit outside
+    /// the network event loop, so a CA's publication is their clock.
     clock: u64,
     /// Per-directory serve ledger split by RRDP document kind.
     pubd_served: RefCell<BTreeMap<Vec<String>, PubdServed>>,
@@ -365,8 +365,10 @@ impl Repository {
 
     /// Publishes `ca`'s current snapshot (fresh manifest and CRL as of
     /// `now`) at the publication point its SIA names — the one spelling
-    /// of "a CA publishes".
+    /// of "a CA publishes". Pubd events from this write on are stamped
+    /// at `now`.
     pub fn publish_ca(&mut self, ca: &mut CertAuthority, now: Moment) {
+        self.clock = now.0;
         let snapshot = ca.publication_snapshot(now);
         self.publish_snapshot(ca.sia(), &snapshot);
     }
@@ -432,11 +434,6 @@ impl Repository {
     /// Wires in a recorder for `pubd/*` events and counters.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
-    }
-
-    /// Sets the simulated time stamped onto subsequent pubd events.
-    pub fn set_clock(&mut self, now: u64) {
-        self.clock = now;
     }
 
     /// Surfaces the server-side decisions of one write (or policy

@@ -12,7 +12,7 @@
 //!
 //! A [`Relay`] is a composed unit:
 //!
-//! - N upstream **feeds**, each a full [`RtrClient`] session over the
+//! - N upstream **feeds**, each an [`RtrRouter`] session over the
 //!   framed fabric (so feeds stall and diverge under the fault model
 //!   like any router would);
 //! - a [`MergePolicy`] — union (any feed vouches), all (every live
@@ -33,8 +33,8 @@ use std::collections::BTreeSet;
 use ipres::{Asn, Prefix};
 use netsim::{Delivery, Network, NodeId};
 
-use crate::fabric::{frame, unframe, RtrEndpoint, RtrFabric, FRAME_RTR_DATA, FRAME_RTR_QUERY};
-use crate::rtr::{ClientAction, RtrClient, VrpUpdate};
+use crate::fabric::{RtrEndpoint, RtrFabric, RtrRouter};
+use crate::rtr::VrpUpdate;
 use crate::vrp::Vrp;
 
 /// One RFC 8416 `prefixFilter`: drops VRPs it matches. A filter with a
@@ -137,19 +137,13 @@ pub fn reference_merge(policy: MergePolicy, feeds: &[BTreeSet<Vrp>]) -> BTreeSet
     }
 }
 
-/// One upstream RTR session the relay consumes.
-#[derive(Debug)]
-struct Feed {
-    upstream: NodeId,
-    client: RtrClient,
-}
-
 /// A composable relay unit: merges upstream feeds, applies SLURM, and
 /// re-serves downstream as an RTR cache.
 #[derive(Debug)]
 pub struct Relay {
     node: NodeId,
-    feeds: Vec<Feed>,
+    /// One upstream RTR session per feed, each a router at `node`.
+    feeds: Vec<RtrRouter>,
     policy: MergePolicy,
     slurm: SlurmFile,
     target: RtrFabric,
@@ -182,7 +176,7 @@ impl Relay {
     /// Registers an upstream cache to feed from (in policy order:
     /// [`MergePolicy::Any`] prefers earlier feeds).
     pub fn add_feed(&mut self, upstream: NodeId) {
-        self.feeds.push(Feed { upstream, client: RtrClient::new() });
+        self.feeds.push(RtrRouter::new(self.node, upstream));
     }
 
     /// Registers a downstream router for notify fan-out.
@@ -198,14 +192,13 @@ impl Relay {
     /// Polls every upstream feed (reset query on fresh sessions).
     pub fn poll_feeds(&mut self, net: &mut Network) {
         for feed in &mut self.feeds {
-            let pdu = feed.client.poll();
-            net.send(self.node, feed.upstream, frame(FRAME_RTR_QUERY, &pdu));
+            feed.poll(net);
         }
     }
 
     /// Indices of feeds with an established session, in feed order.
     pub fn live_feeds(&self) -> Vec<usize> {
-        (0..self.feeds.len()).filter(|&i| self.feeds[i].client.session().is_some()).collect()
+        (0..self.feeds.len()).filter(|&i| self.feeds[i].client().session().is_some()).collect()
     }
 
     /// The merged, SLURM-filtered VRP set over the live feeds.
@@ -213,8 +206,8 @@ impl Relay {
         let live: Vec<BTreeSet<Vrp>> = self
             .feeds
             .iter()
-            .filter(|f| f.client.session().is_some())
-            .map(|f| f.client.vrp_set().clone())
+            .filter(|f| f.client().session().is_some())
+            .map(|f| f.vrps().clone())
             .collect();
         self.slurm.apply(&reference_merge(self.policy, &live))
     }
@@ -233,18 +226,9 @@ impl RtrEndpoint for Relay {
     }
 
     fn deliver(&mut self, net: &mut Network, delivery: &Delivery) {
-        // Upstream data frame → the matching feed's client.
-        if let Some(feed) = self.feeds.iter_mut().find(|f| f.upstream == delivery.from) {
-            let Ok(pdu) = unframe(FRAME_RTR_DATA, &delivery.payload) else {
-                return; // corrupted upstream frame: next notify retries
-            };
-            match feed.client.handle(&pdu) {
-                ClientAction::Query | ClientAction::Reset => {
-                    let poll = feed.client.poll();
-                    net.send(self.node, feed.upstream, frame(FRAME_RTR_QUERY, &poll));
-                }
-                ClientAction::Idle => {}
-            }
+        // Upstream data frame → the matching feed.
+        if let Some(feed) = self.feeds.iter_mut().find(|f| f.upstream() == delivery.from) {
+            feed.deliver(net, delivery);
             return;
         }
         // Anything else is a downstream router query for our target.
@@ -255,7 +239,7 @@ impl RtrEndpoint for Relay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::{pump_until, RtrRouter};
+    use crate::fabric::pump_until;
     use ipres::{Asn, Prefix};
 
     fn v(s: &str, max: u8, asn: u32) -> Vrp {

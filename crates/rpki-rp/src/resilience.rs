@@ -218,11 +218,6 @@ impl<'s, S: ObjectSource> ResilientSource<'s, S> {
     pub fn new(inner: S, state: &'s mut ResilientState) -> Self {
         ResilientSource { inner, state }
     }
-
-    /// The wrapped source (e.g. to read collected sync reports).
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: ObjectSource> ObjectSource for ResilientSource<'_, S> {

@@ -14,10 +14,10 @@
 //!   `max_refresh`, points that churn converge onto their real cadence;
 //! - adds **seeded deterministic jitter** so deadlines de-synchronize
 //!   instead of thundering in lockstep;
-//! - charges every delegated fetch against a per-run **frame budget**
-//!   and **time budget**; once either is spent, still-due points are
-//!   deferred to the next run and served from the scheduler's last-good
-//!   snapshot (the starvation surface the slow-serve campaign games);
+//! - charges every delegated fetch against a per-run **time budget**;
+//!   once it is spent, still-due points are deferred to the next run
+//!   and served from the scheduler's last-good snapshot (the starvation
+//!   surface the slow-serve campaign games);
 //! - puts failing hosts on **exponential backoff**: after
 //!   [`SchedulePlan::failure_threshold`] consecutive failed contacts
 //!   the whole host is skipped for a doubling cool-down instead of
@@ -43,7 +43,7 @@ use std::fmt::{self, Write};
 use rpki_objects::RepoUri;
 use rpki_obs::Recorder;
 use rpki_repo::{DirProbe, Freshness, SyncOutcome};
-use rpkisim_crypto::Digest;
+use rpkisim_crypto::{splitmix64, Digest};
 use serde::Serialize;
 
 use crate::source::{host_entry, ObjectSource};
@@ -64,9 +64,6 @@ pub struct SchedulePlan {
     pub jitter: u64,
     /// Seed for the jitter hash.
     pub seed: u64,
-    /// Frames one run may spend on delegated fetches before the rest
-    /// of the due set is deferred; `None` is unlimited.
-    pub frame_budget: Option<u64>,
     /// Simulated seconds one run may spend inside delegated fetches
     /// before the rest of the due set is deferred; `None` is
     /// unlimited. This is the budget a slow-serving authority burns.
@@ -93,7 +90,6 @@ impl Default for SchedulePlan {
             max_refresh: 86_400,
             jitter: 600,
             seed: 0x5c4e_d01e,
-            frame_budget: None,
             time_budget: None,
             failure_threshold: 3,
             backoff_base: 600,
@@ -114,7 +110,6 @@ impl SchedulePlan {
             max_refresh: 0,
             jitter: 0,
             seed: 0,
-            frame_budget: None,
             time_budget: None,
             failure_threshold: u32::MAX,
             backoff_base: 0,
@@ -137,15 +132,6 @@ impl SchedulePlan {
         write!(fnv, "{dir}").expect("hashing never fails");
         splitmix64(self.seed ^ fnv.0) % self.jitter
     }
-}
-
-/// SplitMix64's finalizer: one deterministic, well-mixed u64 per
-/// input.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The FNV-1a state over everything written into it.
@@ -359,14 +345,8 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
         ScheduledSource { inner, state, plan }
     }
 
-    /// The wrapped source.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
     fn budget_spent(&self) -> bool {
-        self.plan.frame_budget.is_some_and(|b| self.state.run.frames_used >= b)
-            || self.plan.time_budget.is_some_and(|b| self.state.run.time_used >= b)
+        self.plan.time_budget.is_some_and(|b| self.state.run.time_used >= b)
     }
 
     /// Whether `dir` owes a wire contact right now, and what its entry
@@ -641,6 +621,8 @@ mod tests {
         /// The GET reply carrying `b.roa` is lost.
         lossy: bool,
         version: u8,
+        /// Simulated seconds one `load_dir` takes.
+        load_secs: u64,
         frames: u64,
         loads: u64,
         probes: u64,
@@ -648,7 +630,16 @@ mod tests {
 
     impl FakeSource {
         fn new(now: u64) -> Self {
-            FakeSource { now, up: true, lossy: false, version: 1, frames: 0, loads: 0, probes: 0 }
+            FakeSource {
+                now,
+                up: true,
+                lossy: false,
+                version: 1,
+                load_secs: 0,
+                frames: 0,
+                loads: 0,
+                probes: 0,
+            }
         }
 
         fn outcome(&self, dir: &RepoUri) -> SyncOutcome {
@@ -669,6 +660,7 @@ mod tests {
         fn load_dir(&mut self, dir: &RepoUri) -> SyncOutcome {
             self.loads += 1;
             self.frames += 4;
+            self.now += self.load_secs;
             if self.up {
                 self.outcome(dir)
             } else {
@@ -822,14 +814,15 @@ mod tests {
     }
 
     #[test]
-    fn frame_budget_defers_and_first_contact_overrides() {
+    fn time_budget_defers_and_first_contact_overrides() {
         let mut state = SchedulerState::new();
         let mut inner = FakeSource::new(0);
-        let p = SchedulePlan { frame_budget: Some(4), ..plan() };
+        inner.load_secs = 4;
+        let p = SchedulePlan { time_budget: Some(4), ..plan() };
         {
             let mut src = ScheduledSource::new(&mut inner, &mut state, p);
             // First contact always fetches, even with the budget gone
-            // after the first load (4 frames ≥ budget 4).
+            // after the first load (4 s ≥ budget 4).
             assert!(src.load_dir(&dir(0)).is_complete());
             assert!(src.load_dir(&dir(1)).is_complete(), "no snapshot yet: must fetch");
         }
