@@ -15,7 +15,7 @@ use rpki_attacks::{damage_between, plan_whack, probes_for, CaView, Monitor, Moni
 use rpki_ca::CertAuthority;
 use rpki_objects::{Moment, RepoUri, RoaPrefix, Span, TrustAnchorLocator};
 use rpki_repo::RepoRegistry;
-use rpki_risk_bench::{emit_json, Table};
+use rpki_risk_bench::{emit_json, SummaryTable};
 use rpki_rp::{DirectSource, ValidationConfig, Validator};
 use serde::Serialize;
 
@@ -147,7 +147,7 @@ fn main() {
         });
     }
 
-    let mut table = Table::new(&[
+    let mut table = SummaryTable::new(&[
         "target depth below manipulator",
         "suspicious reissues",
         "monitor flags",
@@ -230,8 +230,11 @@ fn main() {
         twist_rows.push((depth, strict_dead, strict_coll, trim_dead, trim_coll));
     }
 
-    let mut twist =
-        Table::new(&["depth", "naive carve under RFC 6487 (strict)", "…under RFC 8360 (trim)"]);
+    let mut twist = SummaryTable::new(&[
+        "depth",
+        "naive carve under RFC 6487 (strict)",
+        "…under RFC 8360 (trim)",
+    ]);
     for (depth, sd, sc, td, tc) in &twist_rows {
         twist.row(&[
             (depth + 1).to_string(),

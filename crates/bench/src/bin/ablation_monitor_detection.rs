@@ -13,7 +13,7 @@ use rpki_attacks::{plan_whack, Monitor, MonitorSnapshot};
 use rpki_objects::{Moment, RoaPrefix};
 use rpki_risk::fixtures::asn;
 use rpki_risk::ModelRpki;
-use rpki_risk_bench::{emit_json, scale_arg, Table};
+use rpki_risk_bench::{emit_json, scale_arg, SummaryTable};
 use serde::Serialize;
 
 #[derive(Serialize, Default)]
@@ -105,7 +105,7 @@ fn main() {
         }
     }
 
-    let mut table = Table::new(&["metric", "count"]);
+    let mut table = SummaryTable::new(&["metric", "count"]);
     table.row(&["rounds".to_owned(), conf.rounds.to_string()]);
     table.row(&["attack rounds".to_owned(), conf.attack_rounds.to_string()]);
     table.row(&["true positives".to_owned(), conf.true_positives.to_string()]);

@@ -15,7 +15,7 @@ use rpki_attacks::plan_whack;
 use rpki_objects::{Moment, Span};
 use rpki_risk::fixtures::asn;
 use rpki_risk::{ModelRpki, SuspendersConfig, SuspendersState, ValidationOptions};
-use rpki_risk_bench::{emit_json, Table};
+use rpki_risk_bench::{emit_json, SummaryTable};
 use rpki_rp::{Route, RouteValidity};
 use serde::Serialize;
 
@@ -110,7 +110,7 @@ fn main() {
         assert!(events.iter().any(|e| matches!(e, rpki_risk::SuspendersEvent::Recovered(_))));
     }
 
-    let mut table = Table::new(&["incident", "bare RP sees", "Suspenders RP sees"]);
+    let mut table = SummaryTable::new(&["incident", "bare RP sees", "Suspenders RP sees"]);
     for r in &rows {
         table.row(&[r.incident, r.bare_rp, r.suspenders_rp]);
     }

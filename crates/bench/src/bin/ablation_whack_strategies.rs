@@ -16,7 +16,7 @@ use rpki_attacks::{damage_between, plan_whack, probes_for, CaView};
 use rpki_objects::Moment;
 use rpki_risk::fixtures::asn;
 use rpki_risk::ModelRpki;
-use rpki_risk_bench::{emit_json, Table};
+use rpki_risk_bench::{emit_json, SummaryTable};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -136,7 +136,7 @@ fn main() {
         });
     }
 
-    let mut table = Table::new(&[
+    let mut table = SummaryTable::new(&[
         "strategy",
         "target",
         "collateral routes degraded",

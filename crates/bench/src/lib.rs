@@ -15,51 +15,19 @@
 //! carry a value that parses, or the binary names it, prints the usage
 //! and exits non-zero.
 //!
-//! Rendering goes through the `rpki-obs` summary pipeline: [`Table`]
-//! is a thin wrapper over [`SummaryTable`], and the richer binaries
-//! build a full [`Summary`] document. With `--trace PATH` (or the
-//! `BENCH_TRACE` environment variable) a binary that supports tracing
-//! also writes its recorder's JSONL event trace to `PATH`.
+//! Rendering goes through the `rpki-obs` summary pipeline: a titled
+//! [`SummaryTable`] prints itself, and the richer binaries build a full
+//! [`Summary`] document. With `--trace PATH` (or the `BENCH_TRACE`
+//! environment variable) a binary that supports tracing also writes its
+//! recorder's JSONL event trace to `PATH`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt::Display;
 use std::str::FromStr;
 use std::time::Instant;
 
 pub use rpki_obs::{Recorder, Summary, SummaryTable};
-
-/// A minimal fixed-width table printer — a wrapper over
-/// [`SummaryTable`] keeping the historical `print(title)` shape.
-#[derive(Debug, Default)]
-pub struct Table {
-    inner: SummaryTable,
-}
-
-impl Table {
-    /// A table with the given column headers.
-    pub fn new<S: Display>(header: &[S]) -> Self {
-        Table { inner: SummaryTable::new(header) }
-    }
-
-    /// Appends a row (must match the header width).
-    pub fn row<S: Display>(&mut self, cells: &[S]) -> &mut Self {
-        self.inner.row(cells);
-        self
-    }
-
-    /// Renders the table.
-    pub fn render(&self) -> String {
-        self.inner.render()
-    }
-
-    /// Prints the table to stdout with a title.
-    pub fn print(&self, title: &str) {
-        println!("\n== {title} ==\n");
-        print!("{}", self.render());
-    }
-}
 
 /// The flags the harness binaries read; each reads only those its
 /// header documents.
@@ -381,31 +349,5 @@ pub fn json_requested() -> bool {
 pub fn emit_json<T: serde::Serialize>(label: &str, value: &T) {
     if json_requested() {
         eprintln!("{}", serde_json::json!({ "experiment": label, "data": value }));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new(&["name", "n"]);
-        t.row(&["alpha", "1"]);
-        t.row(&["b", "22"]);
-        let s = t.render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("name"));
-        assert!(lines[1].chars().all(|c| c == '-'));
-        assert!(lines[2].starts_with("alpha  1"));
-        assert!(lines[3].starts_with("b      22"));
-    }
-
-    #[test]
-    #[should_panic(expected = "row width mismatch")]
-    fn row_width_checked() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(&["only one"]);
     }
 }

@@ -104,11 +104,6 @@ fn emit_json<T: serde::Serialize>(args: &[String], label: &str, value: &T) {
     }
 }
 
-fn print_table(title: &str, table: &SummaryTable) {
-    println!("\n== {title} ==\n");
-    print!("{}", table.render());
-}
-
 /// Ends a subcommand: prints `claim` when every check holds; otherwise
 /// names each broken one on stderr and fails.
 fn shape<S: AsRef<str>>(claim: &str, checks: &[(bool, S)]) -> ExitCode {
@@ -149,7 +144,7 @@ pub fn dependency_loop(args: &[String]) -> ExitCode {
             out.vrps.len().to_string(),
         ]);
     }
-    print_table("Fixed points under drop-invalid", &table);
+    table.print("Fixed points under drop-invalid");
     println!("\nUnreachable at the degraded fixed point: {:?}", trapped.unreachable_repos);
 
     emit_json(args, "loop", &serde_json::json!({ "healthy": healthy, "trapped": trapped }));
@@ -186,12 +181,12 @@ pub fn demo(args: &[String]) -> ExitCode {
     for ca in &run.cas {
         cas.row(&[ca.handle.clone(), ca.depth.to_string(), ca.resources.join(", ")]);
     }
-    print_table("Validated hierarchy", &cas);
+    cas.print("Validated hierarchy");
     let mut vrps = SummaryTable::new(&["VRP", "origin"]);
     for v in &run.vrps {
         vrps.row(&[format!("{}-{}", v.prefix, v.max_len), v.asn.to_string()]);
     }
-    print_table("Validated ROA payloads", &vrps);
+    vrps.print("Validated ROA payloads");
     println!(
         "\nvalidation: {} CAs, {} VRPs, {} diagnostics",
         run.cas.len(),
@@ -336,7 +331,7 @@ pub fn whack(args: &[String]) -> ExitCode {
         let clean = r.clean.map_or("(dry run)".to_owned(), |c| c.to_string());
         summary.row(&[r.attack.to_owned(), r.carved.clone(), r.reissued.to_string(), clean]);
     }
-    print_table("Summary", &summary);
+    summary.print("Summary");
 
     if dry_run {
         println!("\n(dry run; nothing executed)");
@@ -384,7 +379,7 @@ pub fn audit(args: &[String]) -> ExitCode {
             row.foreign_countries.join(","),
         ]);
     }
-    print_table("Anchor rows (the paper's Table 4)", &table);
+    table.print("Anchor rows (the paper's Table 4)");
 
     // The aggregate claim: "cross-country certification is not
     // uncommon".
@@ -402,7 +397,7 @@ pub fn audit(args: &[String]) -> ExitCode {
         "fraction crossing borders".to_owned(),
         format!("{:.1}%", 100.0 * report.rcs_crossing_borders as f64 / report.rcs_examined as f64),
     ]);
-    print_table("Aggregates", &agg);
+    agg.print("Aggregates");
 
     // Section 3.2's per-registry claim: "ARIN can whack ROAs for Europe
     // and the Middle East; RIPE can whack ROAs in Asia and the
@@ -417,7 +412,7 @@ pub fn audit(args: &[String]) -> ExitCode {
             r.whackable_foreign_countries.join(","),
         ]);
     }
-    print_table("Whacking reach across legal borders, per RIR", &reach_table);
+    reach_table.print("Whacking reach across legal borders, per RIR");
 
     emit_json(args, "audit", &report.rows);
     let arin_reaches_ripe = reach.iter().any(|r| {
@@ -469,7 +464,7 @@ pub fn grid(args: &[String]) -> ExitCode {
         cells.extend(band.states.iter().map(|(_, s)| s.to_string()));
         table.row(&cells);
     }
-    print_table(title, &table);
+    table.print(title);
 
     emit_json(args, "grid", &bands);
     // The paper's headline deltas, whichever panel was printed.
@@ -622,7 +617,7 @@ pub fn se5(args: &[String]) -> ExitCode {
             newly_valid: impact.newly_valid.len(),
         });
     }
-    print_table("Blast radius of one covering ROA vs leaf adoption", &table);
+    table.print("Blast radius of one covering ROA vs leaf adoption");
 
     emit_json(args, "se5", &sweep);
     // With no leaf adoption every covered customer route flips invalid;
@@ -698,7 +693,7 @@ pub fn se6(args: &[String]) -> ExitCode {
         "share of losses that are DANGEROUS (invalid)".to_owned(),
         format!("{:.1}%", 100.0 * to_invalid as f64 / (to_invalid + to_unknown).max(1) as f64),
     ]);
-    print_table("Side Effect 6 exposure", &table);
+    table.print("Side Effect 6 exposure");
 
     emit_json(args, "se6", &impact);
     // With covering aggregates deployed, most single-ROA losses are the

@@ -74,6 +74,12 @@ impl SummaryTable {
         }
         out
     }
+
+    /// Prints the table to stdout under a `== title ==` heading.
+    pub fn print(&self, title: &str) {
+        println!("\n== {title} ==\n");
+        print!("{}", self.render());
+    }
 }
 
 #[derive(Debug, Clone)]

@@ -9,11 +9,11 @@
 //! [`Validator::run_incremental`] replays cached results for unchanged
 //! subtrees while re-walking only what changed.
 //!
-//! The cache enters the walk at three of its per-publication-point
-//! stages: `admit` decides replay or re-walk, `settle` memoises a
-//! re-walk, and `close` takes the VRP delta. Nothing else reads or
-//! writes an entry, and a cold walk ([`Validator::run`]) hands `admit`
-//! no state and reaches neither of the other two.
+//! The cache enters the walk in two places: `visit` decides replay or
+//! re-walk for one publication point and memoises a re-walk, and
+//! `close` takes the VRP delta once the run is finished. Nothing else
+//! reads or writes an entry, and a cold walk ([`Validator::run`])
+//! reaches neither.
 //!
 //! # Cache key and invalidation
 //!
@@ -38,8 +38,9 @@
 //! - the **ancestor key set**, only through loop detection: an entry
 //!   records every certificate subject key seen in the directory and is
 //!   replayed only for chains whose ancestor set is disjoint from it.
-//!   Walks that actually hit a [`Issue::CertificateLoop`] are never
-//!   cached.
+//!   Walks that actually hit a
+//!   [`Issue::CertificateLoop`](crate::Issue::CertificateLoop) are
+//!   never cached.
 //!
 //! All signature checks are deterministic functions of the bytes (the
 //! crypto-sim's `key_id` pins the registry secret), so equal inputs
@@ -76,8 +77,8 @@ use serde::Serialize;
 
 use crate::source::ObjectSource;
 use crate::validation::{
-    Diagnostic, IncompletePolicy, Issue, Job, Marks, OverclaimPolicy, RejectedCa, Sinks,
-    ValidatedCa, ValidationRun, Validator, VrpRecord, WorkItem,
+    Diagnostic, IncompletePolicy, OverclaimPolicy, RejectedCa, ValidatedCa, ValidationRun,
+    Validator, VrpRecord, WorkItem,
 };
 use crate::vrp::Vrp;
 
@@ -103,13 +104,13 @@ pub(crate) struct ProcessObservations {
     now: u64,
     lo: u64,
     hi: u64,
-    pub(crate) child_keys: BTreeSet<KeyId>,
-    pub(crate) loop_seen: bool,
+    child_keys: BTreeSet<KeyId>,
+    loop_seen: bool,
 }
 
 impl ProcessObservations {
     /// A collector for a walk validating at time `now`.
-    pub(crate) fn at(now: u64) -> Self {
+    fn at(now: u64) -> Self {
         ProcessObservations {
             now,
             lo: 0,
@@ -146,15 +147,16 @@ impl ProcessObservations {
         self.child_keys.insert(key);
     }
 
-    /// A [`Issue::CertificateLoop`] fired: the result depends on the
-    /// chain's ancestry, so it must not be memoized.
+    /// A [`Issue::CertificateLoop`](crate::Issue::CertificateLoop)
+    /// fired: the result depends on the chain's ancestry, so it must not
+    /// be memoized.
     pub(crate) fn saw_loop(&mut self) {
         self.loop_seen = true;
     }
 
     /// The half-open `[lo, hi)` window of validation times over which
     /// every observed comparison keeps its outcome.
-    pub(crate) fn window(&self) -> (u64, u64) {
+    fn window(&self) -> (u64, u64) {
         (self.lo, self.hi)
     }
 }
@@ -348,14 +350,8 @@ impl ValidationState {
         self.stats = RevalidationStats::default();
     }
 
-    /// Begins a run: the counters restart, the cache and the previous
-    /// VRP set stay.
-    pub(crate) fn open(&mut self) {
-        self.stats = RevalidationStats::default();
-    }
-
-    /// Stage 5 of the walk: records the finished `run`'s VRP delta
-    /// against the previous run and keeps its VRP set for the next.
+    /// Records the finished `run`'s VRP delta against the previous run
+    /// and keeps its VRP set for the next.
     pub(crate) fn close(&mut self, run: &ValidationRun) {
         let prev = self.last_vrps.take().unwrap_or_default();
         let delta = VrpDelta::between(&prev, &run.vrps);
@@ -366,19 +362,34 @@ impl ValidationState {
     }
 }
 
-/// The memo half of a [`Job`] on the cache-miss path: the key `admit`
-/// computed the miss under, and the observations `process` fills in.
-/// `settle` turns both, plus what the point appended to its sinks, into
-/// the next [`CacheEntry`].
-pub(crate) struct Memo {
-    key: KeyId,
-    cert_digest: Digest,
-    effective: Arc<ResourceSet>,
-    depth: usize,
-    dir: String,
-    /// `None` for an unlisted directory, which has no content to key on.
-    dir_digest: Option<Digest>,
-    pub(crate) obs: ProcessObservations,
+/// The run's and the queue's lengths before a publication point wrote
+/// to them, so `visit` can memoise exactly what that point appended.
+/// Freshness is absent on purpose: it is live per round, never
+/// memoised.
+struct Marks {
+    cas: usize,
+    diagnostics: usize,
+    accepted_roas: usize,
+    vrps: usize,
+    vrp_records: usize,
+    revocations: usize,
+    rejected_cas: usize,
+    queue: usize,
+}
+
+impl Marks {
+    fn of(run: &ValidationRun, queue: &[WorkItem]) -> Self {
+        Marks {
+            cas: run.cas.len(),
+            diagnostics: run.diagnostics.len(),
+            accepted_roas: run.accepted_roas.len(),
+            vrps: run.vrps.len(),
+            vrp_records: run.vrp_records.len(),
+            revocations: run.revocations.len(),
+            rejected_cas: run.rejected_cas.len(),
+            queue: queue.len(),
+        }
+    }
 }
 
 impl Validator {
@@ -394,39 +405,25 @@ impl Validator {
         tals: &[TrustAnchorLocator],
         state: &mut ValidationState,
     ) -> ValidationRun {
-        self.run_sequential(source, tals, Some(state))
+        state.stats = RevalidationStats::default();
+        self.walk(source, tals, Some(state))
     }
 
-    /// Stage 2 of the walk, the I/O half of one publication point:
-    /// everything that needs the source or the cache. The depth
-    /// guard and a cache replay resolve the point here, writing straight
-    /// into `out`; otherwise the directory is fetched and the returned
-    /// [`Job`] carries it to `process`. Without a `state` every point
-    /// below the depth limit becomes a job.
-    pub(crate) fn admit(
+    /// The whole cache decision for one publication point below the
+    /// depth limit. A usable entry is replayed after a matching probe
+    /// (Probe mode) or a load whose content digest matches; otherwise
+    /// the loaded directory is processed and what it appended to `run`
+    /// and `queue` is memoised under the key just missed.
+    pub(crate) fn visit(
         &self,
         source: &mut dyn ObjectSource,
         item: WorkItem,
-        state: Option<&mut ValidationState>,
-        out: &mut Sinks<'_>,
-    ) -> Option<Job> {
+        state: &mut ValidationState,
+        run: &mut ValidationRun,
+        queue: &mut Vec<WorkItem>,
+    ) {
         let config = self.config();
         let dir = &item.cert.data().sia;
-        // Depth-exceeded items never touch the directory; diagnosing
-        // them is cheaper than caching them.
-        if item.depth >= config.max_depth {
-            if let Some(state) = state {
-                state.stats.subtrees_rewalked += 1;
-            }
-            out.run.cas.push(Validator::validated_ca(&item));
-            out.run.reject_point(&item, Issue::DepthExceeded);
-            return None;
-        }
-        let Some(state) = state else {
-            let outcome = source.load_dir(dir);
-            return Some(Job { item, outcome, memo: None });
-        };
-
         let key = item.cert.data().subject_key.id();
         let cert_digest = item.digest.unwrap_or_else(|| sha256(&item.cert.to_bytes()));
         let now = config.now.0;
@@ -448,8 +445,8 @@ impl Validator {
                 if probe.listed && probe.content_digest() == Some(entry.dir_digest) {
                     state.stats.probe_hits += 1;
                     state.stats.subtrees_reused += 1;
-                    Self::replay(entry, Freshness::Fresh, &item, out);
-                    return None;
+                    Self::replay(entry, Freshness::Fresh, &item, run, queue);
+                    return;
                 }
             }
         }
@@ -458,21 +455,49 @@ impl Validator {
         let dir_digest = outcome.content_digest();
         if let Some(entry) = usable.filter(|e| dir_digest == Some(e.dir_digest)) {
             state.stats.subtrees_reused += 1;
-            Self::replay(entry, outcome.freshness, &item, out);
-            return None;
+            Self::replay(entry, outcome.freshness, &item, run, queue);
+            return;
         }
 
         state.stats.subtrees_rewalked += 1;
-        let memo = Memo {
-            key,
-            cert_digest,
-            effective: item.effective.clone(),
-            depth: item.depth,
-            dir: dir.to_string(),
-            dir_digest,
-            obs: ProcessObservations::at(now),
+        let (dir, effective, depth) = (dir.to_string(), item.effective.clone(), item.depth);
+        let marks = Marks::of(run, queue);
+        let mut obs = ProcessObservations::at(now);
+        self.process(item, outcome, run, queue, Some(&mut obs));
+        // Unlisted directories have no content digest to key on, and
+        // walks that hit a certificate loop depend on this particular
+        // chain's ancestry: neither is memoized.
+        let (Some(dir_digest), false) = (dir_digest, obs.loop_seen) else {
+            state.entries.remove(&key);
+            return;
         };
-        Some(Job { item, outcome, memo: Some(memo) })
+        let entry = CacheEntry {
+            cert_digest,
+            effective,
+            depth,
+            incomplete: config.incomplete,
+            overclaim: config.overclaim,
+            max_depth: config.max_depth,
+            dir,
+            dir_digest,
+            window: obs.window(),
+            child_keys: obs.child_keys,
+            ca: run.cas[marks.cas].clone(),
+            diagnostics: run.diagnostics[marks.diagnostics..].to_vec(),
+            accepted_roas: run.accepted_roas[marks.accepted_roas..].to_vec(),
+            vrps: run.vrps[marks.vrps..].to_vec(),
+            vrp_records: run.vrp_records[marks.vrp_records..].to_vec(),
+            revocations: run.revocations[marks.revocations..].to_vec(),
+            rejected_cas: run.rejected_cas[marks.rejected_cas..].to_vec(),
+            children: queue[marks.queue..]
+                .iter()
+                .map(|w| {
+                    let digest = w.digest.unwrap_or_else(|| sha256(&w.cert.to_bytes()));
+                    (w.cert.clone(), w.effective.clone(), digest)
+                })
+                .collect(),
+        };
+        state.entries.insert(key, entry);
     }
 
     /// Replays a memoized walk: pushes the stored outputs in their
@@ -480,8 +505,13 @@ impl Validator {
     /// walk queued them, so the overall traversal — and therefore every
     /// order-sensitive output vector — is identical. Freshness is live:
     /// it reports how *this* round obtained (or confirmed) the data.
-    fn replay(entry: &CacheEntry, freshness: Freshness, item: &WorkItem, out: &mut Sinks<'_>) {
-        let run = &mut *out.run;
+    fn replay(
+        entry: &CacheEntry,
+        freshness: Freshness,
+        item: &WorkItem,
+        run: &mut ValidationRun,
+        queue: &mut Vec<WorkItem>,
+    ) {
         run.cas.push(entry.ca.clone());
         run.freshness.push((entry.dir.clone(), freshness));
         run.diagnostics.extend(entry.diagnostics.iter().cloned());
@@ -495,7 +525,7 @@ impl Validator {
         }
         let ancestors = item.ancestors.below(entry.ca.key);
         for (cert, effective, digest) in &entry.children {
-            out.queue.push(WorkItem {
+            queue.push(WorkItem {
                 cert: cert.clone(),
                 effective: effective.clone(),
                 depth: entry.depth + 1,
@@ -503,54 +533,6 @@ impl Validator {
                 digest: Some(*digest),
             });
         }
-    }
-
-    /// Stage 4 of the walk: memoises the point `process` just walked
-    /// from what it appended to `out` past `marks`, under the key
-    /// `admit` missed on.
-    pub(crate) fn settle(
-        &self,
-        state: &mut ValidationState,
-        memo: Memo,
-        out: &Sinks<'_>,
-        marks: Marks,
-    ) {
-        // Unlisted directories have no content digest to key on, and
-        // walks that hit a certificate loop depend on this particular
-        // chain's ancestry: neither is memoized.
-        let (Some(dir_digest), false) = (memo.dir_digest, memo.obs.loop_seen) else {
-            state.entries.remove(&memo.key);
-            return;
-        };
-        let config = self.config();
-        let run = &*out.run;
-        let entry = CacheEntry {
-            cert_digest: memo.cert_digest,
-            effective: memo.effective,
-            depth: memo.depth,
-            incomplete: config.incomplete,
-            overclaim: config.overclaim,
-            max_depth: config.max_depth,
-            dir: memo.dir,
-            dir_digest,
-            window: memo.obs.window(),
-            child_keys: memo.obs.child_keys,
-            ca: run.cas[marks.cas].clone(),
-            diagnostics: run.diagnostics[marks.diagnostics..].to_vec(),
-            accepted_roas: run.accepted_roas[marks.accepted_roas..].to_vec(),
-            vrps: run.vrps[marks.vrps..].to_vec(),
-            vrp_records: run.vrp_records[marks.vrp_records..].to_vec(),
-            revocations: run.revocations[marks.revocations..].to_vec(),
-            rejected_cas: run.rejected_cas[marks.rejected_cas..].to_vec(),
-            children: out.queue[marks.queue..]
-                .iter()
-                .map(|w| {
-                    let digest = w.digest.unwrap_or_else(|| sha256(&w.cert.to_bytes()));
-                    (w.cert.clone(), w.effective.clone(), digest)
-                })
-                .collect(),
-        };
-        state.entries.insert(memo.key, entry);
     }
 }
 

@@ -373,11 +373,18 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
         if !entry.listed {
             return SyncOutcome::unreachable(dir.clone());
         }
-        let age = now.saturating_sub(entry.last_success);
-        self.state.run.max_served_age = self.state.run.max_served_age.max(age);
+        let last_success = entry.last_success;
         let mut out = SyncOutcome::fresh(dir.clone(), entry.files.clone());
         out.content = entry.marker;
+        self.book_served_age(last_success, now);
         out
+    }
+
+    /// Books the age of data served from schedule state instead of the
+    /// wire into [`RunStats::max_served_age`].
+    fn book_served_age(&mut self, last_success: u64, now: u64) {
+        let age = now.saturating_sub(last_success);
+        self.state.run.max_served_age = self.state.run.max_served_age.max(age);
     }
 
     /// Charges one delegated exchange against the run budget.
@@ -563,8 +570,7 @@ impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
                 if !entry.listed {
                     return None;
                 }
-                let age = now.saturating_sub(entry.at);
-                self.state.run.max_served_age = self.state.run.max_served_age.max(age);
+                self.book_served_age(entry.at, now);
                 // Booked like `load_dir` books it: a host skipped
                 // because it is failing is not a point that was fresh.
                 if matches!(skipped, DueState::BackedOff) {
@@ -579,10 +585,11 @@ impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
             DueState::Due => {}
         }
         let marker = seen.and_then(|e| e.marker);
-        if self.budget_spent() && seen.is_some_and(|e| e.listed) && marker.is_some() {
+        if let Some(entry) = seen.filter(|e| e.listed && marker.is_some() && self.budget_spent()) {
             self.state.run.due += 1;
             self.state.stats.due += 1;
             self.note_deferred(dir, now);
+            self.book_served_age(entry.at, now);
             return Some(DirProbe { dir: dir.clone(), listed: true, digest: marker });
         }
         let frames_before = self.inner.wire_frames();
@@ -840,6 +847,31 @@ mod tests {
         assert_eq!(inner.loads, 3, "the second point was deferred, not fetched");
         assert_eq!(state.stats().deferred, 1);
         assert!(state.last_run().max_served_age > 0);
+    }
+
+    #[test]
+    fn a_budget_deferred_probe_books_its_served_age() {
+        let mut state = SchedulerState::new();
+        let mut inner = FakeSource::new(0);
+        inner.load_secs = 4;
+        let p = SchedulePlan { time_budget: Some(4), ..plan() };
+        {
+            let mut src = ScheduledSource::new(&mut inner, &mut state, p);
+            assert!(src.load_dir(&dir(0)).is_complete());
+            assert!(src.load_dir(&dir(1)).is_complete());
+        }
+        // Next run: both due, and the first load spends the budget, so
+        // the probe of the second is answered from its marker.
+        inner.now = 10_000;
+        {
+            let mut src = ScheduledSource::new(&mut inner, &mut state, p);
+            assert!(src.load_dir(&dir(0)).is_complete());
+            let probe = src.probe_dir(&dir(1)).expect("a deferred probe answers");
+            assert!(probe.listed && probe.digest.is_some());
+        }
+        assert_eq!(inner.probes, 0, "the deferred probe stayed off the wire");
+        assert_eq!(state.last_run().deferred, 1);
+        assert!(state.last_run().max_served_age > 0, "{:?}", state.last_run());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The validator doesn't care *how* bytes arrive — only which bytes do.
 //! [`ObjectSource`] captures that: given a publication-point directory,
-//! return whatever a sync produced. Three implementations:
+//! return whatever a sync produced. Five implementations:
 //!
 //! - [`NetworkSource`] — real simulated retrieval over `netsim`,
 //!   subject to partitions, loss, corruption, and the BGP reachability
@@ -10,9 +10,14 @@
 //!   a [`SyncPolicy`].
 //! - [`DirectSource`] — reads repository state directly (a "perfect
 //!   network"), isolating validation logic from transport effects.
+//! - [`RrdpSource`](crate::RrdpSource) — RRDP-preferring retrieval over
+//!   `netsim`, with rsync fallback (see [`crate::rrdp`]).
 //! - [`ResilientSource`] — wraps any other source with last-good
 //!   snapshot fallback and per-repository circuit breaking (see
 //!   [`crate::resilience`]).
+//! - [`ScheduledSource`](crate::ScheduledSource) — wraps any other
+//!   source and lets only due publication points reach it (see
+//!   [`crate::scheduler`]).
 
 use std::collections::BTreeMap;
 
@@ -57,9 +62,11 @@ pub trait ObjectSource {
     }
 
     /// Cumulative frames this source's network has sent, if it has
-    /// one. The fetch scheduler charges per-directory deltas of this
-    /// counter against its frame budget; sources without a network
-    /// (e.g. [`DirectSource`]) report `None` and are never budgeted.
+    /// one. The fetch scheduler books per-directory deltas of this
+    /// counter as [`RunStats::frames_used`](crate::RunStats::frames_used)
+    /// (the schedule-gaming campaign's per-round `frames_used`); sources
+    /// without a network (e.g. [`DirectSource`]) report `None` and book
+    /// nothing.
     fn wire_frames(&self) -> Option<u64> {
         None
     }

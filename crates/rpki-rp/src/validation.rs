@@ -21,12 +21,10 @@
 //! Every rejection is recorded as a [`Diagnostic`] — experiments assert
 //! on these, and the `rpki-attacks` monitor consumes them.
 //!
-//! The walk is five stages per publication point — `seed`, `admit`,
-//! `process`, `settle`, `close` — each writing into the sinks its
-//! caller lends it. One depth-first driver calls them, behind two entry
-//! points: [`Validator::run`], which walks cold and so never reaches
-//! the cache's stages `settle` and `close`, and
-//! [`Validator::run_incremental`].
+//! The walk is one depth-first loop behind two entry points:
+//! [`Validator::run`], which loads and processes every point, and
+//! [`Validator::run_incremental`], which lets the memo cache decide each
+//! point in one place, `visit`.
 
 use std::sync::Arc;
 
@@ -37,7 +35,7 @@ use rpki_repo::{Freshness, SyncOutcome};
 use rpkisim_crypto::{sha256, Digest, KeyId};
 use serde::Serialize;
 
-use crate::incremental::{Memo, ProcessObservations, ValidationState};
+use crate::incremental::{ProcessObservations, ValidationState};
 use crate::source::ObjectSource;
 use crate::vrp::{Vrp, VrpCache};
 
@@ -325,7 +323,7 @@ impl ValidationRun {
 
     /// Drops `item`'s whole publication point for `issue`: the
     /// diagnostic, and the resources it spoke for as a [`RejectedCa`].
-    pub(crate) fn reject_point(&mut self, item: &WorkItem, issue: Issue) {
+    fn reject_point(&mut self, item: &WorkItem, issue: Issue) {
         let ca = item.cert.data().subject.clone();
         let dir = item.cert.data().sia.to_string();
         self.diagnostics.push(Diagnostic { ca: ca.clone(), dir: dir.clone(), issue });
@@ -433,53 +431,6 @@ impl Ancestors {
     }
 }
 
-/// Where a walk stage writes: the run it appends to and the queue its
-/// child CAs go onto. The driver lends the run and its LIFO queue
-/// themselves.
-pub(crate) struct Sinks<'a> {
-    pub(crate) run: &'a mut ValidationRun,
-    pub(crate) queue: &'a mut Vec<WorkItem>,
-}
-
-/// The sinks' lengths before a publication point wrote to them, so
-/// `settle` can memoise exactly what that point appended. Freshness is
-/// absent on purpose: it is live per round, never memoised.
-pub(crate) struct Marks {
-    pub(crate) cas: usize,
-    pub(crate) diagnostics: usize,
-    pub(crate) accepted_roas: usize,
-    pub(crate) vrps: usize,
-    pub(crate) vrp_records: usize,
-    pub(crate) revocations: usize,
-    pub(crate) rejected_cas: usize,
-    pub(crate) queue: usize,
-}
-
-impl Sinks<'_> {
-    fn marks(&self) -> Marks {
-        Marks {
-            cas: self.run.cas.len(),
-            diagnostics: self.run.diagnostics.len(),
-            accepted_roas: self.run.accepted_roas.len(),
-            vrps: self.run.vrps.len(),
-            vrp_records: self.run.vrp_records.len(),
-            revocations: self.run.revocations.len(),
-            rejected_cas: self.run.rejected_cas.len(),
-            queue: self.queue.len(),
-        }
-    }
-}
-
-/// A publication point `admit` could not resolve on its own: the
-/// directory is fetched, the CPU work is still to do.
-pub(crate) struct Job {
-    pub(crate) item: WorkItem,
-    pub(crate) outcome: SyncOutcome,
-    /// Present when the result is to be memoised (a cache miss of an
-    /// incremental walk).
-    pub(crate) memo: Option<Memo>,
-}
-
 impl Validator {
     /// A validator with the given configuration.
     pub fn new(config: ValidationConfig) -> Self {
@@ -488,35 +439,41 @@ impl Validator {
 
     /// Runs validation from `tals` over `source`.
     pub fn run(&self, source: &mut dyn ObjectSource, tals: &[TrustAnchorLocator]) -> ValidationRun {
-        self.run_sequential(source, tals, None)
+        self.walk(source, tals, None)
     }
 
-    /// The depth-first driver behind [`Validator::run`] and
-    /// [`Validator::run_incremental`]: a LIFO queue, each publication
-    /// point taken through `admit` → `process` → `settle` with the run
-    /// and the queue themselves as the sinks, so a replayed point costs
-    /// no intermediate buffer.
-    pub(crate) fn run_sequential(
+    /// The depth-first walk behind [`Validator::run`] and
+    /// [`Validator::run_incremental`]: a LIFO queue seeded with the
+    /// trust anchors, so a point's children are visited before its
+    /// later-popped siblings. Below the depth limit a popped point is
+    /// loaded and processed, or, with a `state`, handed to `visit`.
+    /// Everything writes straight into the run and the queue, so a
+    /// replayed point costs no intermediate buffer.
+    pub(crate) fn walk(
         &self,
         source: &mut dyn ObjectSource,
         tals: &[TrustAnchorLocator],
         mut state: Option<&mut ValidationState>,
     ) -> ValidationRun {
         let mut run = ValidationRun::default();
-        let mut queue: Vec<WorkItem> = Vec::new();
-        if let Some(state) = state.as_deref_mut() {
-            state.open();
-        }
-        self.seed(source, tals, &mut Sinks { run: &mut run, queue: &mut queue });
-
+        let mut queue = self.seed(source, tals, &mut run);
         while let Some(item) = queue.pop() {
-            let mut out = Sinks { run: &mut run, queue: &mut queue };
-            let Some(job) = self.admit(source, item, state.as_deref_mut(), &mut out) else {
+            // Depth-exceeded items never touch the directory; diagnosing
+            // them is cheaper than caching them.
+            if item.depth >= self.config.max_depth {
+                if let Some(state) = state.as_deref_mut() {
+                    state.stats.subtrees_rewalked += 1;
+                }
+                run.cas.push(Self::validated_ca(&item));
+                run.reject_point(&item, Issue::DepthExceeded);
                 continue;
-            };
-            let marks = out.marks();
-            if let (Some(memo), Some(state)) = (self.process(job, &mut out), state.as_deref_mut()) {
-                self.settle(state, memo, &out, marks);
+            }
+            match state.as_deref_mut() {
+                Some(state) => self.visit(source, item, state, &mut run, &mut queue),
+                None => {
+                    let outcome = source.load_dir(&item.cert.data().sia);
+                    self.process(item, outcome, &mut run, &mut queue, None);
+                }
             }
         }
 
@@ -564,19 +521,20 @@ impl Validator {
         }
     }
 
-    /// Stage 1 of the walk: fetches every trust anchor, queueing the
-    /// accepted ones in TAL order and diagnosing the rest.
+    /// Fetches every trust anchor and returns the walk's first queue:
+    /// the accepted ones in TAL order. The rest are diagnosed.
     fn seed(
         &self,
         source: &mut dyn ObjectSource,
         tals: &[TrustAnchorLocator],
-        out: &mut Sinks<'_>,
-    ) {
+        run: &mut ValidationRun,
+    ) -> Vec<WorkItem> {
+        let mut queue = Vec::new();
         for tal in tals {
             match self.fetch_ta(source, tal) {
                 Some(cert) => {
                     let effective = Arc::new(cert.data().resources.clone());
-                    out.queue.push(WorkItem {
+                    queue.push(WorkItem {
                         cert: Arc::new(cert),
                         effective,
                         depth: 0,
@@ -584,13 +542,14 @@ impl Validator {
                         digest: None,
                     })
                 }
-                None => out.run.diagnostics.push(Diagnostic {
+                None => run.diagnostics.push(Diagnostic {
                     ca: "(trust anchor)".to_owned(),
                     dir: tal.uri.to_string(),
                     issue: Issue::TalRejected,
                 }),
             }
         }
+        queue
     }
 
     fn fetch_ta(
@@ -617,7 +576,7 @@ impl Validator {
 
     /// Describes `item`'s CA as the [`ValidatedCa`] entry that
     /// processing it pushes first.
-    pub(crate) fn validated_ca(item: &WorkItem) -> ValidatedCa {
+    fn validated_ca(item: &WorkItem) -> ValidatedCa {
         ValidatedCa {
             handle: item.cert.data().subject.clone(),
             key: item.cert.data().subject_key.id(),
@@ -626,23 +585,12 @@ impl Validator {
         }
     }
 
-    /// Stage 3 of the walk, pure CPU: appends one fetched publication
-    /// point's [`ValidatedCa`] entry and everything its directory
-    /// yields to `out`. A job that carries a [`Memo`] gets it back
-    /// holding the facts the cache needs to judge how long the result
-    /// stays valid.
-    fn process(&self, job: Job, out: &mut Sinks<'_>) -> Option<Memo> {
-        let Job { item, outcome, mut memo } = job;
-        out.run.cas.push(Self::validated_ca(&item));
-        let obs = memo.as_mut().map(|m| &mut m.obs);
-        self.process_pubpoint(item, outcome, out.run, out.queue, obs);
-        memo
-    }
-
     /// Processes one publication point against an already fetched sync
-    /// outcome: freshness, manifest, CRL, objects. `obs`, when present,
-    /// collects what the result depends on beyond the bytes.
-    fn process_pubpoint(
+    /// outcome, pure CPU: the point's [`ValidatedCa`] entry, freshness,
+    /// manifest, CRL, objects, and its children onto `queue`. `obs`,
+    /// when present, collects what the result depends on beyond the
+    /// bytes.
+    pub(crate) fn process(
         &self,
         item: WorkItem,
         outcome: SyncOutcome,
@@ -650,6 +598,7 @@ impl Validator {
         queue: &mut Vec<WorkItem>,
         mut obs: Option<&mut ProcessObservations>,
     ) {
+        run.cas.push(Self::validated_ca(&item));
         let cert = &item.cert;
         let handle = cert.data().subject.clone();
         let dir = cert.data().sia.clone();
