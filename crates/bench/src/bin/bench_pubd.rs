@@ -149,7 +149,7 @@ fn main() {
                     poll(&mut w, Moment(3), &mut lag_rrdp, &mut lag_val);
                     poll(&mut w, Moment(4), &mut stale_rrdp, &mut stale_val);
                     let repo = w.repos.by_host("rpki.bench.example").expect("bench host");
-                    repo.reset_pubd_served();
+                    repo.reset_served_load();
                     // Churn-phase baseline: everything before this line
                     // (world build, policy switch, warm-up) is setup.
                     let work0 = repo.pubd_work_total();

@@ -80,16 +80,11 @@ pub enum FaultKind {
     /// The repository host is down entirely.
     Takedown,
     /// Stalloris: the repository serves, but `extra` seconds late.
+    /// Under a client's per-attempt deadline nothing fails, but a
+    /// budgeted scheduler's time budget burns and the points behind it
+    /// starve (the schedule-gaming campaign).
     Stall {
         /// Added one-way delay on repository→RP frames.
-        extra: u64,
-    },
-    /// Schedule gaming ([`Repository::set_serve_delay`]): the authority
-    /// itself holds every response `extra` seconds, for every client,
-    /// under the per-attempt deadline — nothing fails, but a budgeted
-    /// scheduler's time budget burns and the points behind it starve.
-    SlowServe {
-        /// Seconds the repository sits on each response.
         extra: u64,
     },
     /// The authority stealthily withdraws Continental's covering `/20`
@@ -764,9 +759,6 @@ impl<'a> Engine<'a> {
         }
         match win.kind {
             FaultKind::Takedown => faults.set_down(server, on),
-            FaultKind::SlowServe { extra } => {
-                self.repo_mut(&win.host).set_serve_delay(if on { extra } else { 0 });
-            }
             FaultKind::RrdpWithhold => self.repo_mut(&win.host).set_rrdp_offline(on),
             // Pairwise kinds are set above; stateful ones in `engage`.
             _ => {}
@@ -1191,7 +1183,7 @@ pub fn gaming_schedule_plan() -> SchedulePlan {
 /// breaker ever fires, yet one point's exchanges burn
 /// [`gaming_schedule_plan`]'s whole 600 s run budget.
 pub fn schedule_gaming_campaign() -> CampaignSpec {
-    let slow = FaultKind::SlowServe { extra: 250 };
+    let slow = FaultKind::Stall { extra: 250 };
     let window = FaultWindow::new("rpki.sprint.example", slow, 4, 9);
     CampaignSpec::new("schedule-gaming", 12, vec![window])
 }
@@ -1429,7 +1421,7 @@ mod tests {
         let window = &spec.windows[0];
         // Tuned under the per-attempt deadline: a held answer is late,
         // not lost, so no attempt ever times out.
-        let FaultKind::SlowServe { extra } = window.kind else { panic!("{window:?}") };
+        let FaultKind::Stall { extra } = window.kind else { panic!("{window:?}") };
         assert!(extra < SyncPolicy::default().deadline.expect("the retry policy has a deadline"));
         let budget = gaming_schedule_plan().time_budget.expect("the gaming plan is budgeted");
         for r in &out.schedule {

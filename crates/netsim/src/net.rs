@@ -241,10 +241,9 @@ impl Network {
     }
 
     /// Like [`Network::send`], but the sender holds the frame for an
-    /// extra `hold` seconds before it enters the link. This is the
-    /// sender-side shaping hook: a repository that stretches its serve
-    /// time (the schedule-gaming half of Stalloris) delays its answers
-    /// here, on top of — not instead of — link latency and stalls.
+    /// extra `hold` seconds before it enters the link, on top of — not
+    /// instead of — link latency and stalls. The trace books the hold
+    /// as part of the frame's `stall`.
     pub fn send_after(&mut self, from: NodeId, to: NodeId, payload: Vec<u8>, hold: u64) {
         self.stats.sent += 1;
         let stall = self.faults.stall_delay(from, to);

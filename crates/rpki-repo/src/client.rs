@@ -226,20 +226,6 @@ impl SyncOutcome {
         }
     }
 
-    /// A complete outcome served from a snapshot taken `age` simulated
-    /// seconds ago (the resilient source's stale fallback).
-    pub fn stale(dir: RepoUri, files: BTreeMap<String, Vec<u8>>, age: u64) -> Self {
-        SyncOutcome {
-            dir,
-            files,
-            missing: Vec::new(),
-            corrupted: Vec::new(),
-            listed: true,
-            freshness: Freshness::Stale { age },
-            content: None,
-        }
-    }
-
     /// Whether every listed file arrived digest-intact (says nothing
     /// about signatures — that is the relying party's manifest check).
     pub fn is_complete(&self) -> bool {
@@ -384,7 +370,7 @@ impl Session<'_> {
                 Occurrence::Delivered(delivery) => {
                     let Some(repo) = repos.get(delivery.to) else { continue };
                     if let Some(reply) = serve(repo, &delivery.payload) {
-                        net.send_after(delivery.to, delivery.from, reply, repo.serve_delay());
+                        net.send(delivery.to, delivery.from, reply);
                     } else if delivery.from == client && delivery.to == server {
                         outstanding = outstanding.saturating_sub(1);
                     }

@@ -552,7 +552,6 @@ fn serve_rrdp(repo: &Repository, frame: &[u8]) -> Option<Vec<u8>> {
     | RrdpRequest::Snapshot { dir, .. }
     | RrdpRequest::Delta { dir, .. }) = &req;
     let reply = resp.to_bytes();
-    repo.note_served(dir, reply.len());
     repo.note_served_rrdp(dir, &resp, reply.len() as u64);
     Some(reply)
 }

@@ -1,6 +1,6 @@
 //! The at-rest object store of one repository host.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
 
 use ipres::{Asn, Prefix};
@@ -189,15 +189,13 @@ pub struct Repository {
     /// Misbehaviour knob: answer delta requests with NotFound while the
     /// notification still advertises them, forcing snapshot churn.
     rrdp_withhold_deltas: bool,
-    /// Misbehaviour knob: hold every answer frame (rsync and RRDP) this
-    /// many seconds before it enters the link — the slow-serve half of
-    /// Stalloris, which games deadline-bounded clients and poll budgets.
-    serve_delay: u64,
-    /// Served-load ledger, keyed per requested directory. Interior
-    /// mutability because the answer paths only hold `&Repository`;
-    /// the ledger never crosses threads (a `Repository` is answered
-    /// from the one thread that steps its simulated network).
-    load: RefCell<BTreeMap<Vec<String>, DirLoad>>,
+    /// Served ledger, keyed per requested directory: the wire load of
+    /// every answer, and the RRDP answers' share split by document
+    /// kind. Interior mutability because the answer paths only hold
+    /// `&Repository`; the ledger never crosses threads (a `Repository`
+    /// is answered from the one thread that steps its simulated
+    /// network).
+    served: RefCell<BTreeMap<Vec<String>, (DirLoad, PubdServed)>>,
     /// The publication-server policy every directory on this host runs
     /// under: snapshot compaction interval and delta retention budget.
     policy: PubdPolicy,
@@ -208,8 +206,6 @@ pub struct Repository {
     /// latest [`publish_ca`](Repository::publish_ca). Stores sit outside
     /// the network event loop, so a CA's publication is their clock.
     clock: u64,
-    /// Per-directory serve ledger split by RRDP document kind.
-    pubd_served: RefCell<BTreeMap<Vec<String>, PubdServed>>,
 }
 
 /// A served snapshot document: the session it belongs to plus its
@@ -227,12 +223,10 @@ impl Repository {
             hosted_at: None,
             rrdp_offline: false,
             rrdp_withhold_deltas: false,
-            serve_delay: 0,
-            load: RefCell::new(BTreeMap::new()),
+            served: RefCell::new(BTreeMap::new()),
             policy: PubdPolicy::default(),
             recorder: Recorder::disabled(),
             clock: 0,
-            pubd_served: RefCell::new(BTreeMap::new()),
         }
     }
 
@@ -240,22 +234,30 @@ impl Repository {
     /// `dir`. Misdirected requests (another host's directory) are not
     /// attributed.
     pub fn note_served(&self, dir: &RepoUri, bytes: usize) {
+        self.book_served(dir, bytes as u64);
+    }
+
+    /// Books one served frame into `dir`'s load and returns its RRDP
+    /// half, `None` for a misdirected request.
+    fn book_served(&self, dir: &RepoUri, bytes: u64) -> Option<RefMut<'_, PubdServed>> {
         if dir.host() != self.host {
-            return;
+            return None;
         }
-        let mut load = self.load.borrow_mut();
-        let entry = ledger_entry(&mut load, dir.path());
-        entry.frames += 1;
-        entry.bytes += bytes as u64;
+        Some(RefMut::map(self.served.borrow_mut(), |served| {
+            let (load, kinds) = ledger_entry(served, dir.path());
+            load.frames += 1;
+            load.bytes += bytes;
+            kinds
+        }))
     }
 
     /// Wire load served per publication point since the last reset,
     /// in directory order.
     pub fn served_load(&self) -> Vec<(RepoUri, DirLoad)> {
-        self.load
+        self.served
             .borrow()
             .iter()
-            .map(|(path, l)| {
+            .map(|(path, (l, _))| {
                 let parts: Vec<&str> = path.iter().map(String::as_str).collect();
                 (RepoUri::new(&self.host, &parts), *l)
             })
@@ -264,12 +266,13 @@ impl Repository {
 
     /// Total wire load this host has served since the last reset.
     pub fn served_total(&self) -> DirLoad {
-        self.load.borrow().values().fold(DirLoad::default(), |acc, l| acc.plus(*l))
+        self.served.borrow().values().fold(DirLoad::default(), |acc, (l, _)| acc.plus(*l))
     }
 
-    /// Clears the served-load ledger (e.g. between campaign rounds).
+    /// Clears the served ledger, both the load and its RRDP kinds
+    /// (e.g. between campaign rounds).
     pub fn reset_served_load(&self) {
-        self.load.borrow_mut().clear();
+        self.served.borrow_mut().clear();
     }
 
     /// The host name.
@@ -473,13 +476,10 @@ impl Repository {
         }
     }
 
-    /// Books one served RRDP response into the per-kind serve ledger.
+    /// Books one served RRDP response into the load and per-kind
+    /// halves of the served ledger.
     pub(crate) fn note_served_rrdp(&self, dir: &RepoUri, resp: &RrdpResponse, bytes: u64) {
-        if dir.host() != self.host {
-            return;
-        }
-        let mut ledger = self.pubd_served.borrow_mut();
-        let entry = ledger_entry(&mut ledger, dir.path());
+        let Some(mut entry) = self.book_served(dir, bytes) else { return };
         match resp {
             RrdpResponse::Notification { .. } => {
                 entry.notifications += 1;
@@ -519,22 +519,10 @@ impl Repository {
         })
     }
 
-    /// The per-kind RRDP serve ledger of `dir` since the last reset.
-    pub fn pubd_served(&self, dir: &RepoUri) -> PubdServed {
-        if dir.host() != self.host {
-            return PubdServed::default();
-        }
-        self.pubd_served.borrow().get(dir.path()).copied().unwrap_or_default()
-    }
-
-    /// The per-kind RRDP serve ledger summed over this host.
+    /// The per-kind RRDP serve ledger summed over this host since the
+    /// last reset.
     pub fn pubd_served_total(&self) -> PubdServed {
-        self.pubd_served.borrow().values().fold(PubdServed::default(), |acc, s| acc.plus(*s))
-    }
-
-    /// Clears the per-kind RRDP serve ledger (e.g. between rounds).
-    pub fn reset_pubd_served(&self) {
-        self.pubd_served.borrow_mut().clear();
+        self.served.borrow().values().fold(PubdServed::default(), |acc, (_, s)| acc.plus(*s))
     }
 
     // -- RRDP serving state and misbehaviour knobs -------------------
@@ -599,20 +587,6 @@ impl Repository {
     /// snapshots (or, with a deadline, into walking away).
     pub fn set_rrdp_withhold_deltas(&mut self, withhold: bool) {
         self.rrdp_withhold_deltas = withhold;
-    }
-
-    /// Misbehaviour knob: hold every answer frame `delay` seconds
-    /// before it enters the link. With a client-side deadline this
-    /// starves the session; with a scheduler time budget it starves
-    /// every *later* publication point in the walk — the slow-serve
-    /// schedule-gaming attack. Zero restores honest serving.
-    pub fn set_serve_delay(&mut self, delay: u64) {
-        self.serve_delay = delay;
-    }
-
-    /// The currently configured serve delay, in simulated seconds.
-    pub fn serve_delay(&self) -> u64 {
-        self.serve_delay
     }
 
     /// Misbehaviour knob: freeze the RRDP feed of every directory at

@@ -18,7 +18,7 @@
 //! - an **incomplete** sync (unreachable, missing or corrupted files)
 //!   falls back to the snapshot while it is younger than
 //!   [`ResilienceConfig::max_stale`], marking the outcome
-//!   [`Freshness::Stale`](rpki_repo::Freshness::Stale);
+//!   [`Freshness::Stale`];
 //! - consecutive fully failed sessions open a per-host circuit breaker:
 //!   for [`ResilienceConfig::cooldown`] seconds the wrapped source is
 //!   not consulted at all, so a dead repository stops burning retry
@@ -34,11 +34,10 @@ use std::collections::BTreeMap;
 
 use rpki_objects::RepoUri;
 use rpki_obs::Recorder;
-use rpki_repo::{DirProbe, SyncOutcome};
-use rpkisim_crypto::Digest;
+use rpki_repo::{DirProbe, Freshness, SyncOutcome};
 use serde::Serialize;
 
-use crate::source::{host_entry, ObjectSource};
+use crate::source::{host_entry, LastGood, ObjectSource};
 
 /// Knobs of the resilience layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -88,23 +87,15 @@ impl FetchHealth {
     }
 }
 
-/// One directory's last-good contents, keyed by the content digest of
-/// the sync that produced them so a LIST-only probe can re-confirm the
-/// snapshot without a transfer.
-#[derive(Debug, Clone)]
-struct Snapshot {
-    files: BTreeMap<String, Vec<u8>>,
-    taken_at: u64,
-    digest: Option<Digest>,
-}
-
-/// Persistent state of the resilience layer: snapshots per directory,
-/// health per host. Owned by the experiment/relying party and lent to a
-/// fresh [`ResilientSource`] each validation run.
+/// Persistent state of the resilience layer: the last-good snapshot per
+/// directory, keyed by its content digest so a LIST-only probe can
+/// re-confirm it without a transfer, and health per host. Owned by the
+/// experiment/relying party and lent to a fresh [`ResilientSource`]
+/// each validation run.
 #[derive(Debug, Default)]
 pub struct ResilientState {
     config: ResilienceConfig,
-    snapshots: BTreeMap<RepoUri, Snapshot>,
+    snapshots: BTreeMap<RepoUri, LastGood>,
     health: BTreeMap<String, FetchHealth>,
     recorder: Recorder,
 }
@@ -135,7 +126,7 @@ impl ResilientState {
     /// Age of the stored snapshot for `dir` at time `now`, if one
     /// exists.
     pub fn snapshot_age(&self, dir: &RepoUri, now: u64) -> Option<u64> {
-        self.snapshots.get(dir).map(|s| now.saturating_sub(s.taken_at))
+        self.snapshots.get(dir).map(|s| s.age(now))
     }
 
     /// Number of directories with a stored snapshot.
@@ -239,20 +230,13 @@ impl<S: ObjectSource> ObjectSource for ResilientSource<'_, S> {
 
         if outcome.is_complete() {
             self.state.recorder.count("rp.snapshot_refreshes", 1);
-            self.state.snapshots.insert(
-                dir.clone(),
-                Snapshot {
-                    files: outcome.files.clone(),
-                    taken_at: now,
-                    digest: outcome.content_digest(),
-                },
-            );
+            self.state.snapshots.insert(dir.clone(), LastGood::of(&outcome, now));
             return outcome;
         }
 
         // Incomplete: serve the last good copy while within budget.
         if let Some(snapshot) = self.state.snapshots.get(dir) {
-            let age = now.saturating_sub(snapshot.taken_at);
+            let age = snapshot.age(now);
             if age <= self.state.config.max_stale {
                 if self.state.recorder.is_enabled() {
                     self.state.recorder.count("rp.stale_served", 1);
@@ -265,7 +249,7 @@ impl<S: ObjectSource> ObjectSource for ResilientSource<'_, S> {
                         .u64("files", snapshot.files.len() as u64)
                         .emit();
                 }
-                return SyncOutcome::stale(dir.clone(), snapshot.files.clone(), age);
+                return snapshot.outcome(dir.clone(), Freshness::Stale { age });
             }
         }
         outcome
@@ -299,8 +283,8 @@ impl<S: ObjectSource> ObjectSource for ResilientSource<'_, S> {
         }
         self.state.record_session(host, true, now);
         if let Some(snapshot) = self.state.snapshots.get_mut(dir) {
-            if snapshot.digest.is_some() && snapshot.digest == probe.content_digest() {
-                snapshot.taken_at = now;
+            if probe.content_digest() == Some(snapshot.digest) {
+                snapshot.at = now;
                 if self.state.recorder.is_enabled() {
                     self.state.recorder.count("rp.probe_confirms", 1);
                     self.state.recorder.event(now, "rp", "probe_confirm").str("host", host).emit();
@@ -394,6 +378,19 @@ mod tests {
         assert!(out.listed);
         assert_eq!(out.files["a.roa"], vec![1, 2, 3]);
         assert_eq!(out.freshness, Freshness::Stale { age: 500 });
+    }
+
+    #[test]
+    fn a_stale_serve_carries_its_snapshots_digest() {
+        let mut state = ResilientState::default();
+        let (good, _) = FakeSource::new(100, true);
+        let fresh = ResilientSource::new(good, &mut state).load_dir(&dir());
+        let (bad, _) = FakeSource::new(600, false);
+        let out = ResilientSource::new(bad, &mut state).load_dir(&dir());
+        assert_eq!(out.freshness, Freshness::Stale { age: 500 });
+        // Keyed by the snapshot's digest, not re-hashed file by file.
+        assert!(out.content.is_some());
+        assert_eq!(out.content, fresh.content_digest());
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //!   being re-polled every run — the scheduler-side continuation of the
 //!   [`FetchHealth`](crate::resilience::FetchHealth) circuit breaker.
 //!
-//! A point that is **not due** costs zero frames: `probe_dir` answers
-//! from the recorded content marker (so an incremental validator
-//! replays the memoized subtree without touching the wire) and
-//! `load_dir` serves the scheduler's own snapshot.
+//! A visit the scheduler **holds** — not due, backed off, or deferred —
+//! costs zero frames: `probe_dir` answers with the digest of the
+//! point's last complete fetch (so an incremental validator replays the
+//! memoized subtree without touching the wire) and `load_dir` serves
+//! that fetch's files.
 //!
 //! The **degenerate plan** ([`SchedulePlan::degenerate`]) — zero
 //! cadence, infinite budget, no jitter, no backoff — delegates every
@@ -43,10 +44,10 @@ use std::fmt::{self, Write};
 use rpki_objects::RepoUri;
 use rpki_obs::Recorder;
 use rpki_repo::{DirProbe, Freshness, SyncOutcome};
-use rpkisim_crypto::{splitmix64, Digest};
+use rpkisim_crypto::splitmix64;
 use serde::Serialize;
 
-use crate::source::{host_entry, ObjectSource};
+use crate::source::{host_entry, LastGood, ObjectSource};
 
 /// The schedule policy: cadence clamps, jitter, budgets, backoff.
 ///
@@ -147,7 +148,8 @@ impl Write for Fnv1a {
     }
 }
 
-/// One publication point's schedule entry.
+/// One publication point's schedule entry, created by its first
+/// complete fetch.
 #[derive(Debug, Clone)]
 struct DirSchedule {
     /// Simulated time this point next owes a wire contact.
@@ -159,16 +161,9 @@ struct DirSchedule {
     ewma: u64,
     /// When the last content change was observed.
     last_changed_at: u64,
-    /// When the last successful contact (load or confirming poll)
-    /// finished.
-    last_success: u64,
-    /// Content digest of the last complete fetch.
-    marker: Option<Digest>,
-    /// Last-good file set, served while the point is not due or the
-    /// budget deferred it.
-    files: BTreeMap<String, Vec<u8>>,
-    /// Whether a complete fetch has ever populated `files`.
-    listed: bool,
+    /// The last complete fetch, served while the point is held, and
+    /// when a load or confirming poll last succeeded.
+    last: LastGood,
 }
 
 /// One host's backoff bookkeeping.
@@ -238,6 +233,41 @@ pub struct RunStats {
     pub max_served_age: u64,
 }
 
+impl RunStats {
+    /// Books a visit of `dir` that `held` kept off the wire, and the
+    /// age at `now` of the record it serves (`None` for an untracked
+    /// point).
+    fn serve(
+        &mut self,
+        dir: &RepoUri,
+        now: u64,
+        held: Held,
+        last: Option<&LastGood>,
+        recorder: &Recorder,
+    ) {
+        match held {
+            Held::NotDue => self.not_due += 1,
+            Held::BackedOff => self.backoff_skips += 1,
+            Held::Deferred => {
+                self.due += 1;
+                self.deferred += 1;
+                if recorder.is_enabled() {
+                    recorder.count("rp.schedule_deferrals", 1);
+                    recorder
+                        .event(now, "rp", "schedule_defer")
+                        .str("host", dir.host())
+                        .u64("frames_used", self.frames_used)
+                        .u64("time_used", self.time_used)
+                        .emit();
+                }
+            }
+        }
+        if let Some(last) = last {
+            self.max_served_age = self.max_served_age.max(last.age(now));
+        }
+    }
+}
+
 /// Persistent scheduler state: per-point schedules, per-host backoff,
 /// cumulative stats. Owned by the experiment/relying party and lent to
 /// a fresh [`ScheduledSource`] each run, like
@@ -246,6 +276,7 @@ pub struct RunStats {
 pub struct SchedulerState {
     dirs: BTreeMap<RepoUri, DirSchedule>,
     hosts: BTreeMap<String, HostSchedule>,
+    /// The finished runs' counters, and the counters no run keeps.
     stats: SchedulerStats,
     run: RunStats,
     recorder: Recorder,
@@ -264,9 +295,20 @@ impl SchedulerState {
         self.recorder = recorder;
     }
 
-    /// Cumulative counters.
+    /// Cumulative counters: the finished runs' plus the current run's.
     pub fn stats(&self) -> SchedulerStats {
-        self.stats
+        let (s, r) = (self.stats, self.run);
+        SchedulerStats {
+            due: s.due + r.due,
+            not_due: s.not_due + r.not_due,
+            fetched: s.fetched + r.fetched,
+            polled: s.polled + r.polled,
+            deferred: s.deferred + r.deferred,
+            backoff_skips: s.backoff_skips + r.backoff_skips,
+            frames_charged: s.frames_charged + r.frames_used,
+            time_charged: s.time_charged + r.time_used,
+            ..s
+        }
     }
 
     /// Counters of the current (or just-finished) run.
@@ -289,8 +331,10 @@ impl SchedulerState {
         self.hosts.get(host).is_some_and(|h| h.backoff_until.is_some_and(|until| now < until))
     }
 
-    /// Starts a new run's budget window.
+    /// Folds the finished run into the totals and starts a new run's
+    /// budget window.
     fn begin_run(&mut self, now: u64) {
+        self.stats = self.stats();
         self.stats.runs += 1;
         self.run = RunStats { started_at: now, ..RunStats::default() };
     }
@@ -337,6 +381,18 @@ pub struct ScheduledSource<'s, S> {
     plan: SchedulePlan,
 }
 
+/// Why a visit is answered from the last-good record instead of the
+/// wire.
+#[derive(Clone, Copy)]
+enum Held {
+    /// The point's refresh deadline has not come.
+    NotDue,
+    /// The point's host is in backoff.
+    BackedOff,
+    /// The point is due, but the run's time budget is spent.
+    Deferred,
+}
+
 impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
     /// Wraps `inner` under `plan`, starting a fresh run budget.
     pub fn new(inner: S, state: &'s mut SchedulerState, plan: SchedulePlan) -> Self {
@@ -345,46 +401,22 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
         ScheduledSource { inner, state, plan }
     }
 
-    fn budget_spent(&self) -> bool {
-        self.plan.time_budget.is_some_and(|b| self.state.run.time_used >= b)
-    }
-
-    /// Whether `dir` owes a wire contact right now, and what its entry
-    /// (if tracked) held when asked. Unknown points are always due;
-    /// backed-off hosts are never polled.
-    fn due(&self, dir: &RepoUri, now: u64) -> (DueState, Option<Seen>) {
-        let entry = self.state.dirs.get(dir);
-        let seen = entry.map(|e| Seen { listed: e.listed, marker: e.marker, at: e.last_success });
-        let due = if self.state.host_backing_off(dir.host(), now) {
-            DueState::BackedOff
+    /// Whether the visit of `dir` (schedule `entry`, if tracked) at
+    /// `now` stays off the wire, and why. Backed-off hosts are never
+    /// contacted and untracked points are otherwise always due: a spent
+    /// budget defers only a point with a record to serve, so deferral
+    /// never blanks out a subtree the validator has never seen.
+    fn held(&self, dir: &RepoUri, entry: Option<&DirSchedule>, now: u64) -> Option<Held> {
+        let budget_spent = self.plan.time_budget.is_some_and(|b| self.state.run.time_used >= b);
+        if self.state.host_backing_off(dir.host(), now) {
+            Some(Held::BackedOff)
         } else if entry.is_some_and(|e| e.next_due > now) {
-            DueState::NotDue
+            Some(Held::NotDue)
+        } else if entry.is_some() && budget_spent {
+            Some(Held::Deferred)
         } else {
-            DueState::Due
-        };
-        (due, seen)
-    }
-
-    /// Serves `dir` from schedule state without touching the wire.
-    fn serve_snapshot(&mut self, dir: &RepoUri, now: u64) -> SyncOutcome {
-        let Some(entry) = self.state.dirs.get(dir) else {
-            return SyncOutcome::unreachable(dir.clone());
-        };
-        if !entry.listed {
-            return SyncOutcome::unreachable(dir.clone());
+            None
         }
-        let last_success = entry.last_success;
-        let mut out = SyncOutcome::fresh(dir.clone(), entry.files.clone());
-        out.content = entry.marker;
-        self.book_served_age(last_success, now);
-        out
-    }
-
-    /// Books the age of data served from schedule state instead of the
-    /// wire into [`RunStats::max_served_age`].
-    fn book_served_age(&mut self, last_success: u64, now: u64) {
-        let age = now.saturating_sub(last_success);
-        self.state.run.max_served_age = self.state.run.max_served_age.max(age);
     }
 
     /// Charges one delegated exchange against the run budget.
@@ -394,57 +426,37 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
             .wire_frames()
             .zip(frames_before)
             .map_or(0, |(after, before)| after.saturating_sub(before));
-        let elapsed = self.inner.now().saturating_sub(t0);
         self.state.run.frames_used += frames;
-        self.state.run.time_used += elapsed;
-        self.state.stats.frames_charged += frames;
-        self.state.stats.time_charged += elapsed;
+        self.state.run.time_used += self.inner.now().saturating_sub(t0);
     }
 
-    fn note_deferred(&mut self, dir: &RepoUri, now: u64) {
-        self.state.run.deferred += 1;
-        self.state.stats.deferred += 1;
-        if self.state.recorder.is_enabled() {
-            self.state.recorder.count("rp.schedule_deferrals", 1);
-            self.state
-                .recorder
-                .event(now, "rp", "schedule_defer")
-                .str("host", dir.host())
-                .u64("frames_used", self.state.run.frames_used)
-                .u64("time_used", self.state.run.time_used)
-                .emit();
-        }
-    }
-
-    /// Folds a successful fetch's digest into the schedule: changed
-    /// content feeds the cadence EWMA, unchanged content decays the
-    /// interval geometrically toward `max_refresh`.
+    /// Folds a complete fetch into the schedule: changed content feeds
+    /// the cadence EWMA, unchanged content decays the interval
+    /// geometrically toward `max_refresh`.
     fn reschedule_after_fetch(&mut self, dir: &RepoUri, outcome: &SyncOutcome) {
         let done = self.inner.now();
-        let digest = outcome.content_digest();
+        let last = LastGood::of(outcome, done);
         let plan = self.plan;
-        let entry = self.state.dirs.entry(dir.clone()).or_insert_with(|| DirSchedule {
-            next_due: 0,
-            interval: plan.min_refresh,
-            ewma: 0,
-            last_changed_at: done,
-            last_success: done,
-            marker: None,
-            files: BTreeMap::new(),
-            listed: false,
-        });
-        let changed = entry.marker != digest;
-        if changed {
-            if entry.marker.is_some() {
-                // Second or later observed change: a cadence sample.
-                let sample = done.saturating_sub(entry.last_changed_at).max(1);
-                entry.ewma = if entry.ewma == 0 { sample } else { (3 * entry.ewma + sample) / 4 };
-                entry.interval = plan.clamp_interval(entry.ewma);
-            } else {
-                // First contact: start attentive and let decay or the
-                // EWMA move the interval from here.
-                entry.interval = plan.min_refresh;
-            }
+        let Some(entry) = self.state.dirs.get_mut(dir) else {
+            // First contact: start attentive and let decay or the EWMA
+            // move the interval from here.
+            self.state.stats.changes_observed += 1;
+            let interval = plan.min_refresh;
+            let entry = DirSchedule {
+                next_due: done + interval + plan.jitter_for(dir),
+                interval,
+                ewma: 0,
+                last_changed_at: done,
+                last,
+            };
+            self.state.dirs.insert(dir.clone(), entry);
+            return;
+        };
+        if entry.last.digest != last.digest {
+            // A later observed change: a cadence sample.
+            let sample = done.saturating_sub(entry.last_changed_at).max(1);
+            entry.ewma = if entry.ewma == 0 { sample } else { (3 * entry.ewma + sample) / 4 };
+            entry.interval = plan.clamp_interval(entry.ewma);
             entry.last_changed_at = done;
             self.state.stats.changes_observed += 1;
         } else {
@@ -454,10 +466,7 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
             // by accident — the clamp pins it back to the plan's range.
             entry.interval = plan.clamp_interval(entry.interval.saturating_mul(2).max(1));
         }
-        entry.marker = digest;
-        entry.files = outcome.files.clone();
-        entry.listed = true;
-        entry.last_success = done;
+        entry.last = last;
         entry.next_due = done + entry.interval + plan.jitter_for(dir);
     }
 
@@ -467,7 +476,7 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
         let plan = self.plan;
         if let Some(entry) = self.state.dirs.get_mut(dir) {
             entry.interval = plan.clamp_interval(entry.interval.saturating_mul(2).max(1));
-            entry.last_success = done;
+            entry.last.at = done;
             entry.next_due = done + entry.interval + plan.jitter_for(dir);
         }
         self.state.stats.unchanged_polls += 1;
@@ -485,59 +494,28 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
     }
 }
 
-enum DueState {
-    Due,
-    NotDue,
-    BackedOff,
-}
-
-/// What a tracked point's entry held when [`ScheduledSource::due`]
-/// read it.
-#[derive(Clone, Copy)]
-struct Seen {
-    listed: bool,
-    marker: Option<Digest>,
-    /// `last_success`.
-    at: u64,
-}
-
 impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
     fn load_dir(&mut self, dir: &RepoUri) -> SyncOutcome {
         let now = self.inner.now();
-        let (due, seen) = self.due(dir, now);
-        match due {
-            DueState::BackedOff => {
-                self.state.run.backoff_skips += 1;
-                self.state.stats.backoff_skips += 1;
-                return self.serve_snapshot(dir, now);
-            }
-            DueState::NotDue => {
-                self.state.run.not_due += 1;
-                self.state.stats.not_due += 1;
-                return self.serve_snapshot(dir, now);
-            }
-            DueState::Due => {}
-        }
-        self.state.run.due += 1;
-        self.state.stats.due += 1;
-        let has_snapshot = seen.is_some_and(|e| e.listed);
-        if self.budget_spent() && has_snapshot {
-            // Budget gone: defer to the next run. A point with no
-            // snapshot is fetched regardless — deferral must never
-            // blank out a subtree the validator has never seen.
-            self.note_deferred(dir, now);
-            return self.serve_snapshot(dir, now);
+        let entry = self.state.dirs.get(dir);
+        if let Some(held) = self.held(dir, entry, now) {
+            let last = entry.map(|e| &e.last);
+            self.state.run.serve(dir, now, held, last, &self.state.recorder);
+            return last.map_or_else(
+                || SyncOutcome::unreachable(dir.clone()),
+                |last| last.outcome(dir.clone(), Freshness::Fresh),
+            );
         }
         let frames_before = self.inner.wire_frames();
         let outcome = self.inner.load_dir(dir);
         self.charge(frames_before, now);
+        self.state.run.due += 1;
         self.state.run.fetched += 1;
-        self.state.stats.fetched += 1;
         // A stale outcome means a resilience layer below already
         // bridged a failed contact; schedule-wise that is a failure.
-        // So is a fetch with missing or corrupted files: the snapshot
-        // and marker hold the last *complete* fetch, and the caller
-        // still gets this outcome with its holes listed.
+        // So is a fetch with missing or corrupted files: the last-good
+        // record holds the last *complete* fetch, and the caller still
+        // gets this outcome with its holes listed.
         let contact_ok = outcome.is_complete() && outcome.freshness == Freshness::Fresh;
         if contact_ok {
             self.state.record_success(dir.host());
@@ -560,56 +538,29 @@ impl<S: ObjectSource> ObjectSource for ScheduledSource<'_, S> {
 
     fn probe_dir(&mut self, dir: &RepoUri) -> Option<DirProbe> {
         let now = self.inner.now();
-        let (due, seen) = self.due(dir, now);
-        match due {
-            skipped @ (DueState::BackedOff | DueState::NotDue) => {
-                // Zero-frame answer from the recorded marker: a
-                // matching incremental memo replays without any wire
-                // traffic at all.
-                let entry = seen?;
-                if !entry.listed {
-                    return None;
-                }
-                self.book_served_age(entry.at, now);
-                // Booked like `load_dir` books it: a host skipped
-                // because it is failing is not a point that was fresh.
-                if matches!(skipped, DueState::BackedOff) {
-                    self.state.run.backoff_skips += 1;
-                    self.state.stats.backoff_skips += 1;
-                } else {
-                    self.state.run.not_due += 1;
-                    self.state.stats.not_due += 1;
-                }
-                return Some(DirProbe { dir: dir.clone(), listed: true, digest: entry.marker });
-            }
-            DueState::Due => {}
-        }
-        let marker = seen.and_then(|e| e.marker);
-        if let Some(entry) = seen.filter(|e| e.listed && marker.is_some() && self.budget_spent()) {
-            self.state.run.due += 1;
-            self.state.stats.due += 1;
-            self.note_deferred(dir, now);
-            self.book_served_age(entry.at, now);
-            return Some(DirProbe { dir: dir.clone(), listed: true, digest: marker });
+        let entry = self.state.dirs.get(dir);
+        let marker = entry.map(|e| e.last.digest);
+        if let Some(held) = self.held(dir, entry, now) {
+            // Zero-frame answer from the recorded digest: a matching
+            // incremental memo replays without any wire traffic at all.
+            // An untracked (backed-off) point is left to the `load_dir`
+            // that follows, which books it.
+            let last = &entry?.last;
+            self.state.run.serve(dir, now, held, Some(last), &self.state.recorder);
+            return Some(DirProbe { dir: dir.clone(), listed: true, digest: Some(last.digest) });
         }
         let frames_before = self.inner.wire_frames();
         let probe = self.inner.probe_dir(dir)?;
         self.charge(frames_before, now);
         self.state.run.polled += 1;
-        self.state.stats.polled += 1;
-        if probe.listed {
-            // The inner probe cannot touch schedule state, so `seen`
-            // still holds.
-            if marker.is_some() && marker == probe.digest {
-                // Confirmed unchanged: this poll settles the visit, so
-                // it counts as the due contact and reschedules.
-                self.state.run.due += 1;
-                self.state.stats.due += 1;
-                self.state.record_success(dir.host());
-                self.reschedule_after_poll(dir);
-            }
-            // A digest mismatch leaves the entry due: the follow-up
-            // load_dir performs the real fetch and reschedules there.
+        // A digest mismatch leaves the entry due: the follow-up
+        // load_dir performs the real fetch and reschedules there.
+        if probe.listed && marker.is_some_and(|m| probe.digest == Some(m)) {
+            // Confirmed unchanged: this poll settles the visit, so it
+            // counts as the due contact and reschedules.
+            self.state.run.due += 1;
+            self.state.record_success(dir.host());
+            self.reschedule_after_poll(dir);
         }
         Some(probe)
     }
@@ -821,6 +772,33 @@ mod tests {
     }
 
     #[test]
+    fn a_burst_of_changes_pulls_a_decayed_interval_back_down() {
+        let mut state = SchedulerState::new();
+        let mut inner = FakeSource::new(0);
+        let p = plan();
+        ScheduledSource::new(&mut inner, &mut state, p).load_dir(&dir(0));
+        // A change one refresh later seeds the cadence EWMA at the floor.
+        inner.now = state.next_due(&dir(0)).unwrap();
+        inner.version = 2;
+        ScheduledSource::new(&mut inner, &mut state, p).load_dir(&dir(0));
+        assert_eq!(state.interval(&dir(0)), Some(p.min_refresh));
+        // A quiet spell decays the interval to the ceiling.
+        while state.interval(&dir(0)) < Some(p.max_refresh) {
+            inner.now = state.next_due(&dir(0)).unwrap();
+            ScheduledSource::new(&mut inner, &mut state, p).load_dir(&dir(0));
+        }
+        // Then every visit finds a change: the EWMA pulls the interval
+        // back under the ceiling.
+        for _ in 0..4 {
+            inner.now = state.next_due(&dir(0)).unwrap();
+            inner.version += 1;
+            ScheduledSource::new(&mut inner, &mut state, p).load_dir(&dir(0));
+        }
+        let interval = state.interval(&dir(0)).unwrap();
+        assert!(interval < p.max_refresh, "churn must shorten a decayed interval, got {interval}");
+    }
+
+    #[test]
     fn time_budget_defers_and_first_contact_overrides() {
         let mut state = SchedulerState::new();
         let mut inner = FakeSource::new(0);
@@ -925,6 +903,69 @@ mod tests {
         assert_eq!(state.stats().backoff_skips, 1);
         assert_eq!(state.last_run().backoff_skips, 1);
         assert_eq!(state.stats().not_due, not_due_before);
+    }
+
+    #[test]
+    fn cumulative_stats_are_the_sum_of_the_runs() {
+        let mut state = SchedulerState::new();
+        let mut inner = FakeSource::new(0);
+        inner.load_secs = 4;
+        let p = SchedulePlan {
+            time_budget: Some(4),
+            failure_threshold: 1,
+            backoff_base: 200,
+            backoff_cap: 1_000,
+            ..plan()
+        };
+        // (now, up, version, points): first contacts, not-due visits,
+        // confirming polls, a change whose fetch spends the budget and
+        // defers the rest, a failure that trips backoff, and backoff
+        // skips that meet an untracked point.
+        let runs = [
+            (0, true, 1, 3),
+            (50, true, 1, 3),
+            (5_000, true, 1, 3),
+            (10_000, true, 2, 3),
+            (20_000, false, 2, 3),
+            (20_100, false, 2, 4),
+        ];
+        let mut sum = SchedulerStats::default();
+        for (now, up, version, points) in runs {
+            (inner.now, inner.up, inner.version) = (now, up, version);
+            let mut src = ScheduledSource::new(&mut inner, &mut state, p);
+            for n in 0..points {
+                src.probe_dir(&dir(n));
+                src.load_dir(&dir(n));
+            }
+            let run = state.last_run();
+            sum.due += run.due;
+            sum.not_due += run.not_due;
+            sum.fetched += run.fetched;
+            sum.polled += run.polled;
+            sum.deferred += run.deferred;
+            sum.backoff_skips += run.backoff_skips;
+            sum.frames_charged += run.frames_used;
+            sum.time_charged += run.time_used;
+        }
+        for (what, count) in [
+            ("fetched", sum.fetched),
+            ("polled", sum.polled),
+            ("not due", sum.not_due),
+            ("deferred", sum.deferred),
+            ("backoff skips", sum.backoff_skips),
+        ] {
+            assert!(count > 0, "no {what} visits: {sum:?}");
+        }
+        // The counters no run keeps are the state's own.
+        let total = state.stats();
+        let expected = SchedulerStats {
+            runs: runs.len() as u64,
+            backoff_trips: total.backoff_trips,
+            changes_observed: total.changes_observed,
+            unchanged_polls: total.unchanged_polls,
+            ..sum
+        };
+        assert_eq!(total, expected);
     }
 
     #[test]

@@ -23,9 +23,46 @@ use std::collections::BTreeMap;
 
 use netsim::{Network, NodeId};
 use rpki_objects::RepoUri;
-use rpki_repo::{sync_dir, sync_dir_with_policy, DirProbe, RepoRegistry, SyncOutcome, SyncPolicy};
+use rpki_repo::{
+    sync_dir, sync_dir_with_policy, DirProbe, Freshness, RepoRegistry, SyncOutcome, SyncPolicy,
+};
+use rpkisim_crypto::Digest;
 
 pub use crate::resilience::ResilientSource;
+
+/// A publication point's last complete fetch: its files, their content
+/// digest, and when a contact last confirmed them. The stale cache and
+/// the fetch scheduler both serve from it instead of the wire.
+#[derive(Debug, Clone)]
+pub(crate) struct LastGood {
+    pub(crate) files: BTreeMap<String, Vec<u8>>,
+    pub(crate) digest: Digest,
+    pub(crate) at: u64,
+}
+
+impl LastGood {
+    /// The record of `outcome`, a complete fetch, confirmed at `at`.
+    pub(crate) fn of(outcome: &SyncOutcome, at: u64) -> Self {
+        let digest = outcome.content_digest().expect("a complete outcome is listed");
+        LastGood { files: outcome.files.clone(), digest, at }
+    }
+
+    /// Seconds since the last confirmation, at `now`.
+    pub(crate) fn age(&self, now: u64) -> u64 {
+        now.saturating_sub(self.at)
+    }
+
+    /// The record served as `dir`'s outcome, keyed by its digest.
+    pub(crate) fn outcome(&self, dir: RepoUri, freshness: Freshness) -> SyncOutcome {
+        SyncOutcome {
+            files: self.files.clone(),
+            listed: true,
+            freshness,
+            content: Some(self.digest),
+            ..SyncOutcome::unreachable(dir)
+        }
+    }
+}
 
 /// `hosts[host]`, inserted as the default on first contact. Unlike
 /// `entry`, it copies the host name only when the host is new.
@@ -163,7 +200,7 @@ impl ObjectSource for DirectSource<'_> {
                 SyncOutcome {
                     files,
                     listed: true,
-                    freshness: rpki_repo::Freshness::Fresh,
+                    freshness: Freshness::Fresh,
                     content: Some(repo.content_digest(dir)),
                     ..SyncOutcome::unreachable(dir.clone())
                 }

@@ -74,7 +74,7 @@ fn odd_kinds() -> CampaignSpec {
                 5,
                 6,
             ),
-            FaultWindow::new("rpki.sprint.example", FaultKind::SlowServe { extra: 120 }, 6, 7),
+            FaultWindow::new("rpki.sprint.example", FaultKind::Stall { extra: 120 }, 6, 7),
         ],
     }
 }

@@ -157,7 +157,7 @@ enum Script {
     /// Replies are held on the link for an hour.
     Stall,
     Partition,
-    /// The server holds every answer this long before sending it.
+    /// A slow server: every answer is held this long.
     ServeDelay(u64),
     RrdpOffline,
     WithholdDeltas,
@@ -208,9 +208,7 @@ impl Script {
             Script::CorruptRequest(n) => w.net.faults.corrupt_nth(client, server, n),
             Script::Stall => w.net.faults.set_stall(server, client, 3600),
             Script::Partition => w.net.faults.partition(client, server),
-            Script::ServeDelay(hold) => {
-                w.repos.get_mut(server).expect("exists").set_serve_delay(hold);
-            }
+            Script::ServeDelay(hold) => w.net.faults.set_stall(server, client, hold),
             Script::RrdpOffline => w.repos.get_mut(server).expect("exists").set_rrdp_offline(true),
             Script::WithholdDeltas => {
                 w.repos.get_mut(server).expect("exists").set_rrdp_withhold_deltas(true);
