@@ -5,6 +5,8 @@
 
 use std::process::Command;
 
+use rpkisim_crypto::sha256;
+
 /// `(name, path)` of each named bin of this package.
 macro_rules! bins {
     ($($name:literal),* $(,)?) => {
@@ -55,3 +57,43 @@ fn malformed_flag_values_are_refused() {
         assert!(err.contains("USAGE"), "{args:?}: stderr must show the usage: {err}");
     }
 }
+
+/// Each ablation's stdout at its defaults is pinned by SHA-256: a
+/// refactor of the worlds, campaigns or relying-party stacks beneath
+/// them that moves one byte of a table fails here. An intentional
+/// change prints the whole new table on mismatch; paste it over
+/// [`OUTPUT_PINS`].
+#[test]
+fn every_ablation_stdout_matches_its_pinned_digest() {
+    let got: Vec<(String, String)> = ABLATIONS
+        .iter()
+        .map(|&(name, path)| {
+            let out = Command::new(path).env_remove("BENCH_TRACE").output().expect("binary runs");
+            assert!(out.status.success(), "{name} failed ({})", out.status);
+            (name.to_owned(), sha256(&out.stdout).to_hex())
+        })
+        .collect();
+    let pinned: Vec<(String, String)> =
+        OUTPUT_PINS.iter().map(|&(name, digest)| (name.to_owned(), digest.to_owned())).collect();
+    if got != pinned {
+        let table: String =
+            got.iter().map(|(name, digest)| format!("    (\"{name}\", \"{digest}\"),\n")).collect();
+        let moved: Vec<&str> =
+            got.iter().filter(|row| !pinned.contains(row)).map(|(name, _)| name.as_str()).collect();
+        panic!(
+            "ablation outputs moved: {moved:?}\n\
+             if intentional, replace OUTPUT_PINS with:\n\
+             const OUTPUT_PINS: &[(&str, &str)] = &[\n{table}];"
+        );
+    }
+}
+
+#[rustfmt::skip]
+const OUTPUT_PINS: &[(&str, &str)] = &[
+    ("ablation_depth_sweep", "6e663a1a2c61e6c54188880c01695a83f15cdd302c837bf8dc7821540717ad22"),
+    ("ablation_downgrade", "896873bb2cd7aa9bbb67f0bb613eac05eee4a6c8c62dcc6f5da7ddc91f61527c"),
+    ("ablation_monitor_detection", "4f70dbc9737631db5446fa8303c82a8e41fa3e1f2a03ab3b16871e1c7d6ca17c"),
+    ("ablation_resilience", "d6f25cc449417a31dee9cc06e9f83dca3675f19ab83b0faeb0fcb459d7f35de9"),
+    ("ablation_suspenders", "7b75b35d44981f8090efe079bc3b61c73d142aa3ed832169ba25f648144d5efa"),
+    ("ablation_whack_strategies", "71a5731bf0a8ba8bed07edc78e8a128c933404d3921f0ca501e941e2a5a97a73"),
+];
