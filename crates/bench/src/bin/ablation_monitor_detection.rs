@@ -11,8 +11,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpki_attacks::{plan_whack, Monitor, MonitorSnapshot};
 use rpki_objects::{Moment, RoaPrefix};
-use rpki_risk::fixtures::asn;
-use rpki_risk::ModelRpki;
+use rpki_risk::fixtures::{asn, ca};
+use rpki_risk::{World, MODEL_SEED};
 use rpki_risk_bench::{emit_json, scale_arg, SummaryTable};
 use serde::Serialize;
 
@@ -30,7 +30,7 @@ fn main() {
     let rounds = 40 * scale_arg();
     println!("Ablation — monitor detection over {rounds} rounds of churn with injected attacks");
 
-    let mut w = ModelRpki::build();
+    let mut w = World::model(MODEL_SEED);
     let mut rng = StdRng::seed_from_u64(77);
     let mut monitor = Monitor::new();
     monitor.observe(MonitorSnapshot::capture(&w.repos, Moment(1)));
@@ -57,7 +57,7 @@ fn main() {
             attack = false;
             if let Some(target) = target {
                 if let Ok(plan) = plan_whack(std::slice::from_ref(&view), &target) {
-                    if plan.execute(&mut w.sprint, now).is_ok() {
+                    if plan.execute(&mut w.cas[ca::SPRINT], now).is_ok() {
                         attack = true;
                         conf.attack_rounds += 1;
                     }
@@ -69,9 +69,9 @@ fn main() {
             match rng.gen_range(0..4u8) {
                 0 => {
                     // Renew one of Sprint's ROAs.
-                    let file = w.sprint.issued_roas().next().map(|r| r.file_name());
+                    let file = w.cas[ca::SPRINT].issued_roas().next().map(|r| r.file_name());
                     if let Some(file) = file {
-                        let _ = w.sprint.renew_roa(&file, now);
+                        let _ = w.cas[ca::SPRINT].renew_roa(&file, now);
                     }
                 }
                 1 => {
@@ -79,15 +79,15 @@ fn main() {
                     let fourth = (issued_extra % 200) as u8;
                     issued_extra += 1;
                     let p: Prefix = format!("63.166.{fourth}.0/24").parse().expect("valid");
-                    let _ = w.etb.issue_roa(asn::ETB, vec![RoaPrefix::exact(p)], now);
+                    let _ = w.cas[ca::ETB].issue_roa(asn::ETB, vec![RoaPrefix::exact(p)], now);
                 }
                 2 => {
                     // Transparent revocation of the most recent extra
                     // ROA (if any besides the original).
-                    let serial = w.etb.issued_roas().map(|r| r.serial()).max();
+                    let serial = w.cas[ca::ETB].issued_roas().map(|r| r.serial()).max();
                     if let Some(serial) = serial {
-                        if w.etb.issued_roas().count() > 1 {
-                            w.etb.revoke_serial(serial);
+                        if w.cas[ca::ETB].issued_roas().count() > 1 {
+                            w.cas[ca::ETB].revoke_serial(serial);
                         }
                     }
                 }

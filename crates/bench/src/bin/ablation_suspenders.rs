@@ -13,8 +13,8 @@
 
 use rpki_attacks::plan_whack;
 use rpki_objects::{Moment, Span};
-use rpki_risk::fixtures::asn;
-use rpki_risk::{ModelRpki, SuspendersConfig, SuspendersState, ValidationOptions};
+use rpki_risk::fixtures::{asn, ca};
+use rpki_risk::{SuspendersConfig, SuspendersState, ValidationOptions, World, MODEL_SEED};
 use rpki_risk_bench::{emit_json, SummaryTable};
 use rpki_rp::{Route, RouteValidity};
 use serde::Serialize;
@@ -44,13 +44,13 @@ fn main() {
 
     // Incident 1: stealthy whack.
     {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let mut s = SuspendersState::new(SuspendersConfig::default());
         s.ingest(&w.validate_direct(Moment(2)), Moment(2));
         let view = w.continental_view();
         let file = w.covering_roa_file();
         let plan = plan_whack(std::slice::from_ref(&view), &file).unwrap();
-        plan.execute(&mut w.sprint, Moment(3)).unwrap();
+        plan.execute(&mut w.cas[ca::SPRINT], Moment(3)).unwrap();
         w.publish_all(Moment(3));
         let run = w.validate_direct(Moment(4));
         s.ingest(&run, Moment(4));
@@ -67,12 +67,15 @@ fn main() {
 
     // Incident 2: transparent revocation.
     {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let mut s = SuspendersState::new(SuspendersConfig::default());
         s.ingest(&w.validate_direct(Moment(2)), Moment(2));
-        let serial =
-            w.continental.issued_roas().find(|r| r.asn() == asn::CONTINENTAL).unwrap().serial();
-        w.continental.revoke_serial(serial);
+        let serial = w.cas[ca::CONTINENTAL]
+            .issued_roas()
+            .find(|r| r.asn() == asn::CONTINENTAL)
+            .unwrap()
+            .serial();
+        w.cas[ca::CONTINENTAL].revoke_serial(serial);
         w.publish_all(Moment(3));
         let run = w.validate_direct(Moment(4));
         s.ingest(&run, Moment(4));
@@ -88,7 +91,7 @@ fn main() {
 
     // Incident 3: transient repository outage, then recovery.
     {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let mut s = SuspendersState::new(SuspendersConfig::default());
         s.ingest(&w.validate_with(ValidationOptions::at(Moment(2))), Moment(2));
         let node = w.repos.node_of("rpki.continental.example").unwrap();

@@ -21,7 +21,7 @@
 
 use rpki_attacks::{CorpusKind, MisbehaviorReport};
 use rpki_objects::Moment;
-use rpki_risk::{Campaign, CampaignSpec, FaultKind, FaultWindow, ModelRpki, RpTier, Walk};
+use rpki_risk::{Campaign, CampaignSpec, FaultKind, FaultWindow, RpTier, Walk, World, MODEL_SEED};
 use rpki_risk_bench::{export, seed_arg, Recorder, RunStamp, Summary, SummaryTable};
 use rpki_rp::UnsafeVrpPolicy;
 use serde::Serialize;
@@ -147,7 +147,7 @@ fn main() {
 
     // The per-host dossier: one direct poisoned run, rejection evidence
     // folded in next to the (empty) object/transport evidence.
-    let mut world = ModelRpki::build();
+    let mut world = World::model(MODEL_SEED);
     let now = Moment(world.net.now() + 1);
     world.poison_host("rpki.continental.example", CorpusKind::ResourceOverclaim, seed, now);
     let run = world

@@ -14,8 +14,8 @@
 use ipres::Asn;
 use rpki_attacks::{damage_between, plan_whack, probes_for, CaView};
 use rpki_objects::Moment;
-use rpki_risk::fixtures::asn;
-use rpki_risk::ModelRpki;
+use rpki_risk::fixtures::{asn, ca};
+use rpki_risk::{World, MODEL_SEED};
 use rpki_risk_bench::{emit_json, SummaryTable};
 use serde::Serialize;
 
@@ -28,11 +28,7 @@ struct StrategyRow {
     suspicious_reissues: usize,
 }
 
-fn measure(
-    w: &mut ModelRpki,
-    before: &[rpki_rp::Vrp],
-    target_asn: Asn,
-) -> (usize, Vec<rpki_rp::Vrp>) {
+fn measure(w: &mut World, before: &[rpki_rp::Vrp], target_asn: Asn) -> (usize, Vec<rpki_rp::Vrp>) {
     w.publish_all(Moment(3));
     let after = w.validate_direct(Moment(4)).vrps;
     let damage = damage_between(before, &after, &probes_for(before));
@@ -46,11 +42,14 @@ fn main() {
 
     // Strategy 1: revoke Continental's RC outright (Side Effect 1).
     {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let before = w.validate_direct(Moment(2)).vrps;
-        let serial =
-            w.sprint.issued_cert_for(w.continental.key_id()).expect("issued").data().serial;
-        w.sprint.revoke_serial(serial);
+        let serial = w.cas[ca::SPRINT]
+            .issued_cert_for(w.cas[ca::CONTINENTAL].key_id())
+            .expect("issued")
+            .data()
+            .serial;
+        w.cas[ca::SPRINT].revoke_serial(serial);
         let (collateral, _) = measure(&mut w, &before, asn::CONTINENTAL);
         rows.push(StrategyRow {
             strategy: "revoke child RC".to_owned(),
@@ -64,10 +63,10 @@ fn main() {
     // Strategy 2: stealthy withdraw by the issuer itself (Side Effect
     // 2 — requires compromising/coercing Continental, not Sprint).
     {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let before = w.validate_direct(Moment(2)).vrps;
         let file = w.covering_roa_file();
-        w.continental.withdraw(&file).expect("present");
+        w.cas[ca::CONTINENTAL].withdraw(&file).expect("present");
         let (collateral, _) = measure(&mut w, &before, asn::CONTINENTAL);
         rows.push(StrategyRow {
             strategy: "stealthy withdraw (by issuer)".to_owned(),
@@ -81,12 +80,12 @@ fn main() {
     // Strategy 3: targeted carve-out from the grandparent (Side
     // Effect 3).
     {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let before = w.validate_direct(Moment(2)).vrps;
         let view = w.continental_view();
         let file = w.covering_roa_file();
         let plan = plan_whack(std::slice::from_ref(&view), &file).expect("plan");
-        plan.execute(&mut w.sprint, Moment(3)).expect("execute");
+        plan.execute(&mut w.cas[ca::SPRINT], Moment(3)).expect("execute");
         let (collateral, _) = measure(&mut w, &before, asn::CONTINENTAL);
         rows.push(StrategyRow {
             strategy: "targeted carve-out (grandparent)".to_owned(),
@@ -99,12 +98,12 @@ fn main() {
 
     // Strategy 4: make-before-break against the /22 (Figure 3).
     {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let before = w.validate_direct(Moment(2)).vrps;
         let view = w.continental_view();
         let file = w.customer_roa_file();
         let plan = plan_whack(std::slice::from_ref(&view), &file).expect("plan");
-        plan.execute(&mut w.sprint, Moment(3)).expect("execute");
+        plan.execute(&mut w.cas[ca::SPRINT], Moment(3)).expect("execute");
         let (collateral, _) = measure(&mut w, &before, asn::CUSTOMER_A);
         rows.push(StrategyRow {
             strategy: "make-before-break (grandparent)".to_owned(),
@@ -117,15 +116,16 @@ fn main() {
 
     // Strategy 5: great-grandchild whack from ARIN (Side Effect 4).
     {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let before = w.validate_direct(Moment(2)).vrps;
-        let sprint_rc = w.arin.issued_cert_for(w.sprint.key_id()).expect("issued").clone();
+        let sprint_rc =
+            w.cas[ca::ARIN].issued_cert_for(w.cas[ca::SPRINT].key_id()).expect("issued").clone();
         let sprint_view = CaView::from_repos(&sprint_rc, &w.repos);
         let continental_view = w.continental_view();
         let file = w.covering_roa_file();
         let chain = vec![sprint_view, continental_view];
         let plan = plan_whack(&chain, &file).expect("plan");
-        plan.execute(&mut w.arin, Moment(3)).expect("execute");
+        plan.execute(&mut w.cas[ca::ARIN], Moment(3)).expect("execute");
         let (collateral, _) = measure(&mut w, &before, asn::CONTINENTAL);
         rows.push(StrategyRow {
             strategy: "great-grandchild whack (ARIN)".to_owned(),

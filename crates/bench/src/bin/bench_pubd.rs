@@ -2,7 +2,7 @@
 //! × CA churn, exported to `BENCH_pubd.json`.
 //!
 //! The workload is the `rpki-pubd` subsystem's design target: a
-//! synthetic CA tree ([`SyntheticRpki`]) driven by the seeded
+//! synthetic CA tree ([`World::tree`]) driven by the seeded
 //! [`ChurnEngine`] — per-step ROA renewals at a configurable rate — so
 //! every publication point advances its RRDP serial like a production
 //! repository. Three relying parties generate the serve load:
@@ -46,7 +46,7 @@
 use rpki_ca::{ChurnConfig, ChurnEngine};
 use rpki_objects::Moment;
 use rpki_repo::{PubdPolicy, RetentionPolicy, RrdpClientState};
-use rpki_risk::{Fetch, RrdpMode, SyntheticRpki, ValidationOptions};
+use rpki_risk::{Fetch, RrdpMode, ValidationOptions, World};
 use rpki_risk_bench::{export, trace_recorder, RunStamp, Summary, SummaryTable};
 use rpki_rp::{ValidationRun, ValidationState};
 use serde::Serialize;
@@ -92,7 +92,7 @@ struct Record {
 /// One RRDP-transported incremental revalidation (trusting: the
 /// measurement is the RRDP serve path alone).
 fn poll(
-    w: &mut SyntheticRpki,
+    w: &mut World,
     now: Moment,
     rrdp: &mut RrdpClientState,
     state: &mut ValidationState,
@@ -132,7 +132,7 @@ fn main() {
                 for retention_depth in depths {
                     let retention = retention_of(retention_depth);
                     let policy = PubdPolicy::compacted(interval).with_retention(retention);
-                    let mut w = SyntheticRpki::build_seeded(7, depth, branching, roas_per_ca);
+                    let mut w = World::tree(7, depth, branching, roas_per_ca);
                     let repo = w.repos.by_host_mut("rpki.bench.example").expect("bench host");
                     repo.set_pubd_policy(policy);
 
@@ -241,7 +241,7 @@ fn main() {
     // One extra instrumented cell so the trace artifact carries the
     // pubd materialise/evict events and counters.
     if rec.is_enabled() {
-        let mut w = SyntheticRpki::build_seeded(7, 2, 3, 4);
+        let mut w = World::tree(7, 2, 3, 4);
         let repo = w.repos.by_host_mut("rpki.bench.example").expect("bench host");
         repo.set_pubd_policy(
             PubdPolicy::compacted(4).with_retention(RetentionPolicy::Count { max_deltas: 2 }),

@@ -2,7 +2,7 @@
 //! stay current, per source stack, across tree shapes and churn rates,
 //! exported to `BENCH_rp.json`.
 //!
-//! Every cell builds a [`SyntheticRpki`] tree per stack from one seed,
+//! Every cell builds a [`World::tree`] per stack from one seed,
 //! so frame counts are per stack exact, then plays the same rounds on
 //! each world: a fraction of publication points renew their ROAs, and
 //! every stack validates once, timed and frame-counted. Four stacks:
@@ -57,7 +57,7 @@
 use ipres::Asn;
 use rpki_objects::{Moment, RoaPrefix, Span};
 use rpki_repo::{RrdpClientState, RrdpStats};
-use rpki_risk::{Fetch, RrdpMode, SyntheticRpki, ValidationOptions};
+use rpki_risk::{Fetch, RrdpMode, ValidationOptions, World};
 use rpki_risk_bench::{
     assert_counts_unmoved, export, scale_arg, time, time_min, trace_recorder, Recorder, RunStamp,
     Summary, SummaryTable,
@@ -190,7 +190,7 @@ const COUNT_COLUMNS: [&str; 6] = ["vrps", "dirtied_per_round", "frames", "memo",
 /// One stack with a world of its own and the state it keeps.
 struct Party {
     stack: Stack,
-    w: SyntheticRpki,
+    w: World,
     memo: ValidationState,
     rrdp: RrdpClientState,
     sched: SchedulerState,
@@ -200,7 +200,7 @@ struct Party {
 
 impl Party {
     fn new(stack: Stack, sweep: &Sweep, (depth, branching): (u32, u32)) -> Self {
-        let mut w = SyntheticRpki::build_seeded(7, depth, branching, sweep.roas_per_ca);
+        let mut w = World::tree(7, depth, branching, sweep.roas_per_ca);
         if let Some(refresh) = sweep.refresh {
             for ca in &mut w.cas {
                 ca.set_refresh_interval(refresh);
@@ -264,7 +264,7 @@ fn minute_round(p: &mut Party, k: usize, churn_pct: usize) -> (usize, Moment) {
         .issue_roa(Asn(64999), vec![RoaPrefix::exact(prefix)], now)
         .expect("inside the root's /8");
     p.extra = Some(roa.file_name());
-    assert!(w.repos.publish(&mut w.cas[0], now), "the bench host is registered");
+    w.publish(0, now);
     (dirtied, Moment(now.0 + 30))
 }
 

@@ -11,10 +11,10 @@ use rpki_attacks::{damage_between, plan_whack, probes_for, DamageReport, WhackPl
 use rpki_objects::Moment;
 use rpki_obs::{Recorder, Summary, SummaryTable};
 use rpki_repo::SyncPolicy;
-use rpki_risk::fixtures::asn;
+use rpki_risk::fixtures::{asn, ca};
 use rpki_risk::{
     collapse_bands, jurisdiction_report, rir_reach, se5_new_roa_impact, se6_missing_roa_impact,
-    validity_grid, Fetch, LoopbackWorld, ModelRpki, ValidationOptions,
+    validity_grid, Fetch, LoopbackWorld, ValidationOptions, World, MODEL_SEED,
 };
 use rpki_rp::{ResilienceConfig, ResilientState, Route, RouteValidity, Vrp};
 use serde::Serialize;
@@ -125,7 +125,7 @@ fn shape<S: AsRef<str>>(claim: &str, checks: &[(bool, S)]) -> ExitCode {
 pub fn dependency_loop(args: &[String]) -> ExitCode {
     println!("Figure 1 — the RPKI ⇆ BGP dependency loop, executed to fixed point");
 
-    let mut w = ModelRpki::build();
+    let mut w = World::model(MODEL_SEED);
     w.add_figure5_right_roa(Moment(2));
     let full = w.validate_direct(Moment(3)).vrps;
     let degraded: Vec<Vrp> = full.iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
@@ -165,10 +165,10 @@ pub fn dependency_loop(args: &[String]) -> ExitCode {
 
 /// `rpki-risk demo` — Figure 2: the reconstructed model RPKI, validated.
 pub fn demo(args: &[String]) -> ExitCode {
-    let w = ModelRpki::build();
+    let w = World::model(MODEL_SEED);
     println!("model RPKI (the paper's Figure 2, reconstructed)\n");
-    println!("ARIN (trust anchor): {}", w.arin.resources());
-    for ca in [&w.sprint, &w.etb, &w.continental] {
+    println!("ARIN (trust anchor): {}", w.cas[ca::ARIN].resources());
+    for ca in &w.cas[ca::SPRINT..] {
         let issuer = if ca.handle() == "Sprint" { "ARIN" } else { "Sprint" };
         println!("└─ RC → {:<24} {}  (issued by {issuer})", ca.handle(), ca.resources());
         for roa in ca.issued_roas() {
@@ -209,7 +209,7 @@ pub fn demo(args: &[String]) -> ExitCode {
 /// measures the damage against the validator. `None` (after saying why
 /// on stderr) when there is no such ROA or no plan.
 fn whack_one(origin: Asn, dry_run: bool) -> Option<(WhackPlan, Option<DamageReport>)> {
-    let mut w = ModelRpki::build();
+    let mut w = World::model(MODEL_SEED);
     let before = w.validate_direct(Moment(2));
 
     let view = w.continental_view();
@@ -253,7 +253,7 @@ fn whack_one(origin: Asn, dry_run: bool) -> Option<(WhackPlan, Option<DamageRepo
         return Some((plan, None));
     }
 
-    plan.execute(&mut w.sprint, Moment(3)).expect("model execution");
+    plan.execute(&mut w.cas[ca::SPRINT], Moment(3)).expect("model execution");
     w.publish_all(Moment(3));
     let after = w.validate_direct(Moment(4));
     let damage = damage_between(&before.vrps, &after.vrps, &probes_for(&before.vrps));
@@ -435,7 +435,7 @@ pub fn audit(args: &[String]) -> ExitCode {
 /// 63.160.0.0/12 and its subprefixes, under the Figure 2 ROAs (left)
 /// or after Sprint adds `(63.160.0.0/12-13, AS1239)` (right).
 pub fn grid(args: &[String]) -> ExitCode {
-    let mut w = ModelRpki::build();
+    let mut w = World::model(MODEL_SEED);
     let left = w.validate_direct(Moment(2)).vrp_cache();
     w.add_figure5_right_roa(Moment(3));
     let right = w.validate_direct(Moment(4)).vrp_cache();
@@ -495,7 +495,7 @@ pub fn grid(args: &[String]) -> ExitCode {
 /// policy (the scenario is `tradeoff::table6`).
 pub fn tradeoff(args: &[String]) -> ExitCode {
     println!("Table 6 — impact of relying-party local policies\n");
-    let table = rpki_risk::tradeoff::table6(&ModelRpki::build());
+    let table = rpki_risk::tradeoff::table6(&World::model(MODEL_SEED));
     println!("{:<16} {:>14} {:>14}", "policy", "under hijack", "under whack");
     for policy in [RpkiPolicy::Ignore, RpkiPolicy::DropInvalid, RpkiPolicy::DeprefInvalid] {
         println!(
@@ -739,7 +739,7 @@ pub fn se7(args: &[String]) -> ExitCode {
 
     // Premises (Section 6): Figure 5 (right) validity; Continental
     // hosts its repository at 63.174.23.0/AS17054; drop-invalid RP.
-    let mut w = ModelRpki::build();
+    let mut w = World::model(MODEL_SEED);
     w.net.set_recorder(recorder.clone());
     w.add_figure5_right_roa(Moment(2));
 

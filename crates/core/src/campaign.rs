@@ -47,7 +47,7 @@ use rpki_rp::{
 use serde::Serialize;
 
 use crate::downgrade::{DowngradeRecord, Stalloris};
-use crate::fixtures::{asn, ModelRpki};
+use crate::fixtures::{asn, ca, World};
 use crate::suspenders::{SuspendersConfig, SuspendersState};
 use crate::validate::{Fetch, RrdpMode, ValidationOptions};
 
@@ -551,7 +551,7 @@ impl Rp {
     /// at the world's current moment. From round 1 on, a tier classifies
     /// the announcements against its effective VRPs and records its row,
     /// emitted as a `campaign/round` event stamped with that moment.
-    fn validate(&mut self, w: &mut ModelRpki, spec: &CampaignSpec, round: usize) -> ValidationRun {
+    fn validate(&mut self, w: &mut World, spec: &CampaignSpec, round: usize) -> ValidationRun {
         let at = w.net.now();
         w.rp_node = self.node;
         self.rrdp_before = self.rrdp.stats();
@@ -649,7 +649,7 @@ enum Topology {
 /// and everything that happens to it between rounds.
 pub(crate) struct Engine<'a> {
     pub(crate) spec: &'a CampaignSpec,
-    pub(crate) w: ModelRpki,
+    pub(crate) w: World,
     pub(crate) rps: Vec<Rp>,
     topology: Topology,
     /// One window of each engaged stateful (host, kind) group.
@@ -673,7 +673,7 @@ impl<'a> Engine<'a> {
         walk: Walk,
         topology: Topology,
     ) -> Self {
-        let mut w = ModelRpki::build_seeded(seed);
+        let mut w = World::model(seed);
         w.net.set_recorder(recorder.clone());
         let mut rps = Vec::with_capacity(stacks.len());
         for &stack in stacks {
@@ -781,13 +781,12 @@ impl<'a> Engine<'a> {
                     win.host
                 );
                 let file = self.w.covering_roa_file();
-                self.w.continental.withdraw(&file).expect("covering ROA present");
+                self.w.cas[ca::CONTINENTAL].withdraw(&file).expect("covering ROA present");
                 self.w.publish_all(now);
             }
             FaultKind::Withdraw => {
                 let covering: Prefix = "63.174.16.0/20".parse().expect("literal");
-                self.w
-                    .continental
+                self.w.cas[ca::CONTINENTAL]
                     .issue_roa(asn::CONTINENTAL, vec![RoaPrefix::exact(covering)], now)
                     .expect("own space");
                 self.w.publish_all(now);
@@ -1083,7 +1082,7 @@ impl RtrSide {
 
     /// How far the router population sits from the relay and from the
     /// truth after `round`'s cycle.
-    fn measure(&self, w: &ModelRpki, round: usize) -> RtrRoundMetrics {
+    fn measure(&self, w: &World, round: usize) -> RtrRoundMetrics {
         // Truth: a perfect-transport walk of the repositories now —
         // what the authorities published, against what BGP acts on.
         let truth: BTreeSet<Vrp> =

@@ -275,11 +275,11 @@ mod tests {
 
     #[test]
     fn session_reset_rounds_register_as_session_reset_fallbacks() {
-        use crate::fixtures::ModelRpki;
+        use crate::fixtures::World;
         use crate::validate::{Fetch, ValidationOptions};
         use rpki_repo::RrdpClientState;
 
-        let mut w = ModelRpki::build_seeded(41);
+        let mut w = World::model(41);
         let mut client = RrdpClientState::new();
         let verified = RrdpMode::Verified;
         w.validate_with(ValidationOptions::at(Moment(2)).fetch(Fetch::Rrdp(&mut client, verified)));

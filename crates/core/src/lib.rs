@@ -5,9 +5,12 @@
 //! repositories, relying parties) and a working BGP (policy routing,
 //! forwarding). This crate asks the paper's questions of them:
 //!
-//! - [`fixtures`] — the Figure 2 model RPKI, reconstructed as a live
-//!   world: ARIN → Sprint → {ETB, Continental Broadband}, seven ROAs,
-//!   repositories, an AS topology, and a relying party.
+//! - [`fixtures`] — one live world type, [`World`]: CAs, repositories,
+//!   a network, a relying party and an AS topology. [`World::model`]
+//!   reconstructs the Figure 2 model RPKI (ARIN → Sprint → {ETB,
+//!   Continental Broadband}, eight ROAs, four hosts, the AS topology
+//!   and announcements); [`World::tree`] grows a synthetic CA tree on
+//!   one host for churn and scale experiments.
 //! - [`grid`] — Figure 5's route-validity grids: classify every
 //!   subprefix × origin against a VRP cache and collapse the result
 //!   into readable bands.
@@ -31,8 +34,8 @@
 //!   RRDP, stale cache, fetch scheduler, Suspenders, the incremental
 //!   walk) and [`ValidationOptions::run`] chains them into one source
 //!   stack at a [`VantagePoint`] and runs it, reporting through the
-//!   network's observability recorder; every world's `validate_with`
-//!   and the loopback's per-iteration walk are that call.
+//!   network's observability recorder; [`World::validate_with`] and
+//!   the loopback's per-iteration walk are that call.
 //! - [`campaign`] — seeded fault campaigns comparing relying-party
 //!   configurations (bare / retrying / stale-cache / Suspenders /
 //!   RRDP) on VRP availability and validity flips under scheduled
@@ -69,7 +72,7 @@ pub use campaign::{
     TierTotals, Walk,
 };
 pub use downgrade::{stalloris_campaign, DowngradeRecord, DowngradeRound, DowngradeSchedule};
-pub use fixtures::{ModelRpki, SyntheticRpki};
+pub use fixtures::{World, MODEL_SEED};
 pub use grid::{collapse_bands, validity_grid, Band, GridRow};
 pub use jurisdiction::{
     jurisdiction_report, rir_reach, JurisdictionReport, JurisdictionRow, RirReach,

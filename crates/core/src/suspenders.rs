@@ -216,7 +216,7 @@ impl SuspendersState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{asn, ModelRpki};
+    use crate::fixtures::{asn, ca, World, MODEL_SEED};
     use rpki_rp::{Route, RouteValidity};
 
     fn cfg() -> SuspendersConfig {
@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn steady_state_is_quiet() {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let mut s = SuspendersState::new(cfg());
         let events = s.ingest(&w.validate_direct(Moment(2)), Moment(2));
         assert!(events.is_empty());
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn whack_is_held_and_routes_stay_valid() {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let mut s = SuspendersState::new(cfg());
         s.ingest(&w.validate_direct(Moment(2)), Moment(2));
 
@@ -247,7 +247,7 @@ mod tests {
         let view = w.continental_view();
         let file = w.covering_roa_file();
         let plan = plan_whack(std::slice::from_ref(&view), &file).unwrap();
-        plan.execute(&mut w.sprint, Moment(3)).unwrap();
+        plan.execute(&mut w.cas[ca::SPRINT], Moment(3)).unwrap();
         w.publish_all(Moment(3));
 
         let run = w.validate_direct(Moment(4));
@@ -269,13 +269,16 @@ mod tests {
 
     #[test]
     fn transparent_revocation_takes_effect_immediately() {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let mut s = SuspendersState::new(cfg());
         s.ingest(&w.validate_direct(Moment(2)), Moment(2));
 
-        let serial =
-            w.continental.issued_roas().find(|r| r.asn() == asn::CONTINENTAL).unwrap().serial();
-        w.continental.revoke_serial(serial);
+        let serial = w.cas[ca::CONTINENTAL]
+            .issued_roas()
+            .find(|r| r.asn() == asn::CONTINENTAL)
+            .unwrap()
+            .serial();
+        w.cas[ca::CONTINENTAL].revoke_serial(serial);
         w.publish_all(Moment(3));
         let events = s.ingest(&w.validate_direct(Moment(4)), Moment(4));
         assert!(events
@@ -291,7 +294,7 @@ mod tests {
 
     #[test]
     fn expiry_is_not_held() {
-        let w = ModelRpki::build();
+        let w = World::model(MODEL_SEED);
         let mut s = SuspendersState::new(cfg());
         s.ingest(&w.validate_direct(Moment(2)), Moment(2));
         // Far enough that the model's ROAs have expired (365d default):
@@ -307,11 +310,11 @@ mod tests {
 
     #[test]
     fn hold_down_lapses() {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let mut s = SuspendersState::new(SuspendersConfig { hold_down: Span::days(2) });
         s.ingest(&w.validate_direct(Moment(2)), Moment(2));
         let file = w.covering_roa_file();
-        w.continental.withdraw(&file).unwrap();
+        w.cas[ca::CONTINENTAL].withdraw(&file).unwrap();
         w.publish_all(Moment(3));
         // Day 0: held.
         let run = w.validate_direct(Moment(4));
@@ -334,7 +337,7 @@ mod tests {
 
     #[test]
     fn recovery_clears_the_hold() {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let mut s = SuspendersState::new(cfg());
         s.ingest(&w.validate_direct(Moment(2)), Moment(2));
         // A transport fault makes Continental's repo unreachable for one
@@ -359,12 +362,12 @@ mod tests {
 
     #[test]
     fn renewal_is_transparent_to_suspenders() {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let mut s = SuspendersState::new(cfg());
         s.ingest(&w.validate_direct(Moment(2)), Moment(2));
         // Renew one of Sprint's ROAs: same VRP content, new EE identity.
-        let file = w.sprint.issued_roas().next().map(|r| r.file_name()).unwrap();
-        w.sprint.renew_roa(&file, Moment(50)).unwrap();
+        let file = w.cas[ca::SPRINT].issued_roas().next().map(|r| r.file_name()).unwrap();
+        w.cas[ca::SPRINT].renew_roa(&file, Moment(50)).unwrap();
         w.publish_all(Moment(51));
         let events = s.ingest(&w.validate_direct(Moment(52)), Moment(52));
         // The VRP never disappeared (content identity), so: silence.

@@ -7,17 +7,18 @@
 //! assembles the source stack at a [`VantagePoint`], runs the
 //! validator (cold, or incrementally against a persistent
 //! [`ValidationState`]), and reports the run (and any Suspenders
-//! transitions) through the network's observability recorder. Each
-//! world's `validate_with` ([`ModelRpki`], [`SyntheticRpki`]) is that
-//! call from its own relying party's vantage point.
+//! transitions) through the network's observability recorder.
+//! [`World::validate_with`] is that call from the world's own relying
+//! party's vantage point, for the Figure 2 model and a synthetic tree
+//! alike.
 //!
 //! ```
 //! use rpki_objects::Moment;
 //! use rpki_repo::SyncPolicy;
 //! use rpki_rp::ResilientState;
-//! use rpki_risk::{Fetch, ModelRpki, ValidationOptions};
+//! use rpki_risk::{Fetch, ValidationOptions, World, MODEL_SEED};
 //!
-//! let mut w = ModelRpki::build();
+//! let mut w = World::model(MODEL_SEED);
 //! // The bare networked relying party:
 //! let bare = w.validate_with(ValidationOptions::at(Moment(2)));
 //! // The full resilience stack:
@@ -30,7 +31,7 @@
 //! assert_eq!(bare.vrps, run.vrps);
 //! ```
 //!
-//! [`ModelRpki::validate_direct`] (a perfect-transport probe, `&self`)
+//! [`World::validate_direct`] (a perfect-transport probe, `&self`)
 //! remains as the one standalone convenience.
 
 use netsim::{Network, NodeId};
@@ -42,7 +43,7 @@ use rpki_rp::{
     ValidationState, Validator,
 };
 
-use crate::fixtures::{ModelRpki, SyntheticRpki};
+use crate::fixtures::World;
 use crate::suspenders::SuspendersState;
 
 /// Where a relying party stands when it validates: the network it
@@ -271,21 +272,8 @@ impl<'a> ValidationOptions<'a> {
     }
 }
 
-impl ModelRpki {
-    /// Runs one validation from the model's relying party with the
-    /// layers selected in `opts` ([`ValidationOptions::run`]).
-    pub fn validate_with(&mut self, opts: ValidationOptions<'_>) -> ValidationRun {
-        opts.run(VantagePoint {
-            net: &mut self.net,
-            repos: &self.repos,
-            node: self.rp_node,
-            tals: std::slice::from_ref(&self.tal),
-        })
-    }
-}
-
-impl SyntheticRpki {
-    /// Runs one validation from the tree's relying party with the
+impl World {
+    /// Runs one validation from the world's relying party with the
     /// layers selected in `opts` ([`ValidationOptions::run`]).
     pub fn validate_with(&mut self, opts: ValidationOptions<'_>) -> ValidationRun {
         opts.run(VantagePoint {
@@ -300,6 +288,7 @@ impl SyntheticRpki {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{ca, MODEL_SEED};
     use crate::suspenders::SuspendersConfig;
     use rpki_obs::Recorder;
 
@@ -308,8 +297,8 @@ mod tests {
         // Same seed, one cold world and one incremental world: the
         // first incremental run (all misses) must be byte-identical to
         // the cold run — same network traffic, same output.
-        let mut cold = ModelRpki::build_seeded(5);
-        let mut warm = ModelRpki::build_seeded(5);
+        let mut cold = World::model(5);
+        let mut warm = World::model(5);
         let mut state = ValidationState::full();
         let a = cold.validate_with(ValidationOptions::at(Moment(2)));
         let b = warm.validate_with(ValidationOptions::at(Moment(2)).incremental(&mut state));
@@ -323,7 +312,7 @@ mod tests {
 
     #[test]
     fn incremental_rerun_reuses_subtrees_and_yields_delta() {
-        let mut w = ModelRpki::build_seeded(5);
+        let mut w = World::model(5);
         let mut state = ValidationState::full();
         let first = w.validate_with(ValidationOptions::at(Moment(2)).incremental(&mut state));
         // Nothing republished: every subtree replays from the cache and
@@ -337,7 +326,7 @@ mod tests {
         // digests (fresh manifests everywhere), so the walk repeats and
         // the delta carries exactly the vanished VRP.
         let file = w.covering_roa_file();
-        w.continental.withdraw(&file).unwrap();
+        w.cas[ca::CONTINENTAL].withdraw(&file).unwrap();
         w.publish_all(Moment(4));
         let rerun = w.validate_with(ValidationOptions::at(Moment(5)).incremental(&mut state));
         assert_eq!(rerun.vrps.len(), 7);
@@ -347,8 +336,8 @@ mod tests {
 
     #[test]
     fn incremental_composes_with_retry_and_stale_cache() {
-        let mut a = ModelRpki::build_seeded(5);
-        let mut b = ModelRpki::build_seeded(5);
+        let mut a = World::model(5);
+        let mut b = World::model(5);
         let mut resilient = ResilientState::default();
         let mut state = ValidationState::full();
         let cold = a.validate_with(
@@ -369,7 +358,7 @@ mod tests {
 
     #[test]
     fn suspenders_layer_ingests_and_traces() {
-        let mut w = ModelRpki::build();
+        let mut w = World::model(MODEL_SEED);
         let rec = Recorder::new();
         w.net.set_recorder(rec.clone());
         let mut susp = SuspendersState::new(SuspendersConfig::default());
@@ -378,7 +367,7 @@ mod tests {
         // Stealthy withdrawal: the hold-down keeps the VRP effective
         // and the transition lands in the trace.
         let file = w.covering_roa_file();
-        w.continental.withdraw(&file).unwrap();
+        w.cas[ca::CONTINENTAL].withdraw(&file).unwrap();
         w.publish_all(Moment(3));
         w.validate_with(ValidationOptions::at(Moment(4)).suspenders(&mut susp));
         assert_eq!(susp.len(), 8);
@@ -392,8 +381,8 @@ mod tests {
 
     #[test]
     fn rrdp_run_matches_cold_network_run() {
-        let mut cold = ModelRpki::build_seeded(5);
-        let mut warm = ModelRpki::build_seeded(5);
+        let mut cold = World::model(5);
+        let mut warm = World::model(5);
         let mut state = RrdpClientState::new();
         let a = cold.validate_with(ValidationOptions::at(Moment(2)));
         let b = warm.validate_with(
@@ -412,7 +401,7 @@ mod tests {
 
     #[test]
     fn rrdp_run_survives_an_offline_rrdp_endpoint() {
-        let mut w = ModelRpki::build_seeded(5);
+        let mut w = World::model(5);
         let baseline = w.validate_with(ValidationOptions::at(Moment(2)));
         for host in ["rpki.arin.example", "rpki.sprint.example", "rpki.continental.example"] {
             if let Some(repo) = w.repos.by_host_mut(host) {
@@ -429,8 +418,8 @@ mod tests {
 
     #[test]
     fn trusting_rrdp_stays_pinned_while_verified_recovers() {
-        let mut trusting_world = ModelRpki::build_seeded(9);
-        let mut verified_world = ModelRpki::build_seeded(9);
+        let mut trusting_world = World::model(9);
+        let mut verified_world = World::model(9);
         let mut trusting = RrdpClientState::new();
         let mut verified = RrdpClientState::new();
         trusting_world.validate_with(
@@ -444,7 +433,7 @@ mod tests {
         for w in [&mut trusting_world, &mut verified_world] {
             w.repos.by_host_mut("rpki.continental.example").unwrap().rrdp_pin();
             let file = w.covering_roa_file();
-            w.continental.withdraw(&file).unwrap();
+            w.cas[ca::CONTINENTAL].withdraw(&file).unwrap();
             w.publish_all(Moment(3));
         }
         let t = trusting_world.validate_with(
@@ -461,9 +450,9 @@ mod tests {
 
     #[test]
     fn scheduled_degenerate_matches_sweep_and_rerun_is_zero_frames() {
-        let mut plain = ModelRpki::build_seeded(5);
-        let mut degen = ModelRpki::build_seeded(5);
-        let mut sched = ModelRpki::build_seeded(5);
+        let mut plain = World::model(5);
+        let mut degen = World::model(5);
+        let mut sched = World::model(5);
         let a = plain.validate_with(ValidationOptions::at(Moment(2)));
         // Degenerate plan: byte-identical output, identical traffic.
         let mut dstate = SchedulerState::new();
@@ -504,7 +493,7 @@ mod tests {
         }
         let fresh = || (RrdpClientState::new(), SchedulerState::new(), ValidationState::probe());
 
-        let mut model = ModelRpki::build_seeded(7);
+        let mut model = World::model(7);
         let mut state = fresh();
         for t in [2, 3] {
             let direct = model.validate_direct(Moment(t));
@@ -512,11 +501,11 @@ mod tests {
         }
         assert_eq!(state.2.stats().subtrees_reused, 4, "the quiet re-run replays the memo");
 
-        let mut tree = SyntheticRpki::build_seeded(7, 2, 3, 2);
+        let mut tree = World::tree(7, 2, 3, 2);
         let mut state = fresh();
         for t in [2, 3] {
             let bare = tree.validate_with(ValidationOptions::at(Moment(t)));
-            assert_eq!(bare.vrps.len(), tree.roa_count);
+            assert_eq!(bare.vrps.len(), tree.roa_count());
             assert_eq!(tree.validate_with(chain(Moment(t), &mut state)), bare);
         }
         assert_eq!(state.2.stats().subtrees_reused as usize, tree.publication_points());
@@ -524,7 +513,7 @@ mod tests {
 
     #[test]
     fn scheduled_composes_with_rrdp_and_gates_fallback() {
-        let mut w = ModelRpki::build_seeded(5);
+        let mut w = World::model(5);
         let baseline = w.validate_with(ValidationOptions::at(Moment(2)));
         w.repos.by_host_mut("rpki.continental.example").unwrap().set_rrdp_offline(true);
         let mut rrdp = RrdpClientState::new();

@@ -12,21 +12,21 @@
 
 use rpki_attacks::plan_whack;
 use rpki_objects::Moment;
-use rpki_risk::fixtures::asn;
-use rpki_risk::ModelRpki;
+use rpki_risk::fixtures::{asn, ca};
+use rpki_risk::{World, MODEL_SEED};
 use rpki_rp::fabric::{pump_until, RtrEndpoint};
 use rpki_rp::{Route, RouteValidity, RtrFabric, RtrRouter, VrpUpdate};
 
 /// Runs the network for one RTR window, dispatching frames to the
 /// cache fabric and both routers.
-fn pump(w: &mut ModelRpki, fabric: &mut RtrFabric, a: &mut RtrRouter, b: &mut RtrRouter) {
+fn pump(w: &mut World, fabric: &mut RtrFabric, a: &mut RtrRouter, b: &mut RtrRouter) {
     let deadline = w.net.now() + 1_000;
     let mut endpoints: Vec<&mut dyn RtrEndpoint> = vec![fabric, a, b];
     pump_until(&mut w.net, deadline, &mut endpoints);
 }
 
 fn main() {
-    let mut w = ModelRpki::build();
+    let mut w = World::model(MODEL_SEED);
     let victim = Route::new("63.174.16.0/20".parse().unwrap(), asn::CONTINENTAL);
 
     // The relying party serves RTR from its own node; two routers sync
@@ -60,7 +60,7 @@ fn main() {
     let view = w.continental_view();
     let file = w.covering_roa_file();
     let plan = plan_whack(std::slice::from_ref(&view), &file).unwrap();
-    plan.execute(&mut w.sprint, Moment(3)).unwrap();
+    plan.execute(&mut w.cas[ca::SPRINT], Moment(3)).unwrap();
     w.publish_all(Moment(3));
 
     // Until the RP revalidates and publishes, routers act on old data:

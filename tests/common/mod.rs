@@ -1,18 +1,16 @@
 //! The mutation vocabulary the differential harness and the walk pins
 //! share: authority- and repository-side mutations against a
-//! [`SyntheticRpki`]. Not every test draws every item.
+//! [`World`]. Not every test draws every item.
 
 #![allow(dead_code)]
 
 use ipres::Asn;
 use rpki_objects::{Moment, RoaPrefix};
-use rpki_risk::SyntheticRpki;
+use rpki_risk::World;
 
-/// The one host a [`SyntheticRpki`] publishes on.
-pub const HOST: &str = "rpki.bench.example";
-
-/// One authority- or repository-side mutation against the synthetic
-/// world. Every variant names the CA index it targets.
+/// One authority- or repository-side mutation against a world. Every
+/// variant names the CA index it targets; the repository-side ones act
+/// at the host the CA's SIA names.
 #[derive(Debug, Clone, Copy)]
 pub enum Op {
     /// Renew the CA's first ROA: fresh file name, EE key, and serial,
@@ -31,18 +29,13 @@ pub enum Op {
     Corrupt(usize),
 }
 
-/// Republishes CA `idx`'s complete snapshot (fresh manifest and CRL).
-pub fn republish(w: &mut SyntheticRpki, idx: usize, now: Moment) {
-    assert!(w.repos.publish(&mut w.cas[idx], now), "the bench host is registered");
-}
-
-pub fn apply(w: &mut SyntheticRpki, op: Op, now: Moment) {
+pub fn apply(w: &mut World, op: Op, now: Moment) {
     match op {
         Op::Renew(ca) => {
             let file =
                 w.cas[ca].issued_roas().next().expect("every CA keeps its first ROA").file_name();
             w.cas[ca].renew_roa(&file, now).expect("renewable");
-            republish(w, ca, now);
+            w.publish(ca, now);
         }
         Op::Add(ca, slot) => {
             let prefix = format!("10.0.{ca}.{}/32", 100 + usize::from(slot));
@@ -53,7 +46,7 @@ pub fn apply(w: &mut SyntheticRpki, op: Op, now: Moment) {
                     now,
                 )
                 .expect("inside the CA's own /24");
-            republish(w, ca, now);
+            w.publish(ca, now);
         }
         Op::Withdraw(ca) => {
             // Keep the first ROA so Renew always has a target.
@@ -61,26 +54,26 @@ pub fn apply(w: &mut SyntheticRpki, op: Op, now: Moment) {
                 w.cas[ca].issued_roas().skip(1).last().map(|r| r.file_name());
             if let Some(file) = extra {
                 w.cas[ca].withdraw(&file).expect("present");
-                republish(w, ca, now);
+                w.publish(ca, now);
             }
         }
         Op::Revoke(ca) => {
             let serial = w.cas[ca].issued_certs().next().map(|c| c.data().serial);
             if let Some(serial) = serial {
                 w.cas[ca].revoke_serial(serial);
-                republish(w, ca, now);
+                w.publish(ca, now);
             }
         }
         Op::Takedown(ca) => {
             let dir = w.cas[ca].sia().clone();
-            let repo = w.repos.by_host_mut(HOST).expect("exists");
+            let repo = w.repos.by_host_mut(dir.host()).expect("exists");
             if let Some((name, _)) = repo.list(&dir).first().cloned() {
                 repo.delete(&dir, &name);
             }
         }
         Op::Corrupt(ca) => {
             let dir = w.cas[ca].sia().clone();
-            let repo = w.repos.by_host_mut(HOST).expect("exists");
+            let repo = w.repos.by_host_mut(dir.host()).expect("exists");
             if let Some((name, _)) = repo.list(&dir).last().cloned() {
                 repo.corrupt_at_rest(&dir, &name);
             }

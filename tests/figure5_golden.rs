@@ -6,7 +6,7 @@
 use ipres::Asn;
 use rpki_objects::Moment;
 use rpki_risk::fixtures::asn;
-use rpki_risk::{validity_grid, ModelRpki};
+use rpki_risk::{validity_grid, World, MODEL_SEED};
 use rpki_rp::RouteValidity;
 
 /// Counts (valid, invalid, unknown) for one origin at one length.
@@ -26,7 +26,7 @@ fn count(rows: &[rpki_risk::GridRow], len: u8, origin: Asn) -> (usize, usize, us
 
 #[test]
 fn figure5_left_counts() {
-    let w = ModelRpki::build();
+    let w = World::model(MODEL_SEED);
     let cache = w.validate_direct(Moment(2)).vrp_cache();
     let rows = validity_grid(
         &cache,
@@ -58,7 +58,7 @@ fn figure5_left_counts() {
 
 #[test]
 fn figure5_right_counts() {
-    let mut w = ModelRpki::build();
+    let mut w = World::model(MODEL_SEED);
     w.add_figure5_right_roa(Moment(2));
     let cache = w.validate_direct(Moment(3)).vrp_cache();
     let rows =

@@ -24,7 +24,7 @@ use harness::{arb_steps, play, Chain, Transport, WORLD};
 use proptest::prelude::*;
 use rpki_objects::{Moment, Span};
 use rpki_repo::RrdpClientState;
-use rpki_risk::{Fetch, RrdpMode, SyntheticRpki, ValidationOptions};
+use rpki_risk::{Fetch, RrdpMode, ValidationOptions, World};
 use rpki_rp::{RevalidationMode, SchedulePlan, SchedulerState, ValidationState};
 
 proptest! {
@@ -49,7 +49,7 @@ proptest! {
 #[test]
 fn degenerate_plan_matches_the_sweep_on_the_wire() {
     let world = || {
-        let mut w = SyntheticRpki::build_seeded(11, 3, 5, 4);
+        let mut w = World::tree(11, 3, 5, 4);
         for ca in &mut w.cas {
             ca.set_refresh_interval(Span::days(365));
         }

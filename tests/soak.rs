@@ -15,8 +15,8 @@
 use rpki_attacks::{Monitor, MonitorSnapshot};
 use rpki_objects::{Moment, Span};
 use rpki_repo::{Freshness, SyncPolicy};
-use rpki_risk::fixtures::asn;
-use rpki_risk::{Fetch, ModelRpki, SuspendersConfig, SuspendersState, ValidationOptions};
+use rpki_risk::fixtures::{asn, ca};
+use rpki_risk::{Fetch, SuspendersConfig, SuspendersState, ValidationOptions, World, MODEL_SEED};
 use rpki_rp::{ResilienceConfig, ResilientState, Route, RouteValidity};
 
 const DAY: u64 = 86_400;
@@ -27,7 +27,7 @@ fn day(n: u64) -> Moment {
 
 #[test]
 fn three_hundred_days_of_operations() {
-    let mut w = ModelRpki::build();
+    let mut w = World::model(MODEL_SEED);
     let mut monitor = Monitor::new();
     let mut suspenders = SuspendersState::new(SuspendersConfig { hold_down: Span::days(45) });
     let victim_route = Route::new("63.174.16.0/20".parse().unwrap(), asn::CONTINENTAL);
@@ -75,7 +75,7 @@ fn three_hundred_days_of_operations() {
         // -- CA operations --
         // Renew ROAs within 90 days of expiry (monthly maintenance).
         if d % 30 == 0 {
-            for ca in [&mut w.arin, &mut w.sprint, &mut w.etb, &mut w.continental] {
+            for ca in &mut w.cas {
                 let expiring: Vec<String> =
                     ca.expiring_roas(now, Span::days(90)).iter().map(|r| r.file_name()).collect();
                 for file in expiring {
@@ -85,59 +85,48 @@ fn three_hundred_days_of_operations() {
             // Parent certs expire too (365d): reissue the child RCs
             // with the same resources when their window nears its end.
             if d % 180 == 0 {
-                let sprint_key = w.sprint.public_key();
-                let sprint_res = w.sprint.resources();
-                let rc = w
-                    .arin
-                    .issue_cert("Sprint", sprint_key, sprint_res, w.sprint.sia().clone(), now)
-                    .expect("renewal");
-                w.sprint.install_cert(rc);
-                for (ca, handle) in
-                    [(&mut w.etb, "ETB S.A. ESP."), (&mut w.continental, "Continental Broadband")]
-                {
-                    let key = ca.public_key();
-                    let res = ca.resources();
-                    let rc = w
-                        .sprint
-                        .issue_cert(handle, key, res, ca.sia().clone(), now)
-                        .expect("renewal");
-                    ca.install_cert(rc);
+                for (parent, child, handle) in [
+                    (ca::ARIN, ca::SPRINT, "Sprint"),
+                    (ca::SPRINT, ca::ETB, "ETB S.A. ESP."),
+                    (ca::SPRINT, ca::CONTINENTAL, "Continental Broadband"),
+                ] {
+                    let c = &w.cas[child];
+                    let (key, res, sia) = (c.public_key(), c.resources(), c.sia().clone());
+                    let rc = w.cas[parent].issue_cert(handle, key, res, sia, now).expect("renewal");
+                    w.cas[child].install_cert(rc);
                 }
             }
         }
 
         // Key rollover at day 200: ETB rolls, Sprint recertifies.
         if d == 200 {
-            let old_serial =
-                w.sprint.issued_cert_for(w.etb.key_id()).expect("certified").data().serial;
+            let old_serial = w.cas[ca::SPRINT]
+                .issued_cert_for(w.cas[ca::ETB].key_id())
+                .expect("certified")
+                .data()
+                .serial;
             // Capture the allocation before rolling: `roll_key` drops
             // the certificate (the parent must re-certify), after which
             // `resources()` is empty.
-            let etb_resources = w.etb.resources();
-            let report = w.etb.roll_key("model-etb-key2", now);
-            w.sprint.revoke_serial(old_serial);
-            let rc = w
-                .sprint
-                .issue_cert(
-                    "ETB S.A. ESP.",
-                    report.new_key,
-                    etb_resources,
-                    w.etb.sia().clone(),
-                    now,
-                )
+            let (etb_resources, etb_sia) =
+                (w.cas[ca::ETB].resources(), w.cas[ca::ETB].sia().clone());
+            let report = w.cas[ca::ETB].roll_key("model-etb-key2", now);
+            w.cas[ca::SPRINT].revoke_serial(old_serial);
+            let rc = w.cas[ca::SPRINT]
+                .issue_cert("ETB S.A. ESP.", report.new_key, etb_resources, etb_sia, now)
                 .expect("rollover recert");
-            w.etb.install_cert(rc);
+            w.cas[ca::ETB].install_cert(rc);
         }
 
         // The attack window.
         if d == attack_day {
             let file = w.covering_roa_file();
-            w.continental.withdraw(&file).expect("present");
+            w.cas[ca::CONTINENTAL].withdraw(&file).expect("present");
             withdrawn_file = Some(file);
         }
         if d == restore_day {
             let _ = withdrawn_file.take();
-            w.continental
+            w.cas[ca::CONTINENTAL]
                 .issue_roa(
                     asn::CONTINENTAL,
                     vec![rpki_objects::RoaPrefix::exact("63.174.16.0/20".parse().unwrap())],
