@@ -4,6 +4,7 @@
 //! the `rpki-risk` CLI's subcommands, run by its tests.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rpkisim_crypto::sha256;
 
@@ -14,22 +15,41 @@ macro_rules! bins {
     };
 }
 
-/// The ablations that need no benchmark-sized world and write no file
-/// untraced (`ablation_unsafe_vrp` exports `BENCH_unsafe_vrp.json`).
-const ABLATIONS: [(&str, &str); 6] = bins![
+/// The ablations that need no benchmark-sized world.
+const ABLATIONS: [(&str, &str); 7] = bins![
     "ablation_depth_sweep",
     "ablation_downgrade",
     "ablation_monitor_detection",
     "ablation_resilience",
     "ablation_suspenders",
+    "ablation_unsafe_vrp",
     "ablation_whack_strategies",
 ];
+
+/// Runs one ablation at its defaults, untraced (`BENCH_TRACE` would
+/// make the traced ones write a file), in a directory of this test
+/// process's own under the system temp directory: `ablation_unsafe_vrp`
+/// writes `BENCH_unsafe_vrp.json` into its working directory, which
+/// must not be the repository's.
+fn run_ablation(path: &str) -> std::process::Output {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("rpki-risk-regenerators-{}-{run}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the scratch directory");
+    let out = Command::new(path)
+        .current_dir(&dir)
+        .env_remove("BENCH_TRACE")
+        .output()
+        .expect("binary runs");
+    std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
+    out
+}
 
 #[test]
 fn every_regenerator_exits_zero_with_output() {
     for (name, path) in ABLATIONS {
-        // `BENCH_TRACE` would make the traced ones write a file.
-        let out = Command::new(path).env_remove("BENCH_TRACE").output().expect("binary runs");
+        let out = run_ablation(path);
         assert!(
             out.status.success(),
             "{name} failed ({}):\n{}",
@@ -68,7 +88,7 @@ fn every_ablation_stdout_matches_its_pinned_digest() {
     let got: Vec<(String, String)> = ABLATIONS
         .iter()
         .map(|&(name, path)| {
-            let out = Command::new(path).env_remove("BENCH_TRACE").output().expect("binary runs");
+            let out = run_ablation(path);
             assert!(out.status.success(), "{name} failed ({})", out.status);
             (name.to_owned(), sha256(&out.stdout).to_hex())
         })
@@ -95,5 +115,6 @@ const OUTPUT_PINS: &[(&str, &str)] = &[
     ("ablation_monitor_detection", "4f70dbc9737631db5446fa8303c82a8e41fa3e1f2a03ab3b16871e1c7d6ca17c"),
     ("ablation_resilience", "d6f25cc449417a31dee9cc06e9f83dca3675f19ab83b0faeb0fcb459d7f35de9"),
     ("ablation_suspenders", "7b75b35d44981f8090efe079bc3b61c73d142aa3ed832169ba25f648144d5efa"),
+    ("ablation_unsafe_vrp", "a3e12acb8f234f2b750127c2262b52608e5656fe69656156e90b93f9d26ef47f"),
     ("ablation_whack_strategies", "71a5731bf0a8ba8bed07edc78e8a128c933404d3921f0ca501e941e2a5a97a73"),
 ];
