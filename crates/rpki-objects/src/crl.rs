@@ -13,7 +13,9 @@ use rpkisim_crypto::KeyId;
 
 use crate::codec::{Decode, DecodeError, Encode, Reader};
 use crate::signed::{Signed, ToBeSigned};
-use crate::time::Moment;
+use crate::time::{Moment, UpdateWindow, Validity};
+
+const INVERTED: &str = "CRL update window inverted";
 
 /// The to-be-signed CRL content.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,9 +52,7 @@ impl Decode for CrlData {
             next_update: Moment::decode(r)?,
             revoked: Vec::<u64>::decode(r)?,
         };
-        if data.this_update > data.next_update {
-            return Err(DecodeError::Invalid("CRL update window inverted"));
-        }
+        data.window().checked(INVERTED)?;
         if data.revoked.windows(2).any(|w| w[0] >= w[1]) {
             return Err(DecodeError::Invalid("CRL serials not sorted-unique"));
         }
@@ -73,9 +73,15 @@ impl ToBeSigned for CrlData {
     ///
     /// Panics on an inverted update window.
     fn canonicalise(&mut self) {
-        assert!(self.this_update <= self.next_update, "CRL update window inverted");
+        assert!(self.window().checked(INVERTED).is_ok(), "{INVERTED}");
         self.revoked.sort_unstable();
         self.revoked.dedup();
+    }
+}
+
+impl UpdateWindow for CrlData {
+    fn window(&self) -> Validity {
+        Validity { not_before: self.this_update, not_after: self.next_update }
     }
 }
 
@@ -86,11 +92,6 @@ impl Crl {
     /// Whether `serial` is revoked by this CRL.
     pub fn is_revoked(&self, serial: u64) -> bool {
         self.data().revoked.binary_search(&serial).is_ok()
-    }
-
-    /// Whether the CRL is stale at `now` (past its `next_update`).
-    pub fn is_stale_at(&self, now: Moment) -> bool {
-        now > self.data().next_update
     }
 
     /// Canonical file name: `<issuer-key-id>.crl`.

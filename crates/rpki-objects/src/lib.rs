@@ -44,5 +44,5 @@ pub use manifest::{Manifest, ManifestData, ManifestEntry};
 pub use object::{RpkiObject, TrustAnchorLocator};
 pub use roa::{Roa, RoaData, RoaError, RoaPrefix};
 pub use signed::{Signed, ToBeSigned};
-pub use time::{Moment, Span, Validity};
+pub use time::{Moment, Span, UpdateWindow, Validity};
 pub use uri::{RepoUri, UriParseError};

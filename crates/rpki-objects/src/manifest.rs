@@ -19,7 +19,9 @@ use rpkisim_crypto::{sha256, Digest, KeyId};
 
 use crate::codec::{Decode, DecodeError, Encode, Reader, Writer};
 use crate::signed::{Signed, ToBeSigned};
-use crate::time::Moment;
+use crate::time::{Moment, UpdateWindow, Validity};
+
+const INVERTED: &str = "manifest update window inverted";
 
 /// One manifest entry: a published file and its hash.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,9 +79,7 @@ impl Decode for ManifestData {
             next_update: Moment::decode(r)?,
             entries: Vec::<ManifestEntry>::decode(r)?,
         };
-        if data.this_update > data.next_update {
-            return Err(DecodeError::Invalid("manifest update window inverted"));
-        }
+        data.window().checked(INVERTED)?;
         if data.entries.windows(2).any(|w| w[0].name >= w[1].name) {
             return Err(DecodeError::Invalid("manifest entries not sorted-unique"));
         }
@@ -101,12 +101,18 @@ impl ToBeSigned for ManifestData {
     /// Panics on an inverted update window or duplicate file names (a
     /// CA never publishes two files with one name).
     fn canonicalise(&mut self) {
-        assert!(self.this_update <= self.next_update, "manifest update window inverted");
+        assert!(self.window().checked(INVERTED).is_ok(), "{INVERTED}");
         self.entries.sort_by(|a, b| a.name.cmp(&b.name));
         assert!(
             self.entries.windows(2).all(|w| w[0].name != w[1].name),
             "duplicate file name in manifest"
         );
+    }
+}
+
+impl UpdateWindow for ManifestData {
+    fn window(&self) -> Validity {
+        Validity { not_before: self.this_update, not_after: self.next_update }
     }
 }
 
@@ -128,11 +134,6 @@ impl Manifest {
     /// The listed file names, sorted.
     pub fn file_names(&self) -> impl Iterator<Item = &str> {
         self.data().entries.iter().map(|e| e.name.as_str())
-    }
-
-    /// Whether the manifest is stale at `now`.
-    pub fn is_stale_at(&self, now: Moment) -> bool {
-        now > self.data().next_update
     }
 
     /// Canonical file name: `<issuer-key-id>.mft`.

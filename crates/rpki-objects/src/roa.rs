@@ -54,19 +54,6 @@ impl RoaPrefix {
     pub fn effective_max_len(&self) -> u8 {
         self.max_len.unwrap_or_else(|| self.prefix.len())
     }
-
-    /// RFC 6811 *match*: this entry matches a route for `prefix` if the
-    /// entry's prefix covers it and the route is no longer than the
-    /// effective max length. (Origin AS is checked by the caller.)
-    pub fn matches_prefix(&self, prefix: Prefix) -> bool {
-        self.prefix.covers(prefix) && prefix.len() <= self.effective_max_len()
-    }
-
-    /// RFC 6811 *cover*: the entry's prefix covers the route's prefix,
-    /// regardless of max length or origin.
-    pub fn covers_prefix(&self, prefix: Prefix) -> bool {
-        self.prefix.covers(prefix)
-    }
 }
 
 impl fmt::Display for RoaPrefix {
@@ -341,24 +328,6 @@ mod tests {
         }
         // At least every flip inside the two signatures decodes.
         assert!(decoded >= 2 * SIGNATURE_LEN, "only {decoded} flips decoded");
-    }
-
-    #[test]
-    fn match_and_cover_semantics() {
-        // The paper's (63.160.64.0/20-24, AS1239) example.
-        let rp = RoaPrefix::up_to(p("63.160.64.0/20"), 24);
-        assert!(rp.matches_prefix(p("63.160.64.0/20")));
-        assert!(rp.matches_prefix(p("63.160.65.0/24")));
-        assert!(!rp.matches_prefix(p("63.160.64.0/25"))); // too long
-        assert!(rp.covers_prefix(p("63.160.64.0/25"))); // but covered
-        assert!(!rp.matches_prefix(p("63.160.0.0/12"))); // not covered
-        assert!(!rp.covers_prefix(p("63.160.0.0/12")));
-        // Exact entries authorise only the prefix itself.
-        let exact = RoaPrefix::exact(p("63.174.16.0/22"));
-        assert_eq!(exact.effective_max_len(), 22);
-        assert!(exact.matches_prefix(p("63.174.16.0/22")));
-        assert!(!exact.matches_prefix(p("63.174.16.0/23")));
-        assert!(exact.covers_prefix(p("63.174.16.0/23")));
     }
 
     #[test]

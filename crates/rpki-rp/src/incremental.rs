@@ -30,8 +30,8 @@
 //! - the **depth** and the policy knobs ([`IncompletePolicy`],
 //!   [`OverclaimPolicy`], `max_depth`);
 //! - the **validation time**, only through threshold comparisons: each
-//!   decoded object contributes its `not_before` / `not_after + 1` (or
-//!   `next_update + 1`) as a boundary, so a cache entry stores the
+//!   decoded object contributes the instants at which its checks flip
+//!   ([`Validity::flips`]) as boundaries, so a cache entry stores the
 //!   half-open window `[lo, hi)` of times at which every comparison
 //!   comes out the same way. Collecting a superset of boundaries is
 //!   safe — it only narrows the window and forces an extra re-walk;
@@ -121,24 +121,23 @@ impl ProcessObservations {
     }
 
     /// Registers a time at which some comparison against "now" flips.
-    fn boundary(&mut self, at: u64) {
-        if at <= self.now {
-            self.lo = self.lo.max(at);
+    fn boundary(&mut self, at: Moment) {
+        if at.0 <= self.now {
+            self.lo = self.lo.max(at.0);
         } else {
-            self.hi = self.hi.min(at);
+            self.hi = self.hi.min(at.0);
         }
     }
 
-    /// An object validity window: comparisons flip at `not_before` and
-    /// just past `not_after`.
+    /// An object validity window: its checks flip at [`Validity::flips`].
     pub(crate) fn validity(&mut self, v: Validity) {
-        self.boundary(v.not_before.0);
-        self.boundary(v.not_after.0.saturating_add(1));
+        v.flips().into_iter().for_each(|at| self.boundary(at));
     }
 
-    /// A manifest/CRL `next_update`: staleness begins just past it.
-    pub(crate) fn next_update(&mut self, at: Moment) {
-        self.boundary(at.0.saturating_add(1));
+    /// A manifest's or CRL's update window: only its end, where the list
+    /// turns stale, flips a check; no check reads thisUpdate.
+    pub(crate) fn next_update(&mut self, window: Validity) {
+        self.boundary(window.flips()[1]);
     }
 
     /// A certificate subject key seen in the directory (loop-detection
@@ -775,7 +774,7 @@ pub(crate) mod tests {
     fn time_window_brackets_now() {
         let mut obs = ProcessObservations::at(100);
         obs.validity(Validity::new(Moment(10), Moment(500)));
-        obs.next_update(Moment(300));
+        obs.next_update(Validity::new(Moment(0), Moment(300)));
         assert_eq!(obs.window(), (10, 301));
         // A boundary exactly at now lands in the lower bound.
         obs.validity(Validity::new(Moment(100), Moment(10_000)));

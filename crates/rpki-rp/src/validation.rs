@@ -29,10 +29,13 @@
 use std::sync::Arc;
 
 use ipres::ResourceSet;
-use rpki_objects::{Decode, Moment, RepoUri, ResourceCert, RpkiObject, TrustAnchorLocator};
+use rpki_objects::{
+    Crl, CrlData, Decode, Manifest, ManifestData, Moment, RepoUri, ResourceCert, RpkiObject,
+    Signed, ToBeSigned, TrustAnchorLocator, UpdateWindow, Validity,
+};
 use rpki_obs::Recorder;
 use rpki_repo::{Freshness, SyncOutcome};
-use rpkisim_crypto::{sha256, Digest, KeyId};
+use rpkisim_crypto::{sha256, Digest, KeyId, PublicKey};
 use serde::Serialize;
 
 use crate::incremental::{ProcessObservations, ValidationState};
@@ -585,6 +588,52 @@ impl Validator {
         }
     }
 
+    /// The manifest or CRL `name` in `outcome`: decoded, its refresh instant
+    /// registered with `obs`, then checked for size, signature under `key`
+    /// and staleness. A failure is one of `issues`, or names `name`.
+    fn current_list<T: PointList>(
+        &self,
+        outcome: &SyncOutcome,
+        name: &str,
+        key: &PublicKey,
+        [missing, bad_signature, stale]: [Issue; 3],
+        obs: Option<&mut ProcessObservations>,
+    ) -> Result<Signed<T>, Issue> {
+        let bytes = outcome.files.get(name).ok_or(missing)?;
+        let decoded = RpkiObject::from_bytes(bytes).ok().and_then(T::of);
+        let list = decoded.ok_or_else(|| Issue::DecodeFailed(name.to_owned()))?;
+        if let Some(o) = obs {
+            o.next_update(list.data().window());
+        }
+        let issue = if list.data().oversized() {
+            Issue::MalformedObject(name.to_owned())
+        } else if list.verify_encoded(RpkiObject::untagged(bytes), key).is_err() {
+            bad_signature
+        } else if list.is_stale_at(self.config.now) {
+            stale
+        } else {
+            return Ok(list);
+        };
+        Err(issue)
+    }
+
+    /// The checks a child CA certificate and a ROA's EE certificate share, in
+    /// order (signature, expiry, not yet valid, revocation); a failure names `name`.
+    fn ee_check(&self, name: &str, signed: bool, v: Validity, revoked: bool) -> Result<(), Issue> {
+        let issue: fn(String) -> Issue = if !signed {
+            Issue::BadSignature
+        } else if v.expired_at(self.config.now) {
+            Issue::Expired
+        } else if v.not_yet_valid_at(self.config.now) {
+            Issue::NotYetValid
+        } else if revoked {
+            Issue::Revoked
+        } else {
+            return Ok(());
+        };
+        Err(issue(name.to_owned()))
+    }
+
     /// Processes one publication point against an already fetched sync
     /// outcome, pure CPU: the point's [`ValidatedCa`] entry, freshness,
     /// manifest, CRL, objects, and its children onto `queue`. `obs`,
@@ -626,38 +675,11 @@ impl Validator {
 
         // --- Manifest ---
         let mft_name = format!("{}.mft", key.id().short());
-        let manifest = match outcome.files.get(&mft_name) {
-            None => {
-                diag(run, Issue::MissingManifest);
-                None
-            }
-            Some(bytes) => match RpkiObject::from_bytes(bytes) {
-                Ok(RpkiObject::Manifest(m)) => {
-                    if let Some(o) = obs.as_deref_mut() {
-                        o.next_update(m.data().next_update);
-                    }
-                    if m.data().entries.len() > MAX_MANIFEST_ENTRIES {
-                        // An adversarial listing can flood the walk
-                        // with MissingFile work; cap it and treat the
-                        // manifest as absent.
-                        diag(run, Issue::MalformedObject(mft_name.clone()));
-                        None
-                    } else if m.verify_encoded(RpkiObject::untagged(bytes), &key).is_err() {
-                        diag(run, Issue::BadManifestSignature);
-                        None
-                    } else if m.is_stale_at(self.config.now) {
-                        diag(run, Issue::StaleManifest);
-                        None
-                    } else {
-                        Some(m)
-                    }
-                }
-                _ => {
-                    diag(run, Issue::DecodeFailed(mft_name.clone()));
-                    None
-                }
-            },
-        };
+        let issues = [Issue::MissingManifest, Issue::BadManifestSignature, Issue::StaleManifest];
+        let manifest: Option<Manifest> = self
+            .current_list(&outcome, &mft_name, &key, issues, obs.as_deref_mut())
+            .map_err(|issue| diag(run, issue))
+            .ok();
 
         // Determine completeness and the processing set.
         let mut complete = manifest.is_some();
@@ -702,32 +724,11 @@ impl Validator {
 
         // --- CRL ---
         let crl_name = format!("{}.crl", key.id().short());
-        let crl = match outcome.files.get(&crl_name) {
-            None => {
-                diag(run, Issue::MissingCrl);
-                None
-            }
-            Some(bytes) => match RpkiObject::from_bytes(bytes) {
-                Ok(RpkiObject::Crl(c)) => {
-                    if let Some(o) = obs.as_deref_mut() {
-                        o.next_update(c.data().next_update);
-                    }
-                    if c.verify_encoded(RpkiObject::untagged(bytes), &key).is_err() {
-                        diag(run, Issue::BadCrlSignature);
-                        None
-                    } else if c.is_stale_at(self.config.now) {
-                        diag(run, Issue::StaleCrl);
-                        None
-                    } else {
-                        Some(c)
-                    }
-                }
-                _ => {
-                    diag(run, Issue::DecodeFailed(crl_name.clone()));
-                    None
-                }
-            },
-        };
+        let issues = [Issue::MissingCrl, Issue::BadCrlSignature, Issue::StaleCrl];
+        let crl: Option<Crl> = self
+            .current_list(&outcome, &crl_name, &key, issues, obs.as_deref_mut())
+            .map_err(|issue| diag(run, issue))
+            .ok();
         if let Some(c) = &crl {
             for &serial in &c.data().revoked {
                 run.revocations.push((key.id(), serial));
@@ -764,24 +765,10 @@ impl Validator {
                             resources: child.data().resources.clone(),
                         });
                     };
-                    if child.verify_encoded(RpkiObject::untagged(bytes), &key).is_err() {
-                        diag(run, Issue::BadSignature(name.clone()));
-                        reject_child(run, &child);
-                        continue;
-                    }
-                    let v = child.data().validity;
-                    if v.expired_at(self.config.now) {
-                        diag(run, Issue::Expired(name.clone()));
-                        reject_child(run, &child);
-                        continue;
-                    }
-                    if v.not_before > self.config.now {
-                        diag(run, Issue::NotYetValid(name.clone()));
-                        reject_child(run, &child);
-                        continue;
-                    }
-                    if revoked(child.data().serial) {
-                        diag(run, Issue::Revoked(name.clone()));
+                    let signed = child.verify_encoded(RpkiObject::untagged(bytes), &key).is_ok();
+                    let (v, serial) = (child.data().validity, child.data().serial);
+                    if let Err(issue) = self.ee_check(&name, signed, v, revoked(serial)) {
+                        diag(run, issue);
                         reject_child(run, &child);
                         continue;
                     }
@@ -824,21 +811,10 @@ impl Validator {
                     if let Some(o) = obs.as_deref_mut() {
                         o.validity(roa.validity());
                     }
-                    if roa.verify_encoded(RpkiObject::untagged(bytes), &key).is_err() {
-                        diag(run, Issue::BadSignature(name.clone()));
-                        continue;
-                    }
+                    let signed = roa.verify_encoded(RpkiObject::untagged(bytes), &key).is_ok();
                     let v = roa.validity();
-                    if v.expired_at(self.config.now) {
-                        diag(run, Issue::Expired(name.clone()));
-                        continue;
-                    }
-                    if v.not_before > self.config.now {
-                        diag(run, Issue::NotYetValid(name.clone()));
-                        continue;
-                    }
-                    if revoked(roa.serial()) {
-                        diag(run, Issue::Revoked(name.clone()));
+                    if let Err(issue) = self.ee_check(&name, signed, v, revoked(roa.serial())) {
+                        diag(run, issue);
                         continue;
                     }
                     if !roa.data().prefixes.iter().all(|rp| resources.contains_prefix(rp.prefix)) {
@@ -863,5 +839,35 @@ impl Validator {
                 }
             }
         }
+    }
+}
+
+/// A point's manifest or CRL, as [`Validator::current_list`] reads it.
+trait PointList: ToBeSigned + UpdateWindow {
+    /// `obj`, if it is a list of this kind.
+    fn of(obj: RpkiObject) -> Option<Signed<Self>>;
+
+    /// Whether the list is refused before its signature is checked.
+    fn oversized(&self) -> bool {
+        false
+    }
+}
+
+impl PointList for ManifestData {
+    fn of(obj: RpkiObject) -> Option<Manifest> {
+        let RpkiObject::Manifest(manifest) = obj else { return None };
+        Some(manifest)
+    }
+
+    /// A listing above [`MAX_MANIFEST_ENTRIES`] is adversarial: treat it as absent.
+    fn oversized(&self) -> bool {
+        self.entries.len() > MAX_MANIFEST_ENTRIES
+    }
+}
+
+impl PointList for CrlData {
+    fn of(obj: RpkiObject) -> Option<Crl> {
+        let RpkiObject::Crl(crl) = obj else { return None };
+        Some(crl)
     }
 }
