@@ -310,7 +310,7 @@ pub struct TransportEvidence {
 /// Everything the monitor holds against one publication host: the
 /// snapshot-diff verdicts from its directories plus the transport
 /// misbehaviour the relying parties reported against it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct HostReport {
     /// The accused host.
     pub host: String,
@@ -363,6 +363,13 @@ pub struct MisbehaviorReport {
     pub hosts: Vec<HostReport>,
 }
 
+/// The dossier for `host` in `hosts`, opened empty if there is none.
+fn dossier<'a>(hosts: &'a mut BTreeMap<String, HostReport>, host: &str) -> &'a mut HostReport {
+    hosts
+        .entry(host.to_owned())
+        .or_insert_with(|| HostReport { host: host.to_owned(), ..HostReport::default() })
+}
+
 /// The host of a publication directory URI (`rsync://host/path`).
 fn dir_host(dir: &str) -> String {
     let rest = dir.strip_prefix("rsync://").unwrap_or(dir);
@@ -375,24 +382,11 @@ impl MisbehaviorReport {
     /// evidence of either kind do not appear.
     pub fn build(object_events: &[MonitorEvent], trace: &[TraceEvent]) -> Self {
         let mut hosts: BTreeMap<String, HostReport> = BTreeMap::new();
-        let entry = |hosts: &mut BTreeMap<String, HostReport>, host: &str| {
-            hosts.entry(host.to_string()).or_insert_with(|| HostReport {
-                host: host.to_string(),
-                pinned_detections: 0,
-                downgrades: 0,
-                object_alarms: Vec::new(),
-                transport: Vec::new(),
-                rejected_cas: Vec::new(),
-                unsafe_vrps: Vec::new(),
-            });
-        };
         for event in object_events {
             if !event.classification.is_suspicious() {
                 continue;
             }
-            let host = dir_host(&event.dir);
-            entry(&mut hosts, &host);
-            hosts.get_mut(&host).expect("just inserted").object_alarms.push(event.clone());
+            dossier(&mut hosts, &dir_host(&event.dir)).object_alarms.push(event.clone());
         }
         for event in trace {
             if event.layer != "rp" || !matches!(event.kind, "rrdp_pinned" | "rrdp_downgrade") {
@@ -405,8 +399,7 @@ impl MisbehaviorReport {
                 })
             };
             let Some(host) = field("host") else { continue };
-            entry(&mut hosts, &host);
-            let report = hosts.get_mut(&host).expect("just inserted");
+            let report = dossier(&mut hosts, &host);
             match event.kind {
                 "rrdp_pinned" => report.pinned_detections += 1,
                 _ => report.downgrades += 1,
@@ -429,16 +422,7 @@ impl MisbehaviorReport {
         let mut hosts: BTreeMap<String, HostReport> =
             std::mem::take(&mut self.hosts).into_iter().map(|h| (h.host.clone(), h)).collect();
         for rejected in &run.rejected_cas {
-            let host = dir_host(&rejected.dir);
-            let report = hosts.entry(host.clone()).or_insert_with(|| HostReport {
-                host: host.clone(),
-                pinned_detections: 0,
-                downgrades: 0,
-                object_alarms: Vec::new(),
-                transport: Vec::new(),
-                rejected_cas: Vec::new(),
-                unsafe_vrps: Vec::new(),
-            });
+            let report = dossier(&mut hosts, &dir_host(&rejected.dir));
             report.rejected_cas.push(format!("{} ({})", rejected.ca, rejected.resources));
             for vrp in &run.unsafe_vrps {
                 if rejected.resources.overlaps_prefix(vrp.prefix) {
