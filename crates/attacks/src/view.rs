@@ -55,22 +55,6 @@ impl CaView {
         }
     }
 
-    /// The union of resources used by every object this CA issued,
-    /// except the ROA named `except_file` (the whack target). This is
-    /// the space the manipulator must *keep* to avoid collateral.
-    pub fn resources_needed_except(&self, except_file: &str) -> ResourceSet {
-        let mut needed = ResourceSet::empty();
-        for c in &self.child_certs {
-            needed = needed.union(&c.data().resources);
-        }
-        for r in &self.roas {
-            if r.file_name() != except_file {
-                needed = needed.union(&r.resources());
-            }
-        }
-        needed
-    }
-
     /// The ROAs (by file name) and child certs (by subject handle)
     /// whose resources overlap `space` — the objects damaged if `space`
     /// is carved away.
@@ -131,10 +115,6 @@ mod tests {
         assert!(view.roa(&roa2.file_name()).is_some());
         assert!(view.roa("nope.roa").is_none());
 
-        // Needed-except excludes exactly the target.
-        let needed = view.resources_needed_except(&roa2.file_name());
-        assert_eq!(needed, rs("63.160.0.0/20"));
-
         // Overlap queries.
         let (roas, certs) = view.overlapping(&rs("63.161.0.0/24"));
         assert_eq!(roas.len(), 1);
@@ -158,6 +138,5 @@ mod tests {
         let view = CaView::from_repos(&rc, &repos);
         assert!(view.roas.is_empty());
         assert!(view.child_certs.is_empty());
-        assert!(view.resources_needed_except("x").is_empty());
     }
 }

@@ -3,8 +3,8 @@
 //! notices when a shape breaks. The paper's own figures and tables are
 //! the `rpki-risk` CLI's subcommands, run by its tests.
 
-use std::process::Command;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 use rpkisim_crypto::sha256;
 
@@ -31,11 +31,9 @@ const ABLATIONS: [(&str, &str); 7] = bins![
 /// process's own under the system temp directory: `ablation_unsafe_vrp`
 /// writes `BENCH_unsafe_vrp.json` into its working directory, which
 /// must not be the repository's.
-fn run_ablation(path: &str) -> std::process::Output {
-    static RUNS: AtomicUsize = AtomicUsize::new(0);
-    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+fn run_ablation(name: &str, path: &str) -> Output {
     let dir =
-        std::env::temp_dir().join(format!("rpki-risk-regenerators-{}-{run}", std::process::id()));
+        std::env::temp_dir().join(format!("rpki-risk-regenerators-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create the scratch directory");
     let out = Command::new(path)
         .current_dir(&dir)
@@ -46,10 +44,18 @@ fn run_ablation(path: &str) -> std::process::Output {
     out
 }
 
+/// Every ablation's output, each run once per test process and shared
+/// by the tests below.
+fn ablation_outputs() -> &'static [(&'static str, Output)] {
+    static OUTPUTS: OnceLock<Vec<(&str, Output)>> = OnceLock::new();
+    OUTPUTS.get_or_init(|| {
+        ABLATIONS.iter().map(|&(name, path)| (name, run_ablation(name, path))).collect()
+    })
+}
+
 #[test]
 fn every_regenerator_exits_zero_with_output() {
-    for (name, path) in ABLATIONS {
-        let out = run_ablation(path);
+    for (name, out) in ablation_outputs() {
         assert!(
             out.status.success(),
             "{name} failed ({}):\n{}",
@@ -85,10 +91,9 @@ fn malformed_flag_values_are_refused() {
 /// [`OUTPUT_PINS`].
 #[test]
 fn every_ablation_stdout_matches_its_pinned_digest() {
-    let got: Vec<(String, String)> = ABLATIONS
+    let got: Vec<(String, String)> = ablation_outputs()
         .iter()
-        .map(|&(name, path)| {
-            let out = run_ablation(path);
+        .map(|&(name, ref out)| {
             assert!(out.status.success(), "{name} failed ({})", out.status);
             (name.to_owned(), sha256(&out.stdout).to_hex())
         })

@@ -71,13 +71,6 @@ impl Topology {
         self.nodes.is_empty()
     }
 
-    /// Number of links (provider-customer plus peering).
-    pub fn link_count(&self) -> usize {
-        let pc: usize = self.nodes.values().map(|n| n.customers.len()).sum();
-        let peers: usize = self.nodes.values().map(|n| n.peers.len()).sum();
-        pc + peers / 2
-    }
-
     /// Adds a provider→customer link (money flows customer→provider).
     ///
     /// # Panics
@@ -289,7 +282,6 @@ mod tests {
         t.add_provider_customer(a(1), a(3));
         t.add_peering(a(2), a(3));
         assert_eq!(t.len(), 3);
-        assert_eq!(t.link_count(), 3);
         assert_eq!(t.customers(a(1)), &[a(2), a(3)]);
         assert_eq!(t.providers(a(2)), &[a(1)]);
         assert_eq!(t.peers(a(2)), &[a(3)]);

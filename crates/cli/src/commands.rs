@@ -10,7 +10,6 @@ use ipres::Asn;
 use rpki_attacks::{damage_between, plan_whack, probes_for, DamageReport, WhackPlan, WhackStep};
 use rpki_objects::Moment;
 use rpki_obs::{Recorder, Summary, SummaryTable};
-use rpki_repo::SyncPolicy;
 use rpki_risk::fixtures::{asn, ca};
 use rpki_risk::{
     collapse_bands, jurisdiction_report, rir_reach, se5_new_roa_impact, se6_missing_roa_impact,
@@ -131,8 +130,8 @@ pub fn dependency_loop(args: &[String]) -> ExitCode {
     let degraded: Vec<Vrp> = full.iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
 
     let mut world = w.loopback(RpkiPolicy::DropInvalid);
-    let healthy = world.run(&full, Moment(3));
-    let trapped = world.run(&degraded, Moment(4));
+    let healthy = world.run(&full, Moment(3), None);
+    let trapped = world.run(&degraded, Moment(4), None);
 
     let mut table =
         SummaryTable::new(&["starting cache", "iterations", "fetchable repos", "final VRPs"]);
@@ -746,10 +745,9 @@ pub fn se7(args: &[String]) -> ExitCode {
     // Phase 1 — a healthy sync over the network. A resilient relying
     // party also warms its last-good snapshots here (used by phase 5).
     let healthy = w.validate_with(ValidationOptions::at(Moment(3)));
-    let policy = SyncPolicy::default();
     let mut resilient = ResilientState::new(ResilienceConfig::default());
     w.validate_with(
-        ValidationOptions::at(Moment(3)).fetch(Fetch::Retry(policy)).stale_cache(&mut resilient),
+        ValidationOptions::at(Moment(3)).fetch(Fetch::Retry).stale_cache(&mut resilient),
     );
 
     // Phase 2 — the transient fault: corrupt the whole session from
@@ -764,20 +762,20 @@ pub fn se7(args: &[String]) -> ExitCode {
     // the fixed point.
     let degraded = faulted.vrps.clone();
     let mut world = w.loopback(RpkiPolicy::DropInvalid);
-    let stuck = world.run(&degraded, Moment(5));
+    let stuck = world.run(&degraded, Moment(5), None);
 
     // Phase 4 — recovery requires stepping outside the loop: the paper
     // notes "this can be fixed (manually), but there are no recommended
     // procedures". One manual fix: temporarily depref instead of drop.
     let mut relaxed = LoopbackWorld { policy: RpkiPolicy::DeprefInvalid, ..world };
-    let recovered = relaxed.run(&stuck.vrps, Moment(6));
+    let recovered = relaxed.run(&stuck.vrps, Moment(6), None);
 
     // Phase 5 — the same trap with the resilient pipeline armed from
     // the start: the stale snapshot bridges the gated transport, BGP
     // never sees the degraded cache, and the fixed point recovers
     // WITHOUT leaving drop-invalid.
     let mut defended = LoopbackWorld { policy: RpkiPolicy::DropInvalid, ..relaxed };
-    let bridged = defended.run_resilient(&degraded, Moment(7), policy, &mut resilient);
+    let bridged = defended.run(&degraded, Moment(7), Some(&mut resilient));
 
     let phases = [
         Phase { phase: "healthy", vrps: healthy.vrps.len(), continental_fetchable: true },

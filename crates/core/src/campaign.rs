@@ -37,7 +37,7 @@ use rpki_attacks::CorpusKind;
 use rpki_ca::{ChurnConfig, ChurnEngine};
 use rpki_objects::{Moment, RoaPrefix, Span};
 use rpki_obs::Recorder;
-use rpki_repo::{Freshness, Repository, RrdpClientState, RrdpStats, SyncPolicy};
+use rpki_repo::{Freshness, Repository, RrdpClientState, RrdpStats};
 use rpki_rp::fabric::{pump_until, RtrEndpoint};
 use rpki_rp::{
     MergePolicy, Relay, ResilienceConfig, ResilientState, Route, RouteValidity, RtrFabric,
@@ -363,20 +363,24 @@ pub struct HostLoad {
 pub struct RtrConfig {
     /// Routers behind the relay.
     pub routers: usize,
-    /// Per-serial delta-history depth on every cache.
-    pub max_history: usize,
     /// How the relay merges the five tier feeds.
     pub policy: MergePolicy,
-    /// Simulated seconds each of the round's two RTR pump windows may
-    /// consume; frames stalled past it are flushed (a session timeout).
-    pub pump_budget: u64,
 }
 
 impl Default for RtrConfig {
     fn default() -> Self {
-        RtrConfig { routers: 8, max_history: 16, policy: MergePolicy::Union, pump_budget: 300 }
+        RtrConfig { routers: 8, policy: MergePolicy::Union }
     }
 }
+
+/// Per-serial delta-history depth on every cache of a [`Campaign::Rtr`]
+/// fabric.
+const RTR_MAX_HISTORY: usize = 16;
+
+/// Simulated seconds each of a [`Campaign::Rtr`] round's two RTR pump
+/// windows may consume; frames stalled past it are flushed (a session
+/// timeout).
+const RTR_PUMP_BUDGET: u64 = 300;
 
 metrics_struct! {
     /// What the router population saw in one round.
@@ -556,15 +560,14 @@ impl Rp {
         w.rp_node = self.node;
         self.rrdp_before = self.rrdp.stats();
         let base = ValidationOptions::at(Moment(at)).unsafe_vrps(spec.unsafe_vrps);
-        let policy = SyncPolicy::default();
         let opts = match self.stack {
             Stack::Tier(RpTier::Bare) => base,
-            Stack::Tier(RpTier::Retrying) => base.fetch(Fetch::Retry(policy)),
+            Stack::Tier(RpTier::Retrying) => base.fetch(Fetch::Retry),
             Stack::Tier(RpTier::RetryingStale) => {
-                base.fetch(Fetch::Retry(policy)).stale_cache(&mut self.resilient)
+                base.fetch(Fetch::Retry).stale_cache(&mut self.resilient)
             }
             Stack::Tier(RpTier::Suspenders) => base
-                .fetch(Fetch::Retry(policy))
+                .fetch(Fetch::Retry)
                 .stale_cache(&mut self.resilient)
                 .suspenders(&mut self.suspenders),
             Stack::Tier(RpTier::Rrdp) => base
@@ -1022,7 +1025,6 @@ struct RtrSide {
     fabrics: Vec<RtrFabric>,
     relay: Relay,
     routers: Vec<RtrRouter>,
-    pump_budget: u64,
 }
 
 impl RtrSide {
@@ -1030,10 +1032,10 @@ impl RtrSide {
     /// every relying party's cache to the relay.
     fn attach(e: &mut Engine<'_>, cfg: RtrConfig, slurm: &SlurmFile) -> RtrSide {
         let relay_node = e.w.net.add_node("rtr-relay");
-        let mut relay = Relay::new(relay_node, cfg.policy, slurm.clone(), 100, cfg.max_history);
+        let mut relay = Relay::new(relay_node, cfg.policy, slurm.clone(), 100, RTR_MAX_HISTORY);
         let mut fabrics = Vec::with_capacity(e.rps.len());
         for (i, rp) in e.rps.iter().enumerate() {
-            let mut f = RtrFabric::new(rp.node, (i + 1) as u16, cfg.max_history);
+            let mut f = RtrFabric::new(rp.node, (i + 1) as u16, RTR_MAX_HISTORY);
             f.attach(relay_node);
             fabrics.push(f);
             relay.add_feed(rp.node);
@@ -1048,12 +1050,12 @@ impl RtrSide {
             })
             .collect();
         e.rtr_path = Some((relay_node, router_nodes));
-        RtrSide { fabrics, relay, routers, pump_budget: cfg.pump_budget }
+        RtrSide { fabrics, relay, routers }
     }
 
     /// One bounded RTR pump window over all fabric endpoints.
     fn pump(&mut self, net: &mut Network) {
-        let deadline = net.now() + self.pump_budget;
+        let deadline = net.now() + RTR_PUMP_BUDGET;
         let fabrics = self.fabrics.iter_mut().map(|f| f as &mut dyn RtrEndpoint);
         let routers = self.routers.iter_mut().map(|r| r as &mut dyn RtrEndpoint);
         let relay: &mut dyn RtrEndpoint = &mut self.relay;
@@ -1178,9 +1180,9 @@ pub fn gaming_schedule_plan() -> SchedulePlan {
 /// arin → sprint → etb → continental walk order — holds every response
 /// 250 seconds over rounds 4–9, so the budgeted scheduler reaches ETB
 /// and CONTINENTAL with nothing left to spend. 250 s is *under* the
-/// default [`SyncPolicy`]'s 300 s per-attempt deadline, so no retry or
-/// breaker ever fires, yet one point's exchanges burn
-/// [`gaming_schedule_plan`]'s whole 600 s run budget.
+/// default [`SyncPolicy`](rpki_repo::SyncPolicy)'s 300 s per-attempt
+/// deadline, so no retry or breaker ever fires, yet one point's
+/// exchanges burn [`gaming_schedule_plan`]'s whole 600 s run budget.
 pub fn schedule_gaming_campaign() -> CampaignSpec {
     let slow = FaultKind::Stall { extra: 250 };
     let window = FaultWindow::new("rpki.sprint.example", slow, 4, 9);
@@ -1190,6 +1192,7 @@ pub fn schedule_gaming_campaign() -> CampaignSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpki_repo::SyncPolicy;
 
     const CONTINENTAL: &str = CONTINENTAL_HOST;
 
@@ -1359,7 +1362,7 @@ mod tests {
         // Intersection policy: the withdraw shrinks the merge the
         // moment any tier sees it, so the stalled feed path (rounds
         // 3–5) leaves routers acting on the pre-whack VRPs.
-        let cfg = RtrConfig { routers: 4, policy: MergePolicy::All, ..RtrConfig::default() };
+        let cfg = RtrConfig { routers: 4, policy: MergePolicy::All };
         let out =
             Campaign::Rtr(cfg, SlurmFile::empty()).run(&rtr_campaign(), 42, &Recorder::disabled());
         assert_eq!(out.rtr.len(), 10);
@@ -1399,7 +1402,7 @@ mod tests {
             FaultWindow::new(CONTINENTAL, FaultKind::Withdraw, 2, 4),
         ];
         let spec = CampaignSpec::new("rtr-p", 6, windows);
-        let cfg = RtrConfig { routers: 3, policy: MergePolicy::All, ..RtrConfig::default() };
+        let cfg = RtrConfig { routers: 3, policy: MergePolicy::All };
         let out = Campaign::Rtr(cfg, SlurmFile::empty()).run(&spec, 42, &Recorder::disabled());
         // During the partition the routers hold the pre-whack set.
         let r2 = &out.rtr[1];

@@ -425,7 +425,6 @@ mod tests {
     use super::*;
     use crate::validate::{Fetch, ValidationOptions};
     use ipres::Asn;
-    use rpki_repo::SyncPolicy;
     use rpki_rp::{ResilientState, Route, RouteValidity, ValidationState};
 
     #[test]
@@ -491,9 +490,7 @@ mod tests {
         let direct = w.validate_direct(Moment(2));
         let mut state = ResilientState::default();
         let resilient = w.validate_with(
-            ValidationOptions::at(Moment(2))
-                .fetch(Fetch::Retry(SyncPolicy::default()))
-                .stale_cache(&mut state),
+            ValidationOptions::at(Moment(2)).fetch(Fetch::Retry).stale_cache(&mut state),
         );
         assert_eq!(direct.vrps, resilient.vrps);
         // Every visited directory left a snapshot behind.

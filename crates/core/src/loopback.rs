@@ -23,7 +23,7 @@ use bgp_sim::{propagate_with_stats, Announcement, ConvergenceStats, RpkiPolicy, 
 use ipres::Asn;
 use netsim::{Network, NodeId};
 use rpki_objects::{Moment, TrustAnchorLocator};
-use rpki_repo::{RepoRegistry, SyncPolicy};
+use rpki_repo::RepoRegistry;
 use rpki_rp::{ResilientState, Vrp};
 use serde::Serialize;
 
@@ -119,32 +119,19 @@ impl LoopbackWorld<'_> {
     /// `initial_vrps` seeds the route validity used for the *first*
     /// sync round (the relying party's prior cache). The fixed point is
     /// reached when the set of fetchable hosts stops changing.
-    pub fn run(&mut self, initial_vrps: &[Vrp], now: Moment) -> LoopbackOutcome {
-        self.run_inner(initial_vrps, now, None)
-    }
-
-    /// Runs the loop with the resilient fetch pipeline in place of bare
-    /// syncs: each directory retries under `policy`, and `state`
-    /// supplies last-good snapshots when the gated transport fails.
     ///
-    /// This is the Side Effect 7 defense experiment: a relying party
-    /// whose cache bridges the transient fault never hands BGP the
-    /// degraded VRP set, so the circular trap cannot latch.
-    pub fn run_resilient(
+    /// With `resilient`, the loop runs the resilient fetch pipeline in
+    /// place of bare syncs: each directory retries under
+    /// [`SyncPolicy::default`](rpki_repo::SyncPolicy::default), and the
+    /// state supplies last-good snapshots when the gated transport
+    /// fails. This is the Side Effect 7 defense experiment: a relying
+    /// party whose cache bridges the transient fault never hands BGP
+    /// the degraded VRP set, so the circular trap cannot latch.
+    pub fn run(
         &mut self,
         initial_vrps: &[Vrp],
         now: Moment,
-        policy: SyncPolicy,
-        state: &mut ResilientState,
-    ) -> LoopbackOutcome {
-        self.run_inner(initial_vrps, now, Some((policy, state)))
-    }
-
-    fn run_inner(
-        &mut self,
-        initial_vrps: &[Vrp],
-        now: Moment,
-        mut resilience: Option<(SyncPolicy, &mut ResilientState)>,
+        mut resilient: Option<&mut ResilientState>,
     ) -> LoopbackOutcome {
         let mut vrps: Vec<Vrp> = initial_vrps.to_vec();
         let mut propagation = ConvergenceStats::default();
@@ -179,8 +166,8 @@ impl LoopbackWorld<'_> {
             }));
 
             let mut opts = ValidationOptions::at(now);
-            if let Some((policy, state)) = resilience.as_mut() {
-                opts = opts.fetch(Fetch::Retry(*policy)).stale_cache(state);
+            if let Some(state) = resilient.as_deref_mut() {
+                opts = opts.fetch(Fetch::Retry).stale_cache(state);
             }
             let new_vrps = opts
                 .run(VantagePoint {
@@ -232,7 +219,7 @@ mod tests {
         let mut world = w.loopback(RpkiPolicy::DropInvalid);
 
         // With the full cache, everything is fetchable and stays so.
-        let outcome = world.run(&full_vrps, Moment(3));
+        let outcome = world.run(&full_vrps, Moment(3), None);
         assert!(outcome.can_fetch("rpki.continental.example"), "{outcome:?}");
         assert_eq!(outcome.vrps, full_vrps);
 
@@ -244,7 +231,7 @@ mod tests {
         // Even though the repository is healthy again and serves the
         // ROA, the fixed point never recovers it: the route to the
         // repository is invalid without the ROA that is stored there.
-        let outcome = world.run(&degraded, Moment(4));
+        let outcome = world.run(&degraded, Moment(4), None);
         assert!(!outcome.can_fetch("rpki.continental.example"), "{outcome:?}");
         assert!(!outcome.vrps.iter().any(|v| v.asn == asn::CONTINENTAL));
         // Everyone else is unaffected.
@@ -267,11 +254,10 @@ mod tests {
 
         // Warm the relying party's snapshot cache while the world is
         // healthy (any prior successful validation run does this).
-        let policy = rpki_repo::SyncPolicy::default();
         let mut state = ResilientState::new(ResilienceConfig::default());
         w.validate_with(
             crate::ValidationOptions::at(Moment(3))
-                .fetch(crate::Fetch::Retry(policy))
+                .fetch(crate::Fetch::Retry)
                 .stale_cache(&mut state),
         );
 
@@ -280,18 +266,18 @@ mod tests {
 
         let mut world = w.loopback(RpkiPolicy::DropInvalid);
 
-        let outcome = world.run_resilient(&degraded, Moment(4), policy, &mut state);
+        let outcome = world.run(&degraded, Moment(4), Some(&mut state));
         assert!(outcome.can_fetch("rpki.continental.example"), "{outcome:?}");
         assert_eq!(outcome.vrps, full_vrps);
 
         // Control: the bare loop over the same degraded cache is still
         // the persistent trap of `transient_fault_becomes_persistent`.
-        let outcome = world.run(&degraded, Moment(4));
+        let outcome = world.run(&degraded, Moment(4), None);
         assert!(!outcome.can_fetch("rpki.continental.example"), "{outcome:?}");
     }
 
     /// Under a healthy network the resilient pipeline has nothing to
-    /// bridge: the walk `run_resilient` assembles (`retry` +
+    /// bridge: the walk a resilient `run` assembles (`retry` +
     /// `stale_cache`) settles exactly where the bare walk does.
     #[test]
     fn resilient_loop_equals_bare_loop_when_healthy() {
@@ -301,14 +287,10 @@ mod tests {
             w.add_figure5_right_roa(Moment(2));
         }
         let full_vrps = bare.validate_direct(Moment(3)).vrps;
-        let plain = bare.loopback(RpkiPolicy::DropInvalid).run(&full_vrps, Moment(3));
+        let plain = bare.loopback(RpkiPolicy::DropInvalid).run(&full_vrps, Moment(3), None);
         let mut state = ResilientState::default();
-        let resilient = armed.loopback(RpkiPolicy::DropInvalid).run_resilient(
-            &full_vrps,
-            Moment(3),
-            SyncPolicy::default(),
-            &mut state,
-        );
+        let resilient =
+            armed.loopback(RpkiPolicy::DropInvalid).run(&full_vrps, Moment(3), Some(&mut state));
         assert_eq!(resilient.vrps, full_vrps);
         assert_eq!(format!("{plain:?}"), format!("{resilient:?}"));
     }
@@ -325,7 +307,7 @@ mod tests {
             full_vrps.iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
 
         let mut world = w.loopback(RpkiPolicy::DeprefInvalid);
-        let outcome = world.run(&degraded, Moment(4));
+        let outcome = world.run(&degraded, Moment(4), None);
         assert!(outcome.can_fetch("rpki.continental.example"), "{outcome:?}");
         assert_eq!(outcome.vrps, full_vrps);
     }
@@ -343,7 +325,7 @@ mod tests {
             full_vrps.iter().copied().filter(|v| v.asn != asn::CONTINENTAL).collect();
 
         let mut world = w.loopback(RpkiPolicy::DropInvalid);
-        let outcome = world.run(&degraded, Moment(4));
+        let outcome = world.run(&degraded, Moment(4), None);
         assert!(outcome.can_fetch("rpki.continental.example"), "{outcome:?}");
         assert_eq!(outcome.vrps, full_vrps);
     }

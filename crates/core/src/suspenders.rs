@@ -153,7 +153,7 @@ impl SuspendersState {
                 to_remove.push(*vrp);
                 continue;
             }
-            if now > entry.record.not_after {
+            if now.is_past(entry.record.not_after) {
                 events.push(SuspendersEvent::DroppedExpired(*vrp));
                 to_remove.push(*vrp);
                 continue;
@@ -166,7 +166,7 @@ impl SuspendersState {
                     events.push(SuspendersEvent::HeldSuspicious(*vrp));
                 }
                 Disposition::Held { until, .. } => {
-                    if now > until {
+                    if now.is_past(until) {
                         events.push(SuspendersEvent::HoldDownExpired(*vrp));
                         to_remove.push(*vrp);
                     }
@@ -221,6 +221,43 @@ mod tests {
 
     fn cfg() -> SuspendersConfig {
         SuspendersConfig { hold_down: Span::days(7) }
+    }
+
+    /// The events of each ingest, at the moments `absent`, of a run
+    /// without `record`, after one at `seen` that carried only it.
+    fn absent_after(
+        record: VrpRecord,
+        seen: Moment,
+        absent: &[Moment],
+    ) -> Vec<Vec<SuspendersEvent>> {
+        let mut s = SuspendersState::new(cfg());
+        s.ingest(&ValidationRun { vrp_records: vec![record], ..ValidationRun::default() }, seen);
+        absent.iter().map(|&at| s.ingest(&ValidationRun::default(), at)).collect()
+    }
+
+    fn a_record() -> VrpRecord {
+        World::model(MODEL_SEED).validate_direct(Moment(2)).vrp_records[0]
+    }
+
+    #[test]
+    fn a_missing_vrp_is_dropped_as_expired_only_after_its_not_after() {
+        let record = a_record();
+        let (vrp, t) = (record.vrp, record.not_after.secs());
+        let after = |at: u64| absent_after(record, Moment(2), &[Moment(at)]).remove(0);
+        assert_eq!(after(t - 1), [SuspendersEvent::HeldSuspicious(vrp)]);
+        assert_eq!(after(t), [SuspendersEvent::HeldSuspicious(vrp)]);
+        assert_eq!(after(t + 1), [SuspendersEvent::DroppedExpired(vrp)]);
+    }
+
+    #[test]
+    fn a_hold_down_expires_only_after_its_until() {
+        let record = VrpRecord { not_after: Moment(u64::MAX), ..a_record() };
+        let until = 3 + cfg().hold_down.0;
+        let moments = [3, until - 1, until, until + 1].map(Moment);
+        let events = absent_after(record, Moment(2), &moments);
+        assert_eq!(events[0], [SuspendersEvent::HeldSuspicious(record.vrp)]);
+        assert!(events[1].is_empty() && events[2].is_empty(), "{events:?}");
+        assert_eq!(events[3], [SuspendersEvent::HoldDownExpired(record.vrp)]);
     }
 
     #[test]

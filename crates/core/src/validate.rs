@@ -14,7 +14,6 @@
 //!
 //! ```
 //! use rpki_objects::Moment;
-//! use rpki_repo::SyncPolicy;
 //! use rpki_rp::ResilientState;
 //! use rpki_risk::{Fetch, ValidationOptions, World, MODEL_SEED};
 //!
@@ -25,7 +24,7 @@
 //! let mut state = ResilientState::default();
 //! let run = w.validate_with(
 //!     ValidationOptions::at(Moment(3))
-//!         .fetch(Fetch::Retry(SyncPolicy::default()))
+//!         .fetch(Fetch::Retry)
 //!         .stale_cache(&mut state),
 //! );
 //! assert_eq!(bare.vrps, run.vrps);
@@ -76,15 +75,15 @@ pub enum RrdpMode {
 }
 
 /// How a relying party fetches a publication point: one value holds
-/// the transport and its retry behaviour. RRDP's rsync fallback always
-/// retries under [`SyncPolicy::default`].
+/// the transport and its retry behaviour. Every retrying path, RRDP's
+/// rsync fallback included, retries under [`SyncPolicy::default`].
 #[derive(Debug)]
 pub enum Fetch<'a> {
     /// One rsync session per directory, no retries (the default).
     Once,
-    /// rsync sessions retried under the policy: deadlines, exponential
-    /// backoff, digest-checked re-fetches.
-    Retry(SyncPolicy),
+    /// rsync sessions retried under [`SyncPolicy::default`]: deadlines,
+    /// exponential backoff, digest-checked re-fetches.
+    Retry,
     /// RRDP first (notification poll, delta chains, snapshot fallback),
     /// keeping per-directory session state in the client state across
     /// runs, with the retrying rsync path as the downgrade target; the
@@ -228,8 +227,8 @@ impl<'a> ValidationOptions<'a> {
                 network = NetworkSource::new(net, repos, node);
                 &mut network
             }
-            Fetch::Retry(policy) => {
-                network = NetworkSource::with_policy(net, repos, node, policy);
+            Fetch::Retry => {
+                network = NetworkSource::retrying(net, repos, node);
                 &mut network
             }
         };
@@ -341,14 +340,12 @@ mod tests {
         let mut resilient = ResilientState::default();
         let mut state = ValidationState::full();
         let cold = a.validate_with(
-            ValidationOptions::at(Moment(2))
-                .fetch(Fetch::Retry(SyncPolicy::default()))
-                .stale_cache(&mut resilient),
+            ValidationOptions::at(Moment(2)).fetch(Fetch::Retry).stale_cache(&mut resilient),
         );
         let mut resilient_b = ResilientState::default();
         let warm = b.validate_with(
             ValidationOptions::at(Moment(2))
-                .fetch(Fetch::Retry(SyncPolicy::default()))
+                .fetch(Fetch::Retry)
                 .stale_cache(&mut resilient_b)
                 .incremental(&mut state),
         );

@@ -192,11 +192,6 @@ impl Network {
         &self.names[id.0 as usize]
     }
 
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.names.len()
-    }
-
     /// The simulated clock, in seconds.
     pub fn now(&self) -> u64 {
         self.now
@@ -620,7 +615,6 @@ mod tests {
         assert_eq!(net.node("b"), Some(b));
         assert_eq!(net.node("c"), None);
         assert_eq!(net.name(a), "a");
-        assert_eq!(net.node_count(), 2);
     }
 
     #[test]

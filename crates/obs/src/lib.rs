@@ -13,7 +13,7 @@
 //!   as the total-order tie-break, so two runs of the same seed emit
 //!   **byte-identical** traces;
 //! - a **metrics registry** ([`MetricsRegistry`]) of counters, gauges,
-//!   and bounded [`Histogram`]s, all integer-valued and mergeable;
+//!   and bounded [`Histogram`]s, all integer-valued;
 //! - **span timers** ([`Recorder::span_start`] / [`Recorder::span_end`])
 //!   measuring phases on the simulated clock;
 //! - a **JSONL exporter** ([`Recorder::trace_jsonl`]) and a

@@ -2,31 +2,29 @@
 //!
 //! Metrics live in `BTreeMap`s keyed by name so that every export walks
 //! them in lexicographic order — a requirement of the byte-identical
-//! replay contract. Histograms use fixed bucket bounds supplied at
-//! registration (or the default exponential bounds), so two registries
-//! built from the same event stream are structurally equal and can be
-//! merged without resampling.
+//! replay contract. Every histogram uses the one fixed set of bucket
+//! bounds, [`DEFAULT_BOUNDS`], so two registries built from the same
+//! event stream are structurally equal.
 
 use std::collections::BTreeMap;
 
 use crate::event::push_json_str;
 
-/// Default exponential histogram bounds (upper-inclusive bucket edges),
-/// suitable for sim-time durations in seconds and for small counts.
+/// The histogram bounds (upper-inclusive bucket edges, strictly
+/// increasing), exponential, suitable for sim-time durations in seconds
+/// and for small counts.
 pub const DEFAULT_BOUNDS: &[u64] = &[1, 2, 5, 10, 30, 60, 120, 300, 600, 1800, 3600, 7200];
 
-/// A fixed-bound histogram of `u64` observations.
+/// A histogram of `u64` observations over [`DEFAULT_BOUNDS`].
 ///
-/// The histogram has `bounds.len() + 1` buckets: one per upper-inclusive
-/// bound plus an overflow bucket. Alongside the buckets it tracks the
-/// exact count, sum, min, and max, so summary statistics need no
-/// bucket interpolation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The histogram has `DEFAULT_BOUNDS.len() + 1` buckets: one per
+/// upper-inclusive bound plus an overflow bucket. Alongside the buckets
+/// it tracks the exact count, sum, min, and max, so summary statistics
+/// need no bucket interpolation.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
-    /// Upper-inclusive bucket bounds, strictly increasing.
-    bounds: Vec<u64>,
     /// Observation counts per bucket; last entry is the overflow bucket.
-    counts: Vec<u64>,
+    counts: [u64; DEFAULT_BOUNDS.len() + 1],
     /// Total number of observations.
     count: u64,
     /// Sum of all observed values.
@@ -38,36 +36,11 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram with the given upper-inclusive bounds.
-    ///
-    /// # Panics
-    /// Panics if `bounds` is empty or not strictly increasing.
-    pub fn with_bounds(bounds: &[u64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-            min: None,
-            max: None,
-        }
-    }
-
-    /// Creates an empty histogram with [`DEFAULT_BOUNDS`].
-    pub fn new() -> Self {
-        Histogram::with_bounds(DEFAULT_BOUNDS)
-    }
-
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
-        let idx = match self.bounds.iter().position(|&b| value <= b) {
+        let idx = match DEFAULT_BOUNDS.iter().position(|&b| value <= b) {
             Some(i) => i,
-            None => self.bounds.len(),
+            None => DEFAULT_BOUNDS.len(),
         };
         self.counts[idx] += 1;
         self.count += 1;
@@ -101,50 +74,16 @@ impl Histogram {
         self.sum.checked_div(self.count)
     }
 
-    /// The bucket bounds this histogram was built with.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
     /// Per-bucket counts; the final entry is the overflow bucket.
     pub fn bucket_counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Merges another histogram into this one.
-    ///
-    /// # Panics
-    /// Panics if the bucket bounds differ — merging across bound sets
-    /// would require resampling and break replay equality.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "cannot merge histograms with different bounds");
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
     }
 }
 
 /// A registry of named counters, gauges, and histograms.
 ///
-/// All three namespaces are independent `BTreeMap`s, so exports and
-/// merges walk names in lexicographic order regardless of insertion
-/// order.
+/// All three namespaces are independent `BTreeMap`s, so exports walk
+/// names in lexicographic order regardless of insertion order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
@@ -168,38 +107,15 @@ impl MetricsRegistry {
         self.gauges.insert(name.to_string(), value);
     }
 
-    /// Records `value` into the named histogram, creating it with
-    /// [`DEFAULT_BOUNDS`] on first use.
+    /// Records `value` into the named histogram, creating it on first
+    /// use.
     pub fn observe(&mut self, name: &str, value: u64) {
         self.histograms.entry(name.to_string()).or_default().observe(value);
-    }
-
-    /// Records `value` into the named histogram, creating it with the
-    /// given bounds on first use.
-    ///
-    /// # Panics
-    /// Panics if the histogram already exists with different bounds.
-    pub fn observe_with_bounds(&mut self, name: &str, value: u64, bounds: &[u64]) {
-        let hist = self
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::with_bounds(bounds));
-        assert_eq!(
-            hist.bounds(),
-            bounds,
-            "histogram {name:?} already registered with different bounds"
-        );
-        hist.observe(value);
     }
 
     /// Reads a counter, returning 0 when it was never incremented.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Reads a gauge, if it was ever set.
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
     }
 
     /// Looks up a histogram by name.
@@ -225,29 +141,6 @@ impl MetricsRegistry {
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Merges another registry into this one: counters add, gauges take
-    /// the other registry's value (last-writer-wins), histograms merge
-    /// bucket-wise.
-    ///
-    /// # Panics
-    /// Panics if a shared histogram name has different bounds.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, value) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += value;
-        }
-        for (name, value) in &other.gauges {
-            self.gauges.insert(name.clone(), *value);
-        }
-        for (name, hist) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(hist),
-                None => {
-                    self.histograms.insert(name.clone(), hist.clone());
-                }
-            }
-        }
     }
 
     /// Encodes the registry as one deterministic JSON object with
@@ -313,68 +206,18 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_upper_inclusive_with_overflow() {
-        let mut h = Histogram::with_bounds(&[10, 100]);
+        let mut h = Histogram::default();
         h.observe(0);
-        h.observe(10); // upper-inclusive: lands in the first bucket
-        h.observe(11);
-        h.observe(100);
-        h.observe(101); // overflow
-        assert_eq!(h.bucket_counts(), &[2, 2, 1]);
+        h.observe(1); // upper-inclusive: lands in the first bucket
+        h.observe(2);
+        h.observe(7200);
+        h.observe(7201); // overflow
+        assert_eq!(h.bucket_counts(), &[2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1]);
         assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 222);
+        assert_eq!(h.sum(), 14404);
         assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(101));
-        assert_eq!(h.mean(), Some(44));
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn histogram_rejects_unsorted_bounds() {
-        Histogram::with_bounds(&[10, 10]);
-    }
-
-    #[test]
-    fn histogram_merge_adds_bucketwise_and_tracks_extremes() {
-        let mut a = Histogram::with_bounds(&[5, 50]);
-        let mut b = Histogram::with_bounds(&[5, 50]);
-        a.observe(3);
-        a.observe(60);
-        b.observe(7);
-        a.merge(&b);
-        assert_eq!(a.bucket_counts(), &[1, 1, 1]);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Some(3));
-        assert_eq!(a.max(), Some(60));
-    }
-
-    #[test]
-    #[should_panic(expected = "different bounds")]
-    fn histogram_merge_rejects_mismatched_bounds() {
-        let mut a = Histogram::with_bounds(&[5]);
-        let b = Histogram::with_bounds(&[6]);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn registry_merge_adds_counters_overwrites_gauges_merges_histograms() {
-        let mut a = MetricsRegistry::new();
-        a.count("net.sent", 4);
-        a.gauge("bgp.worklist_peak", 9);
-        a.observe_with_bounds("repo.attempt_secs", 40, &[30, 60]);
-
-        let mut b = MetricsRegistry::new();
-        b.count("net.sent", 2);
-        b.count("net.dropped", 1);
-        b.gauge("bgp.worklist_peak", 12);
-        b.observe_with_bounds("repo.attempt_secs", 90, &[30, 60]);
-
-        a.merge(&b);
-        assert_eq!(a.counter("net.sent"), 6);
-        assert_eq!(a.counter("net.dropped"), 1);
-        assert_eq!(a.gauge_value("bgp.worklist_peak"), Some(12));
-        let h = a.histogram("repo.attempt_secs").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.bucket_counts(), &[0, 1, 1]);
+        assert_eq!(h.max(), Some(7201));
+        assert_eq!(h.mean(), Some(2880));
     }
 
     #[test]
@@ -383,13 +226,13 @@ mod tests {
         r.count("z.late", 1);
         r.count("a.early", 2);
         r.gauge("mid", -3);
-        r.observe_with_bounds("h", 2, &[1, 4]);
+        r.observe("h", 2);
         let json = r.to_json();
         assert_eq!(
             json,
             "{\"counters\":{\"a.early\":2,\"z.late\":1},\"gauges\":{\"mid\":-3},\
              \"histograms\":{\"h\":{\"count\":1,\"sum\":2,\"min\":2,\"max\":2,\
-             \"buckets\":[0,1,0]}}}"
+             \"buckets\":[0,1,0,0,0,0,0,0,0,0,0,0,0]}}}"
         );
         assert_eq!(json, r.clone().to_json());
     }

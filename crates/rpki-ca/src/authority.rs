@@ -321,11 +321,13 @@ impl CertAuthority {
         self.issued_roas.values()
     }
 
-    /// Issued ROAs whose validity ends within `horizon` of `now` —
-    /// the renewal worklist. Delayed renewal is one of the paper's
-    /// missing-ROA triggers (Side Effect 6).
+    /// Issued ROAs whose validity ends within `horizon` of `now` (a
+    /// notAfter not past `now + horizon`) — the renewal worklist.
+    /// Delayed renewal is one of the paper's missing-ROA triggers (Side
+    /// Effect 6).
     pub fn expiring_roas(&self, now: Moment, horizon: Span) -> Vec<&Roa> {
-        self.issued_roas.values().filter(|r| r.validity().not_after <= now + horizon).collect()
+        let end = now + horizon;
+        self.issued_roas.values().filter(|r| !r.validity().not_after.is_past(end)).collect()
     }
 
     /// Generates the current CRL.

@@ -190,6 +190,21 @@ fn crl_and_manifest_never_share_revoked_serials() {
 }
 
 #[test]
+fn a_roa_is_expiring_once_the_horizon_reaches_its_not_after() {
+    // The horizon's end at notAfter - 1, notAfter and notAfter + 1: a
+    // ROA whose last valid instant is the horizon's end is already due.
+    let (_, mut sprint) = arin_and_sprint();
+    let roa = sprint
+        .issue_roa(Asn(1239), vec![RoaPrefix::exact(p("63.160.64.0/20"))], Moment(0))
+        .unwrap();
+    let not_after = roa.validity().not_after.secs();
+    let due = |end: u64| sprint.expiring_roas(Moment(0), Span(end)).len();
+    assert_eq!(due(not_after - 1), 0);
+    assert_eq!(due(not_after), 1);
+    assert_eq!(due(not_after + 1), 1);
+}
+
+#[test]
 fn renewal_is_same_content_new_identity() {
     let (_, mut sprint) = arin_and_sprint();
     let old = sprint

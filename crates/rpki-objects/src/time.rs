@@ -52,6 +52,14 @@ impl Moment {
     pub const fn secs(self) -> u64 {
         self.0
     }
+
+    /// Whether `self` falls after `last`, the last instant at which
+    /// something still holds: the one expiry rule. A notAfter (RFC 6487
+    /// §4.6.2), a nextUpdate (RFC 9286 §6.3) and a hold-down's end are
+    /// all inclusive, so each lapses one second after it.
+    pub fn is_past(self, last: Moment) -> bool {
+        self > last
+    }
 }
 
 impl Add<Span> for Moment {
@@ -119,7 +127,7 @@ impl Validity {
 
     /// Whether `at` is past notAfter (RFC 6487 §4.6.2).
     pub fn expired_at(&self, at: Moment) -> bool {
-        at > self.not_after
+        at.is_past(self.not_after)
     }
 
     /// Whether `at` is before notBefore (RFC 6487 §4.6.1).

@@ -680,11 +680,6 @@ impl Repository {
             RepoUri::new(&self.host, &parts)
         })
     }
-
-    /// Total number of stored files.
-    pub fn file_count(&self) -> usize {
-        self.dirs.values().map(|d| d.files.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -762,7 +757,6 @@ mod tests {
                 "rsync://rpki.sprint.example/repo/sub-ca".to_owned()
             ]
         );
-        assert_eq!(repo.file_count(), 2);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::fmt;
 use ipres::{Asn, Prefix};
 use serde::{Deserialize, Serialize};
 
-use crate::validation::UnsafeVrpPolicy;
 use crate::vrp::VrpCache;
 
 /// A BGP route, reduced to what origin validation sees.
@@ -83,48 +82,6 @@ impl VrpCache {
         } else {
             RouteValidity::Unknown
         }
-    }
-
-    /// Classifies a route under an unsafe-VRP policy.
-    ///
-    /// `self` must be the VRP set the policy already shaped — the
-    /// run's full set under `Accept`/`Warn`, the filtered set under
-    /// `Reject` (i.e. exactly [`ValidationRun::vrps`] for that run).
-    /// `unsafe_vrps` is the run's unsafe set.
-    ///
-    /// Returns the RFC 6811 validity plus a *taint* flag: `true` when
-    /// an unsafe VRP covers the route, meaning the verdict rests on
-    /// (or, under `Reject`, was changed by dropping) payloads whose
-    /// issuing chain overlaps a rejected CA. Under `Accept` no unsafe
-    /// analysis ran, so the flag is always `false`.
-    ///
-    /// This is where the reject policy's sharp edge lives: a
-    /// misbehaving parent that forces its child CA to be rejected
-    /// drags the victim's legitimate more-specific VRP into the
-    /// unsafe set, and `Reject` then removes the very VRP that made
-    /// the victim's announcement Valid — flipping it to Invalid under
-    /// any surviving covering ROA.
-    ///
-    /// [`ValidationRun::vrps`]: crate::validation::ValidationRun::vrps
-    pub fn classify_with_policy(
-        &self,
-        route: Route,
-        unsafe_vrps: &VrpCache,
-        policy: UnsafeVrpPolicy,
-    ) -> (RouteValidity, bool) {
-        let validity = self.classify(route);
-        let tainted = match policy {
-            UnsafeVrpPolicy::Accept => false,
-            UnsafeVrpPolicy::Warn | UnsafeVrpPolicy::Reject => {
-                let mut covered = false;
-                unsafe_vrps.covering_for_each(route.prefix, |_| {
-                    covered = true;
-                    false
-                });
-                covered
-            }
-        };
-        (validity, tainted)
     }
 }
 
@@ -236,39 +193,30 @@ mod tests {
 
     #[test]
     fn reject_policy_suppresses_victim_more_specific() {
-        // A parent holds a covering /16 ROA (AS 1); the victim child
-        // holds a legitimate /24 more-specific (AS 2). The victim's
-        // route is Valid while its VRP is in the set.
+        // The reject policy's sharp edge: a misbehaving parent that
+        // forces its child CA to be rejected drags the victim's
+        // legitimate more-specific VRP into the unsafe set. A parent
+        // holds a covering /16 ROA (AS 1); the victim child holds a
+        // legitimate /24 more-specific (AS 2).
         let parent = Vrp::new(p("10.0.0.0/16"), 24, Asn(1));
         let victim = Vrp::new(p("10.0.7.0/24"), 24, Asn(2));
         let full: VrpCache = [parent, victim].into_iter().collect();
         let unsafe_set: VrpCache = [victim].into_iter().collect();
         let route = Route::new(p("10.0.7.0/24"), Asn(2));
 
-        // Accept: Valid, untainted (no analysis).
-        assert_eq!(
-            full.classify_with_policy(route, &unsafe_set, UnsafeVrpPolicy::Accept),
-            (RouteValidity::Valid, false)
-        );
-        // Warn: still Valid, but flagged as resting on unsafe data.
-        assert_eq!(
-            full.classify_with_policy(route, &unsafe_set, UnsafeVrpPolicy::Warn),
-            (RouteValidity::Valid, true)
-        );
+        // Accept and Warn keep the full set: the victim's route is
+        // Valid, resting on an unsafe VRP.
+        assert_eq!(full.classify(route), RouteValidity::Valid);
+        assert_eq!(unsafe_set.classify(route), RouteValidity::Valid);
         // Reject: the victim's VRP is dropped; the surviving parent
         // /16 still covers the route, so it flips Valid → Invalid —
         // the rejected CA suppressed a legitimate announcement.
         let filtered: VrpCache = [parent].into_iter().collect();
-        assert_eq!(
-            filtered.classify_with_policy(route, &unsafe_set, UnsafeVrpPolicy::Reject),
-            (RouteValidity::Invalid, true)
-        );
-        // A route outside the unsafe set stays untainted everywhere.
+        assert_eq!(filtered.classify(route), RouteValidity::Invalid);
+        // A route no unsafe VRP covers is unaffected.
         let outside = Route::new(p("10.0.0.0/16"), Asn(1));
-        assert_eq!(
-            filtered.classify_with_policy(outside, &unsafe_set, UnsafeVrpPolicy::Reject),
-            (RouteValidity::Valid, false)
-        );
+        assert_eq!(filtered.classify(outside), RouteValidity::Valid);
+        assert_eq!(unsafe_set.classify(outside), RouteValidity::Unknown);
     }
 
     #[test]

@@ -197,18 +197,14 @@ impl Relay {
     }
 
     /// Indices of feeds with an established session, in feed order.
-    pub fn live_feeds(&self) -> Vec<usize> {
-        (0..self.feeds.len()).filter(|&i| self.feeds[i].client().session().is_some()).collect()
+    pub fn live_feeds(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.feeds.len()).filter(|&i| self.feeds[i].client().session().is_some())
     }
 
     /// The merged, SLURM-filtered VRP set over the live feeds.
     pub fn merged(&self) -> BTreeSet<Vrp> {
-        let live: Vec<BTreeSet<Vrp>> = self
-            .feeds
-            .iter()
-            .filter(|f| f.client().session().is_some())
-            .map(|f| f.vrps().clone())
-            .collect();
+        let live: Vec<BTreeSet<Vrp>> =
+            self.live_feeds().map(|i| self.feeds[i].vrps().clone()).collect();
         self.slurm.apply(&reference_merge(self.policy, &live))
     }
 
@@ -330,7 +326,7 @@ mod tests {
                 vec![&mut fab_a, &mut fab_b, &mut relay, &mut router];
             pump_until(&mut net, deadline, &mut eps);
         }
-        assert_eq!(relay.live_feeds(), vec![0, 1]);
+        assert_eq!(relay.live_feeds().collect::<Vec<_>>(), [0, 1]);
         assert!(relay.republish(&mut net));
         let deadline = net.now() + 1_000;
         {
@@ -375,7 +371,7 @@ mod tests {
             let mut eps: Vec<&mut dyn RtrEndpoint> = vec![&mut fab_a, &mut fab_b, &mut relay];
             pump_until(&mut net, deadline, &mut eps);
         }
-        assert_eq!(relay.live_feeds(), vec![1]);
+        assert_eq!(relay.live_feeds().collect::<Vec<_>>(), [1]);
         assert_eq!(relay.merged(), set(&set_b), "failover to the live feed");
 
         net.faults.heal(cache_a, relay_node);
@@ -385,7 +381,7 @@ mod tests {
             let mut eps: Vec<&mut dyn RtrEndpoint> = vec![&mut fab_a, &mut fab_b, &mut relay];
             pump_until(&mut net, deadline, &mut eps);
         }
-        assert_eq!(relay.live_feeds(), vec![0, 1]);
+        assert_eq!(relay.live_feeds().collect::<Vec<_>>(), [0, 1]);
         assert_eq!(relay.merged(), set(&set_a), "first live feed wins again");
     }
 }

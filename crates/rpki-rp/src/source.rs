@@ -7,7 +7,7 @@
 //! - [`NetworkSource`] — real simulated retrieval over `netsim`,
 //!   subject to partitions, loss, corruption, and the BGP reachability
 //!   oracle. This is the one experiments use. Optionally retries under
-//!   a [`SyncPolicy`].
+//!   [`SyncPolicy::default`].
 //! - [`DirectSource`] — reads repository state directly (a "perfect
 //!   network"), isolating validation logic from transport effects.
 //! - [`RrdpSource`](crate::RrdpSource) — RRDP-preferring retrieval over
@@ -132,32 +132,30 @@ pub struct NetworkSource<'a> {
     net: &'a mut Network,
     repos: &'a RepoRegistry,
     client: NodeId,
-    policy: Option<SyncPolicy>,
+    retry: bool,
 }
 
 impl<'a> NetworkSource<'a> {
     /// A source fetching from `client`'s vantage point, one bare
     /// session per directory (no retries).
     pub fn new(net: &'a mut Network, repos: &'a RepoRegistry, client: NodeId) -> Self {
-        NetworkSource { net, repos, client, policy: None }
+        NetworkSource { net, repos, client, retry: false }
     }
 
-    /// A source that retries each directory under `policy`.
-    pub fn with_policy(
-        net: &'a mut Network,
-        repos: &'a RepoRegistry,
-        client: NodeId,
-        policy: SyncPolicy,
-    ) -> Self {
-        NetworkSource { net, repos, client, policy: Some(policy) }
+    /// A source that retries each directory under
+    /// [`SyncPolicy::default`].
+    pub fn retrying(net: &'a mut Network, repos: &'a RepoRegistry, client: NodeId) -> Self {
+        NetworkSource { net, repos, client, retry: true }
     }
 }
 
 impl ObjectSource for NetworkSource<'_> {
     fn load_dir(&mut self, dir: &RepoUri) -> SyncOutcome {
-        match self.policy {
-            None => sync_dir(self.net, self.repos, self.client, dir),
-            Some(policy) => sync_dir_with_policy(self.net, self.repos, self.client, dir, &policy).0,
+        if self.retry {
+            let policy = SyncPolicy::default();
+            sync_dir_with_policy(self.net, self.repos, self.client, dir, &policy).0
+        } else {
+            sync_dir(self.net, self.repos, self.client, dir)
         }
     }
 
@@ -166,7 +164,7 @@ impl ObjectSource for NetworkSource<'_> {
     }
 
     fn probe_dir(&mut self, dir: &RepoUri) -> Option<DirProbe> {
-        let deadline = self.policy.and_then(|p| p.deadline);
+        let deadline = if self.retry { SyncPolicy::default().deadline } else { None };
         Some(rpki_repo::probe_dir(self.net, self.repos, self.client, dir, deadline))
     }
 
@@ -269,7 +267,7 @@ mod tests {
         repos.get_mut(node).unwrap().publish_raw(&dir, "a", vec![1]);
         // First file frame lost; the retry must recover it.
         net.faults.drop_nth(node, client, 2);
-        let mut src = NetworkSource::with_policy(&mut net, &repos, client, SyncPolicy::default());
+        let mut src = NetworkSource::retrying(&mut net, &repos, client);
         let out = src.load_dir(&dir);
         assert!(out.is_complete());
     }

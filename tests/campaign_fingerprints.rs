@@ -140,7 +140,7 @@ fn fingerprints() -> Vec<(String, String)> {
     scheduled(&mut t, &schedule_gaming_campaign(), 2013);
 
     // The triples the retired run-twice replay tests exercised.
-    let all3 = RtrConfig { routers: 3, policy: MergePolicy::All, ..RtrConfig::default() };
+    let all3 = RtrConfig { routers: 3, policy: MergePolicy::All };
     private(&mut t, &short_takedown(), 7);
     cold(&mut t, &short_takedown(), 7);
     rtr(&mut t, &rtr_campaign(), 7, all3);

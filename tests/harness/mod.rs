@@ -51,7 +51,7 @@ use rpki_attacks::CorpusKind;
 use rpki_ca::{ChurnConfig, ChurnEngine};
 use rpki_objects::Moment;
 use rpki_repo::{
-    rrdp_sync_dir, sync_dir, PubdPolicy, Repository, RetentionPolicy, RrdpClientState, SyncPolicy,
+    rrdp_sync_dir, sync_dir, PubdPolicy, Repository, RetentionPolicy, RrdpClientState,
 };
 use rpki_risk::{Fetch, RrdpMode, ValidationOptions, VantagePoint, World};
 use rpki_rp::{
@@ -247,7 +247,7 @@ impl Rp {
     fn validate(&mut self, w: &mut World, at: Moment) -> ValidationRun {
         let mut opts = ValidationOptions::at(at).fetch(match self.chain.fetch {
             Transport::Once => Fetch::Once,
-            Transport::Retry => Fetch::Retry(SyncPolicy::default()),
+            Transport::Retry => Fetch::Retry,
             Transport::Rrdp(mode) => Fetch::Rrdp(&mut self.rrdp, mode),
         });
         if self.chain.stale {

@@ -149,8 +149,8 @@ fn relay_output_matches_sequential_reference_merge() {
 #[test]
 fn merge_policy_chooses_where_divergence_lives() {
     let spec = rtr_campaign();
-    let union_cfg = RtrConfig { routers: 4, policy: MergePolicy::Union, ..RtrConfig::default() };
-    let all_cfg = RtrConfig { routers: 4, policy: MergePolicy::All, ..RtrConfig::default() };
+    let union_cfg = RtrConfig { routers: 4, policy: MergePolicy::Union };
+    let all_cfg = RtrConfig { routers: 4, policy: MergePolicy::All };
     let run = |cfg| Campaign::Rtr(cfg, SlurmFile::empty()).run(&spec, 2013, &Recorder::disabled());
     let (union, all) = (run(union_cfg), run(all_cfg));
 
@@ -182,7 +182,7 @@ fn merge_policy_chooses_where_divergence_lives() {
 /// outcomes on replay.
 #[test]
 fn rtr_campaign_replays_byte_identical() {
-    let cfg = RtrConfig { routers: 4, policy: MergePolicy::All, ..RtrConfig::default() };
+    let cfg = RtrConfig { routers: 4, policy: MergePolicy::All };
     let campaign = Campaign::Rtr(cfg, SlurmFile::empty());
     let run = |seed| {
         serde_json::to_string(&campaign.run(&rtr_campaign(), seed, &Recorder::disabled()))
@@ -199,7 +199,7 @@ fn rtr_campaign_replays_byte_identical() {
 #[test]
 #[ignore = "long-running RTR campaign soak; exercised by scheduled CI"]
 fn rtr_campaign_soak_across_seeds() {
-    let cfg = RtrConfig { routers: 6, policy: MergePolicy::All, ..RtrConfig::default() };
+    let cfg = RtrConfig { routers: 6, policy: MergePolicy::All };
     let campaign = Campaign::Rtr(cfg, SlurmFile::empty());
     for seed in 0..32u64 {
         let out = campaign.run(&rtr_campaign(), seed, &Recorder::disabled());

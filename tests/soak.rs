@@ -14,7 +14,7 @@
 
 use rpki_attacks::{Monitor, MonitorSnapshot};
 use rpki_objects::{Moment, Span};
-use rpki_repo::{Freshness, SyncPolicy};
+use rpki_repo::Freshness;
 use rpki_risk::fixtures::{asn, ca};
 use rpki_risk::{Fetch, SuspendersConfig, SuspendersState, ValidationOptions, World, MODEL_SEED};
 use rpki_rp::{ResilienceConfig, ResilientState, Route, RouteValidity};
@@ -47,7 +47,6 @@ fn three_hundred_days_of_operations() {
     // The resilient relying party fetches over the simulated network
     // on the same weekly cadence, with a snapshot budget wide enough
     // to bridge the outage (last good sync day 217 → ages peak ~28d).
-    let policy = SyncPolicy::default();
     let mut resilient = ResilientState::new(ResilienceConfig {
         max_stale: 35 * DAY,
         failure_threshold: 3,
@@ -186,7 +185,7 @@ fn three_hundred_days_of_operations() {
             // -- The resilient relying party, over the real network --
             let net_run = w.validate_with(
                 ValidationOptions::at(now + Span::hours(1))
-                    .fetch(Fetch::Retry(policy))
+                    .fetch(Fetch::Retry)
                     .stale_cache(&mut resilient),
             );
             let net_cache = net_run.vrp_cache();
