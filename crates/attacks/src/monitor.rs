@@ -846,13 +846,13 @@ mod tests {
 
         let mut run = ValidationRun::default();
         run.rejected_cas.push(RejectedCa {
-            ca: "Continental".to_string(),
-            dir: "rsync://rpki.sprint.example/repo".to_string(),
+            ca: "Continental".into(),
+            dir: "rsync://rpki.sprint.example/repo".into(),
             resources: ResourceSet::from_prefix_strs("63.160.0.0/20"),
         });
         run.rejected_cas.push(RejectedCa {
-            ca: "Etb".to_string(),
-            dir: "rsync://rpki.quiet.example/repo".to_string(),
+            ca: "Etb".into(),
+            dir: "rsync://rpki.quiet.example/repo".into(),
             resources: ResourceSet::from_prefix_strs("198.51.100.0/24"),
         });
         run.unsafe_vrps.push(Vrp::new(p("63.160.7.0/24"), 24, Asn(17054)));

@@ -178,7 +178,7 @@ pub fn demo(args: &[String]) -> ExitCode {
     let run = w.validate_direct(Moment(2));
     let mut cas = SummaryTable::new(&["validated CA", "depth", "resources"]);
     for ca in &run.cas {
-        cas.row(&[ca.handle.clone(), ca.depth.to_string(), ca.resources.join(", ")]);
+        cas.row(&[ca.handle.to_string(), ca.depth.to_string(), ca.resources.join(", ")]);
     }
     cas.print("Validated hierarchy");
     let mut vrps = SummaryTable::new(&["VRP", "origin"]);

@@ -267,7 +267,7 @@ pub(crate) struct CacheEntry {
     pub(crate) incomplete: IncompletePolicy,
     pub(crate) overclaim: OverclaimPolicy,
     pub(crate) max_depth: usize,
-    pub(crate) dir: String,
+    pub(crate) dir: Arc<str>,
     pub(crate) dir_digest: Digest,
     /// `[lo, hi)` of validation times preserving every time comparison.
     pub(crate) window: (u64, u64),
@@ -276,7 +276,7 @@ pub(crate) struct CacheEntry {
     pub(crate) child_keys: BTreeSet<KeyId>,
     pub(crate) ca: ValidatedCa,
     pub(crate) diagnostics: Vec<Diagnostic>,
-    pub(crate) accepted_roas: Vec<(String, String)>,
+    pub(crate) accepted_roas: Vec<(Arc<str>, Arc<str>)>,
     pub(crate) vrps: Vec<Vrp>,
     pub(crate) vrp_records: Vec<VrpRecord>,
     pub(crate) revocations: Vec<(KeyId, u64)>,
@@ -459,7 +459,7 @@ impl Validator {
         }
 
         state.stats.subtrees_rewalked += 1;
-        let (dir, effective, depth) = (dir.to_string(), item.effective.clone(), item.depth);
+        let (effective, depth) = (item.effective.clone(), item.depth);
         let marks = Marks::of(run, queue);
         let mut obs = ProcessObservations::at(now);
         self.process(item, outcome, run, queue, Some(&mut obs));
@@ -477,7 +477,7 @@ impl Validator {
             incomplete: config.incomplete,
             overclaim: config.overclaim,
             max_depth: config.max_depth,
-            dir,
+            dir: run.freshness.last().expect("processing records freshness").0.clone(),
             dir_digest,
             window: obs.window(),
             child_keys: obs.child_keys,
@@ -502,8 +502,9 @@ impl Validator {
     /// Replays a memoized walk: pushes the stored outputs in their
     /// original order and re-queues the child CAs exactly as the full
     /// walk queued them, so the overall traversal — and therefore every
-    /// order-sensitive output vector — is identical. Freshness is live:
-    /// it reports how *this* round obtained (or confirmed) the data.
+    /// order-sensitive output vector — is identical. Every string is
+    /// shared with the entry, never copied. Freshness is live: it
+    /// reports how *this* round obtained (or confirmed) the data.
     fn replay(
         entry: &CacheEntry,
         freshness: Freshness,
@@ -752,6 +753,37 @@ pub(crate) mod tests {
             for row in &ADMISSION {
                 admit_row(mode, row);
             }
+        }
+    }
+
+    /// A replay shares the first walk's strings instead of copying them:
+    /// over an unchanged world, every directory, accepted ROA and CA
+    /// handle of the second run is the first run's allocation.
+    #[test]
+    fn replay_shares_and_does_not_copy() {
+        let rig = rig(3);
+        let v = Validator::new(ValidationConfig::at(Moment(2)));
+        let tals = std::slice::from_ref(&rig.tal);
+        let mut state = ValidationState::full();
+        let first = v.run_incremental(&mut DirectSource::new(&rig.repos), tals, &mut state);
+        let second = v.run_incremental(&mut DirectSource::new(&rig.repos), tals, &mut state);
+        assert_eq!(state.stats().subtrees_reused, 4);
+        assert_eq!(second, first);
+        assert_eq!(first.accepted_roas.len(), 3);
+        for (a, b) in first.freshness.iter().zip(&second.freshness) {
+            assert!(Arc::ptr_eq(&a.0, &b.0), "directory {} was copied", b.0);
+        }
+        for (a, b) in first.accepted_roas.iter().zip(&second.accepted_roas) {
+            assert!(Arc::ptr_eq(&a.0, &b.0), "issuer {} was copied", b.0);
+            assert!(Arc::ptr_eq(&a.1, &b.1), "ROA {} was copied", b.1);
+        }
+        for (a, b) in first.cas.iter().zip(&second.cas) {
+            assert!(Arc::ptr_eq(&a.handle, &b.handle), "handle {} was copied", b.handle);
+            assert!(
+                Arc::ptr_eq(&a.resources, &b.resources),
+                "{}'s resources were copied",
+                b.handle
+            );
         }
     }
 

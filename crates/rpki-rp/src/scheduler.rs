@@ -38,8 +38,10 @@
 //! scheduler saves must come from schedule policy, never from silently
 //! changing what a delegated fetch returns.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::{self, Write};
+use std::hash::BuildHasherDefault;
 
 use rpki_objects::RepoUri;
 use rpki_obs::Recorder;
@@ -274,7 +276,9 @@ impl RunStats {
 /// [`ResilientState`](crate::resilience::ResilientState).
 #[derive(Debug, Default)]
 pub struct SchedulerState {
-    dirs: BTreeMap<RepoUri, DirSchedule>,
+    /// Looked up once per visit and never iterated. The hasher is fixed,
+    /// not `RandomState`, so the `Debug` output is the same every run.
+    dirs: HashMap<RepoUri, DirSchedule, BuildHasherDefault<DefaultHasher>>,
     hosts: BTreeMap<String, HostSchedule>,
     /// The finished runs' counters, and the counters no run keeps.
     stats: SchedulerStats,

@@ -25,7 +25,14 @@
 //! [`Validator::run`], which loads and processes every point, and
 //! [`Validator::run_incremental`], which lets the memo cache decide each
 //! point in one place, `visit`.
+//!
+//! A processed point builds each of its strings once, as an `Arc`: its
+//! CA handle, its directory, its resources and each accepted ROA's
+//! display form. Every record the point leaves in a run shares them,
+//! and so does the memo entry, so a replay copies pointers, not text.
 
+use std::cell::RefCell;
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
 use ipres::ResourceSet;
@@ -227,9 +234,9 @@ pub enum Issue {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Diagnostic {
     /// Handle of the CA whose publication point was being processed.
-    pub ca: String,
+    pub ca: Arc<str>,
     /// The directory.
-    pub dir: String,
+    pub dir: Arc<str>,
     /// What happened.
     pub issue: Issue,
 }
@@ -238,14 +245,14 @@ pub struct Diagnostic {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ValidatedCa {
     /// Subject handle (reporting only).
-    pub handle: String,
+    pub handle: Arc<str>,
     /// Subject key id.
     #[serde(skip)]
     pub key: KeyId,
     /// Depth below the trust anchor (TA = 0).
     pub depth: usize,
     /// The CA's validated resources, as display strings.
-    pub resources: Vec<String>,
+    pub resources: Arc<[String]>,
 }
 
 /// Provenance of one VRP: everything a fail-safe layer (such as
@@ -272,9 +279,9 @@ pub struct VrpRecord {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RejectedCa {
     /// Subject handle of the dropped CA (reporting only).
-    pub ca: String,
+    pub ca: Arc<str>,
     /// The publication directory the rejection is attributed to.
-    pub dir: String,
+    pub dir: Arc<str>,
     /// The resources the dropped certificate claimed (for a dropped
     /// publication point: the CA's effective resources).
     pub resources: ResourceSet,
@@ -291,7 +298,7 @@ pub struct ValidationRun {
     /// Every CA accepted onto the tree.
     pub cas: Vec<ValidatedCa>,
     /// Accepted ROAs, as `(issuing CA handle, ROA display string)`.
-    pub accepted_roas: Vec<(String, String)>,
+    pub accepted_roas: Vec<(Arc<str>, Arc<str>)>,
     /// Serials observed as revoked, per issuing CA key — the audit
     /// trail that distinguishes transparent revocation from stealthy
     /// removal.
@@ -300,7 +307,7 @@ pub struct ValidationRun {
     pub diagnostics: Vec<Diagnostic>,
     /// Data provenance per publication point processed: fresh from the
     /// wire, served stale from a snapshot, or absent entirely.
-    pub freshness: Vec<(String, Freshness)>,
+    pub freshness: Vec<(Arc<str>, Freshness)>,
     /// CAs (or whole publication points) dropped during the walk, in
     /// traversal order, with the resources they claimed. Always
     /// recorded, regardless of [`UnsafeVrpPolicy`].
@@ -324,13 +331,13 @@ impl ValidationRun {
         self.diagnostics.iter().any(|d| &d.issue == issue)
     }
 
-    /// Drops `item`'s whole publication point for `issue`: the
-    /// diagnostic, and the resources it spoke for as a [`RejectedCa`].
-    fn reject_point(&mut self, item: &WorkItem, issue: Issue) {
-        let ca = item.cert.data().subject.clone();
-        let dir = item.cert.data().sia.to_string();
+    /// Drops `item`'s whole publication point, named `ca` at `dir`, for
+    /// `issue`: the diagnostic, and the resources it spoke for as a
+    /// [`RejectedCa`].
+    fn reject_point(&mut self, item: &WorkItem, ca: &Arc<str>, dir: &Arc<str>, issue: Issue) {
         self.diagnostics.push(Diagnostic { ca: ca.clone(), dir: dir.clone(), issue });
-        self.rejected_cas.push(RejectedCa { ca, dir, resources: (*item.effective).clone() });
+        let resources = (*item.effective).clone();
+        self.rejected_cas.push(RejectedCa { ca: ca.clone(), dir: dir.clone(), resources });
     }
 
     /// Emits this run's outcome into an observability recorder at
@@ -467,8 +474,9 @@ impl Validator {
                 if let Some(state) = state.as_deref_mut() {
                     state.stats.subtrees_rewalked += 1;
                 }
-                run.cas.push(Self::validated_ca(&item));
-                run.reject_point(&item, Issue::DepthExceeded);
+                let (ca, dir) = Self::names(&item);
+                run.cas.push(Self::validated_ca(&item, &ca));
+                run.reject_point(&item, &ca, &dir, Issue::DepthExceeded);
                 continue;
             }
             match state.as_deref_mut() {
@@ -546,8 +554,8 @@ impl Validator {
                     })
                 }
                 None => run.diagnostics.push(Diagnostic {
-                    ca: "(trust anchor)".to_owned(),
-                    dir: tal.uri.to_string(),
+                    ca: Arc::from("(trust anchor)"),
+                    dir: shared(&tal.uri),
                     issue: Issue::TalRejected,
                 }),
             }
@@ -577,11 +585,17 @@ impl Validator {
         Some(cert)
     }
 
-    /// Describes `item`'s CA as the [`ValidatedCa`] entry that
-    /// processing it pushes first.
-    fn validated_ca(item: &WorkItem) -> ValidatedCa {
+    /// `item`'s CA handle and directory, built once for every record
+    /// the point leaves in a run.
+    fn names(item: &WorkItem) -> (Arc<str>, Arc<str>) {
+        (Arc::from(item.cert.data().subject.as_str()), shared(&item.cert.data().sia))
+    }
+
+    /// Describes `item`'s CA, named `handle`, as the [`ValidatedCa`]
+    /// entry that processing it pushes first.
+    fn validated_ca(item: &WorkItem, handle: &Arc<str>) -> ValidatedCa {
         ValidatedCa {
-            handle: item.cert.data().subject.clone(),
+            handle: handle.clone(),
             key: item.cert.data().subject_key.id(),
             depth: item.depth,
             resources: item.effective.to_prefixes().iter().map(|p| p.to_string()).collect(),
@@ -647,23 +661,20 @@ impl Validator {
         queue: &mut Vec<WorkItem>,
         mut obs: Option<&mut ProcessObservations>,
     ) {
-        run.cas.push(Self::validated_ca(&item));
-        let cert = &item.cert;
-        let handle = cert.data().subject.clone();
-        let dir = cert.data().sia.clone();
-        let dir_s = dir.to_string();
-        let key = cert.data().subject_key;
+        let (handle, dir) = Self::names(&item);
+        run.cas.push(Self::validated_ca(&item, &handle));
+        let key = item.cert.data().subject_key;
         let resources = &*item.effective;
         // The chain every queued child shares, made for the first one.
         let mut below = None;
 
         let diag = |run: &mut ValidationRun, issue: Issue| {
-            run.diagnostics.push(Diagnostic { ca: handle.clone(), dir: dir_s.clone(), issue });
+            run.diagnostics.push(Diagnostic { ca: handle.clone(), dir: dir.clone(), issue });
         };
 
-        run.freshness.push((dir_s.clone(), outcome.freshness));
+        run.freshness.push((dir.clone(), outcome.freshness));
         if !outcome.listed {
-            run.reject_point(&item, Issue::UnreachableRepo);
+            run.reject_point(&item, &handle, &dir, Issue::UnreachableRepo);
             return;
         }
         for name in &outcome.missing {
@@ -718,7 +729,7 @@ impl Validator {
         };
 
         if !complete && self.config.incomplete == IncompletePolicy::RejectPublicationPoint {
-            run.reject_point(&item, Issue::RejectedPublicationPoint);
+            run.reject_point(&item, &handle, &dir, Issue::RejectedPublicationPoint);
             return;
         }
 
@@ -760,8 +771,8 @@ impl Validator {
                     // unsafe-VRP analysis.
                     let reject_child = |run: &mut ValidationRun, child: &ResourceCert| {
                         run.rejected_cas.push(RejectedCa {
-                            ca: child.data().subject.clone(),
-                            dir: dir_s.clone(),
+                            ca: Arc::from(child.data().subject.as_str()),
+                            dir: dir.clone(),
                             resources: child.data().resources.clone(),
                         });
                     };
@@ -821,7 +832,7 @@ impl Validator {
                         diag(run, Issue::OverClaim(name.clone()));
                         continue;
                     }
-                    run.accepted_roas.push((handle.clone(), roa.to_string()));
+                    run.accepted_roas.push((handle.clone(), shared(&roa)));
                     for rp in &roa.data().prefixes {
                         let vrp = Vrp::new(rp.prefix, rp.effective_max_len(), roa.asn());
                         run.vrps.push(vrp);
@@ -840,6 +851,17 @@ impl Validator {
             }
         }
     }
+}
+
+/// `value`'s display form as an `Arc<str>`, in one allocation: it is
+/// written into a reused per-thread buffer, then copied once.
+fn shared(value: impl fmt::Display) -> Arc<str> {
+    thread_local!(static BUF: RefCell<String> = const { RefCell::new(String::new()) });
+    BUF.with_borrow_mut(|buf| {
+        buf.clear();
+        write!(buf, "{value}").expect("a display impl returned an error");
+        Arc::from(buf.as_str())
+    })
 }
 
 /// A point's manifest or CRL, as [`Validator::current_list`] reads it.
@@ -869,5 +891,59 @@ impl PointList for CrlData {
     fn of(obj: RpkiObject) -> Option<Crl> {
         let RpkiObject::Crl(crl) = obj else { return None };
         Some(crl)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ipres::Prefix;
+
+    /// The walk records print and serialise as they did when their
+    /// strings were owned: `{:?}` and JSON of records built from
+    /// literals, written out in full.
+    #[test]
+    fn records_print_as_owned_strings_did() {
+        let p = |s: &str| s.parse::<Prefix>().unwrap();
+        let diagnostic = Diagnostic {
+            ca: "Sprint".into(),
+            dir: "rsync://rpki.sprint.example/repo".into(),
+            issue: Issue::MissingFile("a.roa".to_owned()),
+        };
+        let rejected = RejectedCa {
+            ca: "Continental".into(),
+            dir: "rsync://rpki.sprint.example/repo".into(),
+            resources: ResourceSet::from_prefixes([p("63.160.0.0/12")]),
+        };
+        let ca = ValidatedCa {
+            handle: "Sprint".into(),
+            key: KeyId(sha256(b"sprint")),
+            depth: 1,
+            resources: vec!["63.160.0.0/12".to_owned(), "208.0.0.0/11".to_owned()].into(),
+        };
+        let dir = r#"dir: "rsync://rpki.sprint.example/repo""#;
+        assert_eq!(
+            format!("{diagnostic:?}"),
+            format!(r#"Diagnostic {{ ca: "Sprint", {dir}, issue: MissingFile("a.roa") }}"#)
+        );
+        assert_eq!(
+            format!("{rejected:?}"),
+            format!(
+                r#"RejectedCa {{ ca: "Continental", {dir}, resources: ResourceSet{{[63.160.0.0-63.175.255.255]}} }}"#
+            )
+        );
+        assert_eq!(
+            format!("{ca:?}"),
+            r#"ValidatedCa { handle: "Sprint", key: KeyId(fb9afa84), depth: 1, resources: ["63.160.0.0/12", "208.0.0.0/11"] }"#
+        );
+        // `RejectedCa` has no JSON form.
+        assert_eq!(
+            serde_json::to_string(&diagnostic).unwrap(),
+            r#"{"ca":"Sprint","dir":"rsync://rpki.sprint.example/repo","issue":{"MissingFile":"a.roa"}}"#
+        );
+        assert_eq!(
+            serde_json::to_string(&ca).unwrap(),
+            r#"{"handle":"Sprint","depth":1,"resources":["63.160.0.0/12","208.0.0.0/11"]}"#
+        );
     }
 }

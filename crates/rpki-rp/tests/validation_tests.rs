@@ -122,7 +122,7 @@ fn clean_world_validates_fully() {
     let run = w.validate_direct(ValidationConfig::at(Moment(2)));
     // ARIN, Sprint, Continental on the tree.
     assert_eq!(run.cas.len(), 3);
-    assert_eq!(run.cas.iter().filter(|c| c.handle == "Sprint").count(), 1);
+    assert_eq!(run.cas.iter().filter(|c| &*c.handle == "Sprint").count(), 1);
     // Four ROAs → four VRPs.
     assert_eq!(run.vrps.len(), 4);
     assert!(run.vrps.contains(&Vrp::new(p("63.160.64.0/20"), 24, Asn(1239))));
