@@ -11,6 +11,8 @@
 //! An intentional change prints the whole new table on mismatch; paste
 //! it over [`PINS`].
 
+use std::collections::BTreeMap;
+
 use rpki_attacks::CorpusKind;
 use rpki_ca::ChurnConfig;
 use rpki_obs::Recorder;
@@ -28,18 +30,25 @@ macro_rules! json {
     };
 }
 
-/// Collects `(label, digest)` rows in run order.
+/// Collects `(label, digest)` rows in run order, and how often each
+/// event kind occurs across the digested traces.
 #[derive(Default)]
-struct Table(Vec<(String, String)>);
+struct Table {
+    rows: Vec<(String, String)>,
+    kinds: BTreeMap<&'static str, usize>,
+}
 
 impl Table {
     fn bytes(&mut self, run: &str, table: &str, bytes: &str) {
-        self.0.push((format!("{run}/{table}"), sha256(bytes.as_bytes()).to_hex()));
+        self.rows.push((format!("{run}/{table}"), sha256(bytes.as_bytes()).to_hex()));
     }
 
     fn trace(&mut self, run: &str, recorder: &Recorder) {
         self.bytes(run, "trace", &recorder.trace_jsonl());
         self.bytes(run, "metrics", &recorder.metrics().to_json());
+        for event in recorder.events() {
+            *self.kinds.entry(event.kind).or_default() += 1;
+        }
     }
 }
 
@@ -53,6 +62,18 @@ fn short_takedown() -> CampaignSpec {
         churn: None,
         rounds: 6,
         windows: vec![FaultWindow::new(CONTINENTAL, FaultKind::Takedown, 2, 4)],
+    }
+}
+
+/// A takedown long enough that the scheduler's host backoff trips three
+/// times, each cool-down twice the last: the third outlasts a round, so
+/// one round's visit to the host is backed off.
+fn long_takedown() -> CampaignSpec {
+    CampaignSpec {
+        name: "long-takedown".to_owned(),
+        windows: vec![FaultWindow::new(CONTINENTAL, FaultKind::Takedown, 2, 13)],
+        rounds: 14,
+        ..short_takedown()
     }
 }
 
@@ -129,7 +150,7 @@ fn downgrade(t: &mut Table, seed: u64) {
     t.trace(&run, &rec);
 }
 
-fn fingerprints() -> Vec<(String, String)> {
+fn fingerprints() -> Table {
     let mut t = Table::default();
     for spec in standard_campaigns() {
         private(&mut t, &spec, 2013);
@@ -162,12 +183,15 @@ fn fingerprints() -> Vec<(String, String)> {
     for seed in [2013, 41, 17, 23] {
         downgrade(&mut t, seed);
     }
-    t.0
+
+    // The scheduler's backoff, tripped and re-tripped.
+    scheduled(&mut t, &long_takedown(), 2013);
+    t
 }
 
 #[test]
 fn every_entry_point_matches_its_pinned_digests() {
-    let got = fingerprints();
+    let got = fingerprints().rows;
     let pinned: Vec<(String, String)> =
         PINS.iter().map(|&(label, digest)| (label.to_owned(), digest.to_owned())).collect();
     if got != pinned {
@@ -186,6 +210,27 @@ fn every_entry_point_matches_its_pinned_digests() {
              const PINS: &[(&str, &str)] = &[\n{table}];"
         );
     }
+}
+
+/// The pinned traces carry every transition of both host breakers: the
+/// stale cache's circuit in the shared standard takedown, and the
+/// scheduler's backoff, tripped three times, in the long one.
+#[test]
+fn pinned_traces_carry_every_breaker_transition() {
+    let mut t = Table::default();
+    let takedown = standard_campaigns().into_iter().find(|spec| spec.name == "takedown");
+    shared(&mut t, &takedown.expect("a standard campaign"), 2013);
+    scheduled(&mut t, &long_takedown(), 2013);
+    for row in &t.rows {
+        assert!(PINS.iter().any(|&(label, digest)| (label, digest) == (&row.0, &row.1)), "{row:?}");
+    }
+    let count = |kind| t.kinds.get(kind).copied().unwrap_or(0);
+    for kind in
+        ["circuit_open", "circuit_half_open", "circuit_reopen", "circuit_close", "circuit_skip"]
+    {
+        assert!(count(kind) > 0, "no {kind} in {:?}", t.kinds);
+    }
+    assert!(count("schedule_backoff") >= 2, "{:?}", t.kinds);
 }
 
 #[rustfmt::skip]
@@ -299,4 +344,7 @@ const PINS: &[(&str, &str)] = &[
     ("downgrade@23/outcome", "e8d50acdcb6f4674ab91a723acb24da40e29631594d63b72913b987a93fba86e"),
     ("downgrade@23/trace", "3ec2ab35a77c14c1a0a2256ed5293b3cbfb1c998e709075217e131ca7b9898cd"),
     ("downgrade@23/metrics", "51c00aa0a79e6cb66e174f3370218a247315904b2b3839d976320dee63ea3c8a"),
+    ("scheduled/long-takedown@2013/schedule", "a657d13564e8f7c62305625a1bbd30dee1b5758ffc5e9f33f7508edb64e38e32"),
+    ("scheduled/long-takedown@2013/trace", "e345c48baf8ff71963af84e8136431c20dda9836a34ad27d53ce45a2f99b8c42"),
+    ("scheduled/long-takedown@2013/metrics", "cb24fe981c9b8cab58d62aa0aedc137ed89c8c17277d569d160a9d9813ffbd5b"),
 ];
