@@ -489,7 +489,7 @@ pub(crate) const CONTINENTAL_HOST: &str = "rpki.continental.example";
 /// up to six hours (12 rounds); three dead sessions open the circuit
 /// for one round.
 pub fn campaign_resilience() -> ResilienceConfig {
-    ResilienceConfig { max_stale: 6 * 3600, failure_threshold: 3, cooldown: ROUND_SECS }
+    ResilienceConfig { max_stale: 6 * 3600, cooldown: ROUND_SECS }
 }
 
 /// Emits one metrics row as a trace event: the string `tags` first,

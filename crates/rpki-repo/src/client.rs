@@ -482,6 +482,12 @@ impl Default for SyncPolicy {
     }
 }
 
+/// `base · 2^n`, saturating at `u64::MAX`: the `n`-th doubling of a
+/// back-off or cool-down.
+pub fn doubled(base: u64, n: u32) -> u64 {
+    base.saturating_mul(2u64.saturating_pow(n))
+}
+
 /// The fate of one listed file across a whole retry sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FileFate {
@@ -702,7 +708,7 @@ pub fn sync_dir_with_policy(
             break;
         }
         if attempt < attempts && policy.backoff > 0 {
-            let delay = policy.backoff.saturating_mul(2u64.saturating_pow(attempt - 1));
+            let delay = doubled(policy.backoff, attempt - 1);
             if net.now().checked_add(delay).is_none() {
                 break; // due after the end of the simulated clock: never
             }

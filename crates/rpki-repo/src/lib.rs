@@ -34,8 +34,8 @@ pub mod rrdp;
 pub mod store;
 
 pub use client::{
-    probe_dir, sync_dir, sync_dir_with_policy, AttemptReport, DirProbe, FileFate, Freshness,
-    RepoRegistry, SyncOutcome, SyncPolicy, SyncReport,
+    doubled, probe_dir, sync_dir, sync_dir_with_policy, AttemptReport, DirProbe, FileFate,
+    Freshness, RepoRegistry, SyncOutcome, SyncPolicy, SyncReport,
 };
 pub use proto::{RsyncRequest, RsyncResponse};
 pub use pubd::{PubdPolicy, PubdServed, PubdWork, RetentionPolicy, SnapshotDoc, MAX_DELTAS};

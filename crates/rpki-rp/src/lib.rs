@@ -40,7 +40,7 @@ pub use fabric::{pump_until, FabricStats, RtrEndpoint, RtrFabric, RtrRouter};
 pub use incremental::{RevalidationMode, RevalidationStats, ValidationState, VrpDelta};
 pub use ov::{Route, RouteValidity};
 pub use relay::{reference_merge, MergePolicy, Relay, SlurmFile, SlurmFilter};
-pub use resilience::{FetchHealth, ResilienceConfig, ResilientState};
+pub use resilience::{ResilienceConfig, ResilientState};
 pub use rrdp::RrdpSource;
 pub use rtr::{
     serial_distance, serial_newer, ClientAction, Delta, RtrClient, RtrPdu, RtrServer, VrpUpdate,
@@ -48,7 +48,7 @@ pub use rtr::{
 pub use scheduler::{RunStats, SchedulePlan, ScheduledSource, SchedulerState, SchedulerStats};
 #[doc(hidden)]
 pub use shard::{ShardPlan, ShardStats};
-pub use source::{DirectSource, NetworkSource, ObjectSource, ResilientSource};
+pub use source::{Breaker, DirectSource, NetworkSource, ObjectSource, ResilientSource};
 pub use validation::{
     Diagnostic, IncompletePolicy, Issue, OverclaimPolicy, RejectedCa, UnsafeVrpPolicy,
     ValidationConfig, ValidationRun, Validator, VrpRecord,

@@ -14,16 +14,17 @@
 //! [`ResilientSource`] wraps any [`ObjectSource`]:
 //!
 //! - a **complete, digest-intact** sync refreshes the per-directory
-//!   snapshot and resets the host's [`FetchHealth`];
+//!   snapshot and closes the host's [`Breaker`];
 //! - an **incomplete** sync (unreachable, missing or corrupted files)
 //!   falls back to the snapshot while it is younger than
 //!   [`ResilienceConfig::max_stale`], marking the outcome
 //!   [`Freshness::Stale`];
-//! - consecutive fully failed sessions open a per-host circuit breaker:
-//!   for [`ResilienceConfig::cooldown`] seconds the wrapped source is
-//!   not consulted at all, so a dead repository stops burning retry
-//!   budget every validation run (the Stalloris scenario: each stalled
-//!   session costs its full deadline).
+//! - three fully failed sessions in a row open the host's circuit
+//!   breaker: for [`ResilienceConfig::cooldown`] seconds the wrapped
+//!   source is not consulted at all, so a dead repository stops burning
+//!   retry budget every validation run (the Stalloris scenario: each
+//!   stalled session costs its full deadline). Once the cool-down ends,
+//!   one failed probe session re-opens it for another.
 //!
 //! All ages and cool-downs are measured on the simulated clock exposed
 //! by [`ObjectSource::now`]; state lives outside the source so it
@@ -37,7 +38,7 @@ use rpki_obs::Recorder;
 use rpki_repo::{DirProbe, Freshness, SyncOutcome};
 use serde::Serialize;
 
-use crate::source::{host_entry, LastGood, ObjectSource};
+use crate::source::{host_entry, Breaker, BreakerRule, LastGood, ObjectSource};
 
 /// Knobs of the resilience layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -47,56 +48,28 @@ pub struct ResilienceConfig {
     /// enough to hide a legitimate change — the same trade-off as a
     /// manifest's `next_update`.
     pub max_stale: u64,
-    /// Consecutive fully failed sessions (no listing) before the
-    /// host's circuit opens.
-    pub failure_threshold: u32,
-    /// Seconds the circuit stays open; while open, the wrapped source
-    /// is not consulted for that host.
+    /// Seconds the circuit stays open once three sessions in a row have
+    /// failed; while open, the wrapped source is not consulted for that
+    /// host.
     pub cooldown: u64,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
-        ResilienceConfig { max_stale: 86_400, failure_threshold: 3, cooldown: 3_600 }
-    }
-}
-
-/// Per-host fetch health: the circuit-breaker bookkeeping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct FetchHealth {
-    /// Sessions in a row that ended without a listing.
-    pub consecutive_failures: u32,
-    /// If set, the circuit is open until this simulated time.
-    pub cooling_until: Option<u64>,
-    /// Cool-down expired, verdict pending: the breaker admits exactly
-    /// one probe session, which re-closes it (success) or re-opens it
-    /// for a fresh cool-down (failure). Expiry alone never resets
-    /// health.
-    pub half_open: bool,
-}
-
-impl FetchHealth {
-    /// A clean bill of health: no failures, circuit closed.
-    pub fn healthy() -> Self {
-        FetchHealth::default()
-    }
-
-    /// Whether the circuit is open (cooling) at simulated time `now`.
-    pub fn is_cooling(&self, now: u64) -> bool {
-        self.cooling_until.is_some_and(|until| now < until)
+        ResilienceConfig { max_stale: 86_400, cooldown: 3_600 }
     }
 }
 
 /// Persistent state of the resilience layer: the last-good snapshot per
 /// directory, keyed by its content digest so a LIST-only probe can
-/// re-confirm it without a transfer, and health per host. Owned by the
-/// experiment/relying party and lent to a fresh [`ResilientSource`]
-/// each validation run.
+/// re-confirm it without a transfer, and a circuit breaker per host.
+/// Owned by the experiment/relying party and lent to a fresh
+/// [`ResilientSource`] each validation run.
 #[derive(Debug, Default)]
 pub struct ResilientState {
     config: ResilienceConfig,
     snapshots: BTreeMap<RepoUri, LastGood>,
-    health: BTreeMap<String, FetchHealth>,
+    health: BTreeMap<String, Breaker>,
     recorder: Recorder,
 }
 
@@ -106,11 +79,6 @@ impl ResilientState {
         ResilientState { config, ..ResilientState::default() }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> ResilienceConfig {
-        self.config
-    }
-
     /// Installs an observability recorder; circuit-breaker transitions
     /// and stale-serve decisions are emitted into it. Disabled by
     /// default.
@@ -118,8 +86,8 @@ impl ResilientState {
         self.recorder = recorder;
     }
 
-    /// The health record of `host`, if any session has targeted it.
-    pub fn health(&self, host: &str) -> Option<FetchHealth> {
+    /// The circuit breaker of `host`, if any session has targeted it.
+    pub fn health(&self, host: &str) -> Option<Breaker> {
         self.health.get(host).copied()
     }
 
@@ -135,63 +103,47 @@ impl ResilientState {
     }
 
     /// Whether `host`'s circuit blocks traffic at `now`. A cool-down
-    /// that has expired transitions the breaker to half-open (emitted
-    /// as an obs event) rather than resetting it: the next session is
-    /// the probe whose outcome re-closes or re-opens the circuit.
+    /// that has expired leaves the breaker half-open (emitted as an obs
+    /// event) rather than resetting it: the next session is the probe,
+    /// which re-closes the circuit or, by one more failure, re-opens it.
     fn circuit_open(&mut self, host: &str, now: u64) -> bool {
-        let Some(health) = self.health.get_mut(host) else { return false };
-        if health.is_cooling(now) {
+        let Some(breaker) = self.health.get_mut(host) else { return false };
+        if breaker.is_open(now) {
             return true;
         }
-        if health.cooling_until.is_some() && !health.half_open {
-            health.cooling_until = None;
-            health.half_open = true;
-            if self.recorder.is_enabled() {
-                self.recorder.count("rp.circuit_half_open", 1);
-                self.recorder.event(now, "rp", "circuit_half_open").str("host", host).emit();
-            }
+        if breaker.until.take().is_some() && self.recorder.is_enabled() {
+            self.recorder.count("rp.circuit_half_open", 1);
+            self.recorder.event(now, "rp", "circuit_half_open").str("host", host).emit();
         }
         false
     }
 
     fn record_session(&mut self, host: &str, listed: bool, now: u64) {
-        let health = host_entry(&mut self.health, host);
+        let breaker = host_entry(&mut self.health, host);
         if listed {
-            let was_tripped = *health != FetchHealth::healthy();
-            *health = FetchHealth::healthy();
-            if was_tripped && self.recorder.is_enabled() {
+            if breaker.succeed() && self.recorder.is_enabled() {
                 self.recorder.count("rp.circuit_closed", 1);
                 self.recorder.event(now, "rp", "circuit_close").str("host", host).emit();
             }
-        } else if health.half_open {
-            // The half-open probe failed: re-open immediately for a
-            // fresh cool-down, no threshold counting.
-            health.half_open = false;
-            health.consecutive_failures += 1;
-            health.cooling_until = Some(now + self.config.cooldown);
+            return;
+        }
+        // A fixed cool-down, re-armed by the half-open probe's failure.
+        let rule = BreakerRule { base: self.config.cooldown, cap: self.config.cooldown, rearm: 1 };
+        let reopen = breaker.trips > 0;
+        if let Some(until) = breaker.fail(now, rule) {
             if self.recorder.is_enabled() {
-                self.recorder.count("rp.circuit_reopened", 1);
+                let (counter, kind) = if reopen {
+                    ("rp.circuit_reopened", "circuit_reopen")
+                } else {
+                    ("rp.circuit_opened", "circuit_open")
+                };
+                self.recorder.count(counter, 1);
                 self.recorder
-                    .event(now, "rp", "circuit_reopen")
+                    .event(now, "rp", kind)
                     .str("host", host)
-                    .u64("failures", u64::from(health.consecutive_failures))
-                    .u64("until", now + self.config.cooldown)
+                    .u64("failures", u64::from(breaker.failures))
+                    .u64("until", until)
                     .emit();
-            }
-        } else {
-            health.consecutive_failures += 1;
-            if health.consecutive_failures >= self.config.failure_threshold {
-                let was_open = health.is_cooling(now);
-                health.cooling_until = Some(now + self.config.cooldown);
-                if !was_open && self.recorder.is_enabled() {
-                    self.recorder.count("rp.circuit_opened", 1);
-                    self.recorder
-                        .event(now, "rp", "circuit_open")
-                        .str("host", host)
-                        .u64("failures", u64::from(health.consecutive_failures))
-                        .u64("until", now + self.config.cooldown)
-                        .emit();
-                }
             }
         }
     }
@@ -361,7 +313,7 @@ mod tests {
         assert_eq!(out.freshness, Freshness::Fresh);
         assert_eq!(state.snapshot_count(), 1);
         assert_eq!(state.snapshot_age(&dir(), 150), Some(50));
-        assert_eq!(state.health("h").unwrap(), FetchHealth::default());
+        assert_eq!(state.health("h").unwrap(), Breaker::default());
     }
 
     #[test]
@@ -408,78 +360,107 @@ mod tests {
     }
 
     #[test]
+    fn the_staleness_budget_includes_its_last_second() {
+        for (age, served) in [(999, true), (1_000, true), (1_001, false)] {
+            let mut state = ResilientState::new(ResilienceConfig {
+                max_stale: 1_000,
+                ..ResilienceConfig::default()
+            });
+            let (good, _) = FakeSource::new(100, true);
+            ResilientSource::new(good, &mut state).load_dir(&dir());
+            let (bad, _) = FakeSource::new(100 + age, false);
+            let out = ResilientSource::new(bad, &mut state).load_dir(&dir());
+            assert_eq!(out.listed, served, "at age {age}");
+        }
+    }
+
+    /// Fails a session to `dir()` at each of `times`; each returns how
+    /// often the inner source was consulted.
+    fn fail_at(state: &mut ResilientState, times: &[u64]) -> Vec<u32> {
+        let mut consulted = Vec::new();
+        for &t in times {
+            let (bad, calls) = FakeSource::new(t, false);
+            ResilientSource::new(bad, state).load_dir(&dir());
+            consulted.push(calls.get());
+        }
+        consulted
+    }
+
+    #[test]
     fn circuit_opens_after_threshold_and_skips_inner() {
         let mut state = ResilientState::new(ResilienceConfig {
-            failure_threshold: 2,
             cooldown: 1_000,
             ..ResilienceConfig::default()
         });
-        for t in [0, 10] {
-            let (bad, calls) = FakeSource::new(t, false);
-            ResilientSource::new(bad, &mut state).load_dir(&dir());
-            assert_eq!(calls.get(), 1);
-        }
-        assert_eq!(state.health("h").unwrap().consecutive_failures, 2);
-        assert_eq!(state.health("h").unwrap().cooling_until, Some(1_010));
+        assert_eq!(fail_at(&mut state, &[0, 10, 20]), [1, 1, 1]);
+        assert_eq!(state.health("h").unwrap().failures, 3);
+        assert_eq!(state.health("h").unwrap().until, Some(1_020));
         // While cooling, the inner source must not be consulted.
-        let (bad, calls) = FakeSource::new(500, false);
-        ResilientSource::new(bad, &mut state).load_dir(&dir());
-        assert_eq!(calls.get(), 0);
+        assert_eq!(fail_at(&mut state, &[500]), [0]);
         // After cool-down the breaker goes half-open: the next session
         // is the probe, and a recovered repository re-closes it fully.
         let (good, calls) = FakeSource::new(1_500, true);
         let out = ResilientSource::new(good, &mut state).load_dir(&dir());
         assert_eq!(calls.get(), 1);
         assert!(out.is_complete());
-        assert_eq!(state.health("h").unwrap(), FetchHealth::default());
+        assert_eq!(state.health("h").unwrap(), Breaker::default());
     }
 
     #[test]
     fn half_open_probe_reopens_on_failure() {
         let mut state = ResilientState::new(ResilienceConfig {
-            failure_threshold: 2,
             cooldown: 1_000,
             ..ResilienceConfig::default()
         });
-        for t in [0, 10] {
-            let (bad, _) = FakeSource::new(t, false);
-            ResilientSource::new(bad, &mut state).load_dir(&dir());
-        }
-        assert_eq!(state.health("h").unwrap().cooling_until, Some(1_010));
+        fail_at(&mut state, &[0, 10, 20]);
+        assert_eq!(state.health("h").unwrap().until, Some(1_020));
         // Cool-down expired: exactly one probe goes through, fails, and
-        // the breaker re-opens for a fresh cool-down — expiry alone
-        // never resets health.
-        let (bad, calls) = FakeSource::new(1_500, false);
-        ResilientSource::new(bad, &mut state).load_dir(&dir());
-        assert_eq!(calls.get(), 1);
+        // the breaker re-opens for a fresh cool-down of the same length
+        // — expiry alone never resets health.
+        assert_eq!(fail_at(&mut state, &[1_500]), [1]);
         let health = state.health("h").unwrap();
-        assert!(!health.half_open, "the failed probe resolved the half-open state");
-        assert_eq!(health.cooling_until, Some(2_500));
-        assert_eq!(health.consecutive_failures, 3);
+        assert_eq!(health.trips, 2, "the failed probe resolved the half-open state");
+        assert_eq!(health.until, Some(2_500));
+        assert_eq!(health.failures, 4);
         // Re-opened: the next session inside the new cool-down skips.
-        let (bad, calls) = FakeSource::new(2_000, false);
-        ResilientSource::new(bad, &mut state).load_dir(&dir());
-        assert_eq!(calls.get(), 0);
+        assert_eq!(fail_at(&mut state, &[2_000]), [0]);
     }
 
     #[test]
     fn half_open_transition_emits_event_once() {
-        let mut state = ResilientState::new(ResilienceConfig {
-            failure_threshold: 1,
-            cooldown: 100,
-            ..ResilienceConfig::default()
-        });
+        let mut state =
+            ResilientState::new(ResilienceConfig { cooldown: 100, ..ResilienceConfig::default() });
         let recorder = Recorder::new();
         state.set_recorder(recorder.clone());
-        let (bad, _) = FakeSource::new(0, false);
-        ResilientSource::new(bad, &mut state).load_dir(&dir());
-        let (bad, _) = FakeSource::new(200, false);
-        ResilientSource::new(bad, &mut state).load_dir(&dir());
+        fail_at(&mut state, &[0, 1, 2, 200]);
         let log = recorder.events();
         let half_opens = log.iter().filter(|e| e.kind == "circuit_half_open").count();
         let reopens = log.iter().filter(|e| e.kind == "circuit_reopen").count();
         assert_eq!(half_opens, 1);
         assert_eq!(reopens, 1);
+    }
+
+    #[test]
+    fn the_circuit_opens_until_its_cool_down_ends_exclusive() {
+        // Tripped at 20 for 1 000 s: open at 1 019, closed at 1 020 and
+        // 1 021.
+        for (t, consulted) in [(1_019, 0), (1_020, 1), (1_021, 1)] {
+            let mut state = ResilientState::new(ResilienceConfig {
+                cooldown: 1_000,
+                ..ResilienceConfig::default()
+            });
+            fail_at(&mut state, &[0, 10, 20]);
+            assert_eq!(fail_at(&mut state, &[t]), [consulted], "at {t}");
+        }
+    }
+
+    #[test]
+    fn an_endless_cool_down_saturates_at_the_end_of_time() {
+        let mut state = ResilientState::new(ResilienceConfig {
+            cooldown: u64::MAX,
+            ..ResilienceConfig::default()
+        });
+        assert_eq!(fail_at(&mut state, &[1, 2, 3, 4, u64::MAX - 1]), [1, 1, 1, 0, 0]);
     }
 
     #[test]
@@ -499,7 +480,6 @@ mod tests {
     #[test]
     fn probe_respects_open_circuit_and_failed_probe_records_nothing() {
         let mut state = ResilientState::new(ResilienceConfig {
-            failure_threshold: 1,
             cooldown: 1_000,
             ..ResilienceConfig::default()
         });
@@ -507,9 +487,9 @@ mod tests {
         let (bad, _) = FakeSource::new(0, false);
         assert!(ResilientSource::new(bad, &mut state).probe_dir(&dir()).is_none());
         assert_eq!(state.health("h"), None);
-        // One failed sync trips the breaker; the probe then short-circuits.
-        let (bad, _) = FakeSource::new(10, false);
-        ResilientSource::new(bad, &mut state).load_dir(&dir());
+        // Three failed syncs trip the breaker; the probe then
+        // short-circuits.
+        fail_at(&mut state, &[10, 11, 12]);
         let (good, calls) = FakeSource::new(500, true);
         assert!(ResilientSource::new(good, &mut state).probe_dir(&dir()).is_none());
         assert_eq!(calls.get(), 0);
@@ -559,6 +539,6 @@ mod tests {
         assert_eq!(out.freshness, Freshness::Stale { age: 50 });
         assert_eq!(out.files["a.roa"], vec![1, 2, 3]);
         // A listed (even partial) session keeps the circuit closed.
-        assert_eq!(state.health("h").unwrap(), FetchHealth::default());
+        assert_eq!(state.health("h").unwrap(), Breaker::default());
     }
 }

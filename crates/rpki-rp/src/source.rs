@@ -24,7 +24,8 @@ use std::collections::BTreeMap;
 use netsim::{Network, NodeId};
 use rpki_objects::RepoUri;
 use rpki_repo::{
-    sync_dir, sync_dir_with_policy, DirProbe, Freshness, RepoRegistry, SyncOutcome, SyncPolicy,
+    doubled, sync_dir, sync_dir_with_policy, DirProbe, Freshness, RepoRegistry, SyncOutcome,
+    SyncPolicy,
 };
 use rpkisim_crypto::Digest;
 
@@ -61,6 +62,58 @@ impl LastGood {
             content: Some(self.digest),
             ..SyncOutcome::unreachable(dir)
         }
+    }
+}
+
+/// Failed contacts in a row before a host's breaker first trips.
+const FAILURE_THRESHOLD: u32 = 3;
+
+/// When a host's breaker trips and for how long: it trips once its
+/// failures reach `3 + trips · rearm`, and the trip holds the host off
+/// for `min(doubled(base, trips), cap)` seconds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BreakerRule {
+    pub(crate) base: u64,
+    pub(crate) cap: u64,
+    pub(crate) rearm: u32,
+}
+
+/// One host's circuit breaker: failed contacts and trips since its last
+/// success, and the end of its latest cool-down. The stale cache and
+/// the fetch scheduler each keep one per host, under their own rule: a
+/// fixed cool-down re-opened by one failed probe, and a doubling
+/// backoff re-armed by three more failures.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Breaker {
+    pub(crate) failures: u32,
+    pub(crate) trips: u32,
+    pub(crate) until: Option<u64>,
+}
+
+impl Breaker {
+    /// Whether the host is held off at `now`: its cool-down runs until
+    /// `until`, exclusive.
+    pub fn is_open(&self, now: u64) -> bool {
+        self.until.is_some_and(|until| now < until)
+    }
+
+    /// Closes the breaker after a good contact; whether it was not
+    /// already clean.
+    pub(crate) fn succeed(&mut self) -> bool {
+        std::mem::take(self) != Breaker::default()
+    }
+
+    /// Books a failed contact at `now`; the end of the new cool-down if
+    /// it trips.
+    pub(crate) fn fail(&mut self, now: u64, rule: BreakerRule) -> Option<u64> {
+        self.failures += 1;
+        if self.failures < FAILURE_THRESHOLD.saturating_add(self.trips.saturating_mul(rule.rearm)) {
+            return None;
+        }
+        let until = now.saturating_add(doubled(rule.base, self.trips).min(rule.cap));
+        self.trips += 1;
+        self.until = Some(until);
+        self.until
     }
 }
 

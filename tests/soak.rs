@@ -47,11 +47,8 @@ fn three_hundred_days_of_operations() {
     // The resilient relying party fetches over the simulated network
     // on the same weekly cadence, with a snapshot budget wide enough
     // to bridge the outage (last good sync day 217 → ages peak ~28d).
-    let mut resilient = ResilientState::new(ResilienceConfig {
-        max_stale: 35 * DAY,
-        failure_threshold: 3,
-        cooldown: DAY,
-    });
+    let mut resilient =
+        ResilientState::new(ResilienceConfig { max_stale: 35 * DAY, cooldown: DAY });
 
     let mut monitor_alarms: Vec<u64> = Vec::new();
 
