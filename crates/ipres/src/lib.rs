@@ -16,8 +16,6 @@
 //! - [`ResourceSet`] — canonical disjoint-sorted range sets with full
 //!   lattice operations (union, intersection, difference, containment).
 //! - [`Asn`], [`AsnSet`] — autonomous system numbers and sets thereof.
-//! - [`PrefixTrie`] — a binary radix trie for longest-prefix-match and
-//!   covering/covered-by queries over large prefix collections.
 //!
 //! Everything here is deterministic, allocation-light, and panics only
 //! on programmer error (documented per method).
@@ -30,11 +28,9 @@ pub mod asn;
 pub mod prefix;
 pub mod range;
 pub mod set;
-pub mod trie;
 
 pub use addr::{Addr, AddrParseError, Family};
 pub use asn::{Asn, AsnSet};
 pub use prefix::{Prefix, PrefixParseError};
 pub use range::AddrRange;
 pub use set::ResourceSet;
-pub use trie::PrefixTrie;

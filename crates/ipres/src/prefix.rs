@@ -177,14 +177,6 @@ impl Prefix {
         let family = self.family();
         (0..count).map(move |i| Prefix::new(Addr::new(family, base + i * step), len))
     }
-
-    /// The bit at position `i` (0 = most significant) of the base
-    /// address. Used by the trie.
-    pub(crate) fn bit(self, i: u8) -> bool {
-        debug_assert!(i < self.family().bits());
-        let shift = self.family().bits() - 1 - i;
-        (self.addr.value() >> shift) & 1 == 1
-    }
 }
 
 impl fmt::Display for Prefix {

@@ -1,9 +1,9 @@
 //! Property tests pinning the resource algebra to brute-force oracles.
 //!
-//! DESIGN.md invariants 1 and 2 live here: `ResourceSet` is a lattice in
-//! canonical form, and `PrefixTrie` queries agree with linear scans.
+//! DESIGN.md invariant 1 lives here: `ResourceSet` is a lattice in
+//! canonical form.
 
-use ipres::{Addr, AddrRange, Family, Prefix, PrefixTrie, ResourceSet};
+use ipres::{Addr, AddrRange, Family, Prefix, ResourceSet};
 use proptest::prelude::*;
 
 /// A small universe keeps overlap probability high: 16-bit v4 values
@@ -158,118 +158,25 @@ proptest! {
         }
     }
 
+    /// The order a sorted covering lookup relies on: a prefix sorts at
+    /// or before every prefix it covers, and every prefix sorted
+    /// between the two is covered by it too.
     #[test]
-    fn trie_covering_agrees_with_scan(entries in proptest::collection::vec(arb_prefix(), 0..40), probe in arb_prefix()) {
-        let mut trie = PrefixTrie::new();
-        for (i, p) in entries.iter().enumerate() {
-            trie.insert(*p, i);
-        }
-        let mut got: Vec<(Prefix, usize)> =
-            trie.covering(probe).into_iter().map(|(p, v)| (p, *v)).collect();
-        got.sort();
-        let mut want: Vec<(Prefix, usize)> = entries
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.covers(probe))
-            .map(|(i, p)| (*p, i))
-            .collect();
-        want.sort();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn trie_covered_by_agrees_with_scan(entries in proptest::collection::vec(arb_prefix(), 0..40), probe in arb_prefix()) {
-        let mut trie = PrefixTrie::new();
-        for (i, p) in entries.iter().enumerate() {
-            trie.insert(*p, i);
-        }
-        let mut got: Vec<(Prefix, usize)> =
-            trie.covered_by(probe).into_iter().map(|(p, v)| (p, *v)).collect();
-        got.sort();
-        let mut want: Vec<(Prefix, usize)> = entries
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| probe.covers(**p))
-            .map(|(i, p)| (*p, i))
-            .collect();
-        want.sort();
-        prop_assert_eq!(got, want);
-    }
-
-    /// The allocation-free walk visits exactly the entries `covering`
-    /// returns, in the same shortest-prefix-first order, and agrees
-    /// with the brute-force scan.
-    #[test]
-    fn trie_covering_for_each_agrees_with_covering_and_scan(
-        entries in proptest::collection::vec(arb_prefix(), 0..40),
-        probe in arb_prefix(),
+    fn a_cover_sorts_right_before_all_it_covers(
+        v4 in proptest::collection::vec(arb_prefix(), 0..30),
+        v6 in proptest::collection::vec(arb_v6_prefix(), 0..30),
     ) {
-        let mut trie = PrefixTrie::new();
-        for (i, p) in entries.iter().enumerate() {
-            trie.insert(*p, i);
+        let mut sorted: Vec<Prefix> = v4.into_iter().chain(v6).collect();
+        sorted.sort();
+        for (i, a) in sorted.iter().enumerate() {
+            for c in &sorted[..i] {
+                prop_assert!(c == a || !a.covers(*c), "{} sorts after {}, which it covers", a, c);
+            }
+            let last = sorted.iter().rposition(|c| a.covers(*c)).expect("a covers itself");
+            for b in &sorted[i..=last] {
+                prop_assert!(a.covers(*b), "{} sorts between {} and {}", b, a, sorted[last]);
+            }
         }
-        let mut walked: Vec<(Prefix, usize)> = Vec::new();
-        trie.covering_for_each(probe, |p, v| {
-            walked.push((p, *v));
-            true
-        });
-        let full: Vec<(Prefix, usize)> =
-            trie.covering(probe).into_iter().map(|(p, v)| (p, *v)).collect();
-        prop_assert_eq!(&walked, &full);
-        for w in walked.windows(2) {
-            prop_assert!(w[0].0.len() <= w[1].0.len(), "walk must be shortest-prefix-first");
-        }
-        let mut got = walked.clone();
-        got.sort();
-        let mut want: Vec<(Prefix, usize)> = entries
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.covers(probe))
-            .map(|(i, p)| (*p, i))
-            .collect();
-        want.sort();
-        prop_assert_eq!(got, want);
-    }
-
-    /// Returning `false` after `k` callbacks yields exactly the first
-    /// `k` elements of the full covering sequence — the early-stop path
-    /// truncates, never reorders or skips.
-    #[test]
-    fn trie_covering_for_each_early_stop_is_a_prefix(
-        entries in proptest::collection::vec(arb_prefix(), 1..40),
-        probe in arb_prefix(),
-    ) {
-        let mut trie = PrefixTrie::new();
-        for (i, p) in entries.iter().enumerate() {
-            trie.insert(*p, i);
-        }
-        let full: Vec<(Prefix, usize)> =
-            trie.covering(probe).into_iter().map(|(p, v)| (p, *v)).collect();
-        if !full.is_empty() {
-            let k = full.len().div_ceil(2);
-            let mut cut: Vec<(Prefix, usize)> = Vec::new();
-            trie.covering_for_each(probe, |p, v| {
-                cut.push((p, *v));
-                cut.len() < k
-            });
-            prop_assert_eq!(cut.as_slice(), &full[..k]);
-        }
-    }
-
-    #[test]
-    fn trie_lpm_agrees_with_scan(entries in proptest::collection::vec(arb_prefix(), 1..40), addr in any::<u32>()) {
-        let mut trie = PrefixTrie::new();
-        for (i, p) in entries.iter().enumerate() {
-            trie.insert(*p, i);
-        }
-        let addr = Addr::v4(addr);
-        let got = trie.longest_match(addr).map(|(p, _)| p);
-        let want = entries
-            .iter()
-            .filter(|p| p.contains(addr))
-            .max_by_key(|p| p.len())
-            .copied();
-        prop_assert_eq!(got, want);
     }
 
     #[test]
@@ -333,25 +240,6 @@ proptest! {
     #[test]
     fn v6_to_prefixes_round_trips(a in arb_v6_set()) {
         prop_assert_eq!(ResourceSet::from_prefixes(a.to_prefixes()), a);
-    }
-
-    #[test]
-    fn v6_trie_lpm_agrees_with_scan(
-        entries in proptest::collection::vec(arb_v6_prefix(), 1..30),
-        probe in any::<u64>(),
-    ) {
-        let mut trie = PrefixTrie::new();
-        for (i, p) in entries.iter().enumerate() {
-            trie.insert(*p, i);
-        }
-        let addr = Addr::v6((0x2001_0db8u128 << 96) | ((probe as u128) << 32));
-        let got = trie.longest_match(addr).map(|(p, _)| p);
-        let want = entries
-            .iter()
-            .filter(|p| p.contains(addr))
-            .max_by_key(|p| p.len())
-            .copied();
-        prop_assert_eq!(got, want);
     }
 
     #[test]

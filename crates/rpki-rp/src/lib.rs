@@ -48,7 +48,7 @@ pub use rtr::{
 pub use scheduler::{RunStats, SchedulePlan, ScheduledSource, SchedulerState, SchedulerStats};
 #[doc(hidden)]
 pub use shard::{ShardPlan, ShardStats};
-pub use source::{Breaker, DirectSource, NetworkSource, ObjectSource, ResilientSource};
+pub use source::{DirectSource, NetworkSource, ObjectSource, ResilientSource};
 pub use validation::{
     Diagnostic, IncompletePolicy, Issue, OverclaimPolicy, RejectedCa, UnsafeVrpPolicy,
     ValidationConfig, ValidationRun, Validator, VrpRecord,

@@ -64,7 +64,7 @@ impl fmt::Display for RouteValidity {
 impl VrpCache {
     /// Classifies a route per RFC 6811.
     ///
-    /// Allocation-free: walks the covering trie path directly (see
+    /// Allocation-free: walks the covering VRPs directly (see
     /// [`VrpCache::covering_for_each`]) and stops at the first match,
     /// since one matching VRP already decides Valid.
     pub fn classify(&self, route: Route) -> RouteValidity {
@@ -217,6 +217,22 @@ mod tests {
         let outside = Route::new(p("10.0.0.0/16"), Asn(1));
         assert_eq!(filtered.classify(outside), RouteValidity::Valid);
         assert_eq!(unsafe_set.classify(outside), RouteValidity::Unknown);
+    }
+
+    #[test]
+    fn a_match_on_a_shorter_cover_decides_valid() {
+        // The walk meets the /20 run first; neither VRP there matches
+        // a /24, so the /16 decides.
+        let cache: VrpCache = [
+            Vrp::new(p("10.0.0.0/16"), 24, Asn(1)),
+            Vrp::new(p("10.0.0.0/20"), 20, Asn(1)),
+            Vrp::new(p("10.0.0.0/20"), 20, Asn(2)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(cache.classify(Route::new(p("10.0.1.0/24"), Asn(1))), RouteValidity::Valid);
+        assert_eq!(cache.classify(Route::new(p("10.0.1.0/24"), Asn(2))), RouteValidity::Invalid);
+        assert_eq!(cache.classify(Route::new(p("10.0.0.0/20"), Asn(2))), RouteValidity::Valid);
     }
 
     #[test]

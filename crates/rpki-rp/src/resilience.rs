@@ -14,7 +14,7 @@
 //! [`ResilientSource`] wraps any [`ObjectSource`]:
 //!
 //! - a **complete, digest-intact** sync refreshes the per-directory
-//!   snapshot and closes the host's [`Breaker`];
+//!   snapshot and closes the host's circuit breaker;
 //! - an **incomplete** sync (unreachable, missing or corrupted files)
 //!   falls back to the snapshot while it is younger than
 //!   [`ResilienceConfig::max_stale`], marking the outcome
@@ -84,11 +84,6 @@ impl ResilientState {
     /// default.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
-    }
-
-    /// The circuit breaker of `host`, if any session has targeted it.
-    pub fn health(&self, host: &str) -> Option<Breaker> {
-        self.health.get(host).copied()
     }
 
     /// Age of the stored snapshot for `dir` at time `now`, if one
@@ -313,7 +308,7 @@ mod tests {
         assert_eq!(out.freshness, Freshness::Fresh);
         assert_eq!(state.snapshot_count(), 1);
         assert_eq!(state.snapshot_age(&dir(), 150), Some(50));
-        assert_eq!(state.health("h").unwrap(), Breaker::default());
+        assert_eq!(state.health["h"], Breaker::default());
     }
 
     #[test]
@@ -393,8 +388,8 @@ mod tests {
             ..ResilienceConfig::default()
         });
         assert_eq!(fail_at(&mut state, &[0, 10, 20]), [1, 1, 1]);
-        assert_eq!(state.health("h").unwrap().failures, 3);
-        assert_eq!(state.health("h").unwrap().until, Some(1_020));
+        assert_eq!(state.health["h"].failures, 3);
+        assert_eq!(state.health["h"].until, Some(1_020));
         // While cooling, the inner source must not be consulted.
         assert_eq!(fail_at(&mut state, &[500]), [0]);
         // After cool-down the breaker goes half-open: the next session
@@ -403,7 +398,7 @@ mod tests {
         let out = ResilientSource::new(good, &mut state).load_dir(&dir());
         assert_eq!(calls.get(), 1);
         assert!(out.is_complete());
-        assert_eq!(state.health("h").unwrap(), Breaker::default());
+        assert_eq!(state.health["h"], Breaker::default());
     }
 
     #[test]
@@ -413,12 +408,12 @@ mod tests {
             ..ResilienceConfig::default()
         });
         fail_at(&mut state, &[0, 10, 20]);
-        assert_eq!(state.health("h").unwrap().until, Some(1_020));
+        assert_eq!(state.health["h"].until, Some(1_020));
         // Cool-down expired: exactly one probe goes through, fails, and
         // the breaker re-opens for a fresh cool-down of the same length
         // — expiry alone never resets health.
         assert_eq!(fail_at(&mut state, &[1_500]), [1]);
-        let health = state.health("h").unwrap();
+        let health = state.health["h"];
         assert_eq!(health.trips, 2, "the failed probe resolved the half-open state");
         assert_eq!(health.until, Some(2_500));
         assert_eq!(health.failures, 4);
@@ -486,7 +481,7 @@ mod tests {
         // A failed probe is invisible to health tracking.
         let (bad, _) = FakeSource::new(0, false);
         assert!(ResilientSource::new(bad, &mut state).probe_dir(&dir()).is_none());
-        assert_eq!(state.health("h"), None);
+        assert_eq!(state.health.get("h"), None);
         // Three failed syncs trip the breaker; the probe then
         // short-circuits.
         fail_at(&mut state, &[10, 11, 12]);
@@ -539,6 +534,6 @@ mod tests {
         assert_eq!(out.freshness, Freshness::Stale { age: 50 });
         assert_eq!(out.files["a.roa"], vec![1, 2, 3]);
         // A listed (even partial) session keeps the circuit closed.
-        assert_eq!(state.health("h").unwrap(), Breaker::default());
+        assert_eq!(state.health["h"], Breaker::default());
     }
 }

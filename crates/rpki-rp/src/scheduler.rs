@@ -22,7 +22,7 @@
 //!   failed contacts in a row the whole host is skipped for
 //!   [`SchedulePlan::backoff_base`] seconds instead of being re-polled
 //!   every run, and each three further failures trip it again for twice
-//!   as long — the same per-host [`Breaker`] as the stale cache's
+//!   as long — the same per-host `Breaker` as the stale cache's
 //!   circuit, under a doubling rule.
 //!
 //! A visit the scheduler **holds** — not due, backed off, or deferred —
@@ -133,6 +133,12 @@ impl SchedulePlan {
         write!(fnv, "{dir}").expect("hashing never fails");
         splitmix64(self.seed ^ fnv.0) % self.jitter
     }
+}
+
+/// `interval` and then `jitter` seconds after `done`, pinned at
+/// `u64::MAX` instead of wrapping: a plan's durations can be anything.
+fn deadline(done: u64, interval: u64, jitter: u64) -> u64 {
+    done.saturating_add(interval).saturating_add(jitter)
 }
 
 /// The FNV-1a state over everything written into it.
@@ -320,7 +326,7 @@ impl SchedulerState {
     }
 
     /// Whether `host` is currently in backoff at `now`.
-    pub fn host_backing_off(&self, host: &str, now: u64) -> bool {
+    fn host_backing_off(&self, host: &str, now: u64) -> bool {
         self.hosts.get(host).is_some_and(|breaker| breaker.is_open(now))
     }
 
@@ -429,7 +435,7 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
             self.state.stats.changes_observed += 1;
             let interval = plan.min_refresh;
             let entry = DirSchedule {
-                next_due: done + interval + plan.jitter_for(dir),
+                next_due: deadline(done, interval, plan.jitter_for(dir)),
                 interval,
                 ewma: 0,
                 last_changed_at: done,
@@ -453,7 +459,7 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
             entry.interval = plan.clamp_interval(entry.interval.saturating_mul(2).max(1));
         }
         entry.last = last;
-        entry.next_due = done + entry.interval + plan.jitter_for(dir);
+        entry.next_due = deadline(done, entry.interval, plan.jitter_for(dir));
     }
 
     /// Reschedules a confirming (unchanged) digest poll.
@@ -463,7 +469,7 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
         if let Some(entry) = self.state.dirs.get_mut(dir) {
             entry.interval = plan.clamp_interval(entry.interval.saturating_mul(2).max(1));
             entry.last.at = done;
-            entry.next_due = done + entry.interval + plan.jitter_for(dir);
+            entry.next_due = deadline(done, entry.interval, plan.jitter_for(dir));
         }
         self.state.stats.unchanged_polls += 1;
     }
@@ -475,7 +481,7 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
         let done = self.inner.now();
         let retry = self.plan.backoff_base.max(self.plan.min_refresh);
         if let Some(entry) = self.state.dirs.get_mut(dir) {
-            entry.next_due = done.saturating_add(retry);
+            entry.next_due = deadline(done, retry, 0);
         }
     }
 }
@@ -955,6 +961,45 @@ mod tests {
         ScheduledSource::new(&mut inner, &mut state, p).load_dir(&dir(0));
         fail_at(&mut inner, &mut state, p, &[1_000]);
         assert_eq!(state.next_due(&dir(0)), Some(u64::MAX));
+    }
+
+    /// A plan whose refresh interval is never cut short.
+    fn unbounded(min_refresh: u64) -> SchedulePlan {
+        SchedulePlan { min_refresh, max_refresh: u64::MAX, jitter: 0, ..plan() }
+    }
+
+    #[test]
+    fn first_contact_deadline_saturates() {
+        // The deadline pins at the end of time, so the point is held on
+        // the next run instead of fetched again.
+        let mut state = SchedulerState::new();
+        let mut inner = FakeSource::new(10);
+        let p = unbounded(u64::MAX - 5);
+        ScheduledSource::new(&mut inner, &mut state, p).load_dir(&dir(0));
+        assert_eq!(state.next_due(&dir(0)), Some(u64::MAX));
+        inner.now = 11;
+        ScheduledSource::new(&mut inner, &mut state, p).load_dir(&dir(0));
+        assert_eq!((inner.loads, state.stats().not_due), (1, 1));
+    }
+
+    #[test]
+    fn late_fetch_and_poll_deadlines_saturate() {
+        // Late in time, the doubled interval runs past the end.
+        for poll in [false, true] {
+            let mut state = SchedulerState::new();
+            let mut inner = FakeSource::new(0);
+            let p = unbounded(1_000);
+            ScheduledSource::new(&mut inner, &mut state, p).load_dir(&dir(0));
+            inner.now = u64::MAX - 100;
+            let mut source = ScheduledSource::new(&mut inner, &mut state, p);
+            if poll {
+                source.probe_dir(&dir(0));
+            } else {
+                source.load_dir(&dir(0));
+            }
+            assert_eq!(state.interval(&dir(0)), Some(2_000), "poll {poll}");
+            assert_eq!(state.next_due(&dir(0)), Some(u64::MAX), "poll {poll}");
+        }
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub(crate) struct BreakerRule {
 /// fixed cool-down re-opened by one failed probe, and a doubling
 /// backoff re-armed by three more failures.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Breaker {
+pub(crate) struct Breaker {
     pub(crate) failures: u32,
     pub(crate) trips: u32,
     pub(crate) until: Option<u64>,
@@ -93,7 +93,7 @@ pub struct Breaker {
 impl Breaker {
     /// Whether the host is held off at `now`: its cool-down runs until
     /// `until`, exclusive.
-    pub fn is_open(&self, now: u64) -> bool {
+    pub(crate) fn is_open(&self, now: u64) -> bool {
         self.until.is_some_and(|until| now < until)
     }
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ipres::{Asn, Prefix, PrefixTrie};
+use ipres::{Asn, Prefix};
 use serde::{Deserialize, Serialize};
 
 /// One validated ROA payload: the unit of origin validation (RFC 6811
@@ -55,12 +55,38 @@ impl fmt::Display for Vrp {
     }
 }
 
-/// A queryable set of VRPs: a prefix trie supporting the covering
-/// lookups RFC 6811 needs per route.
+/// The end of a chain of covering VRPs in `VrpCache::up`.
+const TOP: u32 = u32::MAX;
+
+/// A queryable set of VRPs, sorted and deduplicated, answering the
+/// covering lookups RFC 6811 needs per route.
+///
+/// [`Prefix`] orders a prefix right before everything it covers, so
+/// every VRP that covers a route also covers the last VRP sorted at or
+/// before the route's prefix. A query finds that VRP by binary search
+/// and walks up its chain of covering prefixes.
 #[derive(Debug, Default)]
 pub struct VrpCache {
-    trie: PrefixTrie<(u8, Asn)>,
     all: Vec<Vrp>,
+    /// `up[i]` is the next VRP up `all[i]`'s chain: the VRP before it
+    /// on the same prefix, else the last VRP on the longest prefix that
+    /// covers it, else `TOP`.
+    up: Vec<u32>,
+}
+
+/// The `up` links of `all`, in one pass over a stack of the chain above
+/// the current VRP.
+fn links(all: &[Vrp]) -> Vec<u32> {
+    let mut up = Vec::with_capacity(all.len());
+    let mut chain: Vec<u32> = Vec::new();
+    for (i, v) in all.iter().enumerate() {
+        while chain.last().is_some_and(|&c| !all[c as usize].prefix.covers(v.prefix)) {
+            chain.pop();
+        }
+        up.push(chain.last().copied().unwrap_or(TOP));
+        chain.push(u32::try_from(i).expect("a VRP set indexes in u32"));
+    }
+    up
 }
 
 impl VrpCache {
@@ -74,33 +100,24 @@ impl VrpCache {
         let mut all: Vec<Vrp> = vrps.into_iter().collect();
         all.sort_unstable();
         all.dedup();
-        let mut trie = PrefixTrie::new();
-        for v in &all {
-            trie.insert(v.prefix, (v.max_len, v.asn));
-        }
-        VrpCache { trie, all }
+        let up = links(&all);
+        VrpCache { all, up }
     }
 
     /// Adds one VRP (no-op if already present).
     pub fn insert(&mut self, vrp: Vrp) {
         if let Err(pos) = self.all.binary_search(&vrp) {
             self.all.insert(pos, vrp);
-            self.trie.insert(vrp.prefix, (vrp.max_len, vrp.asn));
+            self.up = links(&self.all);
         }
     }
 
     /// Removes one VRP. Returns whether it was present.
     pub fn remove(&mut self, vrp: &Vrp) -> bool {
-        match self.all.binary_search(vrp) {
-            Ok(pos) => {
-                self.all.remove(pos);
-                let removed =
-                    self.trie.remove_if(vrp.prefix, |(m, a)| *m == vrp.max_len && *a == vrp.asn);
-                debug_assert_eq!(removed.len(), 1);
-                true
-            }
-            Err(_) => false,
-        }
+        let Ok(pos) = self.all.binary_search(vrp) else { return false };
+        self.all.remove(pos);
+        self.up = links(&self.all);
+        true
     }
 
     /// All VRPs, sorted.
@@ -129,12 +146,20 @@ impl VrpCache {
     }
 
     /// Calls `f` on every VRP whose prefix covers `route_prefix`,
-    /// shortest prefix first, without allocating. `f` returns whether
+    /// longest prefix first, without allocating. `f` returns whether
     /// to keep scanning; the walk stops early on `false`.
     pub fn covering_for_each<F: FnMut(Vrp) -> bool>(&self, route_prefix: Prefix, mut f: F) {
-        self.trie.covering_for_each(route_prefix, |p, &(max_len, asn)| {
-            f(Vrp { prefix: p, max_len, asn })
-        });
+        let at = self.all.partition_point(|v| v.prefix <= route_prefix);
+        // The chain above the last VRP at or before the route holds
+        // every covering VRP; its longest links may miss the route.
+        let mut i = at.checked_sub(1).map_or(TOP, |i| i as u32);
+        while i != TOP {
+            let v = self.all[i as usize];
+            if v.prefix.covers(route_prefix) && !f(v) {
+                return;
+            }
+            i = self.up[i as usize];
+        }
     }
 }
 
@@ -176,6 +201,126 @@ mod tests {
         assert!(cov.iter().any(|v| v.asn == Asn(1239)));
         assert!(cov.iter().any(|v| v.asn == Asn(17054)));
         assert!(cache.covering(p("9.0.0.0/9")).is_empty());
+    }
+
+    /// Two origins on the /22, its /20 and /12 above it, an unrelated
+    /// v4 prefix and a v6 one.
+    fn sample() -> VrpCache {
+        [
+            Vrp::new(p("63.160.0.0/12"), 12, Asn(1)),
+            Vrp::new(p("63.174.16.0/20"), 20, Asn(2)),
+            Vrp::new(p("63.174.16.0/22"), 22, Asn(3)),
+            Vrp::new(p("63.174.16.0/22"), 22, Asn(33)),
+            Vrp::new(p("208.0.0.0/11"), 11, Asn(4)),
+            Vrp::new(p("2001:db8::/32"), 32, Asn(5)),
+        ]
+        .into_iter()
+        .collect()
+    }
+
+    fn origins(vrps: &[Vrp]) -> Vec<u32> {
+        vrps.iter().map(|v| v.asn.0).collect()
+    }
+
+    #[test]
+    fn links_point_up_the_chain() {
+        let cache = sample();
+        // /12, /20, /22 ×2, then a lone v4 prefix and a lone v6 one.
+        assert_eq!(cache.up, [TOP, 0, 1, 2, TOP, TOP]);
+    }
+
+    #[test]
+    fn insert_and_remove_relink_the_chains() {
+        let route = p("10.1.2.0/25");
+        let mut cache: VrpCache = [
+            Vrp::new(p("10.0.0.0/8"), 8, Asn(1)),
+            Vrp::new(p("10.1.2.0/24"), 24, Asn(3)),
+            Vrp::new(p("10.1.2.0/24"), 24, Asn(4)),
+        ]
+        .into_iter()
+        .collect();
+        // A new cover between the /8 and the /24 run joins its chain.
+        cache.insert(Vrp::new(p("10.1.0.0/16"), 16, Asn(2)));
+        assert_eq!(origins(&cache.covering(route)), [4, 3, 2, 1]);
+        // Removing it, and then the top of the chain, relinks around
+        // the gap.
+        assert!(cache.remove(&Vrp::new(p("10.1.0.0/16"), 16, Asn(2))));
+        assert_eq!(origins(&cache.covering(route)), [4, 3, 1]);
+        assert!(cache.remove(&Vrp::new(p("10.0.0.0/8"), 8, Asn(1))));
+        assert_eq!(origins(&cache.covering(route)), [4, 3]);
+        assert!(cache.covering(p("10.1.3.0/24")).is_empty());
+    }
+
+    #[test]
+    fn covering_walks_the_chain_longest_first() {
+        let cache = sample();
+        // 63.174.17.0/24 sits inside the /22 (both origins), the /20
+        // and the /12.
+        assert_eq!(origins(&cache.covering(p("63.174.17.0/24"))), [33, 3, 2, 1]);
+        // 63.174.20.0/24 sorts after the /22 but escapes it.
+        assert_eq!(origins(&cache.covering(p("63.174.20.0/24"))), [2, 1]);
+        // At the /22 itself every level covers.
+        assert_eq!(origins(&cache.covering(p("63.174.16.0/22"))), [33, 3, 2, 1]);
+        // Nothing covers a prefix before the first VRP or between two.
+        assert!(cache.covering(p("8.0.0.0/8")).is_empty());
+        assert!(cache.covering(p("100.0.0.0/8")).is_empty());
+    }
+
+    #[test]
+    fn covering_for_each_stops_on_false() {
+        let cache = sample();
+        let mut seen = Vec::new();
+        cache.covering_for_each(p("63.174.17.0/24"), |v| {
+            seen.push(v);
+            seen.len() < 2
+        });
+        assert_eq!(seen, cache.covering(p("63.174.17.0/24"))[..2]);
+    }
+
+    #[test]
+    fn default_route_covers_everything() {
+        let all = Vrp::new(p("0.0.0.0/0"), 0, Asn(99));
+        let cache: VrpCache = [all, Vrp::new(p("10.0.0.0/8"), 8, Asn(1))].into_iter().collect();
+        assert_eq!(cache.covering(p("0.0.0.0/0")), [all]);
+        assert_eq!(origins(&cache.covering(p("10.1.0.0/16"))), [1, 99]);
+        assert_eq!(cache.covering(p("255.255.255.255/32")), [all]);
+        // But not across families.
+        assert!(cache.covering(p("::/0")).is_empty());
+        assert!(cache.covering(p("2001:db8::1/128")).is_empty());
+    }
+
+    #[test]
+    fn families_are_kept_apart() {
+        let cache = sample();
+        // ::/0 sorts after every v4 VRP and covers none of them.
+        assert!(cache.covering(p("::/0")).is_empty());
+        assert_eq!(origins(&cache.covering(p("2001:db8:1::/48"))), [5]);
+        // The v4 address whose value equals 2001:db8::'s top bits.
+        assert!(cache.covering(p("32.1.13.184/32")).is_empty());
+        let v6_default: VrpCache = [Vrp::new(p("::/0"), 0, Asn(6))].into_iter().collect();
+        assert!(v6_default.covering(p("10.0.0.0/8")).is_empty());
+        assert_eq!(origins(&v6_default.covering(p("2001:db8::/32"))), [6]);
+    }
+
+    #[test]
+    fn a_covering_run_covers_another_run() {
+        // Three origins on the /16, two on a /24 inside it, one on a
+        // later sibling /24.
+        let cache: VrpCache = [
+            Vrp::new(p("10.0.0.0/16"), 24, Asn(1)),
+            Vrp::new(p("10.0.0.0/16"), 16, Asn(2)),
+            Vrp::new(p("10.0.0.0/16"), 24, Asn(3)),
+            Vrp::new(p("10.0.1.0/24"), 24, Asn(4)),
+            Vrp::new(p("10.0.1.0/24"), 24, Asn(5)),
+            Vrp::new(p("10.0.2.0/24"), 24, Asn(6)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(origins(&cache.covering(p("10.0.1.128/25"))), [5, 4, 3, 1, 2]);
+        // The sibling's chain skips the first /24's run.
+        assert_eq!(origins(&cache.covering(p("10.0.2.0/25"))), [6, 3, 1, 2]);
+        assert_eq!(origins(&cache.covering(p("10.0.3.0/24"))), [3, 1, 2]);
+        assert!(cache.covering(p("10.1.0.0/24")).is_empty());
     }
 
     #[test]
