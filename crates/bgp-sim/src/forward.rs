@@ -48,7 +48,7 @@ impl RoutingState {
     /// Longest-prefix match over `asn`'s own table: of the routes
     /// covering `addr` (one per prefix, so lengths are distinct) the
     /// longest.
-    fn longest_match(&self, asn: Asn, addr: Addr) -> Option<&SelectedRoute> {
+    fn longest_match(&self, asn: Asn, addr: Addr) -> Option<SelectedRoute<'_>> {
         self.table(asn).filter(|r| r.prefix.contains(addr)).max_by_key(|r| r.prefix.len())
     }
 
@@ -61,11 +61,10 @@ impl RoutingState {
             let Some(route) = self.longest_match(current, addr) else {
                 return ForwardOutcome::NoRoute { at: current, path };
             };
-            if route.path.is_empty() {
+            let Some(&next) = route.path.first() else {
                 // We are the origin of the best-matching route.
                 return ForwardOutcome::Delivered { at: current, path };
-            }
-            let next = route.path[0];
+            };
             if path.contains(&next) {
                 path.push(next);
                 return ForwardOutcome::Loop { path };

@@ -30,7 +30,7 @@ pub use forward::ForwardOutcome;
 #[cfg(any(test, feature = "test-oracle"))]
 pub use propagate::reference;
 pub use propagate::{
-    propagate, propagate_with_stats, Announcement, ConvergenceError, ConvergenceStats,
+    propagate, propagate_with_stats, Announcement, AsPath, ConvergenceError, ConvergenceStats,
     RoutingState, RpkiPolicy, SelectedRoute,
 };
 pub use topology::{Relationship, Topology, TopologyIndex};

@@ -4,21 +4,31 @@
 //!
 //! - [`propagate`] / [`propagate_with_stats`] — the production
 //!   **worklist engine**: ASes and prefixes are interned into dense
-//!   indices, per-AS tables live in one flat `Vec`, and each round
-//!   re-evaluates only the `(AS, prefix)` cells whose neighbours'
-//!   selections changed in the previous round. Everything the hot loop
-//!   touches is an index into a `Vec`: the dirty list is a
-//!   double-buffered `Vec` deduplicated by a per-cell round stamp, AS
-//!   paths are `u32` links into one arena that shares tails, and the
+//!   indices, the route cells live in one flat prefix-major `Vec` (the
+//!   cells of one prefix, and so the neighbours a cell reads, sit in
+//!   one slab), and each round re-evaluates only the `(AS, prefix)`
+//!   cells whose neighbours' selections changed in the previous round.
+//!   Everything the hot loop touches is an index into a `Vec`: the
+//!   dirty list is a double-buffered `Vec` deduplicated by a per-cell
+//!   round stamp, neighbour lists are slices of one `Vec`, AS paths are
+//!   `u32` links into one arena that shares tails, and the
 //!   origin-validation memo — validity is round-invariant — has one
 //!   slot per announcement, whose index every route carries from its
-//!   origin cell. A candidate evaluation allocates nothing and hashes
-//!   nothing; a route update appends one arena node.
+//!   origin cell. Each route also carries a 64-bit mask with the bit
+//!   `as_idx % 64` of every AS on its path, so loop prevention walks a
+//!   path only when the selecting AS's bit is set. A candidate
+//!   evaluation allocates nothing and hashes nothing; a route update
+//!   appends one arena node.
 //! - `reference` (behind the `test-oracle` cargo feature) — the
 //!   original synchronous full-scan engine, kept as the oracle the
 //!   equivalence property tests pin the worklist engine against (see
 //!   DESIGN.md "Routing engine" for the determinism and equivalence
 //!   argument).
+//!
+//! The worklist engine's tables are its result: they move into the
+//! [`RoutingState`] it returns, and a [`SelectedRoute`] is a `Copy`
+//! view of one cell whose [`AsPath`] reads the shared arena. No route
+//! is copied out of the engine.
 //!
 //! Both iterate *synchronised rounds* reading only previous-round
 //! state, which makes the computation order-independent and therefore
@@ -59,22 +69,110 @@ pub enum RpkiPolicy {
     DeprefInvalid,
 }
 
-/// A route selected by some AS.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct SelectedRoute {
+/// A route selected by some AS: a view of one cell of a
+/// [`RoutingState`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SelectedRoute<'a> {
     /// The route's prefix.
     pub prefix: Prefix,
     /// The origin AS of the announcement.
     pub origin: Asn,
     /// AS path from (excluding) the selecting AS to the origin:
-    /// `path[0]` is the next hop; `path.last()` is the origin. Empty
-    /// for the origin itself.
-    pub path: Vec<Asn>,
+    /// `path.first()` is the next hop; `path.last()` is the origin.
+    /// Empty for the origin itself.
+    pub path: AsPath<'a>,
     /// Relationship of the next hop to the selecting AS (`None` for
     /// self-originated routes).
     pub learned_from: Option<Relationship>,
     /// RFC 6811 state of `(prefix, origin)` under the cache in force.
     pub validity: RouteValidity,
+}
+
+/// An AS path, next hop first: a view of one cons list in a
+/// [`RoutingState`]'s path arena. Prints and compares as the list of
+/// its hops.
+#[derive(Clone, Copy)]
+pub struct AsPath<'a> {
+    nodes: &'a [PathNode],
+    /// Arena index of the next hop's node; [`NO_PATH`] when empty.
+    head: u32,
+    len: u32,
+}
+
+impl<'a> AsPath<'a> {
+    /// Number of hops.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the path is empty (a self-originated route).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The next hop.
+    pub fn first(&self) -> Option<&'a Asn> {
+        self.iter().next()
+    }
+
+    /// The last hop: the origin.
+    pub fn last(&self) -> Option<&'a Asn> {
+        self.iter().last()
+    }
+
+    /// Whether `asn` is on the path.
+    pub fn contains(&self, asn: &Asn) -> bool {
+        self.iter().any(|hop| hop == asn)
+    }
+
+    /// The hops, next hop first.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Asn> + 'a {
+        let (nodes, mut cur) = (self.nodes, self.head);
+        std::iter::from_fn(move || {
+            if cur == NO_PATH {
+                return None;
+            }
+            let node = &nodes[cur as usize];
+            cur = node.tail;
+            Some(&node.head)
+        })
+    }
+
+    /// The hops as an owned `Vec`.
+    pub fn to_vec(&self) -> Vec<Asn> {
+        let mut hops = Vec::with_capacity(self.len());
+        hops.extend(self.iter().copied());
+        hops
+    }
+}
+
+impl fmt::Debug for AsPath<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for AsPath<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for AsPath<'_> {}
+
+impl PartialEq<Vec<Asn>> for AsPath<'_> {
+    fn eq(&self, other: &Vec<Asn>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::ops::Index<usize> for AsPath<'_> {
+    type Output = Asn;
+
+    /// Hop `i` (`0` is the next hop), found by walking `i` links.
+    fn index(&self, i: usize) -> &Asn {
+        self.iter().nth(i).unwrap_or_else(|| panic!("hop {i} of a {}-hop path", self.len))
+    }
 }
 
 /// Position of `validity` in the selection order under `policy`: only
@@ -88,39 +186,68 @@ fn validity_rank(policy: RpkiPolicy, validity: RouteValidity) -> u8 {
     }
 }
 
-/// The converged routing state of the whole topology.
+/// The converged routing state of the whole topology: the worklist
+/// engine's own tables, moved out of it when it converged.
 ///
-/// Compares bit-for-bit (`PartialEq`): the equivalence property tests
-/// assert the worklist engine and the `reference` oracle produce equal
-/// states.
-#[derive(Debug, Default, PartialEq, Eq)]
+/// Compares route by route (`PartialEq`): two states are equal when
+/// every AS selected equal routes, however each engine laid its tables
+/// out. The equivalence property tests assert the worklist engine and
+/// the `reference` oracle produce equal states.
+#[derive(Default)]
 pub struct RoutingState {
-    /// One row per AS holding at least one route, ascending by ASN;
-    /// each row's routes ascend by prefix. Both engines emit rows
-    /// already in that order, and every accessor is a binary search.
-    rows: Vec<(Asn, Vec<SelectedRoute>)>,
+    /// Interned ASes, ascending: a cell's AS index.
+    ases: Vec<Asn>,
+    /// Interned announced prefixes, ascending: a cell's prefix index.
+    prefixes: Vec<Prefix>,
+    /// Route cells, prefix-major: `[prefix_idx * ases.len() + as_idx]`.
+    cells: Vec<Option<WorkRoute>>,
+    /// The paths the cells link into.
+    paths: PathArena,
+    /// The validity memo's slots: per announcement, the validity of the
+    /// routes it seeded — set for every held route.
+    validity: Vec<Option<RouteValidity>>,
     /// The policy the state was computed under.
     policy: Option<RpkiPolicy>,
 }
 
 impl RoutingState {
-    /// `asn`'s routes, ascending by prefix; empty when it holds none.
-    fn row(&self, asn: Asn) -> &[SelectedRoute] {
-        match self.rows.binary_search_by_key(&asn, |&(a, _)| a) {
-            Ok(i) => &self.rows[i].1,
-            Err(_) => &[],
+    /// The view of `route`, held in a cell of prefix `prefix_idx`.
+    fn view(&self, prefix_idx: usize, route: &WorkRoute) -> SelectedRoute<'_> {
+        SelectedRoute {
+            prefix: self.prefixes[prefix_idx],
+            origin: route.origin,
+            path: self.paths.path(route.path, route.path_len),
+            learned_from: route.learned_from,
+            validity: self.validity[route.ann as usize].expect("every held route is classified"),
         }
     }
 
-    /// The route `asn` selected for exactly `prefix`, if any.
-    pub fn best_route(&self, asn: Asn, prefix: Prefix) -> Option<&SelectedRoute> {
-        let row = self.row(asn);
-        row.binary_search_by_key(&prefix, |r| r.prefix).ok().map(|i| &row[i])
+    /// The routes of the AS at index `as_idx`, ascending by prefix:
+    /// every `ases.len()`-th cell from `as_idx`, none when no prefix
+    /// was announced.
+    fn row(&self, as_idx: usize) -> impl Iterator<Item = SelectedRoute<'_>> {
+        let column = self.cells.get(as_idx..).unwrap_or_default();
+        column.iter().step_by(self.ases.len()).enumerate().filter_map(move |(prefix_idx, cell)| {
+            cell.as_ref().map(|route| self.view(prefix_idx, route))
+        })
     }
 
-    /// All selected routes at `asn`.
-    pub fn table(&self, asn: Asn) -> impl Iterator<Item = &SelectedRoute> {
-        self.row(asn).iter()
+    /// Every held route with its AS, ascending by (ASN, prefix).
+    fn routes(&self) -> impl Iterator<Item = (Asn, SelectedRoute<'_>)> {
+        self.ases.iter().enumerate().flat_map(move |(i, &asn)| self.row(i).map(move |r| (asn, r)))
+    }
+
+    /// The route `asn` selected for exactly `prefix`, if any.
+    pub fn best_route(&self, asn: Asn, prefix: Prefix) -> Option<SelectedRoute<'_>> {
+        let as_idx = self.ases.binary_search(&asn).ok()?;
+        let prefix_idx = self.prefixes.binary_search(&prefix).ok()?;
+        let route = self.cells[prefix_idx * self.ases.len() + as_idx].as_ref()?;
+        Some(self.view(prefix_idx, route))
+    }
+
+    /// All selected routes at `asn`, ascending by prefix.
+    pub fn table(&self, asn: Asn) -> impl Iterator<Item = SelectedRoute<'_>> {
+        self.ases.binary_search(&asn).ok().into_iter().flat_map(|as_idx| self.row(as_idx))
     }
 
     /// The policy in force when this state was computed.
@@ -130,7 +257,30 @@ impl RoutingState {
 
     /// ASes holding at least one route.
     pub fn ases_with_routes(&self) -> usize {
-        self.rows.len()
+        (0..self.ases.len()).filter(|&i| self.row(i).next().is_some()).count()
+    }
+}
+
+impl PartialEq for RoutingState {
+    fn eq(&self, other: &Self) -> bool {
+        self.policy == other.policy && self.routes().eq(other.routes())
+    }
+}
+
+impl Eq for RoutingState {}
+
+impl fmt::Debug for RoutingState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Routes<'a>(&'a RoutingState);
+        impl fmt::Debug for Routes<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.routes()).finish()
+            }
+        }
+        f.debug_struct("RoutingState")
+            .field("policy", &self.policy)
+            .field("routes", &Routes(self))
+            .finish()
     }
 }
 
@@ -251,11 +401,11 @@ pub fn propagate_with_stats(
     Worklist::new(topology, announcements, policy, cache).run(announcements)
 }
 
-/// A selected route in the worklist engine's internal representation.
-/// `Copy`: the AS path is a link into the [`Worklist`]'s path arena,
-/// whose tail is shared with the neighbour route it was learned from,
-/// so extending a path appends one node and paths common to many ASes
-/// are stored once.
+/// A selected route in the worklist engine's representation, which
+/// [`RoutingState`] keeps. `Copy`: the AS path is a link into the path
+/// arena, whose tail is shared with the neighbour route it was learned
+/// from, so extending a path appends one node and paths common to many
+/// ASes are stored once.
 #[derive(Debug, Clone, Copy)]
 struct WorkRoute {
     origin: Asn,
@@ -267,14 +417,27 @@ struct WorkRoute {
     /// Index of the announcement that seeded this route's origin cell
     /// — its slot in the validity memo.
     ann: u32,
+    /// [`path_bit`] of every interned AS on `path`. A clear bit proves
+    /// an AS is not on the path; a set bit may be another AS with the
+    /// same index mod 64.
+    mask: u64,
 }
 
 /// The empty path (a self-originated route), and every path's end.
 const NO_PATH: u32 = u32::MAX;
 
+/// The stamp of an origin cell: later than every round.
+const LOCKED: u32 = u32::MAX;
+
+/// The bit the AS at index `as_idx` sets in a path mask.
+fn path_bit(as_idx: u32) -> u64 {
+    1 << (as_idx % 64)
+}
+
 /// Candidate preference key: (validity rank, relationship rank, path
-/// length, next-hop ASN), lower wins. Distinct neighbours differ in
-/// the last component, so the key totally orders candidates.
+/// length, next hop's AS index), lower wins. Index order is ASN order,
+/// so the last component ranks as the next-hop ASN does; distinct
+/// neighbours differ in it, so the key totally orders candidates.
 type CandidateKey = (u8, u8, u32, u32);
 
 /// One hop of an AS path in the arena: a cons cell by index.
@@ -287,7 +450,7 @@ struct PathNode {
 }
 
 /// Every AS path of one propagation, as cons lists over one `Vec`:
-/// append-only while the engine runs, freed in one drop.
+/// append-only while the engine runs, then kept by the state.
 #[derive(Default)]
 struct PathArena(Vec<PathNode>);
 
@@ -299,17 +462,9 @@ impl PathArena {
         at.expect("fewer than 2^32 - 1 route updates")
     }
 
-    /// The hops of `path`, next hop first.
-    fn hops(&self, path: u32) -> impl Iterator<Item = Asn> + '_ {
-        let mut cur = path;
-        std::iter::from_fn(move || {
-            if cur == NO_PATH {
-                return None;
-            }
-            let node = self.0[cur as usize];
-            cur = node.tail;
-            Some(node.head)
-        })
+    /// The `len`-hop path starting at `head`.
+    fn path(&self, head: u32, len: u32) -> AsPath<'_> {
+        AsPath { nodes: &self.0, head, len }
     }
 
     /// Structural path equality. Shared tails make the common case —
@@ -339,7 +494,7 @@ struct ValidityMemo<'a> {
     cache: &'a VrpCache,
     announcements: &'a [Announcement],
     /// One slot per announcement; a duplicate's slot stays unused.
-    memo: Vec<Option<RouteValidity>>,
+    slots: Vec<Option<RouteValidity>>,
     hits: usize,
     misses: usize,
 }
@@ -349,7 +504,7 @@ impl<'a> ValidityMemo<'a> {
         ValidityMemo {
             cache,
             announcements,
-            memo: vec![None; announcements.len()],
+            slots: vec![None; announcements.len()],
             hits: 0,
             misses: 0,
         }
@@ -357,7 +512,7 @@ impl<'a> ValidityMemo<'a> {
 
     /// Validity of every route seeded by announcement `ann`.
     fn classify(&mut self, ann: u32) -> RouteValidity {
-        let slot = &mut self.memo[ann as usize];
+        let slot = &mut self.slots[ann as usize];
         match *slot {
             Some(validity) => {
                 self.hits += 1;
@@ -378,12 +533,11 @@ struct Worklist<'a> {
     index: TopologyIndex,
     /// Interned announced prefixes, sorted.
     prefixes: Vec<Prefix>,
-    /// Flattened route tables: `[as_idx * prefixes.len() + prefix_idx]`.
+    /// Route cells, prefix-major: `[prefix_idx * index.len() + as_idx]`.
     tables: Vec<Option<WorkRoute>>,
-    /// Cells holding their own announcement; never re-evaluated.
-    origin_locked: Vec<bool>,
-    /// Per cell, the last round it was put on the dirty list for: a
-    /// cell enters a round's list at most once.
+    /// Per cell, the last round it was put on the dirty list for — a
+    /// cell enters a round's list at most once — or [`LOCKED`] for a
+    /// cell holding its own announcement, which is never re-evaluated.
     stamp: Vec<u32>,
     paths: PathArena,
     memo: ValidityMemo<'a>,
@@ -408,12 +562,16 @@ impl<'a> Worklist<'a> {
             index,
             prefixes,
             tables: vec![None; cells],
-            origin_locked: vec![false; cells],
             stamp: vec![0; cells],
             paths: PathArena::default(),
             memo: ValidityMemo::new(cache, announcements),
             stats: ConvergenceStats::default(),
         }
+    }
+
+    /// Index of the cell of `(as_idx, prefix_idx)` in `tables`.
+    fn cell(&self, as_idx: u32, prefix_idx: u32) -> usize {
+        prefix_idx as usize * self.index.len() + as_idx as usize
     }
 
     fn run(
@@ -448,20 +606,33 @@ impl<'a> Worklist<'a> {
             }
             // Apply, and mark the neighbours of every changed cell
             // dirty for the next round.
-            let npfx = self.prefixes.len();
             let next_round = u32::try_from(self.stats.rounds + 1).expect("round cap fits u32");
             next_dirty.clear();
             for (as_idx, prefix_idx, route) in updates.drain(..) {
-                self.tables[as_idx as usize * npfx + prefix_idx as usize] = route;
+                let cell = self.cell(as_idx, prefix_idx);
+                self.tables[cell] = route;
                 self.stats.route_updates += 1;
                 self.mark_neighbors(as_idx, prefix_idx, next_round, &mut next_dirty);
             }
             std::mem::swap(&mut dirty, &mut next_dirty);
         }
 
-        let state = self.materialize();
+        // Classify every held route once — from the memo, or for the
+        // first time under `Ignore`, where selection never needed it —
+        // which is also what the memo counters count.
+        for route in self.tables.iter().flatten() {
+            self.memo.classify(route.ann);
+        }
         self.stats.memo_hits = self.memo.hits;
         self.stats.memo_misses = self.memo.misses;
+        let state = RoutingState {
+            ases: self.index.into_ases(),
+            prefixes: self.prefixes,
+            cells: self.tables,
+            paths: self.paths,
+            validity: self.memo.slots,
+            policy: Some(self.policy),
+        };
         Ok((state, self.stats))
     }
 
@@ -474,10 +645,12 @@ impl<'a> Worklist<'a> {
         round: u32,
         dirty: &mut Vec<(u32, u32)>,
     ) {
-        let npfx = self.prefixes.len();
+        let slab = self.cell(0, prefix_idx);
         for &(nbr, _) in self.index.neighbors(as_idx) {
-            let cell = nbr as usize * npfx + prefix_idx as usize;
-            if !self.origin_locked[cell] && self.stamp[cell] != round {
+            let cell = slab + nbr as usize;
+            // Rounds only grow, so an earlier stamp is `< round`, and
+            // `LOCKED` never is.
+            if self.stamp[cell] < round {
                 self.stamp[cell] = round;
                 dirty.push((nbr, prefix_idx));
             }
@@ -491,16 +664,15 @@ impl<'a> Worklist<'a> {
     /// it announces — so origin cells are locked and never
     /// re-evaluated.
     fn seed(&mut self, announcements: &[Announcement]) -> Vec<(u32, u32)> {
-        let npfx = self.prefixes.len();
         let mut origins: Vec<(u32, u32)> = Vec::with_capacity(announcements.len());
         for (ann, a) in announcements.iter().enumerate() {
             let as_idx = self.index.index_of(a.origin).expect("origin was interned");
             let prefix_idx =
                 self.prefixes.binary_search(&a.prefix).expect("prefix interned") as u32;
-            let cell = as_idx as usize * npfx + prefix_idx as usize;
+            let cell = self.cell(as_idx, prefix_idx);
             // A repeated announcement changes nothing; the first one's
             // memo slot serves the cell.
-            if self.origin_locked[cell] {
+            if self.stamp[cell] == LOCKED {
                 continue;
             }
             self.tables[cell] = Some(WorkRoute {
@@ -509,8 +681,9 @@ impl<'a> Worklist<'a> {
                 path_len: 0,
                 path: NO_PATH,
                 ann: ann as u32,
+                mask: 0,
             });
-            self.origin_locked[cell] = true;
+            self.stamp[cell] = LOCKED;
             origins.push((as_idx, prefix_idx));
         }
         // Second pass, once all locks are set: a neighbour that is
@@ -529,17 +702,19 @@ impl<'a> Worklist<'a> {
     /// when it changed. Only a changed selection appends to the path
     /// arena (one node).
     fn evaluate(&mut self, as_idx: u32, prefix_idx: u32) -> Option<Option<WorkRoute>> {
-        let npfx = self.prefixes.len();
+        let slab = self.cell(0, prefix_idx);
         let asn = self.index.asn(as_idx);
+        let bit = path_bit(as_idx);
 
         // Best candidate so far, as (pref_key, neighbour's route,
-        // role). The key is computed from the neighbour's stored route
-        // without materialising the candidate: validity depends only on
-        // the seeding announcement, the candidate's path length is the
-        // neighbour's plus one, and its next hop is the neighbour.
-        let mut best: Option<(CandidateKey, WorkRoute, Relationship)> = None;
+        // role, neighbour's index). The key is computed from the neighbour's
+        // stored route without materialising the candidate: validity
+        // depends only on the seeding announcement, the candidate's
+        // path length is the neighbour's plus one, and its next hop is
+        // the neighbour.
+        let mut best: Option<(CandidateKey, WorkRoute, Relationship, u32)> = None;
         for &(nbr, rel) in self.index.neighbors(as_idx) {
-            let Some(route) = self.tables[nbr as usize * npfx + prefix_idx as usize] else {
+            let Some(route) = self.tables[slab + nbr as usize] else {
                 continue;
             };
             // Export rule at the neighbour: routes learned from
@@ -556,13 +731,17 @@ impl<'a> Worklist<'a> {
             if !exported {
                 continue;
             }
-            // Loop prevention.
-            if route.origin == asn || self.paths.hops(route.path).any(|hop| hop == asn) {
+            // Loop prevention. The mask never misses an AS on the
+            // path, so a clear bit settles it without walking.
+            if route.origin == asn
+                || (route.mask & bit != 0
+                    && self.paths.path(route.path, route.path_len).contains(&asn))
+            {
                 continue;
             }
             // Import filter and validity preference. Under Ignore,
             // validity never influences selection, so classification is
-            // deferred until materialisation.
+            // deferred until convergence.
             let vrank = match self.policy {
                 RpkiPolicy::Ignore => 0,
                 RpkiPolicy::DropInvalid => {
@@ -575,22 +754,22 @@ impl<'a> Worklist<'a> {
                     validity_rank(self.policy, self.memo.classify(route.ann))
                 }
             };
-            let key = (vrank, rel.rank(), route.path_len + 1, self.index.asn(nbr).0);
+            let key = (vrank, rel.rank(), route.path_len + 1, nbr);
             // Strictly-less-than keeps the first of equals, exactly
             // like the reference engine — and since the key totally
             // orders candidates (distinct neighbours differ in the
             // next-hop component), "first" can never matter.
-            if best.as_ref().is_none_or(|(bk, _, _)| key < *bk) {
-                best = Some((key, route, rel));
+            if best.as_ref().is_none_or(|(bk, ..)| key < *bk) {
+                best = Some((key, route, rel, nbr));
             }
         }
 
-        let current = self.tables[as_idx as usize * npfx + prefix_idx as usize];
-        let Some(((_, _, _, next_hop), via, rel)) = best else {
+        let current = self.tables[slab + as_idx as usize];
+        let Some((_, via, rel, nbr)) = best else {
             // Withdrawal iff something was selected before.
             return current.is_some().then_some(None);
         };
-        let next_hop = Asn(next_hop);
+        let next_hop = self.index.asn(nbr);
         let unchanged = current.is_some_and(|cur| {
             cur.learned_from == Some(rel)
                 && cur.origin == via.origin
@@ -607,43 +786,8 @@ impl<'a> Worklist<'a> {
             path_len: via.path_len + 1,
             path: self.paths.cons(next_hop, via.path),
             ann: via.ann,
+            mask: via.mask | path_bit(nbr),
         }))
-    }
-
-    /// Converts the flat tables into the public [`RoutingState`] form,
-    /// classifying each selected route's validity — from the memo, or
-    /// for the first time under `Ignore`, where selection never needed
-    /// it. Cells are visited in (ASN, prefix) order, which is the
-    /// state's row order, so rows are built by appending.
-    fn materialize(&mut self) -> RoutingState {
-        let npfx = self.prefixes.len();
-        let mut rows: Vec<(Asn, Vec<SelectedRoute>)> = Vec::new();
-        if npfx == 0 {
-            return RoutingState { rows, policy: Some(self.policy) };
-        }
-        for (as_idx, cells) in self.tables.chunks(npfx).enumerate() {
-            let held = cells.iter().flatten().count();
-            if held == 0 {
-                continue;
-            }
-            let mut row = Vec::with_capacity(held);
-            for (prefix_idx, cell) in cells.iter().enumerate() {
-                let Some(route) = cell else { continue };
-                let prefix = self.prefixes[prefix_idx];
-                let mut path = Vec::with_capacity(route.path_len as usize);
-                path.extend(self.paths.hops(route.path));
-                debug_assert_eq!(path.len(), route.path_len as usize);
-                row.push(SelectedRoute {
-                    prefix,
-                    origin: route.origin,
-                    path,
-                    learned_from: route.learned_from,
-                    validity: self.memo.classify(route.ann),
-                });
-            }
-            rows.push((self.index.asn(as_idx as u32), row));
-        }
-        RoutingState { rows, policy: Some(self.policy) }
     }
 }
 
@@ -665,10 +809,71 @@ pub mod reference {
 
     use super::*;
 
-    fn pref_key(route: &SelectedRoute, policy: RpkiPolicy) -> (u8, u8, usize, u32) {
+    /// A selected route as the oracle keeps it: with its own path.
+    #[derive(Clone, PartialEq)]
+    struct OracleRoute {
+        prefix: Prefix,
+        origin: Asn,
+        path: Vec<Asn>,
+        learned_from: Option<Relationship>,
+        validity: RouteValidity,
+    }
+
+    fn pref_key(route: &OracleRoute, policy: RpkiPolicy) -> (u8, u8, usize, u32) {
         let rel_rank = route.learned_from.map(Relationship::rank).unwrap_or(0);
         let next_hop = route.path.first().map(|a| a.0).unwrap_or(0);
         (validity_rank(policy, route.validity), rel_rank, route.path.len(), next_hop)
+    }
+
+    impl RoutingState {
+        /// The state holding `tables` (`AS → prefix → route`, no empty
+        /// table), laid out as the worklist engine lays out its own:
+        /// each route gets a memo slot of its own, and its path is
+        /// consed into the arena origin first.
+        fn from_tables(
+            policy: RpkiPolicy,
+            tables: BTreeMap<Asn, BTreeMap<Prefix, OracleRoute>>,
+        ) -> RoutingState {
+            let mut prefixes: Vec<Prefix> =
+                tables.values().flat_map(|t| t.keys().copied()).collect();
+            prefixes.sort_unstable();
+            prefixes.dedup();
+            let ases: Vec<Asn> = tables.keys().copied().collect();
+            let n = ases.len();
+            let mut state = RoutingState {
+                cells: vec![None; n * prefixes.len()],
+                ases,
+                prefixes,
+                policy: Some(policy),
+                ..RoutingState::default()
+            };
+            for (as_idx, table) in tables.into_values().enumerate() {
+                for (prefix, route) in table {
+                    let prefix_idx = state.prefixes.binary_search(&prefix).expect("interned");
+                    let mut path = NO_PATH;
+                    let mut mask = 0;
+                    for &hop in route.path.iter().rev() {
+                        path = state.paths.cons(hop, path);
+                        // A hop holding no route never selects, so its
+                        // bit is never tested.
+                        if let Ok(i) = state.ases.binary_search(&hop) {
+                            mask |= path_bit(i as u32);
+                        }
+                    }
+                    let ann = u32::try_from(state.validity.len()).expect("fewer than 2^32 routes");
+                    state.validity.push(Some(route.validity));
+                    state.cells[prefix_idx * n + as_idx] = Some(WorkRoute {
+                        origin: route.origin,
+                        learned_from: route.learned_from,
+                        path_len: route.path.len() as u32,
+                        path,
+                        ann,
+                        mask,
+                    });
+                }
+            }
+            state
+        }
     }
 
     /// Synchronous full-scan propagation; returns the converged state
@@ -681,7 +886,7 @@ pub mod reference {
         cache: &VrpCache,
     ) -> Result<(RoutingState, usize), ConvergenceError> {
         // `AS → prefix → selected route`.
-        let mut tables: BTreeMap<Asn, BTreeMap<Prefix, SelectedRoute>> = BTreeMap::new();
+        let mut tables: BTreeMap<Asn, BTreeMap<Prefix, OracleRoute>> = BTreeMap::new();
 
         // Seed origins. An origin always carries its own announcement,
         // whatever the RPKI says (it is lying deliberately or it is the
@@ -691,7 +896,7 @@ pub mod reference {
             let validity = cache.classify(Route::new(ann.prefix, ann.origin));
             tables.entry(ann.origin).or_default().insert(
                 ann.prefix,
-                SelectedRoute {
+                OracleRoute {
                     prefix: ann.prefix,
                     origin: ann.origin,
                     path: Vec::new(),
@@ -721,7 +926,7 @@ pub mod reference {
                     if matches!(current, Some(r) if r.learned_from.is_none()) {
                         continue;
                     }
-                    let mut best: Option<SelectedRoute> = None;
+                    let mut best: Option<OracleRoute> = None;
                     for (neighbor, rel) in topology.neighbors(asn) {
                         let Some(route) = tables.get(&neighbor).and_then(|t| t.get(&prefix)) else {
                             continue;
@@ -746,7 +951,7 @@ pub mod reference {
                         let mut path = Vec::with_capacity(route.path.len() + 1);
                         path.push(neighbor);
                         path.extend_from_slice(&route.path);
-                        let candidate = SelectedRoute {
+                        let candidate = OracleRoute {
                             prefix,
                             origin: route.origin,
                             path,
@@ -787,14 +992,9 @@ pub mod reference {
             }
         }
         // Insert-then-withdraw leaves empty per-AS maps behind; prune
-        // them so state comparison is structural, not historical. Map
-        // order is the state's row order.
-        let rows = tables
-            .into_iter()
-            .filter(|(_, table)| !table.is_empty())
-            .map(|(asn, table)| (asn, table.into_values().collect()))
-            .collect();
-        Ok((RoutingState { rows, policy: Some(policy) }, rounds))
+        // them so state comparison is structural, not historical.
+        tables.retain(|_, table| !table.is_empty());
+        Ok((RoutingState::from_tables(policy, tables), rounds))
     }
 }
 
@@ -1082,6 +1282,74 @@ mod tests {
             state.best_route(a(1), p("10.0.0.0/8")).unwrap().validity,
             RouteValidity::Invalid
         );
+    }
+
+    #[test]
+    fn path_mask_aliasing_keeps_routes_the_reference_keeps() {
+        // A 70-AS provider chain, 1 on top: ASes 1 and 65 (indices 0
+        // and 64) set the same mask bit, as do 2 and 66, so the routes
+        // flooding up from 70 and down from 1 carry the selecting AS's
+        // bit without it being on the path. A VRP for somebody else
+        // makes the mid-chain origin's prefix Invalid.
+        const DEPTH: u32 = 70;
+        let mut t = Topology::new();
+        for i in 1..DEPTH {
+            t.add_provider_customer(a(i), a(i + 1));
+        }
+        let anns = [
+            Announcement { prefix: p("10.0.0.0/8"), origin: a(DEPTH) },
+            Announcement { prefix: p("20.0.0.0/8"), origin: a(1) },
+            Announcement { prefix: p("30.0.0.0/8"), origin: a(35) },
+        ];
+        let cache: VrpCache =
+            [Vrp::new(p("10.0.0.0/8"), 8, a(DEPTH)), Vrp::new(p("30.0.0.0/8"), 8, a(64_999))]
+                .into_iter()
+                .collect();
+        for policy in [RpkiPolicy::Ignore, RpkiPolicy::DropInvalid, RpkiPolicy::DeprefInvalid] {
+            let state = propagate_checked(&t, &anns, policy, &cache);
+            let up = state.best_route(a(1), p("10.0.0.0/8")).expect("the chain floods up");
+            assert_eq!(up.path.to_vec(), (2..=DEPTH).map(a).collect::<Vec<_>>());
+            assert_eq!((up.path.first(), up.path.last()), (Some(&a(2)), Some(&a(DEPTH))));
+            assert!(up.path.contains(&a(65)) && !up.path.contains(&a(1)));
+            let down = state.best_route(a(66), p("20.0.0.0/8")).expect("and down");
+            assert_eq!(down.path.len(), 65);
+            assert!(down.path.contains(&a(2)) && !down.path.contains(&a(66)));
+            let held = state.best_route(a(1), p("30.0.0.0/8")).is_some();
+            assert_eq!(held, policy != RpkiPolicy::DropInvalid, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn a_route_prints_as_it_did_with_an_owned_path() {
+        let t = chain();
+        let cache: VrpCache = [Vrp::new(p("10.0.0.0/8"), 8, a(3))].into_iter().collect();
+        let state = propagate_checked(
+            &t,
+            &[Announcement { prefix: p("10.0.0.0/8"), origin: a(3) }],
+            RpkiPolicy::DropInvalid,
+            &cache,
+        );
+        assert_eq!(
+            format!("{:?}", state.best_route(a(1), p("10.0.0.0/8")).unwrap()),
+            "SelectedRoute { prefix: Prefix(10.0.0.0/8), origin: Asn(3), \
+             path: [Asn(2), Asn(3)], learned_from: Some(Customer), validity: Valid }"
+        );
+        assert_eq!(
+            format!("{:?}", state.best_route(a(3), p("10.0.0.0/8")).unwrap()),
+            "SelectedRoute { prefix: Prefix(10.0.0.0/8), origin: Asn(3), \
+             path: [], learned_from: None, validity: Valid }"
+        );
+    }
+
+    #[test]
+    fn default_state_holds_no_routes() {
+        // The state a caller holds before its first propagation.
+        let state = RoutingState::default();
+        assert_eq!(state.ases_with_routes(), 0);
+        assert_eq!(state.best_route(a(1), p("10.0.0.0/8")), None);
+        assert_eq!(state.table(a(1)).count(), 0);
+        assert_eq!(state.policy(), None);
+        assert_eq!(state, RoutingState::default());
     }
 
     #[test]

@@ -132,13 +132,13 @@ proptest! {
                 }
                 prop_assert_eq!(*route.path.last().unwrap(), route.origin);
                 prop_assert!(!route.path.contains(&asn));
-                let mut dedup = route.path.clone();
+                let mut dedup = route.path.to_vec();
                 dedup.sort_unstable();
                 dedup.dedup();
                 prop_assert_eq!(dedup.len(), route.path.len(), "looped path");
                 // Adjacency + valley-freeness.
                 prop_assert!(
-                    valley_free(&t, asn, &route.path),
+                    valley_free(&t, asn, &route.path.to_vec()),
                     "valley in path {:?} selected by {}",
                     route.path,
                     asn
