@@ -6,9 +6,10 @@
 //! table to stdout and, with `--json`, a machine-readable record to
 //! stderr.
 //!
-//! Benches time with [`time`] (one run) or [`time_min`] (min of N),
-//! write stamped records through [`export`], and pin the columns that
-//! depend on the input alone with [`assert_counts_unmoved`].
+//! Benches time with [`time`] (one run), [`time_min`] (min of N) or
+//! [`interleaved_ratio`] (one closure's time over another's), write
+//! stamped records through [`export`], and pin the columns that depend
+//! on the input alone with [`assert_counts_unmoved`].
 //!
 //! Flags parse through one parser ([`seed_arg`], [`scale_arg`],
 //! [`trace_path`]) with the CLI's contract: a flag that is present must
@@ -25,7 +26,7 @@
 #![warn(missing_docs)]
 
 use std::str::FromStr;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 pub use rpki_obs::{Recorder, Summary, SummaryTable};
 
@@ -111,6 +112,38 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, u128) {
 pub fn time_min<F: FnMut()>(iters: usize, mut f: F) -> u128 {
     f();
     (0..iters).map(|_| time(&mut f).1).min().expect("at least one iteration")
+}
+
+/// How much slower `b` runs than `a`, as the median over `samples`
+/// rounds of `b`'s wall time over `a`'s. Each round times one region of
+/// `a` and one of `b` back to back (which goes first alternates by
+/// round), a region being as many calls as one warm call of `a` says
+/// fill `region`. A change in host speed moves only the round it lands
+/// in, which neither two separate min-of-N blocks nor a min per side of
+/// one interleaved loop can promise.
+pub fn interleaved_ratio<A: FnMut(), B: FnMut()>(
+    samples: usize,
+    region: Duration,
+    mut a: A,
+    mut b: B,
+) -> f64 {
+    b();
+    let (_, one) = time(&mut a);
+    let calls = region.as_nanos() / one.max(1) + 1;
+    let time_region = |f: &mut dyn FnMut()| time(|| (0..calls).for_each(|_| f())).1 as f64;
+    let mut ratios: Vec<f64> = (0..samples)
+        .map(|round| {
+            if round % 2 == 0 {
+                let a_ns = time_region(&mut a);
+                time_region(&mut b) / a_ns
+            } else {
+                let b_ns = time_region(&mut b);
+                b_ns / time_region(&mut a)
+            }
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[samples / 2]
 }
 
 /// Asserts that every record of `fresh` whose `key` columns match a

@@ -19,6 +19,15 @@ use rpki_rp::{Vrp, VrpCache};
 /// random peerings among non-tier-1s. (Same generator as
 /// `propagation_properties.rs`; bgp-sim cannot depend on topogen.)
 fn random_topology(seed: u64, extra: usize) -> Topology {
+    chained_topology(seed, extra, 0)
+}
+
+/// `random_topology`, except that with probability `chain_pct` % an AS's
+/// first provider is the AS added just before it. At 100 the ASes form
+/// one provider chain as long as the topology, so past 64 ASes a route
+/// from the bottom crosses ASes whose path-mask bits alias (index `i`
+/// and `i + 64`). At 0 it draws exactly what `random_topology` draws.
+fn chained_topology(seed: u64, extra: usize, chain_pct: u32) -> Topology {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = Topology::new();
     let asn = |i: usize| Asn(100 + i as u32);
@@ -31,9 +40,10 @@ fn random_topology(seed: u64, extra: usize) -> Topology {
     for _ in 0..extra {
         let me = asn(count);
         let providers = 1 + rng.gen_range(0..2usize);
+        let chained = chain_pct > 0 && rng.gen_range(0..100u32) < chain_pct;
         let mut picked = Vec::new();
-        for _ in 0..providers {
-            let p = asn(rng.gen_range(0..count));
+        for k in 0..providers {
+            let p = if chained && k == 0 { asn(count - 1) } else { asn(rng.gen_range(0..count)) };
             if !picked.contains(&p) {
                 t.add_provider_customer(p, me);
                 picked.push(p);
@@ -50,6 +60,11 @@ fn random_topology(seed: u64, extra: usize) -> Topology {
         }
     }
     t
+}
+
+/// Chain shares for `chained_topology`: none, most, and all.
+fn arb_chain_pct() -> impl Strategy<Value = u32> {
+    (0u8..3).prop_map(|pick| [0, 80, 100][pick as usize])
 }
 
 /// Runs both engines and asserts byte-identical states plus the
@@ -116,6 +131,37 @@ proptest! {
             _ => [Vrp::new("10.0.0.0/8".parse().unwrap(), 8, bystander)].into_iter().collect(),
         };
 
+        for policy in [RpkiPolicy::Ignore, RpkiPolicy::DropInvalid, RpkiPolicy::DeprefInvalid] {
+            assert_equivalent(&t, &anns, policy, &cache)?;
+        }
+    }
+
+    /// Past 64 ASes, where the path mask's bits alias (`i % 64`): 65–200
+    /// ASes, from random shapes to one long provider chain, with the
+    /// victim at the bottom of the chain so its routes climb it.
+    #[test]
+    fn worklist_matches_reference_past_64_ases(
+        seed in 0u64..100_000,
+        extra in 62usize..=197,
+        chain_pct in arb_chain_pct(),
+        cache_pick in 0u8..2,
+    ) {
+        let t = chained_topology(seed, extra, chain_pct);
+        let all: Vec<Asn> = t.ases().collect();
+        prop_assert!(all.len() > 64);
+        let victim = all[all.len() - 1];
+        let attacker = all[all.len() / 3];
+        let p16: Prefix = "10.0.0.0/16".parse().unwrap();
+        let anns = vec![
+            Announcement { prefix: p16, origin: victim },
+            Announcement { prefix: p16, origin: attacker },
+            Announcement { prefix: "10.0.1.0/24".parse().unwrap(), origin: attacker },
+            Announcement { prefix: "20.0.0.0/16".parse().unwrap(), origin: all[0] },
+        ];
+        let cache: VrpCache = match cache_pick {
+            0 => VrpCache::new(),
+            _ => [Vrp::new(p16, 16, victim)].into_iter().collect(),
+        };
         for policy in [RpkiPolicy::Ignore, RpkiPolicy::DropInvalid, RpkiPolicy::DeprefInvalid] {
             assert_equivalent(&t, &anns, policy, &cache)?;
         }

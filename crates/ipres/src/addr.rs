@@ -1,12 +1,22 @@
-//! IP addresses on a unified `u128` spine.
+//! IP addresses with one integer value for both families.
 //!
-//! IPv4 addresses are stored in the low 32 bits of a `u128`; IPv6
-//! addresses use the full width. Keeping one integer representation lets
+//! Every address reads as a `u128` through [`Addr::value`]: IPv4 in the
+//! low 32 bits, IPv6 over the full width. Keeping one integer view lets
 //! the range/set algebra in [`crate::set`] be family-agnostic: a
 //! [`ResourceSet`](crate::ResourceSet) simply keeps one run list per
 //! [`Family`].
+//!
+//! The value is stored as two `u64` halves rather than a `u128`, whose
+//! 16-byte alignment would pad an [`Addr`] to 32 bytes; as halves it is
+//! 24, and a [`Prefix`](crate::Prefix) packs family and length into one
+//! byte beside them for 24 more. The traits are written by hand to keep
+//! the behaviour of a `{ family, value: u128 }` struct's derives: order
+//! by family then value, hash the family then the `u128`, print and
+//! serialise the two fields.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
@@ -54,10 +64,36 @@ impl fmt::Display for Family {
 /// Ordering sorts all IPv4 addresses before all IPv6 addresses and is
 /// numeric within a family, which gives [`ResourceSet`](crate::ResourceSet)
 /// a total canonical order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(into = "AddrFields", try_from = "AddrFields")]
 pub struct Addr {
+    hi: u64,
+    lo: u64,
+    family: Family,
+}
+
+/// The serialised shape of an [`Addr`]: `{"family", "value"}`.
+#[derive(Clone, Copy, Serialize, Deserialize)]
+struct AddrFields {
     family: Family,
     value: u128,
+}
+
+impl From<Addr> for AddrFields {
+    fn from(a: Addr) -> Self {
+        AddrFields { family: a.family, value: a.value() }
+    }
+}
+
+impl TryFrom<AddrFields> for Addr {
+    type Error = &'static str;
+
+    fn try_from(f: AddrFields) -> Result<Self, Self::Error> {
+        if f.value > f.family.max_value() {
+            return Err("address value out of range for its family");
+        }
+        Ok(Addr::from_parts(f.family, f.value))
+    }
 }
 
 /// Error parsing an [`Addr`] from text.
@@ -78,13 +114,20 @@ impl Addr {
     /// Builds an IPv4 address from its 32-bit value.
     #[inline]
     pub const fn v4(value: u32) -> Self {
-        Addr { family: Family::V4, value: value as u128 }
+        Addr::from_parts(Family::V4, value as u128)
     }
 
     /// Builds an IPv6 address from its 128-bit value.
     #[inline]
     pub const fn v6(value: u128) -> Self {
-        Addr { family: Family::V6, value }
+        Addr::from_parts(Family::V6, value)
+    }
+
+    /// Splits `value` into the stored halves; the caller has checked the
+    /// family's width.
+    #[inline]
+    pub(crate) const fn from_parts(family: Family, value: u128) -> Self {
+        Addr { hi: (value >> 64) as u64, lo: value as u64, family }
     }
 
     /// Builds an IPv4 address from dotted-quad octets.
@@ -102,7 +145,7 @@ impl Addr {
     #[inline]
     pub fn new(family: Family, value: u128) -> Self {
         assert!(value <= family.max_value(), "address value {value:#x} out of range for {family}");
-        Addr { family, value }
+        Addr::from_parts(family, value)
     }
 
     /// The address family.
@@ -114,28 +157,57 @@ impl Addr {
     /// The raw numeric value (low 32 bits meaningful for IPv4).
     #[inline]
     pub const fn value(self) -> u128 {
-        self.value
+        ((self.hi as u128) << 64) | self.lo as u128
     }
 
     /// The address numerically after this one, or `None` at the top of
     /// the family's space.
     #[inline]
     pub fn succ(self) -> Option<Self> {
-        if self.value == self.family.max_value() {
+        let value = self.value();
+        if value == self.family.max_value() {
             None
         } else {
-            Some(Addr { family: self.family, value: self.value + 1 })
+            Some(Addr::from_parts(self.family, value + 1))
         }
     }
 
     /// The address numerically before this one, or `None` at zero.
     #[inline]
     pub fn pred(self) -> Option<Self> {
-        if self.value == 0 {
+        let value = self.value();
+        if value == 0 {
             None
         } else {
-            Some(Addr { family: self.family, value: self.value - 1 })
+            Some(Addr::from_parts(self.family, value - 1))
         }
+    }
+}
+
+impl Ord for Addr {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.family, self.hi, self.lo).cmp(&(other.family, other.hi, other.lo))
+    }
+}
+
+impl PartialOrd for Addr {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Addr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.family.hash(state);
+        self.value().hash(state);
+    }
+}
+
+impl fmt::Debug for Addr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Addr").field("family", &self.family).field("value", &self.value()).finish()
     }
 }
 
@@ -143,13 +215,13 @@ impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.family {
             Family::V4 => {
-                let v = self.value as u32;
+                let v = self.lo as u32;
                 write!(f, "{}.{}.{}.{}", v >> 24, (v >> 16) & 0xff, (v >> 8) & 0xff, v & 0xff)
             }
             Family::V6 => {
                 // Uncompressed colon-hex is enough for a simulator; we
                 // never round-trip through external tooling.
-                let v = self.value;
+                let v = self.value();
                 let groups: Vec<String> =
                     (0..8).rev().map(|i| format!("{:x}", (v >> (i * 16)) & 0xffff)).collect();
                 f.write_str(&groups.join(":"))

@@ -9,7 +9,8 @@
 //!
 //! This crate provides the substrate:
 //!
-//! - [`Addr`], [`Family`] — IPv4/IPv6 addresses on a unified `u128` spine.
+//! - [`Addr`], [`Family`] — IPv4/IPv6 addresses read as one `u128` value
+//!   and stored as two `u64` halves (24 bytes; a [`Prefix`] is 24 too).
 //! - [`Prefix`] — CIDR prefixes with cover/overlap tests and parsing.
 //! - [`AddrRange`] — inclusive address ranges (RCs may hold non-CIDR
 //!   ranges; the paper's Figure 3 carve-out produces exactly those).

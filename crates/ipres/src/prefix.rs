@@ -8,6 +8,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
@@ -19,10 +20,44 @@ use crate::range::AddrRange;
 ///
 /// Invariant: the host bits below `len` are zero, and `len` does not
 /// exceed the family's address width. Constructors enforce both.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Stored as the base address's two `u64` halves and one byte holding
+/// family and length, so a prefix is 24 bytes; it orders, hashes,
+/// prints and serialises as the pair `(addr, len)`.
+#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(into = "PrefixFields", try_from = "PrefixFields")]
 pub struct Prefix {
+    hi: u64,
+    lo: u64,
+    /// The length for IPv4; `V6_TAG + len` for IPv6.
+    tag: u8,
+}
+
+/// The first IPv6 `tag`: IPv4 tags are the lengths 0..=32.
+const V6_TAG: u8 = 33;
+
+/// The serialised shape of a [`Prefix`]: `{"addr", "len"}`.
+#[derive(Clone, Copy, Serialize, Deserialize)]
+struct PrefixFields {
     addr: Addr,
     len: u8,
+}
+
+impl From<Prefix> for PrefixFields {
+    fn from(p: Prefix) -> Self {
+        PrefixFields { addr: p.addr(), len: p.len() }
+    }
+}
+
+impl TryFrom<PrefixFields> for Prefix {
+    type Error = &'static str;
+
+    fn try_from(f: PrefixFields) -> Result<Self, Self::Error> {
+        if f.len > f.addr.family().bits() {
+            return Err("prefix length exceeds its family's width");
+        }
+        Ok(Prefix::new(f.addr, f.len))
+    }
 }
 
 /// Error parsing a [`Prefix`] from text.
@@ -49,7 +84,11 @@ impl Prefix {
         let bits = addr.family().bits();
         assert!(len <= bits, "prefix length {len} exceeds {bits} bits");
         let masked = addr.value() & Self::mask(addr.family(), len);
-        Prefix { addr: Addr::new(addr.family(), masked), len }
+        let tag = match addr.family() {
+            Family::V4 => len,
+            Family::V6 => V6_TAG + len,
+        };
+        Prefix { hi: (masked >> 64) as u64, lo: masked as u64, tag }
     }
 
     /// Convenience constructor for IPv4 prefixes from octets.
@@ -68,44 +107,52 @@ impl Prefix {
         }
     }
 
+    /// The base address's value.
+    #[inline]
+    const fn value(self) -> u128 {
+        ((self.hi as u128) << 64) | self.lo as u128
+    }
+
     /// The (host-bits-zero) base address.
     #[inline]
     pub const fn addr(self) -> Addr {
-        self.addr
+        Addr::from_parts(self.family(), self.value())
     }
 
     /// The prefix length.
     ///
-    /// Length 0 is the default route, not emptiness — see
-    /// [`is_default`](Self::is_default).
+    /// Length 0 is the default route (the whole address space), not
+    /// emptiness.
     #[allow(clippy::len_without_is_empty)]
     #[inline]
     pub const fn len(self) -> u8 {
-        self.len
-    }
-
-    /// Whether this is the zero-length (whole address space) prefix.
-    #[inline]
-    pub const fn is_default(self) -> bool {
-        self.len == 0
+        if self.tag < V6_TAG {
+            self.tag
+        } else {
+            self.tag - V6_TAG
+        }
     }
 
     /// The address family.
     #[inline]
     pub const fn family(self) -> Family {
-        self.addr.family()
+        if self.tag < V6_TAG {
+            Family::V4
+        } else {
+            Family::V6
+        }
     }
 
     /// First address in the prefix (same as [`Prefix::addr`]).
     #[inline]
     pub const fn first(self) -> Addr {
-        self.addr
+        self.addr()
     }
 
     /// Last address in the prefix.
     pub fn last(self) -> Addr {
         let fam = self.family();
-        let hi = self.addr.value() | !Self::mask(fam, self.len) & fam.max_value();
+        let hi = self.value() | !Self::mask(fam, self.len()) & fam.max_value();
         Addr::new(fam, hi)
     }
 
@@ -120,8 +167,8 @@ impl Prefix {
     /// Always false across families.
     pub fn covers(self, other: Prefix) -> bool {
         self.family() == other.family()
-            && self.len <= other.len
-            && other.addr.value() & Self::mask(self.family(), self.len) == self.addr.value()
+            && self.len() <= other.len()
+            && other.value() & Self::mask(self.family(), self.len()) == self.value()
     }
 
     /// Whether `self` and `other` share any addresses.
@@ -132,29 +179,29 @@ impl Prefix {
     /// Whether `addr` falls inside this prefix.
     pub fn contains(self, addr: Addr) -> bool {
         addr.family() == self.family()
-            && addr.value() & Self::mask(self.family(), self.len) == self.addr.value()
+            && addr.value() & Self::mask(self.family(), self.len()) == self.value()
     }
 
     /// The immediate parent prefix (one bit shorter), or `None` for the
     /// default prefix.
     pub fn parent(self) -> Option<Prefix> {
-        if self.len == 0 {
+        if self.len() == 0 {
             None
         } else {
-            Some(Prefix::new(self.addr, self.len - 1))
+            Some(Prefix::new(self.addr(), self.len() - 1))
         }
     }
 
     /// The two immediate children (one bit longer), or `None` when the
     /// prefix is already a host route.
     pub fn children(self) -> Option<(Prefix, Prefix)> {
-        let bits = self.family().bits();
-        if self.len == bits {
+        let (bits, len) = (self.family().bits(), self.len());
+        if len == bits {
             return None;
         }
-        let left = Prefix::new(self.addr, self.len + 1);
-        let branch = 1u128 << (bits - self.len - 1);
-        let right = Prefix::new(Addr::new(self.family(), self.addr.value() | branch), self.len + 1);
+        let left = Prefix::new(self.addr(), len + 1);
+        let branch = 1u128 << (bits - len - 1);
+        let right = Prefix::new(Addr::new(self.family(), self.value() | branch), len + 1);
         Some((left, right))
     }
 
@@ -168,12 +215,12 @@ impl Prefix {
     /// accidentally iterating a /0 into host routes).
     pub fn subprefixes(self, len: u8) -> impl Iterator<Item = Prefix> {
         let bits = self.family().bits();
-        assert!(len >= self.len && len <= bits, "bad subprefix length {len}");
-        let extra = (len - self.len) as u32;
+        assert!(len >= self.len() && len <= bits, "bad subprefix length {len}");
+        let extra = (len - self.len()) as u32;
         assert!(extra <= 24, "refusing to expand {extra} extra bits of subprefixes");
         let count: u128 = 1 << extra;
         let step: u128 = 1 << (bits - len);
-        let base = self.addr.value();
+        let base = self.value();
         let family = self.family();
         (0..count).map(move |i| Prefix::new(Addr::new(family, base + i * step), len))
     }
@@ -181,7 +228,7 @@ impl Prefix {
 
 impl fmt::Display for Prefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.addr, self.len)
+        write!(f, "{}/{}", self.addr(), self.len())
     }
 }
 
@@ -195,14 +242,29 @@ impl fmt::Debug for Prefix {
 /// prefix sorts immediately before its subprefixes, which makes sorted
 /// scans cover-friendly.
 impl Ord for Prefix {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.addr.cmp(&other.addr).then(self.len.cmp(&other.len))
+        // Within one family the tag orders as the length does.
+        (self.family(), self.hi, self.lo, self.tag).cmp(&(
+            other.family(),
+            other.hi,
+            other.lo,
+            other.tag,
+        ))
     }
 }
 
 impl PartialOrd for Prefix {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+impl Hash for Prefix {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.addr().hash(state);
+        self.len().hash(state);
     }
 }
 

@@ -22,7 +22,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::addr::Addr;
 use crate::prefix::Prefix;
 use crate::range::AddrRange;
 
@@ -30,7 +29,7 @@ use crate::range::AddrRange;
 #[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct ResourceSet {
     /// Sorted, disjoint, non-abutting runs. IPv4 sorts before IPv6
-    /// because [`Addr`]'s ordering does.
+    /// because [`Addr`](crate::Addr)'s ordering does.
     runs: Vec<AddrRange>,
 }
 
@@ -115,13 +114,6 @@ impl ResourceSet {
     /// Number of canonical runs.
     pub fn num_runs(&self) -> usize {
         self.runs.len()
-    }
-
-    /// Whether `addr` is a member.
-    pub fn contains_addr(&self, addr: Addr) -> bool {
-        // Binary search on run start.
-        let idx = self.runs.partition_point(|r| r.lo() <= addr);
-        idx > 0 && self.runs[idx - 1].contains_addr(addr)
     }
 
     /// Whether the set contains every address of `prefix`.
@@ -327,9 +319,9 @@ mod tests {
             "10.0.0.50".parse().unwrap(),
             "10.0.0.150".parse().unwrap()
         )));
-        assert!(!s.contains_addr("10.0.0.100".parse().unwrap()));
-        assert!(s.contains_addr("10.0.0.99".parse().unwrap()));
-        assert!(s.contains_addr("10.0.0.101".parse().unwrap()));
+        assert!(!s.contains_prefix("10.0.0.100/32".parse().unwrap()));
+        assert!(s.contains_prefix("10.0.0.99/32".parse().unwrap()));
+        assert!(s.contains_prefix("10.0.0.101/32".parse().unwrap()));
     }
 
     #[test]
