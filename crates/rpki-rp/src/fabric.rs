@@ -19,7 +19,10 @@
 //!   off the window degrades to a snapshot resync via `CacheReset`.
 //! - [`RtrRouter`] — the router side: one [`RtrClient`] that reacts to
 //!   delivered frames (notify → query, reset → full resync) without any
-//!   out-of-band calls into the server.
+//!   out-of-band calls into the server. The protocol state is per
+//!   router; the VRP data is not: routers (and relay feeds) that apply
+//!   the same response to the same set share the result, so a fan-out
+//!   round builds one new set, not one per router.
 //! - [`pump_until`] — a deadline-bounded dispatch loop. Frames stalled
 //!   past the deadline *stay queued*; combined with
 //!   [`Network::flush_pair`] that models an RTR session timeout, and
@@ -175,8 +178,7 @@ impl RtrFabric {
                 .emit();
         }
         let payload = frame(FRAME_RTR_DATA, &notify);
-        let routers: Vec<NodeId> = self.acked.keys().copied().collect();
-        for router in routers {
+        for &router in self.acked.keys() {
             net.send(self.node, router, payload.clone());
             self.stats.notifies_sent += 1;
             self.stats.data_frames_sent += 1;

@@ -28,6 +28,7 @@
 //!
 //! [RFC 8416]: https://www.rfc-editor.org/rfc/rfc8416
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use ipres::{Asn, Prefix};
@@ -123,16 +124,24 @@ pub enum MergePolicy {
 /// given live-feed VRP sets, in feed order. The relay's published set
 /// must equal this byte-for-byte.
 pub fn reference_merge(policy: MergePolicy, feeds: &[BTreeSet<Vrp>]) -> BTreeSet<Vrp> {
+    merge(policy, feeds)
+}
+
+/// [`reference_merge`] over owned or borrowed sets, so the relay merges
+/// its feeds without copying them first.
+fn merge<S: Borrow<BTreeSet<Vrp>>>(policy: MergePolicy, feeds: &[S]) -> BTreeSet<Vrp> {
     match policy {
         MergePolicy::Union => {
-            feeds.iter().fold(BTreeSet::new(), |acc, f| acc.union(f).copied().collect())
+            feeds.iter().fold(BTreeSet::new(), |acc, f| acc.union(f.borrow()).copied().collect())
         }
-        MergePolicy::Any => feeds.first().cloned().unwrap_or_default(),
+        MergePolicy::Any => feeds.first().map(|f| f.borrow().clone()).unwrap_or_default(),
         MergePolicy::All => {
             let Some((first, rest)) = feeds.split_first() else {
                 return BTreeSet::new();
             };
-            rest.iter().fold(first.clone(), |acc, f| acc.intersection(f).copied().collect())
+            rest.iter().fold(first.borrow().clone(), |acc, f| {
+                acc.intersection(f.borrow()).copied().collect()
+            })
         }
     }
 }
@@ -203,9 +212,8 @@ impl Relay {
 
     /// The merged, SLURM-filtered VRP set over the live feeds.
     pub fn merged(&self) -> BTreeSet<Vrp> {
-        let live: Vec<BTreeSet<Vrp>> =
-            self.live_feeds().map(|i| self.feeds[i].vrps().clone()).collect();
-        self.slurm.apply(&reference_merge(self.policy, &live))
+        let live: Vec<&BTreeSet<Vrp>> = self.live_feeds().map(|i| self.feeds[i].vrps()).collect();
+        self.slurm.apply(&merge(self.policy, &live))
     }
 
     /// Recomputes the merge and, if it changed, publishes it downstream

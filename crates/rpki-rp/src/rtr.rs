@@ -16,11 +16,19 @@
 //!   nothing and `SerialQuery` thereafter, applies announce/withdraw
 //!   PDUs, and treats `CacheReset` / session-id changes as a signal to
 //!   start over;
+//! - clients share their VRP sets: each holds a *version* behind an
+//!   `Arc`, and at `EndOfData` a client takes the version another
+//!   client already built from the same version by the same change
+//!   list, changes its set in place when no one else can see it, or
+//!   else copies it once and records the copy for the clients that
+//!   follow. Routers that reach one serial by one delta so hold one
+//!   set; each keeps its own session, serial and response buffer;
 //! - PDUs use the workspace's canonical codec, so they run over
 //!   `netsim` and are subject to the same fault model as everything
 //!   else.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use rpki_objects::{Decode, DecodeError, Encode, Reader};
 
@@ -396,9 +404,9 @@ fn builds_in_bulk(held: &BTreeSet<Vrp>, changes: &[Delta]) -> bool {
 
 /// Applies a completed response's changes to the router's set: in bulk
 /// when [`builds_in_bulk`] allows it, change by change otherwise.
-fn apply(held: &mut BTreeSet<Vrp>, changes: Vec<Delta>) {
-    if builds_in_bulk(held, &changes) {
-        *held = changes.into_iter().map(|d| d.vrp).collect();
+fn apply(held: &mut BTreeSet<Vrp>, changes: &[Delta]) {
+    if builds_in_bulk(held, changes) {
+        *held = changes.iter().map(|d| d.vrp).collect();
         return;
     }
     for d in changes {
@@ -410,15 +418,114 @@ fn apply(held: &mut BTreeSet<Vrp>, changes: Vec<Delta>) {
     }
 }
 
+/// One version of a router's VRP set, shared by every client that
+/// holds it. Its set never changes while another client or a
+/// [`Successor`] can see it: only a sole holder (`Arc::get_mut`)
+/// applies in place.
+#[derive(Default)]
+struct Version {
+    set: BTreeSet<Vrp>,
+    /// The versions other clients built from this one, one per distinct
+    /// change list. Each stays valid while this set is unchanged, so an
+    /// in-place apply clears them.
+    successors: Mutex<Vec<Successor>>,
+}
+
+/// A version built from another by one change list.
+struct Successor {
+    changes: Vec<Delta>,
+    result: Weak<Version>,
+}
+
+impl Version {
+    /// The version every fresh or reset client starts at: one per
+    /// process, so the first full sync is shared too. The static holds
+    /// it, so no client is ever its sole holder.
+    fn empty() -> Arc<Version> {
+        static EMPTY: OnceLock<Arc<Version>> = OnceLock::new();
+        EMPTY.get_or_init(Arc::default).clone()
+    }
+}
+
+/// The live version recorded as `changes` applied to the version that
+/// owns `successors`.
+fn recorded(successors: &[Successor], changes: &[Delta]) -> Option<Arc<Version>> {
+    successors.iter().find_map(|s| s.result.upgrade().filter(|_| s.changes == changes))
+}
+
+/// Moves `held` to the version `changes` lead to: the successor another
+/// client recorded for the same change list if it is still held, else
+/// the same set changed in place if this client is its sole holder,
+/// else a copy, recorded for the clients that follow. The lock is held
+/// across the copy, so clients on one version copy once per distinct
+/// change list.
+fn advance(held: &mut Arc<Version>, changes: &[Delta]) {
+    let next = match Arc::get_mut(held) {
+        Some(sole) => {
+            let successors = sole.successors.get_mut().expect("successor lock poisoned");
+            match recorded(successors, changes) {
+                Some(next) => next,
+                None => {
+                    successors.clear();
+                    apply(&mut sole.set, changes);
+                    return;
+                }
+            }
+        }
+        None => {
+            let mut successors = held.successors.lock().expect("successor lock poisoned");
+            recorded(&successors, changes).unwrap_or_else(|| {
+                let mut set = held.set.clone();
+                apply(&mut set, changes);
+                let next = Arc::new(Version { set, successors: Mutex::default() });
+                successors.retain(|s| s.result.strong_count() > 0);
+                successors
+                    .push(Successor { changes: changes.to_vec(), result: Arc::downgrade(&next) });
+                next
+            })
+        }
+    };
+    *held = next;
+}
+
+/// The most changes whose buffer a client keeps for its next response:
+/// room for a delta, while a full sync's set-sized buffer is freed
+/// rather than kept by every router.
+const KEPT_CHANGES: usize = 64;
+
 /// The router side of the protocol.
-#[derive(Debug, Default)]
 pub struct RtrClient {
     session: Option<u16>,
     serial: u32,
-    vrps: BTreeSet<Vrp>,
+    vrps: Arc<Version>,
     /// Deltas buffered between `CacheResponse` and `EndOfData` (applied
-    /// atomically, per the RFC).
-    pending: Option<Vec<Delta>>,
+    /// atomically, per the RFC); one buffer reused across responses.
+    pending: Vec<Delta>,
+    /// Whether a `CacheResponse` opened a response not yet closed.
+    open: bool,
+}
+
+impl Default for RtrClient {
+    fn default() -> Self {
+        RtrClient {
+            session: None,
+            serial: 0,
+            vrps: Version::empty(),
+            pending: Vec::new(),
+            open: false,
+        }
+    }
+}
+
+impl std::fmt::Debug for RtrClient {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RtrClient")
+            .field("session", &self.session)
+            .field("serial", &self.serial)
+            .field("vrps", &self.vrps.set)
+            .field("pending", &self.open.then_some(&self.pending))
+            .finish()
+    }
 }
 
 /// What the client wants to do next after processing PDUs.
@@ -452,7 +559,7 @@ impl RtrClient {
     /// queryable [`VrpCache`] via [`cache`](RtrClient::cache) is the
     /// expensive form).
     pub fn vrp_set(&self) -> &BTreeSet<Vrp> {
-        &self.vrps
+        &self.vrps.set
     }
 
     /// The PDU to send when polling the server.
@@ -477,10 +584,7 @@ impl RtrClient {
                 match self.session {
                     Some(s) if s != *session => {
                         // Session changed under us: restart.
-                        self.session = None;
-                        self.serial = 0;
-                        self.vrps.clear();
-                        self.pending = None;
+                        self.restart();
                         return ClientAction::Reset;
                     }
                     _ => {}
@@ -489,14 +593,15 @@ impl RtrClient {
                     // Response to our ResetQuery establishes the
                     // session; the full set replaces everything.
                     self.session = Some(*session);
-                    self.vrps.clear();
+                    self.vrps = Version::empty();
                 }
-                self.pending = Some(Vec::new());
+                self.pending.clear();
+                self.open = true;
                 ClientAction::Idle
             }
             RtrPdu::Prefix(delta) => {
-                if let Some(pending) = self.pending.as_mut() {
-                    pending.push(*delta);
+                if self.open {
+                    self.pending.push(*delta);
                 }
                 ClientAction::Idle
             }
@@ -509,18 +614,18 @@ impl RtrClient {
                 // were ignored: taking its serial would leave the old
                 // set at the new serial for good. Ask again from the
                 // serial really held.
-                let Some(pending) = self.pending.take() else {
+                if !std::mem::take(&mut self.open) {
                     return ClientAction::Query;
-                };
-                apply(&mut self.vrps, pending);
+                }
+                advance(&mut self.vrps, &self.pending);
+                if self.pending.capacity() > KEPT_CHANGES {
+                    self.pending = Vec::new();
+                }
                 self.serial = *serial;
                 ClientAction::Idle
             }
             RtrPdu::CacheReset => {
-                self.session = None;
-                self.serial = 0;
-                self.vrps.clear();
-                self.pending = None;
+                self.restart();
                 ClientAction::Reset
             }
             RtrPdu::ErrorReport { .. } => ClientAction::Reset,
@@ -528,19 +633,28 @@ impl RtrClient {
         }
     }
 
+    /// Forgets the session and the set, back at the shared empty
+    /// version; an open response is dropped.
+    fn restart(&mut self) {
+        self.session = None;
+        self.serial = 0;
+        self.vrps = Version::empty();
+        self.open = false;
+    }
+
     /// The router's current VRPs as a queryable cache.
     pub fn cache(&self) -> VrpCache {
-        self.vrps.iter().copied().collect()
+        self.vrps.set.iter().copied().collect()
     }
 
     /// Number of VRPs the router holds.
     pub fn len(&self) -> usize {
-        self.vrps.len()
+        self.vrps.set.len()
     }
 
     /// Whether the router holds no VRPs.
     pub fn is_empty(&self) -> bool {
-        self.vrps.is_empty()
+        self.vrps.set.is_empty()
     }
 }
 
@@ -896,6 +1010,119 @@ mod tests {
         }
         assert_eq!(client.len(), 3);
         assert_eq!(client.serial(), server.serial());
+    }
+
+    /// `n` clients in session 1 at serial 1, all on one version of
+    /// `base` that no other client in the process can reach.
+    fn clients_on(base: &BTreeSet<Vrp>, n: usize) -> Vec<RtrClient> {
+        let version = Arc::new(Version { set: base.clone(), successors: Mutex::default() });
+        (0..n)
+            .map(|_| RtrClient {
+                session: Some(1),
+                serial: 1,
+                vrps: version.clone(),
+                ..RtrClient::default()
+            })
+            .collect()
+    }
+
+    /// Delivers one complete delta response carrying `changes`.
+    fn respond(client: &mut RtrClient, changes: &[Delta]) {
+        let serial = client.serial() + 1;
+        client.handle(&RtrPdu::CacheResponse { session: 1 });
+        for &d in changes {
+            client.handle(&RtrPdu::Prefix(d));
+        }
+        assert_eq!(client.handle(&RtrPdu::EndOfData { session: 1, serial }), ClientAction::Idle);
+    }
+
+    /// `set` with `changes` applied one by one: the unshared model.
+    fn applied(set: &BTreeSet<Vrp>, changes: &[Delta]) -> BTreeSet<Vrp> {
+        let mut out = set.clone();
+        for d in changes {
+            if d.announce {
+                out.insert(d.vrp);
+            } else {
+                out.remove(&d.vrp);
+            }
+        }
+        out
+    }
+
+    fn successors(client: &RtrClient) -> usize {
+        client.vrps.successors.lock().unwrap().len()
+    }
+
+    fn base_and_deltas() -> (BTreeSet<Vrp>, [Vec<Delta>; 2]) {
+        let base: BTreeSet<Vrp> = sample().into_iter().collect();
+        let d1 = vec![
+            Delta { vrp: v("10.9.0.0/16", 16, 9), announce: true },
+            Delta { vrp: v("10.0.0.0/16", 24, 1), announce: false },
+        ];
+        let d2 = vec![Delta { vrp: v("10.8.0.0/16", 20, 8), announce: true }];
+        (base, [d1, d2])
+    }
+
+    #[test]
+    fn equal_change_lists_from_one_version_share_the_result() {
+        let (base, [d1, _]) = base_and_deltas();
+        let mut clients = clients_on(&base, 3);
+        for client in &mut clients {
+            respond(client, &d1);
+        }
+        for client in &clients {
+            assert!(Arc::ptr_eq(&client.vrps, &clients[0].vrps), "one copy for one change list");
+            assert_eq!(client.vrp_set(), &applied(&base, &d1));
+        }
+    }
+
+    #[test]
+    fn a_different_change_list_does_not_take_the_recorded_successor() {
+        let (base, [d1, d2]) = base_and_deltas();
+        let mut clients = clients_on(&base, 3);
+        respond(&mut clients[0], &d1);
+        respond(&mut clients[1], &d2);
+        assert!(!Arc::ptr_eq(&clients[0].vrps, &clients[1].vrps));
+        assert_eq!(clients[1].vrp_set(), &applied(&base, &d2));
+        assert_eq!(successors(&clients[2]), 2, "one successor per distinct change list");
+    }
+
+    /// A successor another client may still take is never changed in
+    /// place, even when only one client holds it.
+    #[test]
+    fn a_recorded_successor_keeps_its_set_while_its_builder_moves_on() {
+        let (base, [d1, d2]) = base_and_deltas();
+        let mut clients = clients_on(&base, 2);
+        respond(&mut clients[0], &d1);
+        respond(&mut clients[0], &d2);
+        respond(&mut clients[1], &d1);
+        assert_eq!(clients[0].vrp_set(), &applied(&applied(&base, &d1), &d2));
+        assert_eq!(clients[1].vrp_set(), &applied(&base, &d1));
+    }
+
+    #[test]
+    fn a_sole_holder_applies_in_place_and_leaves_no_successor() {
+        let (base, [d1, d2]) = base_and_deltas();
+        let mut clients = clients_on(&base, 2);
+        let version = Arc::as_ptr(&clients[1].vrps);
+        respond(&mut clients[0], &d1);
+        respond(&mut clients[1], &d2);
+        assert_eq!(Arc::as_ptr(&clients[1].vrps), version, "applied in place");
+        assert_eq!(successors(&clients[1]), 0, "the successor built from the old set is gone");
+        // The in-place set is not the one `d1` was recorded against.
+        respond(&mut clients[1], &d1);
+        assert_eq!(clients[1].vrp_set(), &applied(&applied(&base, &d2), &d1));
+    }
+
+    #[test]
+    fn a_client_is_send_and_sync_and_debug_prints_its_set() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<RtrClient>();
+        let (base, _) = base_and_deltas();
+        let client = clients_on(&base, 1).pop().unwrap();
+        let text = format!("{client:?}");
+        assert!(text.contains(&format!("vrps: {:?}", base)), "{text}");
+        assert!(text.ends_with("pending: None }"), "{text}");
     }
 
     #[test]
