@@ -28,7 +28,6 @@
 //! Suspenders alone, since a complete sync lacking a file updates the
 //! snapshot.
 
-use std::collections::BTreeSet;
 use std::mem::Discriminant;
 
 use ipres::Prefix;
@@ -42,7 +41,7 @@ use rpki_rp::fabric::{pump_until, RtrEndpoint};
 use rpki_rp::{
     MergePolicy, Relay, ResilienceConfig, ResilientState, Route, RouteValidity, RtrFabric,
     RtrRouter, SchedulePlan, SchedulerState, SlurmFile, UnsafeVrpPolicy, ValidationRun,
-    ValidationState, Vrp, VrpCache, VrpUpdate,
+    ValidationState, Vrp, VrpCache, VrpDelta, VrpUpdate,
 };
 use serde::Serialize;
 
@@ -583,9 +582,8 @@ impl Rp {
             None => opts,
         });
         let (Stack::Tier(tier), 1..) = (self.stack, round) else { return run };
-        let effective = self.effective_vrps(&run);
-        let cache: VrpCache = effective.iter().copied().collect();
-        let mut m = RoundMetrics { round, vrps: effective.len(), ..RoundMetrics::default() };
+        let cache = self.effective_vrps(&run);
+        let mut m = RoundMetrics { round, vrps: cache.len(), ..RoundMetrics::default() };
         for ann in &w.announcements {
             match cache.classify(Route::new(ann.prefix, ann.origin)) {
                 RouteValidity::Valid => m.valid += 1,
@@ -615,10 +613,10 @@ impl Rp {
     /// The VRPs this relying party acts on after `run`: the Suspenders
     /// tier serves its hold-down-protected effective set, every other
     /// stack the run's own.
-    fn effective_vrps(&self, run: &ValidationRun) -> Vec<Vrp> {
+    fn effective_vrps(&self, run: &ValidationRun) -> VrpCache {
         match self.stack {
-            Stack::Tier(RpTier::Suspenders) => self.suspenders.effective_cache().vrps().to_vec(),
-            _ => run.vrps.clone(),
+            Stack::Tier(RpTier::Suspenders) => self.suspenders.effective_cache(),
+            _ => run.vrp_cache(),
         }
     }
 }
@@ -944,13 +942,12 @@ impl Observer<'_> {
                 e.w.repos.iter().for_each(Repository::reset_served_load);
             }
             (Observer::Divergence, Step::After(round, runs)) => {
-                let sets: Vec<BTreeSet<Vrp>> =
-                    runs.iter().map(|run| run.vrps.iter().copied().collect()).collect();
+                let sets: Vec<&[Vrp]> = runs.iter().map(|run| run.vrps.as_slice()).collect();
                 let mut d = DivergenceMetrics { round, ..DivergenceMetrics::default() };
                 for (i, a) in sets.iter().enumerate() {
                     d.distinct_vrp_sets += usize::from(!sets[..i].contains(a));
                     for b in &sets[..i] {
-                        let diff = a.symmetric_difference(b).count();
+                        let diff = distance(a, b);
                         d.pairwise_diff_sum += diff;
                         d.max_pairwise_diff = d.max_pairwise_diff.max(diff);
                     }
@@ -1068,7 +1065,7 @@ impl RtrSide {
     fn cycle(&mut self, e: &mut Engine<'_>, runs: &[ValidationRun]) {
         let net = &mut e.w.net;
         for ((f, rp), run) in self.fabrics.iter_mut().zip(&e.rps).zip(runs) {
-            f.publish(net, VrpUpdate::snapshot(rp.effective_vrps(run)));
+            f.publish(net, VrpUpdate::Snapshot(rp.effective_vrps(run)));
         }
         self.relay.poll_feeds(net);
         self.pump(net);
@@ -1087,8 +1084,7 @@ impl RtrSide {
     fn measure(&self, w: &World, round: usize) -> RtrRoundMetrics {
         // Truth: a perfect-transport walk of the repositories now —
         // what the authorities published, against what BGP acts on.
-        let truth: BTreeSet<Vrp> =
-            w.validate_direct(Moment(w.net.now())).vrps.into_iter().collect();
+        let truth = w.validate_direct(Moment(w.net.now())).vrps;
         let server = self.relay.target().server();
         let (relay_serial, relay_session) = (server.serial(), server.session());
         let mut m = RtrRoundMetrics { round, relay_serial, ..RtrRoundMetrics::default() };
@@ -1104,13 +1100,20 @@ impl RtrSide {
                     m.max_serial_lag = m.max_serial_lag.max(lag.unwrap_or(0));
                 }
             }
-            let dist = r.vrps().symmetric_difference(&truth).count();
+            let dist = distance(r.vrps(), &truth);
             m.truth_distance_sum += dist;
             m.max_truth_distance = m.max_truth_distance.max(dist);
         }
-        m.relay_truth_distance = self.relay.merged().symmetric_difference(&truth).count();
+        m.relay_truth_distance = distance(self.relay.merged().vrps(), &truth);
         m
     }
+}
+
+/// How many VRPs are in one of two sorted, deduplicated sets but not
+/// the other.
+fn distance(a: &[Vrp], b: &[Vrp]) -> usize {
+    let diff = VrpDelta::between(a, b);
+    diff.announce.len() + diff.withdraw.len()
 }
 
 /// The standard campaign suite the `ablation_resilience` binary runs.

@@ -75,6 +75,7 @@ use rpki_repo::Freshness;
 use rpkisim_crypto::{sha256, Digest, KeyId};
 use serde::Serialize;
 
+use crate::rtr::Delta;
 use crate::source::ObjectSource;
 use crate::validation::{
     Diagnostic, IncompletePolicy, OverclaimPolicy, RejectedCa, ValidatedCa, ValidationRun,
@@ -203,14 +204,13 @@ impl VrpDelta {
         self.announce.is_empty() && self.withdraw.is_empty()
     }
 
-    /// Applies this delta to a VRP set in place.
-    pub fn apply(&self, set: &mut BTreeSet<Vrp>) {
-        for vrp in &self.announce {
-            set.insert(*vrp);
-        }
-        for vrp in &self.withdraw {
-            set.remove(vrp);
-        }
+    /// The delta as one change list, announcements first: what an RTR
+    /// server records for it, and what
+    /// [`VrpCache::applied`](crate::vrp::VrpCache::applied) takes.
+    pub(crate) fn changes(&self) -> Vec<Delta> {
+        let announce = self.announce.iter().map(|&vrp| Delta { vrp, announce: true });
+        let withdraw = self.withdraw.iter().map(|&vrp| Delta { vrp, announce: false });
+        announce.chain(withdraw).collect()
     }
 }
 
@@ -541,6 +541,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::source::DirectSource;
     use crate::validation::ValidationConfig;
+    use crate::vrp::VrpCache;
     use ipres::{Asn, Prefix};
     use netsim::Network;
     use rpki_ca::CertAuthority;
@@ -796,9 +797,8 @@ pub(crate) mod tests {
         assert_eq!(delta.announce, vec![v(4), v(5)]);
         assert_eq!(delta.withdraw, vec![v(1)]);
         assert!(!delta.is_empty());
-        let mut set: BTreeSet<Vrp> = old.into_iter().collect();
-        delta.apply(&mut set);
-        assert_eq!(set.into_iter().collect::<Vec<_>>(), new);
+        let set: VrpCache = old.into_iter().collect();
+        assert_eq!(set.applied(&delta.changes()).vrps(), new);
         assert!(VrpDelta::between(&new, &new).is_empty());
     }
 

@@ -88,6 +88,7 @@ impl VrpCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rtr::Delta;
     use crate::vrp::Vrp;
 
     fn p(s: &str) -> Prefix {
@@ -151,7 +152,8 @@ mod tests {
         let route = Route::new(p("63.161.0.0/16"), Asn(4323));
         assert_eq!(cache.classify(route), RouteValidity::Unknown);
         // Sprint issues (63.160.0.0/12-13, AS1239) — Figure 5 (right).
-        cache.insert(Vrp::new(p("63.160.0.0/12"), 13, Asn(1239)));
+        let sprint = Vrp::new(p("63.160.0.0/12"), 13, Asn(1239));
+        cache = cache.applied(&[Delta { vrp: sprint, announce: true }]);
         assert_eq!(cache.classify(route), RouteValidity::Invalid);
         // And the /12 route itself becomes valid for Sprint...
         assert_eq!(cache.classify(Route::new(p("63.160.0.0/12"), Asn(1239))), RouteValidity::Valid);
@@ -170,7 +172,9 @@ mod tests {
         assert_eq!(cache.classify(route), RouteValidity::Valid);
         // The ROA goes missing from the local cache; the covering /20
         // ROA (AS 17054) remains → invalid, NOT unknown.
-        assert!(cache.remove(&Vrp::new(p("63.174.16.0/22"), 22, Asn(7341))));
+        let missing = Vrp::new(p("63.174.16.0/22"), 22, Asn(7341));
+        assert!(cache.vrps().contains(&missing));
+        cache = cache.applied(&[Delta { vrp: missing, announce: false }]);
         assert_eq!(cache.classify(route), RouteValidity::Invalid);
     }
 
@@ -181,7 +185,9 @@ mod tests {
         let mut cache = figure2_cache();
         let route = Route::new(p("63.174.16.0/22"), Asn(7341));
         assert_eq!(cache.classify(route), RouteValidity::Valid);
-        assert!(cache.remove(&Vrp::new(p("208.24.0.0/16"), 24, Asn(1239))));
+        let elsewhere = Vrp::new(p("208.24.0.0/16"), 24, Asn(1239));
+        assert!(cache.vrps().contains(&elsewhere));
+        cache = cache.applied(&[Delta { vrp: elsewhere, announce: false }]);
         assert_eq!(cache.classify(route), RouteValidity::Valid);
     }
 

@@ -23,12 +23,15 @@
 //! - a downstream [`RtrFabric`] target re-serving the result, serial
 //!   by serial, to attached routers.
 //!
-//! [`reference_merge`] is the sequential oracle: the relay's published
-//! set must equal it byte-for-byte on the same live-feed inputs.
+//! The relay merges its feeds' sorted VRP slices into one
+//! [`VrpCache`] and publishes it as a snapshot, which the downstream
+//! server diffs against what it serves. [`reference_merge`] is the
+//! test oracle, a `BTreeSet` fold written apart from that merge: the
+//! relay's published set must equal it byte-for-byte on the same
+//! live-feed inputs.
 //!
 //! [RFC 8416]: https://www.rfc-editor.org/rfc/rfc8416
 
-use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use ipres::{Asn, Prefix};
@@ -36,7 +39,7 @@ use netsim::{Delivery, Network, NodeId};
 
 use crate::fabric::{RtrEndpoint, RtrFabric, RtrRouter};
 use crate::rtr::VrpUpdate;
-use crate::vrp::Vrp;
+use crate::vrp::{Vrp, VrpCache};
 
 /// One RFC 8416 `prefixFilter`: drops VRPs it matches. A filter with a
 /// prefix matches every VRP whose prefix is equal to or more specific
@@ -95,14 +98,12 @@ impl SlurmFile {
         self.filters.is_empty() && self.assertions.is_empty()
     }
 
-    /// Applies the exceptions: drop every VRP matching any filter, then
-    /// add every assertion. Idempotent — re-filtering removes at most
-    /// what re-asserting restores.
-    pub fn apply(&self, vrps: &BTreeSet<Vrp>) -> BTreeSet<Vrp> {
-        let mut out: BTreeSet<Vrp> =
-            vrps.iter().filter(|v| !self.filters.iter().any(|f| f.matches(v))).copied().collect();
-        out.extend(self.assertions.iter().copied());
-        out
+    /// Applies the exceptions to a VRP set: drop every VRP matching any
+    /// filter, then add every assertion. Idempotent — re-filtering
+    /// removes at most what re-asserting restores.
+    pub fn apply(&self, vrps: &[Vrp]) -> VrpCache {
+        let kept = vrps.iter().filter(|v| !self.filters.iter().any(|f| f.matches(v)));
+        kept.chain(&self.assertions).copied().collect()
     }
 }
 
@@ -121,29 +122,37 @@ pub enum MergePolicy {
 }
 
 /// The sequential oracle for a merge: what the policy produces on the
-/// given live-feed VRP sets, in feed order. The relay's published set
-/// must equal this byte-for-byte.
+/// given live-feed VRP sets, in feed order, as a fold of `BTreeSet`
+/// unions or intersections. Tests hold the relay's merge to it; the
+/// relay does not call it.
 pub fn reference_merge(policy: MergePolicy, feeds: &[BTreeSet<Vrp>]) -> BTreeSet<Vrp> {
-    merge(policy, feeds)
-}
-
-/// [`reference_merge`] over owned or borrowed sets, so the relay merges
-/// its feeds without copying them first.
-fn merge<S: Borrow<BTreeSet<Vrp>>>(policy: MergePolicy, feeds: &[S]) -> BTreeSet<Vrp> {
     match policy {
         MergePolicy::Union => {
-            feeds.iter().fold(BTreeSet::new(), |acc, f| acc.union(f.borrow()).copied().collect())
+            feeds.iter().fold(BTreeSet::new(), |acc, f| acc.union(f).copied().collect())
         }
-        MergePolicy::Any => feeds.first().map(|f| f.borrow().clone()).unwrap_or_default(),
+        MergePolicy::Any => feeds.first().cloned().unwrap_or_default(),
         MergePolicy::All => {
             let Some((first, rest)) = feeds.split_first() else {
                 return BTreeSet::new();
             };
-            rest.iter().fold(first.borrow().clone(), |acc, f| {
-                acc.intersection(f.borrow()).copied().collect()
-            })
+            rest.iter().fold(first.clone(), |acc, f| acc.intersection(f).copied().collect())
         }
     }
+}
+
+/// The policy's merge of sorted, deduplicated feeds, sorted and
+/// deduplicated: the feeds' runs merged, each VRP kept if at least one
+/// feed (`Union`) or every feed (`All`) holds it.
+fn merge(policy: MergePolicy, feeds: &[&[Vrp]]) -> Vec<Vrp> {
+    let need = match policy {
+        MergePolicy::Any => return feeds.first().map_or_else(Vec::new, |f| f.to_vec()),
+        MergePolicy::Union => 1,
+        MergePolicy::All => feeds.len(),
+    };
+    let mut all = feeds.concat();
+    // A stable sort merges the feeds' sorted runs.
+    all.sort();
+    all.chunk_by(|a, b| a == b).filter(|run| run.len() >= need).map(|run| run[0]).collect()
 }
 
 /// A composable relay unit: merges upstream feeds, applies SLURM, and
@@ -211,8 +220,8 @@ impl Relay {
     }
 
     /// The merged, SLURM-filtered VRP set over the live feeds.
-    pub fn merged(&self) -> BTreeSet<Vrp> {
-        let live: Vec<&BTreeSet<Vrp>> = self.live_feeds().map(|i| self.feeds[i].vrps()).collect();
+    pub fn merged(&self) -> VrpCache {
+        let live: Vec<&[Vrp]> = self.live_feeds().map(|i| self.feeds[i].vrps()).collect();
         self.slurm.apply(&merge(self.policy, &live))
     }
 
@@ -256,14 +265,13 @@ mod tests {
 
     #[test]
     fn slurm_filters_and_assertions() {
-        let vrps =
-            set(&[v("10.0.0.0/16", 24, 1), v("10.0.1.0/24", 24, 2), v("10.1.0.0/16", 16, 3)]);
+        let vrps = [v("10.0.0.0/16", 24, 1), v("10.0.1.0/24", 24, 2), v("10.1.0.0/16", 16, 3)];
         // Prefix filter drops covered VRPs only.
         let file = SlurmFile {
             filters: vec![SlurmFilter::prefix("10.0.0.0/16".parse().unwrap())],
             assertions: vec![],
         };
-        assert_eq!(file.apply(&vrps), set(&[v("10.1.0.0/16", 16, 3)]));
+        assert_eq!(file.apply(&vrps).vrps(), [v("10.1.0.0/16", 16, 3)]);
         // ASN filter drops by origin.
         let file = SlurmFile { filters: vec![SlurmFilter::asn(Asn(2))], assertions: vec![] };
         assert_eq!(file.apply(&vrps).len(), 2);
@@ -279,9 +287,9 @@ mod tests {
         let file = SlurmFile { filters: vec![SlurmFilter::default()], assertions: vec![asserted] };
         let out = file.apply(&vrps);
         assert_eq!(out.len(), 4);
-        assert!(out.contains(&asserted));
+        assert!(out.vrps().contains(&asserted));
         // Idempotence.
-        assert_eq!(file.apply(&out), out);
+        assert_eq!(file.apply(out.vrps()), out);
     }
 
     #[test]
@@ -296,6 +304,22 @@ mod tests {
         assert_eq!(reference_merge(MergePolicy::Any, &[a.clone(), b.clone()]), a);
         assert_eq!(reference_merge(MergePolicy::Union, &[]), BTreeSet::new());
         assert_eq!(reference_merge(MergePolicy::All, &[]), BTreeSet::new());
+    }
+
+    /// The relay's slice merge gives the oracle's set under every policy,
+    /// with no feeds, one feed, and overlapping feeds.
+    #[test]
+    fn merge_of_slices_is_the_reference_merge() {
+        let a = [v("10.0.0.0/16", 24, 1), v("10.1.0.0/16", 16, 2), v("10.2.0.0/16", 16, 3)];
+        let b = [v("10.1.0.0/16", 16, 2), v("10.2.0.0/16", 16, 3), v("2001:db8::/32", 32, 4)];
+        let c = [v("10.0.0.0/16", 24, 1), v("10.2.0.0/16", 16, 3)];
+        for feeds in [&[][..], &[&a[..]], &[&a, &b], &[&b, &c, &a]] {
+            let sets: Vec<BTreeSet<Vrp>> = feeds.iter().map(|f| set(f)).collect();
+            for policy in [MergePolicy::Union, MergePolicy::Any, MergePolicy::All] {
+                let want: Vec<Vrp> = reference_merge(policy, &sets).into_iter().collect();
+                assert_eq!(merge(policy, feeds), want, "{policy:?} over {} feeds", feeds.len());
+            }
+        }
     }
 
     /// Two upstream caches with diverging sets, a union relay with a
@@ -343,9 +367,9 @@ mod tests {
             pump_until(&mut net, deadline, &mut eps);
         }
 
-        let reference =
-            slurm.apply(&reference_merge(MergePolicy::Union, &[set(&set_a), set(&set_b)]));
-        assert_eq!(router.vrps(), &reference);
+        let merged: Vec<Vrp> =
+            reference_merge(MergePolicy::Union, &[set(&set_a), set(&set_b)]).into_iter().collect();
+        assert_eq!(router.vrps(), slurm.apply(&merged).vrps());
         // The filtered AS 666 VRP and the asserted one behaved.
         assert!(!router.vrps().contains(&v("10.3.0.0/16", 16, 666)));
         assert!(router.vrps().contains(&v("192.0.2.0/24", 24, 64512)));
@@ -380,7 +404,7 @@ mod tests {
             pump_until(&mut net, deadline, &mut eps);
         }
         assert_eq!(relay.live_feeds().collect::<Vec<_>>(), [1]);
-        assert_eq!(relay.merged(), set(&set_b), "failover to the live feed");
+        assert_eq!(relay.merged().vrps(), set_b, "failover to the live feed");
 
         net.faults.heal(cache_a, relay_node);
         fab_a.renotify(&mut net, relay_node);
@@ -390,6 +414,6 @@ mod tests {
             pump_until(&mut net, deadline, &mut eps);
         }
         assert_eq!(relay.live_feeds().collect::<Vec<_>>(), [0, 1]);
-        assert_eq!(relay.merged(), set(&set_a), "first live feed wins again");
+        assert_eq!(relay.merged().vrps(), set_a, "first live feed wins again");
     }
 }

@@ -1,9 +1,15 @@
-//! Validated ROA payloads and the covering-query cache.
+//! Validated ROA payloads and the one VRP set type, [`VrpCache`]: what
+//! the RTR server, each router, a relay and a campaign tier hold. A
+//! borrowed set is a sorted, deduplicated `&[Vrp]`. Sets change by
+//! [`VrpCache::applied`] and differ by
+//! [`VrpDelta::between`](crate::incremental::VrpDelta::between).
 
 use std::fmt;
 
 use ipres::{Asn, Prefix};
 use serde::{Deserialize, Serialize};
+
+use crate::rtr::Delta;
 
 /// One validated ROA payload: the unit of origin validation (RFC 6811
 /// calls these VRPs). A ROA with several prefixes yields several VRPs.
@@ -65,7 +71,7 @@ const TOP: u32 = u32::MAX;
 /// every VRP that covers a route also covers the last VRP sorted at or
 /// before the route's prefix. A query finds that VRP by binary search
 /// and walks up its chain of covering prefixes.
-#[derive(Debug, Default)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct VrpCache {
     all: Vec<Vrp>,
     /// `up[i]` is the next VRP up `all[i]`'s chain: the VRP before it
@@ -95,29 +101,29 @@ impl VrpCache {
         VrpCache::default()
     }
 
-    /// Builds a cache from VRPs (duplicates collapse).
-    pub fn from_vrps<I: IntoIterator<Item = Vrp>>(vrps: I) -> Self {
-        let mut all: Vec<Vrp> = vrps.into_iter().collect();
-        all.sort_unstable();
-        all.dedup();
+    /// This set with `changes` applied in order: the last change to a
+    /// VRP wins, so announcing and then withdrawing an absent VRP
+    /// leaves it absent. One sorted merge and one pass over the links.
+    pub fn applied(&self, changes: &[Delta]) -> VrpCache {
+        // Reversed, then sorted stably: each VRP's last change leads
+        // its run, and the dedup keeps it.
+        let mut last: Vec<Delta> = changes.iter().rev().copied().collect();
+        last.sort_by_key(|d| d.vrp);
+        last.dedup_by_key(|d| d.vrp);
+        let mut all = Vec::with_capacity(self.all.len() + last.len());
+        let mut held = self.all.iter().copied().peekable();
+        for d in last {
+            while let Some(v) = held.next_if(|v| *v < d.vrp) {
+                all.push(v);
+            }
+            held.next_if_eq(&d.vrp);
+            if d.announce {
+                all.push(d.vrp);
+            }
+        }
+        all.extend(held);
         let up = links(&all);
         VrpCache { all, up }
-    }
-
-    /// Adds one VRP (no-op if already present).
-    pub fn insert(&mut self, vrp: Vrp) {
-        if let Err(pos) = self.all.binary_search(&vrp) {
-            self.all.insert(pos, vrp);
-            self.up = links(&self.all);
-        }
-    }
-
-    /// Removes one VRP. Returns whether it was present.
-    pub fn remove(&mut self, vrp: &Vrp) -> bool {
-        let Ok(pos) = self.all.binary_search(vrp) else { return false };
-        self.all.remove(pos);
-        self.up = links(&self.all);
-        true
     }
 
     /// All VRPs, sorted.
@@ -163,9 +169,21 @@ impl VrpCache {
     }
 }
 
+/// Prints the VRPs in set notation, as a `BTreeSet<Vrp>` of them would.
+impl fmt::Debug for VrpCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(&self.all).finish()
+    }
+}
+
+/// Builds a cache from VRPs (duplicates collapse).
 impl FromIterator<Vrp> for VrpCache {
     fn from_iter<T: IntoIterator<Item = Vrp>>(iter: T) -> Self {
-        VrpCache::from_vrps(iter)
+        let mut all: Vec<Vrp> = iter.into_iter().collect();
+        all.sort_unstable();
+        all.dedup();
+        let up = links(&all);
+        VrpCache { all, up }
     }
 }
 
@@ -222,6 +240,14 @@ mod tests {
         vrps.iter().map(|v| v.asn.0).collect()
     }
 
+    fn announce(vrp: Vrp) -> Delta {
+        Delta { vrp, announce: true }
+    }
+
+    fn withdraw(vrp: Vrp) -> Delta {
+        Delta { vrp, announce: false }
+    }
+
     #[test]
     fn links_point_up_the_chain() {
         let cache = sample();
@@ -240,13 +266,14 @@ mod tests {
         .into_iter()
         .collect();
         // A new cover between the /8 and the /24 run joins its chain.
-        cache.insert(Vrp::new(p("10.1.0.0/16"), 16, Asn(2)));
+        let cover = Vrp::new(p("10.1.0.0/16"), 16, Asn(2));
+        cache = cache.applied(&[announce(cover)]);
         assert_eq!(origins(&cache.covering(route)), [4, 3, 2, 1]);
-        // Removing it, and then the top of the chain, relinks around
+        // Withdrawing it, and then the top of the chain, relinks around
         // the gap.
-        assert!(cache.remove(&Vrp::new(p("10.1.0.0/16"), 16, Asn(2))));
+        cache = cache.applied(&[withdraw(cover)]);
         assert_eq!(origins(&cache.covering(route)), [4, 3, 1]);
-        assert!(cache.remove(&Vrp::new(p("10.0.0.0/8"), 8, Asn(1))));
+        cache = cache.applied(&[withdraw(Vrp::new(p("10.0.0.0/8"), 8, Asn(1)))]);
         assert_eq!(origins(&cache.covering(route)), [4, 3]);
         assert!(cache.covering(p("10.1.3.0/24")).is_empty());
     }
@@ -325,16 +352,29 @@ mod tests {
 
     #[test]
     fn insert_remove_round_trip() {
-        let mut cache = VrpCache::new();
         let v = Vrp::new(p("10.0.0.0/8"), 16, Asn(1));
-        cache.insert(v);
-        cache.insert(v); // duplicate is a no-op
+        // A repeated announce is one VRP.
+        let cache = VrpCache::new().applied(&[announce(v), announce(v)]);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.covering(p("10.1.0.0/16")), vec![v]);
-        assert!(cache.remove(&v));
-        assert!(!cache.remove(&v));
+        let cache = cache.applied(&[withdraw(v)]);
         assert!(cache.is_empty());
         assert!(cache.covering(p("10.1.0.0/16")).is_empty());
+        // Withdrawing an absent VRP is a no-op.
+        assert!(cache.applied(&[withdraw(v)]).is_empty());
+    }
+
+    #[test]
+    fn the_last_change_to_a_vrp_wins() {
+        let (a, b) = (Vrp::new(p("10.0.0.0/8"), 8, Asn(1)), Vrp::new(p("10.1.0.0/16"), 16, Asn(2)));
+        let empty = VrpCache::new();
+        assert!(empty.applied(&[announce(a), withdraw(a)]).is_empty());
+        assert_eq!(empty.applied(&[withdraw(a), announce(a)]).vrps(), [a]);
+        let held: VrpCache = [a].into_iter().collect();
+        assert_eq!(held.applied(&[withdraw(a), announce(b), announce(a)]).vrps(), [a, b]);
+        assert_eq!(held.applied(&[announce(a), announce(b), withdraw(a)]).vrps(), [b]);
+        // The input set is unchanged.
+        assert_eq!(held.vrps(), [a]);
     }
 
     #[test]

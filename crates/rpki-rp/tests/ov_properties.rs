@@ -3,7 +3,7 @@
 
 use ipres::{Addr, Asn, Prefix};
 use proptest::prelude::*;
-use rpki_rp::{Route, RouteValidity, Vrp, VrpCache};
+use rpki_rp::{Delta, Route, RouteValidity, Vrp, VrpCache};
 
 /// Small universe: prefixes inside 10.0.0.0/8, lengths 8..=24, origins
 /// from a handful of ASNs — overlap probability stays high.
@@ -68,11 +68,10 @@ proptest! {
         route in arb_route(),
         pick in any::<prop::sample::Index>(),
     ) {
-        let mut cache: VrpCache = vrps.iter().copied().collect();
+        let cache: VrpCache = vrps.iter().copied().collect();
         let before = cache.classify(route);
         let victim = vrps[pick.index(vrps.len())];
-        cache.remove(&victim);
-        let after = cache.classify(route);
+        let after = cache.applied(&[Delta { vrp: victim, announce: false }]).classify(route);
         if !victim.covers(route.prefix) {
             prop_assert_eq!(before, after, "non-covering removal changed state");
         }
@@ -95,10 +94,9 @@ proptest! {
         extra in arb_vrp(),
         route in arb_route(),
     ) {
-        let mut cache: VrpCache = vrps.iter().copied().collect();
+        let cache: VrpCache = vrps.iter().copied().collect();
         let before = cache.classify(route);
-        cache.insert(extra);
-        let after = cache.classify(route);
+        let after = cache.applied(&[Delta { vrp: extra, announce: true }]).classify(route);
         if before == RouteValidity::Valid {
             prop_assert_eq!(after, RouteValidity::Valid);
         }

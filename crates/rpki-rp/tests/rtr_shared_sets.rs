@@ -39,6 +39,10 @@ struct Model {
 }
 
 impl Model {
+    fn sorted(&self) -> Vec<Vrp> {
+        self.set.iter().copied().collect()
+    }
+
     fn handle(&mut self, pdu: &RtrPdu) {
         match pdu {
             RtrPdu::CacheResponse { session } => {
@@ -128,7 +132,7 @@ fn sync(
         let action = client.handle(&pdu);
         model.handle(&pdu);
         if matches!(pdu, RtrPdu::EndOfData { .. }) {
-            prop_assert_eq!(client.vrp_set(), &model.set, "client {} after {:?}", i, pdu);
+            prop_assert_eq!(client.vrp_set(), model.sorted(), "client {} after {:?}", i, pdu);
         }
         if action != ClientAction::Idle && budget[i] > 0 {
             budget[i] -= 1;
@@ -172,7 +176,7 @@ proptest! {
                 Step::Sync { mask, picks, drops } => sync(&server, &mut clients, mask, picks, drops)?,
             }
             for (i, (client, model)) in clients.iter().enumerate() {
-                prop_assert_eq!(client.vrp_set(), &model.set, "client {} after the step", i);
+                prop_assert_eq!(client.vrp_set(), model.sorted(), "client {} after the step", i);
             }
         }
     }

@@ -1,16 +1,17 @@
 //! `VrpCache` consistency: the cache keeps one sorted, deduplicated
 //! `Vec` of VRPs and answers covering queries by walking up chains of
-//! covering prefixes from a binary search. These properties drive
-//! random insert/remove interleavings and check after every operation
-//! that the sorted set and the covering query describe the same set,
-//! pinned against a `BTreeSet` model, a linear scan and a brute-force
-//! RFC 6811 oracle.
+//! covering prefixes from a binary search. These properties apply
+//! random change lists, announces and withdraws interleaved and VRPs
+//! repeated within a list, and check after every list that the sorted
+//! set and the covering query describe the same set, pinned against a
+//! `BTreeSet` model fed the changes one by one, a linear scan and a
+//! brute-force RFC 6811 oracle.
 
 use std::collections::BTreeSet;
 
 use ipres::{Addr, Asn, Prefix};
 use proptest::prelude::*;
-use rpki_rp::{Route, RouteValidity, Vrp, VrpCache};
+use rpki_rp::{Delta, Route, RouteValidity, Vrp, VrpCache};
 
 /// Small universe inside 10.0.0.0/8 (same shape as ov_properties.rs):
 /// collisions between inserts and removes stay frequent.
@@ -25,9 +26,32 @@ fn arb_vrp() -> impl Strategy<Value = Vrp> {
     })
 }
 
-/// An operation against both the cache and the model: insert or remove.
-fn arb_op() -> impl Strategy<Value = (bool, Vrp)> {
-    (any::<bool>(), arb_vrp())
+/// Change lists over a pool of at most fifteen VRPs, so a list repeats
+/// VRPs and later lists announce and withdraw what earlier ones left.
+fn arb_change_lists(vrp: impl Strategy<Value = Vrp>) -> impl Strategy<Value = Vec<Vec<Delta>>> {
+    let pick = (any::<bool>(), any::<prop::sample::Index>());
+    let lists = proptest::collection::vec(proptest::collection::vec(pick, 0..12), 1..8);
+    (proptest::collection::vec(vrp, 1..16), lists).prop_map(|(pool, lists)| {
+        lists
+            .into_iter()
+            .map(|list| {
+                list.into_iter()
+                    .map(|(announce, i)| Delta { vrp: pool[i.index(pool.len())], announce })
+                    .collect()
+            })
+            .collect()
+    })
+}
+
+/// The model: `changes` applied to a `BTreeSet` one by one.
+fn apply_one_by_one(model: &mut BTreeSet<Vrp>, changes: &[Delta]) {
+    for d in changes {
+        if d.announce {
+            model.insert(d.vrp);
+        } else {
+            model.remove(&d.vrp);
+        }
+    }
 }
 
 /// IPv6 VRPs in a small universe inside 2001:db8::/32, so that chains
@@ -71,24 +95,19 @@ fn oracle(vrps: &BTreeSet<Vrp>, route: Route) -> RouteValidity {
 }
 
 proptest! {
-    /// After every insert/remove, the sorted-Vec view equals the model
-    /// set, `remove` reports presence truthfully, and the `covering`
-    /// query agrees with a linear scan of the model.
+    /// After every change list, the sorted-Vec view equals the model
+    /// set, and the `covering` query agrees with a linear scan of the
+    /// model.
     #[test]
     fn views_agree_under_interleaved_inserts_and_removes(
-        ops in proptest::collection::vec(arb_op(), 1..40),
+        lists in arb_change_lists(arb_vrp()),
         probe in arb_prefix(),
     ) {
         let mut cache = VrpCache::new();
         let mut model: BTreeSet<Vrp> = BTreeSet::new();
-        for (is_insert, vrp) in ops {
-            if is_insert {
-                cache.insert(vrp);
-                model.insert(vrp);
-            } else {
-                let was_present = model.remove(&vrp);
-                prop_assert_eq!(cache.remove(&vrp), was_present);
-            }
+        for changes in lists {
+            cache = cache.applied(&changes);
+            apply_one_by_one(&mut model, &changes);
 
             // Sorted-Vec view ≡ model.
             prop_assert_eq!(cache.len(), model.len());
@@ -106,51 +125,38 @@ proptest! {
     }
 
     /// `classify` (which reads through the covering chains) agrees with
-    /// the brute-force oracle over the model after arbitrary mutations —
-    /// removals included, so a stale chain link would be caught.
+    /// the brute-force oracle over the model after every change list —
+    /// withdrawals included, so a stale chain link would be caught.
     #[test]
     fn classify_agrees_with_oracle_after_mutations(
-        ops in proptest::collection::vec(arb_op(), 1..40),
+        lists in arb_change_lists(arb_vrp()),
         probe in arb_prefix(),
         origin in 1u32..=4,
     ) {
         let mut cache = VrpCache::new();
         let mut model: BTreeSet<Vrp> = BTreeSet::new();
-        for (is_insert, vrp) in ops {
-            if is_insert {
-                cache.insert(vrp);
-                model.insert(vrp);
-            } else {
-                model.remove(&vrp);
-                cache.remove(&vrp);
-            }
+        for changes in lists {
+            cache = cache.applied(&changes);
+            apply_one_by_one(&mut model, &changes);
             let route = Route::new(probe, Asn(origin));
             prop_assert_eq!(cache.classify(route), oracle(&model, route));
         }
     }
 
-    /// Rebuilding from the Vec view yields an equivalent cache: the
-    /// links that `insert` and `remove` relink equal a fresh build's.
+    /// Rebuilding from the Vec view yields an equal cache: the links an
+    /// apply leaves equal a fresh build's.
     #[test]
     fn rebuild_from_vec_view_is_lossless(
-        ops in proptest::collection::vec(arb_op(), 1..40),
-        probe in arb_prefix(),
+        lists in arb_change_lists(arb_mixed_vrp()),
+        probe in arb_any_prefix(),
     ) {
         let mut cache = VrpCache::new();
-        for (is_insert, vrp) in ops {
-            if is_insert {
-                cache.insert(vrp);
-            } else {
-                cache.remove(&vrp);
-            }
+        for changes in lists {
+            cache = cache.applied(&changes);
+            let rebuilt: VrpCache = cache.vrps().iter().copied().collect();
+            prop_assert_eq!(&rebuilt, &cache);
+            prop_assert_eq!(rebuilt.covering(probe), cache.covering(probe));
         }
-        let rebuilt: VrpCache = cache.vrps().iter().copied().collect();
-        prop_assert_eq!(rebuilt.vrps(), cache.vrps());
-        let mut a = cache.covering(probe);
-        let mut b = rebuilt.covering(probe);
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
     }
 
     /// A cache built in one go from VRPs with repeats answers every
@@ -223,22 +229,18 @@ proptest! {
         prop_assert_eq!(cut.as_slice(), &full[..k]);
     }
 
-    /// Inserts and removes of both families keep the covering query
-    /// equal to a scan of the model: a v6 VRP never relinks a v4 chain.
+    /// Change lists of both families keep the covering query equal to a
+    /// scan of the model: a v6 VRP never relinks a v4 chain.
     #[test]
     fn mixed_family_mutations_agree_with_scan(
-        ops in proptest::collection::vec((any::<bool>(), arb_mixed_vrp()), 1..40),
+        lists in arb_change_lists(arb_mixed_vrp()),
         probe in arb_any_prefix(),
     ) {
         let mut cache = VrpCache::new();
         let mut model: BTreeSet<Vrp> = BTreeSet::new();
-        for (is_insert, vrp) in ops {
-            if is_insert {
-                cache.insert(vrp);
-                model.insert(vrp);
-            } else {
-                prop_assert_eq!(cache.remove(&vrp), model.remove(&vrp));
-            }
+        for changes in lists {
+            cache = cache.applied(&changes);
+            apply_one_by_one(&mut model, &changes);
             let all: Vec<Vrp> = model.iter().copied().collect();
             prop_assert_eq!(cache.vrps(), all.as_slice());
             let mut got = cache.covering(probe);

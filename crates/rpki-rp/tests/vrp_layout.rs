@@ -1,6 +1,7 @@
 //! Pins on `Vrp`'s size and on the text and hash it inherits from the
 //! compact `Prefix` (see `ipres/tests/layout.rs`): every router's VRP
-//! set is a `BTreeSet<Vrp>`, so its size is the per-VRP cost of each.
+//! set is a `VrpCache`, a sorted `Vec<Vrp>`, so its size is the per-VRP
+//! cost of each.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};

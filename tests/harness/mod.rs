@@ -299,11 +299,7 @@ impl Rp {
         let reset = rtr_sync(&mut self.router, &self.server);
         self.resets += usize::from(reset);
         prop_assert!(reset || !stale_session, "a changed session reached the router unreset");
-        prop_assert_eq!(
-            self.router.vrp_set().iter().copied().collect::<Vec<_>>(),
-            run.vrps.clone(),
-            "the router's set is not the run's"
-        );
+        prop_assert_eq!(self.router.vrp_set(), &run.vrps, "the router's set is not the run's");
         Ok(())
     }
 
